@@ -460,9 +460,9 @@ mod tests {
 
     #[test]
     fn long_paths_collect_all_segments() {
-        let body = body_of("fn f() { crate::engine::slice_event(a, b); }");
+        let body = body_of("fn f() { crate::engine::serve_slice(a, b); }");
         let calls = calls_in(&body);
-        assert_eq!(calls[0].path, vec!["crate", "engine", "slice_event"]);
+        assert_eq!(calls[0].path, vec!["crate", "engine", "serve_slice"]);
     }
 
     #[test]

@@ -64,12 +64,11 @@ pub type EntryPoint = (&'static str, &'static str);
 /// anything transitively callable from them runs inside sweeps that may
 /// be hours long.
 pub const REPLAY_ENTRY_POINTS: &[EntryPoint] = &[
-    ("CompiledTrace", "replay_report"),
-    ("CompiledTrace", "replay_observed"),
+    ("ReplayEngine", "serve"),
+    ("ReplayEngine", "replay"),
     ("ReplaySession", "run"),
     ("ReplaySession", "sweep"),
-    ("ReplayEngine", "replay"),
-    ("ReplayEngine", "serve_query"),
+    ("Mediator", "serve_trace_query"),
 ];
 
 /// Per-file inputs the builder needs beyond the parse.
@@ -238,7 +237,7 @@ impl CallGraph {
     }
 
     /// The shortest call chain from a root to `node`, as display names
-    /// (`CompiledTrace::replay_report → … → DenseMap::get`).
+    /// (`ReplayEngine::serve → … → DenseMap::get`).
     pub fn chain_to(&self, pred: &[Option<usize>], node: usize) -> String {
         let mut path = vec![node];
         let mut cur = node;
@@ -399,10 +398,10 @@ mod tests {
     #[test]
     fn reachability_and_chain() {
         let g = graph(&[(
-            "crates/federation/src/compiled.rs",
+            "crates/federation/src/engine.rs",
             "federation",
-            "struct CompiledTrace;\n\
-             impl CompiledTrace { pub fn replay_report(&self) { step(); } }\n\
+            "struct ReplayEngine;\n\
+             impl ReplayEngine { pub fn serve(&self) { step(); } }\n\
              fn step() { deep(); }\n\
              fn deep() {}\n\
              fn unrelated() {}",
@@ -414,7 +413,7 @@ mod tests {
         assert!(pred[deep].is_some());
         assert!(pred[idx(&g, None, "unrelated")].is_none());
         let chain = g.chain_to(&pred, deep);
-        assert_eq!(chain, "CompiledTrace::replay_report → step → deep");
+        assert_eq!(chain, "ReplayEngine::serve → step → deep");
     }
 
     #[test]

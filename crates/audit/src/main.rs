@@ -122,7 +122,7 @@ fn main() -> ExitCode {
     }
     println!(
         "byc-audit: {} files, {} functions, {} call edges, {} reachable from replay entries; \
-         {} panic site(s) under CompiledTrace::replay_report",
+         {} panic site(s) under ReplayEngine::serve",
         s.files, s.functions, s.edges, s.reachable, s.replay_report_sites
     );
     if outcome.findings.is_empty() {

@@ -8,7 +8,7 @@
 //!   types (`Rc`, `RefCell`, `Cell`, `UnsafeCell`, raw pointers) plus
 //!   `static mut` and `thread_local!` anywhere in library code;
 //! * `send-sync-assert` — every shareable state type (`CacheState`,
-//!   `CompiledTrace`, every `CachePolicy`/`BypassObjectAlgorithm`
+//!   `ReplayEngine`, every `CachePolicy`/`BypassObjectAlgorithm`
 //!   implementor) must appear in the compile-time `Send + Sync`
 //!   assertion test, so a non-`Sync` field shows up as a build break in
 //!   the same change that introduces it.
@@ -29,7 +29,7 @@ const STATE_CRATES: &[&str] = &["core", "federation", "engine"];
 const SHARED_TRAITS: &[&str] = &["CachePolicy", "BypassObjectAlgorithm"];
 
 /// Types that must always be asserted, beyond trait implementors.
-const ALWAYS_SHARED: &[&str] = &["CacheState", "CompiledTrace"];
+const ALWAYS_SHARED: &[&str] = &["CacheState", "ReplayEngine"];
 
 /// Field-type path segments that are not `Sync` (or not `Send`).
 const NON_SYNC_SEGMENTS: &[&str] = &["Rc", "RefCell", "Cell", "UnsafeCell"];

@@ -70,7 +70,7 @@ pub struct Summary {
     /// Functions reachable from any replay entry point.
     pub reachable: usize,
     /// Panic sites (all kinds, pre-allowlist) in functions reachable
-    /// from `CompiledTrace::replay_report` specifically — the number
+    /// from `ReplayEngine::serve` (the per-query kernel) specifically — the number
     /// the acceptance gate drives to zero-or-justified.
     pub replay_report_sites: usize,
 }

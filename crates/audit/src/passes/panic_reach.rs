@@ -6,7 +6,7 @@
 //! additionally covers constructs too noisy for a blanket ban —
 //! indexing, division, `assert!`/`unreachable!` — but only where they
 //! matter: in functions transitively callable from
-//! `CompiledTrace::replay_report` and the other replay mouths, where a
+//! `ReplayEngine::serve` and the other replay mouths, where a
 //! panic aborts a sweep that may have been running for hours. Every
 //! finding carries the shortest call chain from an entry point, so the
 //! fix site is obvious.
@@ -23,7 +23,7 @@ pub struct Outcome {
     /// The findings.
     pub findings: Vec<Finding>,
     /// Panic sites (all kinds) in functions reachable from
-    /// `CompiledTrace::replay_report` specifically.
+    /// `ReplayEngine::serve` (the per-query kernel) specifically.
     pub replay_report_sites: usize,
 }
 
@@ -42,7 +42,7 @@ pub fn run(ws: &Workspace) -> Outcome {
     let own_expect = self_expect_qualifiers(ws);
     let roots = ws.graph.entry_nodes(REPLAY_ENTRY_POINTS);
     let pred = ws.graph.reachable_from(&roots);
-    let report_roots = ws.graph.entry_nodes(&[("CompiledTrace", "replay_report")]);
+    let report_roots = ws.graph.entry_nodes(&[("ReplayEngine", "serve")]);
     let report_pred = ws.graph.reachable_from(&report_roots);
 
     let mut findings = Vec::new();
@@ -119,9 +119,9 @@ mod tests {
         // path-sensitive, not crate-scoped.
         let trace = file(
             "federation",
-            "crates/federation/src/compiled.rs",
-            "pub struct CompiledTrace;\n\
-             impl CompiledTrace { pub fn replay_report(&self) { step(); } }\n\
+            "crates/federation/src/engine.rs",
+            "pub struct ReplayEngine;\n\
+             impl ReplayEngine { pub fn serve(&self) { step(); } }\n\
              fn step() { helper(); }",
         );
         let helper = file(
@@ -137,9 +137,9 @@ mod tests {
             .collect();
         assert_eq!(reach.len(), 2, "{f:?}");
         assert!(reach.iter().any(|f| f.rule == "panic-reach-index"));
-        assert!(reach.iter().all(|f| f
-            .message
-            .contains("CompiledTrace::replay_report → step → helper")));
+        assert!(reach
+            .iter()
+            .all(|f| f.message.contains("ReplayEngine::serve → step → helper")));
         assert!(
             !f.iter().any(|f| f.message.contains("unrelated")),
             "unreachable fn not flagged"

@@ -67,7 +67,7 @@ fn bad_workspace() -> Analysis {
             include_str!("fixtures/bad_concurrency.rs"),
         ),
         lib(
-            "crates/federation/src/compiled.rs",
+            "crates/federation/src/engine.rs",
             include_str!("fixtures/bad_reach.rs"),
         ),
         lib(
@@ -108,7 +108,7 @@ fn clean_workspace() -> Analysis {
             include_str!("fixtures/clean_concurrency.rs"),
         ),
         lib(
-            "crates/federation/src/compiled.rs",
+            "crates/federation/src/engine.rs",
             include_str!("fixtures/clean_reach.rs"),
         ),
         lib(
@@ -170,16 +170,16 @@ fn bad_fixture_spans_are_exact() {
     assert_eq!((unwrap.line, unwrap.col), (4, 27));
     assert_eq!(unwrap.snippet, "let first = v.first().unwrap();");
 
-    let index = find("panic-reach-index", "crates/federation/src/compiled.rs");
+    let index = find("panic-reach-index", "crates/federation/src/engine.rs");
     assert_eq!(index.line, 14);
     assert!(index.message.contains("replay path"), "{}", index.message);
     assert!(
-        index.message.contains("CompiledTrace::replay_report"),
+        index.message.contains("ReplayEngine::serve"),
         "chain names the entry point: {}",
         index.message
     );
 
-    let arith = find("panic-reach-arith", "crates/federation/src/compiled.rs");
+    let arith = find("panic-reach-arith", "crates/federation/src/engine.rs");
     assert_eq!(arith.line, 20);
     assert_eq!(arith.snippet, "100 / d");
 
@@ -198,7 +198,7 @@ fn bad_fixture_spans_are_exact() {
 fn bad_fixture_counts_replay_report_sites() {
     let analysis = bad_workspace();
     // slots[i], .expect("non-empty"), and 100 / d all sit under
-    // CompiledTrace::replay_report.
+    // ReplayEngine::serve.
     assert_eq!(analysis.summary.replay_report_sites, 3);
 }
 
@@ -221,7 +221,7 @@ fn missing_assert_file_is_one_finding_for_all_types() {
         .iter()
         .find(|f| f.rule == "send-sync-assert")
         .expect("send-sync-assert finding");
-    // CacheState (always-shared) and CompiledTrace (always-shared) are
+    // CacheState (always-shared) and ReplayEngine (always-shared) are
     // defined; LonePolicy implements no shared trait.
     assert!(f.message.contains("2 shareable type(s)"), "{}", f.message);
 }

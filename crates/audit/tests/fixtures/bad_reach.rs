@@ -1,12 +1,12 @@
-//! Known-bad fixture: panic sites reachable from the compiled-replay
+//! Known-bad fixture: panic sites reachable from the replay-kernel
 //! entry point through a two-hop call chain.
 
-pub struct CompiledTrace {
+pub struct ReplayEngine {
     slots: Vec<u64>,
 }
 
-impl CompiledTrace {
-    pub fn replay_report(&self) -> u64 {
+impl ReplayEngine {
+    pub fn serve(&self) -> u64 {
         self.step(0)
     }
 

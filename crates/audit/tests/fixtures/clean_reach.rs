@@ -1,12 +1,12 @@
 //! Known-clean fixture: the same call shape as `bad_reach.rs`, with
 //! every panic site replaced by a total operation.
 
-pub struct CompiledTrace {
+pub struct ReplayEngine {
     slots: Vec<u64>,
 }
 
-impl CompiledTrace {
-    pub fn replay_report(&self) -> u64 {
+impl ReplayEngine {
+    pub fn serve(&self) -> u64 {
         self.step(0)
     }
 

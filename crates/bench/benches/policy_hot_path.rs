@@ -1,8 +1,8 @@
 //! Per-policy decision-path cost: lazy incremental planning (the
 //! shipping configuration) versus the scan-based reference planner.
 //!
-//! Both sides replay the same compiled DR1-style trace through
-//! [`CompiledTrace::replay_report`], so the engine cost is identical
+//! Both sides replay the same DR1-style trace through an unaudited
+//! [`ReplaySession`] with no observers, so the kernel cost is identical
 //! and the difference isolates the policy hot path: lazy-deletion
 //! utility heaps plus reusable eviction scratch against the eager
 //! full-container rescans they replaced (DESIGN.md §18). The reference
@@ -16,7 +16,7 @@
 
 use byc_catalog::sdss::{build, SdssRelease};
 use byc_catalog::{Granularity, ObjectCatalog};
-use byc_federation::{build_policy, CompiledTrace, PolicyKind, Uniform};
+use byc_federation::{build_policy, PolicyKind, ReplaySession};
 use byc_workload::{generate, WorkloadConfig, WorkloadStats};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -41,14 +41,18 @@ fn bench_policy_hot_path(c: &mut Criterion) {
     let smoke = std::env::var_os("BYC_PERF_SMOKE").is_some();
     let queries = if smoke { 2_000 } else { 10_000 };
 
-    // Same workload as `compiled_replay`, so the lazy numbers here line
-    // up with that bench's `compiled_amortized` series.
     let catalog = build(SdssRelease::Dr1, 1e-2, 1);
     let trace = generate(&catalog, &WorkloadConfig::smoke(29, queries)).unwrap();
     let objects = ObjectCatalog::uniform(&catalog, Granularity::Column);
     let stats = WorkloadStats::compute(&trace, &objects);
     let capacity = objects.total_size().scale(0.15);
-    let compiled = CompiledTrace::compile(&trace, &objects, &Uniform);
+    let replay = |policy: &mut dyn byc_core::policy::CachePolicy| {
+        ReplaySession::new(&trace, &objects)
+            .policy(policy)
+            .unaudited()
+            .run()
+            .map(|r| r.report.total_cost())
+    };
 
     let mut group = c.benchmark_group("policy_hot_path");
     group.throughput(Throughput::Elements(trace.len() as u64));
@@ -59,7 +63,7 @@ fn bench_policy_hot_path(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("lazy", kind.label()), &kind, |b, &kind| {
             b.iter(|| {
                 let mut policy = build_policy(kind, capacity, &stats.demands, 29);
-                compiled.replay_report(policy.as_mut(), None).total_cost()
+                replay(policy.as_mut())
             })
         });
         group.bench_with_input(
@@ -69,7 +73,7 @@ fn bench_policy_hot_path(c: &mut Criterion) {
                 b.iter(|| {
                     let mut policy = build_policy(kind, capacity, &stats.demands, 29);
                     policy.debug_reference_planning(true);
-                    compiled.replay_report(policy.as_mut(), None).total_cost()
+                    replay(policy.as_mut())
                 })
             },
         );

@@ -7,19 +7,20 @@ use byc_analysis::{
 use byc_catalog::sdss::{self, SdssRelease};
 use byc_catalog::{Granularity, ObjectCatalog};
 use byc_federation::{
-    build_policy, build_sharded, CostEvent, DegradationPolicy, FaultModel, FlakyLinks,
-    FlightRecorder, LinkScoped, NetworkModel, Observer, Outage, OutageWindows,
-    PerServerMultipliers, PerServerObserver, PerTierObserver, PolicyKind, QueryWindow,
-    ReplaySession, RetryPolicy, SweepOptions, Topology, Uniform,
+    build_policy, CostEvent, DegradationPolicy, FaultModel, FlakyLinks, FlightRecorder, LinkScoped,
+    NetworkModel, Observer, Outage, OutageWindows, PerServerMultipliers, PerServerObserver,
+    PerTierObserver, PolicyKind, QueryWindow, ReplaySession, RetryPolicy, SweepOptions, Topology,
+    Uniform,
 };
 use byc_telemetry::{
     render_postmortems, window_header, window_record, write_chrome_trace, write_metrics,
     EventLogWriter, MetricsFormat, MetricsRegistry, SpanObserver, SpanTracer, TelemetryObserver,
     WindowedRegistry,
 };
-use byc_types::{Error, Result, ServerId, Tick};
+use byc_types::{Bytes, Error, Result, ServerId, Tick};
 use byc_workload::{
-    generate, io as trace_io, Trace, TraceQuery, TraceSpec, WorkloadConfig, WorkloadStats,
+    generate, io as trace_io, Trace, TraceQuery, TraceReader, TraceSpec, WorkloadConfig,
+    WorkloadStats,
 };
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -78,8 +79,6 @@ pub enum Command {
         fault_seed: Option<u64>,
         /// Degradation fallback when retries are exhausted ("stale"/"fail").
         degrade: String,
-        /// Replay through the compiled trace fast path.
-        compiled: bool,
         /// Write the replay's deterministic span tree as Chrome
         /// trace-event JSON here (None = no span trace).
         trace_spans: Option<PathBuf>,
@@ -90,14 +89,6 @@ pub enum Command {
         /// cost events per tier and dump postmortems on failed or
         /// degraded queries (None = off).
         flight_recorder: Option<usize>,
-        /// Replay out-of-core: stream the trace in chunks instead of
-        /// materializing it (file traces never load into memory).
-        streaming: bool,
-        /// Queries per streamed chunk (None = the session default).
-        chunk_size: Option<usize>,
-        /// Shard the policy over N object-id ranges and replay the
-        /// shards on parallel workers (None = unsharded).
-        shards: Option<usize>,
     },
     /// Sweep cache sizes for a set of policies.
     Sweep {
@@ -131,8 +122,6 @@ pub enum Command {
         fault_seed: Option<u64>,
         /// Degradation fallback when retries are exhausted ("stale"/"fail").
         degrade: String,
-        /// Compile the trace once and share it across every sweep point.
-        compiled: bool,
         /// Write every sweep job's span tree into one Chrome trace-event
         /// file, one thread lane per job (None = no span trace).
         trace_spans: Option<PathBuf>,
@@ -272,11 +261,17 @@ fn parse_topology(spec: &str, multipliers: &Option<Vec<f64>>) -> Result<Option<T
 
 /// Apply `--fault-link` scoping to a parsed fault model: the model only
 /// fires on attempts over one topology link; every other link delivers.
+/// `depth` is the topology's link count (1 on the flat WAN).
 fn scope_faults(
     model: Option<Box<dyn FaultModel>>,
     fault_link: Option<u32>,
+    depth: usize,
 ) -> Result<Option<Box<dyn FaultModel>>> {
     match (model, fault_link) {
+        (Some(_), Some(link)) if link as usize >= depth => Err(Error::InvalidConfig(format!(
+            "--fault-link {link} is out of range: the topology has {depth} link(s), \
+             numbered from 0"
+        ))),
         (Some(m), Some(link)) => Ok(Some(Box::new(LinkScoped::new(m, link)))),
         (None, Some(_)) => Err(Error::InvalidConfig(
             "--fault-link needs a fault model (--faults ...)".into(),
@@ -307,7 +302,11 @@ fn parse_degradation(name: &str) -> Result<DegradationPolicy> {
 ///   per-server downtime in query-index time (half-open windows);
 /// * `flaky:p=0.01[,spike=0.05x4]` — seeded per-attempt failure
 ///   probability, optionally with a cost-spike probability and multiplier.
-fn parse_faults(spec: &str, seed: u64) -> Result<Option<Box<dyn FaultModel>>> {
+///
+/// Specs that would do nothing or nonsense are rejected: probabilities
+/// must be finite and in `[0, 1]`, a spike multiplier finite and at
+/// least 1, an outage window non-empty, and its server below `servers`.
+fn parse_faults(spec: &str, seed: u64, servers: u32) -> Result<Option<Box<dyn FaultModel>>> {
     if spec.eq_ignore_ascii_case("none") {
         return Ok(None);
     }
@@ -323,11 +322,23 @@ fn parse_faults(spec: &str, seed: u64) -> Result<Option<Box<dyn FaultModel>>> {
                     until: Tick::new(until.trim().parse().ok()?),
                 })
             };
-            windows.push(window().ok_or_else(|| {
+            let window = window().ok_or_else(|| {
                 Error::InvalidConfig(format!(
                     "bad outage window {part:?} (expected SERVER@START..END)"
                 ))
-            })?);
+            })?;
+            if window.until <= window.from {
+                return Err(Error::InvalidConfig(format!(
+                    "empty outage window {part:?} (END must be greater than START)"
+                )));
+            }
+            if window.server.raw() >= servers {
+                return Err(Error::InvalidConfig(format!(
+                    "outage window {part:?} names server {} but --servers is {servers}",
+                    window.server.raw()
+                )));
+            }
+            windows.push(window);
         }
         return Ok(Some(Box::new(OutageWindows::new(windows))));
     }
@@ -360,6 +371,18 @@ fn parse_faults(spec: &str, seed: u64) -> Result<Option<Box<dyn FaultModel>>> {
         let p = failure_p.ok_or_else(|| {
             Error::InvalidConfig("flaky faults need a failure probability (p=...)".into())
         })?;
+        for (what, prob) in [("failure", p), ("spike", spike_p)] {
+            if !(0.0..=1.0).contains(&prob) {
+                return Err(Error::InvalidConfig(format!(
+                    "flaky {what} probability {prob} is not in [0, 1]"
+                )));
+            }
+        }
+        if !(spike_multiplier.is_finite() && spike_multiplier >= 1.0) {
+            return Err(Error::InvalidConfig(format!(
+                "flaky spike multiplier {spike_multiplier} must be finite and at least 1"
+            )));
+        }
         return Ok(Some(Box::new(FlakyLinks::new(
             seed,
             p,
@@ -410,25 +433,59 @@ fn load_trace(
             // the trace's release, so default to EDR at the caller's scale.
             let trace = trace_io::read_trace(std::path::Path::new(spec))?;
             let catalog = sdss::build(SdssRelease::Edr, scale, servers);
-            // Guard against replaying a trace against a catalog at the
-            // wrong scale (yields would be mispriced by that factor).
-            if !trace.is_empty() {
-                let mean_yield = trace.sequence_cost().as_f64() / trace.len() as f64;
-                let db = catalog.database_size().as_f64();
-                // Matched scales put this ratio around 1e-5..1e-3 for
-                // SDSS-like workloads (mean yield is a tiny, scale-free
-                // fraction of the database); a >100x departure means the
-                // scales disagree.
-                let ratio = mean_yield / db;
-                if !(1e-7..=1e-2).contains(&ratio) {
-                    return Err(Error::InvalidConfig(format!(
-                        "trace {spec:?} looks generated at a different catalog scale                          (mean yield {:.3e} bytes vs database {:.3e} bytes);                          pass the --scale used at gen-trace time",
-                        mean_yield, db
-                    )));
-                }
-            }
+            check_scale(spec, trace.len(), trace.sequence_cost(), &catalog)?;
             Ok((catalog, trace))
         }
+    }
+}
+
+/// Guard against replaying a trace file against a catalog at the wrong
+/// scale (yields would be mispriced by that factor), given the trace's
+/// query count and total yield.
+fn check_scale(
+    spec: &str,
+    queries: usize,
+    sequence_cost: Bytes,
+    catalog: &byc_catalog::Catalog,
+) -> Result<()> {
+    if queries == 0 {
+        return Ok(());
+    }
+    let mean_yield = sequence_cost.as_f64() / queries as f64;
+    let db = catalog.database_size().as_f64();
+    // Matched scales put this ratio around 1e-5..1e-3 for SDSS-like
+    // workloads (mean yield is a tiny, scale-free fraction of the
+    // database); a >100x departure means the scales disagree.
+    let ratio = mean_yield / db;
+    if !(1e-7..=1e-2).contains(&ratio) {
+        return Err(Error::InvalidConfig(format!(
+            "trace {spec:?} looks generated at a different catalog scale                          (mean yield {:.3e} bytes vs database {:.3e} bytes);                          pass the --scale used at gen-trace time",
+            mean_yield, db
+        )));
+    }
+    Ok(())
+}
+
+/// Queries of a streamed trace file whose mean yield [`check_scale`]
+/// judges before the replay starts.
+const SCALE_SAMPLE: usize = 1024;
+
+/// Sums a streamed trace's query count and yield as the replay goes, for
+/// the [`check_scale`] guard a resident load runs on the whole trace.
+#[derive(Default)]
+struct YieldTally {
+    queries: usize,
+    sequence_cost: Bytes,
+}
+
+impl Observer for YieldTally {
+    fn on_query_start(&mut self, _index: usize, query: &TraceQuery) {
+        self.queries += 1;
+        self.sequence_cost += query.total_yield;
+    }
+
+    fn wants_accesses(&self) -> bool {
+        false
     }
 }
 
@@ -445,14 +502,12 @@ USAGE:
           [--trace-events FILE] [--metrics FILE] [--metrics-format prom|json]
           [--trace-spans FILE] [--metrics-every N] [--flight-recorder K]
           [--faults SPEC] [--retry N] [--fault-seed N] [--degrade stale|fail]
-          [--compiled] [--streaming] [--chunk-size N] [--shards N]
   byc sweep <edr|dr1|trace.jsonl> [--granularity table|column] [--scale S] [--seed N]
           [--servers N] [--cost-multipliers A,B,...]
           [--topology flat|two-tier[:M]|three-tier[:M1,M2]] [--fault-link N]
           [--metrics FILE] [--metrics-format prom|json]
           [--trace-spans FILE] [--metrics-every N] [--flight-recorder K]
           [--faults SPEC] [--retry N] [--fault-seed N] [--degrade stale|fail]
-          [--compiled]
   byc analyze <edr|dr1|trace.jsonl> [--scale S] [--seed N]
   byc help
 
@@ -524,26 +579,11 @@ FAULTS:   --faults injects deterministic WAN faults:
           --degrade picks the fallback when retries are exhausted: serve
           the stale local copy (stale, default) or fail the slice (fail).
 
-COMPILED: --compiled replays through the compiled-trace fast path:
-          catalog resolution and network pricing happen once up front,
-          then the replay walks a flat slice arena (sweeps compile once
-          and share it across every policy × fraction point). Reports
-          are bit-identical to the reference path; only speed changes.
-
-STREAMING: --streaming replays out-of-core: the trace streams through
-          the incremental chunk compiler instead of materializing, so a
-          100M-query file replays in constant memory (file traces are
-          read chunk-by-chunk; synthesized traces are chunk-replayed).
-          --chunk-size N sets the queries per chunk (default 4096).
-          --shards N splits the object-id space into N ranges, runs one
-          policy instance per range on its own worker thread, and merges
-          the per-shard reports deterministically — same bytes as the
-          unsharded replay of the same sharded policy. Sharded replays
-          keep the cost report and audit but not the whole-stream
-          telemetry (--trace-events/--metrics/--trace-spans/
-          --metrics-every/--flight-recorder); static planning needs the
-          in-memory demand profile, so streamed *file* replays reject
-          --policy static. Reports are bit-identical across chunk sizes.";
+TRACE FILES: `run` streams a trace file off disk a chunk at a time, so a
+          100M-query file replays in constant memory; `--policy static`
+          loads it whole instead, because its offline plan needs the
+          trace's demand profile up front. `sweep` and `analyze` load the
+          whole trace (a sweep replays it once per grid point).";
 
 /// Parse raw argument strings into a [`Command`].
 ///
@@ -575,13 +615,9 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
             "retry",
             "fault-seed",
             "degrade",
-            "compiled",
             "trace-spans",
             "metrics-every",
             "flight-recorder",
-            "streaming",
-            "chunk-size",
-            "shards",
         ],
         "sweep" => &[
             "granularity",
@@ -597,7 +633,6 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
             "retry",
             "fault-seed",
             "degrade",
-            "compiled",
             "trace-spans",
             "metrics-every",
             "flight-recorder",
@@ -618,12 +653,6 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
                         .collect::<Vec<_>>()
                         .join(", ")
                 )));
-            }
-            // `--compiled` and `--streaming` are pure switches; every
-            // other flag takes a value.
-            if name == "compiled" || name == "streaming" {
-                flags.insert(name.to_string(), "true".to_string());
-                continue;
             }
             let value = it
                 .next()
@@ -676,6 +705,18 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
             }),
         }
     };
+    // Every subcommand that takes --scale builds a catalog from it, and
+    // the catalog builder rejects anything but a positive finite scale.
+    let flag_scale = |flags: &std::collections::HashMap<String, String>| -> Result<f64> {
+        let scale = flag_f64(flags, "scale", 1.0)?;
+        if scale.is_finite() && scale > 0.0 {
+            Ok(scale)
+        } else {
+            Err(Error::InvalidConfig(format!(
+                "--scale must be a positive finite number, got {scale}"
+            )))
+        }
+    };
     let first = |positional: &[String]| -> Result<String> {
         positional
             .first()
@@ -694,7 +735,7 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
                     .ok_or_else(|| Error::InvalidConfig("gen-trace requires --out FILE".into()))?,
             ),
             seed: flag_u64(&flags, "seed", 42)?,
-            scale: flag_f64(&flags, "scale", 1.0)?,
+            scale: flag_scale(&flags)?,
             queries: flag_u64(&flags, "queries", 0)? as usize,
         }),
         "run" => {
@@ -711,7 +752,7 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
                     .cloned()
                     .unwrap_or_else(|| "column".into()),
                 cache_fraction: flag_f64(&flags, "cache-fraction", 0.15)?,
-                scale: flag_f64(&flags, "scale", 1.0)?,
+                scale: flag_scale(&flags)?,
                 seed: flag_u64(&flags, "seed", 42)?,
                 servers: flag_u64(&flags, "servers", default_servers)? as u32,
                 multipliers,
@@ -733,7 +774,6 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
                     .get("degrade")
                     .cloned()
                     .unwrap_or_else(|| "stale".into()),
-                compiled: flags.contains_key("compiled"),
                 trace_spans: flags.get("trace-spans").map(PathBuf::from),
                 metrics_every: flags
                     .get("metrics-every")
@@ -742,15 +782,6 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
                 flight_recorder: flags
                     .get("flight-recorder")
                     .map(|_| flag_u64(&flags, "flight-recorder", 0).map(|v| v as usize))
-                    .transpose()?,
-                streaming: flags.contains_key("streaming"),
-                chunk_size: flags
-                    .get("chunk-size")
-                    .map(|_| flag_u64(&flags, "chunk-size", 0).map(|v| v as usize))
-                    .transpose()?,
-                shards: flags
-                    .get("shards")
-                    .map(|_| flag_u64(&flags, "shards", 0).map(|v| v as usize))
                     .transpose()?,
             })
         }
@@ -763,7 +794,7 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
                     .get("granularity")
                     .cloned()
                     .unwrap_or_else(|| "column".into()),
-                scale: flag_f64(&flags, "scale", 1.0)?,
+                scale: flag_scale(&flags)?,
                 seed: flag_u64(&flags, "seed", 42)?,
                 servers: flag_u64(&flags, "servers", default_servers)? as u32,
                 multipliers,
@@ -784,7 +815,6 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
                     .get("degrade")
                     .cloned()
                     .unwrap_or_else(|| "stale".into()),
-                compiled: flags.contains_key("compiled"),
                 trace_spans: flags.get("trace-spans").map(PathBuf::from),
                 metrics_every: flags
                     .get("metrics-every")
@@ -798,7 +828,7 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
         }
         "analyze" => Ok(Command::Analyze {
             trace: first(&positional)?,
-            scale: flag_f64(&flags, "scale", 1.0)?,
+            scale: flag_scale(&flags)?,
             seed: flag_u64(&flags, "seed", 42)?,
         }),
         other => Err(Error::InvalidConfig(format!(
@@ -951,13 +981,9 @@ pub fn run_command(command: Command) -> Result<String> {
             retry,
             fault_seed,
             degrade,
-            compiled,
             trace_spans,
             metrics_every,
             flight_recorder,
-            streaming,
-            chunk_size,
-            shards,
         } => {
             if cache_fraction <= 0.0 || cache_fraction.is_nan() {
                 return Err(Error::InvalidConfig(
@@ -966,43 +992,19 @@ pub fn run_command(command: Command) -> Result<String> {
             }
             require_positive(metrics_every, "metrics-every")?;
             require_positive(flight_recorder.map(|v| v as u64), "flight-recorder")?;
-            require_positive(chunk_size.map(|v| v as u64), "chunk-size")?;
-            require_positive(shards.map(|v| v as u64), "shards")?;
-            // --chunk-size only means something to a chunked replay.
-            let streaming = streaming || chunk_size.is_some() || shards.is_some();
-            if compiled && streaming {
-                return Err(Error::InvalidConfig(
-                    "--compiled walks a whole-trace arena; streamed replays compile \
-                     incrementally (drop --compiled or the streaming flags)"
-                        .into(),
-                ));
-            }
-            if shards.is_some()
-                && (trace_events.is_some()
-                    || metrics.is_some()
-                    || trace_spans.is_some()
-                    || metrics_every.is_some()
-                    || flight_recorder.is_some())
-            {
-                return Err(Error::InvalidConfig(
-                    "--shards merges per-shard replay state; whole-stream telemetry \
-                     (--trace-events/--metrics/--trace-spans/--metrics-every/\
-                     --flight-recorder) needs an unsharded replay"
-                        .into(),
-                ));
-            }
             let kind = parse_policy(&policy)?;
             let granularity = parse_granularity(&granularity)?;
             let degradation = parse_degradation(&degrade)?;
-            let fault_model = match &faults {
-                Some(spec) => parse_faults(spec, fault_seed.unwrap_or(seed))?,
-                None => None,
-            };
-            let fault_model = scope_faults(fault_model, fault_link)?;
             let topology = match &topology {
                 Some(spec) => parse_topology(spec, &multipliers)?,
                 None => None,
             };
+            let fault_model = match &faults {
+                Some(spec) => parse_faults(spec, fault_seed.unwrap_or(seed), servers.max(1))?,
+                None => None,
+            };
+            let depth = topology.as_ref().map_or(1, Topology::depth);
+            let fault_model = scope_faults(fault_model, fault_link, depth)?;
             // The pipeline tracer (thread lane 0) brackets the setup
             // phases; the replay loop itself is traced by a
             // `SpanObserver` on lane 1. Ticks are query indexes, so the
@@ -1013,45 +1015,46 @@ pub fn run_command(command: Command) -> Result<String> {
                 t.begin("parse trace", "pipeline");
                 t
             });
-            // Streamed *file* replays never materialize the trace: the
-            // reader feeds the chunk compiler directly. Synthesized
-            // releases are generated in memory either way, so streaming
-            // them only changes the replay kernel, not the setup.
-            let file_streamed = streaming && parse_release(&trace).is_err();
-            let mut reader_slot: Option<byc_workload::TraceReader> = None;
-            let (catalog, resident) = if file_streamed {
-                reader_slot = Some(byc_workload::TraceReader::open(std::path::Path::new(
-                    &trace,
-                ))?);
-                (sdss::build(SdssRelease::Edr, scale, servers.max(1)), None)
+            // A trace file streams off disk, never resident — except
+            // under Static, whose offline plan needs the whole trace's
+            // demand profile before the first query. Synthesized
+            // releases are generated in memory.
+            let streamed = parse_release(&trace).is_err() && kind != PolicyKind::Static;
+            let (catalog, resident, mut reader) = if streamed {
+                let path = std::path::Path::new(&trace);
+                let catalog = sdss::build(SdssRelease::Edr, scale, servers.max(1));
+                // Refuse a mis-scaled file before replaying any of it, on
+                // its first queries' mean yield; the whole file's totals
+                // settle a borderline trace after the replay.
+                let sample = TraceReader::open(path)?.next_chunk(SCALE_SAMPLE)?;
+                let sample_yield = sample.iter().map(|q| q.total_yield).sum();
+                check_scale(&trace, sample.len(), sample_yield, &catalog)?;
+                (catalog, None, Some(TraceReader::open(path)?))
             } else {
                 let (catalog, trace) = load_trace(&trace, scale, seed, servers.max(1))?;
-                (catalog, Some(trace))
+                (catalog, Some(trace), None)
             };
             if let Some(t) = pipeline.as_mut() {
-                t.arg("queries", resident.as_ref().map_or(0, |tr| tr.len()) as u64);
+                let queries = match (&resident, &reader) {
+                    (Some(tr), _) => tr.len(),
+                    (None, Some(reader)) => reader.query_count(),
+                    (None, None) => 0,
+                };
+                t.arg("queries", queries as u64);
                 t.end();
                 t.begin("build", "pipeline");
             }
             let objects = ObjectCatalog::uniform(&catalog, granularity);
-            // Per-object demands want the whole trace; a streamed file
-            // has none, which only Static (offline planning) consults.
-            let demands = match &resident {
-                Some(tr) => WorkloadStats::compute(tr, &objects).demands,
-                None => Vec::new(),
+            // Per-object demands are only consulted by Static, which
+            // always has the resident trace.
+            let demands = match (&resident, kind) {
+                (Some(tr), PolicyKind::Static) => WorkloadStats::compute(tr, &objects).demands,
+                _ => Vec::new(),
             };
-            if resident.is_none() && kind == PolicyKind::Static {
-                return Err(Error::InvalidConfig(
-                    "static planning needs the trace's demand profile, which a streamed \
-                     file replay never materializes; drop --streaming or pick another \
-                     policy"
-                        .into(),
-                ));
-            }
             let capacity = objects.total_size().scale(cache_fraction);
             let network = build_network(&multipliers)?;
             if let Some(t) = pipeline.as_mut() {
-                t.arg("objects", demands.len() as u64);
+                t.arg("objects", objects.len() as u64);
                 t.end();
             }
             // Telemetry rides the same replay as the accounting observers;
@@ -1081,61 +1084,21 @@ pub fn run_command(command: Command) -> Result<String> {
             // Initialized only on the tiered path; declared out here so
             // the session's borrows of the policies outlive the replay.
             let mut tier_policies: Vec<Box<dyn byc_core::policy::CachePolicy + Send + Sync>>;
-            // Sharded instances — one per tier (tiered) or exactly one
-            // (flat) — share the tier policies' lifetime story.
-            let mut shard_instances: Vec<byc_core::shard::ShardedPolicy> = Vec::new();
+            let mut tally = YieldTally::default();
             let (replay, server_costs, tier_windows) = {
                 let mut per_server = PerServerObserver::new();
                 let mut per_tier = PerTierObserver::new();
-                let mut session = if let Some(reader) = reader_slot.as_mut() {
-                    ReplaySession::from_reader(reader, &objects)
-                } else if let Some(tr) = resident.as_ref() {
-                    ReplaySession::new(tr, &objects)
-                } else {
-                    // Unreachable: `resident` is Some whenever no reader is.
-                    return Err(Error::InvalidConfig("no trace input".into()));
+                let mut session = match (reader.as_mut(), resident.as_ref()) {
+                    (Some(reader), _) => {
+                        ReplaySession::from_reader(reader, &objects).observe(&mut tally)
+                    }
+                    (None, Some(tr)) => ReplaySession::new(tr, &objects),
+                    // Unreachable: a trace is either streamed or resident.
+                    (None, None) => return Err(Error::InvalidConfig("no trace input".into())),
                 };
-                if streaming {
-                    session = session.streaming();
-                }
-                if let Some(chunk) = chunk_size {
-                    session = session.chunk_size(chunk);
-                }
-                // Sharded replays reject whole-stream observers; the
-                // per-server/per-tier breakdowns ride unsharded runs only.
-                if shards.is_none() {
-                    session = session.observe(&mut per_server);
-                }
-                match (&topology, shards) {
-                    (Some(topo), Some(n)) => {
-                        // Every tier sharded under the same object-range
-                        // plan, as the sharded tiered replay requires.
-                        let plan = byc_core::shard::ShardPlan::new(n, objects.len());
-                        for spec in topo.tiers() {
-                            shard_instances.push(build_sharded(
-                                kind,
-                                plan,
-                                objects
-                                    .total_size()
-                                    .scale(cache_fraction * spec.capacity_scale),
-                                &demands,
-                                seed,
-                            )?);
-                        }
-                        session = session.topology(topo);
-                        for s in shard_instances.iter_mut() {
-                            session = session.shards(s);
-                        }
-                    }
-                    (None, Some(n)) => {
-                        let plan = byc_core::shard::ShardPlan::new(n, objects.len());
-                        shard_instances.push(build_sharded(kind, plan, capacity, &demands, seed)?);
-                        for s in shard_instances.iter_mut() {
-                            session = session.shards(s);
-                        }
-                        session = session.network(network.as_ref());
-                    }
-                    (Some(topo), None) => {
+                session = session.observe(&mut per_server);
+                match &topology {
+                    Some(topo) => {
                         // One independent policy instance per tier; each
                         // tier's cache scales the site fraction by the
                         // tier's capacity factor.
@@ -1158,7 +1121,7 @@ pub fn run_command(command: Command) -> Result<String> {
                             session = session.tier_policy(p.as_mut());
                         }
                     }
-                    (None, None) => {
+                    None => {
                         let p = flat_policy.insert(build_policy(kind, capacity, &demands, seed));
                         session = session.policy(p.as_mut()).network(network.as_ref());
                     }
@@ -1181,12 +1144,19 @@ pub fn run_command(command: Command) -> Result<String> {
                 if let Some(depth) = flight_recorder {
                     session = session.flight_recorder(depth);
                 }
-                if compiled {
-                    session = session.compiled();
-                }
                 let replay = session.run()?;
                 (replay, per_server.into_costs(), per_tier.into_windows())
             };
+            // A streamed file only reveals its whole mean yield once
+            // replayed; a refused run leaves no decision log behind.
+            if reader.is_some() {
+                if let Err(e) = check_scale(&trace, tally.queries, tally.sequence_cost, &catalog) {
+                    if let Some(path) = &trace_events {
+                        std::fs::remove_file(path).ok();
+                    }
+                    return Err(e);
+                }
+            }
             let (report, warnings, postmortems) =
                 (replay.report, replay.warnings, replay.postmortems);
             if let Some(t) = pipeline.as_mut() {
@@ -1218,20 +1188,6 @@ pub fn run_command(command: Command) -> Result<String> {
                 report.reduction_factor(),
                 report.byte_hit_rate() * 100.0
             );
-            if let Some(n) = shards {
-                let _ = writeln!(
-                    out,
-                    "sharded replay: {n} object-range shard(s), reports merged in shard order"
-                );
-            } else if streaming {
-                let _ = writeln!(
-                    out,
-                    "streamed replay: chunked{}, constant-memory",
-                    chunk_size
-                        .map(|c| format!(" ({c} queries/chunk)"))
-                        .unwrap_or_default()
-                );
-            }
             if let Some(model) = fault_model.as_deref() {
                 let _ = writeln!(
                     out,
@@ -1251,9 +1207,7 @@ pub fn run_command(command: Command) -> Result<String> {
             for w in &warnings {
                 let _ = writeln!(out, "warning: {w}");
             }
-            // Sharded replays carry no per-tier observer; skip the
-            // breakdown rather than print an all-zero hierarchy.
-            if let (Some(topo), true) = (&topology, shards.is_none()) {
+            if let Some(topo) = &topology {
                 // Tiers the walk never reached still get a (zero) row, so
                 // the table always shows the whole hierarchy.
                 let mut windows = vec![QueryWindow::default(); topo.depth()];
@@ -1373,7 +1327,6 @@ pub fn run_command(command: Command) -> Result<String> {
             retry,
             fault_seed,
             degrade,
-            compiled,
             trace_spans,
             metrics_every,
             flight_recorder,
@@ -1382,15 +1335,16 @@ pub fn run_command(command: Command) -> Result<String> {
             require_positive(flight_recorder.map(|v| v as u64), "flight-recorder")?;
             let granularity = parse_granularity(&granularity)?;
             let degradation = parse_degradation(&degrade)?;
-            let fault_model = match &faults {
-                Some(spec) => parse_faults(spec, fault_seed.unwrap_or(seed))?,
-                None => None,
-            };
-            let fault_model = scope_faults(fault_model, fault_link)?;
             let topology = match &topology {
                 Some(spec) => parse_topology(spec, &multipliers)?,
                 None => None,
             };
+            let fault_model = match &faults {
+                Some(spec) => parse_faults(spec, fault_seed.unwrap_or(seed), servers.max(1))?,
+                None => None,
+            };
+            let depth = topology.as_ref().map_or(1, Topology::depth);
+            let fault_model = scope_faults(fault_model, fault_link, depth)?;
             let (catalog, trace) = load_trace(&trace, scale, seed, servers.max(1))?;
             let objects = ObjectCatalog::uniform(&catalog, granularity);
             let stats = WorkloadStats::compute(&trace, &objects);
@@ -1411,11 +1365,6 @@ pub fn run_command(command: Command) -> Result<String> {
                         .retry(RetryPolicy::new(retry, RETRY_BACKOFF_BASE))
                         .degrade(degradation);
                 }
-                if compiled {
-                    // One compilation, shared read-only across the whole
-                    // (policy × fraction) grid of replay threads.
-                    s = s.compiled();
-                }
                 s
             };
             // Fault-aware points carry the model name in their label, and
@@ -1433,8 +1382,7 @@ pub fn run_command(command: Command) -> Result<String> {
                     .map(|t| format!("@{}", t.name()))
                     .unwrap_or_default()
             );
-            // Only pay for observers when a flag asked for them; a bare
-            // sweep keeps the allocation-free fast path.
+            // Only pay for observers when a flag asked for them.
             let observing = metrics.is_some()
                 || trace_spans.is_some()
                 || metrics_every.is_some()
@@ -1694,13 +1642,9 @@ mod tests {
                 retry,
                 fault_seed,
                 degrade,
-                compiled,
                 trace_spans,
                 metrics_every,
                 flight_recorder,
-                streaming,
-                chunk_size,
-                shards,
             } => {
                 assert_eq!(trace, "edr");
                 assert_eq!(policy, "gds");
@@ -1719,13 +1663,9 @@ mod tests {
                 assert_eq!(retry, 1);
                 assert_eq!(fault_seed, None);
                 assert_eq!(degrade, "stale");
-                assert!(!compiled);
                 assert_eq!(trace_spans, None);
                 assert_eq!(metrics_every, None);
                 assert_eq!(flight_recorder, None);
-                assert!(!streaming);
-                assert_eq!(chunk_size, None);
-                assert_eq!(shards, None);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1827,48 +1767,6 @@ mod tests {
     }
 
     #[test]
-    fn compiled_flag_parses_without_value() {
-        let cmd = parse_args(&args(&[
-            "run",
-            "edr",
-            "--compiled",
-            "--policy",
-            "gds",
-            "--scale",
-            "0.001",
-        ]))
-        .unwrap();
-        match cmd {
-            Command::Run {
-                compiled, policy, ..
-            } => {
-                assert!(compiled);
-                assert_eq!(policy, "gds");
-            }
-            other => panic!("parsed {other:?}"),
-        }
-        let cmd = parse_args(&args(&["sweep", "edr", "--compiled"])).unwrap();
-        match cmd {
-            Command::Sweep { compiled, .. } => assert!(compiled),
-            other => panic!("parsed {other:?}"),
-        }
-        // `--compiled` is unknown outside run/sweep.
-        assert!(parse_args(&args(&["analyze", "edr", "--compiled"])).is_err());
-    }
-
-    #[test]
-    fn compiled_run_output_matches_reference() {
-        let run = |compiled: &[&str]| {
-            let mut argv = vec!["run", "edr", "--policy", "gds", "--scale", "0.001"];
-            argv.extend_from_slice(compiled);
-            run_command(parse_args(&args(&argv)).unwrap()).unwrap()
-        };
-        // The compiled path changes speed, never output: byte-identical
-        // report rendering, including the per-server table.
-        assert_eq!(run(&[]), run(&["--compiled"]));
-    }
-
-    #[test]
     fn bad_cache_fraction_rejected() {
         let cmd = Command::Run {
             trace: "edr".into(),
@@ -1888,13 +1786,9 @@ mod tests {
             retry: 1,
             fault_seed: None,
             degrade: "stale".into(),
-            compiled: false,
             trace_spans: None,
             metrics_every: None,
             flight_recorder: None,
-            streaming: false,
-            chunk_size: None,
-            shards: None,
         };
         assert!(run_command(cmd).is_err());
     }
@@ -1973,16 +1867,61 @@ mod tests {
             retry: 1,
             fault_seed: None,
             degrade: "stale".into(),
-            compiled: false,
             trace_spans: None,
             metrics_every: None,
             flight_recorder: None,
-            streaming: false,
-            chunk_size: None,
-            shards: None,
         })
         .unwrap_err();
         assert!(err.to_string().contains("different catalog scale"), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn refused_file_runs_leave_no_decision_log() {
+        let dir = std::env::temp_dir();
+        let id = std::process::id();
+        let path = dir.join(format!("byc-cli-refused-{id}.jsonl"));
+        let events = dir.join(format!("byc-cli-refused-{id}.events.ndjson"));
+        let catalog = sdss::build(SdssRelease::Edr, 1e-4, 1);
+        let mut trace = generate(&catalog, &WorkloadConfig::smoke(7, SCALE_SAMPLE + 1)).unwrap();
+        trace_io::write_trace(&trace, &path).unwrap();
+        let run = |at: f64| {
+            let mut cmd = base_run(&path.to_string_lossy());
+            if let Command::Run {
+                ref mut scale,
+                ref mut trace_events,
+                ..
+            } = cmd
+            {
+                *scale = at;
+                *trace_events = Some(events.clone());
+            }
+            run_command(cmd)
+        };
+        // At its own scale the file replays and logs its decisions.
+        run(1e-4).unwrap();
+        assert!(events.exists());
+        std::fs::remove_file(&events).unwrap();
+
+        // Wrong scale: the first queries refuse it before the replay
+        // starts. A query past the header's count proves it: a replay
+        // would have failed on it instead.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let extra = text.lines().last().unwrap();
+        std::fs::write(&path, format!("{text}{extra}\n")).unwrap();
+        let err = run(1.0).unwrap_err();
+        assert!(err.to_string().contains("different catalog scale"), "{err}");
+        assert!(!events.exists(), "a refused run wrote a decision log");
+
+        // First queries in line, whole-file mean yield not: refused after
+        // the replay, and the log it wrote is removed.
+        if let Some(last) = trace.queries.last_mut() {
+            last.total_yield = catalog.database_size().scale(100.0);
+        }
+        trace_io::write_trace(&trace, &path).unwrap();
+        let err = run(1e-4).unwrap_err();
+        assert!(err.to_string().contains("different catalog scale"), "{err}");
+        assert!(!events.exists(), "a refused run left its decision log");
         std::fs::remove_file(&path).ok();
     }
 
@@ -2069,13 +2008,9 @@ mod tests {
             retry: 1,
             fault_seed: None,
             degrade: "stale".into(),
-            compiled: false,
             trace_spans: None,
             metrics_every: None,
             flight_recorder: None,
-            streaming: false,
-            chunk_size: None,
-            shards: None,
         })
         .unwrap();
         assert!(out.contains("wrote decision events to"), "{out}");
@@ -2125,13 +2060,9 @@ mod tests {
             retry: 1,
             fault_seed: None,
             degrade: "stale".into(),
-            compiled: false,
             trace_spans: None,
             metrics_every: None,
             flight_recorder: None,
-            streaming: false,
-            chunk_size: None,
-            shards: None,
         })
         .unwrap();
         assert!(out.contains("wrote metrics (prom) to"), "{out}");
@@ -2194,14 +2125,16 @@ mod tests {
     #[test]
     fn fault_specs_parse_and_reject() {
         // none → no fault layer.
-        assert!(parse_faults("none", 1).unwrap().is_none());
+        assert!(parse_faults("none", 1, 2).unwrap().is_none());
         // Outage windows, including multiple.
-        let model = parse_faults("outage:0@10..20,1@5..8", 1).unwrap().unwrap();
+        let model = parse_faults("outage:0@10..20,1@5..8", 1, 2)
+            .unwrap()
+            .unwrap();
         assert_eq!(model.name(), "outage");
         // Flaky links, with and without spikes.
-        let model = parse_faults("flaky:p=0.1", 9).unwrap().unwrap();
+        let model = parse_faults("flaky:p=0.1", 9, 2).unwrap().unwrap();
         assert_eq!(model.name(), "flaky");
-        let model = parse_faults("flaky:p=0.1,spike=0.05x4", 9)
+        let model = parse_faults("flaky:p=0.1,spike=0.05x4", 9, 2)
             .unwrap()
             .unwrap();
         assert_eq!(model.name(), "flaky");
@@ -2214,7 +2147,7 @@ mod tests {
             "flaky:frob=1",
             "chaos",
         ] {
-            assert!(parse_faults(bad, 1).is_err(), "{bad} should be rejected");
+            assert!(parse_faults(bad, 1, 2).is_err(), "{bad} should be rejected");
         }
         assert!(parse_degradation("stale").is_ok());
         assert!(parse_degradation("fail").is_ok());
@@ -2241,13 +2174,9 @@ mod tests {
             retry: 1,
             fault_seed: None,
             degrade: "fail".into(),
-            compiled: false,
             trace_spans: None,
             metrics_every: None,
             flight_recorder: None,
-            streaming: false,
-            chunk_size: None,
-            shards: None,
         })
         .unwrap();
         assert!(out.contains("faults (outage, degrade fail)"), "{out}");
@@ -2315,13 +2244,13 @@ mod tests {
             assert!(parse_topology(bad, &None).is_err(), "{bad} should reject");
         }
         // --fault-link without a fault model is rejected.
-        assert!(scope_faults(None, Some(1)).is_err());
+        assert!(scope_faults(None, Some(1), 3).is_err());
     }
 
     #[test]
     fn flat_topology_flag_output_matches_no_flag() {
-        // `--topology flat` must be the exact legacy path, not a
-        // degenerate tiered replay, so outputs are byte-identical.
+        // `--topology flat` is the flat single-tier WAN itself, so
+        // outputs are byte-identical.
         let run = |extra: &[&str]| {
             let mut argv = vec!["run", "edr", "--policy", "gds", "--scale", "0.001"];
             argv.extend_from_slice(extra);
@@ -2332,9 +2261,9 @@ mod tests {
 
     #[test]
     fn three_tier_compiled_run_exports_per_tier_metrics() {
-        // The issue's acceptance criterion: a three-tier compiled SDSS
-        // replay runs end-to-end from the CLI and emits per-tier
-        // hit-rate and WAN-cost columns in both export formats.
+        // A three-tier SDSS replay runs end-to-end from the CLI and
+        // emits per-tier hit-rate and WAN-cost columns in both export
+        // formats.
         let dir = std::env::temp_dir();
         let prom = dir.join(format!("byc-cli-tier-{}.prom", std::process::id()));
         let json = dir.join(format!("byc-cli-tier-{}.json", std::process::id()));
@@ -2357,13 +2286,9 @@ mod tests {
                 retry: 1,
                 fault_seed: None,
                 degrade: "stale".into(),
-                compiled: true,
                 trace_spans: None,
                 metrics_every: None,
                 flight_recorder: None,
-                streaming: false,
-                chunk_size: None,
-                shards: None,
             })
             .unwrap()
         };
@@ -2430,7 +2355,6 @@ mod tests {
             retry: 1,
             fault_seed: None,
             degrade: "stale".into(),
-            compiled: true,
             trace_spans: None,
             metrics_every: None,
             flight_recorder: None,
@@ -2466,17 +2390,11 @@ mod tests {
                 trace_spans,
                 metrics_every,
                 flight_recorder,
-                streaming,
-                chunk_size,
-                shards,
                 ..
             } => {
                 assert_eq!(trace_spans, Some(PathBuf::from("spans.json")));
                 assert_eq!(metrics_every, Some(64));
                 assert_eq!(flight_recorder, Some(8));
-                assert!(!streaming);
-                assert_eq!(chunk_size, None);
-                assert_eq!(shards, None);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -2521,13 +2439,9 @@ mod tests {
                 retry: 1,
                 fault_seed: None,
                 degrade: "stale".into(),
-                compiled: false,
                 trace_spans: Some(spans.clone()),
                 metrics_every: Some(64),
                 flight_recorder: None,
-                streaming: false,
-                chunk_size: None,
-                shards: None,
             })
             .unwrap()
         };
@@ -2583,10 +2497,6 @@ mod tests {
             trace_spans: None,
             metrics_every: None,
             flight_recorder: Some(4),
-            streaming: false,
-            chunk_size: None,
-            shards: None,
-            compiled: false,
         })
         .unwrap();
         assert!(out.contains("postmortem: query"), "{out}");
@@ -2624,7 +2534,6 @@ mod tests {
             retry: 1,
             fault_seed: None,
             degrade: "stale".into(),
-            compiled: true,
             trace_spans: Some(spans.clone()),
             metrics_every: Some(50),
             flight_recorder: None,
@@ -2680,7 +2589,6 @@ mod tests {
             retry: 2,
             fault_seed: Some(11),
             degrade: "stale".into(),
-            compiled: false,
             trace_spans: None,
             metrics_every: None,
             flight_recorder: None,
@@ -2717,165 +2625,97 @@ mod tests {
             retry: 1,
             fault_seed: None,
             degrade: "stale".into(),
-            compiled: false,
             trace_spans: None,
             metrics_every: None,
             flight_recorder: None,
-            streaming: false,
-            chunk_size: None,
-            shards: None,
         }
     }
 
     #[test]
-    fn streaming_flags_parse() {
-        let cmd = parse_args(&args(&[
-            "run",
-            "edr",
-            "--policy",
-            "gds",
-            "--streaming",
-            "--chunk-size",
-            "512",
-            "--shards",
-            "4",
-        ]))
-        .unwrap();
-        match cmd {
-            Command::Run {
-                streaming,
-                chunk_size,
-                shards,
-                ..
-            } => {
-                assert!(streaming);
-                assert_eq!(chunk_size, Some(512));
-                assert_eq!(shards, Some(4));
+    fn fault_specs_that_do_nothing_are_rejected() {
+        // (spec, --servers, --fault-link, what the error names)
+        let table: &[(&str, u32, Option<u32>, &str)] = &[
+            ("flaky:p=2", 1, None, "probability"),
+            ("flaky:p=-1", 1, None, "probability"),
+            ("flaky:p=nan", 1, None, "probability"),
+            ("flaky:p=0.1,spike=2x4", 1, None, "probability"),
+            ("flaky:p=0.1,spike=0.5x0", 1, None, "multiplier"),
+            ("flaky:p=0.1,spike=0.5xinf", 1, None, "multiplier"),
+            ("outage:0@5..2", 1, None, "empty"),
+            ("outage:0@5..5", 1, None, "empty"),
+            ("outage:99@1..2", 1, None, "--servers"),
+            ("outage:1@1..2", 1, None, "--servers"),
+            ("flaky:p=0.5", 1, Some(5), "--fault-link"),
+            ("flaky:p=0.5", 1, Some(1), "--fault-link"),
+        ];
+        for &(spec, servers, link, what) in table {
+            let err = parse_faults(spec, 7, servers)
+                .and_then(|model| scope_faults(model, link, 1))
+                .map(|_| ())
+                .unwrap_err();
+            assert!(
+                matches!(err, Error::InvalidConfig(_)) && err.to_string().contains(what),
+                "{spec} (servers {servers}, link {link:?}): {err}"
+            );
+        }
+        // The boundaries themselves are fine.
+        for spec in ["flaky:p=0", "flaky:p=1,spike=1x1", "outage:1@0..1"] {
+            assert!(parse_faults(spec, 7, 2).is_ok(), "{spec}");
+        }
+        let two_tier = Topology::two_tier(0.25, Box::new(Uniform)).unwrap();
+        let model = parse_faults("flaky:p=0.5", 7, 1).unwrap();
+        assert!(scope_faults(model, Some(1), two_tier.depth()).is_ok());
+    }
+
+    /// Every invalid `--scale` value, each of which the catalog builder
+    /// would panic on.
+    const BAD_SCALES: [&str; 5] = ["0", "-1", "nan", "inf", "-0"];
+
+    fn assert_bad_scales_rejected(prefix: &[&str]) {
+        for bad in BAD_SCALES {
+            let mut argv = prefix.to_vec();
+            argv.extend(["--scale", bad]);
+            let err = parse_args(&args(&argv)).unwrap_err();
+            assert!(
+                matches!(err, Error::InvalidConfig(_)) && err.to_string().contains("--scale"),
+                "{argv:?}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn gen_trace_rejects_non_positive_scale() {
+        assert_bad_scales_rejected(&["gen-trace", "edr", "--out", "t.jsonl"]);
+    }
+
+    #[test]
+    fn run_rejects_non_positive_scale() {
+        assert_bad_scales_rejected(&["run", "edr", "--policy", "gds"]);
+        assert_bad_scales_rejected(&["run", "trace.jsonl", "--policy", "gds"]);
+    }
+
+    #[test]
+    fn sweep_rejects_non_positive_scale() {
+        assert_bad_scales_rejected(&["sweep", "edr"]);
+    }
+
+    #[test]
+    fn analyze_rejects_non_positive_scale() {
+        assert_bad_scales_rejected(&["analyze", "edr"]);
+    }
+
+    #[test]
+    fn removed_kernel_flags_are_unknown() {
+        for flag in ["--compiled", "--streaming", "--chunk-size", "--shards"] {
+            for sub in [
+                &["run", "edr", "--policy", "gds"][..],
+                &["sweep", "edr"][..],
+            ] {
+                let mut argv = sub.to_vec();
+                argv.extend([flag, "2"]);
+                let err = parse_args(&args(&argv)).unwrap_err();
+                assert!(err.to_string().contains("unknown flag"), "{argv:?}: {err}");
             }
-            other => panic!("unexpected {other:?}"),
         }
-        // sweep has no streaming mode.
-        let err = parse_args(&args(&["sweep", "edr", "--streaming"])).unwrap_err();
-        assert!(err.to_string().contains("unknown flag"), "{err}");
-    }
-
-    #[test]
-    fn streamed_and_sharded_replays_match_the_resident_run() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("byc-cli-stream-{}.jsonl", std::process::id()));
-        run_command(Command::GenTrace {
-            release: "edr".into(),
-            out: path.clone(),
-            seed: 11,
-            scale: 0.001,
-            queries: 400,
-        })
-        .unwrap();
-        let trace = path.to_string_lossy().into_owned();
-        // The streamed/sharded note lines are the only expected delta.
-        let strip = |out: String| -> Vec<String> {
-            out.lines()
-                .filter(|l| !l.starts_with("sharded replay:") && !l.starts_with("streamed replay:"))
-                .map(String::from)
-                .collect()
-        };
-        let plain = strip(run_command(base_run(&trace)).unwrap());
-
-        let mut streamed_cmd = base_run(&trace);
-        if let Command::Run {
-            ref mut streaming,
-            ref mut chunk_size,
-            ..
-        } = streamed_cmd
-        {
-            *streaming = true;
-            *chunk_size = Some(7);
-        }
-        let streamed_out = run_command(streamed_cmd).unwrap();
-        assert!(streamed_out.contains("streamed replay:"), "{streamed_out}");
-        assert_eq!(plain, strip(streamed_out), "streamed != resident");
-
-        // One shard = the whole object space: same capacity, same seed,
-        // same policy instance — the report must not move.
-        let mut sharded_cmd = base_run(&trace);
-        if let Command::Run { ref mut shards, .. } = sharded_cmd {
-            *shards = Some(1);
-        }
-        let sharded_out = run_command(sharded_cmd).unwrap();
-        assert!(sharded_out.contains("sharded replay:"), "{sharded_out}");
-        assert_eq!(plain, strip(sharded_out), "1-sharded != resident");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn sharded_tiered_run_smoke() {
-        let mut cmd = base_run("edr");
-        if let Command::Run {
-            ref mut topology,
-            ref mut shards,
-            ..
-        } = cmd
-        {
-            *topology = Some("two-tier".into());
-            *shards = Some(2);
-        }
-        let out = run_command(cmd).unwrap();
-        assert!(out.contains("sharded replay: 2"), "{out}");
-        // Sharded runs carry no per-tier observer; no misleading table.
-        assert!(!out.contains("per-tier breakdown"), "{out}");
-    }
-
-    #[test]
-    fn streaming_flag_conflicts() {
-        let mut cmd = base_run("edr");
-        if let Command::Run {
-            ref mut streaming,
-            ref mut compiled,
-            ..
-        } = cmd
-        {
-            *streaming = true;
-            *compiled = true;
-        }
-        let err = run_command(cmd).unwrap_err();
-        assert!(err.to_string().contains("--compiled"), "{err}");
-
-        let mut cmd = base_run("edr");
-        if let Command::Run {
-            ref mut shards,
-            ref mut metrics,
-            ..
-        } = cmd
-        {
-            *shards = Some(2);
-            *metrics = Some(std::path::PathBuf::from("m.json"));
-        }
-        let err = run_command(cmd).unwrap_err();
-        assert!(err.to_string().contains("whole-stream"), "{err}");
-
-        // Streamed file replays never see the demand profile Static needs.
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("byc-cli-static-{}.jsonl", std::process::id()));
-        run_command(Command::GenTrace {
-            release: "edr".into(),
-            out: path.clone(),
-            seed: 3,
-            scale: 0.001,
-            queries: 50,
-        })
-        .unwrap();
-        let mut cmd = base_run(&path.to_string_lossy());
-        if let Command::Run {
-            ref mut policy,
-            ref mut streaming,
-            ..
-        } = cmd
-        {
-            *policy = "static".into();
-            *streaming = true;
-        }
-        let err = run_command(cmd).unwrap_err();
-        assert!(err.to_string().contains("demand profile"), "{err}");
-        std::fs::remove_file(&path).ok();
     }
 }

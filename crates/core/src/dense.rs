@@ -6,8 +6,8 @@
 //! work and no iteration-order wobble. [`DenseMap`] replaces the
 //! `HashMap<ObjectId, _>` state in the policy crates' hot paths and
 //! guarantees **deterministic iteration in ascending id order**, which the
-//! replay auditor and the bit-identity tests between the compiled and
-//! reference replay paths rely on.
+//! replay auditor and the bit-identity tests between the replay kernel
+//! and its reference oracle rely on.
 
 use byc_types::ObjectId;
 

@@ -61,7 +61,6 @@ pub mod offline;
 pub mod online;
 pub mod policy;
 pub mod rate_profile;
-pub mod shard;
 pub mod spaceeff;
 pub mod static_opt;
 
@@ -71,4 +70,3 @@ pub use dense::DenseMap;
 pub use heap::{IndexedMinHeap, SelectionHeap};
 pub use metrics::{byhr, byu, QueryProfile};
 pub use policy::{CachePolicy, Decision};
-pub use shard::{ShardPlan, ShardedPolicy};

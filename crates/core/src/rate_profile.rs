@@ -716,8 +716,16 @@ mod tests {
         let eager = run(true);
         match (&lazy, &eager) {
             (Decision::Load { evictions: l }, Decision::Load { evictions: e }) => {
-                assert_eq!(l.as_slice(), &[ObjectId::new(0)], "lazy evicts by stored rate");
-                assert_eq!(e.as_slice(), &[ObjectId::new(1)], "eager evicts by current rate");
+                assert_eq!(
+                    l.as_slice(),
+                    &[ObjectId::new(0)],
+                    "lazy evicts by stored rate"
+                );
+                assert_eq!(
+                    e.as_slice(),
+                    &[ObjectId::new(1)],
+                    "eager evicts by current rate"
+                );
             }
             other => panic!("both modes should load: {other:?}"),
         }

@@ -1,19 +1,26 @@
-//! The one replay engine behind every federation entry point.
-//!
-//! Historically the simulator's free functions, the [`Mediator`], and the
-//! semantic-cache baseline each carried their own copy of the
-//! decision→cost conversion. This module hosts the single kernel:
+//! The one replay kernel behind every federation entry point.
 //!
 //! ```text
-//! TraceQuery → Access stream → Decision → CostEvent → observers
+//! TraceQuery → object slices → tier walk → CostEvent → observers
 //! ```
 //!
-//! A [`ReplayEngine`] decomposes each query into per-object accesses,
-//! prices them through a [`NetworkModel`] (each object's traffic costs
-//! what its *home server's* link charges), asks the policy for a
-//! decision, and converts it into one [`CostEvent`] — the only place in
-//! `byc-federation` where `Decision` variants are interpreted as WAN
-//! costs. Everything downstream is an [`Observer`] composition:
+//! A [`ReplayEngine`] serves one query at a time. It walks the query's
+//! table or column yields in place, resolves each to its cacheable
+//! object, and walks that slice up a linear hierarchy of caching tiers,
+//! bottom-up (tier 0 nearest the clients): each tier's policy sees a
+//! priced [`Access`]; a `Bypass` forwards the request one hop up, a `Hit`
+//! or a `Load` resolves it. The flat client↔server WAN is the depth-1
+//! hierarchy — one tier behind one link — so flat and tiered replays,
+//! resident and streamed traces, sweeps, and the [`Mediator`] all run
+//! this same per-query code, and its decision→cost conversion is the only
+//! place in `byc-federation` where `Decision` variants become WAN costs.
+//!
+//! An engine prices every object's origin fetch down to each tier once,
+//! when it is built (an `objects × depth` table). Per slice it prices the
+//! yield on a link only when a decision puts bytes on that link, folds
+//! the slice's cost split straight into the caller's [`QueryWindow`], and
+//! hands [`CostEvent`]s only to the observers that want accesses.
+//! Everything downstream is an [`Observer`] composition:
 //!
 //! * [`CostObserver`] — accumulates a [`CostReport`] (Tables 1–2);
 //! * [`SeriesObserver`] — samples the cumulative-cost curves (Figs 7–8);
@@ -25,8 +32,8 @@
 //! [`Mediator`]: crate::mediator::Mediator
 
 use crate::accounting::CostReport;
-use crate::faults::{spiked_cost, FaultPlan};
-use crate::network::NetworkModel;
+use crate::faults::{spiked_cost, DegradationPolicy, FaultPlan};
+use crate::network::{NetworkModel, Topology};
 use crate::simulator::SeriesPoint;
 use byc_catalog::{Granularity, ObjectCatalog};
 use byc_core::access::Access;
@@ -34,10 +41,11 @@ use byc_core::audit::{AuditReport, DecisionAuditor};
 use byc_core::policy::{CachePolicy, Decision};
 use byc_types::{Bytes, ObjectId, ServerId, Tick};
 use byc_workload::{Trace, TraceQuery};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
 
-/// The cost consequences of serving one object slice of one query — what
-/// the engine's kernel emits to every observer.
+/// The cost consequences of serving one object slice of one query at one
+/// caching tier — what the kernel emits to every observer.
 ///
 /// Exactly one of the `hits` / `bypasses` / `loads` counters is 1 (they
 /// are counters, not flags, so observers can sum them blindly), and the
@@ -47,8 +55,8 @@ use std::collections::{BTreeMap, VecDeque};
 /// Byte fields come in two currencies. *Delivered* quantities
 /// (`delivered`, `bypass_served`, `cache_served`) are raw result bytes —
 /// what the client receives, independent of link costs. *WAN* quantities
-/// (`bypass_cost`, `fetch_cost`) are priced through the engine's
-/// [`NetworkModel`]; under [`Uniform`](crate::network::Uniform) the two
+/// (`bypass_cost`, `fetch_cost`, `relay_cost`) are priced through the
+/// engine's links; under [`Uniform`](crate::network::Uniform) the two
 /// currencies coincide.
 #[derive(Clone, Copy)]
 pub struct CostEvent<'a> {
@@ -110,6 +118,38 @@ pub struct CostEvent<'a> {
     pub policy: Option<&'a dyn CachePolicy>,
 }
 
+impl CostEvent<'_> {
+    /// An event for one slice with every quantity zero and no access,
+    /// decision, or policy attached.
+    #[inline]
+    fn blank(query: usize, object: ObjectId, server: ServerId) -> CostEvent<'static> {
+        CostEvent {
+            query,
+            object,
+            server,
+            tier: 0,
+            access: None,
+            delivered: Bytes::ZERO,
+            bypass_served: Bytes::ZERO,
+            bypass_cost: Bytes::ZERO,
+            fetch_cost: Bytes::ZERO,
+            relay_cost: Bytes::ZERO,
+            cache_served: Bytes::ZERO,
+            retried_bytes: Bytes::ZERO,
+            failed_bytes: Bytes::ZERO,
+            hits: 0,
+            bypasses: 0,
+            loads: 0,
+            evictions: 0,
+            retries: 0,
+            failed: 0,
+            degraded: 0,
+            decision: None,
+            policy: None,
+        }
+    }
+}
+
 impl std::fmt::Debug for CostEvent<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CostEvent")
@@ -159,10 +199,9 @@ pub trait Observer {
 
     /// Whether this observer consumes per-access events. Observers that
     /// only tick on query boundaries (span tracers chunking by query
-    /// index) return `false`, and every replay loop — including the
-    /// compiled hot path — then skips them in its per-slice dispatch:
-    /// attaching such an observer costs two virtual calls per *query*,
-    /// not per slice.
+    /// index) return `false`, and the kernel then skips them in its
+    /// per-slice dispatch: attaching such an observer costs two virtual
+    /// calls per *query*, not per slice.
     fn wants_accesses(&self) -> bool {
         true
     }
@@ -196,152 +235,90 @@ pub(crate) fn partition_access_observers(observers: &mut [&mut dyn Observer]) ->
     split
 }
 
-/// Decompose one trace query into `(object, raw yield)` slices at the
-/// granularity of `objects`. Slices appear in the query's own
-/// table/column order; references that do not resolve to a cacheable
-/// object are skipped.
-pub fn decompose(query: &TraceQuery, objects: &ObjectCatalog) -> Vec<(ObjectId, Bytes)> {
-    let mut out = Vec::new();
+/// Call `f(object, raw yield)` for each slice of `query` at the
+/// granularity of `objects`, in the query's own table/column order.
+/// References that do not resolve to a cacheable object are skipped.
+#[inline]
+pub(crate) fn for_each_slice(
+    query: &TraceQuery,
+    objects: &ObjectCatalog,
+    mut f: impl FnMut(ObjectId, Bytes),
+) {
     match objects.granularity() {
         Granularity::Table => {
-            for &(t, y) in &query.table_yields {
-                if let Ok(o) = objects.object_for_table(t) {
-                    out.push((o, y));
+            for &(t, raw_yield) in &query.table_yields {
+                if let Ok(object) = objects.object_for_table(t) {
+                    f(object, raw_yield);
                 }
             }
         }
         Granularity::Column => {
-            for &(c, y) in &query.column_yields {
-                if let Ok(o) = objects.object_for_column(c) {
-                    out.push((o, y));
+            for &(c, raw_yield) in &query.column_yields {
+                if let Ok(object) = objects.object_for_column(c) {
+                    f(object, raw_yield);
                 }
             }
         }
     }
-    out
 }
 
-/// Convert one (access, decision) pair into its [`CostEvent`] — the
-/// single decision→cost conversion site in the crate, shared by the
-/// engine's [`ReplayEngine::serve_query`] path and the compiled fast
-/// path ([`CompiledTrace`](crate::compiled::CompiledTrace)). Because
-/// both paths run this exact function on the same inputs, their cost
-/// accounting is bit-identical by construction.
-///
-/// `priced_yield` is the network-priced WAN cost of bypassing the slice;
-/// it is lazy (`FnOnce`) so the uncompiled path only prices bypassed
-/// slices, while the compiled path passes its precomputed value for
-/// free. `access.fetch_cost` must already be priced by the object's
-/// home-server link.
-///
-/// The decision stream is fault-independent: the policy never sees
-/// transfer outcomes, so decision counters (and the policy's own state
-/// evolution) are identical with and without faults — which is exactly
-/// what makes the faulted/fault-free reconciliation invariant exact.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn slice_event<'a>(
-    index: usize,
-    time: Tick,
-    raw_yield: Bytes,
-    server: ServerId,
-    access: &'a Access,
-    decision: &'a Decision,
-    policy: &'a dyn CachePolicy,
-    faults: Option<&FaultPlan<'_>>,
-    priced_yield: impl FnOnce() -> Bytes,
-) -> CostEvent<'a> {
-    let object = access.object;
-    let mut event = CostEvent {
-        query: index,
-        object,
-        server,
-        tier: 0,
-        access: Some(access),
-        delivered: raw_yield,
-        bypass_served: Bytes::ZERO,
-        bypass_cost: Bytes::ZERO,
-        fetch_cost: Bytes::ZERO,
-        relay_cost: Bytes::ZERO,
-        cache_served: Bytes::ZERO,
-        retried_bytes: Bytes::ZERO,
-        failed_bytes: Bytes::ZERO,
-        hits: 0,
-        bypasses: 0,
-        loads: 0,
-        evictions: 0,
-        retries: 0,
-        failed: 0,
-        degraded: 0,
-        decision: Some(decision),
-        policy: Some(policy),
-    };
-    match decision {
-        Decision::Hit => {
-            event.hits = 1;
-            event.cache_served = raw_yield;
-        }
-        Decision::Bypass => {
-            event.bypasses = 1;
-            match faults {
-                None => {
-                    event.bypass_served = raw_yield;
-                    event.bypass_cost = priced_yield();
-                }
-                Some(plan) => {
-                    let nominal = priced_yield();
-                    let res = plan.fetch(index, time, object, server);
-                    event.retries = u64::from(res.failed_attempts);
-                    event.retried_bytes = FaultPlan::wasted_bytes(nominal, res.failed_attempts);
-                    match res.delivered {
-                        Some(m) => {
-                            event.bypass_served = raw_yield;
-                            event.bypass_cost = spiked_cost(nominal, m);
-                        }
-                        None => degrade_slice(plan, &mut event, raw_yield),
-                    }
-                }
-            }
-        }
-        Decision::Load { evictions } => {
-            event.loads = 1;
-            event.evictions = evictions.len() as u64;
-            match faults {
-                None => {
-                    event.fetch_cost = access.fetch_cost;
-                    event.cache_served = raw_yield;
-                }
-                Some(plan) => {
-                    let res = plan.fetch(index, time, object, server);
-                    event.retries = u64::from(res.failed_attempts);
-                    event.retried_bytes =
-                        FaultPlan::wasted_bytes(access.fetch_cost, res.failed_attempts);
-                    match res.delivered {
-                        Some(m) => {
-                            event.fetch_cost = spiked_cost(access.fetch_cost, m);
-                            event.cache_served = raw_yield;
-                        }
-                        None => degrade_slice(plan, &mut event, raw_yield),
-                    }
-                }
-            }
+/// The priced links an engine charges traffic over, bottom-up: link `t`
+/// is the edge above caching tier `t`, the last one the origin link. A
+/// flat network is a single link.
+#[derive(Clone, Copy)]
+enum Links<'a> {
+    Flat(&'a dyn NetworkModel),
+    Tiered(&'a Topology),
+}
+
+impl Links<'_> {
+    fn depth(self) -> usize {
+        match self {
+            Links::Flat(_) => 1,
+            Links::Tiered(topology) => topology.depth(),
         }
     }
-    event
+
+    /// WAN cost of shipping `bytes` for `server` over link `link`.
+    #[inline]
+    fn price(self, link: usize, server: ServerId, bytes: Bytes) -> Bytes {
+        match self {
+            Links::Flat(network) => network.price(server, bytes),
+            Links::Tiered(topology) => topology.link_price(link, server, bytes),
+        }
+    }
+}
+
+/// Row-major `[object][tier]` priced origin fetches: each object's fetch
+/// cost summed over the links at and above each tier — the buy price
+/// `f_i` that tier's policy weighs for a load.
+fn fetch_rows(objects: &ObjectCatalog, links: Links<'_>) -> Vec<Bytes> {
+    let depth = links.depth();
+    let mut rows = Vec::with_capacity(objects.len().saturating_mul(depth));
+    for info in objects.objects() {
+        for tier in 0..depth {
+            rows.push(
+                (tier..depth)
+                    .map(|link| links.price(link, info.server, info.fetch_cost))
+                    .sum(),
+            );
+        }
+    }
+    rows
 }
 
 /// Resolve a slice whose retry budget is exhausted, per the plan's
-/// [`DegradationPolicy`](crate::faults::DegradationPolicy): serve the
-/// stale local copy (degraded, cache-tier delivery, zero fresh WAN)
-/// or fail the slice (nothing delivered; the undeliverable yield is
-/// tracked in `failed_bytes` so availability and the fault-free
-/// reconciliation stay exact).
-fn degrade_slice(plan: &FaultPlan<'_>, event: &mut CostEvent<'_>, raw_yield: Bytes) {
-    match plan.degradation {
-        crate::faults::DegradationPolicy::ServeStale => {
+/// [`DegradationPolicy`]: serve the stale local copy (degraded,
+/// cache-tier delivery, zero fresh WAN) or fail the slice (nothing
+/// delivered; the undeliverable yield is tracked in `failed_bytes` so
+/// availability and the fault-free reconciliation stay exact).
+fn degrade_slice(degradation: DegradationPolicy, event: &mut CostEvent<'_>, raw_yield: Bytes) {
+    match degradation {
+        DegradationPolicy::ServeStale => {
             event.degraded = 1;
             event.cache_served = raw_yield;
         }
-        crate::faults::DegradationPolicy::Fail => {
+        DegradationPolicy::Fail => {
             event.failed = 1;
             event.delivered = Bytes::ZERO;
             event.failed_bytes = raw_yield;
@@ -349,305 +326,116 @@ fn degrade_slice(plan: &FaultPlan<'_>, event: &mut CostEvent<'_>, raw_yield: Byt
     }
 }
 
-/// One caching tier's replay-time state: the tier's policy plus its
-/// display name. Tiers are ordered bottom-up (index 0 nearest the
-/// clients); each tier owns its policy — and through it its own
-/// `CacheState` — so the hierarchy's tiers evolve independently.
-///
-/// The policy bound carries `Send + Sync` so a slice of `TierState` can
-/// be moved into a sweep worker thread (the same readiness the
-/// concurrency audit asserts for every shared replay type).
-pub struct TierState<'a> {
-    /// Tier display name (from the topology's `TierSpec`).
-    pub name: &'a str,
-    /// The tier's cache policy.
-    pub policy: &'a mut (dyn CachePolicy + Send + Sync),
-}
-
-impl std::fmt::Debug for TierState<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TierState")
-            .field("name", &self.name)
-            .field("policy", &self.policy.name())
-            .finish()
+/// Fold one event into the window and hand it to the access observers.
+#[inline]
+fn emit(window: &mut QueryWindow, observers: &mut [&mut dyn Observer], event: &CostEvent<'_>) {
+    window.absorb(event);
+    for obs in observers.iter_mut() {
+        obs.on_access(event);
     }
 }
 
-/// Resolve one object slice through a tier hierarchy — the tiered
-/// counterpart of [`slice_event`], and like it the *single*
-/// decision→cost conversion site: the uncompiled tiered runner and the
-/// compiled tiered replay both call this exact function (with different
-/// price providers), so their accounting is bit-identical by
-/// construction.
-///
-/// The walk consults tier 0 first. A `Bypass` forwards the request one
-/// hop up; a `Hit` at tier `r` serves the slice from that tier, relaying
-/// the yield down over links `0..r`; a `Load` at tier `t` fetches the
-/// whole object from the origin over links `t..depth` and serves the
-/// yield down over links `0..t`; a bypass at the last tier ships the
-/// slice from the origin over every link. One [`CostEvent`] is emitted
-/// per *consulted* tier: inner bypasses carry only their link's relay
-/// cost, the resolving tier carries the delivery, retry accounting, and
-/// degradation flags. With a single tier this degenerates to exactly
-/// [`slice_event`]'s arithmetic — the flat bit-identity the equivalence
-/// proptests pin.
-///
-/// Fault exposure follows the bytes: the transfer crosses the link set
-/// of the resolution (nothing for a tier-0 hit), fails when any link in
-/// the set fails, and multiplies surviving links' cost spikes.
-///
-/// `yield_price(l)` prices the slice's yield over link `l`;
-/// `fetch_suffix(t)` prices the object's origin fetch down to tier `t`.
-/// `scratch` is caller-owned so the per-slice decision walk allocates
-/// nothing once warm.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn serve_slice_tiered(
+/// One slice after its decision walk: the tier `top` that resolved it
+/// (or the last tier, which bypassed to the origin), with that tier's
+/// access and decision.
+struct Resolved<'r> {
     index: usize,
-    time: Tick,
     object: ObjectId,
     server: ServerId,
     raw_yield: Bytes,
-    size: Bytes,
-    tiers: &mut [TierState<'_>],
-    faults: Option<&FaultPlan<'_>>,
-    yield_price: &dyn Fn(usize) -> Bytes,
-    fetch_suffix: &dyn Fn(usize) -> Bytes,
-    scratch: &mut Vec<(Access, Decision)>,
-    emit: &mut dyn FnMut(&CostEvent<'_>),
-) {
-    let depth = tiers.len();
-    // Phase 1: the decision walk, bottom-up until a Hit or Load resolves
-    // the slice (or the last tier bypasses to the origin). Decisions are
-    // taken before any fault is consulted, so the decision stream — and
-    // every tier policy's state evolution — is fault-independent, exactly
-    // like the flat path.
-    scratch.clear();
-    for (t, tier) in tiers.iter_mut().enumerate() {
-        let access = Access {
-            object,
-            time,
-            yield_bytes: raw_yield,
-            size,
-            fetch_cost: fetch_suffix(t),
-        };
-        let decision = tier.policy.on_access(&access);
-        let resolved = !decision.is_bypass();
-        scratch.push((access, decision));
-        if resolved {
-            break;
-        }
-    }
-    let Some(top) = scratch.len().checked_sub(1) else {
-        return; // zero-tier topology: validated unreachable
-    };
-
-    // Phase 2: resolve the transfer over the links the bytes traverse.
-    // A tier-0 hit crosses no WAN link and never consults the fault
-    // model (matching the flat path, where hits are fault-free).
-    let resolution = scratch.last().map(|(_, d)| d);
-    let links: std::ops::Range<u32> = match resolution {
-        Some(Decision::Hit) => 0..u32::try_from(top).unwrap_or(u32::MAX),
-        _ => 0..u32::try_from(depth).unwrap_or(u32::MAX),
-    };
-    let transfer = match faults {
-        Some(plan) if !links.is_empty() => {
-            Some(plan.fetch_path(index, time, object, server, links))
-        }
-        _ => None,
-    };
-    let (multiplier, failed_attempts, delivered_ok) = match &transfer {
-        None => (1.0, 0u32, true),
-        Some(res) => match res.delivered {
-            Some(m) => (m, res.failed_attempts, true),
-            None => (1.0, res.failed_attempts, false),
-        },
-    };
-    // Nominal priced cost of the whole transfer path, for retry-waste
-    // accounting. Computed only when attempts actually failed.
-    let wasted = if failed_attempts == 0 {
-        Bytes::ZERO
-    } else {
-        let downstream: Bytes = (0..top).map(yield_price).sum();
-        let nominal = match resolution {
-            Some(Decision::Hit) => downstream,
-            Some(Decision::Load { .. }) => downstream + fetch_suffix(top),
-            _ => downstream + yield_price(top),
-        };
-        FaultPlan::wasted_bytes(nominal, failed_attempts)
-    };
-
-    // Phase 3: emit one event per consulted tier. Inner tiers (below the
-    // resolution) carry only their relay traffic; the resolving tier
-    // carries delivery, retries, and degradation.
-    for (t, (access, decision)) in scratch.iter().enumerate() {
-        let Some(tier) = tiers.get(t) else { continue };
-        let mut event = CostEvent {
-            query: index,
-            object,
-            server,
-            tier: u32::try_from(t).unwrap_or(u32::MAX),
-            access: Some(access),
-            delivered: Bytes::ZERO,
-            bypass_served: Bytes::ZERO,
-            bypass_cost: Bytes::ZERO,
-            fetch_cost: Bytes::ZERO,
-            relay_cost: Bytes::ZERO,
-            cache_served: Bytes::ZERO,
-            retried_bytes: Bytes::ZERO,
-            failed_bytes: Bytes::ZERO,
-            hits: 0,
-            bypasses: 0,
-            loads: 0,
-            evictions: 0,
-            retries: 0,
-            failed: 0,
-            degraded: 0,
-            decision: Some(decision),
-            policy: Some(&*tier.policy),
-        };
-        if t < top {
-            // Inner bypass: the slice passed through on its way up; when
-            // the transfer delivered, its yield crossed this tier's link.
-            event.bypasses = 1;
-            if delivered_ok {
-                event.relay_cost = spiked_cost(yield_price(t), multiplier);
-            }
-            emit(&event);
-            continue;
-        }
-        // The resolving tier.
-        event.delivered = raw_yield;
-        event.retries = u64::from(failed_attempts);
-        event.retried_bytes = wasted;
-        match decision {
-            Decision::Hit => {
-                event.hits = 1;
-            }
-            Decision::Bypass => {
-                event.bypasses = 1;
-            }
-            Decision::Load { evictions } => {
-                event.loads = 1;
-                event.evictions = evictions.len() as u64;
-            }
-        }
-        if delivered_ok {
-            match decision {
-                Decision::Hit => {
-                    event.cache_served = raw_yield;
-                }
-                Decision::Bypass => {
-                    event.bypass_served = raw_yield;
-                    event.bypass_cost = spiked_cost(yield_price(t), multiplier);
-                }
-                Decision::Load { .. } => {
-                    event.fetch_cost = spiked_cost(fetch_suffix(t), multiplier);
-                    event.cache_served = raw_yield;
-                }
-            }
-        } else if let Some(plan) = faults {
-            degrade_slice(plan, &mut event, raw_yield);
-        }
-        emit(&event);
-    }
+    top: usize,
+    access: &'r Access,
+    decision: &'r Decision,
 }
 
-/// Replay a whole trace through a tier hierarchy (the uncompiled tiered
-/// runner). Emits the full observer protocol per query but does *not*
-/// call [`Observer::finish`]: per-tier audit observers need their own
-/// tier's policy at finish time, so the caller closes the observers out.
-pub(crate) fn replay_tiered(
-    trace: &Trace,
-    objects: &ObjectCatalog,
-    topology: &crate::network::Topology,
-    tiers: &mut [TierState<'_>],
-    faults: Option<&FaultPlan<'_>>,
-    observers: &mut [&mut dyn Observer],
-) {
-    let mut scratch: Vec<(Access, Decision)> = Vec::with_capacity(topology.depth());
-    let access_count = partition_access_observers(observers);
-    for (index, query) in trace.queries.iter().enumerate() {
-        let time = Tick::new(index as u64);
-        for obs in observers.iter_mut() {
-            obs.on_query_start(index, query);
-        }
-        for (object, raw_yield) in decompose(query, objects) {
-            let info = objects.info(object);
-            let server = info.server;
-            let fetch = info.fetch_cost;
-            serve_slice_tiered(
-                index,
-                time,
-                object,
-                server,
-                raw_yield,
-                info.size,
-                tiers,
-                faults,
-                &|l| topology.link_price(l, server, raw_yield),
-                &|t| topology.fetch_suffix(t, server, fetch),
-                &mut scratch,
-                &mut |event| {
-                    for obs in observers.iter_mut().take(access_count) {
-                        obs.on_access(event);
-                    }
-                },
-            );
-        }
-        for obs in observers.iter_mut() {
-            obs.on_query_end(index, query);
-        }
-    }
-}
-
-/// The decision→cost kernel shared by the simulator, the mediator, the
-/// semantic baseline, and the sweeps.
+/// The per-query replay kernel over one object view, one set of priced
+/// links, and an optional fault layer.
 ///
-/// An engine is a stateless view over an [`ObjectCatalog`] and a
-/// [`NetworkModel`]; all replay state lives in the policy and the
-/// observers, so one engine can serve any number of replays (including
-/// concurrently, as the sweep does).
+/// An engine holds no replay state — that lives in the tier policies,
+/// the caller's [`QueryWindow`], and the observers — so one engine can
+/// serve any number of replays, concurrently included.
 pub struct ReplayEngine<'a> {
     objects: &'a ObjectCatalog,
-    network: &'a dyn NetworkModel,
+    links: Links<'a>,
+    depth: usize,
+    /// Row-major `[object][tier]` priced origin fetches (see
+    /// [`fetch_rows`]).
+    fetch: Cow<'a, [Bytes]>,
     faults: Option<FaultPlan<'a>>,
 }
 
+impl std::fmt::Debug for ReplayEngine<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ReplayEngine")
+            .field("objects", &self.objects.len())
+            .field("depth", &self.depth)
+            .field("faults", &self.faults)
+            .finish_non_exhaustive()
+    }
+}
+
 impl<'a> ReplayEngine<'a> {
-    /// An engine over `objects` on a uniform network (the BYU regime;
-    /// pricing is the identity).
+    /// An engine over `objects` on a uniform flat network (the BYU
+    /// regime; pricing is the identity).
     pub fn new(objects: &'a ObjectCatalog) -> Self {
         Self::with_network(objects, &crate::network::UNIFORM)
     }
 
-    /// An engine that prices every object's traffic by its home server's
-    /// link cost.
+    /// A flat engine: one caching tier, whose single link prices every
+    /// object's traffic by its home server's link cost.
     pub fn with_network(objects: &'a ObjectCatalog, network: &'a dyn NetworkModel) -> Self {
+        Self::over(objects, Links::Flat(network), None)
+    }
+
+    /// An engine over a tier hierarchy: one caching tier per topology
+    /// tier, each link priced by the topology.
+    pub fn with_topology(objects: &'a ObjectCatalog, topology: &'a Topology) -> Self {
+        Self::over(objects, Links::Tiered(topology), None)
+    }
+
+    /// The fetch rows of a flat engine over `objects` and `network`, for
+    /// a long-lived caller to build once and lend to
+    /// [`Self::with_rows`].
+    pub(crate) fn flat_rows(objects: &ObjectCatalog, network: &dyn NetworkModel) -> Vec<Bytes> {
+        fetch_rows(objects, Links::Flat(network))
+    }
+
+    /// A flat engine over rows [`Self::flat_rows`] built for the same
+    /// `objects` and `network`: constant time, where the other
+    /// constructors price every object.
+    pub(crate) fn with_rows(
+        objects: &'a ObjectCatalog,
+        network: &'a dyn NetworkModel,
+        rows: &'a [Bytes],
+    ) -> Self {
+        Self::over(objects, Links::Flat(network), Some(rows))
+    }
+
+    fn over(objects: &'a ObjectCatalog, links: Links<'a>, rows: Option<&'a [Bytes]>) -> Self {
         ReplayEngine {
             objects,
-            network,
+            links,
+            depth: links.depth(),
+            fetch: match rows {
+                Some(rows) => Cow::Borrowed(rows),
+                None => Cow::Owned(fetch_rows(objects, links)),
+            },
             faults: None,
         }
     }
 
     /// Attach a fault layer: WAN transfers resolve through `plan`'s
     /// model/retry/degradation instead of always succeeding. Without
-    /// this the engine runs the exact fault-free path (bit-identical to
-    /// an engine with no fault layer compiled in).
+    /// this the engine runs the exact fault-free path.
     #[must_use]
     pub fn with_faults(mut self, plan: FaultPlan<'a>) -> Self {
         self.faults = Some(plan);
         self
     }
 
-    /// The object view this engine decomposes queries against.
+    /// The object view this engine resolves queries against.
     pub fn objects(&self) -> &ObjectCatalog {
         self.objects
-    }
-
-    /// The network model pricing this engine's WAN traffic.
-    pub fn network(&self) -> &dyn NetworkModel {
-        self.network
     }
 
     /// The fault plan governing this engine's WAN transfers, if any.
@@ -655,129 +443,289 @@ impl<'a> ReplayEngine<'a> {
         self.faults.as_ref()
     }
 
-    /// The policy-visible access for one object slice. `yield_bytes` is
-    /// the raw delivered result — yield is a property of the query, not
-    /// of the network — while `fetch_cost` is priced by the object's
-    /// home-server link. This is the BYHR view (paper §3): policies weigh
-    /// raw rent (bypass yield) against the *true* buy price `f_i`.
+    /// The object's origin fetch priced down to `tier`.
+    #[inline]
+    fn fetch_at(&self, object: ObjectId, tier: usize) -> Bytes {
+        self.fetch
+            .get(object.index() * self.depth + tier)
+            .copied()
+            .unwrap_or(Bytes::ZERO)
+    }
+
+    /// The site tier's view of one object slice. `yield_bytes` is the
+    /// raw delivered result — yield is a property of the query, not of
+    /// the network — while `fetch_cost` is priced over the links the
+    /// object would cross. This is the BYHR view (paper §3): policies
+    /// weigh raw rent (bypass yield) against the *true* buy price `f_i`.
     /// Pricing both sides would cancel out of every rent-to-buy ratio
     /// and blind ratio policies to the network entirely.
     pub fn access_for(&self, object: ObjectId, raw_yield: Bytes, time: Tick) -> Access {
-        let info = self.objects.info(object);
         Access {
             object,
             time,
             yield_bytes: raw_yield,
-            size: info.size,
-            fetch_cost: self.network.price(info.server, info.fetch_cost),
+            size: self.objects.info(object).size,
+            fetch_cost: self.fetch_at(object, 0),
         }
     }
 
-    /// Serve one query through `policy`, emitting events to `observers`.
-    /// This (via [`CostEvent`] construction) is the only decision→cost
-    /// conversion site in the crate.
-    pub fn serve_query(
+    /// Serve query `index` inside its observer hooks: `on_query_start`
+    /// on every observer, the kernel ([`Self::serve`]) with its events
+    /// going to the first `access_count` observers — the prefix
+    /// [`partition_access_observers`] leaves wanting accesses — then
+    /// `on_query_end`. Sessions, [`Self::replay`] and the mediator all
+    /// serve their queries through here.
+    pub(crate) fn serve_query(
         &self,
         index: usize,
-        time: Tick,
         query: &TraceQuery,
-        policy: &mut dyn CachePolicy,
+        tiers: &mut [&mut dyn CachePolicy],
+        window: &mut QueryWindow,
         observers: &mut [&mut dyn Observer],
+        access_count: usize,
     ) {
-        // Partition is idempotent, so replaying query-by-query through
-        // here keeps the per-slice dispatch prefix stable at no cost.
-        let access_count = partition_access_observers(observers);
         for obs in observers.iter_mut() {
             obs.on_query_start(index, query);
         }
-        // Iterate the query's slices directly (the allocation-free
-        // equivalent of [`decompose`]) — this loop runs once per access
-        // over the whole replay, so it stays lean.
-        match self.objects.granularity() {
-            Granularity::Table => {
-                for &(t, raw_yield) in &query.table_yields {
-                    if let Ok(object) = self.objects.object_for_table(t) {
-                        self.serve_slice(
-                            index,
-                            time,
-                            object,
-                            raw_yield,
-                            policy,
-                            observers,
-                            access_count,
-                        );
-                    }
-                }
-            }
-            Granularity::Column => {
-                for &(c, raw_yield) in &query.column_yields {
-                    if let Ok(object) = self.objects.object_for_column(c) {
-                        self.serve_slice(
-                            index,
-                            time,
-                            object,
-                            raw_yield,
-                            policy,
-                            observers,
-                            access_count,
-                        );
-                    }
-                }
-            }
-        }
+        let access = observers.get_mut(..access_count).unwrap_or_default();
+        self.serve(index, query, tiers, window, access);
         for obs in observers.iter_mut() {
             obs.on_query_end(index, query);
         }
     }
 
-    /// Serve one object slice: price the access, ask the policy, emit the
-    /// event. Delegates to [`slice_event`], the single decision→cost
-    /// conversion site. Only the first `access_count` observers (the
-    /// access-wanting prefix established by the caller's partition) see
-    /// the event.
+    /// Serve query `index` (the policy clock) through `tiers`, one policy
+    /// per caching tier, bottom-up: every slice's cost split folds into
+    /// `window` and reaches `observers` — which must be only those that
+    /// want accesses — as [`CostEvent`]s.
+    fn serve(
+        &self,
+        index: usize,
+        query: &TraceQuery,
+        tiers: &mut [&mut dyn CachePolicy],
+        window: &mut QueryWindow,
+        observers: &mut [&mut dyn Observer],
+    ) {
+        let time = Tick::new(index as u64);
+        for_each_slice(query, self.objects, |object, raw_yield| {
+            self.serve_slice(index, time, object, raw_yield, tiers, window, observers);
+        });
+    }
+
+    /// Resolve one object slice through the tier hierarchy.
+    ///
+    /// The walk consults tier 0 first. A `Bypass` forwards the request
+    /// one hop up; a `Hit` at tier `r` serves the slice from that tier,
+    /// relaying the yield down over links `0..r`; a `Load` at tier `t`
+    /// fetches the whole object from the origin over links `t..depth`
+    /// and serves the yield down over links `0..t`; a bypass at the last
+    /// tier ships the slice from the origin over every link. One event
+    /// is emitted per *consulted* tier: inner bypasses carry only their
+    /// link's relay cost, the resolving tier carries the delivery, retry
+    /// accounting, and degradation flags. At depth 1 this is exactly the
+    /// flat hit/bypass/load accounting.
+    ///
+    /// Fault exposure follows the bytes: the transfer crosses the links
+    /// of the resolution (none for a tier-0 hit), fails when any of them
+    /// fails, and multiplies surviving links' cost spikes.
+    ///
+    /// Kept out of line: inlined into the per-query slice loop, its
+    /// frame measured 20–30% slower on depth-1 sweeps.
     #[allow(clippy::too_many_arguments)]
+    #[inline(never)]
     fn serve_slice(
         &self,
         index: usize,
         time: Tick,
         object: ObjectId,
         raw_yield: Bytes,
-        policy: &mut dyn CachePolicy,
+        tiers: &mut [&mut dyn CachePolicy],
+        window: &mut QueryWindow,
         observers: &mut [&mut dyn Observer],
-        access_count: usize,
     ) {
         let info = self.objects.info(object);
         let server = info.server;
-        // Policy view: raw yield, priced fetch (see [`Self::access_for`]).
-        let access = Access {
+        let access_at = |tier: usize| Access {
             object,
             time,
             yield_bytes: raw_yield,
             size: info.size,
-            fetch_cost: self.network.price(server, info.fetch_cost),
+            fetch_cost: self.fetch_at(object, tier),
         };
-        let decision = policy.on_access(&access);
-        let event = slice_event(
+        // The decision walk, bottom-up until a tier hits or loads (or the
+        // last tier bypasses to the origin). Decisions are taken before
+        // any fault is drawn, so every tier's decision stream — and its
+        // policy's state — is fault-independent.
+        let depth = tiers.len();
+        let Some(site) = tiers.first_mut() else {
+            return; // no tiers: nothing decides
+        };
+        let mut top = 0;
+        let mut access = access_at(0);
+        let mut decision = site.on_access(&access);
+        while decision.is_bypass() && top + 1 < depth {
+            top += 1;
+            access = access_at(top);
+            let Some(policy) = tiers.get_mut(top) else {
+                break;
+            };
+            decision = policy.on_access(&access);
+        }
+        let resolved = Resolved {
             index,
-            time,
-            raw_yield,
+            object,
             server,
-            &access,
-            &decision,
-            &*policy,
-            self.faults.as_ref(),
-            || self.network.price(server, raw_yield),
-        );
-        for obs in observers.iter_mut().take(access_count) {
-            obs.on_access(&event);
+            raw_yield,
+            top,
+            access: &access,
+            decision: &decision,
+        };
+        match &self.faults {
+            // Fault-free, every transfer delivers at nominal cost: the
+            // constant outcome folds the settle arithmetic down to the
+            // plain hit/bypass/load split.
+            None => self.settle(&resolved, tiers, window, observers, 1.0, 0, true),
+            Some(plan) => self.settle_faulted(plan, &resolved, tiers, window, observers),
         }
     }
 
+    /// Resolve a slice's transfer through the fault plan, then settle
+    /// it. The transfer crosses the links the bytes traverse: none for a
+    /// tier-0 hit, `0..top` for a hit at tier `top`, every link for a
+    /// load or an origin bypass.
+    #[inline(never)]
+    fn settle_faulted(
+        &self,
+        plan: &FaultPlan<'_>,
+        r: &Resolved<'_>,
+        tiers: &[&mut dyn CachePolicy],
+        window: &mut QueryWindow,
+        observers: &mut [&mut dyn Observer],
+    ) {
+        let links = if r.decision.is_hit() {
+            r.top
+        } else {
+            tiers.len()
+        };
+        let (multiplier, failed_attempts, delivered) = if links == 0 {
+            (1.0, 0, true)
+        } else {
+            let links = 0..u32::try_from(links).unwrap_or(u32::MAX);
+            let time = r.access.time;
+            let res = plan.fetch_path(r.index, time, r.object, r.server, links);
+            match res.delivered {
+                Some(m) => (m, res.failed_attempts, true),
+                None => (1.0, res.failed_attempts, false),
+            }
+        };
+        self.settle(
+            r,
+            tiers,
+            window,
+            observers,
+            multiplier,
+            failed_attempts,
+            delivered,
+        );
+    }
+
+    /// Emit a resolved slice's events given its transfer outcome: the
+    /// surviving links' cost `multiplier`, the failed attempts, and
+    /// whether any attempt delivered. Always inlined, so the fault-free
+    /// call's constant outcome folds away.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn settle(
+        &self,
+        r: &Resolved<'_>,
+        tiers: &[&mut dyn CachePolicy],
+        window: &mut QueryWindow,
+        observers: &mut [&mut dyn Observer],
+        multiplier: f64,
+        failed_attempts: u32,
+        delivered: bool,
+    ) {
+        let (server, raw_yield, top) = (r.server, r.raw_yield, r.top);
+        let blank = CostEvent::blank(r.index, r.object, server);
+        // Inner tiers passed the slice through on its way up: when the
+        // transfer delivered, its yield crossed the link above each.
+        if top > 0 {
+            let bypass = Decision::Bypass;
+            for t in 0..top {
+                let inner = Access {
+                    fetch_cost: self.fetch_at(r.object, t),
+                    ..*r.access
+                };
+                let mut event = blank;
+                event.tier = u32::try_from(t).unwrap_or(u32::MAX);
+                event.access = Some(&inner);
+                event.decision = Some(&bypass);
+                event.policy = tiers.get(t).map(|p| &**p as &dyn CachePolicy);
+                event.bypasses = 1;
+                if delivered {
+                    event.relay_cost =
+                        spiked_cost(self.links.price(t, server, raw_yield), multiplier);
+                }
+                emit(window, observers, &event);
+            }
+        }
+
+        // The resolving tier carries delivery, retries, and degradation.
+        let mut event = blank;
+        event.tier = u32::try_from(top).unwrap_or(u32::MAX);
+        event.access = Some(r.access);
+        event.decision = Some(r.decision);
+        event.policy = tiers.get(top).map(|p| &**p as &dyn CachePolicy);
+        event.delivered = raw_yield;
+        if failed_attempts > 0 {
+            // Nominal priced cost of the whole transfer path.
+            let downstream: Bytes = (0..top)
+                .map(|l| self.links.price(l, server, raw_yield))
+                .sum();
+            let nominal = match r.decision {
+                Decision::Hit => downstream,
+                Decision::Load { .. } => downstream + r.access.fetch_cost,
+                Decision::Bypass => downstream + self.links.price(top, server, raw_yield),
+            };
+            event.retries = u64::from(failed_attempts);
+            event.retried_bytes = FaultPlan::wasted_bytes(nominal, failed_attempts);
+        }
+        match r.decision {
+            Decision::Hit => {
+                event.hits = 1;
+                if delivered {
+                    event.cache_served = raw_yield;
+                }
+            }
+            Decision::Bypass => {
+                event.bypasses = 1;
+                if delivered {
+                    event.bypass_served = raw_yield;
+                    event.bypass_cost =
+                        spiked_cost(self.links.price(top, server, raw_yield), multiplier);
+                }
+            }
+            Decision::Load { evictions } => {
+                event.loads = 1;
+                event.evictions = evictions.len() as u64;
+                if delivered {
+                    event.fetch_cost = spiked_cost(r.access.fetch_cost, multiplier);
+                    event.cache_served = raw_yield;
+                }
+            }
+        }
+        if let (false, Some(plan)) = (delivered, &self.faults) {
+            degrade_slice(plan.degradation, &mut event, raw_yield);
+        }
+        emit(window, observers, &event);
+    }
+
     /// Serve one query at *query* granularity: the whole result is either
-    /// cache-served (`hit`) or shipped from the servers. Used by the
-    /// semantic (query-result) baseline, which has no per-object policy —
-    /// events carry `decision: None` / `policy: None`, but still one
-    /// event per object slice so per-server attribution works.
+    /// cache-served (`hit`) or shipped from the servers over the site
+    /// link. Used by the semantic (query-result) baseline, which has no
+    /// per-object policy — events carry `decision: None` / `policy:
+    /// None`, but still one event per object slice so per-server
+    /// attribution works.
     pub fn serve_query_level(
         &self,
         index: usize,
@@ -789,61 +737,50 @@ impl<'a> ReplayEngine<'a> {
         for obs in observers.iter_mut() {
             obs.on_query_start(index, query);
         }
-        for (object, raw_yield) in decompose(query, self.objects) {
+        for_each_slice(query, self.objects, |object, raw_yield| {
             let server = self.objects.info(object).server;
-            let mut event = CostEvent {
-                query: index,
-                object,
-                server,
-                tier: 0,
-                access: None,
-                delivered: raw_yield,
-                bypass_served: Bytes::ZERO,
-                bypass_cost: Bytes::ZERO,
-                fetch_cost: Bytes::ZERO,
-                relay_cost: Bytes::ZERO,
-                cache_served: Bytes::ZERO,
-                retried_bytes: Bytes::ZERO,
-                failed_bytes: Bytes::ZERO,
-                hits: 0,
-                bypasses: 0,
-                loads: 0,
-                evictions: 0,
-                retries: 0,
-                failed: 0,
-                degraded: 0,
-                decision: None,
-                policy: None,
-            };
+            let mut event = CostEvent::blank(index, object, server);
+            event.delivered = raw_yield;
             if hit {
                 event.hits = 1;
                 event.cache_served = raw_yield;
             } else {
                 event.bypasses = 1;
                 event.bypass_served = raw_yield;
-                event.bypass_cost = self.network.price(server, raw_yield);
+                event.bypass_cost = self.links.price(0, server, raw_yield);
             }
             for obs in observers.iter_mut().take(access_count) {
                 obs.on_access(&event);
             }
-        }
+        });
         for obs in observers.iter_mut() {
             obs.on_query_end(index, query);
         }
     }
 
-    /// Replay a whole trace: every query through [`Self::serve_query`]
-    /// (the query index is the policy clock), then `finish` on every
-    /// observer with the policy attached.
+    /// Replay a whole trace through one policy on a flat engine: every
+    /// query through the kernel (the query index is the policy clock),
+    /// then `finish` on every observer with the policy attached.
     pub fn replay(
         &self,
         trace: &Trace,
         policy: &mut dyn CachePolicy,
         observers: &mut [&mut dyn Observer],
     ) {
-        for (i, q) in trace.queries.iter().enumerate() {
-            self.serve_query(i, Tick::new(i as u64), q, policy, observers);
+        let access_count = partition_access_observers(observers);
+        let mut window = QueryWindow::default();
+        let mut tiers = [policy];
+        for (index, query) in trace.queries.iter().enumerate() {
+            self.serve_query(
+                index,
+                query,
+                &mut tiers,
+                &mut window,
+                observers,
+                access_count,
+            );
         }
+        let [policy] = tiers;
         let policy: &dyn CachePolicy = policy;
         for obs in observers.iter_mut() {
             obs.finish(Some(policy));
@@ -898,6 +835,7 @@ pub struct QueryWindow {
 
 impl QueryWindow {
     /// Accumulate one event.
+    #[inline]
     pub fn absorb(&mut self, event: &CostEvent<'_>) {
         self.delivered += event.delivered;
         self.bypass_served += event.bypass_served;
@@ -962,11 +900,13 @@ pub struct CostObserver {
     trace: String,
     granularity: String,
     queries: usize,
-    window: QueryWindow,
-    /// Fault rollup state: slices of the in-flight query that failed /
-    /// degraded, folded into per-*query* counts at `on_query_end`.
-    failed_this_query: u64,
-    degraded_this_query: u64,
+    /// The replay's cost window; the session's kernel folds into it
+    /// directly instead of dispatching `on_access`.
+    pub(crate) window: QueryWindow,
+    /// The window's failed/degraded slice counts when the in-flight
+    /// query started, so `on_query_end` can tell whether it had any.
+    failed_before: u64,
+    degraded_before: u64,
     failed_queries: u64,
     degraded_queries: u64,
 }
@@ -980,37 +920,10 @@ impl CostObserver {
             granularity: granularity.to_string(),
             queries: 0,
             window: QueryWindow::default(),
-            failed_this_query: 0,
-            degraded_this_query: 0,
+            failed_before: 0,
+            degraded_before: 0,
             failed_queries: 0,
             degraded_queries: 0,
-        }
-    }
-
-    /// Begin a query window (the trace-free core of `on_query_start`,
-    /// shared with the compiled fast path).
-    pub(crate) fn start_query(&mut self) {
-        self.queries += 1;
-        self.failed_this_query = 0;
-        self.degraded_this_query = 0;
-    }
-
-    /// Absorb one slice event (the core of `on_access`).
-    pub(crate) fn absorb(&mut self, event: &CostEvent<'_>) {
-        self.window.absorb(event);
-        self.failed_this_query += event.failed;
-        self.degraded_this_query += event.degraded;
-    }
-
-    /// Close a query window, folding slice faults into per-query counts
-    /// (the core of `on_query_end`): a query with any failed slice
-    /// surfaced an error to the client; one that only degraded still
-    /// answered, just with stale data.
-    pub(crate) fn end_query(&mut self) {
-        if self.failed_this_query > 0 {
-            self.failed_queries += 1;
-        } else if self.degraded_this_query > 0 {
-            self.degraded_queries += 1;
         }
     }
 
@@ -1043,15 +956,24 @@ impl CostObserver {
 
 impl Observer for CostObserver {
     fn on_query_start(&mut self, _index: usize, _query: &TraceQuery) {
-        self.start_query();
+        self.queries += 1;
+        self.failed_before = self.window.failed_slices;
+        self.degraded_before = self.window.degraded_slices;
     }
 
     fn on_access(&mut self, event: &CostEvent<'_>) {
-        self.absorb(event);
+        self.window.absorb(event);
     }
 
+    /// Fold the query's slice faults into per-query counts: a query
+    /// with any failed slice surfaced an error to the client; one that
+    /// only degraded still answered, just with stale data.
     fn on_query_end(&mut self, _index: usize, _query: &TraceQuery) {
-        self.end_query();
+        if self.window.failed_slices > self.failed_before {
+            self.failed_queries += 1;
+        } else if self.window.degraded_slices > self.degraded_before {
+            self.degraded_queries += 1;
+        }
     }
 }
 
@@ -1111,8 +1033,8 @@ impl Observer for SeriesObserver {
 
 /// Validates the decision stream with a [`DecisionAuditor`] shadow model.
 ///
-/// The engine's [`ReplayEngine::replay`] always calls `finish` with the
-/// policy, which runs the closing deep check and freezes the report —
+/// Every replay calls `finish` with the (tier's) policy, which runs the
+/// closing deep check and freezes the report —
 /// [`AuditObserver::into_report`] then returns it with no `Option` in the
 /// path. Events without a decision (the query-level path) are ignored.
 #[derive(Debug)]

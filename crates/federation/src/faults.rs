@@ -508,6 +508,7 @@ impl<'a> FaultPlan<'a> {
 /// Apply a transfer's cost multiplier to its nominal priced cost.
 /// `1.0` is the identity *bit-for-bit* (no float round trip), so
 /// un-spiked transfers cost exactly what the [`NetworkModel`] priced.
+#[inline]
 pub fn spiked_cost(nominal: Bytes, cost_multiplier: f64) -> Bytes {
     if cost_multiplier == 1.0 {
         nominal

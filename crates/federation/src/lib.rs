@@ -9,21 +9,18 @@
 //! (`D_A = D_S + D_C`) regardless of caching configuration, an invariant
 //! every [`session::ReplaySession`] run checks.
 //!
-//! * [`engine`] — the one replay kernel: [`engine::ReplayEngine`] turns
-//!   `TraceQuery → Access → Decision` into [`engine::CostEvent`]s that
-//!   composable [`engine::Observer`]s consume. Every other entry point
-//!   is a composition over it.
-//! * [`compiled`] — the hot path: a [`compiled::CompiledTrace`] hoists
-//!   catalog resolution and network pricing into a one-time compilation
-//!   pass, flattening every query into a contiguous slice arena;
-//!   replaying it is allocation- and lookup-free, with cost reports
-//!   bit-identical to the uncompiled engine.
+//! * [`engine`] — the one replay kernel: [`engine::ReplayEngine`] serves
+//!   one `TraceQuery` at a time, walking each object slice up a tier
+//!   hierarchy (the flat WAN is depth 1), and turns each decision into
+//!   [`engine::CostEvent`]s that composable [`engine::Observer`]s
+//!   consume. Batch replays, sweeps, and the mediator all run it.
 //! * [`session`] — the one replay entry point:
 //!   [`session::ReplaySession`] is a fluent builder over the engine that
 //!   configures policy, network pricing, faults, auditing, series
 //!   capture, and extra observers, then [`session::ReplaySession::run`]s
-//!   one replay or [`session::ReplaySession::sweep`]s a
-//!   (policy × cache-size) grid in parallel.
+//!   one replay — of a resident trace or one streamed off disk — or
+//!   [`session::ReplaySession::sweep`]s a (policy × cache-size) grid in
+//!   parallel.
 //! * [`network`] — first-class WAN pricing: [`network::NetworkModel`]
 //!   with the [`network::Uniform`] (BYU) and
 //!   [`network::PerServerMultipliers`] (BYHR) regimes, and
@@ -55,7 +52,6 @@
 #![warn(missing_docs)]
 
 pub mod accounting;
-pub mod compiled;
 pub mod engine;
 pub mod faults;
 pub mod mediator;
@@ -64,15 +60,14 @@ pub mod policies;
 pub mod semantic;
 pub mod session;
 pub mod simulator;
-pub mod stream;
+mod stream;
 pub mod sweep;
 
 pub use accounting::CostReport;
-pub use compiled::{CompiledSlice, CompiledTopology, CompiledTrace};
 pub use engine::{
     AuditObserver, CostEvent, CostObserver, FlightRecorder, Observer, PerServerObserver,
     PerTierObserver, Postmortem, QueryWindow, RecordedEvent, ReplayEngine, SeriesObserver,
-    ServerCosts, TierState,
+    ServerCosts,
 };
 pub use faults::{
     spiked_cost, DegradationPolicy, FaultModel, FaultPlan, FetchAttempt, FetchOutcome,
@@ -81,9 +76,8 @@ pub use faults::{
 };
 pub use mediator::Mediator;
 pub use network::{NetworkModel, PerServerMultipliers, TierSpec, Topology, Uniform};
-pub use policies::{build_policy, build_sharded, policy_roster, PolicyKind};
+pub use policies::{build_policy, policy_roster, PolicyKind};
 pub use semantic::{SemanticCache, SemanticReport};
 pub use session::ReplaySession;
 pub use simulator::{Replay, SeriesPoint};
-pub use stream::{ChunkCompiler, CompiledChunk};
 pub use sweep::{NoObserver, SweepOptions, SweepPoint};

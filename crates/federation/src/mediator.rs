@@ -8,7 +8,7 @@
 //! paper's architecture (§3, Figure 1), with bypassed sub-queries routed
 //! to their home servers.
 
-use crate::engine::{CostEvent, Observer, QueryWindow, ReplayEngine};
+use crate::engine::{partition_access_observers, CostEvent, Observer, QueryWindow, ReplayEngine};
 use crate::faults::{DegradationPolicy, FaultModel, FaultPlan, RetryPolicy};
 use crate::network::{NetworkModel, Uniform};
 use byc_catalog::{Catalog, Granularity, ObjectCatalog};
@@ -16,7 +16,7 @@ use byc_core::audit::{AuditReport, PolicyAuditor};
 use byc_core::policy::{CachePolicy, Decision};
 use byc_engine::YieldModel;
 use byc_sql::{analyze, parse};
-use byc_types::{Bytes, ObjectId, QueryId, Result, ServerId, Tick};
+use byc_types::{Bytes, ObjectId, QueryId, Result, ServerId};
 use byc_workload::TraceQuery;
 
 /// Where one object's slice of a query was served.
@@ -75,34 +75,14 @@ impl ServedQuery {
     }
 }
 
-/// Collects one [`ServedQuery`] from the engine's event stream.
+/// Collects one [`ServedQuery`]'s per-object outcomes from the kernel's
+/// event stream.
 struct OutcomeObserver {
-    id: QueryId,
-    window: QueryWindow,
     outcomes: Vec<ObjectOutcome>,
-}
-
-impl OutcomeObserver {
-    fn into_served(self) -> ServedQuery {
-        ServedQuery {
-            id: self.id,
-            delivered: self.window.delivered,
-            from_cache: self.window.cache_served,
-            from_servers: self.window.bypass_served,
-            bypass_traffic: self.window.bypass_cost,
-            load_traffic: self.window.fetch_cost,
-            retried_bytes: self.window.retried_bytes,
-            failed_bytes: self.window.failed_bytes,
-            degraded_slices: self.window.degraded_slices,
-            failed_slices: self.window.failed_slices,
-            outcomes: self.outcomes,
-        }
-    }
 }
 
 impl Observer for OutcomeObserver {
     fn on_access(&mut self, event: &CostEvent<'_>) {
-        self.window.absorb(event);
         if let Some(decision) = event.decision {
             self.outcomes.push(ObjectOutcome {
                 object: event.object,
@@ -126,10 +106,12 @@ pub struct Mediator {
     objects: ObjectCatalog,
     policy: PolicyAuditor<Box<dyn CachePolicy>>,
     network: Box<dyn NetworkModel>,
+    /// The kernel's priced fetch rows for `objects` over `network`,
+    /// built once for the mediator's lifetime.
+    fetch_rows: Vec<Bytes>,
     faults: Option<Box<dyn FaultModel>>,
     retry: RetryPolicy,
     degradation: DegradationPolicy,
-    clock: Tick,
     served: u64,
     wan_total: Bytes,
 }
@@ -168,15 +150,16 @@ impl Mediator {
         } else {
             PolicyAuditor::pass_through(policy)
         };
+        let fetch_rows = ReplayEngine::flat_rows(&objects, network.as_ref());
         Self {
             catalog,
             objects,
             policy,
             network,
+            fetch_rows,
             faults: None,
             retry: RetryPolicy::default(),
             degradation: DegradationPolicy::default(),
-            clock: Tick::ZERO,
             served: 0,
             wan_total: Bytes::ZERO,
         }
@@ -297,11 +280,12 @@ impl Mediator {
         Ok(self.serve_trace_query(&tq, &mut []))
     }
 
-    /// Serve an already-analyzed trace query (the replay path): one
-    /// engine pass with an observer that collects the [`ServedQuery`].
+    /// Serve an already-analyzed trace query: one pass of the replay
+    /// kernel, the same per-query code every batch replay runs, with the
+    /// query count as the policy clock.
     ///
-    /// `extra` observers ride the same engine pass — the telemetry seam:
-    /// a `byc-telemetry` `TelemetryObserver` (or any other [`Observer`])
+    /// `extra` observers ride the same pass — the telemetry seam: a
+    /// `byc-telemetry` `TelemetryObserver` (or any other [`Observer`])
     /// sees exactly the event stream that produced the returned
     /// [`ServedQuery`]. Pass `&mut []` when none are needed.
     pub fn serve_trace_query(
@@ -309,7 +293,8 @@ impl Mediator {
         tq: &TraceQuery,
         extra: &mut [&mut dyn Observer],
     ) -> ServedQuery {
-        let mut engine = ReplayEngine::with_network(&self.objects, self.network.as_ref());
+        let mut engine =
+            ReplayEngine::with_rows(&self.objects, self.network.as_ref(), &self.fetch_rows);
         if let Some(model) = self.faults.as_deref() {
             engine = engine.with_faults(FaultPlan {
                 model,
@@ -317,27 +302,41 @@ impl Mediator {
                 degradation: self.degradation,
             });
         }
-        let mut observer = OutcomeObserver {
-            id: QueryId::new(u32::try_from(self.served).unwrap_or(u32::MAX)),
-            window: QueryWindow::default(),
+        let index = usize::try_from(self.served).unwrap_or(usize::MAX);
+        let mut outcomes = OutcomeObserver {
             outcomes: Vec::new(),
         };
+        let mut window = QueryWindow::default();
         {
             let mut observers: Vec<&mut dyn Observer> = Vec::with_capacity(1 + extra.len());
-            observers.push(&mut observer);
+            observers.push(&mut outcomes);
             for obs in extra.iter_mut() {
                 observers.push(&mut **obs);
             }
+            let access_count = partition_access_observers(&mut observers);
+            let mut policy: &mut dyn CachePolicy = &mut self.policy;
             engine.serve_query(
-                usize::try_from(self.served).unwrap_or(usize::MAX),
-                self.clock,
+                index,
                 tq,
-                &mut self.policy,
+                std::slice::from_mut(&mut policy),
+                &mut window,
                 &mut observers,
+                access_count,
             );
         }
-        let outcome = observer.into_served();
-        self.clock = self.clock.next();
+        let outcome = ServedQuery {
+            id: QueryId::new(u32::try_from(self.served).unwrap_or(u32::MAX)),
+            delivered: window.delivered,
+            from_cache: window.cache_served,
+            from_servers: window.bypass_served,
+            bypass_traffic: window.bypass_cost,
+            load_traffic: window.fetch_cost,
+            retried_bytes: window.retried_bytes,
+            failed_bytes: window.failed_bytes,
+            degraded_slices: window.degraded_slices,
+            failed_slices: window.failed_slices,
+            outcomes: outcomes.outcomes,
+        };
         self.served += 1;
         self.wan_total += outcome.wan_cost();
         outcome

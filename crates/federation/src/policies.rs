@@ -5,10 +5,9 @@ use byc_core::inline::make;
 use byc_core::online::OnlineBY;
 use byc_core::policy::CachePolicy;
 use byc_core::rate_profile::{RateProfile, RateProfileConfig};
-use byc_core::shard::{ShardPlan, ShardedPolicy};
 use byc_core::spaceeff::SpaceEffBY;
 use byc_core::static_opt::{ObjectDemand, StaticCache};
-use byc_types::{Bytes, Result};
+use byc_types::Bytes;
 
 /// Every policy the experiments replay.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -122,43 +121,6 @@ pub fn build_policy(
         PolicyKind::Static => Box::new(StaticCache::plan(demands, capacity, true)),
         PolicyKind::NoCache => Box::new(byc_core::static_opt::NoCache),
     }
-}
-
-/// Instantiate one [`build_policy`] instance per shard of `plan`,
-/// bundled as a [`ShardedPolicy`] for sharded (parallel) replay.
-///
-/// The cache capacity splits evenly across shards
-/// ([`ShardPlan::split_capacity`]), each shard's [`PolicyKind::Static`]
-/// plan sees only the demands of objects it owns, and seeded policies
-/// get per-shard seeds (`seed + shard`) so shards draw independent
-/// randomness.
-///
-/// # Errors
-///
-/// Propagates [`ShardedPolicy::new`]'s config error (unreachable here:
-/// the instance count comes from the plan itself).
-pub fn build_sharded(
-    kind: PolicyKind,
-    plan: ShardPlan,
-    capacity: Bytes,
-    demands: &[ObjectDemand],
-    seed: u64,
-) -> Result<ShardedPolicy> {
-    let shards = plan
-        .split_capacity(capacity)
-        .into_iter()
-        .enumerate()
-        .map(|(shard, cap)| {
-            let local: Vec<ObjectDemand> = demands
-                .iter()
-                .filter(|d| plan.shard_of(d.object) == shard)
-                .copied()
-                .collect();
-            let shard_seed = seed.wrapping_add(shard as u64);
-            build_policy(kind, cap, &local, shard_seed)
-        })
-        .collect();
-    ShardedPolicy::new(plan, shards)
 }
 
 /// The BYU-blinding ablation: hides the true fetch price from the

@@ -31,49 +31,38 @@
 //!     .sweep(SweepOptions::new(&policies, &fractions, &demands, seed))?
 //! ```
 //!
-//! Streaming sessions replay out-of-core:
-//! `ReplaySession::from_reader(&mut reader, &objects)` (or `.streaming()`
-//! on an in-memory trace) pulls, compiles, and replays fixed-size chunks;
-//! `.shards(&mut sharded)` additionally fans the replay out across one
-//! worker thread per object-range shard with a bit-identical merged
-//! report (see DESIGN.md §17).
+//! Every run drives the one per-query kernel, [`ReplayEngine`], over a
+//! flat network (one caching tier) or a [`Topology`] (one policy per
+//! tier). `ReplaySession::from_reader(&mut reader, &objects)` streams a
+//! trace file through the same kernel instead of holding it in memory
+//! (DESIGN.md §17).
 //!
 //! Configuration errors (no policy before `run`, a policy before
 //! `sweep`) surface as [`byc_types::Error::InvalidConfig`] — the crate
 //! has a no-panic lint, so the builder never panics on misuse.
 
-#[cfg(test)]
-use crate::accounting::CostReport;
-use crate::compiled::{CompiledTopology, CompiledTrace};
 use crate::engine::{
-    replay_tiered, AuditObserver, CostObserver, FlightRecorder, Observer, ReplayEngine,
-    SeriesObserver, TierState,
+    partition_access_observers, AuditObserver, CostObserver, FlightRecorder, Observer,
+    ReplayEngine, SeriesObserver,
 };
 use crate::faults::{DegradationPolicy, FaultModel, FaultPlan, RetryPolicy, NO_RETRY};
 use crate::network::{NetworkModel, Topology};
 use crate::policies::{build_policy, PolicyKind};
 use crate::simulator::{debug_assert_audit, Replay};
-use crate::stream::{self, ChunkCompiler, ChunkSource};
+use crate::stream::ChunkSource;
 use crate::sweep::{SweepOptions, SweepPoint};
 use byc_catalog::ObjectCatalog;
 use byc_core::audit::AuditReport;
 use byc_core::policy::CachePolicy;
-use byc_core::shard::ShardedPolicy;
 use byc_core::static_opt::ObjectDemand;
 use byc_types::{Error, Result};
 use byc_workload::{Trace, TraceReader};
-
-/// Default queries per chunk on the streaming path: large enough to
-/// amortize channel traffic, small enough that a few in-flight chunks
-/// stay far below any trace worth streaming.
-const DEFAULT_CHUNK: usize = 4096;
 
 /// A configured replay over one trace and object view. See the module
 /// docs for the grammar; terminals are [`ReplaySession::run`] and
 /// [`ReplaySession::sweep`].
 pub struct ReplaySession<'a> {
-    trace: Option<&'a Trace>,
-    reader: Option<&'a mut TraceReader>,
+    source: ChunkSource<'a>,
     objects: &'a ObjectCatalog,
     network: &'a dyn NetworkModel,
     faults: Option<&'a dyn FaultModel>,
@@ -81,15 +70,8 @@ pub struct ReplaySession<'a> {
     degradation: DegradationPolicy,
     audit: Option<bool>,
     sample_every: Option<usize>,
-    compiled: bool,
-    streaming: bool,
-    chunk_size: Option<usize>,
-    compiled_trace: Option<&'a CompiledTrace>,
     topology: Option<&'a Topology>,
-    compiled_topology: Option<&'a CompiledTopology>,
     tier_policies: Vec<&'a mut (dyn CachePolicy + Send + Sync)>,
-    sharded: Vec<&'a mut ShardedPolicy>,
-    shard_observe: Option<&'a dyn Fn(usize) -> Box<dyn Observer + Send + 'a>>,
     policy: Option<&'a mut dyn CachePolicy>,
     observers: Vec<&'a mut dyn Observer>,
     flight_recorder: Option<usize>,
@@ -98,18 +80,13 @@ pub struct ReplaySession<'a> {
 impl std::fmt::Debug for ReplaySession<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ReplaySession")
-            .field("trace", &self.trace.map(|t| t.name.as_str()))
-            .field("reader", &self.reader.as_ref().map(|r| r.name()))
-            .field("streaming", &self.streaming)
-            .field("chunk_size", &self.chunk_size)
-            .field("sharded", &self.sharded.len())
+            .field("trace", &self.source.name())
             .field("network", &self.network.name())
             .field("faults", &self.faults.map(FaultModel::name))
             .field("retry", &self.retry)
             .field("degradation", &self.degradation)
             .field("audit", &self.audit)
             .field("sample_every", &self.sample_every)
-            .field("compiled", &self.compiled)
             .field("topology", &self.topology.map(Topology::name))
             .field("tier_policies", &self.tier_policies.len())
             .field("observers", &self.observers.len())
@@ -123,28 +100,21 @@ impl<'a> ReplaySession<'a> {
     /// uniform network, fault-free, with auditing following the build
     /// profile (on in debug, off in release) and no extra observers.
     pub fn new(trace: &'a Trace, objects: &'a ObjectCatalog) -> Self {
-        Self::build(Some(trace), None, objects)
+        Self::build(ChunkSource::memory(trace), objects)
     }
 
     /// A session streaming queries off `reader` instead of an in-memory
-    /// trace: chunks are pulled, compiled, and replayed as they arrive,
-    /// so memory stays constant in the trace length. Implies
-    /// [`Self::streaming`]; the sweep terminal (which replays the trace
-    /// once per grid point) is unavailable.
+    /// trace: queries are parsed a chunk at a time and replayed as they
+    /// arrive, so memory stays constant in the trace length. The sweep
+    /// terminal (which replays the trace once per grid point) is
+    /// unavailable.
     pub fn from_reader(reader: &'a mut TraceReader, objects: &'a ObjectCatalog) -> Self {
-        let mut session = Self::build(None, Some(reader), objects);
-        session.streaming = true;
-        session
+        Self::build(ChunkSource::Reader(reader), objects)
     }
 
-    fn build(
-        trace: Option<&'a Trace>,
-        reader: Option<&'a mut TraceReader>,
-        objects: &'a ObjectCatalog,
-    ) -> Self {
+    fn build(source: ChunkSource<'a>, objects: &'a ObjectCatalog) -> Self {
         ReplaySession {
-            trace,
-            reader,
+            source,
             objects,
             network: &crate::network::UNIFORM,
             faults: None,
@@ -152,75 +122,19 @@ impl<'a> ReplaySession<'a> {
             degradation: DegradationPolicy::default(),
             audit: None,
             sample_every: None,
-            compiled: false,
-            streaming: false,
-            chunk_size: None,
-            compiled_trace: None,
             topology: None,
-            compiled_topology: None,
             tier_policies: Vec::new(),
-            sharded: Vec::new(),
-            shard_observe: None,
             policy: None,
             observers: Vec::new(),
             flight_recorder: None,
         }
     }
 
-    /// Replay in chunks through the incremental [`ChunkCompiler`]
-    /// instead of materializing one monolithic compiled arena: the
-    /// out-of-core path. Cost reports are bit-identical to the
-    /// in-memory paths; reader-backed sessions stream unconditionally.
-    #[must_use]
-    pub fn streaming(mut self) -> Self {
-        self.streaming = true;
-        self
-    }
-
-    /// Queries per chunk on the streaming path (default 4096; clamped
-    /// to at least 1). Smaller chunks tighten the memory bound, larger
-    /// ones amortize per-chunk dispatch.
-    #[must_use]
-    pub fn chunk_size(mut self, queries: usize) -> Self {
-        self.chunk_size = Some(queries.max(1));
-        self
-    }
-
-    /// Replay through a [`ShardedPolicy`], one worker thread per shard
-    /// (repeatable; implies [`Self::streaming`]). Flat sessions take
-    /// exactly one; tiered sessions one per tier, bottom-up, all under
-    /// the same [`ShardPlan`](byc_core::ShardPlan). Per-shard windows
-    /// merge in fixed shard order, so the report is bit-identical to
-    /// driving the same sharded policy sequentially. Incompatible with
-    /// `.policy()`/`.tier_policy()` and with whole-stream observers
-    /// (`.observe()`, `.series()`, `.flight_recorder()`); per-shard
-    /// observers attach via [`Self::shard_observe`].
-    #[must_use]
-    pub fn shards(mut self, sharded: &'a mut ShardedPolicy) -> Self {
-        self.sharded.push(sharded);
-        self
-    }
-
-    /// Attach one observer per shard to a sharded replay: `make(shard)`
-    /// is called per shard (in shard order, on the calling thread); the
-    /// observer rides that shard's worker, sees its slice events, and
-    /// is finished against the shard's site-tier policy. Warnings from
-    /// *all* shards aggregate into [`Replay::warnings`] in shard order.
-    #[must_use]
-    pub fn shard_observe(
-        mut self,
-        make: &'a dyn Fn(usize) -> Box<dyn Observer + Send + 'a>,
-    ) -> Self {
-        self.shard_observe = Some(make);
-        self
-    }
-
     /// Attach a fault flight recorder keeping the last `depth` events
     /// per tier: whenever a query fails or degrades, the recorder
     /// snapshots an annotated [`Postmortem`](crate::engine::Postmortem)
     /// into [`Replay::postmortems`], stamped with the session's fault
-    /// configuration. Forces the observed (slow) path, like any
-    /// observer.
+    /// configuration.
     #[must_use]
     pub fn flight_recorder(mut self, depth: usize) -> Self {
         self.flight_recorder = Some(depth.max(1));
@@ -257,7 +171,7 @@ impl<'a> ReplaySession<'a> {
     }
 
     /// Resolve WAN transfers through a fault model (default: none — the
-    /// exact fault-free engine path).
+    /// exact fault-free path).
     #[must_use]
     pub fn faults(mut self, model: &'a dyn FaultModel) -> Self {
         self.faults = Some(model);
@@ -280,7 +194,7 @@ impl<'a> ReplaySession<'a> {
         self
     }
 
-    /// Ride an extra [`Observer`] on the engine pass (repeatable). The
+    /// Ride an extra [`Observer`] on the replay (repeatable). The
     /// observer sees exactly the event stream that produces the returned
     /// [`Replay`], so its totals cannot drift from the report.
     #[must_use]
@@ -312,27 +226,6 @@ impl<'a> ReplaySession<'a> {
         self
     }
 
-    /// Replay through a [`CompiledTrace`]: catalog resolution and network
-    /// pricing happen once, in a compilation pass, instead of per access
-    /// per replay. Cost reports are bit-identical to the uncompiled path
-    /// (both funnel through the same decision→cost conversion); when no
-    /// series, audit, or extra observers are configured the replay runs
-    /// the fully allocation-free fast path. Sweep terminals compile the
-    /// trace once and share it across all worker threads.
-    #[must_use]
-    pub fn compiled(mut self) -> Self {
-        self.compiled = true;
-        self
-    }
-
-    /// Replay through an already-compiled trace (the sweep's
-    /// compile-once seam). The caller guarantees `compiled` was built
-    /// from this session's trace, objects, and network.
-    fn with_compiled(mut self, compiled: &'a CompiledTrace) -> Self {
-        self.compiled_trace = Some(compiled);
-        self
-    }
-
     /// Replay over a tier hierarchy instead of the flat client↔server
     /// WAN: every link is priced by the topology (superseding
     /// [`Self::network`]), each caching tier runs its own policy, and a
@@ -355,26 +248,6 @@ impl<'a> ReplaySession<'a> {
         self
     }
 
-    /// Replay through an already-compiled topology (the tiered sweep's
-    /// compile-once seam). The caller guarantees `compiled` was built
-    /// from this session's trace, objects, and topology.
-    fn with_compiled_topology(mut self, compiled: &'a CompiledTopology) -> Self {
-        self.compiled_topology = Some(compiled);
-        self
-    }
-
-    fn engine(&self) -> ReplayEngine<'a> {
-        let engine = ReplayEngine::with_network(self.objects, self.network);
-        match self.faults {
-            Some(model) => engine.with_faults(FaultPlan {
-                model,
-                retry: self.retry,
-                degradation: self.degradation,
-            }),
-            None => engine,
-        }
-    }
-
     /// Replay the trace through the configured policy (or, with
     /// [`Self::topology`], through the configured tier hierarchy).
     ///
@@ -383,212 +256,77 @@ impl<'a> ReplaySession<'a> {
     /// [`Error::InvalidConfig`] when no policy was configured, or when
     /// the tiered configuration is inconsistent (a flat `.policy(...)`
     /// alongside a topology, or a tier-policy count that does not match
-    /// the topology's depth).
+    /// the topology's depth); IO and format errors from a trace reader.
     pub fn run(self) -> Result<Replay> {
-        if self.streaming || self.reader.is_some() || !self.sharded.is_empty() {
-            return self.run_streamed();
-        }
-        if self.topology.is_some() {
-            return self.run_tiered();
-        }
-        if !self.tier_policies.is_empty() {
-            return Err(Error::InvalidConfig(
-                "tier policies need a topology; call .topology(...) before .tier_policy(...)"
-                    .into(),
-            ));
-        }
-        let audit_enabled = self.audit.unwrap_or(cfg!(debug_assertions));
-        let engine = self.engine();
-        let fault_context = self.fault_context();
-        let Some(resident) = self.trace else {
-            // Unreachable: reader-backed sessions dispatched to the
-            // streaming path above.
-            return Err(Error::InvalidConfig(
-                "in-memory replay needs a trace; reader-backed sessions stream".into(),
-            ));
-        };
-        // Compile here (before destructuring) when asked to and no
-        // pre-compiled trace was injected by a sweep.
-        let compiled_owned = (self.compiled && self.compiled_trace.is_none())
-            .then(|| CompiledTrace::compile(resident, self.objects, self.network));
-        let ReplaySession {
-            objects,
-            sample_every,
-            compiled_trace,
-            policy,
-            mut observers,
-            flight_recorder,
-            ..
-        } = self;
-        let trace = resident;
-        let compiled = compiled_trace.or(compiled_owned.as_ref());
-        let Some(policy) = policy else {
-            return Err(Error::InvalidConfig(
-                "ReplaySession::run needs a policy; call .policy(...) first \
-                 (or use a sweep terminal, which builds its own)"
-                    .into(),
-            ));
-        };
-        // The allocation-free fast path: a compiled trace with nothing to
-        // observe accumulates its report inline, no observer dispatch.
-        if let Some(compiled) = compiled {
-            if observers.is_empty()
-                && sample_every.is_none()
-                && !audit_enabled
-                && flight_recorder.is_none()
-            {
-                let report = compiled.replay_report(policy, engine.faults().copied());
-                debug_assert!(report.conserves_delivery());
-                return Ok(Replay {
-                    report,
-                    series: Vec::new(),
-                    audit: None,
-                    warnings: Vec::new(),
-                    postmortems: Vec::new(),
-                });
-            }
-        }
-        let mut cost = CostObserver::new(policy.name(), &trace.name, objects.granularity().label());
-        let mut series = sample_every.map(SeriesObserver::new);
-        let mut audit = audit_enabled.then(AuditObserver::new);
-        let mut recorder =
-            flight_recorder.map(|k| FlightRecorder::new(k).with_context(fault_context));
-        let mut warnings = Vec::new();
-        {
-            let mut all: Vec<&mut dyn Observer> = Vec::with_capacity(4 + observers.len());
-            all.push(&mut cost);
-            if let Some(series) = series.as_mut() {
-                all.push(series);
-            }
-            if let Some(audit) = audit.as_mut() {
-                all.push(audit);
-            }
-            if let Some(recorder) = recorder.as_mut() {
-                all.push(recorder);
-            }
-            for obs in observers.iter_mut() {
-                all.push(&mut **obs);
-            }
-            match compiled {
-                Some(compiled) => {
-                    compiled.replay_observed(trace, policy, engine.faults().copied(), &mut all);
-                }
-                None => engine.replay(trace, policy, &mut all),
-            }
-            // The kernels have called finish; drain every observer's
-            // warnings (parked IO errors, recorder truncation) while the
-            // borrows are still alive.
-            for obs in all.iter_mut() {
-                warnings.extend(obs.warnings());
-            }
-        }
-        let report = cost.into_report();
-        debug_assert!(report.conserves_delivery());
-        Ok(Replay {
-            report,
-            series: series.map(SeriesObserver::into_series).unwrap_or_default(),
-            audit: audit.map(AuditObserver::into_report),
-            warnings,
-            postmortems: recorder
-                .map(FlightRecorder::into_postmortems)
-                .unwrap_or_default(),
-        })
-    }
-
-    /// The tiered terminal behind [`Self::run`]: same observer protocol
-    /// and fast-path structure as the flat run, with one policy (and one
-    /// audit) per tier and the topology pricing every link.
-    fn run_tiered(self) -> Result<Replay> {
         let audit_enabled = self.audit.unwrap_or(cfg!(debug_assertions));
         let fault_context = self.fault_context();
-        let fault_plan = self.faults.map(|model| FaultPlan {
-            model,
-            retry: self.retry,
-            degradation: self.degradation,
-        });
-        let Some(resident) = self.trace else {
-            // Unreachable: reader-backed sessions dispatched to the
-            // streaming path before run_tiered.
-            return Err(Error::InvalidConfig(
-                "in-memory replay needs a trace; reader-backed sessions stream".into(),
-            ));
-        };
-        let compiled_owned = match (
-            self.compiled && self.compiled_topology.is_none(),
-            self.topology,
-        ) {
-            (true, Some(topology)) => {
-                Some(CompiledTopology::compile(resident, self.objects, topology))
-            }
-            _ => None,
-        };
         let ReplaySession {
+            mut source,
             objects,
+            network,
+            faults,
+            retry,
+            degradation,
             sample_every,
             topology,
-            compiled_topology,
-            mut tier_policies,
+            tier_policies,
             policy,
             mut observers,
             flight_recorder,
             ..
         } = self;
-        let trace = resident;
-        let Some(topology) = topology else {
-            // Unreachable: run() only dispatches here with a topology set.
-            return Err(Error::InvalidConfig("run_tiered without a topology".into()));
+        // The tier stack, bottom-up: a flat session is one tier.
+        let mut tiers: Vec<&mut dyn CachePolicy> =
+            match (topology, policy) {
+                (None, Some(policy)) if tier_policies.is_empty() => vec![policy],
+                (None, None) if tier_policies.is_empty() => {
+                    return Err(Error::InvalidConfig(
+                        "ReplaySession::run needs a policy; call .policy(...) first \
+                     (or use a sweep terminal, which builds its own)"
+                            .into(),
+                    ))
+                }
+                (None, _) => return Err(Error::InvalidConfig(
+                    "tier policies need a topology; call .topology(...) before .tier_policy(...)"
+                        .into(),
+                )),
+                (Some(_), Some(_)) => {
+                    return Err(Error::InvalidConfig(
+                        "tiered sessions take one policy per tier via .tier_policy(...); \
+                     don't call .policy(...) alongside .topology(...)"
+                            .into(),
+                    ))
+                }
+                (Some(topology), None) => {
+                    if tier_policies.len() != topology.depth() {
+                        return Err(Error::InvalidConfig(format!(
+                            "topology {} has {} tiers but {} tier policies were configured",
+                            topology.name(),
+                            topology.depth(),
+                            tier_policies.len()
+                        )));
+                    }
+                    tier_policies
+                        .into_iter()
+                        .map(|p| p as &mut dyn CachePolicy)
+                        .collect()
+                }
+            };
+        let mut engine = match topology {
+            Some(topology) => ReplayEngine::with_topology(objects, topology),
+            None => ReplayEngine::with_network(objects, network),
         };
-        if policy.is_some() {
-            return Err(Error::InvalidConfig(
-                "tiered sessions take one policy per tier via .tier_policy(...); \
-                 don't call .policy(...) alongside .topology(...)"
-                    .into(),
-            ));
-        }
-        if tier_policies.len() != topology.depth() {
-            return Err(Error::InvalidConfig(format!(
-                "topology {} has {} tiers but {} tier policies were configured",
-                topology.name(),
-                topology.depth(),
-                tier_policies.len()
-            )));
-        }
-        let compiled = compiled_topology.or(compiled_owned.as_ref());
-        let mut tiers: Vec<TierState<'_>> = topology
-            .tiers()
-            .iter()
-            .zip(tier_policies.iter_mut())
-            .map(|(spec, policy)| TierState {
-                name: spec.name.as_str(),
-                policy: &mut **policy,
-            })
-            .collect();
-
-        // The allocation-free fast path, mirroring the flat run().
-        if let Some(compiled) = compiled {
-            if observers.is_empty()
-                && sample_every.is_none()
-                && !audit_enabled
-                && flight_recorder.is_none()
-            {
-                let report = compiled.replay_report(&mut tiers, fault_plan.as_ref());
-                debug_assert!(report.conserves_delivery());
-                return Ok(Replay {
-                    report,
-                    series: Vec::new(),
-                    audit: None,
-                    warnings: Vec::new(),
-                    postmortems: Vec::new(),
-                });
-            }
+        if let Some(model) = faults {
+            engine = engine.with_faults(FaultPlan {
+                model,
+                retry,
+                degradation,
+            });
         }
 
-        let label = tiers
-            .first()
-            .map(|t| t.policy.name().to_string())
-            .unwrap_or_default();
-        let mut cost = CostObserver::new(&label, &trace.name, objects.granularity().label());
-        let mut series = sample_every.map(SeriesObserver::new);
+        let label = tiers.first().map(|p| p.name()).unwrap_or_default();
+        let mut cost = CostObserver::new(label, source.name(), objects.granularity().label());
+        // One audit per tier: each tier's decision stream is its own cache.
         let mut audits: Vec<AuditObserver> = if audit_enabled {
             (0..tiers.len())
                 .map(|t| AuditObserver::for_tier(u32::try_from(t).unwrap_or(u32::MAX)))
@@ -596,17 +334,21 @@ impl<'a> ReplaySession<'a> {
         } else {
             Vec::new()
         };
+        let mut series = sample_every.map(SeriesObserver::new);
         let mut recorder =
             flight_recorder.map(|k| FlightRecorder::new(k).with_context(fault_context));
+        let mut warnings = Vec::new();
         {
+            // Audits lead: they all want accesses, so the stable
+            // partition keeps them at `0..audits.len()` for the close-out.
+            let audit_count = audits.len();
             let mut all: Vec<&mut dyn Observer> =
-                Vec::with_capacity(3 + audits.len() + observers.len());
-            all.push(&mut cost);
-            if let Some(series) = series.as_mut() {
-                all.push(series);
-            }
+                Vec::with_capacity(audit_count + 2 + observers.len());
             for audit in audits.iter_mut() {
                 all.push(audit);
+            }
+            if let Some(series) = series.as_mut() {
+                all.push(series);
             }
             if let Some(recorder) = recorder.as_mut() {
                 all.push(recorder);
@@ -614,42 +356,36 @@ impl<'a> ReplaySession<'a> {
             for obs in observers.iter_mut() {
                 all.push(&mut **obs);
             }
-            match compiled {
-                Some(compiled) => {
-                    compiled.replay_observed(trace, &mut tiers, fault_plan.as_ref(), &mut all);
+            let access_count = partition_access_observers(&mut all);
+            let mut index = 0usize;
+            while let Some(chunk) = source.next()? {
+                for query in chunk.as_slice() {
+                    // The cost observer's window is the kernel's fold
+                    // target; only its query bookkeeping runs here.
+                    cost.on_query_start(index, query);
+                    engine.serve_query(
+                        index,
+                        query,
+                        &mut tiers,
+                        &mut cost.window,
+                        &mut all,
+                        access_count,
+                    );
+                    cost.on_query_end(index, query);
+                    index += 1;
                 }
-                None => replay_tiered(
-                    trace,
-                    objects,
-                    topology,
-                    &mut tiers,
-                    fault_plan.as_ref(),
-                    &mut all,
-                ),
             }
-        }
-        // Close the observers out. The tiered kernels leave `finish` to
-        // this caller because each tier's audit must deep-check against
-        // its *own* tier's policy; every other observer sees the site
-        // tier's, matching the flat protocol.
-        for (audit, tier) in audits.iter_mut().zip(tiers.iter()) {
-            audit.finish(Some(&*tier.policy));
-        }
-        let site: Option<&dyn CachePolicy> = tiers.first().map(|t| &*t.policy as &dyn CachePolicy);
-        cost.finish(site);
-        if let Some(series) = series.as_mut() {
-            series.finish(site);
-        }
-        if let Some(recorder) = recorder.as_mut() {
-            recorder.finish(site);
-        }
-        let mut warnings = Vec::new();
-        if let Some(recorder) = recorder.as_mut() {
-            warnings.extend(recorder.warnings());
-        }
-        for obs in observers.iter_mut() {
-            obs.finish(site);
-            warnings.extend(obs.warnings());
+            // Each tier's audit deep-checks its own tier's policy; every
+            // other observer sees the site tier's.
+            let site = tiers.first().map(|p| &**p as &dyn CachePolicy);
+            for (i, obs) in all.iter_mut().enumerate() {
+                let policy = match i < audit_count {
+                    true => tiers.get(i).map(|p| &**p as &dyn CachePolicy),
+                    false => site,
+                };
+                obs.finish(policy);
+                warnings.extend(obs.warnings());
+            }
         }
         let report = cost.into_report();
         debug_assert!(report.conserves_delivery());
@@ -664,307 +400,6 @@ impl<'a> ReplaySession<'a> {
         })
     }
 
-    /// The streaming terminal behind [`Self::run`]: chunked, out-of-core
-    /// replay through the incremental [`ChunkCompiler`], optionally
-    /// sharded across one worker thread per shard. Reports are
-    /// bit-identical to the corresponding in-memory replay.
-    fn run_streamed(self) -> Result<Replay> {
-        let audit_enabled = self.audit.unwrap_or(cfg!(debug_assertions));
-        let fault_context = self.fault_context();
-        let chunk_size = self.chunk_size.unwrap_or(DEFAULT_CHUNK);
-        let fault_plan = self.faults.map(|model| FaultPlan {
-            model,
-            retry: self.retry,
-            degradation: self.degradation,
-        });
-        let ReplaySession {
-            trace,
-            reader,
-            objects,
-            network,
-            sample_every,
-            topology,
-            compiled_trace,
-            compiled_topology,
-            mut tier_policies,
-            mut sharded,
-            shard_observe,
-            policy,
-            mut observers,
-            flight_recorder,
-            ..
-        } = self;
-        if compiled_trace.is_some() || compiled_topology.is_some() {
-            // Unreachable: the pre-compiled seams are sweep-internal and
-            // sweeps reject streaming sessions.
-            return Err(Error::InvalidConfig(
-                "streaming replay compiles incrementally; pre-compiled arenas are in-memory only"
-                    .into(),
-            ));
-        }
-        let (mut source, trace_name) = match (reader, trace) {
-            (Some(reader), _) => {
-                let name = reader.name().to_string();
-                (ChunkSource::Reader(reader), name)
-            }
-            (None, Some(trace)) => (ChunkSource::Memory { trace, at: 0 }, trace.name.clone()),
-            (None, None) => {
-                // Unreachable: every constructor sets a trace or a reader.
-                return Err(Error::InvalidConfig(
-                    "streaming replay needs a trace or a reader".into(),
-                ));
-            }
-        };
-
-        // Sharded terminal: one worker per shard, per-shard observers
-        // only, merged deterministically in fixed shard order.
-        if !sharded.is_empty() {
-            if policy.is_some() || !tier_policies.is_empty() {
-                return Err(Error::InvalidConfig(
-                    "sharded replay drives the ShardedPolicy instances passed via .shards(...); \
-                     don't mix in .policy(...) or .tier_policy(...)"
-                        .into(),
-                ));
-            }
-            if !observers.is_empty() || sample_every.is_some() || flight_recorder.is_some() {
-                return Err(Error::InvalidConfig(
-                    "sharded replay takes per-shard observers via .shard_observe(...); \
-                     whole-stream observers (.observe/.series/.flight_recorder) don't apply"
-                        .into(),
-                ));
-            }
-            let outcome = match topology {
-                Some(topo) => {
-                    if sharded.len() != topo.depth() {
-                        return Err(Error::InvalidConfig(format!(
-                            "topology {} has {} tiers but {} sharded policies were configured",
-                            topo.name(),
-                            topo.depth(),
-                            sharded.len()
-                        )));
-                    }
-                    let plan = sharded.first().map(|s| s.plan());
-                    if sharded.iter().any(|s| Some(s.plan()) != plan) {
-                        return Err(Error::InvalidConfig(
-                            "sharded tiered replay needs every tier sharded under the same \
-                             ShardPlan"
-                                .into(),
-                        ));
-                    }
-                    let mut compiler = ChunkCompiler::tiered(objects, topo);
-                    stream::replay_sharded_tiered(
-                        &mut source,
-                        &mut compiler,
-                        chunk_size,
-                        &mut sharded,
-                        topo,
-                        &trace_name,
-                        fault_plan,
-                        audit_enabled,
-                        shard_observe,
-                    )?
-                }
-                None => {
-                    let [single] = sharded.as_mut_slice() else {
-                        return Err(Error::InvalidConfig(format!(
-                            "flat sharded replay takes exactly one ShardedPolicy, got {} \
-                             (tiered sessions pass one per tier with .topology(...))",
-                            sharded.len()
-                        )));
-                    };
-                    let mut compiler = ChunkCompiler::flat(objects, network);
-                    stream::replay_sharded(
-                        &mut source,
-                        &mut compiler,
-                        chunk_size,
-                        single,
-                        &trace_name,
-                        fault_plan,
-                        audit_enabled,
-                        shard_observe,
-                    )?
-                }
-            };
-            debug_assert!(outcome.report.conserves_delivery());
-            return Ok(Replay {
-                report: outcome.report,
-                series: Vec::new(),
-                audit: outcome.audit,
-                warnings: outcome.warnings,
-                postmortems: Vec::new(),
-            });
-        }
-
-        // Single-threaded streamed replay with the full observer
-        // protocol; the chunked kernels leave `finish` to this caller.
-        match topology {
-            None => {
-                if !tier_policies.is_empty() {
-                    return Err(Error::InvalidConfig(
-                        "tier policies need a topology; call .topology(...) before \
-                         .tier_policy(...)"
-                            .into(),
-                    ));
-                }
-                let Some(policy) = policy else {
-                    return Err(Error::InvalidConfig(
-                        "ReplaySession::run needs a policy; call .policy(...) first \
-                         (or .shards(...) for sharded replay)"
-                            .into(),
-                    ));
-                };
-                let mut cost =
-                    CostObserver::new(policy.name(), &trace_name, objects.granularity().label());
-                let mut series = sample_every.map(SeriesObserver::new);
-                let mut audit = audit_enabled.then(AuditObserver::new);
-                let mut recorder =
-                    flight_recorder.map(|k| FlightRecorder::new(k).with_context(fault_context));
-                let mut warnings = Vec::new();
-                {
-                    let mut all: Vec<&mut dyn Observer> = Vec::with_capacity(4 + observers.len());
-                    all.push(&mut cost);
-                    if let Some(series) = series.as_mut() {
-                        all.push(series);
-                    }
-                    if let Some(audit) = audit.as_mut() {
-                        all.push(audit);
-                    }
-                    if let Some(recorder) = recorder.as_mut() {
-                        all.push(recorder);
-                    }
-                    for obs in observers.iter_mut() {
-                        all.push(&mut **obs);
-                    }
-                    let mut compiler = ChunkCompiler::flat(objects, network);
-                    stream::replay_chunked(
-                        &mut source,
-                        &mut compiler,
-                        chunk_size,
-                        &mut *policy,
-                        fault_plan,
-                        &mut all,
-                    )?;
-                    let site: Option<&dyn CachePolicy> = Some(&*policy);
-                    for obs in all.iter_mut() {
-                        obs.finish(site);
-                        warnings.extend(obs.warnings());
-                    }
-                }
-                let report = cost.into_report();
-                debug_assert!(report.conserves_delivery());
-                Ok(Replay {
-                    report,
-                    series: series.map(SeriesObserver::into_series).unwrap_or_default(),
-                    audit: audit.map(AuditObserver::into_report),
-                    warnings,
-                    postmortems: recorder
-                        .map(FlightRecorder::into_postmortems)
-                        .unwrap_or_default(),
-                })
-            }
-            Some(topo) => {
-                if policy.is_some() {
-                    return Err(Error::InvalidConfig(
-                        "tiered sessions take one policy per tier via .tier_policy(...); \
-                         don't call .policy(...) alongside .topology(...)"
-                            .into(),
-                    ));
-                }
-                if tier_policies.len() != topo.depth() {
-                    return Err(Error::InvalidConfig(format!(
-                        "topology {} has {} tiers but {} tier policies were configured",
-                        topo.name(),
-                        topo.depth(),
-                        tier_policies.len()
-                    )));
-                }
-                let mut tiers: Vec<TierState<'_>> = topo
-                    .tiers()
-                    .iter()
-                    .zip(tier_policies.iter_mut())
-                    .map(|(spec, policy)| TierState {
-                        name: spec.name.as_str(),
-                        policy: &mut **policy,
-                    })
-                    .collect();
-                let label = tiers
-                    .first()
-                    .map(|t| t.policy.name().to_string())
-                    .unwrap_or_default();
-                let mut cost =
-                    CostObserver::new(&label, &trace_name, objects.granularity().label());
-                let mut series = sample_every.map(SeriesObserver::new);
-                let mut audits: Vec<AuditObserver> = if audit_enabled {
-                    (0..tiers.len())
-                        .map(|t| AuditObserver::for_tier(u32::try_from(t).unwrap_or(u32::MAX)))
-                        .collect()
-                } else {
-                    Vec::new()
-                };
-                let mut recorder =
-                    flight_recorder.map(|k| FlightRecorder::new(k).with_context(fault_context));
-                {
-                    let mut all: Vec<&mut dyn Observer> =
-                        Vec::with_capacity(3 + audits.len() + observers.len());
-                    all.push(&mut cost);
-                    if let Some(series) = series.as_mut() {
-                        all.push(series);
-                    }
-                    for audit in audits.iter_mut() {
-                        all.push(audit);
-                    }
-                    if let Some(recorder) = recorder.as_mut() {
-                        all.push(recorder);
-                    }
-                    for obs in observers.iter_mut() {
-                        all.push(&mut **obs);
-                    }
-                    let mut compiler = ChunkCompiler::tiered(objects, topo);
-                    stream::replay_chunked_tiered(
-                        &mut source,
-                        &mut compiler,
-                        chunk_size,
-                        &mut tiers,
-                        fault_plan.as_ref(),
-                        &mut all,
-                    )?;
-                }
-                // Same close-out as run_tiered: each tier's audit
-                // deep-checks its own tier's policy, everything else
-                // sees the site tier's.
-                for (audit, tier) in audits.iter_mut().zip(tiers.iter()) {
-                    audit.finish(Some(&*tier.policy));
-                }
-                let site: Option<&dyn CachePolicy> =
-                    tiers.first().map(|t| &*t.policy as &dyn CachePolicy);
-                cost.finish(site);
-                if let Some(series) = series.as_mut() {
-                    series.finish(site);
-                }
-                let mut warnings = Vec::new();
-                if let Some(recorder) = recorder.as_mut() {
-                    recorder.finish(site);
-                    warnings.extend(recorder.warnings());
-                }
-                for obs in observers.iter_mut() {
-                    obs.finish(site);
-                    warnings.extend(obs.warnings());
-                }
-                let report = cost.into_report();
-                debug_assert!(report.conserves_delivery());
-                Ok(Replay {
-                    report,
-                    series: series.map(SeriesObserver::into_series).unwrap_or_default(),
-                    audit: merge_audits(audits.into_iter().map(AuditObserver::into_report)),
-                    warnings,
-                    postmortems: recorder
-                        .map(FlightRecorder::into_postmortems)
-                        .unwrap_or_default(),
-                })
-            }
-        }
-    }
-
     /// Replay every (policy, cache-fraction) pair of
     /// [`SweepOptions`]' grid in parallel under this session's
     /// network/fault/audit configuration. Results are ordered by policy
@@ -975,8 +410,8 @@ impl<'a> ReplaySession<'a> {
     ///
     /// [`Error::InvalidConfig`] when a policy or extra observers were
     /// configured (sweeps build their own per job), when the session
-    /// streams or shards (sweeps replay one in-memory trace), or when a
-    /// fraction is not positive.
+    /// streams off a reader (sweeps replay one in-memory trace), or when
+    /// a fraction is not positive.
     pub fn sweep<O: Observer + Send>(
         self,
         options: SweepOptions<'_, O>,
@@ -1005,9 +440,8 @@ impl<'a> ReplaySession<'a> {
         Ok(points)
     }
 
-    /// The shared sweep implementation. With `make_observer: None` the
-    /// jobs carry no observer, so a [`Self::compiled`] sweep runs every
-    /// replay on the allocation-free fast path.
+    /// The shared sweep implementation: one session per grid point, all
+    /// run on scoped worker threads over the same trace.
     fn sweep_inner<O: Observer + Send>(
         self,
         policies: &[PolicyKind],
@@ -1037,13 +471,6 @@ impl<'a> ReplaySession<'a> {
                     .into(),
             ));
         }
-        if self.reader.is_some() || self.streaming || !self.sharded.is_empty() {
-            return Err(Error::InvalidConfig(
-                "sweeps replay one in-memory trace across the whole grid; \
-                 streaming and sharded sessions cannot sweep"
-                    .into(),
-            ));
-        }
         for &f in fractions {
             if f <= 0.0 {
                 return Err(Error::InvalidConfig(format!(
@@ -1052,7 +479,7 @@ impl<'a> ReplaySession<'a> {
             }
         }
         let ReplaySession {
-            trace,
+            source,
             objects,
             network,
             faults,
@@ -1060,14 +487,14 @@ impl<'a> ReplaySession<'a> {
             degradation,
             audit,
             sample_every,
-            compiled,
             topology,
             ..
         } = self;
-        let Some(trace) = trace else {
-            // Unreachable: reader-backed sessions were rejected above.
+        let ChunkSource::Memory { trace, .. } = source else {
             return Err(Error::InvalidConfig(
-                "sweeps need an in-memory trace".into(),
+                "sweeps replay one in-memory trace across the whole grid; \
+                 a reader-backed session cannot sweep"
+                    .into(),
             ));
         };
         let db = objects.total_size();
@@ -1078,18 +505,6 @@ impl<'a> ReplaySession<'a> {
                 jobs.push((kind, f, observer));
             }
         }
-
-        // Compile once, replay many: every (policy, fraction) job shares
-        // one immutable arena instead of re-resolving and re-pricing the
-        // trace per replay.
-        let compiled_trace = (compiled && topology.is_none())
-            .then(|| CompiledTrace::compile(trace, objects, network));
-        let compiled_trace = compiled_trace.as_ref();
-        let compiled_topology = match (compiled, topology) {
-            (true, Some(t)) => Some(CompiledTopology::compile(trace, objects, t)),
-            _ => None,
-        };
-        let compiled_topology = compiled_topology.as_ref();
 
         let results: Result<Vec<(SweepPoint, Option<O>)>> = std::thread::scope(|scope| {
             let handles: Vec<_> = jobs
@@ -1122,17 +537,11 @@ impl<'a> ReplaySession<'a> {
                                 for p in tier_boxes.iter_mut() {
                                     session = session.tier_policy(p.as_mut());
                                 }
-                                if let Some(ct) = compiled_topology {
-                                    session = session.with_compiled_topology(ct);
-                                }
                             }
                             None => {
                                 let policy =
                                     flat_policy.insert(build_policy(kind, capacity, demands, seed));
                                 session = session.network(network).policy(policy.as_mut());
-                                if let Some(ct) = compiled_trace {
-                                    session = session.with_compiled(ct);
-                                }
                             }
                         }
                         if let Some(obs) = observer.as_mut() {
@@ -1178,7 +587,7 @@ impl<'a> ReplaySession<'a> {
 /// Merge per-tier audit reports into one session-level report: counters
 /// and served-byte tallies sum, violation excerpts concatenate (the
 /// exact count lives in `violation_count`).
-pub(crate) fn merge_audits(reports: impl Iterator<Item = AuditReport>) -> Option<AuditReport> {
+fn merge_audits(reports: impl Iterator<Item = AuditReport>) -> Option<AuditReport> {
     reports.reduce(|mut acc, r| {
         acc.accesses += r.accesses;
         acc.hits += r.hits;
@@ -1201,14 +610,14 @@ pub(crate) fn run_report(
     trace: &Trace,
     objects: &ObjectCatalog,
     policy: &mut dyn CachePolicy,
-) -> CostReport {
+) -> crate::accounting::CostReport {
     match ReplaySession::new(trace, objects).policy(policy).run() {
         Ok(replay) => {
             debug_assert_audit(&replay);
             replay.report
         }
         // Unreachable: the policy is always set above.
-        Err(_) => CostReport::default(),
+        Err(_) => crate::accounting::CostReport::default(),
     }
 }
 
@@ -1463,57 +872,6 @@ mod tests {
     }
 
     #[test]
-    fn compiled_sweep_matches_reference_sweep() {
-        let (trace, objects) = setup(2, 400);
-        let stats = WorkloadStats::compute(&trace, &objects);
-        let net = PerServerMultipliers::new(vec![1.0, 2.0]).unwrap();
-        let kinds = [PolicyKind::Gds, PolicyKind::RateProfile];
-        let fractions = [0.2, 0.4];
-        let run = |compiled: bool| {
-            let mut session = ReplaySession::new(&trace, &objects).network(&net);
-            if compiled {
-                session = session.compiled();
-            }
-            session
-                .sweep(SweepOptions::new(&kinds, &fractions, &stats.demands, 3))
-                .unwrap()
-        };
-        let reference = run(false);
-        let fast = run(true);
-        assert_eq!(reference.len(), fast.len());
-        for (r, f) in reference.iter().zip(fast.iter()) {
-            assert_eq!(r.policy, f.policy);
-            assert_eq!(r.cache_fraction, f.cache_fraction);
-            assert_eq!(r.report, f.report, "{}@{}", r.policy, r.cache_fraction);
-        }
-    }
-
-    #[test]
-    fn compiled_run_with_series_and_audit_matches_reference() {
-        let (trace, objects) = setup(2, 500);
-        let cap = objects.total_size().scale(0.3);
-        let run = |compiled: bool| {
-            let mut p = RateProfile::new(cap, RateProfileConfig::default());
-            let mut session = ReplaySession::new(&trace, &objects)
-                .policy(&mut p)
-                .audited()
-                .series(64);
-            if compiled {
-                session = session.compiled();
-            }
-            session.run().unwrap()
-        };
-        let reference = run(false);
-        let fast = run(true);
-        assert_eq!(reference.report, fast.report);
-        assert_eq!(reference.series, fast.series);
-        let (ra, fa) = (reference.audit.unwrap(), fast.audit.unwrap());
-        assert!(ra.is_clean() && fa.is_clean());
-        assert_eq!(ra.accesses, fa.accesses);
-        assert_eq!(ra.deep_checks, fa.deep_checks);
-    }
-
-    #[test]
     fn degenerate_topology_matches_flat_network() {
         let (trace, objects) = setup(2, 500);
         let cap = objects.total_size().scale(0.3);
@@ -1528,18 +886,15 @@ mod tests {
                 .report
         };
         let topo = Topology::flat(Box::new(PerServerMultipliers::new(vec![1.0, 2.0]).unwrap()));
-        for compiled in [false, true] {
-            let mut p = RateProfile::new(cap, RateProfileConfig::default());
-            let mut session = ReplaySession::new(&trace, &objects)
-                .topology(&topo)
-                .tier_policy(&mut p);
-            if compiled {
-                session = session.compiled();
-            }
-            let tiered = session.run().unwrap().report;
-            assert_eq!(flat, tiered, "compiled={compiled}");
-            assert_eq!(tiered.relay_cost, Bytes::ZERO);
-        }
+        let mut p = RateProfile::new(cap, RateProfileConfig::default());
+        let tiered = ReplaySession::new(&trace, &objects)
+            .topology(&topo)
+            .tier_policy(&mut p)
+            .run()
+            .unwrap()
+            .report;
+        assert_eq!(flat, tiered);
+        assert_eq!(tiered.relay_cost, Bytes::ZERO);
     }
 
     #[test]
@@ -1650,39 +1005,6 @@ mod tests {
     }
 
     #[test]
-    fn tiered_sweep_matches_compiled_tiered_sweep() {
-        let (trace, objects) = setup(2, 400);
-        let stats = WorkloadStats::compute(&trace, &objects);
-        let topo = Topology::two_tier(0.25, Box::new(Uniform)).unwrap();
-        let run = |compiled: bool| {
-            let mut session = ReplaySession::new(&trace, &objects).topology(&topo);
-            if compiled {
-                session = session.compiled();
-            }
-            session
-                .sweep(SweepOptions::new(
-                    &[PolicyKind::Gds, PolicyKind::NoCache],
-                    &[0.2, 0.5],
-                    &stats.demands,
-                    3,
-                ))
-                .unwrap()
-        };
-        let reference = run(false);
-        let fast = run(true);
-        assert_eq!(reference.len(), 4);
-        assert_eq!(reference.len(), fast.len());
-        for (r, f) in reference.iter().zip(fast.iter()) {
-            assert_eq!(r.policy, f.policy);
-            assert_eq!(r.report, f.report, "{}@{}", r.policy, r.cache_fraction);
-            assert!(r.report.conserves_delivery());
-        }
-        // Two-tier bypasses relay over the inner link: the relay column
-        // is live in at least the no-cache rows.
-        assert!(reference.iter().any(|p| p.report.relay_cost > Bytes::ZERO));
-    }
-
-    #[test]
     fn topology_with_flat_policy_is_a_config_error() {
         let (trace, objects) = setup(1, 50);
         let topo = Topology::flat(Box::new(Uniform));
@@ -1736,26 +1058,5 @@ mod tests {
             ))
             .unwrap_err();
         assert!(matches!(err, Error::InvalidConfig(_)), "{err:?}");
-    }
-
-    #[test]
-    fn compiled_fast_path_matches_reference_under_faults() {
-        let (trace, objects) = setup(2, 500);
-        let cap = objects.total_size().scale(0.3);
-        let model = FlakyLinks::new(7, 0.05, 0.1, 4.0);
-        let run = |compiled: bool| {
-            let mut p = RateProfile::new(cap, RateProfileConfig::default());
-            let mut session = ReplaySession::new(&trace, &objects)
-                .policy(&mut p)
-                .faults(&model)
-                .retry(RetryPolicy::new(2, 4))
-                .degrade(DegradationPolicy::Fail)
-                .unaudited();
-            if compiled {
-                session = session.compiled();
-            }
-            session.run().unwrap().report
-        };
-        assert_eq!(run(false), run(true));
     }
 }

@@ -1,341 +1,25 @@
-//! Out-of-core streaming replay: chunked trace compilation plus
-//! object-sharded parallel replay.
+//! Where a replay's queries come from: a resident trace or a trace file
+//! streamed off disk.
 //!
-//! [`CompiledTrace`](crate::compiled::CompiledTrace) assumes the whole
-//! trace is resident: one arena, one offset table, one pass. That caps
-//! replayable trace size at available memory. This module removes the
-//! cap in two steps:
-//!
-//! 1. **Chunked compilation.** A [`ChunkCompiler`] turns successive runs
-//!    of queries — from an in-memory trace or straight off a
-//!    [`byc_workload::TraceReader`] — into per-chunk
-//!    [`CompiledChunk`] arenas. Catalog resolution and fetch pricing are
-//!    memoized per table/column across chunks, so the one-time
-//!    compilation work of the monolithic path stays one-time here too;
-//!    per-slice pricing calls are the same pure functions the monolithic
-//!    compilers invoke, making chunked arenas bit-identical to slices of
-//!    the monolithic ones.
-//!
-//! 2. **Object-sharded parallel replay.** A
-//!    [`byc_core::ShardedPolicy`] partitions policy state
-//!    by object-id range; each shard's instance runs on its own scoped
-//!    worker thread, fed every chunk over a bounded channel and
-//!    processing only the slices its shard owns. Because every policy
-//!    decision depends only on the owning shard's state plus the global
-//!    query clock, and fault outcomes are pure functions of
-//!    (query index, tick, object, server, attempt), the per-shard
-//!    decision streams are exactly the sequential run's — so merging the
-//!    per-shard [`QueryWindow`]s in fixed shard order reproduces the
-//!    sequential [`CostReport`] bit for bit (DESIGN.md §17).
-//!
-//! Memory stays bounded by the chunk size times a small constant: the
-//! bounded channels hold at most a few chunks in flight, and nothing
-//! ever materializes the whole trace.
+//! The replay kernel serves one query at a time and keeps no per-trace
+//! state, so a replay never needs the whole trace in memory. A
+//! [`ChunkSource`] hands the session runs of queries: a resident trace
+//! as one borrowed run (a single chunk), a [`TraceReader`] as successive
+//! owned runs parsed off the file, so memory stays constant in the trace
+//! length.
 
-use crate::accounting::CostReport;
-use crate::compiled::CompiledSlice;
-use crate::engine::{
-    partition_access_observers, serve_slice_tiered, slice_event, AuditObserver, Observer,
-    QueryWindow, TierState,
-};
-use crate::faults::FaultPlan;
-use crate::network::{NetworkModel, Topology};
-use crate::session::merge_audits;
-use byc_catalog::{Granularity, ObjectCatalog};
-use byc_core::audit::AuditReport;
-use byc_core::policy::CachePolicy;
-use byc_core::shard::{ShardPlan, ShardedPolicy};
-use byc_types::{Bytes, ColumnId, Error, ObjectId, Result, ServerId, TableId, Tick};
+use byc_types::Result;
 use byc_workload::{Trace, TraceQuery, TraceReader};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::Arc;
 
-/// Chunks a worker may have queued (per shard) before the producer
-/// blocks: the backpressure bound that keeps streaming replay in
-/// constant memory.
-const CHANNEL_DEPTH: usize = 2;
+/// Queries parsed off a trace reader at a time: the only part of a
+/// streamed trace that is ever resident.
+const READ_CHUNK: usize = 1024;
 
-/// How the compiler prices WAN traffic: a flat network (one link per
-/// home server) or a tiered topology (one price per link per slice).
-enum Pricing<'a> {
-    Flat(&'a dyn NetworkModel),
-    Tiered(&'a Topology),
-}
-
-/// One memoized table/column resolution: computed on first sight,
-/// reused for every later slice of the same reference.
-#[derive(Clone, Copy)]
-enum Slot {
-    /// Never looked up yet.
-    Unknown,
-    /// The catalog could not map this reference to a cacheable object.
-    Unresolved,
-    /// Arena-ready constants of the object; `fetch_at` indexes the
-    /// compiler's priced-fetch pool (one entry on a flat network, one
-    /// per tier on a topology).
-    Resolved {
-        object: ObjectId,
-        server: ServerId,
-        size: Bytes,
-        fetch_at: usize,
-    },
-}
-
-/// One chunk's compiled arena: a contiguous run of queries
-/// (`first_query..first_query + queries`) flattened exactly like the
-/// monolithic [`CompiledTrace`](crate::compiled::CompiledTrace) /
-/// [`CompiledTopology`](crate::compiled::CompiledTopology) arenas, with
-/// offsets local to the chunk.
-#[derive(Clone, Debug)]
-pub struct CompiledChunk {
-    /// Global index of the chunk's first query.
-    first_query: usize,
-    /// The chunk's slices, in replay order.
-    slices: Vec<CompiledSlice>,
-    /// `offsets[q]..offsets[q + 1]` delimits local query `q`'s slices.
-    offsets: Vec<usize>,
-    /// Row width of the tiered price tables (0 on a flat network).
-    depth: usize,
-    /// Row-major `[slice][link]` yield prices (tiered only).
-    yield_prices: Vec<Bytes>,
-    /// Row-major `[slice][tier]` origin-fetch suffixes (tiered only).
-    fetch_suffixes: Vec<Bytes>,
-}
-
-impl CompiledChunk {
-    /// Global index of the chunk's first query.
-    pub fn first_query(&self) -> usize {
-        self.first_query
-    }
-
-    /// Number of queries in the chunk.
-    pub fn queries(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
-    }
-
-    /// The chunk's slice arena, in replay order.
-    pub fn slices(&self) -> &[CompiledSlice] {
-        &self.slices
-    }
-}
-
-/// The incremental counterpart of
-/// [`CompiledTrace::compile`](crate::compiled::CompiledTrace::compile)
-/// and
-/// [`CompiledTopology::compile`](crate::compiled::CompiledTopology::compile):
-/// feed it runs of queries as they arrive and get per-chunk arenas
-/// back, with catalog resolution and fetch pricing memoized across
-/// chunks so the one-time compilation work is actually done once.
-pub struct ChunkCompiler<'a> {
-    objects: &'a ObjectCatalog,
-    pricing: Pricing<'a>,
-    tables: Vec<Slot>,
-    columns: Vec<Slot>,
-    /// Priced-fetch pool the `Slot::Resolved::fetch_at` indexes point
-    /// into: one entry per resolved object on a flat network, `depth`
-    /// consecutive entries on a topology.
-    fetches: Vec<Bytes>,
-    next_query: usize,
-}
-
-impl<'a> ChunkCompiler<'a> {
-    /// A compiler pricing traffic over a flat per-server network.
-    pub fn flat(objects: &'a ObjectCatalog, network: &'a dyn NetworkModel) -> Self {
-        Self::new(objects, Pricing::Flat(network))
-    }
-
-    /// A compiler pricing traffic over a tiered topology.
-    pub fn tiered(objects: &'a ObjectCatalog, topology: &'a Topology) -> Self {
-        Self::new(objects, Pricing::Tiered(topology))
-    }
-
-    fn new(objects: &'a ObjectCatalog, pricing: Pricing<'a>) -> Self {
-        ChunkCompiler {
-            objects,
-            pricing,
-            tables: Vec::new(),
-            columns: Vec::new(),
-            fetches: Vec::new(),
-            next_query: 0,
-        }
-    }
-
-    /// Queries compiled so far — the global index the next chunk starts
-    /// at.
-    pub fn queries_compiled(&self) -> usize {
-        self.next_query
-    }
-
-    /// The granularity label of the compiled object view.
-    pub fn granularity(&self) -> &'static str {
-        self.objects.granularity().label()
-    }
-
-    fn depth(&self) -> usize {
-        match self.pricing {
-            Pricing::Flat(_) => 0,
-            Pricing::Tiered(topology) => topology.depth(),
-        }
-    }
-
-    /// Compile the next run of queries into a chunk arena. References
-    /// that do not resolve are skipped, matching
-    /// [`crate::engine::decompose`] slice for slice.
-    pub fn compile(&mut self, queries: &[TraceQuery]) -> CompiledChunk {
-        let mut chunk = CompiledChunk {
-            first_query: self.next_query,
-            slices: Vec::new(),
-            offsets: Vec::with_capacity(queries.len().saturating_add(1)),
-            depth: self.depth(),
-            yield_prices: Vec::new(),
-            fetch_suffixes: Vec::new(),
-        };
-        chunk.offsets.push(0);
-        for query in queries {
-            match self.objects.granularity() {
-                Granularity::Table => {
-                    for &(t, raw_yield) in &query.table_yields {
-                        let slot = self.table_slot(t);
-                        self.push_slice(slot, raw_yield, &mut chunk);
-                    }
-                }
-                Granularity::Column => {
-                    for &(c, raw_yield) in &query.column_yields {
-                        let slot = self.column_slot(c);
-                        self.push_slice(slot, raw_yield, &mut chunk);
-                    }
-                }
-            }
-            chunk.offsets.push(chunk.slices.len());
-        }
-        self.next_query = self.next_query.saturating_add(queries.len());
-        chunk
-    }
-
-    fn table_slot(&mut self, table: TableId) -> Slot {
-        let idx = table.index();
-        if self.tables.len() <= idx {
-            self.tables.resize(idx.saturating_add(1), Slot::Unknown);
-        }
-        if let Some(&slot) = self.tables.get(idx) {
-            if !matches!(slot, Slot::Unknown) {
-                return slot;
-            }
-        }
-        let slot = match self.objects.object_for_table(table) {
-            Ok(object) => self.resolve(object),
-            Err(_) => Slot::Unresolved,
-        };
-        if let Some(entry) = self.tables.get_mut(idx) {
-            *entry = slot;
-        }
-        slot
-    }
-
-    fn column_slot(&mut self, column: ColumnId) -> Slot {
-        let idx = column.index();
-        if self.columns.len() <= idx {
-            self.columns.resize(idx.saturating_add(1), Slot::Unknown);
-        }
-        if let Some(&slot) = self.columns.get(idx) {
-            if !matches!(slot, Slot::Unknown) {
-                return slot;
-            }
-        }
-        let slot = match self.objects.object_for_column(column) {
-            Ok(object) => self.resolve(object),
-            Err(_) => Slot::Unresolved,
-        };
-        if let Some(entry) = self.columns.get_mut(idx) {
-            *entry = slot;
-        }
-        slot
-    }
-
-    /// Price one object's fetch once, into the pool.
-    fn resolve(&mut self, object: ObjectId) -> Slot {
-        let info = self.objects.info(object);
-        let fetch_at = self.fetches.len();
-        match self.pricing {
-            Pricing::Flat(network) => {
-                self.fetches
-                    .push(network.price(info.server, info.fetch_cost));
-            }
-            Pricing::Tiered(topology) => {
-                for tier in 0..topology.depth() {
-                    self.fetches
-                        .push(topology.fetch_suffix(tier, info.server, info.fetch_cost));
-                }
-            }
-        }
-        Slot::Resolved {
-            object,
-            server: info.server,
-            size: info.size,
-            fetch_at,
-        }
-    }
-
-    /// Append one slice (and, on a topology, its price rows) for a
-    /// resolved reference. Unresolved references append nothing.
-    fn push_slice(&self, slot: Slot, raw_yield: Bytes, chunk: &mut CompiledChunk) {
-        let Slot::Resolved {
-            object,
-            server,
-            size,
-            fetch_at,
-        } = slot
-        else {
-            return;
-        };
-        match self.pricing {
-            Pricing::Flat(network) => {
-                let priced_fetch = self.fetches.get(fetch_at).copied().unwrap_or(Bytes::ZERO);
-                chunk.slices.push(CompiledSlice {
-                    object,
-                    server,
-                    raw_yield,
-                    priced_yield: network.price(server, raw_yield),
-                    size,
-                    priced_fetch,
-                });
-            }
-            Pricing::Tiered(topology) => {
-                let depth = chunk.depth;
-                for link in 0..depth {
-                    chunk
-                        .yield_prices
-                        .push(topology.link_price(link, server, raw_yield));
-                }
-                let row_f = self
-                    .fetches
-                    .get(fetch_at..fetch_at.saturating_add(depth))
-                    .unwrap_or(&[]);
-                chunk.fetch_suffixes.extend_from_slice(row_f);
-                // Keep the row width exactly `depth` so the replay
-                // loops' `chunks_exact` walks stay aligned (unreachable
-                // by construction; pad defensively rather than skew).
-                for _ in row_f.len()..depth {
-                    chunk.fetch_suffixes.push(Bytes::ZERO);
-                }
-                chunk.slices.push(CompiledSlice {
-                    object,
-                    server,
-                    raw_yield,
-                    priced_yield: topology.link_price(0, server, raw_yield),
-                    size,
-                    priced_fetch: row_f.first().copied().unwrap_or(Bytes::ZERO),
-                });
-            }
-        }
-    }
-}
-
-/// Where streamed queries come from: an in-memory trace walked in
-/// windows, or a [`TraceReader`] pulling chunks off disk.
+/// Where replayed queries come from: an in-memory trace, handed out
+/// whole, or a [`TraceReader`] pulling chunks off disk.
 pub(crate) enum ChunkSource<'a> {
-    /// Chunked views over a resident trace.
-    Memory { trace: &'a Trace, at: usize },
+    /// A resident trace; `done` once its one chunk was handed out.
+    Memory { trace: &'a Trace, done: bool },
     /// Chunks straight off a trace file, never all resident.
     Reader(&'a mut TraceReader),
 }
@@ -357,22 +41,32 @@ impl ChunkQueries<'_> {
 }
 
 impl<'a> ChunkSource<'a> {
-    /// The next run of at most `max` queries, or `None` at end of
-    /// trace. IO errors come from the reader variant only.
-    pub(crate) fn next(&mut self, max: usize) -> Result<Option<ChunkQueries<'a>>> {
+    /// A source handing out `trace` as a single chunk.
+    pub(crate) fn memory(trace: &'a Trace) -> Self {
+        ChunkSource::Memory { trace, done: false }
+    }
+
+    /// The trace's name, for report headers.
+    pub(crate) fn name(&self) -> &str {
         match self {
-            ChunkSource::Memory { trace, at } => {
-                let len = trace.queries.len();
-                if *at >= len {
+            ChunkSource::Memory { trace, .. } => &trace.name,
+            ChunkSource::Reader(reader) => reader.name(),
+        }
+    }
+
+    /// The next run of queries, or `None` at end of trace. IO errors
+    /// come from the reader variant only.
+    pub(crate) fn next(&mut self) -> Result<Option<ChunkQueries<'a>>> {
+        match self {
+            ChunkSource::Memory { trace, done } => {
+                if *done {
                     return Ok(None);
                 }
-                let end = at.saturating_add(max.max(1)).min(len);
-                let out = trace.queries.get(*at..end).unwrap_or(&[]);
-                *at = end;
-                Ok(Some(ChunkQueries::Borrowed(out)))
+                *done = true;
+                Ok(Some(ChunkQueries::Borrowed(&trace.queries)))
             }
             ChunkSource::Reader(reader) => {
-                let chunk = reader.next_chunk(max)?;
+                let chunk = reader.next_chunk(READ_CHUNK)?;
                 if chunk.is_empty() {
                     Ok(None)
                 } else {
@@ -383,638 +77,27 @@ impl<'a> ChunkSource<'a> {
     }
 }
 
-/// Chunked, single-threaded replay with the full observer protocol:
-/// the streaming counterpart of
-/// [`CompiledTrace::replay_observed`](crate::compiled::CompiledTrace::replay_observed),
-/// with query indices (and so telemetry window clocks) global across
-/// chunk boundaries. Does *not* call [`Observer::finish`]; the caller
-/// closes the observers out.
-pub(crate) fn replay_chunked(
-    source: &mut ChunkSource<'_>,
-    compiler: &mut ChunkCompiler<'_>,
-    chunk_size: usize,
-    policy: &mut dyn CachePolicy,
-    faults: Option<FaultPlan<'_>>,
-    observers: &mut [&mut dyn Observer],
-) -> Result<usize> {
-    let access_count = partition_access_observers(observers);
-    let mut queries = 0usize;
-    loop {
-        let Some(chunk_queries) = source.next(chunk_size)? else {
-            return Ok(queries);
-        };
-        let qs = chunk_queries.as_slice();
-        let chunk = compiler.compile(qs);
-        for ((qi, query), bounds) in qs.iter().enumerate().zip(chunk.offsets.windows(2)) {
-            let &[start, end] = bounds else { continue };
-            let index = chunk.first_query.saturating_add(qi);
-            let time = Tick::new(index as u64);
-            for obs in observers.iter_mut() {
-                obs.on_query_start(index, query);
-            }
-            for slice in chunk.slices.get(start..end).unwrap_or(&[]) {
-                let access = slice.access(time);
-                let decision = policy.on_access(&access);
-                let event = slice_event(
-                    index,
-                    time,
-                    slice.raw_yield,
-                    slice.server,
-                    &access,
-                    &decision,
-                    &*policy,
-                    faults.as_ref(),
-                    || slice.priced_yield,
-                );
-                for obs in observers.iter_mut().take(access_count) {
-                    obs.on_access(&event);
-                }
-            }
-            for obs in observers.iter_mut() {
-                obs.on_query_end(index, query);
-            }
-        }
-        queries = queries.saturating_add(chunk.queries());
-    }
-}
-
-/// Tiered twin of [`replay_chunked`]: every slice funnels through
-/// [`serve_slice_tiered`] with the chunk's precomputed price rows. Does
-/// not call [`Observer::finish`].
-pub(crate) fn replay_chunked_tiered(
-    source: &mut ChunkSource<'_>,
-    compiler: &mut ChunkCompiler<'_>,
-    chunk_size: usize,
-    tiers: &mut [TierState<'_>],
-    faults: Option<&FaultPlan<'_>>,
-    observers: &mut [&mut dyn Observer],
-) -> Result<usize> {
-    let access_count = partition_access_observers(observers);
-    let mut queries = 0usize;
-    let mut scratch = Vec::with_capacity(tiers.len());
-    loop {
-        let Some(chunk_queries) = source.next(chunk_size)? else {
-            return Ok(queries);
-        };
-        let qs = chunk_queries.as_slice();
-        let chunk = compiler.compile(qs);
-        let width = chunk.depth.max(1);
-        let mut rows_y = chunk.yield_prices.chunks_exact(width);
-        let mut rows_f = chunk.fetch_suffixes.chunks_exact(width);
-        for ((qi, query), bounds) in qs.iter().enumerate().zip(chunk.offsets.windows(2)) {
-            let &[start, end] = bounds else { continue };
-            let index = chunk.first_query.saturating_add(qi);
-            let time = Tick::new(index as u64);
-            for obs in observers.iter_mut() {
-                obs.on_query_start(index, query);
-            }
-            for slice in chunk.slices.get(start..end).unwrap_or(&[]) {
-                let (Some(row_y), Some(row_f)) = (rows_y.next(), rows_f.next()) else {
-                    break;
-                };
-                serve_slice_tiered(
-                    index,
-                    time,
-                    slice.object,
-                    slice.server,
-                    slice.raw_yield,
-                    slice.size,
-                    tiers,
-                    faults,
-                    &|l| row_y.get(l).copied().unwrap_or(Bytes::ZERO),
-                    &|t| row_f.get(t).copied().unwrap_or(Bytes::ZERO),
-                    &mut scratch,
-                    &mut |event| {
-                        for obs in observers.iter_mut().take(access_count) {
-                            obs.on_access(event);
-                        }
-                    },
-                );
-            }
-            for obs in observers.iter_mut() {
-                obs.on_query_end(index, query);
-            }
-        }
-        queries = queries.saturating_add(chunk.queries());
-    }
-}
-
-/// Per-shard observer factory: called once per shard (in shard order,
-/// before the workers spawn); each observer rides its shard's worker,
-/// sees that shard's slice events, and is finished against the shard's
-/// (site-tier) policy. Its warnings surface in the replay, aggregated
-/// across *all* shards in shard order.
-pub(crate) type ShardObserve<'a> = &'a dyn Fn(usize) -> Box<dyn Observer + Send + 'a>;
-
-/// What one shard's worker hands back after the input channel closes.
-struct ShardOutcome {
-    /// The shard's slice-event accumulator.
-    window: QueryWindow,
-    /// Per-query (failed, degraded) slice counts — one entry per
-    /// *global* query, in order. Only tracked under faults; the
-    /// per-query fault rollup needs cross-shard totals per query.
-    pairs: Vec<(u32, u32)>,
-    /// Merged audit report of the shard's decision stream(s).
-    audit: Option<AuditReport>,
-    /// The shard's observer warnings.
-    warnings: Vec<String>,
-}
-
-/// What a sharded replay produces: the merged report plus the merged
-/// audit and every shard's warnings (in shard order).
-pub(crate) struct ShardedOutcome {
-    pub(crate) report: CostReport,
-    pub(crate) audit: Option<AuditReport>,
-    pub(crate) warnings: Vec<String>,
-}
-
-fn pair_of(failed: u64, degraded: u64) -> (u32, u32) {
-    (
-        u32::try_from(failed).unwrap_or(u32::MAX),
-        u32::try_from(degraded).unwrap_or(u32::MAX),
-    )
-}
-
-/// Feed every compiled chunk to every worker, returning the query
-/// count. A send error means a worker died; its panic resurfaces at
-/// join, so feeding just stops.
-fn feed_chunks(
-    source: &mut ChunkSource<'_>,
-    compiler: &mut ChunkCompiler<'_>,
-    chunk_size: usize,
-    txs: &[SyncSender<Arc<CompiledChunk>>],
-) -> Result<usize> {
-    let mut queries = 0usize;
-    loop {
-        let Some(chunk) = source.next(chunk_size)? else {
-            return Ok(queries);
-        };
-        let compiled = Arc::new(compiler.compile(chunk.as_slice()));
-        queries = queries.saturating_add(compiled.queries());
-        for tx in txs {
-            if tx.send(Arc::clone(&compiled)).is_err() {
-                return Ok(queries);
-            }
-        }
-    }
-}
-
-/// Merge per-shard outcomes — windows, warnings, audits in fixed shard
-/// order; fault pairs element-wise per query, then folded with the
-/// failed-wins-over-degraded rule [`CostObserver`](crate::engine::CostObserver)
-/// applies per query — into the final report.
-fn merge_outcomes(
-    policy: String,
-    trace: String,
-    granularity: String,
-    queries: usize,
-    outcomes: Vec<ShardOutcome>,
-    track_pairs: bool,
-) -> ShardedOutcome {
-    let mut window = QueryWindow::default();
-    let (mut failed_queries, mut degraded_queries) = (0u64, 0u64);
-    if track_pairs {
-        for q in 0..queries {
-            let (mut failed, mut degraded) = (0u64, 0u64);
-            for outcome in &outcomes {
-                if let Some(&(f, d)) = outcome.pairs.get(q) {
-                    failed += u64::from(f);
-                    degraded += u64::from(d);
-                }
-            }
-            if failed > 0 {
-                failed_queries += 1;
-            } else if degraded > 0 {
-                degraded_queries += 1;
-            }
-        }
-    }
-    let mut warnings = Vec::new();
-    let mut audits = Vec::new();
-    for outcome in outcomes {
-        window.merge(&outcome.window);
-        warnings.extend(outcome.warnings);
-        audits.extend(outcome.audit);
-    }
-    let report = CostReport {
-        policy,
-        trace,
-        granularity,
-        queries,
-        sequence_cost: window.delivered,
-        bypass_served: window.bypass_served,
-        bypass_cost: window.bypass_cost,
-        fetch_cost: window.fetch_cost,
-        relay_cost: window.relay_cost,
-        cache_served: window.cache_served,
-        retried_bytes: window.retried_bytes,
-        failed_bytes: window.failed_bytes,
-        hits: window.hits,
-        bypasses: window.bypasses,
-        loads: window.loads,
-        evictions: window.evictions,
-        retries: window.retries,
-        failed_queries,
-        degraded_queries,
-    };
-    ShardedOutcome {
-        report,
-        audit: merge_audits(audits.into_iter()),
-        warnings,
-    }
-}
-
-/// One flat shard worker: drain chunks off the channel, replay the
-/// owned slices through the shard's policy, accumulate.
-#[allow(clippy::too_many_arguments)]
-fn shard_worker_flat(
-    shard: usize,
-    plan: ShardPlan,
-    policy: &mut (dyn CachePolicy + Send + Sync),
-    rx: Receiver<Arc<CompiledChunk>>,
-    faults: Option<FaultPlan<'_>>,
-    track_pairs: bool,
-    mut audit: Option<AuditObserver>,
-    mut extra: Option<Box<dyn Observer + Send + '_>>,
-) -> ShardOutcome {
-    let mut window = QueryWindow::default();
-    let mut pairs = Vec::new();
-    while let Ok(chunk) = rx.recv() {
-        for (qi, bounds) in chunk.offsets.windows(2).enumerate() {
-            let &[start, end] = bounds else { continue };
-            let index = chunk.first_query.saturating_add(qi);
-            let time = Tick::new(index as u64);
-            let (mut failed, mut degraded) = (0u64, 0u64);
-            for slice in chunk.slices.get(start..end).unwrap_or(&[]) {
-                if plan.shard_of(slice.object) != shard {
-                    continue;
-                }
-                let access = slice.access(time);
-                let decision = policy.on_access(&access);
-                let event = slice_event(
-                    index,
-                    time,
-                    slice.raw_yield,
-                    slice.server,
-                    &access,
-                    &decision,
-                    &*policy,
-                    faults.as_ref(),
-                    || slice.priced_yield,
-                );
-                window.absorb(&event);
-                failed += event.failed;
-                degraded += event.degraded;
-                if let Some(audit) = audit.as_mut() {
-                    audit.on_access(&event);
-                }
-                if let Some(extra) = extra.as_mut() {
-                    extra.on_access(&event);
-                }
-            }
-            if track_pairs {
-                pairs.push(pair_of(failed, degraded));
-            }
-        }
-    }
-    let site: Option<&dyn CachePolicy> = Some(policy);
-    let mut warnings = Vec::new();
-    let audit = audit.map(|mut audit| {
-        audit.finish(site);
-        audit.into_report()
-    });
-    if let Some(extra) = extra.as_mut() {
-        extra.finish(site);
-        warnings.extend(extra.warnings());
-    }
-    ShardOutcome {
-        window,
-        pairs,
-        audit,
-        warnings,
-    }
-}
-
-/// One tiered shard worker: the shard's per-tier policy stack driven
-/// through [`serve_slice_tiered`] with the chunk's price rows.
-#[allow(clippy::too_many_arguments)]
-fn shard_worker_tiered(
-    shard: usize,
-    plan: ShardPlan,
-    mut stack: Vec<&mut (dyn CachePolicy + Send + Sync)>,
-    names: Vec<&str>,
-    rx: Receiver<Arc<CompiledChunk>>,
-    faults: Option<FaultPlan<'_>>,
-    track_pairs: bool,
-    mut audits: Vec<AuditObserver>,
-    mut extra: Option<Box<dyn Observer + Send + '_>>,
-) -> ShardOutcome {
-    let mut window = QueryWindow::default();
-    let mut pairs = Vec::new();
-    let mut scratch = Vec::with_capacity(stack.len());
-    {
-        let mut tiers: Vec<TierState<'_>> = names
-            .iter()
-            .zip(stack.iter_mut())
-            .map(|(name, policy)| TierState {
-                name,
-                policy: &mut **policy,
-            })
-            .collect();
-        while let Ok(chunk) = rx.recv() {
-            let width = chunk.depth.max(1);
-            let mut rows_y = chunk.yield_prices.chunks_exact(width);
-            let mut rows_f = chunk.fetch_suffixes.chunks_exact(width);
-            for (qi, bounds) in chunk.offsets.windows(2).enumerate() {
-                let &[start, end] = bounds else { continue };
-                let index = chunk.first_query.saturating_add(qi);
-                let time = Tick::new(index as u64);
-                let (mut failed, mut degraded) = (0u64, 0u64);
-                for slice in chunk.slices.get(start..end).unwrap_or(&[]) {
-                    // Rows advance for *every* slice — including
-                    // foreign-shard ones — to stay arena-aligned.
-                    let (Some(row_y), Some(row_f)) = (rows_y.next(), rows_f.next()) else {
-                        break;
-                    };
-                    if plan.shard_of(slice.object) != shard {
-                        continue;
-                    }
-                    serve_slice_tiered(
-                        index,
-                        time,
-                        slice.object,
-                        slice.server,
-                        slice.raw_yield,
-                        slice.size,
-                        &mut tiers,
-                        faults.as_ref(),
-                        &|l| row_y.get(l).copied().unwrap_or(Bytes::ZERO),
-                        &|t| row_f.get(t).copied().unwrap_or(Bytes::ZERO),
-                        &mut scratch,
-                        &mut |event| {
-                            window.absorb(event);
-                            failed += event.failed;
-                            degraded += event.degraded;
-                            for audit in audits.iter_mut() {
-                                audit.on_access(event);
-                            }
-                            if let Some(extra) = extra.as_mut() {
-                                extra.on_access(event);
-                            }
-                        },
-                    );
-                }
-                if track_pairs {
-                    pairs.push(pair_of(failed, degraded));
-                }
-            }
-        }
-    }
-    // Close out: each tier's audit deep-checks against its *own* tier's
-    // policy; the extra observer sees the site tier's, matching the
-    // session's tiered protocol.
-    let mut audit_reports = Vec::with_capacity(audits.len());
-    for (t, mut audit) in audits.into_iter().enumerate() {
-        audit.finish(stack.get(t).map(|p| &**p as &dyn CachePolicy));
-        audit_reports.push(audit.into_report());
-    }
-    let site: Option<&dyn CachePolicy> = stack.first().map(|p| &**p as &dyn CachePolicy);
-    let mut warnings = Vec::new();
-    if let Some(extra) = extra.as_mut() {
-        extra.finish(site);
-        warnings.extend(extra.warnings());
-    }
-    ShardOutcome {
-        window,
-        pairs,
-        audit: merge_audits(audit_reports.into_iter()),
-        warnings,
-    }
-}
-
-/// Sharded parallel replay over a flat network: one scoped worker per
-/// shard, chunks fanned out over bounded channels, per-shard
-/// accumulators merged in fixed shard order into one report —
-/// bit-identical to driving the same [`ShardedPolicy`] sequentially.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn replay_sharded(
-    source: &mut ChunkSource<'_>,
-    compiler: &mut ChunkCompiler<'_>,
-    chunk_size: usize,
-    sharded: &mut ShardedPolicy,
-    trace_name: &str,
-    faults: Option<FaultPlan<'_>>,
-    audit: bool,
-    observe: Option<ShardObserve<'_>>,
-) -> Result<ShardedOutcome> {
-    let plan = sharded.plan();
-    let label = sharded.name().to_string();
-    let granularity = compiler.granularity().to_string();
-    let track_pairs = faults.is_some();
-    let (queries, outcomes) = std::thread::scope(|scope| {
-        let mut txs = Vec::with_capacity(plan.shards());
-        let mut handles = Vec::with_capacity(plan.shards());
-        for (shard, policy) in sharded.shards_mut().iter_mut().enumerate() {
-            let (tx, rx) = sync_channel::<Arc<CompiledChunk>>(CHANNEL_DEPTH);
-            let audit = audit.then(AuditObserver::new);
-            let extra = observe.map(|make| make(shard));
-            handles.push(scope.spawn(move || {
-                shard_worker_flat(
-                    shard,
-                    plan,
-                    &mut **policy,
-                    rx,
-                    faults,
-                    track_pairs,
-                    audit,
-                    extra,
-                )
-            }));
-            txs.push(tx);
-        }
-        let fed = feed_chunks(source, compiler, chunk_size, &txs);
-        drop(txs);
-        let outcomes: Vec<ShardOutcome> = handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .collect();
-        fed.map(|queries| (queries, outcomes))
-    })?;
-    Ok(merge_outcomes(
-        label,
-        trace_name.to_string(),
-        granularity,
-        queries,
-        outcomes,
-        track_pairs,
-    ))
-}
-
-/// Sharded parallel replay over a tiered topology: each worker drives
-/// its shard's per-tier policy stack (the same shard slot of every
-/// tier's [`ShardedPolicy`]). All tiers must share one [`ShardPlan`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn replay_sharded_tiered(
-    source: &mut ChunkSource<'_>,
-    compiler: &mut ChunkCompiler<'_>,
-    chunk_size: usize,
-    tier_shards: &mut [&mut ShardedPolicy],
-    topology: &Topology,
-    trace_name: &str,
-    faults: Option<FaultPlan<'_>>,
-    audit: bool,
-    observe: Option<ShardObserve<'_>>,
-) -> Result<ShardedOutcome> {
-    let Some(first) = tier_shards.first() else {
-        return Err(Error::InvalidConfig(
-            "sharded tiered replay needs one ShardedPolicy per tier".into(),
-        ));
-    };
-    let plan = first.plan();
-    let label = first.name().to_string();
-    let granularity = compiler.granularity().to_string();
-    let depth = topology.depth();
-    let names: Vec<&str> = topology.tiers().iter().map(|s| s.name.as_str()).collect();
-    let track_pairs = faults.is_some();
-    let (queries, outcomes) = std::thread::scope(|scope| {
-        // Transpose [tier][shard] policy slots into per-shard stacks.
-        let mut stacks: Vec<Vec<&mut (dyn CachePolicy + Send + Sync)>> = (0..plan.shards())
-            .map(|_| Vec::with_capacity(depth))
-            .collect();
-        for tier in tier_shards.iter_mut() {
-            for (shard, policy) in tier.shards_mut().iter_mut().enumerate() {
-                if let Some(stack) = stacks.get_mut(shard) {
-                    stack.push(&mut **policy);
-                }
-            }
-        }
-        let mut txs = Vec::with_capacity(plan.shards());
-        let mut handles = Vec::with_capacity(plan.shards());
-        for (shard, stack) in stacks.into_iter().enumerate() {
-            let (tx, rx) = sync_channel::<Arc<CompiledChunk>>(CHANNEL_DEPTH);
-            let audits: Vec<AuditObserver> = if audit {
-                (0..depth)
-                    .map(|t| AuditObserver::for_tier(u32::try_from(t).unwrap_or(u32::MAX)))
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            let extra = observe.map(|make| make(shard));
-            let names = names.clone();
-            handles.push(scope.spawn(move || {
-                shard_worker_tiered(
-                    shard,
-                    plan,
-                    stack,
-                    names,
-                    rx,
-                    faults,
-                    track_pairs,
-                    audits,
-                    extra,
-                )
-            }));
-            txs.push(tx);
-        }
-        let fed = feed_chunks(source, compiler, chunk_size, &txs);
-        drop(txs);
-        let outcomes: Vec<ShardOutcome> = handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .collect();
-        fed.map(|queries| (queries, outcomes))
-    })?;
-    Ok(merge_outcomes(
-        label,
-        trace_name.to_string(),
-        granularity,
-        queries,
-        outcomes,
-        track_pairs,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compiled::CompiledTrace;
-    use crate::network::{PerServerMultipliers, Uniform};
     use byc_catalog::sdss::{build, SdssRelease};
     use byc_workload::{generate, WorkloadConfig};
 
-    fn setup(servers: u32, queries: usize) -> (Trace, ObjectCatalog) {
-        let cat = build(SdssRelease::Edr, 1e-3, servers);
-        let trace = generate(&cat, &WorkloadConfig::smoke(43, queries)).unwrap();
-        let objects = ObjectCatalog::uniform(&cat, Granularity::Column);
-        (trace, objects)
-    }
-
-    #[test]
-    fn chunked_compilation_matches_monolithic_arena() {
-        let (trace, objects) = setup(2, 150);
-        let net = PerServerMultipliers::new(vec![1.0, 3.0]).unwrap();
-        let reference = CompiledTrace::compile(&trace, &objects, &net);
-        for chunk_size in [1usize, 7, 64, 10_000] {
-            let mut compiler = ChunkCompiler::flat(&objects, &net);
-            let mut source = ChunkSource::Memory {
-                trace: &trace,
-                at: 0,
-            };
-            let mut slices = Vec::new();
-            let mut queries = 0usize;
-            while let Some(chunk) = source.next(chunk_size).unwrap() {
-                let compiled = compiler.compile(chunk.as_slice());
-                assert_eq!(compiled.first_query(), queries);
-                queries += compiled.queries();
-                slices.extend_from_slice(compiled.slices());
-            }
-            assert_eq!(queries, trace.len(), "chunk_size {chunk_size}");
-            assert_eq!(slices, reference.slices(), "chunk_size {chunk_size}");
-        }
-    }
-
-    #[test]
-    fn memoized_resolution_is_shared_across_chunks() {
-        let (trace, objects) = setup(1, 80);
-        let mut compiler = ChunkCompiler::flat(&objects, &Uniform);
-        let half = trace.queries.len() / 2;
-        let a = compiler.compile(&trace.queries[..half]);
-        let b = compiler.compile(&trace.queries[half..]);
-        assert_eq!(compiler.queries_compiled(), trace.len());
-        assert_eq!(b.first_query(), half);
-        // The pool holds one priced fetch per *distinct* object, not per
-        // slice: memoization actually deduplicates.
-        assert!(compiler.fetches.len() <= objects.len());
-        assert!(a.queries() + b.queries() == trace.len());
-    }
-
-    #[test]
-    fn empty_chunk_compiles_to_empty_arena() {
-        let (_, objects) = setup(1, 10);
-        let mut compiler = ChunkCompiler::flat(&objects, &Uniform);
-        let chunk = compiler.compile(&[]);
-        assert_eq!(chunk.queries(), 0);
-        assert!(chunk.slices().is_empty());
-    }
-
     #[test]
     fn memory_source_is_exhaustive_and_sticky() {
-        let (trace, _) = setup(1, 10);
-        let mut source = ChunkSource::Memory {
-            trace: &trace,
-            at: 0,
-        };
+        let cat = build(SdssRelease::Edr, 1e-3, 1);
+        let trace = generate(&cat, &WorkloadConfig::smoke(43, 10)).unwrap();
+        let mut source = ChunkSource::memory(&trace);
         let mut seen = 0;
-        while let Some(chunk) = source.next(3).unwrap() {
+        while let Some(chunk) = source.next().unwrap() {
             seen += chunk.as_slice().len();
         }
         assert_eq!(seen, 10);
-        assert!(source.next(3).unwrap().is_none());
-        // Zero-sized requests still make progress.
-        let mut source = ChunkSource::Memory {
-            trace: &trace,
-            at: 0,
-        };
-        assert_eq!(source.next(0).unwrap().unwrap().as_slice().len(), 1);
+        assert!(source.next().unwrap().is_none());
+        // The resident trace is one chunk, borrowed whole.
+        let mut source = ChunkSource::memory(&trace);
+        let chunk = source.next().unwrap().unwrap();
+        assert!(std::ptr::eq(chunk.as_slice(), trace.queries.as_slice()));
+        assert!(source.next().unwrap().is_none());
     }
 }

@@ -16,10 +16,8 @@ use byc_core::static_opt::ObjectDemand;
 use byc_types::Bytes;
 
 /// The no-op observer the default [`SweepOptions`] instantiation
-/// carries. Never constructed, so observer-free [`Self::compiled`]
-/// sweeps keep the allocation-free fast path.
-///
-/// [`Self::compiled`]: crate::session::ReplaySession::compiled
+/// carries. Never constructed: observer-free sweeps attach nothing to
+/// their replays.
 pub struct NoObserver;
 
 impl Observer for NoObserver {}

@@ -1,19 +1,23 @@
-//! Property-based proof that the compiled replay path is bit-identical
-//! to the reference (uncompiled) engine path.
+//! Property-based proof that the replay kernel is bit-identical to the
+//! reference oracle's flat runner.
 //!
-//! The compiled hot path precomputes catalog resolution and network
-//! pricing once per trace, then replays over a flat slice arena. Its
-//! whole value proposition rests on one claim: the [`CostReport`] it
-//! produces is *bit-identical* to the reference path's, for every
-//! policy, network regime, and fault configuration. These tests pin
-//! that claim across the full 13-policy roster, uniform and per-server
-//! networks, and fault-free / flaky-link replays with retries and both
-//! degradation modes.
+//! The kernel took over what the compiled replay path did: it prices
+//! every object's fetch once per engine, walks each query's yields in
+//! place, and folds costs inline instead of dispatching them. The
+//! oracle (`tests/oracle`) does none of that — it decomposes, prices
+//! and dispatches per access, exactly as the uncompiled engine did. The
+//! [`CostReport`]s must be *bit-identical* for every policy, network
+//! regime, and fault configuration. These tests pin that claim across
+//! the full 13-policy roster, uniform and per-server networks, and
+//! fault-free / flaky-link replays with retries and both degradation
+//! modes.
+
+mod oracle;
 
 use byc_catalog::sdss::{self, SdssRelease};
 use byc_catalog::{Granularity, ObjectCatalog};
 use byc_federation::{
-    build_policy, CompiledTrace, CostReport, DegradationPolicy, FaultModel, FlakyLinks,
+    build_policy, CostReport, DegradationPolicy, FaultModel, FaultPlan, FlakyLinks, NetworkModel,
     PerServerMultipliers, PolicyKind, ReplaySession, RetryPolicy, Uniform,
 };
 use byc_types::{Bytes, QueryId, TableId};
@@ -37,9 +41,9 @@ const ALL_POLICIES: [PolicyKind; 13] = [
     PolicyKind::NoCache,
 ];
 
-/// One replay of `kind`, compiled or reference, with optional network
-/// pricing and fault layer. Policies are rebuilt fresh per call so the
-/// two paths see identical initial state.
+/// One replay of `kind` through the kernel (a session) or the oracle,
+/// with optional network pricing and fault layer. Policies are rebuilt
+/// fresh per call so the two paths see identical initial state.
 #[allow(clippy::too_many_arguments)]
 fn run(
     trace: &Trace,
@@ -49,10 +53,22 @@ fn run(
     seed: u64,
     network: Option<&PerServerMultipliers>,
     faults: Option<(&dyn FaultModel, RetryPolicy, DegradationPolicy)>,
-    compiled: bool,
+    kernel: bool,
 ) -> CostReport {
     let capacity = objects.total_size().scale(0.25);
     let mut policy = build_policy(kind, capacity, &stats.demands, seed);
+    if !kernel {
+        let network: &dyn NetworkModel = match network {
+            Some(net) => net,
+            None => &Uniform,
+        };
+        let plan = faults.map(|(model, retry, degradation)| FaultPlan {
+            model,
+            retry,
+            degradation,
+        });
+        return oracle::flat_report(trace, objects, network, policy.as_mut(), plan);
+    }
     let mut session = ReplaySession::new(trace, objects)
         .policy(policy.as_mut())
         .unaudited();
@@ -61,9 +77,6 @@ fn run(
     }
     if let Some((model, retry, degradation)) = faults {
         session = session.faults(model).retry(retry).degrade(degradation);
-    }
-    if compiled {
-        session = session.compiled();
     }
     match session.run() {
         Ok(replay) => replay.report,
@@ -74,9 +87,9 @@ fn run(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Compiled and reference replays produce bit-identical reports for
-    /// every policy on arbitrarily priced per-server networks (and the
-    /// uniform network), fault-free.
+    /// Kernel and oracle replays produce bit-identical reports for every
+    /// policy on arbitrarily priced per-server networks (and the uniform
+    /// network), fault-free.
     #[test]
     fn compiled_matches_reference_on_priced_networks(
         seed in any::<u64>(),
@@ -91,9 +104,9 @@ proptest! {
         for kind in ALL_POLICIES {
             for net in [None, Some(&network)] {
                 let reference = run(&trace, &objects, &stats, kind, seed, net, None, false);
-                let compiled = run(&trace, &objects, &stats, kind, seed, net, None, true);
+                let kernel = run(&trace, &objects, &stats, kind, seed, net, None, true);
                 prop_assert_eq!(
-                    &reference, &compiled,
+                    &reference, &kernel,
                     "{:?} diverged (network: {})", kind, net.is_some()
                 );
             }
@@ -102,8 +115,8 @@ proptest! {
 
     /// Bit-identity survives the fault layer: flaky links, retries with
     /// backoff, and both degradation modes. The fault stream is keyed on
-    /// (time, object, server, attempt) coordinates, which the compiled
-    /// path must reproduce exactly.
+    /// (time, object, server, attempt) coordinates, which the kernel
+    /// must reproduce exactly.
     #[test]
     fn compiled_matches_reference_under_faults(
         seed in any::<u64>(),
@@ -130,11 +143,11 @@ proptest! {
             let reference = run(
                 &trace, &objects, &stats, kind, seed, Some(&network), faults, false,
             );
-            let compiled = run(
+            let kernel = run(
                 &trace, &objects, &stats, kind, seed, Some(&network), faults, true,
             );
-            prop_assert_eq!(&reference, &compiled, "{:?} diverged under faults", kind);
-            prop_assert!(compiled.conserves_delivery(), "{kind:?} conservation");
+            prop_assert_eq!(&reference, &kernel, "{:?} diverged under faults", kind);
+            prop_assert!(kernel.conserves_delivery(), "{kind:?} conservation");
         }
     }
 
@@ -147,16 +160,17 @@ proptest! {
         let stats = WorkloadStats::compute(&trace, &objects);
         for kind in [PolicyKind::RateProfile, PolicyKind::Gds, PolicyKind::NoCache] {
             let reference = run(&trace, &objects, &stats, kind, seed, None, None, false);
-            let compiled = run(&trace, &objects, &stats, kind, seed, None, None, true);
-            prop_assert_eq!(&reference, &compiled, "{:?} diverged at table grain", kind);
+            let kernel = run(&trace, &objects, &stats, kind, seed, None, None, true);
+            prop_assert_eq!(&reference, &kernel, "{:?} diverged at table grain", kind);
         }
     }
 }
 
-/// Compilation must skip table/column references that do not resolve to
-/// a cacheable object, exactly like `decompose` does — a query naming a
-/// table outside the compiled object view contributes no slices for it,
-/// and the resolvable references around it are preserved in order.
+/// The kernel must skip table/column references that do not resolve to
+/// a cacheable object, exactly like the oracle's `decompose` does — a
+/// query naming a table outside the object view contributes no slices
+/// for it, and the resolvable references around it are preserved in
+/// order.
 #[test]
 fn compilation_skips_unresolvable_references_like_decompose() {
     let catalog = sdss::build(SdssRelease::Edr, 1e-3, 1);
@@ -187,15 +201,20 @@ fn compilation_skips_unresolvable_references_like_decompose() {
         seed: 0,
         queries: vec![query],
     };
-    let compiled = CompiledTrace::compile(&trace, &objects, &Uniform);
-    let reference = byc_federation::engine::decompose(&trace.queries[0], &objects);
-    // The bogus reference vanished from both views identically.
+    let reference = oracle::decompose(&trace.queries[0], &objects);
+    // The bogus reference vanished from the oracle's view...
     assert_eq!(reference.len(), 2);
-    let arena: Vec<(byc_types::ObjectId, Bytes)> = compiled
-        .query_slices(0)
-        .iter()
-        .map(|s| (s.object, s.raw_yield))
-        .collect();
-    assert_eq!(arena, reference);
-    assert_eq!(compiled.slices().len(), 2);
+    let mut p = byc_core::static_opt::NoCache;
+    let kernel = ReplaySession::new(&trace, &objects)
+        .policy(&mut p)
+        .unaudited()
+        .run()
+        .unwrap()
+        .report;
+    // ...and from the kernel's, which served exactly those two slices.
+    assert_eq!(kernel.bypasses, 2);
+    assert_eq!(kernel.sequence_cost, Bytes::new(150));
+    let mut p = byc_core::static_opt::NoCache;
+    let oracle = oracle::flat_report(&trace, &objects, &Uniform, &mut p, None);
+    assert_eq!(kernel, oracle);
 }

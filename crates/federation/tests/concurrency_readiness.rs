@@ -1,6 +1,6 @@
 //! Compile-time Send + Sync assertions for every type a future
 //! multi-threaded sweep would share across worker threads: the cache
-//! state, the compiled trace (shared read-only by replay workers), and
+//! state, the replay kernel (shareable read-only by replay workers), and
 //! all concrete policy/algorithm types.
 //!
 //! byc-audit's concurrency pass requires this file to name each
@@ -14,14 +14,11 @@ use byc_core::inline::{
 };
 use byc_core::online::OnlineBY;
 use byc_core::rate_profile::RateProfile;
-use byc_core::shard::ShardedPolicy;
 use byc_core::spaceeff::SpaceEffBY;
 use byc_core::static_opt::{NoCache, StaticCache};
 use byc_core::CacheState;
 use byc_federation::policies::UniformCostAdapter;
-use byc_federation::{
-    CompiledTopology, CompiledTrace, FlakyLinks, LinkScoped, PerTierObserver, TierState, Topology,
-};
+use byc_federation::{FlakyLinks, LinkScoped, PerTierObserver, ReplayEngine, Topology};
 
 fn assert_send_sync<T: Send + Sync>() {}
 
@@ -29,21 +26,17 @@ fn assert_send_sync<T: Send + Sync>() {}
 fn shared_state_is_send_sync() {
     // Core replay state shared (read-only or partitioned) across workers.
     assert_send_sync::<CacheState>();
-    assert_send_sync::<CompiledTrace>();
-    // The sharded replay path moves one per-shard policy slot into each
-    // worker thread and routes accesses by object-id range, so the
-    // container itself must cross the spawn boundary.
-    assert_send_sync::<ShardedPolicy>();
+    // An engine holds only read-only pricing state (its fetch rows and
+    // borrowed links), so one can serve replays on many threads.
+    assert_send_sync::<ReplayEngine<'static>>();
 }
 
 #[test]
 fn topology_stack_is_send_sync() {
-    // A tiered sweep shares the topology and its compiled pricing tables
-    // read-only across every (policy × fraction) worker; per-tier state
-    // is partitioned per job but must still cross the spawn boundary.
+    // A tiered sweep shares the topology read-only across every
+    // (policy × fraction) worker; per-tier state is partitioned per job
+    // but must still cross the spawn boundary.
     assert_send_sync::<Topology>();
-    assert_send_sync::<CompiledTopology>();
-    assert_send_sync::<TierState<'static>>();
     assert_send_sync::<PerTierObserver>();
     assert_send_sync::<LinkScoped<FlakyLinks>>();
 }

@@ -14,14 +14,20 @@
 //! The deliberate semantic gap between the stored-key rule and the
 //! seed's eager rule (Rate-Profile only) is measured separately below
 //! in [`rate_profile_lazy_vs_eager_workload_impact`].
+//!
+//! The reference side replays through the reference oracle
+//! (`tests/oracle`), the lazy side through the replay kernel, so a
+//! passing case also pins the kernel's accounting against the oracle's.
+
+mod oracle;
 
 use byc_catalog::sdss::{self, SdssRelease};
 use byc_catalog::{Granularity, ObjectCatalog};
 use byc_core::access::Access;
 use byc_core::policy::{CachePolicy, Decision};
 use byc_federation::{
-    build_policy, CostReport, DegradationPolicy, FaultModel, FlakyLinks, PolicyKind, ReplaySession,
-    RetryPolicy, Topology, Uniform,
+    build_policy, CostReport, DegradationPolicy, FaultModel, FaultPlan, FlakyLinks, PolicyKind,
+    ReplaySession, RetryPolicy, Topology, Uniform,
 };
 use byc_types::{Bytes, ObjectId};
 use byc_workload::{generate, Trace, WorkloadConfig, WorkloadStats};
@@ -96,10 +102,11 @@ impl CachePolicy for Recorder {
     }
 }
 
-/// One replay of `kind` in either planning mode, returning the report
-/// plus the recorded decision stream of every tier (bottom-up; a single
-/// stream for the flat path). Policies are rebuilt fresh per call so the
-/// two modes never share state.
+/// One replay of `kind` in either planning mode — the lazy mode through
+/// the kernel, the reference mode through the oracle — returning the
+/// report plus the recorded decision stream of every tier (bottom-up; a
+/// single stream for the flat path). Policies are rebuilt fresh per call
+/// so the two modes never share state.
 fn run_once(
     trace: &Trace,
     objects: &ObjectCatalog,
@@ -120,6 +127,27 @@ fn run_once(
             r
         })
         .collect();
+    if reference {
+        let plan = faults.map(|(model, retry, degradation)| FaultPlan {
+            model,
+            retry,
+            degradation,
+        });
+        let mut tiers: Vec<&mut dyn CachePolicy> = recorders
+            .iter_mut()
+            .map(|r| r as &mut dyn CachePolicy)
+            .collect();
+        let report = match topology {
+            Some(topo) => oracle::tiered_report(trace, objects, topo, &mut tiers, plan),
+            None => match &mut tiers[..] {
+                [policy] => oracle::flat_report(trace, objects, &Uniform, *policy, plan),
+                _ => unreachable!("flat path records exactly one policy"),
+            },
+        };
+        drop(tiers);
+        let streams = recorders.into_iter().map(|r| r.decisions).collect();
+        return (report, streams);
+    }
     let mut session = ReplaySession::new(trace, objects);
     match topology {
         Some(topo) => {
@@ -278,7 +306,7 @@ fn rate_profile_lazy_vs_eager_workload_impact() {
 /// The reference toggle reaches through every wrapper in the roster: a
 /// deterministic spot-check that flipping it on a fresh policy still
 /// replays the same smoke trace decision-for-decision. Guards against a
-/// wrapper (sharding, auditing, cost adapters) silently dropping the
+/// wrapper (auditing, cost adapters) silently dropping the
 /// forward and the proptest above comparing lazy against lazy.
 #[test]
 fn reference_toggle_forwards_through_roster_wrappers() {

@@ -9,10 +9,12 @@
 //! partition of the global report — the two observers watch the same
 //! event stream, so their totals cannot drift.
 
+mod oracle;
+
 use byc_catalog::sdss::{self, SdssRelease};
 use byc_catalog::{Granularity, ObjectCatalog};
 use byc_federation::{
-    build_policy, CostObserver, CostReport, DegradationPolicy, FaultModel, FlakyLinks,
+    build_policy, CostObserver, CostReport, DegradationPolicy, FaultModel, FaultPlan, FlakyLinks,
     NetworkModel, Observer, Outage, OutageWindows, PerServerMultipliers, PerServerObserver,
     PolicyKind, ReplayEngine, ReplaySession, RetryPolicy, Topology, Uniform,
 };
@@ -131,8 +133,8 @@ fn fault_run(
     }
 }
 
-/// One replay of `kind` over either the legacy flat `.network()` path or
-/// a degenerate single-tier `.topology()` (optionally compiled), with an
+/// One replay of `kind` through the kernel over either a flat
+/// `.network()` or a degenerate single-tier `.topology()`, with an
 /// optional fault layer. Policies are rebuilt fresh per call.
 #[allow(clippy::too_many_arguments)]
 fn flat_or_tiered_run(
@@ -144,7 +146,6 @@ fn flat_or_tiered_run(
     cache_fraction: f64,
     path: Result<&Topology, &dyn NetworkModel>,
     faults: Option<(&dyn FaultModel, RetryPolicy, DegradationPolicy)>,
-    compiled: bool,
 ) -> CostReport {
     let capacity = objects.total_size().scale(cache_fraction);
     let mut policy = build_policy(kind, capacity, &stats.demands, seed);
@@ -156,9 +157,6 @@ fn flat_or_tiered_run(
     if let Some((model, retry, degradation)) = faults {
         session = session.faults(model).retry(retry).degrade(degradation);
     }
-    if compiled {
-        session = session.compiled();
-    }
     match session.run() {
         Ok(replay) => replay.report,
         Err(e) => panic!("replay failed: {e}"),
@@ -168,11 +166,11 @@ fn flat_or_tiered_run(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The tiered kernel is non-regressive by construction: a degenerate
-    /// single-tier [`Topology`] produces a `CostReport` bit-identical to
-    /// the legacy flat `NetworkModel` path — for every shipped policy,
-    /// under uniform and per-server pricing, fault-free and faulted, and
-    /// through the compiled fast path.
+    /// Flat is depth 1: the kernel over a degenerate single-tier
+    /// [`Topology`] and over a flat `NetworkModel` both produce a
+    /// `CostReport` bit-identical to the oracle's flat arithmetic — for
+    /// every shipped policy, under uniform and per-server pricing,
+    /// fault-free and faulted.
     #[test]
     fn degenerate_topology_is_bit_identical_to_flat(
         seed in any::<u64>(),
@@ -204,27 +202,33 @@ proptest! {
                     retry,
                     DegradationPolicy::ServeStale,
                 ));
-                let legacy = flat_or_tiered_run(
+                let capacity = objects.total_size().scale(cache_fraction);
+                let mut policy = build_policy(kind, capacity, &stats.demands, seed);
+                let plan = faults.map(|(model, retry, degradation)| FaultPlan {
+                    model,
+                    retry,
+                    degradation,
+                });
+                let legacy = oracle::flat_report(
+                    &trace, &objects, flat_net.as_ref(), policy.as_mut(), plan,
+                );
+                let flat = flat_or_tiered_run(
                     &trace, &objects, &stats, kind, seed, cache_fraction,
-                    Err(flat_net.as_ref()), faults, false,
+                    Err(flat_net.as_ref()), faults,
+                );
+                prop_assert_eq!(
+                    &legacy, &flat,
+                    "{:?} faulted={} flat kernel diverged from the oracle", kind, faulted
                 );
                 let tiered = flat_or_tiered_run(
                     &trace, &objects, &stats, kind, seed, cache_fraction,
-                    Ok(&topology), faults, false,
+                    Ok(&topology), faults,
                 );
                 prop_assert_eq!(
                     &legacy, &tiered,
                     "{:?} faulted={} single-tier topology diverged", kind, faulted
                 );
                 prop_assert_eq!(tiered.relay_cost, Bytes::ZERO);
-                let compiled = flat_or_tiered_run(
-                    &trace, &objects, &stats, kind, seed, cache_fraction,
-                    Ok(&topology), faults, true,
-                );
-                prop_assert_eq!(
-                    &legacy, &compiled,
-                    "{:?} faulted={} compiled single-tier diverged", kind, faulted
-                );
             }
         }
     }

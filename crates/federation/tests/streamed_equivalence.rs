@@ -1,32 +1,25 @@
-//! Property-based proof that streamed (out-of-core) and sharded
-//! (parallel) replays are bit-identical to their in-memory references.
+//! Property-based proof that streamed (out-of-core) replays are
+//! bit-identical to the reference oracle.
 //!
-//! The streaming stack's whole value proposition rests on two claims:
-//!
-//! 1. **Chunking is invisible.** Replaying through the incremental
-//!    [`ChunkCompiler`] — any chunk size, in-memory source or disk
-//!    reader — produces the same [`CostReport`] as the monolithic
-//!    engine path, for every policy, network regime, and fault
-//!    configuration.
-//! 2. **Sharding is invisible.** Replaying a [`ShardedPolicy`] on one
-//!    worker thread per shard and merging the per-shard windows in
-//!    shard order produces the same report as driving the *same*
-//!    sharded policy sequentially through the reference engine. (An
-//!    *unsharded* policy is not the reference: splitting the capacity
-//!    changes eviction behavior, deliberately.)
-//!
-//! These tests pin both claims across the full 13-policy roster, flat
-//! and two-tier topologies, and fault-free / flaky replays.
+//! A session built with `ReplaySession::from_reader` parses its trace a
+//! chunk at a time off disk and never holds it whole; a resident session
+//! replays the in-memory trace. Both drive the same per-query kernel, so
+//! streaming must be invisible: for every policy, network regime, and
+//! fault configuration, flat and two-tier, the [`CostReport`] equals the
+//! oracle's — whatever the trace length relative to the chunk size.
+
+mod oracle;
 
 use byc_catalog::sdss::{self, SdssRelease};
 use byc_catalog::{Granularity, ObjectCatalog};
-use byc_core::shard::ShardPlan;
+use byc_core::policy::CachePolicy;
 use byc_federation::{
-    build_policy, build_sharded, CostEvent, CostReport, DegradationPolicy, FaultModel, FlakyLinks,
-    Observer, PerServerMultipliers, PolicyKind, ReplaySession, RetryPolicy, Topology,
+    build_policy, CostReport, DegradationPolicy, FaultModel, FaultPlan, FlakyLinks, NetworkModel,
+    PerServerMultipliers, PolicyKind, ReplaySession, RetryPolicy, Topology, Uniform,
 };
 use byc_workload::{generate, Trace, TraceReader, WorkloadConfig, WorkloadStats};
 use proptest::prelude::*;
+use std::path::PathBuf;
 
 /// Every policy the roster can build, not just the headline lineup.
 const ALL_POLICIES: [PolicyKind; 13] = [
@@ -53,110 +46,73 @@ fn smoke(seed: u64, servers: u32, queries: usize) -> (Trace, ObjectCatalog, Work
     (trace, objects, stats)
 }
 
+/// `trace` written to a per-test file, removed on drop.
+struct TraceFile(PathBuf);
+
+impl TraceFile {
+    fn write(trace: &Trace, tag: &str) -> TraceFile {
+        let path = std::env::temp_dir().join(format!(
+            "byc-streamed-eq-{tag}-{}.jsonl",
+            std::process::id()
+        ));
+        byc_workload::io::write_trace(trace, &path).unwrap();
+        TraceFile(path)
+    }
+
+    fn reader(&self) -> TraceReader {
+        TraceReader::open(&self.0).unwrap()
+    }
+}
+
+impl Drop for TraceFile {
+    fn drop(&mut self) {
+        std::fs::remove_file(&self.0).ok();
+    }
+}
+
 type Faults<'a> = Option<(&'a dyn FaultModel, RetryPolicy, DegradationPolicy)>;
 
-/// The reference: the uncompiled engine path over the in-memory trace.
+fn plan<'a>(faults: Faults<'a>) -> Option<FaultPlan<'a>> {
+    faults.map(|(model, retry, degradation)| FaultPlan {
+        model,
+        retry,
+        degradation,
+    })
+}
+
+/// The flat reference: the oracle over the in-memory trace.
 fn reference_flat(
     trace: &Trace,
     objects: &ObjectCatalog,
     stats: &WorkloadStats,
     kind: PolicyKind,
     seed: u64,
-    network: Option<&PerServerMultipliers>,
+    network: &dyn NetworkModel,
     faults: Faults<'_>,
 ) -> CostReport {
     let capacity = objects.total_size().scale(0.25);
     let mut policy = build_policy(kind, capacity, &stats.demands, seed);
-    let mut session = ReplaySession::new(trace, objects)
-        .policy(policy.as_mut())
-        .unaudited();
-    if let Some(net) = network {
-        session = session.network(net);
-    }
-    if let Some((model, retry, degradation)) = faults {
-        session = session.faults(model).retry(retry).degrade(degradation);
-    }
-    session.run().unwrap().report
+    oracle::flat_report(trace, objects, network, policy.as_mut(), plan(faults))
 }
 
-/// The streamed path: same policy construction, chunked replay.
+/// The streamed path: same policy construction, replayed off `file`.
+#[allow(clippy::too_many_arguments)]
 fn streamed_flat(
-    trace: &Trace,
+    file: &TraceFile,
     objects: &ObjectCatalog,
     stats: &WorkloadStats,
     kind: PolicyKind,
     seed: u64,
-    network: Option<&PerServerMultipliers>,
+    network: &dyn NetworkModel,
     faults: Faults<'_>,
-    chunk: usize,
 ) -> CostReport {
     let capacity = objects.total_size().scale(0.25);
     let mut policy = build_policy(kind, capacity, &stats.demands, seed);
-    let mut session = ReplaySession::new(trace, objects)
+    let mut reader = file.reader();
+    let mut session = ReplaySession::from_reader(&mut reader, objects)
         .policy(policy.as_mut())
-        .streaming()
-        .chunk_size(chunk)
+        .network(network)
         .unaudited();
-    if let Some(net) = network {
-        session = session.network(net);
-    }
-    if let Some((model, retry, degradation)) = faults {
-        session = session.faults(model).retry(retry).degrade(degradation);
-    }
-    session.run().unwrap().report
-}
-
-/// Sequential reference for sharding: the same [`ShardedPolicy`] driven
-/// single-threaded through the reference engine — it routes each access
-/// to its owning shard, so decisions match the parallel run exactly.
-fn sharded_reference_flat(
-    trace: &Trace,
-    objects: &ObjectCatalog,
-    stats: &WorkloadStats,
-    kind: PolicyKind,
-    seed: u64,
-    shards: usize,
-    network: Option<&PerServerMultipliers>,
-    faults: Faults<'_>,
-) -> CostReport {
-    let capacity = objects.total_size().scale(0.25);
-    let plan = ShardPlan::new(shards, objects.len());
-    let mut sharded = build_sharded(kind, plan, capacity, &stats.demands, seed).unwrap();
-    let mut session = ReplaySession::new(trace, objects)
-        .policy(&mut sharded)
-        .unaudited();
-    if let Some(net) = network {
-        session = session.network(net);
-    }
-    if let Some((model, retry, degradation)) = faults {
-        session = session.faults(model).retry(retry).degrade(degradation);
-    }
-    session.run().unwrap().report
-}
-
-/// The parallel sharded path: one worker per shard, merged in shard
-/// order.
-fn sharded_parallel_flat(
-    trace: &Trace,
-    objects: &ObjectCatalog,
-    stats: &WorkloadStats,
-    kind: PolicyKind,
-    seed: u64,
-    shards: usize,
-    network: Option<&PerServerMultipliers>,
-    faults: Faults<'_>,
-    chunk: usize,
-) -> CostReport {
-    let capacity = objects.total_size().scale(0.25);
-    let plan = ShardPlan::new(shards, objects.len());
-    let mut sharded = build_sharded(kind, plan, capacity, &stats.demands, seed).unwrap();
-    let mut session = ReplaySession::new(trace, objects)
-        .shards(&mut sharded)
-        .chunk_size(chunk)
-        .unaudited();
-    if let Some(net) = network {
-        session = session.network(net);
-    }
     if let Some((model, retry, degradation)) = faults {
         session = session.faults(model).retry(retry).degrade(degradation);
     }
@@ -166,77 +122,48 @@ fn sharded_parallel_flat(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Claim 1, flat: chunked streaming is bit-identical to the
-    /// reference for every policy, with and without per-server pricing,
-    /// across chunk sizes bracketing the trace length.
+    /// Flat: a streamed replay is bit-identical to the oracle for every
+    /// policy, with and without per-server pricing, fault-free and under
+    /// flaky links with retries.
     #[test]
-    fn streamed_matches_reference_across_chunk_sizes(
+    fn streamed_matches_reference(
         seed in any::<u64>(),
         servers in 1u32..4,
-        chunk in prop_oneof![Just(1usize), 2usize..64, Just(10_000usize)],
+        fault_seed in any::<u64>(),
     ) {
         let (trace, objects, stats) = smoke(seed, servers, 120);
+        let file = TraceFile::write(&trace, &format!("flat-{seed}"));
         let network = PerServerMultipliers::new(
             (0..servers).map(|s| 1.0 + s as f64).collect(),
         ).unwrap();
-        for kind in ALL_POLICIES {
-            for net in [None, Some(&network)] {
-                let reference = reference_flat(&trace, &objects, &stats, kind, seed, net, None);
-                let streamed = streamed_flat(
-                    &trace, &objects, &stats, kind, seed, net, None, chunk,
-                );
-                prop_assert_eq!(
-                    &reference, &streamed,
-                    "{:?} diverged (chunk {}, network {})", kind, chunk, net.is_some()
-                );
-            }
-        }
-    }
-
-    /// Claim 2, flat: parallel sharded replay is bit-identical to the
-    /// same sharded policy driven sequentially, for every policy and
-    /// shard count, fault-free and under flaky links with retries.
-    #[test]
-    fn sharded_matches_sequential_sharded_reference(
-        seed in any::<u64>(),
-        shards in 1usize..5,
-        chunk in 1usize..48,
-        fault_seed in any::<u64>(),
-        faulty in any::<bool>(),
-    ) {
-        let (trace, objects, stats) = smoke(seed, 3, 120);
-        let network = PerServerMultipliers::new(vec![1.0, 2.5, 0.5]).unwrap();
         let flaky = FlakyLinks::new(fault_seed, 0.15, 0.1, 4.0);
-        let faults: Faults<'_> = faulty.then_some((
+        let faulted: Faults<'_> = Some((
             &flaky as &dyn FaultModel,
             RetryPolicy::new(2, 2),
             DegradationPolicy::ServeStale,
         ));
         for kind in ALL_POLICIES {
-            let reference = sharded_reference_flat(
-                &trace, &objects, &stats, kind, seed, shards, Some(&network), faults,
-            );
-            let parallel = sharded_parallel_flat(
-                &trace, &objects, &stats, kind, seed, shards, Some(&network), faults, chunk,
-            );
-            prop_assert_eq!(
-                &reference, &parallel,
-                "{:?} diverged ({} shards, chunk {}, faults {})", kind, shards, chunk, faulty
-            );
-            prop_assert!(parallel.conserves_delivery(), "{kind:?} conservation");
+            for net in [&Uniform as &dyn NetworkModel, &network] {
+                for faults in [None, faulted] {
+                    let reference =
+                        reference_flat(&trace, &objects, &stats, kind, seed, net, faults);
+                    let streamed =
+                        streamed_flat(&file, &objects, &stats, kind, seed, net, faults);
+                    prop_assert_eq!(
+                        &reference, &streamed,
+                        "{:?} diverged (faults {})", kind, faults.is_some()
+                    );
+                }
+            }
         }
     }
 
-    /// Both claims on a two-tier topology: streamed tiered replay
-    /// matches the tiered reference, and parallel sharded tiers match
-    /// the same per-tier sharded policies driven sequentially.
+    /// Two-tier: a streamed tiered replay matches the tiered oracle for
+    /// every policy.
     #[test]
-    fn tiered_streaming_and_sharding_match_references(
-        seed in any::<u64>(),
-        shards in 1usize..4,
-        chunk in 1usize..48,
-    ) {
+    fn tiered_streaming_matches_reference(seed in any::<u64>()) {
         let (trace, objects, stats) = smoke(seed, 2, 100);
+        let file = TraceFile::write(&trace, &format!("tiered-{seed}"));
         let topo = Topology::two_tier(
             0.25,
             Box::new(PerServerMultipliers::new(vec![1.0, 3.0]).unwrap()),
@@ -247,62 +174,26 @@ proptest! {
             .map(|spec| objects.total_size().scale(0.25 * spec.capacity_scale))
             .collect();
         for kind in ALL_POLICIES {
-            let run_tiered = |streaming: bool| {
-                let mut tiers: Vec<_> = capacities
-                    .iter()
-                    .map(|&cap| build_policy(kind, cap, &stats.demands, seed))
-                    .collect();
-                let mut session = ReplaySession::new(&trace, &objects)
-                    .topology(&topo)
-                    .chunk_size(chunk)
-                    .unaudited();
-                if streaming {
-                    session = session.streaming();
-                }
-                for p in tiers.iter_mut() {
-                    session = session.tier_policy(p.as_mut());
-                }
-                session.run().unwrap().report
-            };
-            let reference = run_tiered(false);
-            let streamed = run_tiered(true);
-            prop_assert_eq!(
-                &reference, &streamed,
-                "{:?} tiered streaming diverged (chunk {})", kind, chunk
-            );
-
-            let plan = ShardPlan::new(shards, objects.len());
-            let build_tiers = || -> Vec<_> {
+            let build = || -> Vec<_> {
                 capacities
                     .iter()
-                    .map(|&cap| build_sharded(kind, plan, cap, &stats.demands, seed).unwrap())
+                    .map(|&cap| build_policy(kind, cap, &stats.demands, seed))
                     .collect()
             };
-            let mut seq_tiers = build_tiers();
-            let seq = {
-                let mut session = ReplaySession::new(&trace, &objects)
-                    .topology(&topo)
-                    .unaudited();
-                for p in seq_tiers.iter_mut() {
-                    session = session.tier_policy(p);
-                }
-                session.run().unwrap().report
-            };
-            let mut par_tiers = build_tiers();
-            let par = {
-                let mut session = ReplaySession::new(&trace, &objects)
-                    .topology(&topo)
-                    .chunk_size(chunk)
-                    .unaudited();
-                for s in par_tiers.iter_mut() {
-                    session = session.shards(s);
-                }
-                session.run().unwrap().report
-            };
-            prop_assert_eq!(
-                &seq, &par,
-                "{:?} tiered sharding diverged ({} shards, chunk {})", kind, shards, chunk
-            );
+            let mut tiers = build();
+            let mut refs: Vec<&mut dyn CachePolicy> =
+                tiers.iter_mut().map(|p| p.as_mut() as &mut dyn CachePolicy).collect();
+            let reference = oracle::tiered_report(&trace, &objects, &topo, &mut refs, None);
+            let mut tiers = build();
+            let mut reader = file.reader();
+            let mut session = ReplaySession::from_reader(&mut reader, &objects)
+                .topology(&topo)
+                .unaudited();
+            for p in tiers.iter_mut() {
+                session = session.tier_policy(p.as_mut());
+            }
+            let streamed = session.run().unwrap().report;
+            prop_assert_eq!(&reference, &streamed, "{:?} tiered streaming diverged", kind);
         }
     }
 }
@@ -313,156 +204,47 @@ proptest! {
 #[test]
 fn reader_replay_matches_in_memory_replay() {
     let (trace, objects, stats) = smoke(23, 2, 150);
-    let mut path = std::env::temp_dir();
-    path.push(format!("byc-streamed-eq-{}.jsonl", std::process::id()));
-    byc_workload::io::write_trace(&trace, &path).unwrap();
-
+    let file = TraceFile::write(&trace, "reader");
     let network = PerServerMultipliers::new(vec![1.0, 2.0]).unwrap();
     for kind in [
         PolicyKind::RateProfile,
         PolicyKind::Gds,
         PolicyKind::SpaceEffBY,
     ] {
-        let reference = reference_flat(&trace, &objects, &stats, kind, 23, Some(&network), None);
+        let reference = reference_flat(&trace, &objects, &stats, kind, 23, &network, None);
+        let streamed = streamed_flat(&file, &objects, &stats, kind, 23, &network, None);
+        assert_eq!(reference, streamed, "{kind:?} diverged through the reader");
 
         let capacity = objects.total_size().scale(0.25);
         let mut policy = build_policy(kind, capacity, &stats.demands, 23);
-        let mut reader = TraceReader::open(&path).unwrap();
-        let streamed = ReplaySession::from_reader(&mut reader, &objects)
+        let resident = ReplaySession::new(&trace, &objects)
             .policy(policy.as_mut())
             .network(&network)
-            .chunk_size(13)
             .unaudited()
             .run()
             .unwrap()
             .report;
-        assert_eq!(reference, streamed, "{kind:?} diverged through the reader");
-
-        // Sharded straight off the reader, too.
-        let plan = ShardPlan::new(3, objects.len());
-        let mut sharded = build_sharded(kind, plan, capacity, &stats.demands, 23).unwrap();
-        let mut reader = TraceReader::open(&path).unwrap();
-        let parallel = ReplaySession::from_reader(&mut reader, &objects)
-            .shards(&mut sharded)
-            .network(&network)
-            .chunk_size(13)
-            .unaudited()
-            .run()
-            .unwrap()
-            .report;
-        let expected =
-            sharded_reference_flat(&trace, &objects, &stats, kind, 23, 3, Some(&network), None);
-        assert_eq!(
-            expected, parallel,
-            "{kind:?} sharded reader replay diverged"
-        );
+        assert_eq!(resident, streamed, "{kind:?} resident != streamed");
     }
-    std::fs::remove_file(&path).ok();
 }
 
-/// Chunk-size edge cases: one query per chunk, one chunk swallowing the
-/// whole trace, and the empty trace.
+/// Chunk-size edges: the empty trace, one query, and traces one short
+/// of, exactly at, and one past a chunk boundary of the reader.
 #[test]
 fn chunk_size_edges_replay_identically() {
-    let (trace, objects, stats) = smoke(31, 1, 60);
-    let reference = reference_flat(
-        &trace,
-        &objects,
-        &stats,
-        PolicyKind::RateProfile,
-        31,
-        None,
-        None,
-    );
-    for chunk in [1, trace.len() + 1_000] {
-        let streamed = streamed_flat(
-            &trace,
-            &objects,
-            &stats,
-            PolicyKind::RateProfile,
-            31,
-            None,
-            None,
-            chunk,
-        );
-        assert_eq!(reference, streamed, "chunk {chunk} diverged");
+    let (trace, objects, stats) = smoke(31, 1, 1025);
+    for len in [0, 1, 1023, 1024, 1025] {
+        let prefix = Trace {
+            name: trace.name.clone(),
+            seed: trace.seed,
+            queries: trace.queries[..len].to_vec(),
+        };
+        let file = TraceFile::write(&prefix, &format!("edge-{len}"));
+        let kind = PolicyKind::RateProfile;
+        let reference = reference_flat(&prefix, &objects, &stats, kind, 31, &Uniform, None);
+        let streamed = streamed_flat(&file, &objects, &stats, kind, 31, &Uniform, None);
+        assert_eq!(reference, streamed, "{len} queries diverged");
+        assert_eq!(streamed.queries, len);
+        assert!(streamed.conserves_delivery());
     }
-
-    let empty = Trace {
-        name: "empty".into(),
-        seed: 0,
-        queries: Vec::new(),
-    };
-    let empty_stats = WorkloadStats::compute(&empty, &objects);
-    let report = streamed_flat(
-        &empty,
-        &objects,
-        &empty_stats,
-        PolicyKind::Gds,
-        0,
-        None,
-        None,
-        8,
-    );
-    assert_eq!(report.queries, 0);
-    assert_eq!(report.total_cost(), byc_types::Bytes::ZERO);
-    assert!(report.conserves_delivery());
-}
-
-/// An observer that only counts accesses and reports one warning, to
-/// prove per-shard warnings all surface.
-struct CountingObserver {
-    shard: usize,
-    accesses: u64,
-}
-
-impl Observer for CountingObserver {
-    fn on_access(&mut self, _event: &CostEvent<'_>) {
-        self.accesses += 1;
-    }
-
-    fn warnings(&mut self) -> Vec<String> {
-        vec![format!(
-            "shard {} saw {} accesses",
-            self.shard, self.accesses
-        )]
-    }
-}
-
-/// Every shard's observer warnings aggregate into the replay — not just
-/// the first shard's — in shard order.
-#[test]
-fn per_shard_warnings_aggregate_across_all_shards() {
-    let (trace, objects, stats) = smoke(41, 1, 120);
-    let shards = 3;
-    let plan = ShardPlan::new(shards, objects.len());
-    let capacity = objects.total_size().scale(0.25);
-    let mut sharded = build_sharded(PolicyKind::Gds, plan, capacity, &stats.demands, 41).unwrap();
-    let make = |shard: usize| -> Box<dyn Observer + Send + '_> {
-        Box::new(CountingObserver { shard, accesses: 0 })
-    };
-    let replay = ReplaySession::new(&trace, &objects)
-        .shards(&mut sharded)
-        .shard_observe(&make)
-        .unaudited()
-        .run()
-        .unwrap();
-    assert_eq!(replay.warnings.len(), shards, "{:?}", replay.warnings);
-    for (shard, warning) in replay.warnings.iter().enumerate() {
-        assert!(
-            warning.starts_with(&format!("shard {shard} saw ")),
-            "warnings out of shard order: {:?}",
-            replay.warnings
-        );
-    }
-    // The shards together saw every slice exactly once.
-    let total: u64 = replay
-        .warnings
-        .iter()
-        .filter_map(|w| w.rsplit(' ').nth(1).and_then(|n| n.parse::<u64>().ok()))
-        .sum();
-    assert_eq!(
-        total,
-        replay.report.hits + replay.report.bypasses + replay.report.loads
-    );
 }

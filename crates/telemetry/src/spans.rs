@@ -17,8 +17,8 @@
 //! of queries (so a 100M-query replay yields a bounded tree, not 100M
 //! spans), and per-tier resolve summaries on tiered topologies. It
 //! reports [`Observer::wants_accesses`]` == false` unless tier detail
-//! was requested, so the compiled hot path ticks spans at query
-//! boundaries without any per-slice dispatch.
+//! was requested, so the replay kernel ticks spans at query boundaries
+//! without any per-slice dispatch.
 
 use byc_core::policy::CachePolicy;
 use byc_federation::{CostEvent, Observer};

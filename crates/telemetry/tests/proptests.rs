@@ -227,37 +227,44 @@ proptest! {
     }
 }
 
-/// Windowed telemetry is chunking-invariant: a streamed replay whose
-/// chunk boundaries straddle the window boundaries emits the same
-/// window snapshots — same tiling, same sums — as the in-memory replay.
+/// Windowed telemetry is chunking-invariant: a replay streamed off disk
+/// — its queries parsed a chunk at a time, the chunk boundary falling
+/// mid-window — emits the same window snapshots, same tiling, same sums,
+/// as the in-memory replay.
 #[test]
 fn windows_are_identical_across_streamed_chunk_boundaries() {
     use byc_federation::ReplaySession;
     use byc_telemetry::WindowedRegistry;
+    use byc_workload::TraceReader;
 
     let catalog = sdss::build(SdssRelease::Edr, 1e-4, 2);
-    let trace = generate(&catalog, &WorkloadConfig::smoke(19, 150)).unwrap();
+    // Longer than one reader chunk (1024 queries), so the stream
+    // crosses a chunk boundary inside the 1000..1100 window.
+    let trace = generate(&catalog, &WorkloadConfig::smoke(19, 1100)).unwrap();
     let objects = ObjectCatalog::uniform(&catalog, Granularity::Column);
     let stats = WorkloadStats::compute(&trace, &objects);
     let capacity = objects.total_size().scale(0.25);
+    let path = std::env::temp_dir().join(format!("byc-windows-{}.jsonl", std::process::id()));
+    byc_workload::io::write_trace(&trace, &path).unwrap();
     for kind in [PolicyKind::RateProfile, PolicyKind::Gds] {
-        let run = |chunk: Option<usize>| {
+        let run = |streamed: bool| {
             let mut policy = build_policy(kind, capacity, &stats.demands, 19);
-            let mut windows = WindowedRegistry::new(kind.label(), 32);
-            let mut session = ReplaySession::new(&trace, &objects)
+            let mut windows = WindowedRegistry::new(kind.label(), 100);
+            let mut reader = TraceReader::open(&path).unwrap();
+            let session = match streamed {
+                true => ReplaySession::from_reader(&mut reader, &objects),
+                false => ReplaySession::new(&trace, &objects),
+            };
+            session
                 .policy(policy.as_mut())
-                .observe(&mut windows);
-            if let Some(c) = chunk {
-                session = session.streaming().chunk_size(c);
-            }
-            session.run().unwrap();
+                .observe(&mut windows)
+                .run()
+                .unwrap();
             windows.into_snapshots()
         };
-        let resident = run(None);
-        // 13 and 33 put chunk boundaries mid-window; 32 aligns them;
-        // 1000 swallows the trace whole.
-        for chunk in [1usize, 13, 32, 33, 1000] {
-            assert_eq!(resident, run(Some(chunk)), "{kind:?} chunk {chunk}");
-        }
+        let resident = run(false);
+        assert_eq!(resident.len(), 11);
+        assert_eq!(resident, run(true), "{kind:?}");
     }
+    std::fs::remove_file(&path).ok();
 }

@@ -123,13 +123,9 @@ fn cli_gen_and_run_compose() {
         retry: 1,
         fault_seed: None,
         degrade: "stale".into(),
-        compiled: false,
         trace_spans: None,
         metrics_every: None,
         flight_recorder: None,
-        streaming: false,
-        chunk_size: None,
-        shards: None,
     };
     let out = byc_cli::commands::run_command(run).unwrap();
     assert!(out.contains("GDS"), "{out}");
