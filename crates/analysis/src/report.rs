@@ -1,10 +1,11 @@
 //! Paper-style report rendering and CSV export.
 
-use byc_federation::{CostReport, QueryWindow, SeriesPoint, ServerCosts, SweepPoint};
-use byc_types::Result;
+use byc_federation::{CostReport, QueryWindow, SeriesPoint, SweepPoint};
+use byc_types::{Result, ServerId};
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{BufWriter, Write};
+use std::ops::Range;
 use std::path::Path;
 
 /// Render cost reports in the layout of the paper's Tables 1–2:
@@ -65,10 +66,11 @@ fn gb(bytes: f64) -> f64 {
 
 /// Render a per-server WAN breakdown (the BYHR view): one row per
 /// back-end server with delivered / bypass / fetch / WAN traffic in GB,
-/// plus a totals row. `delivered` is raw result bytes; `bypass` and
-/// `fetch` are network-priced, so on non-uniform federations the rows
-/// show which links actually carry the cost.
-pub fn render_server_table(title: &str, servers: &[ServerCosts]) -> String {
+/// plus a totals row merging every server. `delivered` is raw result
+/// bytes; `bypass` and `fetch` are network-priced, so on non-uniform
+/// federations the rows show which links actually carry the cost. Rows
+/// come from a [`Breakdown`](byc_federation::Breakdown)'s server view.
+pub fn render_server_table(title: &str, servers: &[(ServerId, QueryWindow)]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{title}");
     let _ = writeln!(
@@ -84,43 +86,26 @@ pub fn render_server_table(title: &str, servers: &[ServerCosts]) -> String {
         "Loads"
     );
     let _ = writeln!(out, "{}", "-".repeat(90));
-    let mut total = ServerCosts::default();
-    for s in servers {
+    let mut total = QueryWindow::default();
+    let mut row = |label: String, w: &QueryWindow| {
         let _ = writeln!(
             out,
             "{:<8} {:>14.2} {:>12.2} {:>12.2} {:>12.2} {:>9} {:>9} {:>7}",
-            format!("S{}", s.server.raw()),
-            gb(s.delivered.as_f64()),
-            gb(s.bypass_cost.as_f64()),
-            gb(s.fetch_cost.as_f64()),
-            gb(s.wan_cost().as_f64()),
-            s.hits,
-            s.bypasses,
-            s.loads,
+            label,
+            gb(w.delivered.as_f64()),
+            gb(w.bypass_cost.as_f64()),
+            gb(w.fetch_cost.as_f64()),
+            gb(w.wan_cost().as_f64()),
+            w.hits,
+            w.bypasses,
+            w.loads,
         );
-        total.delivered += s.delivered;
-        total.bypass_served += s.bypass_served;
-        total.bypass_cost += s.bypass_cost;
-        total.fetch_cost += s.fetch_cost;
-        total.cache_served += s.cache_served;
-        total.retried_bytes += s.retried_bytes;
-        total.failed_bytes += s.failed_bytes;
-        total.hits += s.hits;
-        total.bypasses += s.bypasses;
-        total.loads += s.loads;
+    };
+    for (server, w) in servers {
+        total.merge(w);
+        row(format!("S{}", server.raw()), w);
     }
-    let _ = writeln!(
-        out,
-        "{:<8} {:>14.2} {:>12.2} {:>12.2} {:>12.2} {:>9} {:>9} {:>7}",
-        "total",
-        gb(total.delivered.as_f64()),
-        gb(total.bypass_cost.as_f64()),
-        gb(total.fetch_cost.as_f64()),
-        gb(total.wan_cost().as_f64()),
-        total.hits,
-        total.bypasses,
-        total.loads,
-    );
+    row("total".to_string(), &total);
     out
 }
 
@@ -129,7 +114,7 @@ pub fn render_server_table(title: &str, servers: &[ServerCosts]) -> String {
 /// tier's hit rate, and its WAN cost split — the relay column is the
 /// forwarding traffic the tier's inner link carried for slices resolved
 /// above it. Rows come from a
-/// [`PerTierObserver`](byc_federation::PerTierObserver) zipped with the
+/// [`Breakdown`](byc_federation::Breakdown)'s tier view zipped with the
 /// topology's tier names.
 pub fn render_tier_table(title: &str, tiers: &[(String, QueryWindow)]) -> String {
     let mut out = String::new();
@@ -217,11 +202,12 @@ pub fn render_span_table(title: &str, spans: &[byc_telemetry::Span]) -> String {
 }
 
 /// Render a windowed-telemetry stream as a trajectory table: one row per
-/// [`WindowSnapshot`](byc_telemetry::WindowSnapshot) with the window's
-/// query range, decision mix, hit rate, and WAN cost split, plus a
-/// totals row merging every window. Reads the same snapshots the NDJSON
-/// stream serialises, so the table and the stream cannot disagree.
-pub fn render_window_table(title: &str, snapshots: &[byc_telemetry::WindowSnapshot]) -> String {
+/// window — its query range and counters — with the decision mix, hit
+/// rate, and WAN cost split, plus a totals row merging every window.
+/// Rows come from the same [`Breakdown`](byc_federation::Breakdown)
+/// windows the NDJSON stream serialises, so the table and the stream
+/// cannot disagree.
+pub fn render_window_table(title: &str, windows: &[(Range<usize>, QueryWindow)]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{title}");
     let _ = writeln!(
@@ -261,12 +247,9 @@ pub fn render_window_table(title: &str, snapshots: &[byc_telemetry::WindowSnapsh
             w.degraded_slices,
         );
     };
-    for snapshot in snapshots {
-        total.merge(&snapshot.window);
-        row(
-            format!("{}..{}", snapshot.start, snapshot.end),
-            &snapshot.window,
-        );
+    for (queries, w) in windows {
+        total.merge(w);
+        row(format!("{}..{}", queries.start, queries.end), w);
     }
     row("total".to_string(), &total);
     out
@@ -485,22 +468,22 @@ mod tests {
 
     #[test]
     fn server_table_rows_and_totals() {
-        use byc_types::ServerId;
-        let mut near = ServerCosts::default();
-        near.server = ServerId::new(0);
+        let mut near = QueryWindow::default();
         near.delivered = Bytes::new(2_000_000_000);
         near.bypass_cost = Bytes::new(1_000_000_000);
         near.fetch_cost = Bytes::new(500_000_000);
         near.hits = 3;
         near.bypasses = 4;
         near.loads = 1;
-        let mut far = ServerCosts::default();
-        far.server = ServerId::new(1);
+        let mut far = QueryWindow::default();
         far.delivered = Bytes::new(1_000_000_000);
         far.bypass_cost = Bytes::new(4_000_000_000);
         far.fetch_cost = Bytes::new(0);
         far.bypasses = 2;
-        let table = render_server_table("per-server WAN", &[near, far]);
+        let table = render_server_table(
+            "per-server WAN",
+            &[(ServerId::new(0), near), (ServerId::new(1), far)],
+        );
         assert!(table.contains("per-server WAN"));
         assert!(table.contains("S0"));
         assert!(table.contains("S1"));
@@ -600,7 +583,6 @@ mod tests {
 
     #[test]
     fn window_table_rows_and_totals() {
-        use byc_telemetry::WindowSnapshot;
         let mut early = QueryWindow::default();
         early.hits = 6;
         early.bypasses = 2;
@@ -610,23 +592,8 @@ mod tests {
         late.loads = 2;
         late.fetch_cost = Bytes::new(4_000_000_000);
         late.failed_slices = 3;
-        let snapshots = vec![
-            WindowSnapshot {
-                index: 0,
-                start: 0,
-                end: 256,
-                window: early,
-                ..Default::default()
-            },
-            WindowSnapshot {
-                index: 1,
-                start: 256,
-                end: 500,
-                window: late,
-                ..Default::default()
-            },
-        ];
-        let table = render_window_table("windowed trajectory", &snapshots);
+        let windows = vec![(0..256, early), (256..500, late)];
+        let table = render_window_table("windowed trajectory", &windows);
         assert!(table.contains("windowed trajectory"));
         assert!(table.contains("0..256"));
         assert!(table.contains("256..500"));
@@ -636,7 +603,7 @@ mod tests {
         assert!(table.contains("total"));
         assert!(table.contains("5.00"), "{table}");
         // A window with no decisions renders 0%, not NaN.
-        let empty = render_window_table("t", &[WindowSnapshot::default()]);
+        let empty = render_window_table("t", &[(0..0, QueryWindow::default())]);
         assert!(empty.contains("0.0%"), "{empty}");
     }
 

@@ -65,7 +65,6 @@ pub type EntryPoint = (&'static str, &'static str);
 /// be hours long.
 pub const REPLAY_ENTRY_POINTS: &[EntryPoint] = &[
     ("ReplayEngine", "serve"),
-    ("ReplayEngine", "replay"),
     ("ReplaySession", "run"),
     ("ReplaySession", "sweep"),
     ("Mediator", "serve_trace_query"),

@@ -334,12 +334,12 @@ mod tests {
     fn hash_iteration_via_replay_reachability() {
         let src = "pub struct ReplayEngine { index: std::collections::HashMap<u64, u64> }\n\
                    impl ReplayEngine {\n\
-                       pub fn replay(&self) { for k in self.index.keys() { use_it(k); } }\n\
+                       pub fn serve(&self) { for k in self.index.keys() { use_it(k); } }\n\
                    }";
         let f = analyze(vec![file("engine", "crates/engine/src/replay.rs", src)]).findings;
         assert!(
             f.iter()
-                .any(|f| f.rule == "hash-iter" && f.message.contains("ReplayEngine::replay")),
+                .any(|f| f.rule == "hash-iter" && f.message.contains("ReplayEngine::serve")),
             "{f:?}"
         );
     }

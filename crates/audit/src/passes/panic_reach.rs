@@ -172,7 +172,7 @@ mod tests {
             "engine",
             "crates/engine/src/x.rs",
             "pub struct ReplayEngine;\n\
-             impl ReplayEngine { pub fn replay(&self, n: u64, d: u64) -> u64 { n / d } }",
+             impl ReplayEngine { pub fn serve(&self, n: u64, d: u64) -> u64 { n / d } }",
         );
         let f = analyze(vec![src]).findings;
         assert_eq!(

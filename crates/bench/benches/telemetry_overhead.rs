@@ -1,25 +1,19 @@
 //! Cost of attaching a `TelemetryObserver` to the replay engine.
 //!
-//! Three configurations over the same trace and policy roster:
+//! Two configurations over the same trace and policy roster:
 //!
 //! * **bare** — the engine with only the accounting `CostObserver`, the
-//!   baseline every plain `byc run` pays;
-//! * **disabled** — a `TelemetryObserver` built with
-//!   [`TelemetryObserver::disabled`] rides along; its hot path must be a
-//!   single branch and allocation-free, so this configuration's budget is
-//!   ≤2% over bare;
+//!   baseline every plain `byc run` pays. It is also the disabled path
+//!   of every observer below: telemetry is off by not attaching it;
 //! * **enabled** — full registry accounting plus an NDJSON event log
 //!   written into an in-memory sink, the price of `byc run
 //!   --trace-events --metrics`.
 //!
 //! Three more configurations price the streaming observers one at a
 //! time — **spans** (`--trace-spans`, chunked phase tree, no per-access
-//! dispatch), **windows** (`--metrics-every`, per-window accumulators
-//! into an in-memory sink), and **recorder** (`--flight-recorder`,
-//! bounded per-tier event rings). Their disabled path is the bare
-//! configuration itself: with no observer attached the session takes
-//! the observer-free kernel, so the ≤2% budget is the bare/disabled
-//! gap above.
+//! dispatch), **windows** (`--metrics-every`, a windowed `Breakdown`
+//! streaming into an in-memory sink), and **recorder**
+//! (`--flight-recorder`, bounded per-tier event rings).
 //!
 //! CI builds this bench (`cargo bench --bench telemetry_overhead
 //! --no-run`) so the comparison stays compilable; the timing claim is
@@ -67,23 +61,6 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
                     .total_cost()
             })
         });
-        group.bench_with_input(
-            BenchmarkId::new("disabled", kind.label()),
-            &kind,
-            |b, &kind| {
-                b.iter(|| {
-                    let mut policy = build_policy(kind, capacity, &stats.demands, 29);
-                    let mut telemetry = TelemetryObserver::disabled(kind.label());
-                    ReplaySession::new(&trace, &objects)
-                        .policy(policy.as_mut())
-                        .observe(&mut telemetry)
-                        .run()
-                        .unwrap()
-                        .report
-                        .total_cost()
-                })
-            },
-        );
         group.bench_with_input(
             BenchmarkId::new("enabled", kind.label()),
             &kind,
@@ -138,7 +115,7 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
                         .unwrap()
                         .report
                         .total_cost();
-                    (cost, windows.snapshots().len())
+                    (cost, windows.breakdown().windows().len())
                 })
             },
         );

@@ -8,8 +8,8 @@ use byc_catalog::sdss::{self, SdssRelease};
 use byc_catalog::{Catalog, Granularity, ObjectCatalog};
 use byc_core::rate_profile::{RateProfile, RateProfileConfig};
 use byc_federation::{
-    build_policy, CostObserver, CostReport, Observer, PerServerMultipliers, PerServerObserver,
-    PolicyKind, ReplayEngine, ReplaySession, SeriesPoint, SweepOptions, Uniform,
+    build_policy, Breakdown, CostReport, PerServerMultipliers, PolicyKind, ReplayEngine,
+    ReplaySession, SeriesPoint, SweepOptions, Uniform,
 };
 use byc_types::Result;
 use byc_workload::{generate, Trace, WorkloadConfig, WorkloadStats};
@@ -250,13 +250,14 @@ fn cumulative_fig(
     let mut finals: Vec<(String, f64)> = Vec::new();
     for kind in SERIES_POLICIES {
         let mut policy = build_policy(kind, capacity, &stats.demands, EXPERIMENT_SEED);
-        let replay = ReplaySession::new(trace, &objects)
+        let mut breakdown = Breakdown::every(sample);
+        let report = ReplaySession::new(trace, &objects)
             .policy(policy.as_mut())
-            .series(sample)
-            .run()?;
-        let (report, points) = (replay.report, replay.series);
+            .observe(&mut breakdown)
+            .run()?
+            .report;
         finals.push((kind.label().to_string(), report.total_cost().as_f64() / 1e9));
-        series.push((kind.label().to_string(), points));
+        series.push((kind.label().to_string(), breakdown.series()));
     }
     let path = ctx.artifact(&format!("{id}_{}_series.csv", granularity.label()))?;
     write_series_csv(&path, &series)?;
@@ -582,7 +583,7 @@ pub fn semantic(ctx: &mut ExperimentContext) -> Result<ExperimentOutput> {
 /// [`PerServerMultipliers`] network model; Rate-Profile with true costs
 /// (BYHR-aware) vs behind the uniform-cost assumption (BYU), both
 /// charged true costs by the engine — plus the per-server WAN breakdown
-/// only the engine's [`PerServerObserver`] can see.
+/// only a [`Breakdown`] of the replay can see.
 pub fn byhr(ctx: &mut ExperimentContext) -> Result<ExperimentOutput> {
     let scale = ctx.scale;
     let query_fraction = ctx.query_fraction;
@@ -595,25 +596,25 @@ pub fn byhr(ctx: &mut ExperimentContext) -> Result<ExperimentOutput> {
     let network = PerServerMultipliers::new(vec![1.0, 2.0, 4.0, 8.0])?;
     let objects = ObjectCatalog::uniform(&catalog, Granularity::Column);
     let capacity = objects.total_size().scale(HEADLINE_CACHE_FRACTION);
-    let engine = ReplayEngine::with_network(&objects, &network);
 
-    let replay_on_engine = |policy: &mut dyn byc_core::policy::CachePolicy| {
-        let mut cost = CostObserver::new(policy.name(), &trace.name, objects.granularity().label());
-        let mut per_server = PerServerObserver::new();
-        {
-            let mut observers: Vec<&mut dyn Observer> = vec![&mut cost, &mut per_server];
-            engine.replay(&trace, policy, &mut observers);
-        }
-        (cost.into_report(), per_server.into_costs())
+    let replay_priced = |policy: &mut dyn byc_core::policy::CachePolicy| -> Result<_> {
+        let mut breakdown = Breakdown::new();
+        let report = ReplaySession::new(&trace, &objects)
+            .network(&network)
+            .policy(policy)
+            .observe(&mut breakdown)
+            .run()?
+            .report;
+        Ok((report, breakdown.servers()))
     };
 
     let mut aware = RateProfile::new(capacity, RateProfileConfig::default());
-    let (aware_report, aware_servers) = replay_on_engine(&mut aware);
+    let (aware_report, aware_servers) = replay_priced(&mut aware)?;
     let mut blind = byc_federation::policies::UniformCostAdapter::new(RateProfile::new(
         capacity,
         RateProfileConfig::default(),
     ));
-    let (blind_report, _) = replay_on_engine(&mut blind);
+    let (blind_report, _) = replay_priced(&mut blind)?;
 
     let mut summary = String::new();
     let _ = writeln!(

@@ -7,10 +7,10 @@ use byc_analysis::{
 use byc_catalog::sdss::{self, SdssRelease};
 use byc_catalog::{Granularity, ObjectCatalog};
 use byc_federation::{
-    build_policy, CostEvent, DegradationPolicy, FaultModel, FlakyLinks, FlightRecorder, LinkScoped,
-    NetworkModel, Observer, Outage, OutageWindows, PerServerMultipliers, PerServerObserver,
-    PerTierObserver, PolicyKind, QueryWindow, ReplaySession, RetryPolicy, SweepOptions, Topology,
-    Uniform,
+    build_policy, fault_context, Breakdown, CostEvent, DegradationPolicy, FaultModel, FaultPlan,
+    FlakyLinks, FlightRecorder, LinkScoped, NetworkModel, Observer, Outage, OutageWindows,
+    PerServerMultipliers, PolicyKind, QueryWindow, ReplaySession, RetryPolicy, SweepOptions,
+    Topology, Uniform,
 };
 use byc_telemetry::{
     render_postmortems, window_header, window_record, write_chrome_trace, write_metrics,
@@ -680,6 +680,20 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
                 }),
             }
         };
+    // A u32 flag is refused out of range, never wrapped.
+    let flag_u32 =
+        |flags: &std::collections::HashMap<String, String>, k: &str, default: u64| -> Result<u32> {
+            let v = flag_u64(flags, k, default)?;
+            u32::try_from(v).map_err(|_| {
+                Error::InvalidConfig(format!("--{k} must be at most {}, got {v}", u32::MAX))
+            })
+        };
+    let flag_count =
+        |flags: &std::collections::HashMap<String, String>, k: &str, default: u64| -> Result<u32> {
+            let v = flag_u32(flags, k, default)?;
+            require_positive(Some(u64::from(v)), k)?;
+            Ok(v)
+        };
     let flag_multipliers =
         |flags: &std::collections::HashMap<String, String>| -> Result<Option<Vec<f64>>> {
             match flags.get("cost-multipliers") {
@@ -754,18 +768,18 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
                 cache_fraction: flag_f64(&flags, "cache-fraction", 0.15)?,
                 scale: flag_scale(&flags)?,
                 seed: flag_u64(&flags, "seed", 42)?,
-                servers: flag_u64(&flags, "servers", default_servers)? as u32,
+                servers: flag_count(&flags, "servers", default_servers)?,
                 multipliers,
                 topology: flags.get("topology").cloned(),
                 fault_link: flags
                     .get("fault-link")
-                    .map(|_| flag_u64(&flags, "fault-link", 0).map(|v| v as u32))
+                    .map(|_| flag_u32(&flags, "fault-link", 0))
                     .transpose()?,
                 trace_events: flags.get("trace-events").map(PathBuf::from),
                 metrics: flags.get("metrics").map(PathBuf::from),
                 metrics_format: flag_format(&flags)?,
                 faults: flags.get("faults").cloned(),
-                retry: flag_u64(&flags, "retry", 1)? as u32,
+                retry: flag_count(&flags, "retry", 1)?,
                 fault_seed: flags
                     .get("fault-seed")
                     .map(|_| flag_u64(&flags, "fault-seed", 0))
@@ -796,17 +810,17 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
                     .unwrap_or_else(|| "column".into()),
                 scale: flag_scale(&flags)?,
                 seed: flag_u64(&flags, "seed", 42)?,
-                servers: flag_u64(&flags, "servers", default_servers)? as u32,
+                servers: flag_count(&flags, "servers", default_servers)?,
                 multipliers,
                 topology: flags.get("topology").cloned(),
                 fault_link: flags
                     .get("fault-link")
-                    .map(|_| flag_u64(&flags, "fault-link", 0).map(|v| v as u32))
+                    .map(|_| flag_u32(&flags, "fault-link", 0))
                     .transpose()?,
                 metrics: flags.get("metrics").map(PathBuf::from),
                 metrics_format: flag_format(&flags)?,
                 faults: flags.get("faults").cloned(),
-                retry: flag_u64(&flags, "retry", 1)? as u32,
+                retry: flag_count(&flags, "retry", 1)?,
                 fault_seed: flags
                     .get("fault-seed")
                     .map(|_| flag_u64(&flags, "fault-seed", 0))
@@ -837,9 +851,10 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
     }
 }
 
-/// Both `--metrics-every` and `--flight-recorder` are counts of queries
-/// or events; zero would mean "window after no queries" / "remember no
-/// events", so reject it at the door instead of silently clamping.
+/// `--metrics-every`, `--flight-recorder`, `--servers` and `--retry` are
+/// counts of queries, events, servers and attempts; zero would mean
+/// "window after no queries" / "remember no events" / "no server" / "no
+/// attempt", so reject it at the door instead of silently clamping.
 fn require_positive(value: Option<u64>, flag: &str) -> Result<()> {
     if value == Some(0) {
         return Err(Error::InvalidConfig(format!("--{flag} must be positive")));
@@ -909,25 +924,6 @@ impl Observer for SweepObserver {
             out.extend(obs.warnings());
         }
         out
-    }
-}
-
-/// The fault-context line stamped into flight-recorder postmortems:
-/// mirrors the one [`ReplaySession`] builds for `run` so postmortems
-/// read the same whichever path attached the recorder.
-fn fault_context(
-    model: Option<&dyn FaultModel>,
-    retry: u32,
-    degradation: DegradationPolicy,
-) -> String {
-    match model {
-        Some(m) => format!(
-            "{}; retry up to {}; on exhaustion {}",
-            m.describe(),
-            retry,
-            degradation.label()
-        ),
-        None => "no fault layer".to_string(),
     }
 }
 
@@ -1085,9 +1081,8 @@ pub fn run_command(command: Command) -> Result<String> {
             // the session's borrows of the policies outlive the replay.
             let mut tier_policies: Vec<Box<dyn byc_core::policy::CachePolicy + Send + Sync>>;
             let mut tally = YieldTally::default();
-            let (replay, server_costs, tier_windows) = {
-                let mut per_server = PerServerObserver::new();
-                let mut per_tier = PerTierObserver::new();
+            let mut breakdown = Breakdown::new();
+            let replay = {
                 let mut session = match (reader.as_mut(), resident.as_ref()) {
                     (Some(reader), _) => {
                         ReplaySession::from_reader(reader, &objects).observe(&mut tally)
@@ -1096,7 +1091,7 @@ pub fn run_command(command: Command) -> Result<String> {
                     // Unreachable: a trace is either streamed or resident.
                     (None, None) => return Err(Error::InvalidConfig("no trace input".into())),
                 };
-                session = session.observe(&mut per_server);
+                session = session.observe(&mut breakdown);
                 match &topology {
                     Some(topo) => {
                         // One independent policy instance per tier; each
@@ -1116,7 +1111,7 @@ pub fn run_command(command: Command) -> Result<String> {
                                 )
                             })
                             .collect();
-                        session = session.topology(topo).observe(&mut per_tier);
+                        session = session.topology(topo);
                         for p in tier_policies.iter_mut() {
                             session = session.tier_policy(p.as_mut());
                         }
@@ -1144,8 +1139,7 @@ pub fn run_command(command: Command) -> Result<String> {
                 if let Some(depth) = flight_recorder {
                     session = session.flight_recorder(depth);
                 }
-                let replay = session.run()?;
-                (replay, per_server.into_costs(), per_tier.into_windows())
+                session.run()?
             };
             // A streamed file only reveals its whole mean yield once
             // replayed; a refused run leaves no decision log behind.
@@ -1211,7 +1205,7 @@ pub fn run_command(command: Command) -> Result<String> {
                 // Tiers the walk never reached still get a (zero) row, so
                 // the table always shows the whole hierarchy.
                 let mut windows = vec![QueryWindow::default(); topo.depth()];
-                for (t, w) in tier_windows {
+                for (t, w) in breakdown.tiers() {
                     if let Some(slot) = windows.get_mut(t as usize) {
                         *slot = w;
                     }
@@ -1232,14 +1226,15 @@ pub fn run_command(command: Command) -> Result<String> {
                     )
                 );
             }
-            if server_costs.len() > 1 {
+            let servers = breakdown.servers();
+            if servers.len() > 1 {
                 let _ = writeln!(out);
                 let _ = write!(
                     out,
                     "{}",
                     render_server_table(
                         &format!("per-server WAN breakdown ({} pricing)", network.name()),
-                        &server_costs,
+                        &servers,
                     )
                 );
             }
@@ -1273,6 +1268,11 @@ pub fn run_command(command: Command) -> Result<String> {
                 );
             }
             if let Some(reg) = window_reg {
+                let windows = reg.breakdown().windows();
+                let rows: Vec<_> = windows
+                    .iter()
+                    .map(|w| (w.queries.clone(), w.total()))
+                    .collect();
                 let _ = writeln!(out);
                 let _ = write!(
                     out,
@@ -1282,7 +1282,7 @@ pub fn run_command(command: Command) -> Result<String> {
                             "windowed telemetry (every {} queries; NDJSON on stderr)",
                             reg.every()
                         ),
-                        reg.snapshots(),
+                        &rows,
                     )
                 );
             }
@@ -1391,7 +1391,11 @@ pub fn run_command(command: Command) -> Result<String> {
             // notes) accumulated while decomposing the observers.
             let mut extra = String::new();
             let points = if observing {
-                let context = fault_context(fault_model.as_deref(), retry, degradation);
+                let context = fault_context(fault_model.as_deref().map(|model| FaultPlan {
+                    model,
+                    retry: RetryPolicy::new(retry, RETRY_BACKOFF_BASE),
+                    degradation,
+                }));
                 // One span-trace thread lane per job: lane 0 is reserved
                 // for `run`'s pipeline lane, jobs start at 1, in grid
                 // order.
@@ -1444,8 +1448,8 @@ pub fn run_command(command: Command) -> Result<String> {
                         // records stay deterministic instead of
                         // interleaving across worker threads.
                         eprintln!("{}", window_header(w.policy(), w.every()));
-                        for snapshot in w.snapshots() {
-                            eprintln!("{}", window_record(snapshot));
+                        for (i, window) in w.breakdown().windows().iter().enumerate() {
+                            eprintln!("{}", window_record(i, window));
                         }
                     }
                     if let Some(r) = observer.recorder {
@@ -2717,5 +2721,53 @@ mod tests {
                 assert!(err.to_string().contains("unknown flag"), "{argv:?}: {err}");
             }
         }
+    }
+
+    /// `run` and `sweep` refuse each of `values` for `flag`, naming the
+    /// flag, instead of wrapping or clamping it.
+    fn assert_u32_flag_rejected(flag: &str, values: &[&str]) {
+        for sub in [
+            &["run", "edr", "--policy", "gds"][..],
+            &["sweep", "edr"][..],
+        ] {
+            for value in values {
+                let mut argv = sub.to_vec();
+                argv.extend([flag, value]);
+                let err = parse_args(&args(&argv)).unwrap_err();
+                assert!(
+                    matches!(err, Error::InvalidConfig(_)) && err.to_string().contains(flag),
+                    "{argv:?}: {err}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn servers_flag_rejects_zero_and_out_of_range() {
+        // 2^32 + 1 would wrap to one server through a plain cast.
+        assert_u32_flag_rejected("--servers", &["0", "4294967297"]);
+    }
+
+    #[test]
+    fn retry_flag_rejects_zero_and_out_of_range() {
+        // 2^32 + 2 would wrap to two attempts through a plain cast.
+        assert_u32_flag_rejected("--retry", &["0", "4294967298"]);
+    }
+
+    #[test]
+    fn fault_link_flag_rejects_out_of_range() {
+        // 2^32 would wrap to link 0; link 0 itself is a valid scope.
+        assert_u32_flag_rejected("--fault-link", &["4294967296"]);
+        let cmd = parse_args(&args(&["sweep", "edr", "--fault-link", "0"])).unwrap();
+        assert!(
+            matches!(
+                cmd,
+                Command::Sweep {
+                    fault_link: Some(0),
+                    ..
+                }
+            ),
+            "{cmd:?}"
+        );
     }
 }

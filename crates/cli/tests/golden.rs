@@ -201,3 +201,22 @@ fn sweep_outputs_match_golden() {
         "sweep_three_tier.metrics.json",
     );
 }
+
+/// The per-server table's `total` row is the whole replay's WAN: on a
+/// tiered multi-server run it carries the inner link's relay traffic
+/// too, so it equals the report's `Total (GB)`.
+#[test]
+fn tiered_server_table_total_matches_report_total() {
+    let dir = Workdir::new("relay");
+    let run = ["run", "trace.jsonl", "--policy", "rate-profile"];
+    let out = dir.byc(&argv(&run, &["--servers", "3", "--topology", "two-tier"]));
+    // The report row ends in `Total (GB)`; the server table's total row
+    // reads `total DELIVERED BYPASS FETCH WAN HITS BYPASSES LOADS`.
+    let report_row = out.lines().find(|l| l.starts_with("Set 1"));
+    let report_total = report_row.and_then(|l| l.split_whitespace().last());
+    let servers = out.split("per-server WAN breakdown").nth(1).unwrap_or("");
+    let server_row = servers.lines().find(|l| l.starts_with("total"));
+    let server_total = server_row.and_then(|l| l.split_whitespace().nth(4));
+    assert!(report_total.is_some(), "{out}");
+    assert_eq!(server_total, report_total, "{out}");
+}

@@ -23,11 +23,14 @@
 //! Everything downstream is an [`Observer`] composition:
 //!
 //! * [`CostObserver`] — accumulates a [`CostReport`] (Tables 1–2);
-//! * [`SeriesObserver`] — samples the cumulative-cost curves (Figs 7–8);
+//! * [`Breakdown`] — folds the same ledger by `(window, tier, server)`;
+//!   its views are the per-[`ServerId`] rows of the heterogeneous-network
+//!   (BYHR) view, per-tier rows, per-window totals, and the
+//!   cumulative-cost curves of Figs 7–8;
 //! * [`AuditObserver`] — validates the decision stream with a
 //!   [`DecisionAuditor`] shadow model;
-//! * [`PerServerObserver`] — per-[`ServerId`] `D_S`/`D_L`/`D_C`
-//!   breakdown for heterogeneous-network experiments.
+//! * [`FlightRecorder`] — keeps the last events per tier and snapshots
+//!   them into a [`Postmortem`] when a query fails or degrades.
 //!
 //! [`Mediator`]: crate::mediator::Mediator
 
@@ -40,9 +43,10 @@ use byc_core::access::Access;
 use byc_core::audit::{AuditReport, DecisionAuditor};
 use byc_core::policy::{CachePolicy, Decision};
 use byc_types::{Bytes, ObjectId, ServerId, Tick};
-use byc_workload::{Trace, TraceQuery};
+use byc_workload::TraceQuery;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Range;
 
 /// The cost consequences of serving one object slice of one query at one
 /// caching tier — what the kernel emits to every observer.
@@ -473,8 +477,8 @@ impl<'a> ReplayEngine<'a> {
     /// on every observer, the kernel ([`Self::serve`]) with its events
     /// going to the first `access_count` observers — the prefix
     /// [`partition_access_observers`] leaves wanting accesses — then
-    /// `on_query_end`. Sessions, [`Self::replay`] and the mediator all
-    /// serve their queries through here.
+    /// `on_query_end`. Sessions and the mediator serve their queries
+    /// through here.
     pub(crate) fn serve_query(
         &self,
         index: usize,
@@ -757,43 +761,13 @@ impl<'a> ReplayEngine<'a> {
             obs.on_query_end(index, query);
         }
     }
-
-    /// Replay a whole trace through one policy on a flat engine: every
-    /// query through the kernel (the query index is the policy clock),
-    /// then `finish` on every observer with the policy attached.
-    pub fn replay(
-        &self,
-        trace: &Trace,
-        policy: &mut dyn CachePolicy,
-        observers: &mut [&mut dyn Observer],
-    ) {
-        let access_count = partition_access_observers(observers);
-        let mut window = QueryWindow::default();
-        let mut tiers = [policy];
-        for (index, query) in trace.queries.iter().enumerate() {
-            self.serve_query(
-                index,
-                query,
-                &mut tiers,
-                &mut window,
-                observers,
-                access_count,
-            );
-        }
-        let [policy] = tiers;
-        let policy: &dyn CachePolicy = policy;
-        for obs in observers.iter_mut() {
-            obs.finish(Some(policy));
-        }
-    }
 }
 
 /// The shared per-window accumulation every byte-summing observer runs:
 /// one field-by-field absorption of a [`CostEvent`] stream over some
-/// window (a whole replay, one query, one server, one metric series).
+/// window (a whole replay, one [`Breakdown`] cell, one metric series).
 ///
-/// [`CostObserver`], [`SeriesObserver`], and [`PerServerObserver`] each
-/// used to carry their own copy of this `+=` block; they now all absorb
+/// [`CostObserver`], [`Breakdown`] and the telemetry registry all absorb
 /// through here, so a new [`CostEvent`] field has exactly one place to be
 /// threaded into the accounting.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -854,7 +828,7 @@ impl QueryWindow {
         self.degraded_slices += event.degraded;
     }
 
-    /// Fold another window into this one (registry merging).
+    /// Fold another window into this one (rows, totals, registries).
     pub fn merge(&mut self, other: &QueryWindow) {
         self.delivered += other.delivered;
         self.bypass_served += other.bypass_served;
@@ -977,60 +951,6 @@ impl Observer for CostObserver {
     }
 }
 
-/// Samples the cumulative WAN cost every `sample_every` queries, plus the
-/// final query (Figs 7–8).
-#[derive(Clone, Debug)]
-pub struct SeriesObserver {
-    every: usize,
-    window: QueryWindow,
-    seen: usize,
-    series: Vec<SeriesPoint>,
-}
-
-impl SeriesObserver {
-    /// Sample every `sample_every` queries (clamped to at least 1).
-    pub fn new(sample_every: usize) -> Self {
-        SeriesObserver {
-            every: sample_every.max(1),
-            window: QueryWindow::default(),
-            seen: 0,
-            series: Vec::new(),
-        }
-    }
-
-    /// Take the sampled series.
-    pub fn into_series(self) -> Vec<SeriesPoint> {
-        self.series
-    }
-}
-
-impl Observer for SeriesObserver {
-    fn on_access(&mut self, event: &CostEvent<'_>) {
-        self.window.absorb(event);
-    }
-
-    fn on_query_end(&mut self, index: usize, _query: &TraceQuery) {
-        self.seen = index + 1;
-        if (index + 1).is_multiple_of(self.every) {
-            self.series.push(SeriesPoint {
-                query: index + 1,
-                cumulative_cost: self.window.wan_cost(),
-            });
-        }
-    }
-
-    fn finish(&mut self, _policy: Option<&dyn CachePolicy>) {
-        // The final query is always a sample point, even off-stride.
-        let already = self.series.last().is_some_and(|p| p.query == self.seen);
-        if self.seen > 0 && !already {
-            self.series.push(SeriesPoint {
-                query: self.seen,
-                cumulative_cost: self.window.wan_cost(),
-            });
-        }
-    }
-}
-
 /// Validates the decision stream with a [`DecisionAuditor`] shadow model.
 ///
 /// Every replay calls `finish` with the (tier's) policy, which runs the
@@ -1098,116 +1018,151 @@ impl Observer for AuditObserver {
     }
 }
 
-/// One server's share of a replay's delivery and WAN traffic.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ServerCosts {
-    /// The back-end server.
-    pub server: ServerId,
-    /// Raw result bytes delivered from this server's objects (`D_A` share).
-    pub delivered: Bytes,
-    /// Raw result bytes shipped from this server (bypassed slices).
-    pub bypass_served: Bytes,
-    /// WAN cost of this server's bypassed slices (`D_S` share).
-    pub bypass_cost: Bytes,
-    /// WAN cost of cache loads from this server (`D_L` share).
-    pub fetch_cost: Bytes,
-    /// WAN cost of relaying this server's slices over inner topology
-    /// links (zero on the flat topology).
-    pub relay_cost: Bytes,
-    /// Raw result bytes of this server's objects served from cache
-    /// (`D_C` share).
-    pub cache_served: Bytes,
-    /// WAN bytes wasted on failed transfer attempts against this server.
-    pub retried_bytes: Bytes,
-    /// Raw result bytes of this server's objects that failed to deliver.
-    pub failed_bytes: Bytes,
-    /// Hit decisions on this server's objects.
-    pub hits: u64,
-    /// Bypass decisions on this server's objects.
-    pub bypasses: u64,
-    /// Load decisions on this server's objects.
-    pub loads: u64,
+/// One window of a [`Breakdown`]: a range of queries and one
+/// [`QueryWindow`] per `(tier, server)` cell that saw an event in them.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Window {
+    /// The query indexes the window covers.
+    pub queries: Range<usize>,
+    /// The window's ledger, keyed by `(tier, server)`.
+    pub cells: BTreeMap<(u32, ServerId), QueryWindow>,
 }
 
-impl ServerCosts {
-    /// WAN traffic attributed to this server: `D_S + D_L` plus relay and
-    /// wasted retry traffic.
-    pub fn wan_cost(&self) -> Bytes {
-        self.bypass_cost + self.fetch_cost + self.relay_cost + self.retried_bytes
+impl Window {
+    /// The window's counters summed over every cell.
+    pub fn total(&self) -> QueryWindow {
+        let mut total = QueryWindow::default();
+        for cell in self.cells.values() {
+            total.merge(cell);
+        }
+        total
     }
 
-    /// The per-server conservation invariant: everything this server's
-    /// objects delivered was either shipped from it or cache-served.
-    pub fn conserves_delivery(&self) -> bool {
-        self.delivered == self.bypass_served + self.cache_served
+    /// The window's counters per tier, bottom-up: one row per tier that
+    /// emitted an event in the window.
+    pub fn tiers(&self) -> Vec<(u32, QueryWindow)> {
+        group(std::slice::from_ref(self), |tier, _| tier)
     }
 }
 
-/// Per-[`ServerId`] `D_S`/`D_L`/`D_C` breakdown of a replay — the
-/// heterogeneous-network view that motivates BYHR over BYU.
-#[derive(Clone, Debug, Default)]
-pub struct PerServerObserver {
-    servers: BTreeMap<ServerId, QueryWindow>,
+/// A replay's WAN ledger folded by `(window, tier, server)`: every
+/// [`CostEvent`] lands in the [`QueryWindow`] of its tier and home server
+/// within the current window. A window closes every N queries
+/// ([`Breakdown::every`]), or the whole replay is one window
+/// ([`Breakdown::new`]).
+///
+/// The views regroup the same cells, so they partition the replay's
+/// [`CostReport`] exactly: per-server rows (the heterogeneous-network
+/// view that motivates BYHR over BYU), per-tier rows, per-window totals,
+/// and the cumulative-WAN series of Figs 7–8.
+#[derive(Clone, Debug)]
+pub struct Breakdown {
+    every: usize,
+    windows: Vec<Window>,
 }
 
-impl PerServerObserver {
-    /// An empty breakdown.
+/// The per-server breakdown of a replay, under its former name.
+pub type PerServerObserver = Breakdown;
+
+impl Default for Breakdown {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Breakdown {
+    /// The whole replay as one window.
     pub fn new() -> Self {
-        PerServerObserver::default()
+        Self::every(usize::MAX)
     }
 
-    /// Take the breakdown, one entry per server seen, in server-id order.
-    pub fn into_costs(self) -> Vec<ServerCosts> {
-        self.servers
-            .into_iter()
-            .map(|(server, w)| ServerCosts {
-                server,
-                delivered: w.delivered,
-                bypass_served: w.bypass_served,
-                bypass_cost: w.bypass_cost,
-                fetch_cost: w.fetch_cost,
-                relay_cost: w.relay_cost,
-                cache_served: w.cache_served,
-                retried_bytes: w.retried_bytes,
-                failed_bytes: w.failed_bytes,
-                hits: w.hits,
-                bypasses: w.bypasses,
-                loads: w.loads,
+    /// A window every `every` queries (clamped to at least 1); the last
+    /// window of a replay may be partial.
+    pub fn every(every: usize) -> Self {
+        Breakdown {
+            every: every.max(1),
+            windows: Vec::new(),
+        }
+    }
+
+    /// The windows so far, oldest first. They tile the replayed queries;
+    /// during a replay the last one may still be filling.
+    pub fn windows(&self) -> &[Window] {
+        &self.windows
+    }
+
+    /// The replay's counters per home server, in server order.
+    pub fn servers(&self) -> Vec<(ServerId, QueryWindow)> {
+        group(&self.windows, |_, server| server)
+    }
+
+    /// The replay's counters per caching tier, bottom-up. On a flat
+    /// replay everything lands in tier 0.
+    pub fn tiers(&self) -> Vec<(u32, QueryWindow)> {
+        group(&self.windows, |tier, _| tier)
+    }
+
+    /// The replay's counters summed over every cell.
+    pub fn total(&self) -> QueryWindow {
+        let mut total = QueryWindow::default();
+        for window in &self.windows {
+            total.merge(&window.total());
+        }
+        total
+    }
+
+    /// The cumulative WAN cost at the end of every window: with
+    /// [`Breakdown::every`], a sample every N queries plus the final
+    /// query (Figs 7–8).
+    pub fn series(&self) -> Vec<SeriesPoint> {
+        let mut cumulative = Bytes::ZERO;
+        self.windows
+            .iter()
+            .map(|window| {
+                cumulative += window.total().wan_cost();
+                SeriesPoint {
+                    query: window.queries.end,
+                    cumulative_cost: cumulative,
+                }
             })
             .collect()
     }
 }
 
-impl Observer for PerServerObserver {
+/// Merge the cells of `windows` into one row per `key(tier, server)`, in
+/// key order.
+fn group<K: Ord>(windows: &[Window], key: impl Fn(u32, ServerId) -> K) -> Vec<(K, QueryWindow)> {
+    let mut rows: BTreeMap<K, QueryWindow> = BTreeMap::new();
+    for window in windows {
+        for (&(tier, server), cell) in &window.cells {
+            rows.entry(key(tier, server)).or_default().merge(cell);
+        }
+    }
+    rows.into_iter().collect()
+}
+
+impl Observer for Breakdown {
+    fn on_query_start(&mut self, index: usize, _query: &TraceQuery) {
+        let full = |w: &Window| w.queries.len() >= self.every;
+        if self.windows.last().is_none_or(full) {
+            self.windows.push(Window {
+                queries: index..index,
+                cells: BTreeMap::new(),
+            });
+        }
+    }
+
     fn on_access(&mut self, event: &CostEvent<'_>) {
-        self.servers.entry(event.server).or_default().absorb(event);
-    }
-}
-
-/// Per-tier decision/byte breakdown of a tiered replay: one
-/// [`QueryWindow`] per caching tier, keyed by bottom-up tier index.
-/// On a flat replay everything lands in tier 0.
-#[derive(Clone, Debug, Default)]
-pub struct PerTierObserver {
-    tiers: BTreeMap<u32, QueryWindow>,
-}
-
-impl PerTierObserver {
-    /// An empty breakdown.
-    pub fn new() -> Self {
-        PerTierObserver::default()
+        if let Some(window) = self.windows.last_mut() {
+            let cell = window.cells.entry((event.tier, event.server)).or_default();
+            cell.absorb(event);
+        }
     }
 
-    /// Take the breakdown, one `(tier, window)` per tier seen, in
-    /// bottom-up tier order.
-    pub fn into_windows(self) -> Vec<(u32, QueryWindow)> {
-        self.tiers.into_iter().collect()
-    }
-}
-
-impl Observer for PerTierObserver {
-    fn on_access(&mut self, event: &CostEvent<'_>) {
-        self.tiers.entry(event.tier).or_default().absorb(event);
+    fn on_query_end(&mut self, index: usize, _query: &TraceQuery) {
+        if let Some(window) = self.windows.last_mut() {
+            window.queries.end = index + 1;
+        }
     }
 }
 
@@ -1414,10 +1369,12 @@ impl Observer for FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::{DegradationPolicy, Outage, OutageWindows, RetryPolicy};
     use crate::network::{PerServerMultipliers, Uniform};
     use crate::session::ReplaySession;
     use byc_catalog::sdss::{build, SdssRelease};
     use byc_core::rate_profile::{RateProfile, RateProfileConfig};
+    use byc_workload::Trace;
 
     fn setup(servers: u32) -> (Trace, ObjectCatalog) {
         let cat = build(SdssRelease::Edr, 1e-3, servers);
@@ -1428,47 +1385,31 @@ mod tests {
     }
 
     #[test]
-    fn engine_replay_matches_simulator_replay() {
-        let (trace, objects) = setup(2);
-        let cap = objects.total_size().scale(0.3);
-
-        let mut p1 = RateProfile::new(cap, RateProfileConfig::default());
-        let report_via_session = ReplaySession::new(&trace, &objects)
-            .policy(&mut p1)
-            .run()
-            .unwrap()
-            .report;
-
-        let engine = ReplayEngine::new(&objects);
-        let mut p2 = RateProfile::new(cap, RateProfileConfig::default());
-        let mut cost = CostObserver::new(p2.name(), &trace.name, objects.granularity().label());
-        engine.replay(&trace, &mut p2, &mut [&mut cost]);
-        assert_eq!(cost.into_report(), report_via_session);
-    }
-
-    #[test]
     fn per_server_totals_equal_cost_observer_totals() {
         let (trace, objects) = setup(3);
         let cap = objects.total_size().scale(0.25);
         let net = PerServerMultipliers::new(vec![1.0, 2.0, 4.0]).unwrap();
-        let engine = ReplayEngine::with_network(&objects, &net);
         let mut policy = RateProfile::new(cap, RateProfileConfig::default());
-        let mut cost = CostObserver::new("rp", &trace.name, "column");
-        let mut per_server = PerServerObserver::new();
-        engine.replay(&trace, &mut policy, &mut [&mut cost, &mut per_server]);
-        let report = cost.into_report();
-        let servers = per_server.into_costs();
+        let mut breakdown = Breakdown::new();
+        let report = ReplaySession::new(&trace, &objects)
+            .network(&net)
+            .policy(&mut policy)
+            .observe(&mut breakdown)
+            .run()
+            .unwrap()
+            .report;
+        let servers = breakdown.servers();
         assert!(servers.len() > 1);
-        let bypass: Bytes = servers.iter().map(|s| s.bypass_cost).sum();
-        let fetch: Bytes = servers.iter().map(|s| s.fetch_cost).sum();
-        let cache: Bytes = servers.iter().map(|s| s.cache_served).sum();
-        let delivered: Bytes = servers.iter().map(|s| s.delivered).sum();
+        let bypass: Bytes = servers.iter().map(|(_, s)| s.bypass_cost).sum();
+        let fetch: Bytes = servers.iter().map(|(_, s)| s.fetch_cost).sum();
+        let cache: Bytes = servers.iter().map(|(_, s)| s.cache_served).sum();
+        let delivered: Bytes = servers.iter().map(|(_, s)| s.delivered).sum();
         assert_eq!(bypass, report.bypass_cost);
         assert_eq!(fetch, report.fetch_cost);
         assert_eq!(cache, report.cache_served);
         assert_eq!(delivered, report.sequence_cost);
-        for s in &servers {
-            assert!(s.conserves_delivery(), "{:?}", s.server);
+        for (server, s) in &servers {
+            assert!(s.conserves_delivery(), "{server:?}");
         }
     }
 
@@ -1492,14 +1433,14 @@ mod tests {
     fn uniform_network_is_transparent() {
         let (trace, objects) = setup(2);
         let cap = objects.total_size().scale(0.3);
-        let engine_default = ReplayEngine::new(&objects);
-        let engine_explicit = ReplayEngine::with_network(&objects, &Uniform);
         let mut reports = Vec::new();
-        for engine in [engine_default, engine_explicit] {
+        for explicit in [false, true] {
             let mut p = RateProfile::new(cap, RateProfileConfig::default());
-            let mut cost = CostObserver::new("rp", &trace.name, "column");
-            engine.replay(&trace, &mut p, &mut [&mut cost]);
-            reports.push(cost.into_report());
+            let mut session = ReplaySession::new(&trace, &objects).policy(&mut p);
+            if explicit {
+                session = session.network(&Uniform);
+            }
+            reports.push(session.run().unwrap().report);
         }
         assert_eq!(reports[0], reports[1]);
         assert_eq!(reports[0].bypass_cost, reports[0].bypass_served);
@@ -1547,19 +1488,19 @@ mod tests {
         let (trace, objects) = setup(2);
         let engine = ReplayEngine::new(&objects);
         let mut cost = CostObserver::new("semantic", &trace.name, "column");
-        let mut per_server = PerServerObserver::new();
+        let mut breakdown = Breakdown::new();
         for (i, q) in trace.queries.iter().take(50).enumerate() {
             let hit = i % 2 == 0;
-            engine.serve_query_level(i, q, hit, &mut [&mut cost, &mut per_server]);
+            engine.serve_query_level(i, q, hit, &mut [&mut cost, &mut breakdown]);
         }
         let report = cost.into_report();
         assert_eq!(report.queries, 50);
         assert!(report.conserves_delivery());
         assert!(report.cache_served > Bytes::ZERO);
         assert!(report.bypass_cost > Bytes::ZERO);
-        let servers = per_server.into_costs();
+        let servers = breakdown.servers();
         assert_eq!(servers.len(), 2);
-        let delivered: Bytes = servers.iter().map(|s| s.delivered).sum();
+        let delivered: Bytes = servers.iter().map(|(_, s)| s.delivered).sum();
         assert_eq!(delivered, report.sequence_cost);
     }
 
@@ -1609,10 +1550,14 @@ mod tests {
         let (trace, objects) = setup(1);
         let cap = objects.total_size().scale(0.3);
         let mut policy = RateProfile::new(cap, RateProfileConfig::default());
-        let engine = ReplayEngine::new(&objects);
-        let mut obs: Vec<&mut dyn Observer> = vec![&mut a, &mut b, &mut c, &mut d];
-        engine.replay(&trace, &mut policy, &mut obs);
-        drop(obs);
+        ReplaySession::new(&trace, &objects)
+            .policy(&mut policy)
+            .observe(&mut a)
+            .observe(&mut b)
+            .observe(&mut c)
+            .observe(&mut d)
+            .run()
+            .unwrap();
         assert_eq!(a.accesses, 0);
         assert_eq!(c.accesses, 0);
         assert!(b.accesses > 0);
@@ -1623,24 +1568,23 @@ mod tests {
 
     #[test]
     fn flight_recorder_snapshots_failing_queries() {
-        use crate::faults::{DegradationPolicy, FaultPlan, OutageWindows, RetryPolicy};
         let (trace, objects) = setup(1);
-        let outage = OutageWindows::new(vec![crate::faults::Outage {
+        let outage = OutageWindows::new(vec![Outage {
             server: ServerId::new(0),
             from: Tick::new(100),
             until: Tick::new(160),
         }]);
-        let plan = FaultPlan {
-            model: &outage,
-            retry: RetryPolicy::new(1, 1),
-            degradation: DegradationPolicy::Fail,
-        };
-        let engine = ReplayEngine::new(&objects).with_faults(plan);
         let mut policy = byc_core::static_opt::NoCache;
-        let mut cost = CostObserver::new("nc", &trace.name, "column");
         let mut recorder = FlightRecorder::new(4).with_context("test outage".into());
-        engine.replay(&trace, &mut policy, &mut [&mut cost, &mut recorder]);
-        let report = cost.into_report();
+        let report = ReplaySession::new(&trace, &objects)
+            .policy(&mut policy)
+            .faults(&outage)
+            .retry(RetryPolicy::new(1, 1))
+            .degrade(DegradationPolicy::Fail)
+            .observe(&mut recorder)
+            .run()
+            .unwrap()
+            .report;
         assert!(report.failed_queries > 0);
         let seen = recorder.postmortems().len() as u64 + recorder.truncated();
         assert_eq!(seen, report.failed_queries);

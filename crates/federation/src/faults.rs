@@ -383,6 +383,21 @@ impl DegradationPolicy {
     }
 }
 
+/// The fault context stamped into flight-recorder postmortems: the
+/// plan's model description plus its retry and degradation settings, or
+/// "no fault layer" without a plan.
+pub fn fault_context(plan: Option<FaultPlan<'_>>) -> String {
+    match plan {
+        Some(plan) => format!(
+            "{}; retry up to {}; on exhaustion {}",
+            plan.model.describe(),
+            plan.retry.max_attempts,
+            plan.degradation.label()
+        ),
+        None => "no fault layer".to_string(),
+    }
+}
+
 /// How one slice's WAN transfer resolved after the retry loop.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FetchResolution {

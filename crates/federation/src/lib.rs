@@ -13,12 +13,15 @@
 //!   one `TraceQuery` at a time, walking each object slice up a tier
 //!   hierarchy (the flat WAN is depth 1), and turns each decision into
 //!   [`engine::CostEvent`]s that composable [`engine::Observer`]s
-//!   consume. Batch replays, sweeps, and the mediator all run it.
+//!   consume. Batch replays, sweeps, and the mediator all run it. One
+//!   observer, [`engine::Breakdown`], folds the WAN ledger by
+//!   `(window, tier, server)`; every per-server, per-tier, per-window and
+//!   cumulative-series view of a replay is a view over it.
 //! * [`session`] — the one replay entry point:
 //!   [`session::ReplaySession`] is a fluent builder over the engine that
-//!   configures policy, network pricing, faults, auditing, series
-//!   capture, and extra observers, then [`session::ReplaySession::run`]s
-//!   one replay — of a resident trace or one streamed off disk — or
+//!   configures policy, network pricing, faults, auditing, and extra
+//!   observers, then [`session::ReplaySession::run`]s one replay — of a
+//!   resident trace or one streamed off disk — or
 //!   [`session::ReplaySession::sweep`]s a (policy × cache-size) grid in
 //!   parallel.
 //! * [`network`] — first-class WAN pricing: [`network::NetworkModel`]
@@ -36,8 +39,9 @@
 //! * [`accounting`] — [`accounting::CostReport`]: the bypass/fetch/total
 //!   breakdown of Tables 1–2 plus hit/bypass/load counters, retry-storm
 //!   traffic, and availability under faults.
-//! * [`simulator`] — replay result shapes ([`simulator::Replay`],
-//!   [`simulator::SeriesPoint`]). A replay also carries observer
+//! * [`simulator`] — replay result shapes ([`simulator::Replay`], and
+//!   the [`simulator::SeriesPoint`]s of a [`engine::Breakdown`]'s
+//!   cumulative series). A replay also carries observer
 //!   warnings (parked telemetry IO errors) and the
 //!   [`engine::FlightRecorder`]'s fault postmortems when one was
 //!   attached via [`session::ReplaySession::flight_recorder`].
@@ -65,14 +69,13 @@ pub mod sweep;
 
 pub use accounting::CostReport;
 pub use engine::{
-    AuditObserver, CostEvent, CostObserver, FlightRecorder, Observer, PerServerObserver,
-    PerTierObserver, Postmortem, QueryWindow, RecordedEvent, ReplayEngine, SeriesObserver,
-    ServerCosts,
+    AuditObserver, Breakdown, CostEvent, CostObserver, FlightRecorder, Observer, PerServerObserver,
+    Postmortem, QueryWindow, RecordedEvent, ReplayEngine, Window,
 };
 pub use faults::{
-    spiked_cost, DegradationPolicy, FaultModel, FaultPlan, FetchAttempt, FetchOutcome,
-    FetchResolution, FlakyLinks, LinkScoped, NoFaults, Outage, OutageWindows, RetryPolicy,
-    NO_FAULTS, NO_RETRY,
+    fault_context, spiked_cost, DegradationPolicy, FaultModel, FaultPlan, FetchAttempt,
+    FetchOutcome, FetchResolution, FlakyLinks, LinkScoped, NoFaults, Outage, OutageWindows,
+    RetryPolicy, NO_FAULTS, NO_RETRY,
 };
 pub use mediator::Mediator;
 pub use network::{NetworkModel, PerServerMultipliers, TierSpec, Topology, Uniform};

@@ -16,7 +16,6 @@
 //!     .degrade(DegradationPolicy::Fail)
 //!     .observe(&mut telemetry)      // any extra Observer, repeatable
 //!     .audited()                    // default: debug builds only
-//!     .series(100)                  // default: no series capture
 //!     .run()?                       // -> Replay
 //! ```
 //!
@@ -42,10 +41,11 @@
 //! has a no-panic lint, so the builder never panics on misuse.
 
 use crate::engine::{
-    partition_access_observers, AuditObserver, CostObserver, FlightRecorder, Observer,
-    ReplayEngine, SeriesObserver,
+    partition_access_observers, AuditObserver, CostObserver, FlightRecorder, Observer, ReplayEngine,
 };
-use crate::faults::{DegradationPolicy, FaultModel, FaultPlan, RetryPolicy, NO_RETRY};
+use crate::faults::{
+    fault_context, DegradationPolicy, FaultModel, FaultPlan, RetryPolicy, NO_RETRY,
+};
 use crate::network::{NetworkModel, Topology};
 use crate::policies::{build_policy, PolicyKind};
 use crate::simulator::{debug_assert_audit, Replay};
@@ -69,7 +69,6 @@ pub struct ReplaySession<'a> {
     retry: RetryPolicy,
     degradation: DegradationPolicy,
     audit: Option<bool>,
-    sample_every: Option<usize>,
     topology: Option<&'a Topology>,
     tier_policies: Vec<&'a mut (dyn CachePolicy + Send + Sync)>,
     policy: Option<&'a mut dyn CachePolicy>,
@@ -86,7 +85,6 @@ impl std::fmt::Debug for ReplaySession<'_> {
             .field("retry", &self.retry)
             .field("degradation", &self.degradation)
             .field("audit", &self.audit)
-            .field("sample_every", &self.sample_every)
             .field("topology", &self.topology.map(Topology::name))
             .field("tier_policies", &self.tier_policies.len())
             .field("observers", &self.observers.len())
@@ -121,7 +119,6 @@ impl<'a> ReplaySession<'a> {
             retry: NO_RETRY,
             degradation: DegradationPolicy::default(),
             audit: None,
-            sample_every: None,
             topology: None,
             tier_policies: Vec::new(),
             policy: None,
@@ -139,20 +136,6 @@ impl<'a> ReplaySession<'a> {
     pub fn flight_recorder(mut self, depth: usize) -> Self {
         self.flight_recorder = Some(depth.max(1));
         self
-    }
-
-    /// The fault context stamped into postmortems: the model's
-    /// description plus the retry/degradation configuration.
-    fn fault_context(&self) -> String {
-        match self.faults {
-            Some(model) => format!(
-                "{}; retry up to {}; on exhaustion {}",
-                model.describe(),
-                self.retry.max_attempts,
-                self.degradation.label()
-            ),
-            None => "no fault layer".to_string(),
-        }
     }
 
     /// The policy driving decisions. Required before [`Self::run`];
@@ -218,14 +201,6 @@ impl<'a> ReplaySession<'a> {
         self
     }
 
-    /// Sample the cumulative WAN cost every `every` queries (plus the
-    /// final query) into [`Replay::series`].
-    #[must_use]
-    pub fn series(mut self, every: usize) -> Self {
-        self.sample_every = Some(every.max(1));
-        self
-    }
-
     /// Replay over a tier hierarchy instead of the flat client↔server
     /// WAN: every link is priced by the topology (superseding
     /// [`Self::network`]), each caching tier runs its own policy, and a
@@ -259,7 +234,6 @@ impl<'a> ReplaySession<'a> {
     /// the topology's depth); IO and format errors from a trace reader.
     pub fn run(self) -> Result<Replay> {
         let audit_enabled = self.audit.unwrap_or(cfg!(debug_assertions));
-        let fault_context = self.fault_context();
         let ReplaySession {
             mut source,
             objects,
@@ -267,7 +241,6 @@ impl<'a> ReplaySession<'a> {
             faults,
             retry,
             degradation,
-            sample_every,
             topology,
             tier_policies,
             policy,
@@ -316,12 +289,13 @@ impl<'a> ReplaySession<'a> {
             Some(topology) => ReplayEngine::with_topology(objects, topology),
             None => ReplayEngine::with_network(objects, network),
         };
-        if let Some(model) = faults {
-            engine = engine.with_faults(FaultPlan {
-                model,
-                retry,
-                degradation,
-            });
+        let plan = faults.map(|model| FaultPlan {
+            model,
+            retry,
+            degradation,
+        });
+        if let Some(plan) = plan {
+            engine = engine.with_faults(plan);
         }
 
         let label = tiers.first().map(|p| p.name()).unwrap_or_default();
@@ -334,21 +308,17 @@ impl<'a> ReplaySession<'a> {
         } else {
             Vec::new()
         };
-        let mut series = sample_every.map(SeriesObserver::new);
         let mut recorder =
-            flight_recorder.map(|k| FlightRecorder::new(k).with_context(fault_context));
+            flight_recorder.map(|k| FlightRecorder::new(k).with_context(fault_context(plan)));
         let mut warnings = Vec::new();
         {
             // Audits lead: they all want accesses, so the stable
             // partition keeps them at `0..audits.len()` for the close-out.
             let audit_count = audits.len();
             let mut all: Vec<&mut dyn Observer> =
-                Vec::with_capacity(audit_count + 2 + observers.len());
+                Vec::with_capacity(audit_count + 1 + observers.len());
             for audit in audits.iter_mut() {
                 all.push(audit);
-            }
-            if let Some(series) = series.as_mut() {
-                all.push(series);
             }
             if let Some(recorder) = recorder.as_mut() {
                 all.push(recorder);
@@ -391,7 +361,6 @@ impl<'a> ReplaySession<'a> {
         debug_assert!(report.conserves_delivery());
         Ok(Replay {
             report,
-            series: series.map(SeriesObserver::into_series).unwrap_or_default(),
             audit: merge_audits(audits.into_iter().map(AuditObserver::into_report)),
             warnings,
             postmortems: recorder
@@ -486,7 +455,6 @@ impl<'a> ReplaySession<'a> {
             retry,
             degradation,
             audit,
-            sample_every,
             topology,
             ..
         } = self;
@@ -549,9 +517,6 @@ impl<'a> ReplaySession<'a> {
                         }
                         if let Some(model) = faults {
                             session = session.faults(model);
-                        }
-                        if let Some(every) = sample_every {
-                            session = session.series(every);
                         }
                         session = match audit {
                             Some(true) => session.audited(),
@@ -624,7 +589,7 @@ pub(crate) fn run_report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{PerTierObserver, QueryWindow};
+    use crate::engine::{Breakdown, QueryWindow};
     use crate::faults::{FlakyLinks, LinkScoped, NoFaults, Outage, OutageWindows};
     use crate::network::{PerServerMultipliers, Uniform};
     use byc_catalog::sdss::{build, SdssRelease};
@@ -836,16 +801,18 @@ mod tests {
     fn faulted_series_ends_at_total_cost() {
         let (trace, objects) = setup(1, 500);
         let mut p = NoCache;
+        let mut breakdown = Breakdown::every(100);
         let replay = ReplaySession::new(&trace, &objects)
             .policy(&mut p)
             .faults(&FlakyLinks::new(5, 0.1, 0.0, 1.0))
             .retry(RetryPolicy::new(2, 1))
-            .series(100)
+            .observe(&mut breakdown)
             .run()
             .unwrap();
-        let last = replay.series.last().unwrap();
+        let series = breakdown.series();
+        let last = series.last().unwrap();
         assert_eq!(last.cumulative_cost, replay.report.total_cost());
-        for w in replay.series.windows(2) {
+        for w in series.windows(2) {
             assert!(w[1].cumulative_cost >= w[0].cumulative_cost);
         }
     }
@@ -981,16 +948,16 @@ mod tests {
             0,
         );
         let mut national = build_policy(PolicyKind::Lru, objects.total_size(), &[], 0);
-        let mut per_tier = PerTierObserver::new();
+        let mut breakdown = Breakdown::new();
         let replay = ReplaySession::new(&trace, &objects)
             .topology(&topo)
             .tier_policy(site.as_mut())
             .tier_policy(regional.as_mut())
             .tier_policy(national.as_mut())
-            .observe(&mut per_tier)
+            .observe(&mut breakdown)
             .run()
             .unwrap();
-        let windows = per_tier.into_windows();
+        let windows = breakdown.tiers();
         assert!(windows.len() >= 2, "expected several consulted tiers");
         let r = &replay.report;
         let sum =

@@ -2,8 +2,9 @@
 //!
 //! The replay entry points live on
 //! [`ReplaySession`](crate::session::ReplaySession); this module keeps
-//! the shapes a replay produces — [`Replay`], [`SeriesPoint`] — plus
-//! [`accesses_of`] (the offline bounds' view of a query).
+//! the shapes a replay produces — [`Replay`], and the [`SeriesPoint`]s
+//! of a [`Breakdown`](crate::engine::Breakdown)'s cumulative series —
+//! plus [`accesses_of`] (the offline bounds' view of a query).
 //!
 //! The engine decomposes each trace query into one [`Access`] per
 //! referenced cacheable object (carrying that object's slice of the
@@ -36,9 +37,6 @@ pub struct SeriesPoint {
 pub struct Replay {
     /// WAN cost accounting.
     pub report: CostReport,
-    /// Cumulative-cost samples (empty unless requested via
-    /// [`ReplaySession::series`](crate::session::ReplaySession::series)).
-    pub series: Vec<SeriesPoint>,
     /// The decision-stream audit, when auditing was enabled.
     pub audit: Option<AuditReport>,
     /// Observer warnings collected after the replay finished — parked
@@ -224,12 +222,14 @@ mod tests {
         let (trace, objects) = setup(Granularity::Table);
         let cap = objects.total_size().scale(0.3);
         let mut rp = RateProfile::new(cap, RateProfileConfig::default());
-        let replay = ReplaySession::new(&trace, &objects)
+        let mut breakdown = crate::engine::Breakdown::every(100);
+        let report = ReplaySession::new(&trace, &objects)
             .policy(&mut rp)
-            .series(100)
+            .observe(&mut breakdown)
             .run()
-            .unwrap();
-        let (report, series) = (replay.report, replay.series);
+            .unwrap()
+            .report;
+        let series = breakdown.series();
         assert!(!series.is_empty());
         for w in series.windows(2) {
             assert!(w[1].cumulative_cost >= w[0].cumulative_cost);

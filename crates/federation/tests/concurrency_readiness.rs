@@ -18,7 +18,7 @@ use byc_core::spaceeff::SpaceEffBY;
 use byc_core::static_opt::{NoCache, StaticCache};
 use byc_core::CacheState;
 use byc_federation::policies::UniformCostAdapter;
-use byc_federation::{FlakyLinks, LinkScoped, PerTierObserver, ReplayEngine, Topology};
+use byc_federation::{Breakdown, FlakyLinks, LinkScoped, ReplayEngine, Topology};
 
 fn assert_send_sync<T: Send + Sync>() {}
 
@@ -37,7 +37,7 @@ fn topology_stack_is_send_sync() {
     // (policy × fraction) worker; per-tier state is partitioned per job
     // but must still cross the spawn boundary.
     assert_send_sync::<Topology>();
-    assert_send_sync::<PerTierObserver>();
+    assert_send_sync::<Breakdown>();
     assert_send_sync::<LinkScoped<FlakyLinks>>();
 }
 

@@ -5,18 +5,18 @@
 //! matter how the WAN links are priced, every byte a query demands from a
 //! server is served either by bypassing to that server (`D_S`) or from
 //! cache (`D_C`). Pricing may inflate what the traffic *costs*, never
-//! what is *delivered*. And the per-server breakdown must be exactly a
-//! partition of the global report — the two observers watch the same
-//! event stream, so their totals cannot drift.
+//! what is *delivered*. And every view of a `Breakdown` must be exactly
+//! a partition of the global report — it folds the same event stream as
+//! the session's `CostObserver`, so their totals cannot drift.
 
 mod oracle;
 
 use byc_catalog::sdss::{self, SdssRelease};
 use byc_catalog::{Granularity, ObjectCatalog};
 use byc_federation::{
-    build_policy, CostObserver, CostReport, DegradationPolicy, FaultModel, FaultPlan, FlakyLinks,
-    NetworkModel, Observer, Outage, OutageWindows, PerServerMultipliers, PerServerObserver,
-    PolicyKind, ReplayEngine, ReplaySession, RetryPolicy, Topology, Uniform,
+    build_policy, Breakdown, CostReport, DegradationPolicy, FaultModel, FaultPlan, FlakyLinks,
+    NetworkModel, Outage, OutageWindows, PerServerMultipliers, PolicyKind, QueryWindow,
+    ReplaySession, RetryPolicy, SeriesPoint, Topology, Uniform,
 };
 use byc_types::{Bytes, ServerId, Tick};
 use byc_workload::{generate, Trace, WorkloadConfig, WorkloadStats};
@@ -42,72 +42,122 @@ const ALL_POLICIES: [PolicyKind; 13] = [
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// For arbitrary per-server cost multipliers and every shipped
-    /// policy: each server conserves delivery, bypass pricing matches
-    /// the network model, and the per-server totals are exactly the
-    /// global `CostObserver` report.
+    /// For arbitrary per-server cost multipliers, window lengths and
+    /// every shipped policy, on the flat network and on a two-tier
+    /// topology, fault-free or under flaky links: a `Breakdown`'s windows
+    /// tile the replay, each server conserves delivery, the per-server
+    /// and per-tier views each sum to the session's `CostReport` field
+    /// for field, and the cumulative series ends at the report's total.
     #[test]
     fn per_server_costs_partition_the_report(
         seed in any::<u64>(),
         servers in 1u32..5,
         multipliers in proptest::collection::vec(0.25f64..8.0, 1..5),
         cache_fraction in 0.05f64..0.6,
+        every in 1usize..200,
+        faulted in any::<bool>(),
     ) {
         let catalog = sdss::build(SdssRelease::Edr, 1e-4, servers);
         let trace = generate(&catalog, &WorkloadConfig::smoke(seed, 150)).unwrap();
         let objects = ObjectCatalog::uniform(&catalog, Granularity::Column);
         let stats = WorkloadStats::compute(&trace, &objects);
-        let network = PerServerMultipliers::new(multipliers).unwrap();
+        let network = PerServerMultipliers::new(multipliers.clone()).unwrap();
+        let origin = PerServerMultipliers::new(multipliers).unwrap();
+        let two_tier = Topology::two_tier(0.25, Box::new(origin)).unwrap();
+        let flaky = FlakyLinks::new(seed, 0.1, 0.1, 4.0);
         let capacity = objects.total_size().scale(cache_fraction);
         for kind in ALL_POLICIES {
-            let mut policy = build_policy(kind, capacity, &stats.demands, seed);
-            let engine = ReplayEngine::with_network(&objects, &network);
-            let mut cost = CostObserver::new(
-                policy.name(),
-                &trace.name,
-                objects.granularity().label(),
-            );
-            let mut per_server = PerServerObserver::new();
-            {
-                let mut observers: Vec<&mut dyn Observer> =
-                    vec![&mut cost, &mut per_server];
-                engine.replay(&trace, policy.as_mut(), &mut observers);
-            }
-            let report = cost.into_report();
-            let costs = per_server.into_costs();
-            prop_assert!(report.conserves_delivery(), "{kind:?} global conservation");
+            for tiered in [false, true] {
+                let scales: &[f64] = if tiered { &[1.0, 4.0] } else { &[1.0] };
+                let mut policies: Vec<_> = scales
+                    .iter()
+                    .map(|s| build_policy(kind, capacity.scale(*s), &stats.demands, seed))
+                    .collect();
+                let mut breakdown = Breakdown::every(every);
+                let mut session = ReplaySession::new(&trace, &objects);
+                if tiered {
+                    session = session.topology(&two_tier);
+                    for p in policies.iter_mut() {
+                        session = session.tier_policy(p.as_mut());
+                    }
+                } else {
+                    session = session.network(&network).policy(policies[0].as_mut());
+                }
+                if faulted {
+                    session = session.faults(&flaky).retry(RetryPolicy::new(2, 1));
+                }
+                let report = session.observe(&mut breakdown).run().unwrap().report;
+                let what = format!("{kind:?} tiered={tiered} faulted={faulted}");
+                prop_assert!(report.conserves_delivery(), "{what} global conservation");
 
-            let mut delivered = Bytes::ZERO;
-            let mut bypass_served = Bytes::ZERO;
-            let mut bypass_cost = Bytes::ZERO;
-            let mut fetch_cost = Bytes::ZERO;
-            let mut cache_served = Bytes::ZERO;
-            let (mut hits, mut bypasses, mut loads) = (0u64, 0u64, 0u64);
-            for s in &costs {
-                prop_assert!(
-                    s.conserves_delivery(),
-                    "{kind:?} server {:?}: {:?}", s.server, s
-                );
-                prop_assert!(s.server.raw() < servers, "{kind:?} unknown server");
-                delivered += s.delivered;
-                bypass_served += s.bypass_served;
-                bypass_cost += s.bypass_cost;
-                fetch_cost += s.fetch_cost;
-                cache_served += s.cache_served;
-                hits += s.hits;
-                bypasses += s.bypasses;
-                loads += s.loads;
+                let mut next = 0;
+                for w in breakdown.windows() {
+                    let (len, end) = (w.queries.len(), w.queries.end);
+                    prop_assert_eq!(w.queries.start, next, "{} window tiling", what);
+                    prop_assert!(len == every || (len < every && end == report.queries));
+                    next = end;
+                }
+                prop_assert_eq!(next, report.queries, "{} window coverage", what);
+
+                let per_server = breakdown.servers();
+                for (server, s) in &per_server {
+                    prop_assert!(s.conserves_delivery(), "{what} server {server:?}: {s:?}");
+                    prop_assert!(server.raw() < servers, "{what} unknown server");
+                }
+                assert_rows_sum_to(&per_server, &report, &format!("{what} per-server"));
+                let per_tier = breakdown.tiers();
+                prop_assert!(per_tier.iter().all(|(t, _)| *t < 2), "{what} unknown tier");
+                assert_rows_sum_to(&per_tier, &report, &format!("{what} per-tier"));
+
+                let end = SeriesPoint {
+                    query: report.queries,
+                    cumulative_cost: report.total_cost(),
+                };
+                prop_assert_eq!(breakdown.series().last(), Some(&end), "{} series", what);
             }
-            prop_assert_eq!(delivered, report.sequence_cost, "{:?} delivered", kind);
-            prop_assert_eq!(bypass_served, report.bypass_served, "{:?} bypass_served", kind);
-            prop_assert_eq!(bypass_cost, report.bypass_cost, "{:?} bypass_cost", kind);
-            prop_assert_eq!(fetch_cost, report.fetch_cost, "{:?} fetch_cost", kind);
-            prop_assert_eq!(cache_served, report.cache_served, "{:?} cache_served", kind);
-            prop_assert_eq!(hits, report.hits, "{:?} hits", kind);
-            prop_assert_eq!(bypasses, report.bypasses, "{:?} bypasses", kind);
-            prop_assert_eq!(loads, report.loads, "{:?} loads", kind);
         }
     }
+}
+
+/// Assert that `rows` sum to `report` field for field.
+fn assert_rows_sum_to<K>(rows: &[(K, QueryWindow)], report: &CostReport, what: &str) {
+    let mut sum = QueryWindow::default();
+    for (_, row) in rows {
+        sum.merge(row);
+    }
+    prop_assert_eq!(sum.delivered, report.sequence_cost, "{} delivered", what);
+    prop_assert_eq!(
+        sum.bypass_served,
+        report.bypass_served,
+        "{} bypass_served",
+        what
+    );
+    prop_assert_eq!(sum.bypass_cost, report.bypass_cost, "{} bypass_cost", what);
+    prop_assert_eq!(sum.fetch_cost, report.fetch_cost, "{} fetch_cost", what);
+    prop_assert_eq!(sum.relay_cost, report.relay_cost, "{} relay_cost", what);
+    prop_assert_eq!(
+        sum.cache_served,
+        report.cache_served,
+        "{} cache_served",
+        what
+    );
+    prop_assert_eq!(
+        sum.retried_bytes,
+        report.retried_bytes,
+        "{} retried_bytes",
+        what
+    );
+    prop_assert_eq!(
+        sum.failed_bytes,
+        report.failed_bytes,
+        "{} failed_bytes",
+        what
+    );
+    prop_assert_eq!(sum.hits, report.hits, "{} hits", what);
+    prop_assert_eq!(sum.bypasses, report.bypasses, "{} bypasses", what);
+    prop_assert_eq!(sum.loads, report.loads, "{} loads", what);
+    prop_assert_eq!(sum.evictions, report.evictions, "{} evictions", what);
+    prop_assert_eq!(sum.retries, report.retries, "{} retries", what);
 }
 
 /// One replay of `kind` over the faulted (or fault-free, when `faults`

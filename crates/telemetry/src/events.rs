@@ -1,9 +1,9 @@
 //! The NDJSON decision-event log.
 //!
-//! One line per sampled decision, schema-versioned by a header line, so a
-//! log is self-describing and parseable long after the run. Records carry
-//! both raw (yield) and network-priced (`bypass_cost`, `fetch_cost`)
-//! byte fields: summing an *unsampled* log reproduces the replay's
+//! One line per decision, schema-versioned by a header line, so a log is
+//! self-describing and parseable long after the run. Records carry both
+//! raw (yield) and network-priced (`bypass_cost`, `fetch_cost`) byte
+//! fields: summing the log reproduces the replay's
 //! `D_S`/`D_L`/`D_C` totals exactly — the log is a complete witness of
 //! the accounting, not a lossy trace.
 //!

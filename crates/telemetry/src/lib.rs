@@ -16,15 +16,12 @@
 //!   registry, byte for byte.
 //! * [`observer`] — [`TelemetryObserver`], an
 //!   [`Observer`](byc_federation::Observer) that accumulates the
-//!   registry's series and optionally streams per-decision events. The
-//!   disabled path is a single branch per access, so telemetry can stay
-//!   compiled into production replays (`telemetry_overhead` bench keeps
-//!   it under 2% of the bare engine).
+//!   registry's series and optionally streams per-decision events.
+//!   Telemetry is off by not attaching it: the replay then pays nothing.
 //! * [`events`] — the **NDJSON event log**: schema-versioned,
 //!   per-decision records (query index, object, decision, yield, fetch
-//!   price `f_i`, cache occupancy) behind a buffered writer with a
-//!   sampling knob. Summing an unsampled log reproduces the replay's
-//!   `D_S`/`D_L`/`D_C` totals exactly.
+//!   price `f_i`, cache occupancy) behind a buffered writer. Summing the
+//!   log reproduces the replay's `D_S`/`D_L`/`D_C` totals exactly.
 //! * [`export`] — Prometheus text exposition and JSON snapshot writers
 //!   over the registry; the two exports of one run agree on every
 //!   counter.
@@ -33,7 +30,8 @@
 //!   runs, opt-in wall-clock enrichment in span args only) and exports
 //!   Chrome trace-event JSON loadable in Perfetto.
 //! * [`windows`] — **windowed metrics streams**: [`WindowedRegistry`]
-//!   closes a counters snapshot every N queries and streams it as
+//!   streams each window of a
+//!   [`Breakdown`](byc_federation::Breakdown) closing every N queries as
 //!   `byc.telemetry.window` NDJSON, so long replays show live
 //!   hit-rate/WAN/availability trajectories.
 //! * [`recorder`] — flight-recorder exports: NDJSON and annotated-text
@@ -65,7 +63,7 @@ pub use export::{
 pub use metrics::{
     Gauge, Histogram, MetricsRegistry, ObjectClass, PolicyMetrics, SeriesKey, SeriesMetrics,
 };
-pub use observer::{EpisodeStats, PhaseProfile, TelemetryConfig, TelemetryObserver};
+pub use observer::{EpisodeStats, PhaseProfile, TelemetryObserver};
 pub use recorder::{
     postmortem_json, render_postmortem, render_postmortems, write_postmortems, POSTMORTEM_SCHEMA,
     POSTMORTEM_SCHEMA_VERSION,
@@ -75,6 +73,5 @@ pub use spans::{
     SPAN_SCHEMA_VERSION,
 };
 pub use windows::{
-    window_header, window_record, WindowSnapshot, WindowedRegistry, WINDOW_SCHEMA,
-    WINDOW_SCHEMA_VERSION,
+    window_header, window_record, WindowedRegistry, WINDOW_SCHEMA, WINDOW_SCHEMA_VERSION,
 };

@@ -3,10 +3,9 @@
 //!
 //! The observer rides the engine's event stream next to the accounting
 //! observers — it never influences decisions, so a replay with telemetry
-//! attached produces byte-identical reports to one without. The disabled
-//! path is a single branch per hook, cheap enough to leave compiled into
-//! every replay (the `telemetry_overhead` bench holds it under 2% of the
-//! bare engine).
+//! attached produces byte-identical reports to one without. Telemetry is
+//! off by not attaching the observer: the session then dispatches no
+//! event to it at all.
 
 use crate::events::{EventLogWriter, EventRecord};
 use crate::metrics::{ObjectClass, PolicyMetrics, SeriesKey};
@@ -16,31 +15,8 @@ use byc_types::ObjectId;
 use byc_workload::TraceQuery;
 use std::collections::BTreeMap;
 
-/// Knobs of a [`TelemetryObserver`]. All deterministic: there is no
-/// time-based sampling anywhere, only counts.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TelemetryConfig {
-    /// Master switch. When false every hook returns after one branch and
-    /// the observer allocates nothing.
-    pub enabled: bool,
-    /// Stream every `event_sample`-th decision to the event log
-    /// (1 = every decision; 0 is treated as 1). Sampling only thins the
-    /// log — registry counters always see every event.
-    pub event_sample: u64,
-    /// Queries per episode for phase accounting (0 = one unbounded
-    /// episode).
-    pub episode_len: u64,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        TelemetryConfig {
-            enabled: true,
-            event_sample: 1,
-            episode_len: 1024,
-        }
-    }
-}
+/// Queries per [`PhaseProfile`] episode of a [`TelemetryObserver`].
+const EPISODE_LEN: u64 = 1024;
 
 /// Per-episode phase counters of one replay.
 ///
@@ -140,20 +116,18 @@ impl PhaseProfile {
 }
 
 /// The telemetry [`Observer`]: accumulates one policy's
-/// [`PolicyMetrics`] and optionally streams sampled per-decision
-/// [`EventRecord`]s to an [`EventLogWriter`].
+/// [`PolicyMetrics`] and optionally streams every per-decision
+/// [`EventRecord`] to an [`EventLogWriter`].
 ///
 /// Strictly read-only over the event stream — attach it to any replay
 /// without changing a single byte of the replay's reports.
 pub struct TelemetryObserver {
-    config: TelemetryConfig,
     metrics: PolicyMetrics,
     /// Query ordinal of each object's previous access (reuse gaps).
     last_seen: BTreeMap<ObjectId, u64>,
     slices_this_query: u64,
     decisions_this_query: u64,
     evictions_this_query: u64,
-    events_seen: u64,
     writer: Option<EventLogWriter>,
     /// The event log's IO outcome once [`Observer::finish`] consumed the
     /// writer; surfaced through [`Observer::warnings`] or
@@ -162,42 +136,23 @@ pub struct TelemetryObserver {
 }
 
 impl TelemetryObserver {
-    /// An enabled observer for `policy` with default knobs and no event
-    /// log.
+    /// An observer for `policy` with no event log, rolling a phase
+    /// episode every 1024 queries.
     pub fn new(policy: &str) -> Self {
-        Self::with_config(policy, TelemetryConfig::default())
-    }
-
-    /// A disabled observer: every hook returns after one branch. Used to
-    /// measure (and bound) the cost of keeping telemetry compiled in.
-    pub fn disabled(policy: &str) -> Self {
-        Self::with_config(
-            policy,
-            TelemetryConfig {
-                enabled: false,
-                ..TelemetryConfig::default()
-            },
-        )
-    }
-
-    /// An observer with explicit knobs.
-    pub fn with_config(policy: &str, config: TelemetryConfig) -> Self {
         let mut metrics = PolicyMetrics::new(policy);
-        metrics.episodes = PhaseProfile::new(config.episode_len);
+        metrics.episodes = PhaseProfile::new(EPISODE_LEN);
         TelemetryObserver {
-            config,
             metrics,
             last_seen: BTreeMap::new(),
             slices_this_query: 0,
             decisions_this_query: 0,
             evictions_this_query: 0,
-            events_seen: 0,
             writer: None,
             log_result: None,
         }
     }
 
-    /// Attach an event log; sampled decision records stream into it.
+    /// Attach an event log; every decision record streams into it.
     pub fn with_event_log(mut self, writer: EventLogWriter) -> Self {
         self.writer = Some(writer);
         self
@@ -226,18 +181,12 @@ impl TelemetryObserver {
 
 impl Observer for TelemetryObserver {
     fn on_query_start(&mut self, _index: usize, _query: &TraceQuery) {
-        if !self.config.enabled {
-            return;
-        }
         self.slices_this_query = 0;
         self.decisions_this_query = 0;
         self.evictions_this_query = 0;
     }
 
     fn on_access(&mut self, event: &CostEvent<'_>) {
-        if !self.config.enabled {
-            return;
-        }
         self.metrics.accesses += 1;
         self.slices_this_query += 1;
         if event.decision.is_some() {
@@ -276,23 +225,12 @@ impl Observer for TelemetryObserver {
             self.metrics.reuse_gap.record(query.saturating_sub(prev));
         }
 
-        if self.writer.is_some() {
-            let stride = self.config.event_sample.max(1);
-            let sampled = self.events_seen.is_multiple_of(stride);
-            self.events_seen += 1;
-            if sampled {
-                let record = EventRecord::from_event(event);
-                if let Some(writer) = self.writer.as_mut() {
-                    writer.record(&record);
-                }
-            }
+        if let Some(writer) = self.writer.as_mut() {
+            writer.record(&EventRecord::from_event(event));
         }
     }
 
     fn on_query_end(&mut self, _index: usize, _query: &TraceQuery) {
-        if !self.config.enabled {
-            return;
-        }
         self.metrics.queries += 1;
         self.metrics.slices_per_query.record(self.slices_this_query);
         self.metrics.episodes.observe_query(
@@ -369,10 +307,11 @@ mod tests {
         assert_eq!(a.episodes().len(), 2);
     }
 
+    /// Telemetry is disabled by not attaching the observer: one that
+    /// never rode a replay accumulates nothing.
     #[test]
     fn disabled_observer_accumulates_nothing() {
-        let obs = TelemetryObserver::disabled("x");
-        assert!(!obs.config.enabled);
+        let obs = TelemetryObserver::new("x");
         let (metrics, io) = obs.into_parts();
         assert_eq!(metrics.queries, 0);
         assert!(metrics.series.is_empty());

@@ -1,7 +1,6 @@
-//! Windowed metrics streams: a [`WindowedRegistry`] observer that closes
-//! a [`QueryWindow`] snapshot every N queries and (optionally) streams
-//! each one as an NDJSON `byc.telemetry.window` record the moment it
-//! closes.
+//! Windowed metrics streams: a [`WindowedRegistry`] observer that
+//! streams each window of a [`Breakdown`] as an NDJSON
+//! `byc.telemetry.window` record the moment it closes.
 //!
 //! End-of-run reports flatten a 25k-query replay into one number per
 //! metric; the windowed stream keeps the *trajectory* — hit-rate ramps
@@ -13,16 +12,14 @@
 //! tiered topologies.
 //!
 //! Like everything in this crate the stream is deterministic: windows
-//! are keyed by query index, accumulation is field-by-field integer
-//! arithmetic, and per-tier splits live in a `BTreeMap` — two same-seed
-//! replays render byte-identical streams. Closed windows also stay in
-//! memory ([`WindowedRegistry::snapshots`]) so the end of the run can
-//! reconcile their sum against the final `CostReport` exactly.
-
-use std::collections::BTreeMap;
+//! are keyed by query index and the [`Breakdown`] folds them with
+//! field-by-field integer arithmetic into ordered maps — two same-seed
+//! replays render byte-identical streams. The registry keeps its
+//! [`Breakdown`] ([`WindowedRegistry::breakdown`]) so the end of the run
+//! can reconcile the windows against the final `CostReport` exactly.
 
 use byc_core::policy::CachePolicy;
-use byc_federation::{CostEvent, Observer, QueryWindow};
+use byc_federation::{Breakdown, CostEvent, Observer, QueryWindow, Window};
 use byc_types::json::Value;
 use byc_types::Error;
 use byc_workload::TraceQuery;
@@ -35,54 +32,38 @@ pub const WINDOW_SCHEMA: &str = "byc.telemetry.window";
 /// Version stamped into the stream's header line.
 pub const WINDOW_SCHEMA_VERSION: u64 = 1;
 
-/// One closed window: the counters of `every` consecutive queries
-/// (`start..end` by query index), with per-tier splits.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct WindowSnapshot {
-    /// Window ordinal within the stream (0-based).
-    pub index: u64,
-    /// First query index of the window (inclusive).
-    pub start: usize,
-    /// First query index past the window (exclusive). The final window
-    /// of a replay may be partial (`end - start < every`).
-    pub end: usize,
-    /// The window's counters, summed over every tier.
-    pub window: QueryWindow,
-    /// Per-tier split of [`WindowSnapshot::window`]: one entry per tier
-    /// that emitted an event inside the window. Always a single tier-0
-    /// entry on the flat topology.
-    pub tiers: BTreeMap<u32, QueryWindow>,
-}
-
-/// Render one snapshot as a `byc.telemetry.window` NDJSON record: window
+/// Render window `index` as a `byc.telemetry.window` NDJSON record: window
 /// ordinal (`w`), query range (`from`/`to`, half-open), the 15
 /// [`WINDOW_COLUMNS`] under their full exposition names, and a `tiers`
 /// array with the same columns per tier whenever the window spans more
 /// than one tier.
-pub fn window_record(snapshot: &WindowSnapshot) -> Value {
+pub fn window_record(index: usize, window: &Window) -> Value {
     let mut fields = vec![
-        ("w".into(), Value::u64(snapshot.index)),
-        ("from".into(), Value::u64(snapshot.start as u64)),
-        ("to".into(), Value::u64(snapshot.end as u64)),
+        ("w".into(), Value::u64(index as u64)),
+        ("from".into(), Value::u64(window.queries.start as u64)),
+        ("to".into(), Value::u64(window.queries.end as u64)),
     ];
-    for (name, _, extract) in WINDOW_COLUMNS {
-        fields.push((name.into(), Value::u64(extract(&snapshot.window))));
-    }
-    if snapshot.tiers.len() > 1 {
-        let tiers = snapshot
-            .tiers
+    push_columns(&mut fields, &window.total());
+    let tiers = window.tiers();
+    if tiers.len() > 1 {
+        let tiers = tiers
             .iter()
-            .map(|(tier, window)| {
+            .map(|(tier, counters)| {
                 let mut f = vec![("tier".into(), Value::u64(u64::from(*tier)))];
-                for (name, _, extract) in WINDOW_COLUMNS {
-                    f.push((name.into(), Value::u64(extract(window))));
-                }
+                push_columns(&mut f, counters);
                 Value::Object(f)
             })
             .collect();
         fields.push(("tiers".into(), Value::Array(tiers)));
     }
     Value::Object(fields)
+}
+
+/// Append the [`WINDOW_COLUMNS`] of `counters` to a record's fields.
+fn push_columns(fields: &mut Vec<(String, Value)>, counters: &QueryWindow) {
+    for (name, _, extract) in WINDOW_COLUMNS {
+        fields.push((name.into(), Value::u64(extract(counters))));
+    }
 }
 
 /// The stream's header line: schema, version, policy label, and the
@@ -96,23 +77,20 @@ pub fn window_header(policy: &str, every: usize) -> Value {
     ])
 }
 
-/// An [`Observer`] that closes a metrics window every `every` queries.
+/// An [`Observer`] that folds the replay into a [`Breakdown`] closing a
+/// window every `every` queries.
 ///
-/// Closed windows accumulate in memory and, when a sink is attached
-/// ([`WindowedRegistry::with_sink`]), stream out as NDJSON records
-/// flushed per window — a `tail -f` of the stream shows the replay's
-/// live trajectory. IO follows the crate's parking discipline: the
-/// first error parks, later writes no-op, and the parked error surfaces
-/// through [`Observer::warnings`] so `ReplaySession` callers see it in
-/// the replay's warning list.
+/// When a sink is attached ([`WindowedRegistry::with_sink`]) each window
+/// streams out as an NDJSON record flushed the moment it closes — a
+/// `tail -f` of the stream shows the replay's live trajectory. IO
+/// follows the crate's parking discipline: the first error parks, later
+/// writes no-op, and the parked error surfaces through
+/// [`Observer::warnings`] so `ReplaySession` callers see it in the
+/// replay's warning list.
 pub struct WindowedRegistry {
     policy: String,
     every: usize,
-    window_start: usize,
-    queries_in_window: usize,
-    current: QueryWindow,
-    current_tiers: BTreeMap<u32, QueryWindow>,
-    snapshots: Vec<WindowSnapshot>,
+    breakdown: Breakdown,
     sink: Option<Box<dyn std::io::Write + Send>>,
     parked: Option<Error>,
 }
@@ -122,9 +100,7 @@ impl std::fmt::Debug for WindowedRegistry {
         f.debug_struct("WindowedRegistry")
             .field("policy", &self.policy)
             .field("every", &self.every)
-            .field("window_start", &self.window_start)
-            .field("queries_in_window", &self.queries_in_window)
-            .field("snapshots", &self.snapshots.len())
+            .field("windows", &self.breakdown.windows().len())
             .field("sink", &self.sink.is_some())
             .field("parked", &self.parked)
             .finish()
@@ -138,11 +114,7 @@ impl WindowedRegistry {
         WindowedRegistry {
             policy: policy.to_string(),
             every: every.max(1),
-            window_start: 0,
-            queries_in_window: 0,
-            current: QueryWindow::default(),
-            current_tiers: BTreeMap::new(),
-            snapshots: Vec::new(),
+            breakdown: Breakdown::every(every),
             sink: None,
             parked: None,
         }
@@ -168,37 +140,11 @@ impl WindowedRegistry {
         &self.policy
     }
 
-    /// The windows closed so far, oldest first.
-    pub fn snapshots(&self) -> &[WindowSnapshot] {
-        &self.snapshots
-    }
-
-    /// Consume the registry, returning the closed windows.
-    pub fn into_snapshots(self) -> Vec<WindowSnapshot> {
-        self.snapshots
-    }
-
-    /// The sum of every closed window plus the still-open partial one —
-    /// after `finish` (which closes the trailing partial), exactly the
-    /// whole replay's counters, reconcilable field-for-field against the
-    /// final `CostReport`.
-    pub fn totals(&self) -> QueryWindow {
-        let mut total = self.current;
-        for s in &self.snapshots {
-            total.merge(&s.window);
-        }
-        total
-    }
-
-    /// Per-tier sum over every closed window plus the open partial.
-    pub fn tier_totals(&self) -> BTreeMap<u32, QueryWindow> {
-        let mut totals = self.current_tiers.clone();
-        for s in &self.snapshots {
-            for (tier, window) in &s.tiers {
-                totals.entry(*tier).or_default().merge(window);
-            }
-        }
-        totals
+    /// The windows folded so far; after `finish`, exactly the whole
+    /// replay, reconcilable field for field against the final
+    /// `CostReport`.
+    pub fn breakdown(&self) -> &Breakdown {
+        &self.breakdown
     }
 
     fn write_line(&mut self, value: &Value) {
@@ -214,50 +160,37 @@ impl WindowedRegistry {
         }
     }
 
-    fn close_window(&mut self, end: usize) {
-        let snapshot = WindowSnapshot {
-            index: self.snapshots.len() as u64,
-            start: self.window_start,
-            end,
-            window: self.current,
-            tiers: std::mem::take(&mut self.current_tiers),
-        };
-        let record = window_record(&snapshot);
-        self.write_line(&record);
-        self.snapshots.push(snapshot);
-        self.current = QueryWindow::default();
-        self.queries_in_window = 0;
-        self.window_start = end;
+    /// Stream the last window when `closes` holds for its length in
+    /// queries.
+    fn write_last_if(&mut self, closes: impl Fn(usize) -> bool) {
+        let windows = self.breakdown.windows();
+        if let Some(window) = windows.last().filter(|w| closes(w.queries.len())) {
+            let record = window_record(windows.len() - 1, window);
+            self.write_line(&record);
+        }
     }
 }
 
 impl Observer for WindowedRegistry {
-    fn on_query_start(&mut self, index: usize, _query: &TraceQuery) {
-        if self.queries_in_window == 0 {
-            self.window_start = index;
-        }
+    fn on_query_start(&mut self, index: usize, query: &TraceQuery) {
+        self.breakdown.on_query_start(index, query);
     }
 
     fn on_access(&mut self, event: &CostEvent<'_>) {
-        self.current.absorb(event);
-        self.current_tiers
-            .entry(event.tier)
-            .or_default()
-            .absorb(event);
+        self.breakdown.on_access(event);
     }
 
-    fn on_query_end(&mut self, index: usize, _query: &TraceQuery) {
-        self.queries_in_window += 1;
-        if self.queries_in_window == self.every {
-            self.close_window(index + 1);
-        }
+    /// A window closes once it holds `every` queries.
+    fn on_query_end(&mut self, index: usize, query: &TraceQuery) {
+        self.breakdown.on_query_end(index, query);
+        let every = self.every;
+        self.write_last_if(|queries| queries == every);
     }
 
+    /// The replay's trailing partial window closes with the replay.
     fn finish(&mut self, _policy: Option<&dyn CachePolicy>) {
-        if self.queries_in_window > 0 || !self.current_tiers.is_empty() {
-            let end = self.window_start + self.queries_in_window;
-            self.close_window(end);
-        }
+        let every = self.every;
+        self.write_last_if(|queries| queries < every);
     }
 
     fn warnings(&mut self) -> Vec<String> {
@@ -306,22 +239,21 @@ mod tests {
         let mut registry = WindowedRegistry::new("GDS", 256);
         let replay = run_observed(&mut registry, &trace, &objects, PolicyKind::Gds);
 
-        let snaps = registry.snapshots();
+        let snaps = registry.breakdown().windows();
         assert_eq!(snaps.len(), 4, "1000 queries / 256 = 3 full + 1 partial");
         let mut expected_start = 0;
-        for (i, s) in snaps.iter().enumerate() {
-            assert_eq!(s.index, i as u64);
-            assert_eq!(s.start, expected_start, "windows tile without gaps");
-            expected_start = s.end;
-            assert!(s.window.conserves_delivery());
+        for s in snaps {
+            assert_eq!(s.queries.start, expected_start, "windows tile without gaps");
+            expected_start = s.queries.end;
+            assert!(s.total().conserves_delivery());
             // Flat topology: the tier split is a single tier-0 entry.
-            assert!(s.tiers.keys().all(|&t| t == 0));
+            assert!(s.tiers().iter().all(|&(t, _)| t == 0));
         }
-        assert_eq!(snaps.last().map(|s| s.end), Some(1000));
+        assert_eq!(snaps.last().map(|s| s.queries.end), Some(1000));
 
         // The windows partition the replay: their sum is the replay.
         let report = &replay.report;
-        let totals = registry.totals();
+        let totals = registry.breakdown().total();
         assert_eq!(totals.hits, report.hits);
         assert_eq!(totals.bypasses, report.bypasses);
         assert_eq!(totals.loads, report.loads);
@@ -395,9 +327,9 @@ mod tests {
         let mut registry = WindowedRegistry::new("LRU", 100).with_sink(Box::new(Broken));
         let replay = run_observed(&mut registry, &trace, &objects, PolicyKind::Lru);
 
-        // Snapshots still accumulate; the IO failure surfaces once —
+        // Windows still accumulate; the IO failure surfaces once —
         // both directly and through the session's warning list.
-        assert_eq!(registry.snapshots().len(), 10);
+        assert_eq!(registry.breakdown().windows().len(), 10);
         assert!(
             replay.warnings.iter().any(|w| w.contains("sink full")),
             "session surfaced: {:?}",

@@ -1,18 +1,15 @@
 //! End-to-end telemetry contracts over real replays:
 //!
-//! * an unsampled NDJSON event log, written during a replay and parsed
-//!   back, sums to exactly the replay's `D_S`/`D_L`/`D_C` — the log is a
+//! * the NDJSON event log, written during a replay and parsed back,
+//!   sums to exactly the replay's `D_S`/`D_L`/`D_C` — the log is a
 //!   complete witness of the accounting;
-//! * sampling thins the log without touching registry counters;
 //! * the registry built by a `SweepOptions::observe` sweep matches the
 //!   sweep's own reports point for point.
 
 use byc_catalog::sdss::{build, SdssRelease};
 use byc_catalog::{Granularity, ObjectCatalog};
 use byc_federation::{PerServerMultipliers, PolicyKind, ReplaySession, SweepOptions};
-use byc_telemetry::{
-    read_events, EventLogWriter, MetricsRegistry, TelemetryConfig, TelemetryObserver,
-};
+use byc_telemetry::{read_events, EventLogWriter, MetricsRegistry, TelemetryObserver};
 use byc_types::Bytes;
 use byc_workload::{generate, WorkloadConfig, WorkloadStats};
 use std::sync::{Arc, Mutex};
@@ -89,41 +86,6 @@ fn unsampled_event_log_reproduces_cost_totals() {
     // Occupancy in the log is bounded by capacity and actually moves.
     assert!(log.events.iter().all(|e| e.occupancy <= capacity));
     assert!(log.events.iter().any(|e| e.occupancy > Bytes::ZERO));
-}
-
-#[test]
-fn sampling_thins_the_log_but_not_the_registry() {
-    let (trace, objects, stats) = setup(1);
-    let capacity = objects.total_size().scale(0.3);
-
-    let run = |sample: u64| {
-        let mut policy = byc_federation::build_policy(PolicyKind::Lru, capacity, &stats.demands, 7);
-        let sink = SharedBuf::default();
-        let writer = EventLogWriter::new(Box::new(sink.clone()), "LRU");
-        let config = TelemetryConfig {
-            event_sample: sample,
-            ..TelemetryConfig::default()
-        };
-        let mut telemetry = TelemetryObserver::with_config("LRU", config).with_event_log(writer);
-        ReplaySession::new(&trace, &objects)
-            .policy(policy.as_mut())
-            .observe(&mut telemetry)
-            .run()
-            .expect("policy configured");
-        let (metrics, io) = telemetry.into_parts();
-        io.unwrap();
-        (metrics, read_events(&sink.text()).unwrap())
-    };
-
-    let (full_metrics, full_log) = run(1);
-    let (sampled_metrics, sampled_log) = run(10);
-
-    // Registry counters are sampling-independent.
-    assert_eq!(full_metrics, sampled_metrics);
-    // The log itself thins by the stride (ceil division: every 10th).
-    let expected = full_log.events.len().div_ceil(10);
-    assert_eq!(sampled_log.events.len(), expected);
-    assert!(sampled_log.events.len() < full_log.events.len());
 }
 
 #[test]

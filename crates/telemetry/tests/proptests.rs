@@ -1,7 +1,7 @@
 //! Property-based tests pinning telemetry to the engine's accounting.
 //!
 //! The registry is an *independent re-derivation* of the replay's costs:
-//! [`TelemetryObserver`] absorbs the same event stream as the engine's
+//! [`TelemetryObserver`] absorbs the same event stream as the session's
 //! `CostObserver`, bucketed by `(server, object-class)` instead of
 //! globally. For every shipped policy, under arbitrary per-server
 //! pricing, the registry's totals must therefore equal the engine's
@@ -10,9 +10,7 @@
 
 use byc_catalog::sdss::{self, SdssRelease};
 use byc_catalog::{Granularity, ObjectCatalog};
-use byc_federation::{
-    build_policy, CostObserver, Observer, PerServerMultipliers, PolicyKind, ReplayEngine,
-};
+use byc_federation::{build_policy, PerServerMultipliers, PolicyKind, ReplaySession};
 use byc_telemetry::{MetricsRegistry, TelemetryObserver};
 use byc_workload::{generate, WorkloadConfig, WorkloadStats};
 use proptest::prelude::*;
@@ -56,28 +54,25 @@ proptest! {
         let capacity = objects.total_size().scale(cache_fraction);
         let mut registry = MetricsRegistry::new();
         for kind in ALL_POLICIES {
-            let engine = ReplayEngine::with_network(&objects, &network);
-
             // Reference replay: no telemetry anywhere near it.
             let mut bare = build_policy(kind, capacity, &stats.demands, seed);
-            let mut bare_cost = CostObserver::new(
-                bare.name(), &trace.name, objects.granularity().label(),
-            );
-            engine.replay(&trace, bare.as_mut(), &mut [&mut bare_cost]);
-            let bare_report = bare_cost.into_report();
+            let bare_report = ReplaySession::new(&trace, &objects)
+                .network(&network)
+                .policy(bare.as_mut())
+                .run()
+                .unwrap()
+                .report;
 
             // Instrumented replay of the identical configuration.
             let mut policy = build_policy(kind, capacity, &stats.demands, seed);
-            let mut cost = CostObserver::new(
-                policy.name(), &trace.name, objects.granularity().label(),
-            );
             let mut telemetry = TelemetryObserver::new(kind.label());
-            {
-                let mut observers: Vec<&mut dyn Observer> =
-                    vec![&mut cost, &mut telemetry];
-                engine.replay(&trace, policy.as_mut(), &mut observers);
-            }
-            let report = cost.into_report();
+            let report = ReplaySession::new(&trace, &objects)
+                .network(&network)
+                .policy(policy.as_mut())
+                .observe(&mut telemetry)
+                .run()
+                .unwrap()
+                .report;
             prop_assert_eq!(
                 &report, &bare_report,
                 "{:?}: telemetry changed the replay's report", kind
@@ -171,11 +166,13 @@ proptest! {
                 chrome_trace([(&t2, "replay")]).to_string(),
                 "{:?} flat chrome trace", kind
             );
-            prop_assert_eq!(w1.snapshots(), w2.snapshots(), "{:?} flat windows", kind);
+            prop_assert_eq!(
+                w1.breakdown().windows(), w2.breakdown().windows(), "{:?} flat windows", kind
+            );
 
             // Windows tile the replay and sum to the report exactly.
             let report = &r1.report;
-            let totals = w1.totals();
+            let totals = w1.breakdown().total();
             prop_assert_eq!(totals.hits, report.hits, "{:?} hits", kind);
             prop_assert_eq!(totals.bypasses, report.bypasses, "{:?} bypasses", kind);
             prop_assert_eq!(totals.loads, report.loads, "{:?} loads", kind);
@@ -186,9 +183,9 @@ proptest! {
             prop_assert_eq!(totals.cache_served, report.cache_served, "{:?} D_C", kind);
             prop_assert_eq!(totals.wan_cost(), report.total_cost(), "{:?} WAN", kind);
             let mut expected_start = 0usize;
-            for s in w1.snapshots() {
-                prop_assert_eq!(s.start, expected_start, "{:?} window tiling", kind);
-                expected_start = s.end;
+            for s in w1.breakdown().windows() {
+                prop_assert_eq!(s.queries.start, expected_start, "{:?} window tiling", kind);
+                expected_start = s.queries.end;
             }
             prop_assert_eq!(expected_start, report.queries, "{:?} window coverage", kind);
 
@@ -215,8 +212,10 @@ proptest! {
             let (tt1, tw1, tr1) = run_tiered();
             let (tt2, tw2, _) = run_tiered();
             prop_assert_eq!(tt1.spans(), tt2.spans(), "{:?} tiered span tree", kind);
-            prop_assert_eq!(tw1.snapshots(), tw2.snapshots(), "{:?} tiered windows", kind);
-            let t_totals = tw1.totals();
+            prop_assert_eq!(
+                tw1.breakdown().windows(), tw2.breakdown().windows(), "{:?} tiered windows", kind
+            );
+            let t_totals = tw1.breakdown().total();
             let t_report = &tr1.report;
             prop_assert_eq!(t_totals.delivered, t_report.sequence_cost, "{:?} tiered delivered", kind);
             prop_assert_eq!(t_totals.bypass_cost, t_report.bypass_cost, "{:?} tiered D_S", kind);
@@ -229,8 +228,8 @@ proptest! {
 
 /// Windowed telemetry is chunking-invariant: a replay streamed off disk
 /// — its queries parsed a chunk at a time, the chunk boundary falling
-/// mid-window — emits the same window snapshots, same tiling, same sums,
-/// as the in-memory replay.
+/// mid-window — emits the same windows, same tiling, same sums, as the
+/// in-memory replay.
 #[test]
 fn windows_are_identical_across_streamed_chunk_boundaries() {
     use byc_federation::ReplaySession;
@@ -260,7 +259,7 @@ fn windows_are_identical_across_streamed_chunk_boundaries() {
                 .observe(&mut windows)
                 .run()
                 .unwrap();
-            windows.into_snapshots()
+            windows.breakdown().windows().to_vec()
         };
         let resident = run(false);
         assert_eq!(resident.len(), 11);

@@ -139,7 +139,9 @@ fn multi_server_fetch_costs_flow_through() {
     // model at replay time: traffic homed on the expensive server costs
     // 3x its raw bytes, the rest is untouched, and delivery conservation
     // holds per server either way.
-    use byc_federation::{NetworkModel, Observer, PerServerMultipliers, ReplayEngine};
+    use byc_federation::{
+        Breakdown, NetworkModel, PerServerMultipliers, ReplayEngine, ReplaySession,
+    };
 
     let cat = catalog();
     let trace = generate(&cat, &WorkloadConfig::smoke(83, 400)).unwrap();
@@ -157,16 +159,18 @@ fn multi_server_fetch_costs_flow_through() {
     }
 
     let mut policy = byc_core::static_opt::NoCache;
-    let mut per_server = byc_federation::PerServerObserver::new();
-    {
-        let mut observers: Vec<&mut dyn Observer> = vec![&mut per_server];
-        engine.replay(&trace, &mut policy, &mut observers);
-    }
-    let costs = per_server.into_costs();
+    let mut breakdown = Breakdown::new();
+    ReplaySession::new(&trace, &objects)
+        .network(&network)
+        .policy(&mut policy)
+        .observe(&mut breakdown)
+        .run()
+        .unwrap();
+    let costs = breakdown.servers();
     assert!(!costs.is_empty());
-    for s in costs {
-        assert!(s.conserves_delivery(), "server {:?}", s.server);
-        let expected = network.price(s.server, s.bypass_served);
-        assert_eq!(s.bypass_cost, expected, "server {:?}", s.server);
+    for (server, s) in costs {
+        assert!(s.conserves_delivery(), "server {server:?}");
+        let expected = network.price(server, s.bypass_served);
+        assert_eq!(s.bypass_cost, expected, "server {server:?}");
     }
 }
