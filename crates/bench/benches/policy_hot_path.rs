@@ -1,14 +1,13 @@
-//! Per-policy decision-path cost: lazy incremental planning (the
-//! shipping configuration) versus the scan-based reference planner.
+//! Per-policy decision-path cost: one row per roster policy.
 //!
-//! Both sides replay the same DR1-style trace through an unaudited
+//! Every row replays the same DR1-style trace through an unaudited
 //! [`ReplaySession`] with no observers, so the kernel cost is identical
-//! and the difference isolates the policy hot path: lazy-deletion
-//! utility heaps plus reusable eviction scratch against the eager
-//! full-container rescans they replaced (DESIGN.md §18). The reference
-//! planner is bit-identical in its decisions (pinned by the
-//! `policy_hot_path_equivalence` proptest suite) — only the work per
-//! access differs.
+//! across rows and the differences isolate each policy's hot path:
+//! utility heaps and reusable eviction scratch for the in-line and
+//! bypass-object planners, and Rate-Profile's one pass over the
+//! residents on a miss that could load but does not fit (DESIGN.md §18).
+//! The planners' decisions are pinned against brute-force twins by the
+//! `policy_hot_path_equivalence` proptest suite.
 //!
 //! `BYC_PERF_SMOKE=1` trims the trace and the measurement windows for
 //! the CI perf-smoke job, which replays a short workload and gates on a
@@ -60,19 +59,12 @@ fn bench_policy_hot_path(c: &mut Criterion) {
         group.sample_size(3);
     }
     for kind in ALL_POLICIES {
-        group.bench_with_input(BenchmarkId::new("lazy", kind.label()), &kind, |b, &kind| {
-            b.iter(|| {
-                let mut policy = build_policy(kind, capacity, &stats.demands, 29);
-                replay(policy.as_mut())
-            })
-        });
         group.bench_with_input(
-            BenchmarkId::new("reference", kind.label()),
+            BenchmarkId::from_parameter(kind.label()),
             &kind,
             |b, &kind| {
                 b.iter(|| {
                     let mut policy = build_policy(kind, capacity, &stats.demands, 29);
-                    policy.debug_reference_planning(true);
                     replay(policy.as_mut())
                 })
             },

@@ -166,8 +166,8 @@ pub fn parse_policy(name: &str) -> Result<PolicyKind> {
         "nocache" | "none" => PolicyKind::NoCache,
         other => {
             return Err(Error::InvalidConfig(format!(
-                "unknown policy {other:?} (try rate-profile, onlineby, spaceeffby, gds, gdsp, \
-                 lru, lfu, lru-k, static, nocache)"
+                "unknown policy {other:?} (try rate-profile, onlineby, onlineby-marking, \
+                 spaceeffby, gds, gdsp, lru, lfu, lru-k, lff, gdstar, static, nocache)"
             )))
         }
     })
@@ -1479,12 +1479,22 @@ pub fn run_command(command: Command) -> Result<String> {
                 }
                 points
             } else {
-                session().sweep(SweepOptions::new(
+                let points = session().sweep(SweepOptions::new(
                     &policies,
                     &fractions,
                     &stats.demands,
                     seed,
-                ))?
+                ))?;
+                for point in &points {
+                    for w in &point.warnings {
+                        let _ = writeln!(
+                            extra,
+                            "warning: {}@{:.2}: {w}",
+                            point.policy, point.cache_fraction
+                        );
+                    }
+                }
+                points
             };
             let topo_note = topology
                 .as_ref()
@@ -1603,7 +1613,35 @@ mod tests {
         assert_eq!(parse_policy("RP").unwrap(), PolicyKind::RateProfile);
         assert_eq!(parse_policy("GDS").unwrap(), PolicyKind::Gds);
         assert_eq!(parse_policy("lru2").unwrap(), PolicyKind::LruK);
-        assert!(parse_policy("magic").is_err());
+        let hint = parse_policy("magic").unwrap_err().to_string();
+        // Every name the hint offers parses, and together they name
+        // every policy.
+        let offered = hint
+            .split_once("(try ")
+            .and_then(|(_, rest)| rest.strip_suffix(')'))
+            .unwrap_or_else(|| panic!("no name list in {hint:?}"));
+        let covered: Vec<PolicyKind> = offered
+            .split(", ")
+            .map(|name| parse_policy(name).unwrap_or_else(|e| panic!("{name:?}: {e}")))
+            .collect();
+        for kind in [
+            PolicyKind::RateProfile,
+            PolicyKind::OnlineBY,
+            PolicyKind::OnlineBYMarking,
+            PolicyKind::SpaceEffBY,
+            PolicyKind::Gds,
+            PolicyKind::Gdsp,
+            PolicyKind::Lru,
+            PolicyKind::Lfu,
+            PolicyKind::LruK,
+            PolicyKind::Lff,
+            PolicyKind::GdStar,
+            PolicyKind::Static,
+            PolicyKind::NoCache,
+        ] {
+            assert!(covered.contains(&kind), "{hint} omits {kind:?}");
+        }
+        assert_eq!(covered.len(), 13, "{hint} names a policy twice");
     }
 
     #[test]
@@ -1926,6 +1964,32 @@ mod tests {
         let err = run(1e-4).unwrap_err();
         assert!(err.to_string().contains("different catalog scale"), "{err}");
         assert!(!events.exists(), "a refused run left its decision log");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn unresolved_references_warn_on_run_and_sweep() {
+        let path =
+            std::env::temp_dir().join(format!("byc-cli-unresolved-{}.jsonl", std::process::id()));
+        let catalog = sdss::build(SdssRelease::Edr, 1e-4, 1);
+        let mut trace = generate(&catalog, &WorkloadConfig::smoke(7, 200)).unwrap();
+        for q in &mut trace.queries {
+            q.table_yields
+                .push((byc_types::TableId::new(u32::MAX), Bytes::new(10)));
+        }
+        trace_io::write_trace(&trace, &path).unwrap();
+        let file = path.to_string_lossy().to_string();
+        let common = ["--granularity", "table", "--scale", "0.0001"];
+        let warning = "200 trace references (1.95 KiB of results) name no table in the catalog";
+        let run = [&["run", &file, "--policy", "nocache"][..], &common[..]].concat();
+        let out = run_command(parse_args(&args(&run)).unwrap()).unwrap();
+        assert!(out.contains(&format!("warning: {warning}")), "{out}");
+        let sweep = [&["sweep", &file][..], &common[..]].concat();
+        let out = run_command(parse_args(&args(&sweep)).unwrap()).unwrap();
+        assert!(
+            out.contains(&format!("warning: NoCache@0.10: {warning}")),
+            "{out}"
+        );
         std::fs::remove_file(&path).ok();
     }
 

@@ -460,10 +460,6 @@ impl<P: CachePolicy> CachePolicy for PolicyAuditor<P> {
             .observe_invalidate(object, removed, self.inner.name());
         removed
     }
-
-    fn debug_reference_planning(&mut self, enabled: bool) {
-        self.inner.debug_reference_planning(enabled);
-    }
 }
 
 #[cfg(test)]

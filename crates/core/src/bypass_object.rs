@@ -55,13 +55,6 @@ pub trait BypassObjectAlgorithm {
 
     /// Drop `object` after a server-side change. Returns true iff cached.
     fn invalidate(&mut self, object: ObjectId) -> bool;
-
-    /// Route victim selection through the scan-based reference planner
-    /// (see [`crate::policy::CachePolicy::debug_reference_planning`]).
-    #[doc(hidden)]
-    fn debug_reference_planning(&mut self, enabled: bool) {
-        let _ = enabled;
-    }
 }
 
 /// Young's Landlord algorithm.
@@ -168,10 +161,6 @@ impl BypassObjectAlgorithm for Landlord {
     fn invalidate(&mut self, object: ObjectId) -> bool {
         self.cache.remove(object).is_some()
     }
-
-    fn debug_reference_planning(&mut self, enabled: bool) {
-        self.cache.set_reference_planning(enabled);
-    }
 }
 
 /// Victim-selection penalty for an unmarked object outside the incoming
@@ -207,10 +196,6 @@ pub struct SizeClassMarking {
     clock: u64,
     /// Phases completed (exposed for tests/diagnostics).
     phases: u64,
-    /// Select victims by an eager scan over the metadata instead of the
-    /// class-heap heads (see
-    /// [`crate::policy::CachePolicy::debug_reference_planning`]).
-    reference_selection: bool,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -237,7 +222,6 @@ impl SizeClassMarking {
             unmarked_bytes: Bytes::ZERO,
             clock: 0,
             phases: 0,
-            reference_selection: false,
         }
     }
 
@@ -264,37 +248,6 @@ impl SizeClassMarking {
                 CLASS_PENALTY
             };
             let cand = (o, lu + penalty);
-            if best.is_none_or(|b| before(cand, b)) {
-                best = Some(cand);
-            }
-        }
-        best
-    }
-
-    /// Reference victim selection: recompute every *unmarked* cached
-    /// object's effective key from scratch, exactly like the
-    /// pre-incremental full-cache rekey sweep, and take the `(key, id)`
-    /// minimum. Marked objects are skipped — not penalized — so this
-    /// implements the same rule as [`Self::merged_victim`] (whose class
-    /// heaps only ever hold unmarked entries) even in the
-    /// should-be-unreachable case where no unmarked object remains
-    /// mid-eviction: both selectors then return `None` and the fault
-    /// falls back to `Bypass` identically. The equivalence tests flip
-    /// [`BypassObjectAlgorithm::debug_reference_planning`] to check the
-    /// agreement.
-    fn scanned_victim(&self, incoming_class: usize) -> Option<(ObjectId, f64)> {
-        let mut best: Option<(ObjectId, f64)> = None;
-        for (o, _) in self.cache.iter() {
-            let Some(m) = self.meta.get(o) else { continue };
-            if m.marked {
-                continue;
-            }
-            let class_penalty = if m.class == incoming_class {
-                0.0
-            } else {
-                CLASS_PENALTY
-            };
-            let cand = (o, class_penalty + m.last_use as f64);
             if best.is_none_or(|b| before(cand, b)) {
                 best = Some(cand);
             }
@@ -365,12 +318,7 @@ impl BypassObjectAlgorithm for SizeClassMarking {
         let class = size_class(size);
         let mut evictions = Evictions::new();
         while self.cache.free() < size {
-            let selected = if self.reference_selection {
-                self.scanned_victim(class)
-            } else {
-                self.merged_victim(class)
-            };
-            let Some((victim, _)) = selected else {
+            let Some((victim, _)) = self.merged_victim(class) else {
                 // Unreachable: the phase-end rule guarantees unmarked
                 // space covers the shortfall. Stop conservatively if it
                 // ever fires.
@@ -427,11 +375,6 @@ impl BypassObjectAlgorithm for SizeClassMarking {
             }
         }
         entry.is_some()
-    }
-
-    fn debug_reference_planning(&mut self, enabled: bool) {
-        self.reference_selection = enabled;
-        self.cache.set_reference_planning(enabled);
     }
 }
 
@@ -573,35 +516,49 @@ mod tests {
         }
     }
 
-    #[test]
-    fn marking_reference_scan_matches_class_heads() {
-        let mut rng = byc_types::SplitMix64::new(5);
-        let mut fast = SizeClassMarking::new(Bytes::new(500));
-        let mut slow = SizeClassMarking::new(Bytes::new(500));
-        slow.debug_reference_planning(true);
-        for t in 0..3_000u64 {
-            let i = rng.next_bounded(30) as u32;
-            let size = 10 + (i as u64 * 17) % 190;
-            let df = req(&mut fast, i, size, t);
-            let ds = req(&mut slow, i, size, t);
-            assert_eq!(df, ds, "divergence at t={t}");
-            assert_eq!(fast.phases(), slow.phases());
+    /// Reference victim selection: recompute every *unmarked* cached
+    /// object's effective key from scratch, exactly like the
+    /// pre-incremental full-cache rekey sweep, and take the `(key, id)`
+    /// minimum. Marked objects are skipped, not penalized, so this is
+    /// the rule `merged_victim` implements over class heaps that only
+    /// ever hold unmarked entries.
+    fn scanned_victim(m: &SizeClassMarking, incoming_class: usize) -> Option<(ObjectId, f64)> {
+        let mut best: Option<(ObjectId, f64)> = None;
+        for (o, _) in m.cache.iter() {
+            let Some(meta) = m.meta.get(o) else { continue };
+            if meta.marked {
+                continue;
+            }
+            let class_penalty = if meta.class == incoming_class {
+                0.0
+            } else {
+                CLASS_PENALTY
+            };
+            let cand = (o, class_penalty + meta.last_use as f64);
+            if best.is_none_or(|b| before(cand, b)) {
+                best = Some(cand);
+            }
         }
+        best
     }
 
     #[test]
-    fn landlord_reference_planning_matches_heap() {
-        let mut rng = byc_types::SplitMix64::new(11);
-        let mut fast = Landlord::new(Bytes::new(500));
-        let mut slow = Landlord::new(Bytes::new(500));
-        slow.debug_reference_planning(true);
+    fn marking_reference_scan_matches_class_heads() {
+        let mut rng = byc_types::SplitMix64::new(5);
+        let mut m = SizeClassMarking::new(Bytes::new(500));
         for t in 0..3_000u64 {
             let i = rng.next_bounded(30) as u32;
             let size = 10 + (i as u64 * 17) % 190;
-            let df = req(&mut fast, i, size, t);
-            let ds = req(&mut slow, i, size, t);
-            assert_eq!(df, ds, "divergence at t={t}");
+            req(&mut m, i, size, t);
+            for class in 0..NUM_CLASSES {
+                assert_eq!(
+                    m.merged_victim(class),
+                    scanned_victim(&m, class),
+                    "class {class} diverged at t={t}"
+                );
+            }
         }
+        assert!(m.phases() > 0, "churn never ended a phase");
     }
 
     #[test]

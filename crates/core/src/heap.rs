@@ -1,30 +1,18 @@
-//! An indexed binary min-heap keyed by `f64` utility, with lazy
-//! revalidation support.
+//! An indexed binary min-heap keyed by `f64` utility, and a reusable
+//! partial-selection heap.
 //!
 //! The paper's prototype keeps "a binary heap of database objects in which
 //! heap ordering is done based on utility value" with O(log k) insertion
 //! and O(1) eviction of the minimum (§6). Cache policies additionally need
-//! to *re-key* entries (rate profiles decay with time; GDS ages utilities),
-//! so this heap supports `update_key` and `remove` by object id through a
+//! to *re-key* entries (GDS ages utilities, LRU refreshes recency), so
+//! this heap supports `update_key` and `remove` by object id through a
 //! position index.
 //!
-//! Two properties make this heap the engine of the incremental utility
-//! maintenance described in DESIGN.md §18:
-//!
-//! 1. **Total order.** Entries are ordered by `(key ascending, then
-//!    ObjectId ascending)`. With a total order the pop sequence of a given
-//!    entry multiset is *unique* — independent of insertion order or the
-//!    internal arrangement of the array — so eviction plans are
-//!    bit-reproducible even after speculative pops are rolled back.
-//! 2. **Stamps.** Every entry carries a `u64` stamp recording the tick at
-//!    which its key was last known exact ([`IndexedMinHeap::ALWAYS_FRESH`]
-//!    for keys that never decay). [`IndexedMinHeap::pop_min_revalidated`]
-//!    pops the minimum under lazy revalidation: while the root is stale it
-//!    recomputes the root's key at the current tick and re-stamps it,
-//!    popping only entries whose key is exact *now*. Policies whose keys
-//!    only ever shrink between touches (the rate profile's hyperbolic
-//!    decay) get amortized O(log n) victim selection with no full-cache
-//!    sweep.
+//! Entries are ordered by `(key ascending, then ObjectId ascending)`.
+//! With a total order the pop sequence of a given entry multiset is
+//! *unique* — independent of insertion order or the internal arrangement
+//! of the array — so eviction plans are bit-reproducible even after
+//! speculative pops are rolled back (DESIGN.md §18).
 
 use byc_types::{ObjectId, Tick};
 
@@ -56,16 +44,13 @@ fn canon_f64(key: f64) -> f64 {
 }
 
 /// Indexed binary min-heap over (object, utility) pairs under the
-/// `(key, id)` total order, with a per-entry freshness stamp.
+/// `(key, id)` total order.
 ///
 /// Utilities must not be NaN; `debug_assert`s guard this.
 #[derive(Clone, Debug, Default)]
 pub struct IndexedMinHeap {
     /// Heap-ordered (object, key) pairs.
     items: Vec<(ObjectId, f64)>,
-    /// Freshness stamp of each entry, parallel to `items`: the raw tick
-    /// at which the key was last exact, or [`Self::ALWAYS_FRESH`].
-    stamps: Vec<u64>,
     /// object index → position in `items`, or `usize::MAX` when absent.
     positions: Vec<usize>,
 }
@@ -73,10 +58,6 @@ pub struct IndexedMinHeap {
 const ABSENT: usize = usize::MAX;
 
 impl IndexedMinHeap {
-    /// Stamp of an entry whose key never decays: it is exact at every
-    /// tick and is popped without revalidation.
-    pub const ALWAYS_FRESH: u64 = u64::MAX;
-
     /// An empty heap.
     pub fn new() -> Self {
         Self::default()
@@ -105,32 +86,17 @@ impl IndexedMinHeap {
         (pos != ABSENT).then(|| self.items[pos].1)
     }
 
-    /// Current stamp of `object`, if present.
-    pub fn stamp_of(&self, object: ObjectId) -> Option<u64> {
-        let &pos = self.positions.get(object.index())?;
-        (pos != ABSENT).then(|| self.stamps[pos])
-    }
-
     /// The minimum entry without removing it.
     pub fn peek_min(&self) -> Option<(ObjectId, f64)> {
         self.items.first().copied()
     }
 
-    /// Insert `object` with a never-decaying `key`.
+    /// Insert `object` with `key`.
     ///
     /// # Panics
     ///
     /// Panics if the object is already present (policies track membership).
     pub fn push(&mut self, object: ObjectId, key: f64) {
-        self.push_stamped(object, key, Self::ALWAYS_FRESH);
-    }
-
-    /// Insert `object` with `key`, exact as of raw tick `stamp`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the object is already present (policies track membership).
-    pub fn push_stamped(&mut self, object: ObjectId, key: f64, stamp: u64) {
         debug_assert!(!key.is_nan(), "heap keys must not be NaN");
         let key = canon_f64(key);
         assert!(!self.contains(object), "duplicate heap insert for {object}");
@@ -139,7 +105,6 @@ impl IndexedMinHeap {
         }
         let pos = self.items.len();
         self.items.push((object, key));
-        self.stamps.push(stamp);
         self.positions[object.index()] = pos;
         self.sift_up(pos);
     }
@@ -154,59 +119,6 @@ impl IndexedMinHeap {
         Some(min)
     }
 
-    /// Remove and return the entry that is minimal in **stored-key**
-    /// order, under lazy revalidation.
-    ///
-    /// While the root entry's stamp is neither [`Self::ALWAYS_FRESH`] nor
-    /// `now`, its key is recomputed by `rekey`, updated in place, and
-    /// re-stamped to `now`; the heap re-orders and the loop repeats. The
-    /// entry finally popped therefore carries a key that is exact at
-    /// `now`.
-    ///
-    /// The staleness invariant callers must uphold (DESIGN.md §18): a
-    /// stale stored key is an **upper bound** of the current key, so a
-    /// revalidated root can only move *down* in key and stays at the top
-    /// modulo the deterministic `(key, id)` tie-break — each revalidation
-    /// either pops or permanently freshens one entry, bounding the loop
-    /// at O(stale entries at the top).
-    ///
-    /// Note what the invariant does **not** give: minimality of the
-    /// popped entry's *current* key. Other entries' stored keys are upper
-    /// bounds too, so an untouched entry whose true key has decayed below
-    /// the popped one stays buried under its higher stored key. The
-    /// selection rule this implements is *minimum last-observed key,
-    /// settled exact at pop time* — a documented semantic difference from
-    /// an eager refresh-everything-then-argmin sweep whenever decay
-    /// curves cross (they do for per-entry hyperbolic decay; DESIGN.md
-    /// §18.1 quantifies the effect).
-    pub fn pop_min_revalidated(
-        &mut self,
-        now: u64,
-        mut rekey: impl FnMut(ObjectId) -> f64,
-    ) -> Option<(ObjectId, f64)> {
-        loop {
-            let &(object, key) = self.items.first()?;
-            let stamp = self.stamps[0];
-            if stamp == Self::ALWAYS_FRESH || stamp == now {
-                self.remove_at(0);
-                return Some((object, key));
-            }
-            let fresh = rekey(object);
-            self.update_stamped(object, fresh, now);
-        }
-    }
-
-    /// The minimum entry found by a linear scan instead of reading the
-    /// root — a structural cross-check for tests and the reference
-    /// planning mode: on a valid heap it must agree with
-    /// [`Self::peek_min`] because the `(key, id)` order is total.
-    pub fn scan_min(&self) -> Option<(ObjectId, f64)> {
-        self.items
-            .iter()
-            .copied()
-            .reduce(|best, item| if before(item, best) { item } else { best })
-    }
-
     /// Remove `object`, returning its key if it was present.
     pub fn remove(&mut self, object: ObjectId) -> Option<f64> {
         let &pos = self.positions.get(object.index())?;
@@ -218,22 +130,14 @@ impl IndexedMinHeap {
         Some(key)
     }
 
-    /// Change the key of `object` to a never-decaying `key`; inserts if
-    /// absent.
+    /// Change the key of `object` to `key`; inserts if absent.
     pub fn update_key(&mut self, object: ObjectId, key: f64) {
-        self.update_stamped(object, key, Self::ALWAYS_FRESH);
-    }
-
-    /// Change the key of `object` to `key`, exact as of raw tick `stamp`;
-    /// inserts if absent.
-    pub fn update_stamped(&mut self, object: ObjectId, key: f64, stamp: u64) {
         debug_assert!(!key.is_nan(), "heap keys must not be NaN");
         let key = canon_f64(key);
         match self.positions.get(object.index()).copied() {
             Some(pos) if pos != ABSENT => {
                 let old = self.items[pos].1;
                 self.items[pos].1 = key;
-                self.stamps[pos] = stamp;
                 // The id component of the order is unchanged, so an equal
                 // key means an unchanged position.
                 if key < old {
@@ -242,7 +146,7 @@ impl IndexedMinHeap {
                     self.sift_down(pos);
                 }
             }
-            _ => self.push_stamped(object, key, stamp),
+            _ => self.push(object, key),
         }
     }
 
@@ -257,16 +161,13 @@ impl IndexedMinHeap {
             self.positions[o.index()] = ABSENT;
         }
         self.items.clear();
-        self.stamps.clear();
     }
 
     fn remove_at(&mut self, pos: usize) {
         let last = self.items.len() - 1;
         let (removed, _) = self.items[pos];
         self.items.swap(pos, last);
-        self.stamps.swap(pos, last);
         self.items.pop();
-        self.stamps.pop();
         self.positions[removed.index()] = ABSENT;
         if pos < self.items.len() {
             self.positions[self.items[pos].0.index()] = pos;
@@ -309,7 +210,6 @@ impl IndexedMinHeap {
 
     fn swap(&mut self, a: usize, b: usize) {
         self.items.swap(a, b);
-        self.stamps.swap(a, b);
         self.positions[self.items[a].0.index()] = a;
         self.positions[self.items[b].0.index()] = b;
     }
@@ -317,9 +217,6 @@ impl IndexedMinHeap {
     /// Check the heap invariant and index consistency (test helper).
     #[doc(hidden)]
     pub fn validate(&self) -> bool {
-        if self.stamps.len() != self.items.len() {
-            return false;
-        }
         for (pos, &(o, _)) in self.items.iter().enumerate() {
             if self.positions[o.index()] != pos {
                 return false;
@@ -511,8 +408,6 @@ mod tests {
         assert!(!h.contains(oid(4)));
         assert_eq!(h.key_of(oid(3)), Some(9.0));
         assert_eq!(h.key_of(oid(99)), None);
-        assert_eq!(h.stamp_of(oid(3)), Some(IndexedMinHeap::ALWAYS_FRESH));
-        assert_eq!(h.stamp_of(oid(99)), None);
     }
 
     #[test]
@@ -603,6 +498,14 @@ mod tests {
         assert!(h.is_empty());
     }
 
+    /// The minimum entry found by a linear scan instead of reading the
+    /// root: on a valid heap it must agree with `peek_min` because the
+    /// `(key, id)` order is total.
+    fn scan_min(h: &IndexedMinHeap) -> Option<(ObjectId, f64)> {
+        h.iter()
+            .reduce(|best, item| if before(item, best) { item } else { best })
+    }
+
     #[test]
     fn scan_min_agrees_with_peek() {
         let mut rng = SplitMix64::new(41);
@@ -612,69 +515,10 @@ mod tests {
             h.push(oid(i), (rng.next_bounded(6) as f64) / 2.0);
         }
         while !h.is_empty() {
-            assert_eq!(h.scan_min(), h.peek_min());
+            assert_eq!(scan_min(&h), h.peek_min());
             h.pop_min();
         }
-        assert_eq!(h.scan_min(), None);
-    }
-
-    #[test]
-    fn revalidated_pop_freshens_stale_roots_in_order() {
-        // Three entries stamped at tick 1 whose stored keys are upper
-        // bounds of their "current" value at tick 5; one always-fresh
-        // entry. The revalidating pop must (a) rekey exactly the stale
-        // entries that surface at the root, (b) restamp them to `now`,
-        // (c) pop each entry with its key exact at `now`. Selection
-        // follows the *stored*-key order — object 1's buried 0.5 only
-        // emerges once the entries stored ahead of it have popped; that
-        // is the lazy semantics DESIGN.md §18 specifies.
-        let mut h = IndexedMinHeap::new();
-        h.push_stamped(oid(0), 4.0, 1); // current value at t=5: 2.0
-        h.push_stamped(oid(1), 5.0, 1); // current value at t=5: 0.5
-        h.push_stamped(oid(2), 6.0, 1); // current value at t=5: 6.0 (already exact)
-        h.push(oid(3), 3.0); // ALWAYS_FRESH
-        let current = |o: ObjectId| match o.raw() {
-            0 => 2.0,
-            1 => 0.5,
-            _ => 6.0,
-        };
-
-        let mut order = Vec::new();
-        let mut revalidations = Vec::new();
-        while let Some((o, key)) = h.pop_min_revalidated(5, |o| {
-            revalidations.push(o);
-            current(o)
-        }) {
-            order.push((o, key));
-            assert!(h.validate());
-        }
-        // Stored order was 3 < 0 < 1 < 2. The fresh 3.0 pops untouched;
-        // each stale entry is revalidated exactly once, when it reaches
-        // the root, and pops with its exact-at-now key.
-        assert_eq!(revalidations, vec![oid(0), oid(1), oid(2)]);
-        assert_eq!(
-            order,
-            vec![(oid(3), 3.0), (oid(0), 2.0), (oid(1), 0.5), (oid(2), 6.0)]
-        );
-    }
-
-    #[test]
-    fn revalidated_pop_trusts_same_tick_stamps() {
-        let mut h = IndexedMinHeap::new();
-        h.push_stamped(oid(0), 1.0, 7);
-        let popped = h.pop_min_revalidated(7, |_| panic!("fresh entry must not be rekeyed"));
-        assert_eq!(popped, Some((oid(0), 1.0)));
-    }
-
-    #[test]
-    fn update_stamped_restamps_without_reorder() {
-        let mut h = IndexedMinHeap::new();
-        h.push_stamped(oid(0), 1.0, 1);
-        h.push_stamped(oid(1), 2.0, 1);
-        h.update_stamped(oid(0), 1.0, 3); // same key, fresher stamp
-        assert_eq!(h.stamp_of(oid(0)), Some(3));
-        assert_eq!(h.peek_min(), Some((oid(0), 1.0)));
-        assert!(h.validate());
+        assert_eq!(scan_min(&h), None);
     }
 
     #[test]
@@ -685,10 +529,10 @@ mod tests {
         // tie by id alone.
         let mut h = IndexedMinHeap::new();
         h.push(oid(1), -0.0);
-        h.push_stamped(oid(0), 0.0, 5);
+        h.push(oid(0), 0.0);
         assert_eq!(h.peek_min(), Some((oid(0), 0.0)));
         assert!(h.peek_min().unwrap().1.is_sign_positive());
-        h.update_stamped(oid(0), -0.0, 6); // update path canonicalizes too
+        h.update_key(oid(0), -0.0); // update path canonicalizes too
         assert_eq!(h.pop_min(), Some((oid(0), 0.0)));
         let popped = h.pop_min().unwrap();
         assert_eq!(popped.0, oid(1));

@@ -111,10 +111,6 @@ impl<R: UtilityRule> CachePolicy for InlineCache<R> {
     fn invalidate(&mut self, object: ObjectId) -> bool {
         self.cache.remove(object).is_some()
     }
-
-    fn debug_reference_planning(&mut self, enabled: bool) {
-        self.cache.set_reference_planning(enabled);
-    }
 }
 
 /// Greedy-Dual-Size (Cao & Irani '97): utility `L + cost/size`, where the

@@ -114,10 +114,6 @@ impl<A: BypassObjectAlgorithm> CachePolicy for OnlineBY<A> {
         self.byu.remove(object);
         self.inner.invalidate(object)
     }
-
-    fn debug_reference_planning(&mut self, enabled: bool) {
-        self.inner.debug_reference_planning(enabled);
-    }
 }
 
 #[cfg(test)]

@@ -197,19 +197,6 @@ pub trait CachePolicy {
         let _ = object;
         false
     }
-
-    /// Route victim selection through the scan-based reference planner
-    /// instead of the utility heap (see
-    /// [`CacheState::set_reference_planning`]). A no-op for policies
-    /// without heap-backed state; wrappers forward it. Decision streams
-    /// must be bit-identical either way — the equivalence proptests flip
-    /// this to cross-check the heap machinery.
-    ///
-    /// [`CacheState::set_reference_planning`]: crate::cache::CacheState::set_reference_planning
-    #[doc(hidden)]
-    fn debug_reference_planning(&mut self, enabled: bool) {
-        let _ = enabled;
-    }
 }
 
 impl<P: CachePolicy + ?Sized> CachePolicy for &mut P {
@@ -240,10 +227,6 @@ impl<P: CachePolicy + ?Sized> CachePolicy for &mut P {
     fn invalidate(&mut self, object: ObjectId) -> bool {
         (**self).invalidate(object)
     }
-
-    fn debug_reference_planning(&mut self, enabled: bool) {
-        (**self).debug_reference_planning(enabled)
-    }
 }
 
 impl<P: CachePolicy + ?Sized> CachePolicy for Box<P> {
@@ -273,10 +256,6 @@ impl<P: CachePolicy + ?Sized> CachePolicy for Box<P> {
 
     fn invalidate(&mut self, object: ObjectId) -> bool {
         (**self).invalidate(object)
-    }
-
-    fn debug_reference_planning(&mut self, enabled: bool) {
-        (**self).debug_reference_planning(enabled)
     }
 }
 

@@ -24,7 +24,11 @@
 //! LAR against the RPs of the cheapest victims that would free enough
 //! space. Free cache space counts as a victim with RP = 0 (unused space
 //! saves nothing). The object is loaded iff every displaced savings rate
-//! is below the expected one; otherwise the query is bypassed.
+//! is below the expected one; otherwise the query is bypassed. Victims
+//! are ranked by their RP *at the access tick*: RPs decay at per-object
+//! speeds, so no stored order stays valid between decisions, and the
+//! policy reads the residents' current rates in one pass whenever a load
+//! would have to evict (DESIGN.md §18.1).
 //!
 //! Episodes (§4.3) segment an object's history into bursts: a new episode
 //! starts when the running profile falls below `c ·` its episode maximum
@@ -34,7 +38,7 @@
 //! metadata compact (§3).
 
 use crate::access::Access;
-use crate::cache::{CacheState, CachedEntry, EvictionPlan};
+use crate::cache::{CacheState, CachedEntry};
 use crate::dense::DenseMap;
 use crate::heap::SelectionHeap;
 use crate::policy::{CachePolicy, Decision, Evictions};
@@ -163,11 +167,6 @@ impl ObjectProfile {
 }
 
 /// The measured rate profile (Eq. 3) of a cached entry at `now`.
-///
-/// This is the rekey rule of the lazy utility heap (DESIGN.md §18): RP
-/// decays hyperbolically between touches, so a stored key stamped at an
-/// earlier tick is always an **upper bound** of the value this computes —
-/// the staleness invariant `plan_eviction_lazy_into` relies on.
 fn rate_of(entry: &CachedEntry, now: Tick) -> f64 {
     let elapsed = now.since_at_least_one(entry.loaded_at) as f64;
     let s = entry.size.as_f64().max(1.0);
@@ -180,18 +179,12 @@ pub struct RateProfile {
     cache: CacheState,
     config: RateProfileConfig,
     profiles: DenseMap<ObjectProfile>,
-    /// Reusable eviction-plan scratch: steady-state decisions allocate
-    /// nothing.
-    plan: EvictionPlan,
+    /// Reusable victim-selection scratch keyed by current RP: a
+    /// steady-state decision allocates nothing.
+    victims: SelectionHeap<f64>,
     /// Reusable partial-selection scratch for [`Self::prune_profiles`],
     /// keyed by last-access tick (exact integer `(tick, id)` tie-break).
     prune_scratch: SelectionHeap<Tick>,
-    /// Reusable (object, rate) scratch for the eager-refresh reference
-    /// mode ([`Self::debug_eager_refresh`]).
-    refresh_scratch: Vec<(ObjectId, f64)>,
-    /// When set, every plan is preceded by a full-cache RP refresh — the
-    /// seed's eager victim-selection rule.
-    eager_refresh: bool,
 }
 
 impl RateProfile {
@@ -206,37 +199,9 @@ impl RateProfile {
             cache: CacheState::new(capacity),
             config,
             profiles: DenseMap::new(),
-            plan: EvictionPlan::new(),
+            victims: SelectionHeap::new(),
             prune_scratch: SelectionHeap::new(),
-            refresh_scratch: Vec::new(),
-            eager_refresh: false,
         }
-    }
-
-    /// Switch victim selection to the seed's **eager refresh** rule:
-    /// before every plan, recompute the RP of every cached object at the
-    /// access tick, so victims pop in ascending order of *current* rate.
-    /// The default lazy path instead pops by *stored-key* (last-observed
-    /// rate) order, settled exact at pop time — a documented semantic
-    /// difference whenever per-object decay curves cross (DESIGN.md
-    /// §18.1). This hook restores the pre-incremental behaviour at
-    /// O(cache) per miss for equivalence tests and impact measurement.
-    #[doc(hidden)]
-    pub fn debug_eager_refresh(&mut self, enabled: bool) {
-        self.eager_refresh = enabled;
-    }
-
-    /// Refresh the heap key of every cached object to its exact RP at
-    /// `now`, stamped `now` — after this the subsequent plan's stored-key
-    /// order *is* the current-rate order.
-    fn refresh_all(&mut self, now: Tick) {
-        let mut scratch = std::mem::take(&mut self.refresh_scratch);
-        scratch.clear();
-        scratch.extend(self.cache.iter().map(|(o, e)| (o, rate_of(e, now))));
-        for &(o, rp) in &scratch {
-            self.cache.set_utility_at(o, rp, now);
-        }
-        self.refresh_scratch = scratch;
     }
 
     /// The measured rate profile (Eq. 3) of a cached object at `now`.
@@ -356,91 +321,67 @@ impl CachePolicy for RateProfile {
     fn on_access(&mut self, access: &Access) -> Decision {
         let now = access.time;
         if self.cache.contains(access.object) {
+            // The RP is computed when a decision needs it; a hit only
+            // grows its numerator.
             self.cache.record_hit(access.object, access.yield_bytes);
-            // Re-key with the RP at the hit tick: every touch leaves the
-            // stored key exact-as-of-now, so between touches the stored
-            // key is an upper bound of the decaying true RP — the
-            // staleness invariant the lazy planner needs.
-            let rp = self
-                .cache
-                .entry(access.object)
-                .map_or(0.0, |e| rate_of(e, now));
-            self.cache.set_utility_at(access.object, rp, now);
             return Decision::Hit;
         }
 
         let lar = self.update_profile(access);
         self.prune_profiles();
 
-        if access.size > self.cache.capacity() {
+        // Free space displaces a rate of zero, so only a positive LAR can
+        // load, and nothing makes room for an object larger than the
+        // cache.
+        let may_load = lar > 0.0 && access.size <= self.cache.capacity();
+        if !may_load {
             return Decision::Bypass;
         }
 
-        // Victims surface from the lazy utility heap in *stored-key*
-        // (last-observed rate) order, each revalidated at `now` so it
-        // carries its exact current RP — no full-cache refresh sweep.
-        // See DESIGN.md §18.1 for how this selection rule differs from
-        // the eager argmin when decay curves cross.
-        if self.eager_refresh {
-            self.refresh_all(now);
-        }
-        let mut plan = std::mem::take(&mut self.plan);
-        if !self
-            .cache
-            .plan_eviction_lazy_into(access.size, now, |_, e| rate_of(e, now), &mut plan)
-        {
-            self.plan = plan;
-            return Decision::Bypass;
-        }
-
-        // Load iff the expected rate beats every displaced one; untouched
-        // free space displaces a savings rate of zero.
-        let mut beats_victims = true;
-        for &(_, rp) in plan.victims() {
-            if rp < lar {
-                continue;
-            }
-            beats_victims = false;
-            break;
-        }
-        if !(beats_victims && lar > 0.0) {
-            self.cache.abort_plan(&plan);
-            self.plan = plan;
-            return Decision::Bypass;
-        }
-
-        // Fold each victim's cache-lifetime performance into its profile,
-        // then evict and load.
+        // Load iff the cheapest residents that free enough room all have
+        // a current RP below the LAR. One pass keeps exactly the
+        // residents a load may displace and totals the room they hold.
         let mut evictions = Evictions::new();
-        for &(v, _) in plan.victims() {
-            // The fetch cost of a victim is unknown here; approximate it
-            // by its size (the uniform-network assumption under which RPs
-            // and LARs are compared in the first place).
-            let vsize = self.cache.entry(v).map(|e| e.size).unwrap_or(Bytes::ZERO);
-            self.absorb_eviction(v, now, vsize);
-            evictions.push(v);
+        if self.cache.free() < access.size {
+            let mut room = self.cache.free();
+            let displaceable = self.cache.iter().filter_map(|(o, e)| {
+                let rp = rate_of(e, now);
+                if rp < lar {
+                    room += e.size;
+                    Some((o, rp))
+                } else {
+                    None
+                }
+            });
+            self.victims.load(displaceable);
+            if room < access.size {
+                return Decision::Bypass;
+            }
+            // Evict in ascending `(RP, id)` order until the newcomer fits,
+            // folding each victim's cache-lifetime performance into its
+            // profile first.
+            while self.cache.free() < access.size {
+                let Some((v, _)) = self.victims.pop_min() else {
+                    break;
+                };
+                // The fetch cost of a victim is unknown here; approximate
+                // it by its size (the uniform-network assumption under
+                // which RPs and LARs are compared in the first place).
+                let vsize = self.cache.entry(v).map_or(Bytes::ZERO, |e| e.size);
+                self.absorb_eviction(v, now, vsize);
+                self.cache.remove(v);
+                evictions.push(v);
+            }
         }
-        self.cache
-            .commit_plan(&plan, access.object, access.size, 0.0, now);
+        // The utility key goes unused: victims are ranked by current RP.
+        self.cache.insert(access.object, access.size, 0.0, now);
         // The triggering query is served from the fresh copy.
         self.cache.record_hit(access.object, access.yield_bytes);
-        // Re-key the newcomer with its actual post-hit rate, exactly like
-        // the hit path: committing it at 0.0 would leave a key that is a
-        // *lower* bound of the true rate — the wrong side of the
-        // staleness invariant — and a later miss in the same query (all
-        // accesses of one query share a tick) would trust the fresh-
-        // stamped 0.0 and evict the object it just loaded.
-        let rp = self
-            .cache
-            .entry(access.object)
-            .map_or(0.0, |e| rate_of(e, now));
-        self.cache.set_utility_at(access.object, rp, now);
         // Outside profile pauses while cached: close its open episode.
         if let Some(p) = self.profiles.get_mut(access.object) {
             let max_eps = self.config.max_episodes;
             p.close_episode(max_eps);
         }
-        self.plan = plan;
         Decision::Load { evictions }
     }
 
@@ -465,10 +406,6 @@ impl CachePolicy for RateProfile {
         // past savings rates no longer predict the new data's behaviour.
         self.profiles.remove(object);
         self.cache.remove(object).is_some()
-    }
-
-    fn debug_reference_planning(&mut self, enabled: bool) {
-        self.cache.set_reference_planning(enabled);
     }
 }
 
@@ -662,12 +599,12 @@ mod tests {
 
     #[test]
     fn same_tick_miss_cannot_evict_a_just_loaded_object() {
-        // All accesses of one query share a tick, so a miss can plan at
-        // the same tick an earlier miss committed a load. The newcomer
-        // is keyed with its actual post-hit rate (not a fresh-stamped
-        // 0.0), so a same-tick rival must genuinely beat that rate: here
-        // both rates are 0.8 and the strict `rp < lar` test fails — the
-        // just-loaded object survives.
+        // All accesses of one query share a tick, so a miss can decide at
+        // the same tick an earlier miss committed a load. The newcomer's
+        // rate already counts the query it served, so a same-tick rival
+        // must genuinely beat that rate: here both rates are 0.8 and the
+        // strict `rp < lar` test fails — the just-loaded object
+        // survives.
         let mut p = RateProfile::new(Bytes::new(100), RateProfileConfig::default());
         assert!(p.on_access(&acc(0, 0, 80, 100)).is_bypass());
         assert!(p.on_access(&acc(1, 0, 90, 100)).is_bypass());
@@ -675,59 +612,45 @@ mod tests {
         let d = p.on_access(&acc(1, 1, 90, 100));
         assert!(d.is_bypass(), "same-tick rival evicted the newcomer: {d:?}");
         assert!(p.contains(ObjectId::new(0)));
-        // The newcomer's key is its true rate at the load tick.
+        // The newcomer's rate at the load tick.
         let rp = p.rate_profile(ObjectId::new(0), Tick::new(1)).unwrap();
         assert!((rp - 0.8).abs() < 1e-12, "{rp}");
     }
 
-    /// The documented semantic difference between the default lazy
-    /// selection (pop by last-observed rate) and the seed's eager
-    /// refresh-then-argmin sweep (DESIGN.md §18.1): per-object decay
-    /// curves cross, so the stored-key minimum need not be the
-    /// current-rate minimum. Object 0 was observed long ago at a modest
-    /// rate; object 1 was observed recently at a high rate but decays
-    /// faster (later `loaded_at`). At the decision tick the lazy path
-    /// evicts object 0 (lowest *stored* rate), the eager path evicts
-    /// object 1 (lowest *current* rate).
+    /// Per-object decay curves cross, so the rate an object showed at its
+    /// last touch does not rank it at decision time (DESIGN.md §18.1).
+    /// Object 0 was last touched long ago at a modest rate; object 1 was
+    /// touched later at a higher rate but decays faster (later
+    /// `loaded_at`). At the decision tick object 1 has the lower
+    /// *current* rate, so it is the victim the paper's rule evicts — a
+    /// lowest-last-observed-rate rule would evict object 0 instead.
     #[test]
-    fn lazy_and_eager_selection_diverge_when_decay_curves_cross() {
-        let run = |eager: bool| {
-            let mut p = RateProfile::new(Bytes::new(200), RateProfileConfig::default());
-            p.debug_eager_refresh(eager);
-            // Object 0: loads at t=1, hits through t=10.
-            // Stored key at t=10: 1000/(9·100) ≈ 1.11.
-            assert!(p.on_access(&acc(0, 0, 100, 100)).is_bypass());
-            assert!(p.on_access(&acc(0, 1, 100, 100)).is_load());
-            for t in 2..=10 {
-                assert!(p.on_access(&acc(0, t, 100, 100)).is_hit());
-            }
-            // Object 1: loads at t=10, hit at t=11.
-            // Stored key at t=11: 200/(1·100) = 2 > object 0's stored key,
-            // but it decays faster: by t≈999 its current rate (~0.002) is
-            // far below object 0's (~0.01).
-            assert!(p.on_access(&acc(1, 9, 100, 100)).is_bypass());
-            assert!(p.on_access(&acc(1, 10, 100, 100)).is_load());
-            assert!(p.on_access(&acc(1, 11, 100, 100)).is_hit());
-            // Object 2 arrives much later and needs one eviction.
-            assert!(p.on_access(&acc(2, 998, 100, 100)).is_bypass());
-            p.on_access(&acc(2, 999, 100, 100))
-        };
-        let lazy = run(false);
-        let eager = run(true);
-        match (&lazy, &eager) {
-            (Decision::Load { evictions: l }, Decision::Load { evictions: e }) => {
-                assert_eq!(
-                    l.as_slice(),
-                    &[ObjectId::new(0)],
-                    "lazy evicts by stored rate"
-                );
-                assert_eq!(
-                    e.as_slice(),
-                    &[ObjectId::new(1)],
-                    "eager evicts by current rate"
-                );
-            }
-            other => panic!("both modes should load: {other:?}"),
+    fn crossing_decay_curves_evict_the_lowest_current_rate() {
+        let mut p = RateProfile::new(Bytes::new(200), RateProfileConfig::default());
+        // Object 0: loads at t=1, hits through t=10.
+        assert!(p.on_access(&acc(0, 0, 100, 100)).is_bypass());
+        assert!(p.on_access(&acc(0, 1, 100, 100)).is_load());
+        for t in 2..=10 {
+            assert!(p.on_access(&acc(0, t, 100, 100)).is_hit());
+        }
+        // Object 1: loads at t=10, hit at t=11.
+        assert!(p.on_access(&acc(1, 9, 100, 100)).is_bypass());
+        assert!(p.on_access(&acc(1, 10, 100, 100)).is_load());
+        assert!(p.on_access(&acc(1, 11, 100, 100)).is_hit());
+        // At their last touches object 1 led: 200/(1·100) = 2 against
+        // 1000/(9·100) ≈ 1.11. By t=999 the order has flipped.
+        let rate = |o: u32, t: u64| p.rate_profile(ObjectId::new(o), Tick::new(t)).unwrap();
+        assert!(rate(0, 10) < rate(1, 11));
+        assert!(rate(1, 999) < rate(0, 999));
+        // Object 2 arrives much later and needs one eviction.
+        assert!(p.on_access(&acc(2, 998, 100, 100)).is_bypass());
+        match p.on_access(&acc(2, 999, 100, 100)) {
+            Decision::Load { evictions } => assert_eq!(
+                evictions.as_slice(),
+                &[ObjectId::new(1)],
+                "the lowest current rate must be evicted"
+            ),
+            other => panic!("object 2 should load: {other:?}"),
         }
     }
 

@@ -239,31 +239,76 @@ pub(crate) fn partition_access_observers(observers: &mut [&mut dyn Observer]) ->
     split
 }
 
+/// Trace references that name no object of the catalog: the kernel
+/// skips them, so their bytes reach no report column.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Unresolved {
+    /// References skipped.
+    pub refs: u64,
+    /// Result bytes they carried.
+    pub bytes: Bytes,
+}
+
+impl Unresolved {
+    // Off the slice loop's hot path: traces that resolve never call it.
+    #[cold]
+    #[inline(never)]
+    fn skip(&mut self, raw_yield: Bytes) {
+        self.refs += 1;
+        self.bytes += raw_yield;
+    }
+
+    /// Add another count into this one.
+    pub(crate) fn add(&mut self, other: Unresolved) {
+        self.refs += other.refs;
+        self.bytes += other.bytes;
+    }
+
+    /// The replay warning for a non-zero count, naming the granularity
+    /// the references failed to resolve at.
+    pub(crate) fn warning(self, granularity: Granularity) -> Option<String> {
+        (self.refs > 0).then(|| {
+            format!(
+                "{} trace references ({} of results) name no {} in the catalog; \
+                 they were skipped and their bytes are in no report column",
+                self.refs,
+                self.bytes,
+                granularity.label()
+            )
+        })
+    }
+}
+
 /// Call `f(object, raw yield)` for each slice of `query` at the
 /// granularity of `objects`, in the query's own table/column order.
-/// References that do not resolve to a cacheable object are skipped.
+/// References that do not resolve to a cacheable object are skipped and
+/// counted in the result.
 #[inline]
 pub(crate) fn for_each_slice(
     query: &TraceQuery,
     objects: &ObjectCatalog,
     mut f: impl FnMut(ObjectId, Bytes),
-) {
+) -> Unresolved {
+    let mut skipped = Unresolved::default();
     match objects.granularity() {
         Granularity::Table => {
             for &(t, raw_yield) in &query.table_yields {
-                if let Ok(object) = objects.object_for_table(t) {
-                    f(object, raw_yield);
+                match objects.object_for_table(t) {
+                    Ok(object) => f(object, raw_yield),
+                    Err(_) => skipped.skip(raw_yield),
                 }
             }
         }
         Granularity::Column => {
             for &(c, raw_yield) in &query.column_yields {
-                if let Ok(object) = objects.object_for_column(c) {
-                    f(object, raw_yield);
+                match objects.object_for_column(c) {
+                    Ok(object) => f(object, raw_yield),
+                    Err(_) => skipped.skip(raw_yield),
                 }
             }
         }
     }
+    skipped
 }
 
 /// The priced links an engine charges traffic over, bottom-up: link `t`
@@ -478,7 +523,8 @@ impl<'a> ReplayEngine<'a> {
     /// going to the first `access_count` observers — the prefix
     /// [`partition_access_observers`] leaves wanting accesses — then
     /// `on_query_end`. Sessions and the mediator serve their queries
-    /// through here.
+    /// through here. Returns the query's references the catalog could
+    /// not resolve.
     pub(crate) fn serve_query(
         &self,
         index: usize,
@@ -487,15 +533,16 @@ impl<'a> ReplayEngine<'a> {
         window: &mut QueryWindow,
         observers: &mut [&mut dyn Observer],
         access_count: usize,
-    ) {
+    ) -> Unresolved {
         for obs in observers.iter_mut() {
             obs.on_query_start(index, query);
         }
         let access = observers.get_mut(..access_count).unwrap_or_default();
-        self.serve(index, query, tiers, window, access);
+        let skipped = self.serve(index, query, tiers, window, access);
         for obs in observers.iter_mut() {
             obs.on_query_end(index, query);
         }
+        skipped
     }
 
     /// Serve query `index` (the policy clock) through `tiers`, one policy
@@ -509,11 +556,11 @@ impl<'a> ReplayEngine<'a> {
         tiers: &mut [&mut dyn CachePolicy],
         window: &mut QueryWindow,
         observers: &mut [&mut dyn Observer],
-    ) {
+    ) -> Unresolved {
         let time = Tick::new(index as u64);
         for_each_slice(query, self.objects, |object, raw_yield| {
             self.serve_slice(index, time, object, raw_yield, tiers, window, observers);
-        });
+        })
     }
 
     /// Resolve one object slice through the tier hierarchy.

@@ -181,10 +181,6 @@ impl<P: CachePolicy> CachePolicy for UniformCostAdapter<P> {
     fn invalidate(&mut self, object: byc_types::ObjectId) -> bool {
         self.inner.invalidate(object)
     }
-
-    fn debug_reference_planning(&mut self, enabled: bool) {
-        self.inner.debug_reference_planning(enabled);
-    }
 }
 
 #[cfg(test)]

@@ -41,7 +41,8 @@
 //! has a no-panic lint, so the builder never panics on misuse.
 
 use crate::engine::{
-    partition_access_observers, AuditObserver, CostObserver, FlightRecorder, Observer, ReplayEngine,
+    partition_access_observers, AuditObserver, CostObserver, FlightRecorder, Observer,
+    ReplayEngine, Unresolved,
 };
 use crate::faults::{
     fault_context, DegradationPolicy, FaultModel, FaultPlan, RetryPolicy, NO_RETRY,
@@ -328,23 +329,25 @@ impl<'a> ReplaySession<'a> {
             }
             let access_count = partition_access_observers(&mut all);
             let mut index = 0usize;
+            let mut skipped = Unresolved::default();
             while let Some(chunk) = source.next()? {
                 for query in chunk.as_slice() {
                     // The cost observer's window is the kernel's fold
                     // target; only its query bookkeeping runs here.
                     cost.on_query_start(index, query);
-                    engine.serve_query(
+                    skipped.add(engine.serve_query(
                         index,
                         query,
                         &mut tiers,
                         &mut cost.window,
                         &mut all,
                         access_count,
-                    );
+                    ));
                     cost.on_query_end(index, query);
                     index += 1;
                 }
             }
+            warnings.extend(skipped.warning(objects.granularity()));
             // Each tier's audit deep-checks its own tier's policy; every
             // other observer sees the site tier's.
             let site = tiers.first().map(|p| &**p as &dyn CachePolicy);
@@ -1025,5 +1028,83 @@ mod tests {
             ))
             .unwrap_err();
         assert!(matches!(err, Error::InvalidConfig(_)), "{err:?}");
+    }
+
+    /// The 300-query smoke trace at `granularity`, plus a copy whose
+    /// every query also names one reference the catalog cannot resolve,
+    /// carrying as many bytes as the query's real references; returns
+    /// both with the catalog view and the bytes the unknown references
+    /// carry.
+    fn with_unknown_refs(granularity: Granularity) -> (Trace, Trace, ObjectCatalog, Bytes) {
+        let cat = build(SdssRelease::Edr, 1e-3, 1);
+        let trace = generate(&cat, &WorkloadConfig::smoke(43, 300)).unwrap();
+        let objects = ObjectCatalog::uniform(&cat, granularity);
+        let mut tainted = trace.clone();
+        let mut unknown = Bytes::ZERO;
+        for q in &mut tainted.queries {
+            match granularity {
+                Granularity::Table => {
+                    let bytes = q.table_yields.iter().map(|&(_, y)| y).sum();
+                    q.table_yields
+                        .push((byc_types::TableId::new(u32::MAX), bytes));
+                    unknown += bytes;
+                }
+                Granularity::Column => {
+                    let bytes = q.column_yields.iter().map(|&(_, y)| y).sum();
+                    q.column_yields
+                        .push((byc_types::ColumnId::new(u32::MAX), bytes));
+                    unknown += bytes;
+                }
+            }
+        }
+        (trace, tainted, objects, unknown)
+    }
+
+    /// Unresolvable references are skipped — the report equals the clean
+    /// trace's — and reported as one replay warning, on a run and on
+    /// every sweep point.
+    fn unresolvable_refs_are_reported(granularity: Granularity) {
+        let (trace, tainted, objects, unknown) = with_unknown_refs(granularity);
+        let expected = format!(
+            "300 trace references ({unknown} of results) name no {} in the catalog; \
+             they were skipped and their bytes are in no report column",
+            granularity.label()
+        );
+        let replay = |t: &Trace| {
+            let mut p = NoCache;
+            ReplaySession::new(t, &objects)
+                .policy(&mut p)
+                .run()
+                .unwrap()
+        };
+        let clean = replay(&trace);
+        let skipped = replay(&tainted);
+        assert!(clean.warnings.is_empty(), "{:?}", clean.warnings);
+        assert_eq!(skipped.warnings, vec![expected.clone()]);
+        assert_eq!(skipped.report, clean.report);
+
+        let stats = WorkloadStats::compute(&tainted, &objects);
+        let points = ReplaySession::new(&tainted, &objects)
+            .sweep(SweepOptions::new(
+                &[PolicyKind::NoCache, PolicyKind::RateProfile],
+                &[0.1, 0.5],
+                &stats.demands,
+                1,
+            ))
+            .unwrap();
+        assert_eq!(points.len(), 4);
+        for point in &points {
+            assert_eq!(point.warnings, vec![expected.clone()], "{}", point.policy);
+        }
+    }
+
+    #[test]
+    fn unresolvable_table_refs_are_reported() {
+        unresolvable_refs_are_reported(Granularity::Table);
+    }
+
+    #[test]
+    fn unresolvable_column_refs_are_reported() {
+        unresolvable_refs_are_reported(Granularity::Column);
     }
 }

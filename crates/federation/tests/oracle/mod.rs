@@ -14,9 +14,12 @@
 //! the observers that want them, `finish`) and compute every price on
 //! the fly — no precomputed rows, no inline folding — so a kernel that
 //! matches them bit for bit matches the straightforward reading of the
-//! accounting rules.
+//! accounting rules. [`planners`] holds the brute-force twins of the
+//! policies' own planners.
 
 #![allow(dead_code)]
+
+pub mod planners;
 
 use byc_catalog::{Granularity, ObjectCatalog};
 use byc_core::access::Access;
