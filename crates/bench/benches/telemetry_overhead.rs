@@ -21,8 +21,10 @@
 
 use byc_catalog::sdss::{build, SdssRelease};
 use byc_catalog::{Granularity, ObjectCatalog};
-use byc_federation::{build_policy, FlightRecorder, PolicyKind, ReplaySession};
-use byc_telemetry::{EventLogWriter, SpanObserver, TelemetryObserver, WindowedRegistry};
+use byc_federation::{build_policy, PolicyKind, ReplaySession};
+use byc_telemetry::{
+    EventLogWriter, FlightRecorder, SpanObserver, TelemetryObserver, WindowedRegistry,
+};
 use byc_workload::{generate, WorkloadConfig, WorkloadStats};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -133,7 +135,7 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
                         .unwrap()
                         .report
                         .total_cost();
-                    (cost, recorder.into_postmortems().len())
+                    (cost, recorder.postmortems().len())
                 })
             },
         );

@@ -6,24 +6,129 @@ use byc_analysis::{
 };
 use byc_catalog::sdss::{self, SdssRelease};
 use byc_catalog::{Granularity, ObjectCatalog};
+use byc_core::policy::CachePolicy;
 use byc_federation::{
-    build_policy, fault_context, Breakdown, CostEvent, DegradationPolicy, FaultModel, FaultPlan,
-    FlakyLinks, FlightRecorder, LinkScoped, NetworkModel, Observer, Outage, OutageWindows,
+    build_policy, fault_context, policy_roster, Breakdown, CostEvent, DegradationPolicy,
+    FaultModel, FaultPlan, FlakyLinks, LinkScoped, NetworkModel, Observer, Outage, OutageWindows,
     PerServerMultipliers, PolicyKind, QueryWindow, ReplaySession, RetryPolicy, SweepOptions,
     Topology, Uniform,
 };
 use byc_telemetry::{
     render_postmortems, window_header, window_record, write_chrome_trace, write_metrics,
-    EventLogWriter, MetricsFormat, MetricsRegistry, SpanObserver, SpanTracer, TelemetryObserver,
-    WindowedRegistry,
+    EventLogWriter, FlightRecorder, MetricsFormat, MetricsRegistry, SpanObserver, SpanTracer,
+    TelemetryObserver, WindowedRegistry,
 };
 use byc_types::{Bytes, Error, Result, ServerId, Tick};
 use byc_workload::{
     generate, io as trace_io, Trace, TraceQuery, TraceReader, TraceSpec, WorkloadConfig,
     WorkloadStats,
 };
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
+
+/// The flags `run` and `sweep` share: the trace, the federation it is
+/// replayed over, and the observability streams riding the replay.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ReplayArgs {
+    /// Trace file (or "edr"/"dr1" to synthesize on the fly).
+    pub trace: String,
+    /// "table" or "column".
+    pub granularity: String,
+    /// Catalog scale.
+    pub scale: f64,
+    /// Seed for synthesized traces / randomized policies.
+    pub seed: u64,
+    /// Number of back-end servers (tables spread round-robin).
+    pub servers: u32,
+    /// Per-server WAN cost multipliers (None = uniform pricing).
+    pub multipliers: Option<Vec<f64>>,
+    /// Tiered topology spec (None or "flat" = the flat single-tier
+    /// WAN; see `--topology` grammar).
+    pub topology: Option<String>,
+    /// Scope the fault model to one topology link (None = every
+    /// link on the fetch path).
+    pub fault_link: Option<u32>,
+    /// Write a metrics export here, covering every point of a sweep
+    /// (None = no export).
+    pub metrics: Option<PathBuf>,
+    /// Export format for `--metrics`.
+    pub metrics_format: MetricsFormat,
+    /// Fault-model spec (None = fault-free; see `--faults` grammar).
+    pub faults: Option<String>,
+    /// Transfer attempts per slice (1 = no retries).
+    pub retry: u32,
+    /// Seed for stochastic fault models (None = the main `--seed`).
+    pub fault_seed: Option<u64>,
+    /// Degradation fallback when retries are exhausted ("stale"/"fail").
+    pub degrade: String,
+    /// Write the span tree as Chrome trace-event JSON here, one thread
+    /// lane per sweep job (None = no span trace).
+    pub trace_spans: Option<PathBuf>,
+    /// Stream a windowed telemetry snapshot every N queries as NDJSON
+    /// on stderr, each sweep job's in job order (None = no stream).
+    pub metrics_every: Option<u64>,
+    /// Ring depth of the fault flight recorder: keep the last K cost
+    /// events per tier and dump postmortems on failed or degraded
+    /// queries (None = off).
+    pub flight_recorder: Option<usize>,
+}
+
+impl ReplayArgs {
+    /// `trace` with every other flag at its default: column
+    /// granularity, scale 1, seed 42, one server, one attempt per
+    /// transfer, stale degradation, and everything else off.
+    pub fn new(trace: impl Into<String>) -> ReplayArgs {
+        ReplayArgs {
+            trace: trace.into(),
+            granularity: "column".into(),
+            scale: 1.0,
+            seed: 42,
+            servers: 1,
+            multipliers: None,
+            topology: None,
+            fault_link: None,
+            metrics: None,
+            metrics_format: MetricsFormat::Prometheus,
+            faults: None,
+            retry: 1,
+            fault_seed: None,
+            degrade: "stale".into(),
+            trace_spans: None,
+            metrics_every: None,
+            flight_recorder: None,
+        }
+    }
+
+    /// Read the shared flags, defaulting the absent ones.
+    fn parse(trace: String, flags: &Flags) -> Result<ReplayArgs> {
+        let d = ReplayArgs::new(trace);
+        let multipliers = flags.multipliers()?;
+        // --cost-multipliers implies --servers from its length.
+        let servers = multipliers
+            .as_ref()
+            .map_or(d.servers, |m| u32::try_from(m.len()).unwrap_or(u32::MAX));
+        Ok(ReplayArgs {
+            granularity: flags.text("granularity").unwrap_or(d.granularity),
+            scale: flags.catalog_scale(d.scale)?,
+            seed: flags.int("seed")?.unwrap_or(d.seed),
+            servers: flags.positive_count("servers", servers)?,
+            multipliers,
+            topology: flags.text("topology"),
+            fault_link: flags.int32("fault-link")?,
+            metrics: flags.path("metrics"),
+            metrics_format: flags.metrics_format()?.unwrap_or(d.metrics_format),
+            faults: flags.text("faults"),
+            retry: flags.positive_count("retry", d.retry)?,
+            fault_seed: flags.int("fault-seed")?,
+            degrade: flags.text("degrade").unwrap_or(d.degrade),
+            trace_spans: flags.path("trace-spans"),
+            metrics_every: flags.int("metrics-every")?,
+            flight_recorder: flags.int("flight-recorder")?.map(|v| v as usize),
+            trace: d.trace,
+        })
+    }
+}
 
 /// A parsed `byc` invocation.
 #[derive(Clone, Debug, PartialEq)]
@@ -43,94 +148,17 @@ pub enum Command {
     },
     /// Replay a trace under one policy and print the cost report.
     Run {
-        /// Trace file (or "edr"/"dr1" to synthesize on the fly).
-        trace: String,
+        /// The trace, its federation and the observability flags.
+        replay: ReplayArgs,
         /// Policy name (see [`parse_policy`]).
         policy: String,
-        /// "table" or "column".
-        granularity: String,
         /// Cache size as a fraction of the database.
         cache_fraction: f64,
-        /// Catalog scale.
-        scale: f64,
-        /// Seed for synthesized traces / randomized policies.
-        seed: u64,
-        /// Number of back-end servers (tables spread round-robin).
-        servers: u32,
-        /// Per-server WAN cost multipliers (None = uniform pricing).
-        multipliers: Option<Vec<f64>>,
-        /// Tiered topology spec (None or "flat" = the flat single-tier
-        /// WAN; see `--topology` grammar).
-        topology: Option<String>,
-        /// Scope the fault model to one topology link (None = every
-        /// link on the fetch path).
-        fault_link: Option<u32>,
         /// Stream per-decision NDJSON events here (None = no event log).
         trace_events: Option<PathBuf>,
-        /// Write a metrics export here (None = no export).
-        metrics: Option<PathBuf>,
-        /// Export format for `--metrics`.
-        metrics_format: MetricsFormat,
-        /// Fault-model spec (None = fault-free; see `--faults` grammar).
-        faults: Option<String>,
-        /// Transfer attempts per slice (1 = no retries).
-        retry: u32,
-        /// Seed for stochastic fault models (None = the main `--seed`).
-        fault_seed: Option<u64>,
-        /// Degradation fallback when retries are exhausted ("stale"/"fail").
-        degrade: String,
-        /// Write the replay's deterministic span tree as Chrome
-        /// trace-event JSON here (None = no span trace).
-        trace_spans: Option<PathBuf>,
-        /// Stream a windowed telemetry snapshot every N queries as
-        /// NDJSON on stderr (None = no stream).
-        metrics_every: Option<u64>,
-        /// Ring depth of the fault flight recorder: keep the last K
-        /// cost events per tier and dump postmortems on failed or
-        /// degraded queries (None = off).
-        flight_recorder: Option<usize>,
     },
-    /// Sweep cache sizes for a set of policies.
-    Sweep {
-        /// Trace file or "edr"/"dr1".
-        trace: String,
-        /// "table" or "column".
-        granularity: String,
-        /// Catalog scale.
-        scale: f64,
-        /// Seed.
-        seed: u64,
-        /// Number of back-end servers (tables spread round-robin).
-        servers: u32,
-        /// Per-server WAN cost multipliers (None = uniform pricing).
-        multipliers: Option<Vec<f64>>,
-        /// Tiered topology spec (None or "flat" = the flat single-tier
-        /// WAN; see `--topology` grammar).
-        topology: Option<String>,
-        /// Scope the fault model to one topology link (None = every
-        /// link on the fetch path).
-        fault_link: Option<u32>,
-        /// Write a metrics export covering every sweep point here.
-        metrics: Option<PathBuf>,
-        /// Export format for `--metrics`.
-        metrics_format: MetricsFormat,
-        /// Fault-model spec (None = fault-free; see `--faults` grammar).
-        faults: Option<String>,
-        /// Transfer attempts per slice (1 = no retries).
-        retry: u32,
-        /// Seed for stochastic fault models (None = the main `--seed`).
-        fault_seed: Option<u64>,
-        /// Degradation fallback when retries are exhausted ("stale"/"fail").
-        degrade: String,
-        /// Write every sweep job's span tree into one Chrome trace-event
-        /// file, one thread lane per job (None = no span trace).
-        trace_spans: Option<PathBuf>,
-        /// Stream each job's windowed telemetry snapshots as NDJSON on
-        /// stderr, in job order (None = no stream).
-        metrics_every: Option<u64>,
-        /// Ring depth of the per-job fault flight recorder (None = off).
-        flight_recorder: Option<usize>,
-    },
+    /// Sweep cache sizes for every policy of the roster.
+    Sweep(ReplayArgs),
     /// Workload analyses: containment and schema locality.
     Analyze {
         /// Trace file or "edr"/"dr1".
@@ -459,7 +487,9 @@ fn check_scale(
     let ratio = mean_yield / db;
     if !(1e-7..=1e-2).contains(&ratio) {
         return Err(Error::InvalidConfig(format!(
-            "trace {spec:?} looks generated at a different catalog scale                          (mean yield {:.3e} bytes vs database {:.3e} bytes);                          pass the --scale used at gen-trace time",
+            "trace {spec:?} looks generated at a different catalog scale \
+             (mean yield {:.3e} bytes vs database {:.3e} bytes); \
+             pass the --scale used at gen-trace time",
             mean_yield, db
         )));
     }
@@ -585,6 +615,118 @@ TRACE FILES: `run` streams a trace file off disk a chunk at a time, so a
           trace's demand profile up front. `sweep` and `analyze` load the
           whole trace (a sweep replays it once per grid point).";
 
+/// The flags `run` and `sweep` share: one per [`ReplayArgs`] field but
+/// the trace.
+const REPLAY_FLAGS: [&str; 16] = [
+    "granularity",
+    "scale",
+    "seed",
+    "servers",
+    "cost-multipliers",
+    "topology",
+    "fault-link",
+    "metrics",
+    "metrics-format",
+    "faults",
+    "retry",
+    "fault-seed",
+    "degrade",
+    "trace-spans",
+    "metrics-every",
+    "flight-recorder",
+];
+
+/// The `--name value` pairs of one invocation, read back as typed
+/// values; `None` when a flag is absent.
+struct Flags(HashMap<String, String>);
+
+impl Flags {
+    fn text(&self, name: &str) -> Option<String> {
+        self.0.get(name).cloned()
+    }
+
+    fn path(&self, name: &str) -> Option<PathBuf> {
+        self.0.get(name).map(PathBuf::from)
+    }
+
+    /// The flag parsed as a `T`; `what` names the form the error expects.
+    fn parsed<T: std::str::FromStr>(&self, name: &str, what: &str) -> Result<Option<T>> {
+        self.0
+            .get(name)
+            .map(|v| {
+                v.parse().map_err(|_| {
+                    Error::InvalidConfig(format!("--{name} expects {what}, got {v:?}"))
+                })
+            })
+            .transpose()
+    }
+
+    fn int(&self, name: &str) -> Result<Option<u64>> {
+        self.parsed(name, "an integer")
+    }
+
+    /// A u32 flag is refused out of range, never wrapped.
+    fn int32(&self, name: &str) -> Result<Option<u32>> {
+        self.int(name)?
+            .map(|v| {
+                u32::try_from(v).map_err(|_| {
+                    Error::InvalidConfig(format!("--{name} must be at most {}, got {v}", u32::MAX))
+                })
+            })
+            .transpose()
+    }
+
+    /// A positive u32 count, `default` when absent.
+    fn positive_count(&self, name: &str, default: u32) -> Result<u32> {
+        let v = self.int32(name)?.unwrap_or(default);
+        require_positive(Some(u64::from(v)), name)?;
+        Ok(v)
+    }
+
+    /// Every subcommand that takes --scale builds a catalog from it, and
+    /// the catalog builder rejects anything but a positive finite scale.
+    fn catalog_scale(&self, default: f64) -> Result<f64> {
+        let scale = self.parsed("scale", "a number")?.unwrap_or(default);
+        if scale.is_finite() && scale > 0.0 {
+            Ok(scale)
+        } else {
+            Err(Error::InvalidConfig(format!(
+                "--scale must be a positive finite number, got {scale}"
+            )))
+        }
+    }
+
+    fn multipliers(&self) -> Result<Option<Vec<f64>>> {
+        self.0
+            .get("cost-multipliers")
+            .map(|v| {
+                v.split(',')
+                    .map(|part| {
+                        part.trim().parse::<f64>().map_err(|_| {
+                            Error::InvalidConfig(format!(
+                                "--cost-multipliers expects comma-separated numbers, got {v:?}"
+                            ))
+                        })
+                    })
+                    .collect()
+            })
+            .transpose()
+    }
+
+    fn metrics_format(&self) -> Result<Option<MetricsFormat>> {
+        self.0
+            .get("metrics-format")
+            .map(|v| {
+                MetricsFormat::parse(v).ok_or_else(|| {
+                    Error::InvalidConfig(format!(
+                        "--metrics-format expects prom or json, got {v:?}"
+                    ))
+                })
+            })
+            .transpose()
+    }
+}
+
 /// Parse raw argument strings into a [`Command`].
 ///
 /// # Errors
@@ -596,52 +738,24 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
         None => return Ok(Command::Help),
         Some(s) => s.as_str(),
     };
-    let known: &[&str] = match sub {
-        "gen-trace" => &["out", "seed", "scale", "queries"],
-        "run" => &[
-            "policy",
-            "granularity",
-            "cache-fraction",
-            "scale",
-            "seed",
-            "servers",
-            "cost-multipliers",
-            "topology",
-            "fault-link",
-            "trace-events",
-            "metrics",
-            "metrics-format",
-            "faults",
-            "retry",
-            "fault-seed",
-            "degrade",
-            "trace-spans",
-            "metrics-every",
-            "flight-recorder",
-        ],
-        "sweep" => &[
-            "granularity",
-            "scale",
-            "seed",
-            "servers",
-            "cost-multipliers",
-            "topology",
-            "fault-link",
-            "metrics",
-            "metrics-format",
-            "faults",
-            "retry",
-            "fault-seed",
-            "degrade",
-            "trace-spans",
-            "metrics-every",
-            "flight-recorder",
-        ],
-        "analyze" => &["granularity", "scale", "seed"],
-        _ => &[],
+    let known: Vec<&str> = match sub {
+        "help" | "--help" | "-h" => Vec::new(),
+        "gen-trace" => vec!["out", "seed", "scale", "queries"],
+        "run" => [
+            &["policy", "cache-fraction", "trace-events"][..],
+            &REPLAY_FLAGS,
+        ]
+        .concat(),
+        "sweep" => REPLAY_FLAGS.to_vec(),
+        "analyze" => vec!["scale", "seed"],
+        other => {
+            return Err(Error::InvalidConfig(format!(
+                "unknown subcommand {other:?}; try `byc help`"
+            )))
+        }
     };
     let mut positional: Vec<String> = Vec::new();
-    let mut flags: std::collections::HashMap<String, String> = std::collections::HashMap::new();
+    let mut flags = HashMap::new();
     while let Some(a) = it.next() {
         if let Some(name) = a.strip_prefix("--") {
             if !known.contains(&name) {
@@ -662,192 +776,45 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
             positional.push(a.clone());
         }
     }
-    let flag_f64 =
-        |flags: &std::collections::HashMap<String, String>, k: &str, default: f64| -> Result<f64> {
-            match flags.get(k) {
-                None => Ok(default),
-                Some(v) => v.parse().map_err(|_| {
-                    Error::InvalidConfig(format!("--{k} expects a number, got {v:?}"))
-                }),
-            }
-        };
-    let flag_u64 =
-        |flags: &std::collections::HashMap<String, String>, k: &str, default: u64| -> Result<u64> {
-            match flags.get(k) {
-                None => Ok(default),
-                Some(v) => v.parse().map_err(|_| {
-                    Error::InvalidConfig(format!("--{k} expects an integer, got {v:?}"))
-                }),
-            }
-        };
-    // A u32 flag is refused out of range, never wrapped.
-    let flag_u32 =
-        |flags: &std::collections::HashMap<String, String>, k: &str, default: u64| -> Result<u32> {
-            let v = flag_u64(flags, k, default)?;
-            u32::try_from(v).map_err(|_| {
-                Error::InvalidConfig(format!("--{k} must be at most {}, got {v}", u32::MAX))
-            })
-        };
-    let flag_count =
-        |flags: &std::collections::HashMap<String, String>, k: &str, default: u64| -> Result<u32> {
-            let v = flag_u32(flags, k, default)?;
-            require_positive(Some(u64::from(v)), k)?;
-            Ok(v)
-        };
-    let flag_multipliers =
-        |flags: &std::collections::HashMap<String, String>| -> Result<Option<Vec<f64>>> {
-            match flags.get("cost-multipliers") {
-                None => Ok(None),
-                Some(v) => v
-                    .split(',')
-                    .map(|part| {
-                        part.trim().parse::<f64>().map_err(|_| {
-                            Error::InvalidConfig(format!(
-                                "--cost-multipliers expects comma-separated numbers, got {v:?}"
-                            ))
-                        })
-                    })
-                    .collect::<Result<Vec<f64>>>()
-                    .map(Some),
-            }
-        };
-    let flag_format = |flags: &std::collections::HashMap<String, String>| -> Result<MetricsFormat> {
-        match flags.get("metrics-format") {
-            None => Ok(MetricsFormat::Prometheus),
-            Some(v) => MetricsFormat::parse(v).ok_or_else(|| {
-                Error::InvalidConfig(format!("--metrics-format expects prom or json, got {v:?}"))
-            }),
-        }
-    };
-    // Every subcommand that takes --scale builds a catalog from it, and
-    // the catalog builder rejects anything but a positive finite scale.
-    let flag_scale = |flags: &std::collections::HashMap<String, String>| -> Result<f64> {
-        let scale = flag_f64(flags, "scale", 1.0)?;
-        if scale.is_finite() && scale > 0.0 {
-            Ok(scale)
-        } else {
-            Err(Error::InvalidConfig(format!(
-                "--scale must be a positive finite number, got {scale}"
-            )))
-        }
-    };
-    let first = |positional: &[String]| -> Result<String> {
+    // Every subcommand takes at most one positional argument; a second
+    // one would otherwise be silently dropped.
+    if let Some(extra) = positional.get(1) {
+        return Err(Error::InvalidConfig(format!(
+            "unexpected argument {extra:?}: `{sub}` takes one positional argument"
+        )));
+    }
+    let flags = Flags(flags);
+    let first = || {
         positional
             .first()
             .cloned()
             .ok_or_else(|| Error::InvalidConfig("missing trace/release argument".into()))
     };
-
     match sub {
-        "help" | "--help" | "-h" => Ok(Command::Help),
         "gen-trace" => Ok(Command::GenTrace {
-            release: first(&positional)?,
-            out: PathBuf::from(
-                flags
-                    .get("out")
-                    .cloned()
-                    .ok_or_else(|| Error::InvalidConfig("gen-trace requires --out FILE".into()))?,
-            ),
-            seed: flag_u64(&flags, "seed", 42)?,
-            scale: flag_scale(&flags)?,
-            queries: flag_u64(&flags, "queries", 0)? as usize,
+            release: first()?,
+            out: flags
+                .path("out")
+                .ok_or_else(|| Error::InvalidConfig("gen-trace requires --out FILE".into()))?,
+            seed: flags.int("seed")?.unwrap_or(42),
+            scale: flags.catalog_scale(1.0)?,
+            queries: flags.int("queries")?.unwrap_or(0) as usize,
         }),
-        "run" => {
-            let multipliers = flag_multipliers(&flags)?;
-            let default_servers = multipliers.as_ref().map_or(1, |m| m.len() as u64);
-            Ok(Command::Run {
-                trace: first(&positional)?,
-                policy: flags
-                    .get("policy")
-                    .cloned()
-                    .ok_or_else(|| Error::InvalidConfig("run requires --policy NAME".into()))?,
-                granularity: flags
-                    .get("granularity")
-                    .cloned()
-                    .unwrap_or_else(|| "column".into()),
-                cache_fraction: flag_f64(&flags, "cache-fraction", 0.15)?,
-                scale: flag_scale(&flags)?,
-                seed: flag_u64(&flags, "seed", 42)?,
-                servers: flag_count(&flags, "servers", default_servers)?,
-                multipliers,
-                topology: flags.get("topology").cloned(),
-                fault_link: flags
-                    .get("fault-link")
-                    .map(|_| flag_u32(&flags, "fault-link", 0))
-                    .transpose()?,
-                trace_events: flags.get("trace-events").map(PathBuf::from),
-                metrics: flags.get("metrics").map(PathBuf::from),
-                metrics_format: flag_format(&flags)?,
-                faults: flags.get("faults").cloned(),
-                retry: flag_count(&flags, "retry", 1)?,
-                fault_seed: flags
-                    .get("fault-seed")
-                    .map(|_| flag_u64(&flags, "fault-seed", 0))
-                    .transpose()?,
-                degrade: flags
-                    .get("degrade")
-                    .cloned()
-                    .unwrap_or_else(|| "stale".into()),
-                trace_spans: flags.get("trace-spans").map(PathBuf::from),
-                metrics_every: flags
-                    .get("metrics-every")
-                    .map(|_| flag_u64(&flags, "metrics-every", 0))
-                    .transpose()?,
-                flight_recorder: flags
-                    .get("flight-recorder")
-                    .map(|_| flag_u64(&flags, "flight-recorder", 0).map(|v| v as usize))
-                    .transpose()?,
-            })
-        }
-        "sweep" => {
-            let multipliers = flag_multipliers(&flags)?;
-            let default_servers = multipliers.as_ref().map_or(1, |m| m.len() as u64);
-            Ok(Command::Sweep {
-                trace: first(&positional)?,
-                granularity: flags
-                    .get("granularity")
-                    .cloned()
-                    .unwrap_or_else(|| "column".into()),
-                scale: flag_scale(&flags)?,
-                seed: flag_u64(&flags, "seed", 42)?,
-                servers: flag_count(&flags, "servers", default_servers)?,
-                multipliers,
-                topology: flags.get("topology").cloned(),
-                fault_link: flags
-                    .get("fault-link")
-                    .map(|_| flag_u32(&flags, "fault-link", 0))
-                    .transpose()?,
-                metrics: flags.get("metrics").map(PathBuf::from),
-                metrics_format: flag_format(&flags)?,
-                faults: flags.get("faults").cloned(),
-                retry: flag_count(&flags, "retry", 1)?,
-                fault_seed: flags
-                    .get("fault-seed")
-                    .map(|_| flag_u64(&flags, "fault-seed", 0))
-                    .transpose()?,
-                degrade: flags
-                    .get("degrade")
-                    .cloned()
-                    .unwrap_or_else(|| "stale".into()),
-                trace_spans: flags.get("trace-spans").map(PathBuf::from),
-                metrics_every: flags
-                    .get("metrics-every")
-                    .map(|_| flag_u64(&flags, "metrics-every", 0))
-                    .transpose()?,
-                flight_recorder: flags
-                    .get("flight-recorder")
-                    .map(|_| flag_u64(&flags, "flight-recorder", 0).map(|v| v as usize))
-                    .transpose()?,
-            })
-        }
+        "run" => Ok(Command::Run {
+            replay: ReplayArgs::parse(first()?, &flags)?,
+            policy: flags
+                .text("policy")
+                .ok_or_else(|| Error::InvalidConfig("run requires --policy NAME".into()))?,
+            cache_fraction: flags.parsed("cache-fraction", "a number")?.unwrap_or(0.15),
+            trace_events: flags.path("trace-events"),
+        }),
+        "sweep" => Ok(Command::Sweep(ReplayArgs::parse(first()?, &flags)?)),
         "analyze" => Ok(Command::Analyze {
-            trace: first(&positional)?,
-            scale: flag_scale(&flags)?,
-            seed: flag_u64(&flags, "seed", 42)?,
+            trace: first()?,
+            scale: flags.catalog_scale(1.0)?,
+            seed: flags.int("seed")?.unwrap_or(42),
         }),
-        other => Err(Error::InvalidConfig(format!(
-            "unknown subcommand {other:?}; try `byc help`"
-        ))),
+        _ => Ok(Command::Help),
     }
 }
 
@@ -862,18 +829,114 @@ fn require_positive(value: Option<u64>, flag: &str) -> Result<()> {
     Ok(())
 }
 
-/// Per-job observer bundle for sweeps: each observability flag
-/// contributes one optional component, all riding the same replay.
-/// [`SweepOptions::observe`] takes a single observer type per sweep,
-/// so the bundle multiplexes the hooks.
-struct SweepObserver {
+/// The federation a `run` or a `sweep` replays over, parsed and checked
+/// from its [`ReplayArgs`] before any trace is read.
+struct Setup {
+    granularity: Granularity,
+    network: Box<dyn NetworkModel + Send>,
+    topology: Option<Topology>,
+    faults: Option<Box<dyn FaultModel>>,
+    retry: RetryPolicy,
+    degradation: DegradationPolicy,
+}
+
+impl Setup {
+    fn new(args: &ReplayArgs) -> Result<Setup> {
+        require_positive(args.metrics_every, "metrics-every")?;
+        require_positive(args.flight_recorder.map(|v| v as u64), "flight-recorder")?;
+        let granularity = parse_granularity(&args.granularity)?;
+        let degradation = parse_degradation(&args.degrade)?;
+        let topology = match &args.topology {
+            Some(spec) => parse_topology(spec, &args.multipliers)?,
+            None => None,
+        };
+        let faults = match &args.faults {
+            Some(spec) => parse_faults(
+                spec,
+                args.fault_seed.unwrap_or(args.seed),
+                args.servers.max(1),
+            )?,
+            None => None,
+        };
+        let depth = topology.as_ref().map_or(1, Topology::depth);
+        Ok(Setup {
+            granularity,
+            network: build_network(&args.multipliers)?,
+            faults: scope_faults(faults, args.fault_link, depth)?,
+            topology,
+            retry: RetryPolicy::new(args.retry, RETRY_BACKOFF_BASE),
+            degradation,
+        })
+    }
+
+    /// Replay `session` over this federation: the topology or else the
+    /// flat network, then the fault layer with its retries and
+    /// degradation.
+    fn configure<'a>(&'a self, session: ReplaySession<'a>) -> ReplaySession<'a> {
+        let session = match &self.topology {
+            Some(topology) => session.topology(topology),
+            None => session.network(self.network.as_ref()),
+        };
+        match self.faults.as_deref() {
+            Some(model) => session
+                .faults(model)
+                .retry(self.retry)
+                .degrade(self.degradation),
+            None => session,
+        }
+    }
+
+    /// The fault context stamped into flight-recorder postmortems.
+    fn fault_context(&self) -> String {
+        fault_context(self.faults.as_deref().map(|model| FaultPlan {
+            model,
+            retry: self.retry,
+            degradation: self.degradation,
+        }))
+    }
+
+    /// ", NAME topology" on a tiered federation, for report headings.
+    fn topology_note(&self) -> String {
+        self.topology
+            .as_ref()
+            .map(|t| format!(", {} topology", t.name()))
+            .unwrap_or_default()
+    }
+}
+
+/// The observers the observability flags ask for, riding one replay as
+/// one [`Observer`]: `run` attaches one, and a sweep one per job. A part
+/// whose flag is off is absent and costs nothing.
+struct Observers {
     telemetry: Option<TelemetryObserver>,
     spans: Option<SpanObserver>,
     windows: Option<WindowedRegistry>,
     recorder: Option<FlightRecorder>,
 }
 
-impl SweepObserver {
+impl Observers {
+    /// The flags' observers for the replay labelled `label`, its spans
+    /// on thread lane `lane`, with per-tier resolve spans on a topology.
+    fn new(args: &ReplayArgs, setup: &Setup, label: &str, lane: u32) -> Observers {
+        Observers {
+            telemetry: args
+                .metrics
+                .is_some()
+                .then(|| TelemetryObserver::new(label)),
+            spans: args.trace_spans.is_some().then(|| {
+                SpanObserver::new(label)
+                    .with_tid(lane)
+                    .with_tier_detail(setup.topology.is_some())
+            }),
+            windows: args
+                .metrics_every
+                .map(|every| WindowedRegistry::new(label, every as usize)),
+            recorder: args
+                .flight_recorder
+                .map(|depth| FlightRecorder::new(depth).with_context(setup.fault_context())),
+        }
+    }
+
     fn parts(&mut self) -> impl Iterator<Item = &mut dyn Observer> {
         self.telemetry
             .iter_mut()
@@ -882,18 +945,36 @@ impl SweepObserver {
             .chain(self.windows.iter_mut().map(|o| o as &mut dyn Observer))
             .chain(self.recorder.iter_mut().map(|o| o as &mut dyn Observer))
     }
+
+    /// The recorder's postmortem dump, when a query failed or degraded.
+    fn postmortems(&self) -> Option<String> {
+        let r = self.recorder.as_ref()?;
+        (!r.postmortems().is_empty()).then(|| render_postmortems(r.postmortems(), r.truncated()))
+    }
 }
 
-impl Observer for SweepObserver {
+impl Observer for Observers {
     fn on_query_start(&mut self, index: usize, query: &TraceQuery) {
         for obs in self.parts() {
             obs.on_query_start(index, query);
         }
     }
 
+    /// Only the parts that want accesses see them, as in the session's
+    /// own dispatch. Direct calls, not [`Self::parts`]: this runs once
+    /// per slice.
     fn on_access(&mut self, event: &CostEvent<'_>) {
-        for obs in self.parts() {
-            obs.on_access(event);
+        if let Some(o) = self.telemetry.as_mut().filter(|o| o.wants_accesses()) {
+            o.on_access(event);
+        }
+        if let Some(o) = self.spans.as_mut().filter(|o| o.wants_accesses()) {
+            o.on_access(event);
+        }
+        if let Some(o) = self.windows.as_mut().filter(|o| o.wants_accesses()) {
+            o.on_access(event);
+        }
+        if let Some(o) = self.recorder.as_mut().filter(|o| o.wants_accesses()) {
+            o.on_access(event);
         }
     }
 
@@ -903,7 +984,7 @@ impl Observer for SweepObserver {
         }
     }
 
-    fn finish(&mut self, policy: Option<&dyn byc_core::policy::CachePolicy>) {
+    fn finish(&mut self, policy: Option<&dyn CachePolicy>) {
         for obs in self.parts() {
             obs.finish(policy);
         }
@@ -919,11 +1000,7 @@ impl Observer for SweepObserver {
     }
 
     fn warnings(&mut self) -> Vec<String> {
-        let mut out = Vec::new();
-        for obs in self.parts() {
-            out.extend(obs.warnings());
-        }
-        out
+        self.parts().flat_map(|obs| obs.warnings()).collect()
     }
 }
 
@@ -960,52 +1037,23 @@ pub fn run_command(command: Command) -> Result<String> {
             ))
         }
         Command::Run {
-            trace,
+            replay: args,
             policy,
-            granularity,
             cache_fraction,
-            scale,
-            seed,
-            servers,
-            multipliers,
-            topology,
-            fault_link,
             trace_events,
-            metrics,
-            metrics_format,
-            faults,
-            retry,
-            fault_seed,
-            degrade,
-            trace_spans,
-            metrics_every,
-            flight_recorder,
         } => {
             if cache_fraction <= 0.0 || cache_fraction.is_nan() {
                 return Err(Error::InvalidConfig(
                     "--cache-fraction must be positive".into(),
                 ));
             }
-            require_positive(metrics_every, "metrics-every")?;
-            require_positive(flight_recorder.map(|v| v as u64), "flight-recorder")?;
+            let setup = Setup::new(&args)?;
             let kind = parse_policy(&policy)?;
-            let granularity = parse_granularity(&granularity)?;
-            let degradation = parse_degradation(&degrade)?;
-            let topology = match &topology {
-                Some(spec) => parse_topology(spec, &multipliers)?,
-                None => None,
-            };
-            let fault_model = match &faults {
-                Some(spec) => parse_faults(spec, fault_seed.unwrap_or(seed), servers.max(1))?,
-                None => None,
-            };
-            let depth = topology.as_ref().map_or(1, Topology::depth);
-            let fault_model = scope_faults(fault_model, fault_link, depth)?;
             // The pipeline tracer (thread lane 0) brackets the setup
             // phases; the replay loop itself is traced by a
             // `SpanObserver` on lane 1. Ticks are query indexes, so the
             // pre-replay phases render as instants at tick 0.
-            let mut pipeline = trace_spans.as_ref().map(|_| {
+            let mut pipeline = args.trace_spans.as_ref().map(|_| {
                 let mut t = SpanTracer::new();
                 t.begin("byc run", "pipeline");
                 t.begin("parse trace", "pipeline");
@@ -1015,19 +1063,20 @@ pub fn run_command(command: Command) -> Result<String> {
             // under Static, whose offline plan needs the whole trace's
             // demand profile before the first query. Synthesized
             // releases are generated in memory.
-            let streamed = parse_release(&trace).is_err() && kind != PolicyKind::Static;
+            let streamed = parse_release(&args.trace).is_err() && kind != PolicyKind::Static;
             let (catalog, resident, mut reader) = if streamed {
-                let path = std::path::Path::new(&trace);
-                let catalog = sdss::build(SdssRelease::Edr, scale, servers.max(1));
+                let path = std::path::Path::new(&args.trace);
+                let catalog = sdss::build(SdssRelease::Edr, args.scale, args.servers.max(1));
                 // Refuse a mis-scaled file before replaying any of it, on
                 // its first queries' mean yield; the whole file's totals
                 // settle a borderline trace after the replay.
                 let sample = TraceReader::open(path)?.next_chunk(SCALE_SAMPLE)?;
                 let sample_yield = sample.iter().map(|q| q.total_yield).sum();
-                check_scale(&trace, sample.len(), sample_yield, &catalog)?;
+                check_scale(&args.trace, sample.len(), sample_yield, &catalog)?;
                 (catalog, None, Some(TraceReader::open(path)?))
             } else {
-                let (catalog, trace) = load_trace(&trace, scale, seed, servers.max(1))?;
+                let (catalog, trace) =
+                    load_trace(&args.trace, args.scale, args.seed, args.servers.max(1))?;
                 (catalog, Some(trace), None)
             };
             if let Some(t) = pipeline.as_mut() {
@@ -1040,7 +1089,7 @@ pub fn run_command(command: Command) -> Result<String> {
                 t.end();
                 t.begin("build", "pipeline");
             }
-            let objects = ObjectCatalog::uniform(&catalog, granularity);
+            let objects = ObjectCatalog::uniform(&catalog, setup.granularity);
             // Per-object demands are only consulted by Static, which
             // always has the resident trace.
             let demands = match (&resident, kind) {
@@ -1048,38 +1097,38 @@ pub fn run_command(command: Command) -> Result<String> {
                 _ => Vec::new(),
             };
             let capacity = objects.total_size().scale(cache_fraction);
-            let network = build_network(&multipliers)?;
             if let Some(t) = pipeline.as_mut() {
                 t.arg("objects", objects.len() as u64);
                 t.end();
             }
-            // Telemetry rides the same replay as the accounting observers;
-            // it is attached only when a flag asks for it, so plain runs
-            // keep their exact output.
-            let mut telemetry = if trace_events.is_some() || metrics.is_some() {
-                let mut t = TelemetryObserver::new(kind.label());
-                if let Some(path) = &trace_events {
-                    t = t.with_event_log(EventLogWriter::create(path, kind.label())?);
-                }
-                Some(t)
-            } else {
-                None
+            // One independent policy per tier, each tier's cache scaling
+            // the site fraction by its capacity factor; the flat WAN is
+            // one tier.
+            let scales: Vec<f64> = match &setup.topology {
+                Some(topo) => topo.tiers().iter().map(|s| s.capacity_scale).collect(),
+                None => vec![1.0],
             };
-            let mut span_obs = trace_spans.as_ref().map(|_| {
-                SpanObserver::new(kind.label())
-                    .with_tid(1)
-                    .with_tier_detail(topology.is_some())
-            });
+            let mut policies: Vec<Box<dyn CachePolicy + Send + Sync>> = scales
+                .iter()
+                .map(|s| {
+                    let capacity = objects.total_size().scale(cache_fraction * s);
+                    build_policy(kind, capacity, &demands, args.seed)
+                })
+                .collect();
+            let mut observers = Observers::new(&args, &setup, kind.label(), 1);
+            if let Some(path) = &trace_events {
+                let log = EventLogWriter::create(path, kind.label())?;
+                let telemetry = observers
+                    .telemetry
+                    .take()
+                    .unwrap_or_else(|| TelemetryObserver::new(kind.label()));
+                observers.telemetry = Some(telemetry.with_event_log(log));
+            }
             // The window stream writes live during the replay — stderr
             // keeps it separate from the report on stdout.
-            let mut window_reg = metrics_every.map(|every| {
-                WindowedRegistry::new(kind.label(), every as usize)
-                    .with_sink(Box::new(std::io::stderr()))
-            });
-            let mut flat_policy = None;
-            // Initialized only on the tiered path; declared out here so
-            // the session's borrows of the policies outlive the replay.
-            let mut tier_policies: Vec<Box<dyn byc_core::policy::CachePolicy + Send + Sync>>;
+            observers.windows = observers
+                .windows
+                .map(|w| w.with_sink(Box::new(std::io::stderr())));
             let mut tally = YieldTally::default();
             let mut breakdown = Breakdown::new();
             let replay = {
@@ -1091,84 +1140,44 @@ pub fn run_command(command: Command) -> Result<String> {
                     // Unreachable: a trace is either streamed or resident.
                     (None, None) => return Err(Error::InvalidConfig("no trace input".into())),
                 };
-                session = session.observe(&mut breakdown);
-                match &topology {
-                    Some(topo) => {
-                        // One independent policy instance per tier; each
-                        // tier's cache scales the site fraction by the
-                        // tier's capacity factor.
-                        tier_policies = topo
-                            .tiers()
-                            .iter()
-                            .map(|spec| {
-                                build_policy(
-                                    kind,
-                                    objects
-                                        .total_size()
-                                        .scale(cache_fraction * spec.capacity_scale),
-                                    &demands,
-                                    seed,
-                                )
-                            })
-                            .collect();
-                        session = session.topology(topo);
-                        for p in tier_policies.iter_mut() {
-                            session = session.tier_policy(p.as_mut());
-                        }
-                    }
-                    None => {
-                        let p = flat_policy.insert(build_policy(kind, capacity, &demands, seed));
-                        session = session.policy(p.as_mut()).network(network.as_ref());
-                    }
-                }
-                if let Some(model) = fault_model.as_deref() {
-                    session = session
-                        .faults(model)
-                        .retry(RetryPolicy::new(retry, RETRY_BACKOFF_BASE))
-                        .degrade(degradation);
-                }
-                if let Some(t) = telemetry.as_mut() {
-                    session = session.observe(t);
-                }
-                if let Some(o) = span_obs.as_mut() {
-                    session = session.observe(o);
-                }
-                if let Some(w) = window_reg.as_mut() {
-                    session = session.observe(w);
-                }
-                if let Some(depth) = flight_recorder {
-                    session = session.flight_recorder(depth);
+                session = setup
+                    .configure(session)
+                    .observe(&mut breakdown)
+                    .observe(&mut observers);
+                for p in policies.iter_mut() {
+                    session = match setup.topology {
+                        Some(_) => session.tier_policy(p.as_mut()),
+                        None => session.policy(p.as_mut()),
+                    };
                 }
                 session.run()?
             };
             // A streamed file only reveals its whole mean yield once
             // replayed; a refused run leaves no decision log behind.
             if reader.is_some() {
-                if let Err(e) = check_scale(&trace, tally.queries, tally.sequence_cost, &catalog) {
+                if let Err(e) =
+                    check_scale(&args.trace, tally.queries, tally.sequence_cost, &catalog)
+                {
                     if let Some(path) = &trace_events {
                         std::fs::remove_file(path).ok();
                     }
                     return Err(e);
                 }
             }
-            let (report, warnings, postmortems) =
-                (replay.report, replay.warnings, replay.postmortems);
+            let report = replay.report;
             if let Some(t) = pipeline.as_mut() {
                 t.set_tick(report.queries as u64);
                 t.close_all();
             }
-            let topo_suffix = topology
-                .as_ref()
-                .map(|t| format!(", {} topology", t.name()))
-                .unwrap_or_default();
             let mut out = render_cost_table(
                 &format!(
-                    "{} on {} ({} caching, cache {:.0}% = {}{topo_suffix})",
+                    "{} on {} ({} caching, cache {:.0}% = {}{})",
                     report.policy,
                     report.trace,
                     report.granularity,
                     cache_fraction * 100.0,
-                    capacity
+                    capacity,
+                    setup.topology_note()
                 ),
                 std::slice::from_ref(&report),
             );
@@ -1182,12 +1191,12 @@ pub fn run_command(command: Command) -> Result<String> {
                 report.reduction_factor(),
                 report.byte_hit_rate() * 100.0
             );
-            if let Some(model) = fault_model.as_deref() {
+            if let Some(model) = setup.faults.as_deref() {
                 let _ = writeln!(
                     out,
                     "faults ({}, degrade {}): retries {} | retried traffic {} | degraded queries {} | failed queries {} | availability {:.2}%",
                     model.name(),
-                    degradation.label(),
+                    setup.degradation.label(),
                     report.retries,
                     report.retried_bytes,
                     report.degraded_queries,
@@ -1198,10 +1207,10 @@ pub fn run_command(command: Command) -> Result<String> {
             // Observer warnings (parked telemetry IO errors, ring
             // truncation) surface here rather than failing the run: the
             // replay itself succeeded.
-            for w in &warnings {
+            for w in &replay.warnings {
                 let _ = writeln!(out, "warning: {w}");
             }
-            if let Some(topo) = &topology {
+            if let Some(topo) = &setup.topology {
                 // Tiers the walk never reached still get a (zero) row, so
                 // the table always shows the whole hierarchy.
                 let mut windows = vec![QueryWindow::default(); topo.depth()];
@@ -1233,20 +1242,19 @@ pub fn run_command(command: Command) -> Result<String> {
                     out,
                     "{}",
                     render_server_table(
-                        &format!("per-server WAN breakdown ({} pricing)", network.name()),
+                        &format!(
+                            "per-server WAN breakdown ({} pricing)",
+                            setup.network.name()
+                        ),
                         &servers,
                     )
                 );
             }
-            if !postmortems.is_empty() {
-                // Postmortems beyond the recorder's cap were counted but
-                // not stored; say how many the dump is missing.
-                let truncated = (report.failed_queries + report.degraded_queries)
-                    .saturating_sub(postmortems.len() as u64);
+            if let Some(dump) = observers.postmortems() {
                 let _ = writeln!(out);
-                let _ = write!(out, "{}", render_postmortems(&postmortems, truncated));
+                out.push_str(&dump);
             }
-            if let (Some(path), Some(obs)) = (&trace_spans, span_obs) {
+            if let (Some(path), Some(obs)) = (&args.trace_spans, observers.spans) {
                 let tracer = obs.into_tracer();
                 let mut threads: Vec<(&SpanTracer, &str)> = Vec::new();
                 if let Some(p) = pipeline.as_ref() {
@@ -1267,7 +1275,7 @@ pub fn run_command(command: Command) -> Result<String> {
                     render_span_table("replay phase spans (ticks = query index)", &spans)
                 );
             }
-            if let Some(reg) = window_reg {
+            if let Some(reg) = observers.windows {
                 let windows = reg.breakdown().windows();
                 let rows: Vec<_> = windows
                     .iter()
@@ -1286,17 +1294,17 @@ pub fn run_command(command: Command) -> Result<String> {
                     )
                 );
             }
-            if let Some(t) = telemetry {
+            if let Some(t) = observers.telemetry {
                 let (snapshot, io) = t.into_parts();
                 io?;
                 let mut registry = MetricsRegistry::new();
                 registry.absorb(snapshot);
-                if let Some(path) = &metrics {
-                    write_metrics(&registry, metrics_format, path)?;
+                if let Some(path) = &args.metrics {
+                    write_metrics(&registry, args.metrics_format, path)?;
                     let _ = writeln!(
                         out,
                         "\nwrote metrics ({}) to {}",
-                        metrics_format.label(),
+                        args.metrics_format.label(),
                         path.display()
                     );
                 }
@@ -1312,198 +1320,107 @@ pub fn run_command(command: Command) -> Result<String> {
             }
             Ok(out)
         }
-        Command::Sweep {
-            trace,
-            granularity,
-            scale,
-            seed,
-            servers,
-            multipliers,
-            topology,
-            fault_link,
-            metrics,
-            metrics_format,
-            faults,
-            retry,
-            fault_seed,
-            degrade,
-            trace_spans,
-            metrics_every,
-            flight_recorder,
-        } => {
-            require_positive(metrics_every, "metrics-every")?;
-            require_positive(flight_recorder.map(|v| v as u64), "flight-recorder")?;
-            let granularity = parse_granularity(&granularity)?;
-            let degradation = parse_degradation(&degrade)?;
-            let topology = match &topology {
-                Some(spec) => parse_topology(spec, &multipliers)?,
-                None => None,
-            };
-            let fault_model = match &faults {
-                Some(spec) => parse_faults(spec, fault_seed.unwrap_or(seed), servers.max(1))?,
-                None => None,
-            };
-            let depth = topology.as_ref().map_or(1, Topology::depth);
-            let fault_model = scope_faults(fault_model, fault_link, depth)?;
-            let (catalog, trace) = load_trace(&trace, scale, seed, servers.max(1))?;
-            let objects = ObjectCatalog::uniform(&catalog, granularity);
+        Command::Sweep(args) => {
+            let setup = Setup::new(&args)?;
+            let (catalog, trace) =
+                load_trace(&args.trace, args.scale, args.seed, args.servers.max(1))?;
+            let objects = ObjectCatalog::uniform(&catalog, setup.granularity);
             let stats = WorkloadStats::compute(&trace, &objects);
             let fractions = [0.1, 0.2, 0.3, 0.4, 0.5, 0.75, 1.0];
-            let policies = byc_federation::policy_roster();
-            let network = build_network(&multipliers)?;
-            let session = || {
-                let mut s = ReplaySession::new(&trace, &objects);
-                s = match &topology {
-                    // The sweep builds one policy instance per tier at
-                    // each grid point itself.
-                    Some(topo) => s.topology(topo),
-                    None => s.network(network.as_ref()),
-                };
-                if let Some(model) = fault_model.as_deref() {
-                    s = s
-                        .faults(model)
-                        .retry(RetryPolicy::new(retry, RETRY_BACKOFF_BASE))
-                        .degrade(degradation);
-                }
-                s
-            };
+            let policies = policy_roster();
             // Fault-aware points carry the model name in their label, and
             // tiered points the topology name, so faulted/fault-free and
             // flat/tiered exports never merge (POLICY@FRACTION@FAULT@TIER;
             // flat fault-free labels stay plain POLICY@FRACTION).
-            let fault_suffix = fault_model
-                .as_deref()
-                .map(|m| format!("@{}", m.name()))
-                .unwrap_or_default();
-            let fault_suffix = format!(
-                "{fault_suffix}{}",
-                topology
-                    .as_ref()
-                    .map(|t| format!("@{}", t.name()))
-                    .unwrap_or_default()
-            );
-            // Only pay for observers when a flag asked for them.
-            let observing = metrics.is_some()
-                || trace_spans.is_some()
-                || metrics_every.is_some()
-                || flight_recorder.is_some();
-            // Extra per-point output (warnings, postmortems, span-trace
-            // notes) accumulated while decomposing the observers.
-            let mut extra = String::new();
-            let points = if observing {
-                let context = fault_context(fault_model.as_deref().map(|model| FaultPlan {
-                    model,
-                    retry: RetryPolicy::new(retry, RETRY_BACKOFF_BASE),
-                    degradation,
-                }));
-                // One span-trace thread lane per job: lane 0 is reserved
-                // for `run`'s pipeline lane, jobs start at 1, in grid
-                // order.
-                let lane = |kind: PolicyKind, fraction: f64| -> u32 {
-                    let p = policies.iter().position(|k| *k == kind).unwrap_or(0);
-                    let f = fractions
-                        .iter()
-                        .position(|x| (*x - fraction).abs() < 1e-9)
-                        .unwrap_or(0);
-                    (p * fractions.len() + f) as u32 + 1
-                };
-                // One label per sweep point, so distinct (policy,
-                // fraction) cells never merge in any export.
-                let make = |kind: PolicyKind, fraction: f64| {
-                    let label = format!("{}@{:.2}{fault_suffix}", kind.label(), fraction);
-                    SweepObserver {
-                        telemetry: metrics.is_some().then(|| TelemetryObserver::new(&label)),
-                        spans: trace_spans
-                            .is_some()
-                            .then(|| SpanObserver::new(&label).with_tid(lane(kind, fraction))),
-                        windows: metrics_every
-                            .map(|every| WindowedRegistry::new(&label, every as usize)),
-                        recorder: flight_recorder
-                            .map(|depth| FlightRecorder::new(depth).with_context(context.clone())),
-                    }
-                };
-                let mut observers = Vec::new();
-                let results = session().sweep(
-                    SweepOptions::new(&policies, &fractions, &stats.demands, seed)
-                        .observe(&make, &mut observers),
-                )?;
-                let mut registry = MetricsRegistry::new();
-                let mut tracers: Vec<(SpanTracer, String)> = Vec::new();
-                let mut points = Vec::with_capacity(results.len());
-                for (point, observer) in results.into_iter().zip(observers) {
-                    let label = format!("{}@{:.2}", point.policy, point.cache_fraction);
-                    for w in &point.warnings {
-                        let _ = writeln!(extra, "warning: {label}: {w}");
-                    }
-                    if let Some(t) = observer.telemetry {
-                        let (snapshot, io) = t.into_parts();
-                        io?;
-                        registry.absorb(snapshot);
-                    }
-                    if let Some(s) = observer.spans {
-                        tracers.push((s.into_tracer(), label.clone()));
-                    }
-                    if let Some(w) = observer.windows {
-                        // Stream post-hoc in job order: headers and
-                        // records stay deterministic instead of
-                        // interleaving across worker threads.
-                        eprintln!("{}", window_header(w.policy(), w.every()));
-                        for (i, window) in w.breakdown().windows().iter().enumerate() {
-                            eprintln!("{}", window_record(i, window));
-                        }
-                    }
-                    if let Some(r) = observer.recorder {
-                        let postmortems = r.into_postmortems();
-                        if !postmortems.is_empty() {
-                            let truncated = (point.report.failed_queries
-                                + point.report.degraded_queries)
-                                .saturating_sub(postmortems.len() as u64);
-                            let _ = writeln!(extra, "postmortems for {label}:");
-                            let _ =
-                                write!(extra, "{}", render_postmortems(&postmortems, truncated));
-                        }
-                    }
-                    points.push(point);
-                }
-                if let Some(path) = &metrics {
-                    write_metrics(&registry, metrics_format, path)?;
-                }
-                if let Some(path) = &trace_spans {
-                    write_chrome_trace(path, tracers.iter().map(|(t, l)| (t, l.as_str())))?;
-                    let _ = writeln!(
-                        extra,
-                        "wrote span trace ({} sweep jobs) to {}",
-                        tracers.len(),
-                        path.display()
-                    );
-                }
-                points
-            } else {
-                let points = session().sweep(SweepOptions::new(
-                    &policies,
-                    &fractions,
-                    &stats.demands,
-                    seed,
-                ))?;
-                for point in &points {
-                    for w in &point.warnings {
-                        let _ = writeln!(
-                            extra,
-                            "warning: {}@{:.2}: {w}",
-                            point.policy, point.cache_fraction
-                        );
-                    }
-                }
-                points
+            let mut suffix = String::new();
+            if let Some(model) = setup.faults.as_deref() {
+                let _ = write!(suffix, "@{}", model.name());
+            }
+            if let Some(topo) = &setup.topology {
+                let _ = write!(suffix, "@{}", topo.name());
+            }
+            // One span-trace thread lane per job: lane 0 is reserved
+            // for `run`'s pipeline lane, jobs start at 1, in grid
+            // order.
+            let lane = |kind: PolicyKind, fraction: f64| -> u32 {
+                let p = policies.iter().position(|k| *k == kind).unwrap_or(0);
+                let f = fractions
+                    .iter()
+                    .position(|x| (*x - fraction).abs() < 1e-9)
+                    .unwrap_or(0);
+                (p * fractions.len() + f) as u32 + 1
             };
-            let topo_note = topology
-                .as_ref()
-                .map(|t| format!(", {} topology", t.name()))
-                .unwrap_or_default();
+            // One label per sweep point, so distinct (policy,
+            // fraction) cells never merge in any export.
+            let make = |kind: PolicyKind, fraction: f64| {
+                let label = format!("{}@{:.2}{suffix}", kind.label(), fraction);
+                Observers::new(&args, &setup, &label, lane(kind, fraction))
+            };
+            // Only pay for observers when a flag asked for them.
+            let observing = args.metrics.is_some()
+                || args.trace_spans.is_some()
+                || args.metrics_every.is_some()
+                || args.flight_recorder.is_some();
+            let session = setup.configure(ReplaySession::new(&trace, &objects));
+            let options = SweepOptions::new(&policies, &fractions, &stats.demands, args.seed);
+            let mut observers = Vec::new();
+            let points = match observing {
+                true => session.sweep(options.observe(&make, &mut observers))?,
+                false => session.sweep(options)?,
+            };
+            // Per-point output (warnings, postmortems, span-trace notes)
+            // gathered while decomposing the observers, in grid order.
+            let mut extra = String::new();
+            let mut registry = MetricsRegistry::new();
+            let mut tracers: Vec<(SpanTracer, String)> = Vec::new();
+            let mut observers = observers.into_iter();
+            for point in &points {
+                let label = format!("{}@{:.2}", point.policy, point.cache_fraction);
+                for w in &point.warnings {
+                    let _ = writeln!(extra, "warning: {label}: {w}");
+                }
+                let Some(observer) = observers.next() else {
+                    continue;
+                };
+                if let Some(dump) = observer.postmortems() {
+                    let _ = writeln!(extra, "postmortems for {label}:");
+                    extra.push_str(&dump);
+                }
+                if let Some(t) = observer.telemetry {
+                    let (snapshot, io) = t.into_parts();
+                    io?;
+                    registry.absorb(snapshot);
+                }
+                if let Some(w) = observer.windows {
+                    // Stream post-hoc in job order: headers and records
+                    // stay deterministic instead of interleaving across
+                    // worker threads.
+                    eprintln!("{}", window_header(w.policy(), w.every()));
+                    for (i, window) in w.breakdown().windows().iter().enumerate() {
+                        eprintln!("{}", window_record(i, window));
+                    }
+                }
+                if let Some(s) = observer.spans {
+                    tracers.push((s.into_tracer(), label));
+                }
+            }
+            if let Some(path) = &args.metrics {
+                write_metrics(&registry, args.metrics_format, path)?;
+            }
+            if let Some(path) = &args.trace_spans {
+                write_chrome_trace(path, tracers.iter().map(|(t, l)| (t, l.as_str())))?;
+                let _ = writeln!(
+                    extra,
+                    "wrote span trace ({} sweep jobs) to {}",
+                    tracers.len(),
+                    path.display()
+                );
+            }
             let mut out = format!(
-                "total WAN cost (GB) vs cache size, {} caching, trace {}{topo_note}\n",
-                granularity.label(),
-                trace.name
+                "total WAN cost (GB) vs cache size, {} caching, trace {}{}\n",
+                setup.granularity.label(),
+                trace.name,
+                setup.topology_note()
             );
             let _ = write!(out, "{:16}", "% of DB");
             for f in fractions {
@@ -1521,11 +1438,11 @@ pub fn run_command(command: Command) -> Result<String> {
                 }
                 let _ = writeln!(out);
             }
-            if let Some(path) = &metrics {
+            if let Some(path) = &args.metrics {
                 let _ = writeln!(
                     out,
                     "wrote metrics ({}) to {}",
-                    metrics_format.label(),
+                    args.metrics_format.label(),
                     path.display()
                 );
             }
@@ -1667,26 +1584,29 @@ mod tests {
         .unwrap();
         match cmd {
             Command::Run {
-                trace,
+                replay:
+                    ReplayArgs {
+                        trace,
+                        granularity,
+                        scale,
+                        seed,
+                        servers,
+                        multipliers,
+                        topology,
+                        fault_link,
+                        metrics,
+                        metrics_format,
+                        faults,
+                        retry,
+                        fault_seed,
+                        degrade,
+                        trace_spans,
+                        metrics_every,
+                        flight_recorder,
+                    },
                 policy,
-                granularity,
                 cache_fraction,
-                scale,
-                seed,
-                servers,
-                multipliers,
-                topology,
-                fault_link,
                 trace_events,
-                metrics,
-                metrics_format,
-                faults,
-                retry,
-                fault_seed,
-                degrade,
-                trace_spans,
-                metrics_every,
-                flight_recorder,
             } => {
                 assert_eq!(trace, "edr");
                 assert_eq!(policy, "gds");
@@ -1727,8 +1647,12 @@ mod tests {
         .unwrap();
         match cmd {
             Command::Run {
-                servers,
-                multipliers,
+                replay:
+                    ReplayArgs {
+                        servers,
+                        multipliers,
+                        ..
+                    },
                 ..
             } => {
                 assert_eq!(servers, 4);
@@ -1747,11 +1671,11 @@ mod tests {
         ]))
         .unwrap();
         match cmd {
-            Command::Sweep {
+            Command::Sweep(ReplayArgs {
                 servers,
                 multipliers,
                 ..
-            } => {
+            }) => {
                 assert_eq!(servers, 2);
                 assert_eq!(multipliers, Some(vec![1.0, 3.0]));
             }
@@ -1811,26 +1735,15 @@ mod tests {
     #[test]
     fn bad_cache_fraction_rejected() {
         let cmd = Command::Run {
-            trace: "edr".into(),
+            replay: ReplayArgs {
+                granularity: "table".into(),
+                scale: 0.001,
+                seed: 1,
+                ..ReplayArgs::new("edr")
+            },
             policy: "gds".into(),
-            granularity: "table".into(),
             cache_fraction: 0.0,
-            scale: 0.001,
-            seed: 1,
-            servers: 1,
-            multipliers: None,
-            topology: None,
-            fault_link: None,
             trace_events: None,
-            metrics: None,
-            metrics_format: MetricsFormat::Prometheus,
-            faults: None,
-            retry: 1,
-            fault_seed: None,
-            degrade: "stale".into(),
-            trace_spans: None,
-            metrics_every: None,
-            flight_recorder: None,
         };
         assert!(run_command(cmd).is_err());
     }
@@ -1875,6 +1788,25 @@ mod tests {
         );
         let err = parse_args(&args(&["gen-trace", "edr", "--policy", "gds"])).unwrap_err();
         assert!(err.to_string().contains("unknown flag --policy"), "{err}");
+        // `analyze` reports both granularities; it takes no --granularity.
+        let err = parse_args(&args(&["analyze", "edr", "--granularity", "bogus"])).unwrap_err();
+        assert!(
+            err.to_string().contains("unknown flag --granularity"),
+            "{err}"
+        );
+        // A second positional argument is refused by name, not dropped.
+        for argv in [
+            &["run", "edr", "stray", "--policy", "gds", "--scale", "0.02"][..],
+            &["sweep", "edr", "stray"][..],
+            &["analyze", "edr", "stray"][..],
+            &["gen-trace", "edr", "stray", "--out", "t.jsonl"][..],
+        ] {
+            let err = parse_args(&args(argv)).unwrap_err();
+            assert!(
+                matches!(err, Error::InvalidConfig(_)) && err.to_string().contains("\"stray\""),
+                "{argv:?}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -1892,29 +1824,20 @@ mod tests {
         })
         .unwrap();
         let err = run_command(Command::Run {
-            trace: path.to_string_lossy().into_owned(),
+            replay: ReplayArgs {
+                granularity: "table".into(),
+                scale: 1.0, // wrong: trace was generated at 1e-4
+                seed: 7,
+                ..ReplayArgs::new(path.to_string_lossy().into_owned())
+            },
             policy: "gds".into(),
-            granularity: "table".into(),
             cache_fraction: 0.5,
-            scale: 1.0, // wrong: trace was generated at 1e-4
-            seed: 7,
-            servers: 1,
-            multipliers: None,
-            topology: None,
-            fault_link: None,
             trace_events: None,
-            metrics: None,
-            metrics_format: MetricsFormat::Prometheus,
-            faults: None,
-            retry: 1,
-            fault_seed: None,
-            degrade: "stale".into(),
-            trace_spans: None,
-            metrics_every: None,
-            flight_recorder: None,
         })
         .unwrap_err();
         assert!(err.to_string().contains("different catalog scale"), "{err}");
+        // One sentence: no run of spaces from a broken line continuation.
+        assert!(!err.to_string().contains("  "), "{err}");
         std::fs::remove_file(&path).ok();
     }
 
@@ -1930,12 +1853,12 @@ mod tests {
         let run = |at: f64| {
             let mut cmd = base_run(&path.to_string_lossy());
             if let Command::Run {
-                ref mut scale,
+                ref mut replay,
                 ref mut trace_events,
                 ..
             } = cmd
             {
-                *scale = at;
+                replay.scale = at;
                 *trace_events = Some(events.clone());
             }
             run_command(cmd)
@@ -2016,9 +1939,13 @@ mod tests {
         .unwrap();
         match cmd {
             Command::Run {
+                replay:
+                    ReplayArgs {
+                        metrics,
+                        metrics_format,
+                        ..
+                    },
                 trace_events,
-                metrics,
-                metrics_format,
                 ..
             } => {
                 assert_eq!(trace_events, Some(PathBuf::from("events.ndjson")));
@@ -2029,11 +1956,11 @@ mod tests {
         }
         let cmd = parse_args(&args(&["sweep", "edr", "--metrics", "sweep.prom"])).unwrap();
         match cmd {
-            Command::Sweep {
+            Command::Sweep(ReplayArgs {
                 metrics,
                 metrics_format,
                 ..
-            } => {
+            }) => {
                 assert_eq!(metrics, Some(PathBuf::from("sweep.prom")));
                 assert_eq!(metrics_format, MetricsFormat::Prometheus);
             }
@@ -2059,26 +1986,19 @@ mod tests {
         let events = dir.join(format!("byc-cli-events-{}.ndjson", std::process::id()));
         let metrics = dir.join(format!("byc-cli-metrics-{}.json", std::process::id()));
         let out = run_command(Command::Run {
-            trace: "edr".into(),
+            replay: ReplayArgs {
+                granularity: "table".into(),
+                scale: 0.001,
+                seed: 9,
+                servers: 2,
+                multipliers: Some(vec![1.0, 3.0]),
+                metrics: Some(metrics.clone()),
+                metrics_format: MetricsFormat::Json,
+                ..ReplayArgs::new("edr")
+            },
             policy: "spaceeffby".into(),
-            granularity: "table".into(),
             cache_fraction: 0.3,
-            scale: 0.001,
-            seed: 9,
-            servers: 2,
-            multipliers: Some(vec![1.0, 3.0]),
-            topology: None,
-            fault_link: None,
             trace_events: Some(events.clone()),
-            metrics: Some(metrics.clone()),
-            metrics_format: MetricsFormat::Json,
-            faults: None,
-            retry: 1,
-            fault_seed: None,
-            degrade: "stale".into(),
-            trace_spans: None,
-            metrics_every: None,
-            flight_recorder: None,
         })
         .unwrap();
         assert!(out.contains("wrote decision events to"), "{out}");
@@ -2111,26 +2031,16 @@ mod tests {
         let dir = std::env::temp_dir();
         let metrics = dir.join(format!("byc-cli-metrics-{}.prom", std::process::id()));
         let out = run_command(Command::Run {
-            trace: "edr".into(),
+            replay: ReplayArgs {
+                granularity: "table".into(),
+                scale: 0.001,
+                seed: 9,
+                metrics: Some(metrics.clone()),
+                ..ReplayArgs::new("edr")
+            },
             policy: "gds".into(),
-            granularity: "table".into(),
             cache_fraction: 0.3,
-            scale: 0.001,
-            seed: 9,
-            servers: 1,
-            multipliers: None,
-            topology: None,
-            fault_link: None,
             trace_events: None,
-            metrics: Some(metrics.clone()),
-            metrics_format: MetricsFormat::Prometheus,
-            faults: None,
-            retry: 1,
-            fault_seed: None,
-            degrade: "stale".into(),
-            trace_spans: None,
-            metrics_every: None,
-            flight_recorder: None,
         })
         .unwrap();
         assert!(out.contains("wrote metrics (prom) to"), "{out}");
@@ -2159,10 +2069,14 @@ mod tests {
         .unwrap();
         match cmd {
             Command::Run {
-                faults,
-                retry,
-                fault_seed,
-                degrade,
+                replay:
+                    ReplayArgs {
+                        faults,
+                        retry,
+                        fault_seed,
+                        degrade,
+                        ..
+                    },
                 ..
             } => {
                 assert_eq!(faults.as_deref(), Some("flaky:p=0.01,spike=0.05x4"));
@@ -2174,13 +2088,13 @@ mod tests {
         }
         let cmd = parse_args(&args(&["sweep", "edr", "--faults", "outage:0@10..20"])).unwrap();
         match cmd {
-            Command::Sweep {
+            Command::Sweep(ReplayArgs {
                 faults,
                 retry,
                 fault_seed,
                 degrade,
                 ..
-            } => {
+            }) => {
                 assert_eq!(faults.as_deref(), Some("outage:0@10..20"));
                 assert_eq!(retry, 1);
                 assert_eq!(fault_seed, None);
@@ -2225,26 +2139,17 @@ mod tests {
     #[test]
     fn run_with_outage_reports_fault_columns() {
         let out = run_command(Command::Run {
-            trace: "edr".into(),
+            replay: ReplayArgs {
+                granularity: "table".into(),
+                scale: 0.001,
+                seed: 5,
+                faults: Some("outage:0@0..50".into()),
+                degrade: "fail".into(),
+                ..ReplayArgs::new("edr")
+            },
             policy: "nocache".into(),
-            granularity: "table".into(),
             cache_fraction: 0.3,
-            scale: 0.001,
-            seed: 5,
-            servers: 1,
-            multipliers: None,
-            topology: None,
-            fault_link: None,
             trace_events: None,
-            metrics: None,
-            metrics_format: MetricsFormat::Prometheus,
-            faults: Some("outage:0@0..50".into()),
-            retry: 1,
-            fault_seed: None,
-            degrade: "fail".into(),
-            trace_spans: None,
-            metrics_every: None,
-            flight_recorder: None,
         })
         .unwrap();
         assert!(out.contains("faults (outage, degrade fail)"), "{out}");
@@ -2268,8 +2173,12 @@ mod tests {
         .unwrap();
         match cmd {
             Command::Run {
-                topology,
-                fault_link,
+                replay:
+                    ReplayArgs {
+                        topology,
+                        fault_link,
+                        ..
+                    },
                 ..
             } => {
                 assert_eq!(topology.as_deref(), Some("three-tier:0.1,0.25"));
@@ -2279,11 +2188,11 @@ mod tests {
         }
         let cmd = parse_args(&args(&["sweep", "edr", "--topology", "two-tier"])).unwrap();
         match cmd {
-            Command::Sweep {
+            Command::Sweep(ReplayArgs {
                 topology,
                 fault_link,
                 ..
-            } => {
+            }) => {
                 assert_eq!(topology.as_deref(), Some("two-tier"));
                 assert_eq!(fault_link, None);
             }
@@ -2337,26 +2246,20 @@ mod tests {
         let json = dir.join(format!("byc-cli-tier-{}.json", std::process::id()));
         let run = |path: &std::path::Path, format: MetricsFormat| {
             run_command(Command::Run {
-                trace: "dr1".into(),
+                replay: ReplayArgs {
+                    granularity: "table".into(),
+                    scale: 0.001,
+                    seed: 11,
+                    servers: 2,
+                    multipliers: Some(vec![1.0, 2.0]),
+                    topology: Some("three-tier".into()),
+                    metrics: Some(path.to_path_buf()),
+                    metrics_format: format,
+                    ..ReplayArgs::new("dr1")
+                },
                 policy: "rate-profile".into(),
-                granularity: "table".into(),
                 cache_fraction: 0.05,
-                scale: 0.001,
-                seed: 11,
-                servers: 2,
-                multipliers: Some(vec![1.0, 2.0]),
-                topology: Some("three-tier".into()),
-                fault_link: None,
                 trace_events: None,
-                metrics: Some(path.to_path_buf()),
-                metrics_format: format,
-                faults: None,
-                retry: 1,
-                fault_seed: None,
-                degrade: "stale".into(),
-                trace_spans: None,
-                metrics_every: None,
-                flight_recorder: None,
             })
             .unwrap()
         };
@@ -2408,25 +2311,14 @@ mod tests {
             queries: 150,
         })
         .unwrap();
-        let out = run_command(Command::Sweep {
-            trace: trace.to_string_lossy().into_owned(),
+        let out = run_command(Command::Sweep(ReplayArgs {
             granularity: "table".into(),
             scale: 0.001,
             seed: 5,
-            servers: 1,
-            multipliers: None,
             topology: Some("two-tier".into()),
-            fault_link: None,
             metrics: Some(metrics.clone()),
-            metrics_format: MetricsFormat::Prometheus,
-            faults: None,
-            retry: 1,
-            fault_seed: None,
-            degrade: "stale".into(),
-            trace_spans: None,
-            metrics_every: None,
-            flight_recorder: None,
-        })
+            ..ReplayArgs::new(trace.to_string_lossy().into_owned())
+        }))
         .unwrap();
         assert!(out.contains("two-tier topology"), "{out}");
         let text = std::fs::read_to_string(&metrics).unwrap();
@@ -2455,9 +2347,13 @@ mod tests {
         .unwrap();
         match cmd {
             Command::Run {
-                trace_spans,
-                metrics_every,
-                flight_recorder,
+                replay:
+                    ReplayArgs {
+                        trace_spans,
+                        metrics_every,
+                        flight_recorder,
+                        ..
+                    },
                 ..
             } => {
                 assert_eq!(trace_spans, Some(PathBuf::from("spans.json")));
@@ -2468,7 +2364,9 @@ mod tests {
         }
         let cmd = parse_args(&args(&["sweep", "edr", "--metrics-every", "128"])).unwrap();
         match cmd {
-            Command::Sweep { metrics_every, .. } => assert_eq!(metrics_every, Some(128)),
+            Command::Sweep(ReplayArgs { metrics_every, .. }) => {
+                assert_eq!(metrics_every, Some(128))
+            }
             other => panic!("unexpected {other:?}"),
         }
         // Zero windows / zero ring depth are configuration errors.
@@ -2490,26 +2388,17 @@ mod tests {
         let spans = dir.join(format!("byc-cli-spans-{}.json", std::process::id()));
         let run = || {
             run_command(Command::Run {
-                trace: "edr".into(),
+                replay: ReplayArgs {
+                    granularity: "table".into(),
+                    scale: 0.001,
+                    seed: 9,
+                    trace_spans: Some(spans.clone()),
+                    metrics_every: Some(64),
+                    ..ReplayArgs::new("edr")
+                },
                 policy: "gds".into(),
-                granularity: "table".into(),
                 cache_fraction: 0.3,
-                scale: 0.001,
-                seed: 9,
-                servers: 1,
-                multipliers: None,
-                topology: None,
-                fault_link: None,
                 trace_events: None,
-                metrics: None,
-                metrics_format: MetricsFormat::Prometheus,
-                faults: None,
-                retry: 1,
-                fault_seed: None,
-                degrade: "stale".into(),
-                trace_spans: Some(spans.clone()),
-                metrics_every: Some(64),
-                flight_recorder: None,
             })
             .unwrap()
         };
@@ -2545,26 +2434,18 @@ mod tests {
     #[test]
     fn run_flight_recorder_dumps_postmortems() {
         let out = run_command(Command::Run {
-            trace: "edr".into(),
+            replay: ReplayArgs {
+                granularity: "table".into(),
+                scale: 0.001,
+                seed: 5,
+                faults: Some("outage:0@0..50".into()),
+                degrade: "fail".into(),
+                flight_recorder: Some(4),
+                ..ReplayArgs::new("edr")
+            },
             policy: "nocache".into(),
-            granularity: "table".into(),
             cache_fraction: 0.3,
-            scale: 0.001,
-            seed: 5,
-            servers: 1,
-            multipliers: None,
-            topology: None,
-            fault_link: None,
             trace_events: None,
-            metrics: None,
-            metrics_format: MetricsFormat::Prometheus,
-            faults: Some("outage:0@0..50".into()),
-            retry: 1,
-            fault_seed: None,
-            degrade: "fail".into(),
-            trace_spans: None,
-            metrics_every: None,
-            flight_recorder: Some(4),
         })
         .unwrap();
         assert!(out.contains("postmortem: query"), "{out}");
@@ -2587,25 +2468,14 @@ mod tests {
             queries: 120,
         })
         .unwrap();
-        let out = run_command(Command::Sweep {
-            trace: trace.to_string_lossy().into_owned(),
+        let out = run_command(Command::Sweep(ReplayArgs {
             granularity: "table".into(),
             scale: 0.001,
             seed: 5,
-            servers: 1,
-            multipliers: None,
-            topology: None,
-            fault_link: None,
-            metrics: None,
-            metrics_format: MetricsFormat::Prometheus,
-            faults: None,
-            retry: 1,
-            fault_seed: None,
-            degrade: "stale".into(),
             trace_spans: Some(spans.clone()),
             metrics_every: Some(50),
-            flight_recorder: None,
-        })
+            ..ReplayArgs::new(trace.to_string_lossy().into_owned())
+        }))
         .unwrap();
         assert!(out.contains("wrote span trace"), "{out}");
         assert!(out.contains("sweep jobs"), "{out}");
@@ -2630,6 +2500,51 @@ mod tests {
     }
 
     #[test]
+    fn two_tier_sweep_spans_resolve_tiers_in_every_job_lane() {
+        let dir = std::env::temp_dir();
+        let trace = dir.join(format!("byc-cli-tier-spans-{}.jsonl", std::process::id()));
+        let spans = dir.join(format!("byc-cli-tier-spans-{}.json", std::process::id()));
+        run_command(Command::GenTrace {
+            release: "edr".into(),
+            out: trace.clone(),
+            seed: 5,
+            scale: 0.001,
+            queries: 120,
+        })
+        .unwrap();
+        run_command(Command::Sweep(ReplayArgs {
+            granularity: "table".into(),
+            scale: 0.001,
+            seed: 5,
+            topology: Some("two-tier".into()),
+            trace_spans: Some(spans.clone()),
+            ..ReplayArgs::new(trace.to_string_lossy())
+        }))
+        .unwrap();
+
+        // `--trace-spans` records per-tier resolve on topologies: every
+        // job lane carries a `tier 0 resolve` span.
+        let text = std::fs::read_to_string(&spans).unwrap();
+        let value = byc_types::json::Value::parse(&text).unwrap();
+        let mut lanes = std::collections::BTreeSet::new();
+        let mut resolved = std::collections::BTreeSet::new();
+        for event in value["traceEvents"].as_array().unwrap() {
+            if event["ph"].as_str() == Some("X") {
+                let tid = event["tid"].as_u64().unwrap();
+                lanes.insert(tid);
+                if event["name"].as_str() == Some("tier 0 resolve") {
+                    resolved.insert(tid);
+                }
+            }
+        }
+        assert_eq!(lanes.len(), policy_roster().len() * 7, "{lanes:?}");
+        assert_eq!(resolved, lanes);
+
+        std::fs::remove_file(&trace).ok();
+        std::fs::remove_file(&spans).ok();
+    }
+
+    #[test]
     fn sweep_metrics_label_carries_fault_name() {
         let dir = std::env::temp_dir();
         let trace = dir.join(format!("byc-cli-fault-sweep-{}.jsonl", std::process::id()));
@@ -2642,25 +2557,16 @@ mod tests {
             queries: 200,
         })
         .unwrap();
-        let out = run_command(Command::Sweep {
-            trace: trace.to_string_lossy().into_owned(),
+        let out = run_command(Command::Sweep(ReplayArgs {
             granularity: "table".into(),
             scale: 0.001,
             seed: 5,
-            servers: 1,
-            multipliers: None,
-            topology: None,
-            fault_link: None,
             metrics: Some(metrics.clone()),
-            metrics_format: MetricsFormat::Prometheus,
             faults: Some("flaky:p=0.05".into()),
             retry: 2,
             fault_seed: Some(11),
-            degrade: "stale".into(),
-            trace_spans: None,
-            metrics_every: None,
-            flight_recorder: None,
-        })
+            ..ReplayArgs::new(trace.to_string_lossy().into_owned())
+        }))
         .unwrap();
         assert!(out.contains("wrote metrics"), "{out}");
         let text = std::fs::read_to_string(&metrics).unwrap();
@@ -2676,26 +2582,14 @@ mod tests {
     /// knob off; tests mutate the fields they exercise.
     fn base_run(trace: &str) -> Command {
         Command::Run {
-            trace: trace.into(),
+            replay: ReplayArgs {
+                scale: 0.001,
+                seed: 11,
+                ..ReplayArgs::new(trace)
+            },
             policy: "gds".into(),
-            granularity: "column".into(),
             cache_fraction: 0.25,
-            scale: 0.001,
-            seed: 11,
-            servers: 1,
-            multipliers: None,
-            topology: None,
-            fault_link: None,
             trace_events: None,
-            metrics: None,
-            metrics_format: MetricsFormat::Prometheus,
-            faults: None,
-            retry: 1,
-            fault_seed: None,
-            degrade: "stale".into(),
-            trace_spans: None,
-            metrics_every: None,
-            flight_recorder: None,
         }
     }
 
@@ -2826,10 +2720,10 @@ mod tests {
         assert!(
             matches!(
                 cmd,
-                Command::Sweep {
+                Command::Sweep(ReplayArgs {
                     fault_link: Some(0),
                     ..
-                }
+                })
             ),
             "{cmd:?}"
         );

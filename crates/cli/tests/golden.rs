@@ -200,6 +200,24 @@ fn sweep_outputs_match_golden() {
         &dir.read("sweep_three_tier.metrics.json"),
         "sweep_three_tier.metrics.json",
     );
+    let recorder = [
+        "--faults",
+        "outage:0@40..42",
+        "--retry",
+        "2",
+        "--degrade",
+        "fail",
+        "--flight-recorder",
+        "2",
+        "--trace-spans",
+        "sweep_recorder.spans.json",
+    ];
+    let small = ["sweep", "small.jsonl"];
+    assert_golden(&dir.byc(&argv(&small, &recorder)), "sweep_recorder.txt");
+    assert_golden(
+        &dir.read("sweep_recorder.spans.json"),
+        "sweep_recorder.spans.json",
+    );
 }
 
 /// The per-server table's `total` row is the whole replay's WAN: on a

@@ -28,9 +28,7 @@
 //!   (BYHR) view, per-tier rows, per-window totals, and the
 //!   cumulative-cost curves of Figs 7–8;
 //! * [`AuditObserver`] — validates the decision stream with a
-//!   [`DecisionAuditor`] shadow model;
-//! * [`FlightRecorder`] — keeps the last events per tier and snapshots
-//!   them into a [`Postmortem`] when a query fails or degrades.
+//!   [`DecisionAuditor`] shadow model.
 //!
 //! [`Mediator`]: crate::mediator::Mediator
 
@@ -45,7 +43,7 @@ use byc_core::policy::{CachePolicy, Decision};
 use byc_types::{Bytes, ObjectId, ServerId, Tick};
 use byc_workload::TraceQuery;
 use std::borrow::Cow;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::ops::Range;
 
 /// The cost consequences of serving one object slice of one query at one
@@ -1213,210 +1211,9 @@ impl Observer for Breakdown {
     }
 }
 
-/// An owned snapshot of one [`CostEvent`] — the scalar cost split
-/// without the borrowed access/decision/policy views — kept by the
-/// [`FlightRecorder`]'s rings and carried into [`Postmortem`]s.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RecordedEvent {
-    /// Query ordinal within the replay (the tick the event fired at).
-    pub query: usize,
-    /// The object served.
-    pub object: ObjectId,
-    /// The object's home server.
-    pub server: ServerId,
-    /// The caching tier the event belongs to.
-    pub tier: u32,
-    /// Raw result bytes delivered for the slice.
-    pub delivered: Bytes,
-    /// WAN cost of the bypassed slice.
-    pub bypass_cost: Bytes,
-    /// WAN cost of the cache load.
-    pub fetch_cost: Bytes,
-    /// WAN cost of relaying over this tier's inner link.
-    pub relay_cost: Bytes,
-    /// Raw bytes served out of the cache.
-    pub cache_served: Bytes,
-    /// WAN bytes wasted on failed transfer attempts.
-    pub retried_bytes: Bytes,
-    /// Raw result bytes the slice failed to deliver.
-    pub failed_bytes: Bytes,
-    /// 1 iff the decision was a hit.
-    pub hits: u64,
-    /// 1 iff the decision was a bypass.
-    pub bypasses: u64,
-    /// 1 iff the decision was a load.
-    pub loads: u64,
-    /// Failed transfer attempts of the slice.
-    pub retries: u64,
-    /// 1 iff the slice delivered nothing.
-    pub failed: u64,
-    /// 1 iff the slice was served stale.
-    pub degraded: u64,
-}
-
-impl RecordedEvent {
-    /// Snapshot one engine event.
-    pub fn of(event: &CostEvent<'_>) -> RecordedEvent {
-        RecordedEvent {
-            query: event.query,
-            object: event.object,
-            server: event.server,
-            tier: event.tier,
-            delivered: event.delivered,
-            bypass_cost: event.bypass_cost,
-            fetch_cost: event.fetch_cost,
-            relay_cost: event.relay_cost,
-            cache_served: event.cache_served,
-            retried_bytes: event.retried_bytes,
-            failed_bytes: event.failed_bytes,
-            hits: event.hits,
-            bypasses: event.bypasses,
-            loads: event.loads,
-            retries: event.retries,
-            failed: event.failed,
-            degraded: event.degraded,
-        }
-    }
-}
-
-/// One annotated postmortem: the flight recorder's per-tier rings as
-/// they stood when a query failed or degraded, plus the fault context
-/// the replay ran under.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Postmortem {
-    /// The failing/degraded query's ordinal (also its tick).
-    pub query: usize,
-    /// Slices of that query that delivered nothing.
-    pub failed_slices: u64,
-    /// Slices of that query served from the stale local copy.
-    pub degraded_slices: u64,
-    /// The last events per tier leading up to (and including) the
-    /// failure, oldest first, in bottom-up tier order.
-    pub tiers: Vec<(u32, Vec<RecordedEvent>)>,
-    /// Human-readable fault context: the fault model's description plus
-    /// the retry/degradation configuration (lists outage windows when
-    /// the model has them, so active windows can be read off against
-    /// the query tick).
-    pub context: String,
-}
-
-/// The fault flight recorder: a bounded ring of the last K events per
-/// tier that snapshots into a [`Postmortem`] whenever a query fails or
-/// degrades.
-///
-/// Attach it like any [`Observer`]
-/// (via [`ReplaySession::flight_recorder`](crate::session::ReplaySession::flight_recorder));
-/// it costs one ring push per slice and only materializes anything on a
-/// failing query. The number of stored postmortems is bounded by
-/// [`FlightRecorder::MAX_POSTMORTEMS`]; further failing queries only
-/// count, and the overflow surfaces as an [`Observer::warnings`] entry.
-#[derive(Clone, Debug, Default)]
-pub struct FlightRecorder {
-    depth: usize,
-    context: String,
-    rings: BTreeMap<u32, VecDeque<RecordedEvent>>,
-    failed_this_query: u64,
-    degraded_this_query: u64,
-    postmortems: Vec<Postmortem>,
-    truncated: u64,
-}
-
-impl FlightRecorder {
-    /// Postmortems kept before further failing queries only increment
-    /// the truncation count.
-    pub const MAX_POSTMORTEMS: usize = 32;
-
-    /// A recorder keeping the last `depth` events per tier (clamped to
-    /// at least 1).
-    pub fn new(depth: usize) -> FlightRecorder {
-        FlightRecorder {
-            depth: depth.max(1),
-            ..FlightRecorder::default()
-        }
-    }
-
-    /// Attach the fault context string stamped into every postmortem.
-    #[must_use]
-    pub fn with_context(mut self, context: String) -> FlightRecorder {
-        self.context = context;
-        self
-    }
-
-    /// Ring depth (events kept per tier).
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
-    /// Postmortems recorded so far.
-    pub fn postmortems(&self) -> &[Postmortem] {
-        &self.postmortems
-    }
-
-    /// Failing/degraded queries beyond [`Self::MAX_POSTMORTEMS`] that
-    /// were counted but not recorded.
-    pub fn truncated(&self) -> u64 {
-        self.truncated
-    }
-
-    /// Take the recorded postmortems.
-    pub fn into_postmortems(self) -> Vec<Postmortem> {
-        self.postmortems
-    }
-}
-
-impl Observer for FlightRecorder {
-    fn on_query_start(&mut self, _index: usize, _query: &TraceQuery) {
-        self.failed_this_query = 0;
-        self.degraded_this_query = 0;
-    }
-
-    fn on_access(&mut self, event: &CostEvent<'_>) {
-        let ring = self.rings.entry(event.tier).or_default();
-        if ring.len() == self.depth {
-            ring.pop_front();
-        }
-        ring.push_back(RecordedEvent::of(event));
-        self.failed_this_query += event.failed;
-        self.degraded_this_query += event.degraded;
-    }
-
-    fn on_query_end(&mut self, index: usize, _query: &TraceQuery) {
-        if self.failed_this_query == 0 && self.degraded_this_query == 0 {
-            return;
-        }
-        if self.postmortems.len() >= Self::MAX_POSTMORTEMS {
-            self.truncated += 1;
-            return;
-        }
-        self.postmortems.push(Postmortem {
-            query: index,
-            failed_slices: self.failed_this_query,
-            degraded_slices: self.degraded_this_query,
-            tiers: self
-                .rings
-                .iter()
-                .map(|(&tier, ring)| (tier, ring.iter().copied().collect()))
-                .collect(),
-            context: self.context.clone(),
-        });
-    }
-
-    fn warnings(&mut self) -> Vec<String> {
-        if self.truncated == 0 {
-            return Vec::new();
-        }
-        vec![format!(
-            "flight recorder: {} more failing/degraded queries after the first {} postmortems were counted but not recorded",
-            self.truncated,
-            Self::MAX_POSTMORTEMS
-        )]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::{DegradationPolicy, Outage, OutageWindows, RetryPolicy};
     use crate::network::{PerServerMultipliers, Uniform};
     use crate::session::ReplaySession;
     use byc_catalog::sdss::{build, SdssRelease};
@@ -1611,44 +1408,5 @@ mod tests {
         assert_eq!(b.accesses, d.accesses);
         // Stability: within each group the original order held.
         assert!(a.tag < c.tag && b.tag < d.tag);
-    }
-
-    #[test]
-    fn flight_recorder_snapshots_failing_queries() {
-        let (trace, objects) = setup(1);
-        let outage = OutageWindows::new(vec![Outage {
-            server: ServerId::new(0),
-            from: Tick::new(100),
-            until: Tick::new(160),
-        }]);
-        let mut policy = byc_core::static_opt::NoCache;
-        let mut recorder = FlightRecorder::new(4).with_context("test outage".into());
-        let report = ReplaySession::new(&trace, &objects)
-            .policy(&mut policy)
-            .faults(&outage)
-            .retry(RetryPolicy::new(1, 1))
-            .degrade(DegradationPolicy::Fail)
-            .observe(&mut recorder)
-            .run()
-            .unwrap()
-            .report;
-        assert!(report.failed_queries > 0);
-        let seen = recorder.postmortems().len() as u64 + recorder.truncated();
-        assert_eq!(seen, report.failed_queries);
-        let first = &recorder.postmortems()[0];
-        assert!(first.failed_slices > 0);
-        assert_eq!(first.context, "test outage");
-        assert!((100..160).contains(&(first.query as u64)));
-        let (tier, ring) = &first.tiers[0];
-        assert_eq!(*tier, 0);
-        assert!(!ring.is_empty() && ring.len() <= 4);
-        // Rings hold the events leading up to (and including) the
-        // failure, oldest first.
-        assert!(ring.windows(2).all(|w| w[0].query <= w[1].query));
-        assert_eq!(ring.last().unwrap().query, first.query);
-        assert!(ring.iter().any(|e| e.failed == 1));
-        if report.failed_queries > FlightRecorder::MAX_POSTMORTEMS as u64 {
-            assert!(!recorder.warnings().is_empty());
-        }
     }
 }

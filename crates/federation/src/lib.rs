@@ -42,9 +42,7 @@
 //! * [`simulator`] — replay result shapes ([`simulator::Replay`], and
 //!   the [`simulator::SeriesPoint`]s of a [`engine::Breakdown`]'s
 //!   cumulative series). A replay also carries observer
-//!   warnings (parked telemetry IO errors) and the
-//!   [`engine::FlightRecorder`]'s fault postmortems when one was
-//!   attached via [`session::ReplaySession::flight_recorder`].
+//!   warnings (parked telemetry IO errors).
 //! * [`mediator`] — the end-to-end service: SQL text in, routed
 //!   subqueries and decisions out (what the examples drive).
 //! * [`policies`] — the named policy roster used by every experiment.
@@ -69,8 +67,8 @@ pub mod sweep;
 
 pub use accounting::CostReport;
 pub use engine::{
-    AuditObserver, Breakdown, CostEvent, CostObserver, FlightRecorder, Observer, PerServerObserver,
-    Postmortem, QueryWindow, RecordedEvent, ReplayEngine, Window,
+    AuditObserver, Breakdown, CostEvent, CostObserver, Observer, PerServerObserver, QueryWindow,
+    ReplayEngine, Window,
 };
 pub use faults::{
     fault_context, spiked_cost, DegradationPolicy, FaultModel, FaultPlan, FetchAttempt,

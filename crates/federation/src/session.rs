@@ -41,12 +41,9 @@
 //! has a no-panic lint, so the builder never panics on misuse.
 
 use crate::engine::{
-    partition_access_observers, AuditObserver, CostObserver, FlightRecorder, Observer,
-    ReplayEngine, Unresolved,
+    partition_access_observers, AuditObserver, CostObserver, Observer, ReplayEngine, Unresolved,
 };
-use crate::faults::{
-    fault_context, DegradationPolicy, FaultModel, FaultPlan, RetryPolicy, NO_RETRY,
-};
+use crate::faults::{DegradationPolicy, FaultModel, FaultPlan, RetryPolicy, NO_RETRY};
 use crate::network::{NetworkModel, Topology};
 use crate::policies::{build_policy, PolicyKind};
 use crate::simulator::{debug_assert_audit, Replay};
@@ -74,7 +71,6 @@ pub struct ReplaySession<'a> {
     tier_policies: Vec<&'a mut (dyn CachePolicy + Send + Sync)>,
     policy: Option<&'a mut dyn CachePolicy>,
     observers: Vec<&'a mut dyn Observer>,
-    flight_recorder: Option<usize>,
 }
 
 impl std::fmt::Debug for ReplaySession<'_> {
@@ -89,7 +85,6 @@ impl std::fmt::Debug for ReplaySession<'_> {
             .field("topology", &self.topology.map(Topology::name))
             .field("tier_policies", &self.tier_policies.len())
             .field("observers", &self.observers.len())
-            .field("flight_recorder", &self.flight_recorder)
             .finish_non_exhaustive()
     }
 }
@@ -124,19 +119,7 @@ impl<'a> ReplaySession<'a> {
             tier_policies: Vec::new(),
             policy: None,
             observers: Vec::new(),
-            flight_recorder: None,
         }
-    }
-
-    /// Attach a fault flight recorder keeping the last `depth` events
-    /// per tier: whenever a query fails or degrades, the recorder
-    /// snapshots an annotated [`Postmortem`](crate::engine::Postmortem)
-    /// into [`Replay::postmortems`], stamped with the session's fault
-    /// configuration.
-    #[must_use]
-    pub fn flight_recorder(mut self, depth: usize) -> Self {
-        self.flight_recorder = Some(depth.max(1));
-        self
     }
 
     /// The policy driving decisions. Required before [`Self::run`];
@@ -246,7 +229,6 @@ impl<'a> ReplaySession<'a> {
             tier_policies,
             policy,
             mut observers,
-            flight_recorder,
             ..
         } = self;
         // The tier stack, bottom-up: a flat session is one tier.
@@ -309,20 +291,14 @@ impl<'a> ReplaySession<'a> {
         } else {
             Vec::new()
         };
-        let mut recorder =
-            flight_recorder.map(|k| FlightRecorder::new(k).with_context(fault_context(plan)));
         let mut warnings = Vec::new();
         {
             // Audits lead: they all want accesses, so the stable
             // partition keeps them at `0..audits.len()` for the close-out.
             let audit_count = audits.len();
-            let mut all: Vec<&mut dyn Observer> =
-                Vec::with_capacity(audit_count + 1 + observers.len());
+            let mut all: Vec<&mut dyn Observer> = Vec::with_capacity(audit_count + observers.len());
             for audit in audits.iter_mut() {
                 all.push(audit);
-            }
-            if let Some(recorder) = recorder.as_mut() {
-                all.push(recorder);
             }
             for obs in observers.iter_mut() {
                 all.push(&mut **obs);
@@ -366,9 +342,6 @@ impl<'a> ReplaySession<'a> {
             report,
             audit: merge_audits(audits.into_iter().map(AuditObserver::into_report)),
             warnings,
-            postmortems: recorder
-                .map(FlightRecorder::into_postmortems)
-                .unwrap_or_default(),
         })
     }
 

@@ -16,7 +16,7 @@
 //! * `Load`   → fetch cost on the WAN (`D_L`), then yield from cache.
 
 use crate::accounting::CostReport;
-use crate::engine::{for_each_slice, Postmortem};
+use crate::engine::for_each_slice;
 use byc_catalog::ObjectCatalog;
 use byc_core::access::Access;
 use byc_core::audit::AuditReport;
@@ -43,9 +43,6 @@ pub struct Replay {
     /// telemetry IO errors, flight-recorder truncation notes. Empty on
     /// clean runs.
     pub warnings: Vec<String>,
-    /// Fault postmortems, when a flight recorder was attached via
-    /// [`ReplaySession::flight_recorder`](crate::session::ReplaySession::flight_recorder).
-    pub postmortems: Vec<Postmortem>,
 }
 
 /// The per-object accesses of one trace query at one granularity, on a

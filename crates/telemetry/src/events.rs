@@ -14,7 +14,7 @@
 //! calls below are on `fmt::Write` into a `String` — infallible by
 //! definition — and are allowlisted as such in `audit.toml`.
 
-use byc_federation::CostEvent;
+use byc_federation::{CostEvent, QueryWindow};
 use byc_types::json::Value;
 use byc_types::{Bytes, Error, ObjectId, Result, ServerId};
 use std::fmt::Write as _;
@@ -343,48 +343,6 @@ impl EventLogWriter {
     }
 }
 
-/// Summed byte/decision totals of a log — the `CostReport` columns the
-/// log is a witness of.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EventTotals {
-    /// Raw result bytes delivered (`D_A`).
-    pub delivered: Bytes,
-    /// WAN cost of bypassed slices (`D_S`).
-    pub bypass_cost: Bytes,
-    /// WAN cost of cache loads (`D_L`).
-    pub fetch_cost: Bytes,
-    /// WAN cost of relaying slices over inner topology links.
-    pub relay_cost: Bytes,
-    /// Raw bytes served from cache (`D_C`).
-    pub cache_served: Bytes,
-    /// WAN bytes wasted on failed transfer attempts.
-    pub retried_bytes: Bytes,
-    /// Raw result bytes that failed to deliver.
-    pub failed_bytes: Bytes,
-    /// Hit decisions.
-    pub hits: u64,
-    /// Bypass decisions.
-    pub bypasses: u64,
-    /// Load decisions.
-    pub loads: u64,
-    /// Objects evicted.
-    pub evictions: u64,
-    /// Failed transfer attempts.
-    pub retries: u64,
-    /// Slices that delivered nothing.
-    pub failed_slices: u64,
-    /// Slices served from the stale local copy.
-    pub degraded_slices: u64,
-}
-
-impl EventTotals {
-    /// WAN traffic: `D_S + D_L` plus relay forwarding and bytes burned
-    /// on failed attempts.
-    pub fn wan_cost(&self) -> Bytes {
-        self.bypass_cost + self.fetch_cost + self.relay_cost + self.retried_bytes
-    }
-}
-
 /// A parsed event log: the header's identity plus every record.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EventLog {
@@ -397,11 +355,15 @@ pub struct EventLog {
 }
 
 impl EventLog {
-    /// Sum the log's byte and decision columns.
-    pub fn totals(&self) -> EventTotals {
-        let mut t = EventTotals::default();
+    /// Sum the log's byte and decision columns into the replay's own
+    /// [`QueryWindow`]. A record delivers its bytes from the servers or
+    /// from the cache, so its server-shipped share is
+    /// `yield_bytes - cache_served`.
+    pub fn totals(&self) -> QueryWindow {
+        let mut t = QueryWindow::default();
         for e in &self.events {
             t.delivered += e.yield_bytes;
+            t.bypass_served += e.yield_bytes.saturating_sub(e.cache_served);
             t.bypass_cost += e.bypass_cost;
             t.fetch_cost += e.fetch_cost;
             t.relay_cost += e.relay_cost;

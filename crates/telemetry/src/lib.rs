@@ -34,9 +34,10 @@
 //!   [`Breakdown`](byc_federation::Breakdown) closing every N queries as
 //!   `byc.telemetry.window` NDJSON, so long replays show live
 //!   hit-rate/WAN/availability trajectories.
-//! * [`recorder`] — flight-recorder exports: NDJSON and annotated-text
-//!   renderings of the federation's fault
-//!   [`Postmortem`](byc_federation::Postmortem)s.
+//! * [`recorder`] — the **fault flight recorder**: [`FlightRecorder`]
+//!   rings the last [`EventRecord`]s per tier and snapshots them into a
+//!   [`Postmortem`] when a query fails or degrades; the annotated-text
+//!   dump renders it.
 //!
 //! Telemetry is strictly read-only over the event stream: attaching a
 //! [`TelemetryObserver`] to a replay produces byte-identical
@@ -53,8 +54,8 @@ pub mod spans;
 pub mod windows;
 
 pub use events::{
-    read_events, DecisionKind, EventLog, EventLogWriter, EventReader, EventRecord, EventTotals,
-    EVENT_SCHEMA, EVENT_SCHEMA_VERSION,
+    read_events, DecisionKind, EventLog, EventLogWriter, EventReader, EventRecord, EVENT_SCHEMA,
+    EVENT_SCHEMA_VERSION,
 };
 pub use export::{
     escape_label, json_snapshot, prometheus_text, write_metrics, MetricsFormat, WindowColumn,
@@ -64,10 +65,7 @@ pub use metrics::{
     Gauge, Histogram, MetricsRegistry, ObjectClass, PolicyMetrics, SeriesKey, SeriesMetrics,
 };
 pub use observer::{EpisodeStats, PhaseProfile, TelemetryObserver};
-pub use recorder::{
-    postmortem_json, render_postmortem, render_postmortems, write_postmortems, POSTMORTEM_SCHEMA,
-    POSTMORTEM_SCHEMA_VERSION,
-};
+pub use recorder::{render_postmortem, render_postmortems, FlightRecorder, Postmortem};
 pub use spans::{
     chrome_trace, write_chrome_trace, Span, SpanObserver, SpanTracer, SPAN_SCHEMA,
     SPAN_SCHEMA_VERSION,

@@ -1,120 +1,158 @@
-//! Flight-recorder exports: render the federation's fault
-//! [`Postmortem`]s as NDJSON records and annotated text.
+//! The fault flight recorder and its postmortem dump.
 //!
-//! The recorder itself lives in `byc-federation`
-//! ([`byc_federation::FlightRecorder`]) because it has to ride the
-//! engine's observer seam; this module owns the *presentation* — the
-//! `byc.telemetry.postmortem` schema and the human-readable dump the CLI
-//! prints when `--flight-recorder K` caught something. Both renderings
-//! are pure functions of the postmortem, so same-seed replays dump
-//! byte-identical postmortems.
+//! [`FlightRecorder`] is an [`Observer`] like the span tracer and the
+//! window stream: it keeps a bounded ring of the last decisions per tier,
+//! as the event log's [`EventRecord`]s, and snapshots the rings into a
+//! [`Postmortem`] whenever a query fails or degrades.
+//! [`render_postmortems`] is the annotated text the CLI prints when
+//! `--flight-recorder K` caught something. Rendering is a pure function
+//! of the postmortem, so same-seed replays dump byte-identical
+//! postmortems.
 
-use byc_federation::{Postmortem, RecordedEvent};
-use byc_types::json::Value;
-use byc_types::Result;
+use crate::events::EventRecord;
+use byc_federation::{CostEvent, Observer};
+use byc_workload::TraceQuery;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
-use std::path::Path;
 
-/// Schema tag stamped into each postmortem record.
-pub const POSTMORTEM_SCHEMA: &str = "byc.telemetry.postmortem";
-
-/// Version stamped into each postmortem record.
-pub const POSTMORTEM_SCHEMA_VERSION: u64 = 1;
-
-fn event_json(e: &RecordedEvent) -> Value {
-    let mut fields = vec![
-        ("q".into(), Value::u64(e.query as u64)),
-        ("o".into(), Value::u64(u64::from(e.object.raw()))),
-        ("s".into(), Value::u64(u64::from(e.server.raw()))),
-        ("d".into(), Value::u64(e.delivered.raw())),
-        ("bc".into(), Value::u64(e.bypass_cost.raw())),
-        ("fc".into(), Value::u64(e.fetch_cost.raw())),
-        ("rc".into(), Value::u64(e.relay_cost.raw())),
-        ("cs".into(), Value::u64(e.cache_served.raw())),
-    ];
-    // Decision flag: exactly one of hits/bypasses/loads is 1.
-    let decision = if e.hits == 1 {
-        "hit"
-    } else if e.bypasses == 1 {
-        "bypass"
-    } else {
-        "load"
-    };
-    fields.push(("dec".into(), Value::str(decision)));
-    if e.retries > 0 {
-        fields.push(("rt".into(), Value::u64(e.retries)));
-        fields.push(("rb".into(), Value::u64(e.retried_bytes.raw())));
-    }
-    if e.failed > 0 {
-        fields.push(("fl".into(), Value::u64(e.failed)));
-        fields.push(("fb".into(), Value::u64(e.failed_bytes.raw())));
-    }
-    if e.degraded > 0 {
-        fields.push(("dg".into(), Value::u64(e.degraded)));
-    }
-    Value::Object(fields)
+/// One annotated postmortem: the flight recorder's per-tier rings as
+/// they stood when a query failed or degraded, plus the fault context
+/// the replay ran under.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Postmortem {
+    /// The failing/degraded query's ordinal (also its tick).
+    pub query: usize,
+    /// Slices of that query that delivered nothing.
+    pub failed_slices: u64,
+    /// Slices of that query served from the stale local copy.
+    pub degraded_slices: u64,
+    /// The last events per tier leading up to (and including) the
+    /// failure, oldest first, in bottom-up tier order.
+    pub tiers: Vec<(u32, Vec<EventRecord>)>,
+    /// Human-readable fault context: the fault model's description plus
+    /// the retry/degradation configuration (lists outage windows when
+    /// the model has them, so active windows can be read off against
+    /// the query tick).
+    pub context: String,
 }
 
-/// Render one postmortem as a `byc.telemetry.postmortem` JSON record:
-/// the failing query, its failed/degraded slice counts, the fault
-/// context, and the per-tier event rings (oldest first, bottom-up tier
-/// order) with each event's cost split and resolution.
-pub fn postmortem_json(p: &Postmortem) -> Value {
-    let tiers = p
-        .tiers
-        .iter()
-        .map(|(tier, events)| {
-            Value::Object(vec![
-                ("tier".into(), Value::u64(u64::from(*tier))),
-                (
-                    "events".into(),
-                    Value::Array(events.iter().map(event_json).collect()),
-                ),
-            ])
-        })
-        .collect();
-    Value::Object(vec![
-        ("schema".into(), Value::str(POSTMORTEM_SCHEMA)),
-        ("version".into(), Value::u64(POSTMORTEM_SCHEMA_VERSION)),
-        ("query".into(), Value::u64(p.query as u64)),
-        ("failed_slices".into(), Value::u64(p.failed_slices)),
-        ("degraded_slices".into(), Value::u64(p.degraded_slices)),
-        ("context".into(), Value::str(&p.context)),
-        ("tiers".into(), Value::Array(tiers)),
-    ])
-}
-
-/// Write postmortems as NDJSON, one record per line.
+/// The fault flight recorder: a bounded ring of the last K events per
+/// tier that snapshots into a [`Postmortem`] whenever a query fails or
+/// degrades.
 ///
-/// # Errors
-///
-/// [`byc_types::Error::Io`] if the file cannot be created or written.
-pub fn write_postmortems(path: &Path, postmortems: &[Postmortem]) -> Result<()> {
-    use std::io::Write as _;
-    let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
-    for p in postmortems {
-        writeln!(out, "{}", postmortem_json(p))?;
-    }
-    out.flush()?;
-    Ok(())
+/// Attach it like any [`Observer`]; it costs one ring push per slice and
+/// only materializes anything on a failing query. The number of stored
+/// postmortems is bounded by [`FlightRecorder::MAX_POSTMORTEMS`];
+/// further failing queries only count, and the overflow surfaces as an
+/// [`Observer::warnings`] entry.
+#[derive(Clone, Debug, Default)]
+pub struct FlightRecorder {
+    depth: usize,
+    context: String,
+    rings: BTreeMap<u32, VecDeque<EventRecord>>,
+    failed_this_query: u64,
+    degraded_this_query: u64,
+    postmortems: Vec<Postmortem>,
+    truncated: u64,
 }
 
-fn render_event(out: &mut String, e: &RecordedEvent) {
-    let decision = if e.hits == 1 {
-        "hit   "
-    } else if e.bypasses == 1 {
-        "bypass"
-    } else {
-        "load  "
-    };
+impl FlightRecorder {
+    /// Postmortems kept before further failing queries only increment
+    /// the truncation count.
+    pub const MAX_POSTMORTEMS: usize = 32;
+
+    /// A recorder keeping the last `depth` events per tier (clamped to
+    /// at least 1).
+    pub fn new(depth: usize) -> FlightRecorder {
+        FlightRecorder {
+            depth: depth.max(1),
+            ..FlightRecorder::default()
+        }
+    }
+
+    /// Attach the fault context string stamped into every postmortem
+    /// (see [`byc_federation::fault_context`]).
+    #[must_use]
+    pub fn with_context(mut self, context: String) -> FlightRecorder {
+        self.context = context;
+        self
+    }
+
+    /// Ring depth (events kept per tier).
+    pub fn depth(&self) -> usize {
+        self.depth
+    }
+
+    /// Postmortems recorded so far.
+    pub fn postmortems(&self) -> &[Postmortem] {
+        &self.postmortems
+    }
+
+    /// Failing/degraded queries beyond [`Self::MAX_POSTMORTEMS`] that
+    /// were counted but not recorded.
+    pub fn truncated(&self) -> u64 {
+        self.truncated
+    }
+}
+
+impl Observer for FlightRecorder {
+    fn on_query_start(&mut self, _index: usize, _query: &TraceQuery) {
+        self.failed_this_query = 0;
+        self.degraded_this_query = 0;
+    }
+
+    fn on_access(&mut self, event: &CostEvent<'_>) {
+        let ring = self.rings.entry(event.tier).or_default();
+        if ring.len() == self.depth {
+            ring.pop_front();
+        }
+        ring.push_back(EventRecord::from_event(event));
+        self.failed_this_query += event.failed;
+        self.degraded_this_query += event.degraded;
+    }
+
+    fn on_query_end(&mut self, index: usize, _query: &TraceQuery) {
+        if self.failed_this_query == 0 && self.degraded_this_query == 0 {
+            return;
+        }
+        if self.postmortems.len() >= Self::MAX_POSTMORTEMS {
+            self.truncated += 1;
+            return;
+        }
+        self.postmortems.push(Postmortem {
+            query: index,
+            failed_slices: self.failed_this_query,
+            degraded_slices: self.degraded_this_query,
+            tiers: self
+                .rings
+                .iter()
+                .map(|(&tier, ring)| (tier, ring.iter().copied().collect()))
+                .collect(),
+            context: self.context.clone(),
+        });
+    }
+
+    fn warnings(&mut self) -> Vec<String> {
+        if self.truncated == 0 {
+            return Vec::new();
+        }
+        vec![format!(
+            "flight recorder: {} more failing/degraded queries after the first {} postmortems were counted but not recorded",
+            self.truncated,
+            Self::MAX_POSTMORTEMS
+        )]
+    }
+}
+
+fn render_event(out: &mut String, e: &EventRecord) {
     let _ = write!(
         out,
-        "    q{:>6}  obj {:>5}  srv {}  {}  delivered {:>10}",
+        "    q{:>6}  obj {:>5}  srv {}  {:<6}  delivered {:>10}",
         e.query,
         e.object.raw(),
         e.server.raw(),
-        decision,
-        e.delivered.raw(),
+        e.decision.label(),
+        e.yield_bytes.raw(),
     );
     if e.retries > 0 {
         let _ = write!(
@@ -178,37 +216,41 @@ pub fn render_postmortems(postmortems: &[Postmortem], truncated: u64) -> String 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use byc_types::{Bytes, ObjectId, ServerId};
+    use crate::events::DecisionKind;
+    use byc_catalog::sdss::{build, SdssRelease};
+    use byc_catalog::{Granularity, ObjectCatalog};
+    use byc_federation::{DegradationPolicy, Outage, OutageWindows, ReplaySession, RetryPolicy};
+    use byc_types::{Bytes, ObjectId, ServerId, Tick};
 
     fn failing_postmortem() -> Postmortem {
-        let ok = RecordedEvent {
+        let ok = EventRecord {
             query: 118,
             object: ObjectId::new(4),
             server: ServerId::new(1),
-            tier: 0,
-            delivered: Bytes::new(500),
+            decision: DecisionKind::Bypass,
+            yield_bytes: Bytes::new(500),
+            fetch_price: Bytes::new(2000),
             bypass_cost: Bytes::new(500),
             fetch_cost: Bytes::ZERO,
-            relay_cost: Bytes::ZERO,
             cache_served: Bytes::ZERO,
+            evictions: 0,
+            occupancy: Bytes::ZERO,
             retried_bytes: Bytes::ZERO,
             failed_bytes: Bytes::ZERO,
-            hits: 0,
-            bypasses: 1,
-            loads: 0,
             retries: 0,
             failed: 0,
             degraded: 0,
+            tier: 0,
+            relay_cost: Bytes::ZERO,
         };
-        let bad = RecordedEvent {
+        let bad = EventRecord {
             query: 120,
             object: ObjectId::new(7),
             server: ServerId::new(0),
-            delivered: Bytes::ZERO,
+            yield_bytes: Bytes::ZERO,
             bypass_cost: Bytes::ZERO,
             retried_bytes: Bytes::new(1200),
             failed_bytes: Bytes::new(600),
-            bypasses: 0,
             retries: 2,
             failed: 1,
             ..ok
@@ -224,29 +266,6 @@ mod tests {
     }
 
     #[test]
-    fn postmortem_json_roundtrips_and_carries_the_ring() {
-        let p = failing_postmortem();
-        let v = postmortem_json(&p);
-        let parsed = Value::parse(&v.to_string()).unwrap();
-        assert_eq!(
-            parsed.get("schema").and_then(Value::as_str),
-            Some(POSTMORTEM_SCHEMA)
-        );
-        assert_eq!(parsed.get("query").and_then(Value::as_u64), Some(120));
-        assert_eq!(parsed.get("failed_slices").and_then(Value::as_u64), Some(1));
-        let tiers = parsed.get("tiers").and_then(Value::as_array).unwrap();
-        assert_eq!(tiers.len(), 1);
-        let events = tiers[0].get("events").and_then(Value::as_array).unwrap();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].get("dec").and_then(Value::as_str), Some("bypass"));
-        assert_eq!(events[1].get("fl").and_then(Value::as_u64), Some(1));
-        assert_eq!(events[1].get("rt").and_then(Value::as_u64), Some(2));
-        // Clean events omit the failure keys entirely.
-        assert!(events[0].get("fl").is_none());
-        assert!(events[0].get("rt").is_none());
-    }
-
-    #[test]
     fn text_render_annotates_failures_and_truncation() {
         let p = failing_postmortem();
         let text = render_postmortems(std::slice::from_ref(&p), 3);
@@ -258,20 +277,44 @@ mod tests {
     }
 
     #[test]
-    fn write_postmortems_emits_one_line_per_record() {
-        let p = failing_postmortem();
-        let path =
-            std::env::temp_dir().join(format!("byc-postmortems-{}.ndjson", std::process::id()));
-        write_postmortems(&path, &[p.clone(), p]).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let _ = std::fs::remove_file(&path);
-        assert_eq!(text.lines().count(), 2);
-        for line in text.lines() {
-            let v = Value::parse(line).unwrap();
-            assert_eq!(
-                v.get("schema").and_then(Value::as_str),
-                Some(POSTMORTEM_SCHEMA)
-            );
+    fn flight_recorder_snapshots_failing_queries() {
+        let cat = build(SdssRelease::Edr, 1e-3, 1);
+        let trace =
+            byc_workload::generate(&cat, &byc_workload::WorkloadConfig::smoke(43, 1000)).unwrap();
+        let objects = ObjectCatalog::uniform(&cat, Granularity::Column);
+        let outage = OutageWindows::new(vec![Outage {
+            server: ServerId::new(0),
+            from: Tick::new(100),
+            until: Tick::new(160),
+        }]);
+        let mut policy = byc_core::static_opt::NoCache;
+        let mut recorder = FlightRecorder::new(4).with_context("test outage".into());
+        let report = ReplaySession::new(&trace, &objects)
+            .policy(&mut policy)
+            .faults(&outage)
+            .retry(RetryPolicy::new(1, 1))
+            .degrade(DegradationPolicy::Fail)
+            .observe(&mut recorder)
+            .run()
+            .unwrap()
+            .report;
+        assert!(report.failed_queries > 0);
+        let seen = recorder.postmortems().len() as u64 + recorder.truncated();
+        assert_eq!(seen, report.failed_queries);
+        let first = &recorder.postmortems()[0];
+        assert!(first.failed_slices > 0);
+        assert_eq!(first.context, "test outage");
+        assert!((100..160).contains(&(first.query as u64)));
+        let (tier, ring) = &first.tiers[0];
+        assert_eq!(*tier, 0);
+        assert!(!ring.is_empty() && ring.len() <= 4);
+        // Rings hold the events leading up to (and including) the
+        // failure, oldest first.
+        assert!(ring.windows(2).all(|w| w[0].query <= w[1].query));
+        assert_eq!(ring.last().unwrap().query, first.query as u64);
+        assert!(ring.iter().any(|e| e.failed == 1));
+        if report.failed_queries > FlightRecorder::MAX_POSTMORTEMS as u64 {
+            assert!(!recorder.warnings().is_empty());
         }
     }
 }

@@ -8,7 +8,7 @@
 
 use byc_catalog::sdss::{build, SdssRelease};
 use byc_catalog::{Granularity, ObjectCatalog};
-use byc_federation::{PerServerMultipliers, PolicyKind, ReplaySession, SweepOptions};
+use byc_federation::{Breakdown, PerServerMultipliers, PolicyKind, ReplaySession, SweepOptions};
 use byc_telemetry::{read_events, EventLogWriter, MetricsRegistry, TelemetryObserver};
 use byc_types::Bytes;
 use byc_workload::{generate, WorkloadConfig, WorkloadStats};
@@ -54,10 +54,12 @@ fn unsampled_event_log_reproduces_cost_totals() {
     let sink = SharedBuf::default();
     let writer = EventLogWriter::new(Box::new(sink.clone()), "SpaceEffBY");
     let mut telemetry = TelemetryObserver::new("SpaceEffBY").with_event_log(writer);
+    let mut breakdown = Breakdown::new();
     let replay = ReplaySession::new(&trace, &objects)
         .network(&net)
         .policy(policy.as_mut())
         .observe(&mut telemetry)
+        .observe(&mut breakdown)
         .run()
         .expect("policy configured");
     let (metrics, io) = telemetry.into_parts();
@@ -79,6 +81,8 @@ fn unsampled_event_log_reproduces_cost_totals() {
     assert_eq!(totals.loads, report.loads);
     assert_eq!(totals.evictions, report.evictions);
     assert_eq!(log.events.len() as u64, metrics.accesses);
+    // Field for field, the log sums to the replay's own fold.
+    assert_eq!(log.totals(), breakdown.total());
 
     // A heterogeneous network makes the replay exercise real pricing.
     assert!(report.bypass_cost > report.bypass_served);

@@ -106,26 +106,15 @@ fn cli_gen_and_run_compose() {
     };
     byc_cli::commands::run_command(gen).unwrap();
     let run = byc_cli::commands::Command::Run {
-        trace: path.to_string_lossy().into_owned(),
+        replay: byc_cli::commands::ReplayArgs {
+            granularity: "table".into(),
+            scale: 1e-3,
+            seed: 11,
+            ..byc_cli::commands::ReplayArgs::new(path.to_string_lossy().into_owned())
+        },
         policy: "gds".into(),
-        granularity: "table".into(),
         cache_fraction: 0.5,
-        scale: 1e-3,
-        seed: 11,
-        servers: 1,
-        multipliers: None,
-        topology: None,
-        fault_link: None,
         trace_events: None,
-        metrics: None,
-        metrics_format: byc_telemetry::MetricsFormat::Prometheus,
-        faults: None,
-        retry: 1,
-        fault_seed: None,
-        degrade: "stale".into(),
-        trace_spans: None,
-        metrics_every: None,
-        flight_recorder: None,
     };
     let out = byc_cli::commands::run_command(run).unwrap();
     assert!(out.contains("GDS"), "{out}");
