@@ -62,12 +62,15 @@ pub type EntryPoint = (&'static str, &'static str);
 /// The replay entry points every panic/determinism reachability pass
 /// starts from. These are the public mouths of the replay machinery;
 /// anything transitively callable from them runs inside sweeps that may
-/// be hours long.
+/// be hours long. The trace reader's mouths are among them: they take
+/// untrusted bytes off disk, ahead of every streamed replay.
 pub const REPLAY_ENTRY_POINTS: &[EntryPoint] = &[
     ("ReplayEngine", "serve"),
     ("ReplaySession", "run"),
     ("ReplaySession", "sweep"),
     ("Mediator", "serve_trace_query"),
+    ("TraceReader", "open"),
+    ("TraceReader", "next_chunk"),
 ];
 
 /// Per-file inputs the builder needs beyond the parse.

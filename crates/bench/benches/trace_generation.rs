@@ -21,27 +21,9 @@ fn bench_generation(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_trace_io(c: &mut Criterion) {
-    let catalog = build(SdssRelease::Edr, 1e-3, 1);
-    let trace = generate(&catalog, &WorkloadConfig::smoke(9, 2_000)).unwrap();
-    let mut path = std::env::temp_dir();
-    path.push(format!("byc-bench-io-{}.jsonl", std::process::id()));
-    let mut group = c.benchmark_group("trace_io");
-    group.throughput(Throughput::Elements(trace.len() as u64));
-    group.bench_function("write_2000", |b| {
-        b.iter(|| byc_workload::io::write_trace(&trace, &path).unwrap())
-    });
-    byc_workload::io::write_trace(&trace, &path).unwrap();
-    group.bench_function("read_2000", |b| {
-        b.iter(|| byc_workload::io::read_trace(&path).unwrap().len())
-    });
-    group.finish();
-    std::fs::remove_file(&path).ok();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_generation, bench_trace_io
+    targets = bench_generation
 }
 criterion_main!(benches);

@@ -103,7 +103,7 @@ impl<'a> ReplaySession<'a> {
     /// terminal (which replays the trace once per grid point) is
     /// unavailable.
     pub fn from_reader(reader: &'a mut TraceReader, objects: &'a ObjectCatalog) -> Self {
-        Self::build(ChunkSource::Reader(reader), objects)
+        Self::build(ChunkSource::reader(reader), objects)
     }
 
     fn build(source: ChunkSource<'a>, objects: &'a ObjectCatalog) -> Self {
@@ -307,7 +307,7 @@ impl<'a> ReplaySession<'a> {
             let mut index = 0usize;
             let mut skipped = Unresolved::default();
             while let Some(chunk) = source.next()? {
-                for query in chunk.as_slice() {
+                for query in chunk {
                     // The cost observer's window is the kernel's fold
                     // target; only its query bookkeeping runs here.
                     cost.on_query_start(index, query);

@@ -5,39 +5,27 @@
 //! state, so a replay never needs the whole trace in memory. A
 //! [`ChunkSource`] hands the session runs of queries: a resident trace
 //! as one borrowed run (a single chunk), a [`TraceReader`] as successive
-//! owned runs parsed off the file, so memory stays constant in the trace
-//! length.
+//! runs decoded into one chunk refilled in place, so memory stays
+//! constant in the trace length.
 
 use byc_types::Result;
 use byc_workload::{Trace, TraceQuery, TraceReader};
 
-/// Queries parsed off a trace reader at a time: the only part of a
+/// Queries decoded off a trace reader at a time: the only part of a
 /// streamed trace that is ever resident.
 const READ_CHUNK: usize = 1024;
 
 /// Where replayed queries come from: an in-memory trace, handed out
-/// whole, or a [`TraceReader`] pulling chunks off disk.
+/// whole, or a [`TraceReader`] refilling one chunk off disk.
 pub(crate) enum ChunkSource<'a> {
     /// A resident trace; `done` once its one chunk was handed out.
     Memory { trace: &'a Trace, done: bool },
-    /// Chunks straight off a trace file, never all resident.
-    Reader(&'a mut TraceReader),
-}
-
-/// One run of queries from a [`ChunkSource`]: borrowed from the
-/// resident trace, or owned when they came off disk.
-pub(crate) enum ChunkQueries<'a> {
-    Borrowed(&'a [TraceQuery]),
-    Owned(Vec<TraceQuery>),
-}
-
-impl ChunkQueries<'_> {
-    pub(crate) fn as_slice(&self) -> &[TraceQuery] {
-        match self {
-            ChunkQueries::Borrowed(queries) => queries,
-            ChunkQueries::Owned(queries) => queries,
-        }
-    }
+    /// Chunks straight off a trace file, never all resident; `chunk` is
+    /// refilled in place for the whole replay.
+    Reader {
+        reader: &'a mut TraceReader,
+        chunk: Vec<TraceQuery>,
+    },
 }
 
 impl<'a> ChunkSource<'a> {
@@ -46,32 +34,36 @@ impl<'a> ChunkSource<'a> {
         ChunkSource::Memory { trace, done: false }
     }
 
+    /// A source decoding `reader`'s queries a chunk at a time.
+    pub(crate) fn reader(reader: &'a mut TraceReader) -> Self {
+        ChunkSource::Reader {
+            reader,
+            chunk: Vec::with_capacity(READ_CHUNK),
+        }
+    }
+
     /// The trace's name, for report headers.
     pub(crate) fn name(&self) -> &str {
         match self {
             ChunkSource::Memory { trace, .. } => &trace.name,
-            ChunkSource::Reader(reader) => reader.name(),
+            ChunkSource::Reader { reader, .. } => reader.name(),
         }
     }
 
     /// The next run of queries, or `None` at end of trace. IO errors
     /// come from the reader variant only.
-    pub(crate) fn next(&mut self) -> Result<Option<ChunkQueries<'a>>> {
+    pub(crate) fn next(&mut self) -> Result<Option<&[TraceQuery]>> {
         match self {
             ChunkSource::Memory { trace, done } => {
                 if *done {
                     return Ok(None);
                 }
                 *done = true;
-                Ok(Some(ChunkQueries::Borrowed(&trace.queries)))
+                Ok(Some(&trace.queries))
             }
-            ChunkSource::Reader(reader) => {
-                let chunk = reader.next_chunk(READ_CHUNK)?;
-                if chunk.is_empty() {
-                    Ok(None)
-                } else {
-                    Ok(Some(ChunkQueries::Owned(chunk)))
-                }
+            ChunkSource::Reader { reader, chunk } => {
+                reader.refill(chunk, READ_CHUNK)?;
+                Ok((!chunk.is_empty()).then_some(chunk.as_slice()))
             }
         }
     }
@@ -90,14 +82,14 @@ mod tests {
         let mut source = ChunkSource::memory(&trace);
         let mut seen = 0;
         while let Some(chunk) = source.next().unwrap() {
-            seen += chunk.as_slice().len();
+            seen += chunk.len();
         }
         assert_eq!(seen, 10);
         assert!(source.next().unwrap().is_none());
         // The resident trace is one chunk, borrowed whole.
         let mut source = ChunkSource::memory(&trace);
         let chunk = source.next().unwrap().unwrap();
-        assert!(std::ptr::eq(chunk.as_slice(), trace.queries.as_slice()));
+        assert!(std::ptr::eq(chunk, trace.queries.as_slice()));
         assert!(source.next().unwrap().is_none());
     }
 }

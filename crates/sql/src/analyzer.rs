@@ -265,7 +265,9 @@ pub fn analyze(catalog: &Catalog, query: &Query) -> Result<ResolvedQuery> {
         .projection
         .iter()
         .filter(|i| matches!(i, SelectItem::Aggregate { .. }))
-        .count() as u32;
+        .count();
+    let aggregate_items = u32::try_from(aggregate_items)
+        .map_err(|_| Error::Semantic(format!("{aggregate_items} aggregates in one query")))?;
 
     Ok(ResolvedQuery {
         tables: accesses,

@@ -202,6 +202,8 @@ pub enum Value {
 }
 
 impl fmt::Display for Value {
+    // The cast is exact: the number is integral and below 1e15.
+    #[allow(clippy::cast_possible_truncation)]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Value::Number(n) => {

@@ -34,6 +34,9 @@ pub fn parse(input: &str) -> Result<Query> {
     Ok(q)
 }
 
+/// 2^64: a `TOP` count must be below it to fit a `u64` exactly.
+const TOP_LIMIT: f64 = 18_446_744_073_709_551_616.0;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
@@ -107,7 +110,11 @@ impl Parser {
         self.expect_kw(Keyword::Select, "SELECT")?;
         let top = if self.eat_kw(Keyword::Top) {
             match self.bump() {
-                TokenKind::Number(n) if n >= 0.0 && n.fract() == 0.0 => Some(n as u64),
+                TokenKind::Number(n) if (0.0..TOP_LIMIT).contains(&n) && n.fract() == 0.0 => {
+                    // Exact: integral and in range.
+                    #[allow(clippy::cast_possible_truncation)]
+                    Some(n as u64)
+                }
                 _ => return Err(self.error("expected non-negative integer after TOP".into())),
             }
         } else {

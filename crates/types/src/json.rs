@@ -1,4 +1,4 @@
-//! A minimal, dependency-free JSON value, parser, and writer.
+//! A minimal, dependency-free JSON cursor, value, and writer.
 //!
 //! The workspace serializes traces and reports as line-delimited JSON.
 //! Doing it here — rather than through an external crate — keeps the
@@ -6,6 +6,10 @@
 //! deterministic: objects preserve insertion order (no hash-map
 //! iteration), and integers round-trip exactly through [`Num::U`]/[`Num::I`]
 //! instead of being squeezed through `f64`.
+//!
+//! [`Cursor`] is the one grammar. [`Value::parse`] builds a tree on it;
+//! consumers that know their schema, like the trace decoder, read
+//! fields off it directly.
 
 use std::fmt;
 
@@ -26,13 +30,21 @@ pub enum Num {
 
 impl Num {
     /// The value as `u64`, if non-negative integral.
-    // The cast is guarded: v is non-negative, integral, and ≤ u64::MAX.
+    ///
+    /// A float (fraction or exponent syntax, or an integer too large for
+    /// `u64`) converts only when it is integral and below 2^53. `f64`
+    /// holds every integer up to 2^53 exactly, but 2^53 is also what
+    /// 2^53 + 1 rounds to, so from there on an integral float no longer
+    /// names one integer.
+    // The cast is guarded: v is non-negative, integral, and < 2^53.
     #[allow(clippy::cast_possible_truncation)]
+    #[inline]
     pub fn as_u64(self) -> Option<u64> {
+        const EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
         match self {
             Num::U(v) => Some(v),
             Num::I(v) => u64::try_from(v).ok(),
-            Num::F(v) if v >= 0.0 && v.fract() == 0.0 && v <= u64::MAX as f64 => Some(v as u64),
+            Num::F(v) if v >= 0.0 && v.fract() == 0.0 && v < EXACT => Some(v as u64),
             Num::F(_) => None,
         }
     }
@@ -144,16 +156,9 @@ impl Value {
     ///
     /// A human-readable message with the byte offset of the failure.
     pub fn parse(input: &str) -> Result<Value, String> {
-        let mut p = Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing content at byte {}", p.pos));
-        }
+        let mut cursor = Cursor::new(input.as_bytes());
+        let v = cursor.value()?;
+        cursor.done()?;
         Ok(v)
     }
 }
@@ -243,26 +248,237 @@ impl fmt::Display for Value {
     }
 }
 
-struct Parser<'a> {
+/// The deepest nesting of arrays and objects a [`Cursor`] enters
+/// (serde_json's limit). Both consumers recurse once per level, so the
+/// limit bounds their stack whatever the input: deeper text is an `Err`.
+pub const MAX_DEPTH: usize = 128;
+
+/// A pull cursor over one JSON text: the workspace's one JSON grammar.
+///
+/// A consumer asks for what it expects next, in document order, and the
+/// cursor checks the text against it. [`Value::parse`] builds a tree
+/// with it; the trace decoder in `byc-workload` writes each field
+/// straight into a typed slot and builds none.
+///
+/// The grammar is JSON's, with two leniencies kept so that every file
+/// the workspace has accepted still parses: a number is any run of `-`,
+/// digits, `.`, `e`, `E` and `+` that Rust's `u64`, `i64` or `f64`
+/// parser accepts (so `007` and `1.` pass), classified as a [`Num`];
+/// and a `\u` escape of a lone surrogate decodes to U+FFFD. Strings must be valid UTF-8, and at
+/// most [`MAX_DEPTH`] arrays and objects nest.
+///
+/// Every read skips the whitespace before it. Errors are messages that
+/// name the byte offset.
+pub struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
+    /// Set between opening a container and the first step into it, the
+    /// one step that may meet the closing bracket without a comma.
+    fresh: bool,
 }
 
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
+impl<'a> Cursor<'a> {
+    /// A cursor at the start of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Self {
+        Self {
+            bytes,
+            pos: 0,
+            depth: 0,
+            fresh: false,
+        }
+    }
+
+    /// The next byte after whitespace, not consumed; `None` at the end.
+    #[inline]
+    pub fn peek(&mut self) -> Option<u8> {
         while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
+            if !matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
+                return Some(b);
+            }
+            self.pos += 1;
+        }
+        None
+    }
+
+    /// Open an object; step through its members with [`Self::member`].
+    ///
+    /// # Errors
+    ///
+    /// No `{` next, or the object would nest deeper than [`MAX_DEPTH`].
+    #[inline]
+    pub fn object(&mut self) -> Result<(), String> {
+        self.enter(b'{')
+    }
+
+    /// Step to the next member of the innermost open object: its key is
+    /// unescaped into `key` and its `:` consumed, so its value is read
+    /// next. `false` once the object's `}` is consumed.
+    ///
+    /// # Errors
+    ///
+    /// Malformed separators or key.
+    #[inline]
+    pub fn member(&mut self, key: &mut String) -> Result<bool, String> {
+        if !self.advance(b'}')? {
+            return Ok(false);
+        }
+        self.string(key)?;
+        self.expect(b':')?;
+        Ok(true)
+    }
+
+    /// Open an array; step through its elements with [`Self::element`].
+    ///
+    /// # Errors
+    ///
+    /// No `[` next, or the array would nest deeper than [`MAX_DEPTH`].
+    #[inline]
+    pub fn array(&mut self) -> Result<(), String> {
+        self.enter(b'[')
+    }
+
+    /// Step to the next element of the innermost open array, which is
+    /// read next. `false` once the array's `]` is consumed.
+    ///
+    /// # Errors
+    ///
+    /// A missing comma or bracket.
+    #[inline]
+    pub fn element(&mut self) -> Result<bool, String> {
+        self.advance(b']')
+    }
+
+    /// A string, unescaped into `out` in place of its old content.
+    ///
+    /// # Errors
+    ///
+    /// No string next, invalid UTF-8, a bad escape or a raw control
+    /// character.
+    #[inline]
+    pub fn string(&mut self, out: &mut String) -> Result<(), String> {
+        self.expect(b'"')?;
+        out.clear();
+        let bytes = self.bytes;
+        loop {
+            let rest = bytes.get(self.pos..).unwrap_or_default();
+            let plain = plain_run(rest);
+            let (run, tail) = rest.split_at(plain);
+            match std::str::from_utf8(run) {
+                Ok(text) => out.push_str(text),
+                Err(e) => {
+                    return Err(format!(
+                        "invalid UTF-8 at byte {}",
+                        self.pos + e.valid_up_to()
+                    ))
+                }
+            }
+            self.pos += plain;
+            match tail.first() {
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(());
+                }
+                Some(b'\\') => {
+                    self.pos += 1;
+                    let c = self.escape()?;
+                    out.push(c);
+                }
+                _ => return Err(format!("unterminated string at byte {}", self.pos)),
             }
         }
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+    /// A number, classified by [`Num`]'s rules: a plain integer that
+    /// fits is [`Num::U`] or [`Num::I`], anything else [`Num::F`].
+    ///
+    /// # Errors
+    ///
+    /// No number next, or a run the number parsers refuse.
+    #[inline]
+    pub fn number(&mut self) -> Result<Num, String> {
+        self.peek();
+        let start = self.pos;
+        // The common case, a plain run of digits, folds in one pass.
+        let mut end = start;
+        let mut v = 0u64;
+        while let Some(&b) = self.bytes.get(end) {
+            let digit = b.wrapping_sub(b'0');
+            if digit > 9 {
+                break;
+            }
+            match v
+                .checked_mul(10)
+                .and_then(|v| v.checked_add(u64::from(digit)))
+            {
+                Some(next) => v = next,
+                None => return self.number_text(start),
+            }
+            end += 1;
+        }
+        match self.bytes.get(end) {
+            Some(b'.' | b'e' | b'E' | b'+' | b'-') => self.number_text(start),
+            _ if end == start => self.number_text(start),
+            _ => {
+                self.pos = end;
+                Ok(Num::U(v))
+            }
+        }
     }
 
+    /// Any other number: lexed and classified through the text.
+    fn number_text(&mut self, start: usize) -> Result<Num, String> {
+        let rest = self.bytes.get(start..).unwrap_or_default();
+        if !matches!(rest.first(), Some(b'-' | b'0'..=b'9')) {
+            return Err(format!("expected a number at byte {start}"));
+        }
+        let sign = usize::from(rest.first() == Some(&b'-'));
+        let len = sign
+            + rest
+                .iter()
+                .skip(sign)
+                .take_while(|b| matches!(b, b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-'))
+                .count();
+        let token = rest.get(..len).unwrap_or_default();
+        self.pos = start + len;
+        // ASCII by construction.
+        let text = std::str::from_utf8(token).unwrap_or_default();
+        if token.iter().skip(sign).all(u8::is_ascii_digit) {
+            if let Ok(v) = text.parse::<u64>() {
+                return Ok(Num::U(v));
+            }
+            if let Ok(v) = text.parse::<i64>() {
+                return Ok(Num::I(v));
+            }
+        }
+        text.parse::<f64>()
+            .map(Num::F)
+            .map_err(|_| format!("bad number {text:?} at byte {start}"))
+    }
+
+    /// Skip one value of any kind, checked as [`Value::parse`] checks it.
+    ///
+    /// # Errors
+    ///
+    /// Whatever [`Value::parse`] would refuse in the value.
+    pub fn skip_value(&mut self) -> Result<(), String> {
+        self.value().map(drop)
+    }
+
+    /// Check that nothing but whitespace is left.
+    ///
+    /// # Errors
+    ///
+    /// Trailing content after the value.
+    #[inline]
+    pub fn done(&mut self) -> Result<(), String> {
+        match self.peek() {
+            None => Ok(()),
+            Some(_) => Err(format!("trailing content at byte {}", self.pos)),
+        }
+    }
+
+    #[inline]
     fn expect(&mut self, b: u8) -> Result<(), String> {
         if self.peek() == Some(b) {
             self.pos += 1;
@@ -272,196 +488,177 @@ impl<'a> Parser<'a> {
         }
     }
 
+    #[inline]
+    fn enter(&mut self, bracket: u8) -> Result<(), String> {
+        self.expect(bracket)?;
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos - 1
+            ));
+        }
+        self.depth += 1;
+        self.fresh = true;
+        Ok(())
+    }
+
+    /// Step into the innermost open container: `true` when an item
+    /// follows, `false` once `close` is consumed.
+    #[inline]
+    fn advance(&mut self, close: u8) -> Result<bool, String> {
+        let next = self.peek();
+        if std::mem::take(&mut self.fresh) {
+            if next != Some(close) {
+                return Ok(true);
+            }
+        } else if next == Some(b',') {
+            self.pos += 1;
+            return Ok(true);
+        } else if next != Some(close) {
+            return Err(format!(
+                "expected ',' or {:?} at byte {}",
+                close as char, self.pos
+            ));
+        }
+        self.pos += 1;
+        self.depth = self.depth.saturating_sub(1);
+        Ok(false)
+    }
+
+    /// The character an escape stands for; the backslash is consumed.
+    fn escape(&mut self) -> Result<char, String> {
+        let at = self.pos;
+        let esc = *self
+            .bytes
+            .get(at)
+            .ok_or_else(|| format!("dangling escape at byte {at}"))?;
+        self.pos += 1;
+        Ok(match esc {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
+            b'b' => '\u{0008}',
+            b'f' => '\u{000c}',
+            b'u' => self.unicode()?,
+            _ => return Err(format!("unknown escape {:?} at byte {at}", esc as char)),
+        })
+    }
+
+    /// The code point of a `\u` escape, joined with the low surrogate
+    /// escape that follows a high one. Lone surrogates become U+FFFD.
+    fn unicode(&mut self) -> Result<char, String> {
+        let hi = self.hex4()?;
+        if !(0xD800..0xDC00).contains(&hi) {
+            return Ok(char::from_u32(hi).unwrap_or(char::REPLACEMENT_CHARACTER));
+        }
+        let after = self.pos;
+        if self
+            .bytes
+            .get(after..)
+            .is_some_and(|rest| rest.starts_with(b"\\u"))
+        {
+            self.pos += 2;
+            let lo = self.hex4()?;
+            if (0xDC00..0xE000).contains(&lo) {
+                let code = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+                return Ok(char::from_u32(code).unwrap_or(char::REPLACEMENT_CHARACTER));
+            }
+            // Not a low half: it is an escape of its own.
+            self.pos = after;
+        }
+        Ok(char::REPLACEMENT_CHARACTER)
+    }
+
+    fn hex4(&mut self) -> Result<u32, String> {
+        let at = self.pos;
+        let digits = self
+            .bytes
+            .get(at..at + 4)
+            .ok_or_else(|| format!("short \\u escape at byte {at}"))?;
+        let code = digits.iter().try_fold(0u32, |code, &d| {
+            char::from(d).to_digit(16).map(|v| code << 4 | v)
+        });
+        self.pos += 4;
+        code.ok_or_else(|| format!("bad \\u escape at byte {at}"))
+    }
+
+    /// One value as a tree: the body of [`Value::parse`]. Recursion is
+    /// bounded by [`MAX_DEPTH`], checked as each container opens.
+    fn value(&mut self) -> Result<Value, String> {
+        match self.peek() {
+            Some(b'{') => {
+                self.object()?;
+                let mut fields = Vec::new();
+                let mut key = String::new();
+                while self.member(&mut key)? {
+                    let value = self.value()?;
+                    fields.push((std::mem::take(&mut key), value));
+                }
+                Ok(Value::Object(fields))
+            }
+            Some(b'[') => {
+                self.array()?;
+                let mut items = Vec::new();
+                while self.element()? {
+                    items.push(self.value()?);
+                }
+                Ok(Value::Array(items))
+            }
+            Some(b'"') => {
+                let mut s = String::new();
+                self.string(&mut s)?;
+                Ok(Value::String(s))
+            }
+            Some(b'-' | b'0'..=b'9') => self.number().map(Value::Number),
+            Some(b'n') => self.literal("null", Value::Null),
+            Some(b't') => self.literal("true", Value::Bool(true)),
+            Some(b'f') => self.literal("false", Value::Bool(false)),
+            Some(c) => Err(format!("unexpected {:?} at byte {}", c as char, self.pos)),
+            None => Err(format!("unexpected end of input at byte {}", self.pos)),
+        }
+    }
+
     fn literal(&mut self, word: &str, value: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        let rest = self.bytes.get(self.pos..).unwrap_or_default();
+        if rest.starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
             Err(format!("invalid literal at byte {}", self.pos))
         }
     }
+}
 
-    fn value(&mut self) -> Result<Value, String> {
-        match self.peek() {
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'"') => Ok(Value::String(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(b'-') | Some(b'0'..=b'9') => self.number(),
-            Some(c) => Err(format!("unexpected {:?} at byte {}", c as char, self.pos)),
-            None => Err(format!("unexpected end of input at byte {}", self.pos)),
+/// The length of the run at the start of `bytes` that a string copies
+/// as is: no `"`, no `\\` and no control character. Eight bytes are
+/// tested at a time with the word-wise "has a byte below n" test, which
+/// never misses such a byte; a word it flags is scanned byte by byte.
+fn plain_run(bytes: &[u8]) -> usize {
+    const ONES: u64 = u64::from_le_bytes([1; 8]);
+    const HIGHS: u64 = u64::from_le_bytes([0x80; 8]);
+    let zero_in = |w: u64| w.wrapping_sub(ONES) & !w & HIGHS;
+    let mut run = 0;
+    for word in bytes.chunks_exact(8) {
+        let Ok(word) = <[u8; 8]>::try_from(word).map(u64::from_le_bytes) else {
+            break;
+        };
+        // Bytes below 0x20, and bytes equal to `"` or `\\`.
+        let special = (word.wrapping_sub(ONES * 0x20) & !word & HIGHS)
+            | zero_in(word ^ (ONES * u64::from(b'"')))
+            | zero_in(word ^ (ONES * u64::from(b'\\')));
+        if special != 0 {
+            break;
         }
+        run += 8;
     }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let start = self.pos;
-            // Fast path: run of plain bytes.
-            while let Some(&b) = self.bytes.get(self.pos) {
-                if b == b'"' || b == b'\\' || b < 0x20 {
-                    break;
-                }
-                self.pos += 1;
-            }
-            if self.pos > start {
-                let chunk = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| format!("invalid UTF-8 at byte {start}"))?;
-                out.push_str(chunk);
-            }
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self
-                        .peek()
-                        .ok_or_else(|| format!("dangling escape at byte {}", self.pos))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| format!("short \\u escape at byte {}", self.pos))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| format!("bad \\u escape at byte {}", self.pos))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape at byte {}", self.pos))?;
-                            self.pos += 4;
-                            // Surrogate pairs: read the low half if present.
-                            let c = if (0xD800..0xDC00).contains(&code) {
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
-                                    let lo_hex = self
-                                        .bytes
-                                        .get(self.pos + 2..self.pos + 6)
-                                        .and_then(|h| std::str::from_utf8(h).ok())
-                                        .ok_or_else(|| {
-                                            format!("short surrogate at byte {}", self.pos)
-                                        })?;
-                                    let lo = u32::from_str_radix(lo_hex, 16).map_err(|_| {
-                                        format!("bad surrogate at byte {}", self.pos)
-                                    })?;
-                                    self.pos += 6;
-                                    let combined =
-                                        0x10000 + ((code - 0xD800) << 10) + (lo - 0xDC00);
-                                    char::from_u32(combined)
-                                } else {
-                                    None
-                                }
-                            } else {
-                                char::from_u32(code)
-                            };
-                            out.push(c.unwrap_or('\u{FFFD}'));
-                        }
-                        _ => {
-                            return Err(format!(
-                                "unknown escape {:?} at byte {}",
-                                esc as char,
-                                self.pos - 1
-                            ))
-                        }
-                    }
-                }
-                _ => return Err(format!("unterminated string at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut fractional = false;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    fractional = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| format!("bad number at byte {start}"))?;
-        if !fractional {
-            if let Ok(v) = text.parse::<u64>() {
-                return Ok(Value::Number(Num::U(v)));
-            }
-            if let Ok(v) = text.parse::<i64>() {
-                return Ok(Value::Number(Num::I(v)));
-            }
-        }
-        text.parse::<f64>()
-            .map(|v| Value::Number(Num::F(v)))
-            .map_err(|_| format!("bad number {text:?} at byte {start}"))
-    }
-
-    fn array(&mut self) -> Result<Value, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(fields));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
+    let tail = bytes.get(run..).unwrap_or_default();
+    run + tail
+        .iter()
+        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+        .unwrap_or(tail.len())
 }
 
 #[cfg(test)]
@@ -540,6 +737,109 @@ mod tests {
     fn whitespace_tolerated() {
         let v = Value::parse(" { \"a\" : [ 1 , 2 ] } ").unwrap();
         assert_eq!(v["a"].as_array().unwrap().len(), 2);
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Value::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Value::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        // Deep enough to overflow the stack of an unbounded recursion.
+        let deep = format!("{{\"x\":{}}}", nested(100_000));
+        assert!(Value::parse(&deep).is_err());
+        let mut cursor = Cursor::new(deep.as_bytes());
+        assert!(cursor.skip_value().is_err());
+    }
+
+    #[test]
+    fn integers_stay_exact() {
+        let u = |text: &str| Value::parse(text).unwrap().as_u64();
+        assert_eq!(u("5.0"), Some(5));
+        assert_eq!(u("5e0"), Some(5));
+        assert_eq!(u("-0"), Some(0));
+        assert_eq!(u("007"), Some(7));
+        assert_eq!(u("9007199254740991.0"), Some(9_007_199_254_740_991));
+        assert_eq!(u("18446744073709551615"), Some(u64::MAX));
+        // One past u64::MAX lexes as a float: it must not saturate.
+        assert_eq!(u("18446744073709551616"), None);
+        // 2^53 + 1 rounds to 2^53 as a float: it must not read as 2^53.
+        assert_eq!(u("9007199254740993.0"), None);
+        assert_eq!(u("9007199254740992.0"), None);
+        assert_eq!(u("2.5"), None);
+        assert_eq!(u("-1"), None);
+    }
+
+    #[test]
+    fn cursor_steps_through_members() {
+        let text = br#" {"a": [1, {"b": "x"}], "c": "\u00e9"} "#;
+        let mut cursor = Cursor::new(text);
+        let mut key = String::new();
+        let mut s = String::new();
+        cursor.object().unwrap();
+        assert!(cursor.member(&mut key).unwrap());
+        assert_eq!(key, "a");
+        cursor.array().unwrap();
+        assert!(cursor.element().unwrap());
+        assert_eq!(cursor.number().unwrap(), Num::U(1));
+        assert!(cursor.element().unwrap());
+        cursor.skip_value().unwrap();
+        assert!(!cursor.element().unwrap());
+        assert!(cursor.member(&mut key).unwrap());
+        assert_eq!(key, "c");
+        cursor.string(&mut s).unwrap();
+        assert_eq!(s, "\u{e9}");
+        assert!(!cursor.member(&mut key).unwrap());
+        cursor.done().unwrap();
+    }
+
+    #[test]
+    fn cursor_refuses_what_parse_refuses() {
+        for bad in [
+            "[1,]",
+            "[,1]",
+            "{\"a\":1,}",
+            "{\"a\" 1}",
+            "\"\\x\"",
+            "\"\\u12G4\"",
+            "1 2",
+        ] {
+            assert!(Value::parse(bad).is_err(), "{bad}");
+            let mut cursor = Cursor::new(bad.as_bytes());
+            assert!(
+                cursor.skip_value().and_then(|()| cursor.done()).is_err(),
+                "{bad}"
+            );
+        }
+        assert!(Cursor::new(b"\"\xff\"").string(&mut String::new()).is_err());
+        assert!(Cursor::new(b"x").number().is_err());
+    }
+
+    #[test]
+    fn plain_run_stops_at_every_special_byte() {
+        let naive = |bytes: &[u8]| {
+            bytes
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(bytes.len())
+        };
+        for fill in [b'a', 0x80, 0xff] {
+            for special in 0..=255u8 {
+                for at in 0..20 {
+                    let mut bytes = vec![fill; 20];
+                    bytes[at] = special;
+                    assert_eq!(plain_run(&bytes), naive(&bytes), "{fill} {special} at {at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lone_surrogates_become_replacement_characters() {
+        assert_eq!(Value::parse("\"\\ud800\"").unwrap(), "\u{FFFD}");
+        assert_eq!(Value::parse("\"\\udc00\"").unwrap(), "\u{FFFD}");
+        // A high half before an escape that is not a low half.
+        assert_eq!(Value::parse("\"\\ud800\\u0041\"").unwrap(), "\u{FFFD}A");
     }
 
     #[test]

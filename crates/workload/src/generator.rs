@@ -83,6 +83,9 @@ impl WorkloadConfig {
 
 /// Draw a geometric session length with the given mean, clamped to
 /// `[1, 10·mean]`.
+// The cast saturates: a length past usize::MAX is a session that never
+// ends, which is what such a mean asks for.
+#[allow(clippy::cast_possible_truncation)]
 fn geometric_len(rng: &mut SplitMix64, mean: f64) -> usize {
     let p = (1.0 / mean.max(1.0)).clamp(1e-6, 1.0);
     let u = rng.next_f64().max(f64::MIN_POSITIVE);
@@ -138,6 +141,8 @@ pub fn generate_with(
         };
         let pool = kind.projection_pool();
         let col_dist = Zipf::new(pool.len(), config.column_zipf);
+        // In 2..6.
+        #[allow(clippy::cast_possible_truncation)]
         let want = rng.next_range(2, 6) as usize;
         let columns: Vec<&'static str> = zipf_subset(rng, &col_dist, want)
             .into_iter()
@@ -167,6 +172,8 @@ pub fn generate_with(
 
     while emitted < config.query_count {
         // Each arriving query belongs to one of the concurrent users.
+        // Below `concurrency`, a usize.
+        #[allow(clippy::cast_possible_truncation)]
         let slot = rng.next_bounded(concurrency as u64) as usize;
         let (sess, remaining) = &mut sessions[slot];
 
@@ -179,7 +186,9 @@ pub fn generate_with(
 
         let resolved = analyze(catalog, &built.query)?;
         let breakdown = model.estimate(&resolved);
-        let id = QueryId::new(emitted as u32);
+        let id = u32::try_from(emitted).map(QueryId::new).map_err(|_| {
+            Error::InvalidConfig(format!("query ids are u32: {emitted} is out of range"))
+        })?;
         sink(TraceQuery {
             id,
             sql: built.query.to_string(),

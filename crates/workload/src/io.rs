@@ -4,9 +4,16 @@
 //! `query_count`, `format_version`), then one [`TraceQuery`] per line.
 //! Line-delimited JSON keeps huge traces streamable and lets externally
 //! collected traces be converted with ordinary text tooling.
+//!
+//! Reading is one pass per line on [`byc_types::json::Cursor`], with no
+//! JSON tree: each field is written straight into the reader's one
+//! [`TraceQuery`] slot, whose `String` and `Vec`s are cleared and
+//! refilled for every line. Members may come in any order, unknown
+//! members are checked and skipped, and the first of duplicate members
+//! wins.
 
 use crate::trace::{Trace, TraceQuery};
-use byc_types::json::Value;
+use byc_types::json::{Cursor, Value};
 use byc_types::{Bytes, ColumnId, Error, QueryId, Result, TableId};
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Write};
@@ -35,47 +42,6 @@ impl Header {
             ("query_count".into(), Value::u64(self.query_count as u64)),
         ])
     }
-
-    fn from_json(v: &Value) -> Result<Header> {
-        if !v.is_object() {
-            return Err(Error::TraceFormat("header is not an object".into()));
-        }
-        Ok(Header {
-            format_version: field_u32(v, "format_version")?,
-            name: field_str(v, "name")?.to_string(),
-            seed: field_u64(v, "seed")?,
-            query_count: field_u64(v, "query_count")? as usize,
-        })
-    }
-}
-
-fn field<'v>(v: &'v Value, key: &str) -> Result<&'v Value> {
-    v.get(key)
-        .ok_or_else(|| Error::TraceFormat(format!("missing field {key:?}")))
-}
-
-fn field_u64(v: &Value, key: &str) -> Result<u64> {
-    field(v, key)?
-        .as_u64()
-        .ok_or_else(|| Error::TraceFormat(format!("field {key:?} is not a u64")))
-}
-
-fn field_u32(v: &Value, key: &str) -> Result<u32> {
-    field(v, key)?
-        .as_u32()
-        .ok_or_else(|| Error::TraceFormat(format!("field {key:?} is not a u32")))
-}
-
-fn field_str<'v>(v: &'v Value, key: &str) -> Result<&'v str> {
-    field(v, key)?
-        .as_str()
-        .ok_or_else(|| Error::TraceFormat(format!("field {key:?} is not a string")))
-}
-
-fn field_array<'v>(v: &'v Value, key: &str) -> Result<&'v [Value]> {
-    field(v, key)?
-        .as_array()
-        .ok_or_else(|| Error::TraceFormat(format!("field {key:?} is not an array")))
 }
 
 fn yield_pairs(pairs: &[(u32, Bytes)]) -> Value {
@@ -85,29 +51,6 @@ fn yield_pairs(pairs: &[(u32, Bytes)]) -> Value {
             .map(|&(id, b)| Value::Array(vec![Value::u64(id.into()), Value::u64(b.raw())]))
             .collect(),
     )
-}
-
-fn parse_yield_pairs(v: &Value, key: &str) -> Result<Vec<(u32, Bytes)>> {
-    field_array(v, key)?
-        .iter()
-        .map(|pair| {
-            let (id_v, bytes_v) = match pair.as_array() {
-                Some([id, bytes]) => (id, bytes),
-                _ => {
-                    return Err(Error::TraceFormat(format!(
-                        "field {key:?} entries must be [id, bytes] pairs"
-                    )))
-                }
-            };
-            let id = id_v
-                .as_u32()
-                .ok_or_else(|| Error::TraceFormat(format!("bad id in {key:?}")))?;
-            let bytes = bytes_v
-                .as_u64()
-                .ok_or_else(|| Error::TraceFormat(format!("bad byte count in {key:?}")))?;
-            Ok((id, Bytes::new(bytes)))
-        })
-        .collect()
 }
 
 fn query_to_json(q: &TraceQuery) -> Value {
@@ -159,45 +102,171 @@ fn query_to_json(q: &TraceQuery) -> Value {
     ])
 }
 
-fn query_from_json(v: &Value) -> Result<TraceQuery> {
-    if !v.is_object() {
-        return Err(Error::TraceFormat("query is not an object".into()));
+/// A decoding step's result: a message the reader prefixes with the line.
+type Decoded<T> = std::result::Result<T, String>;
+
+/// The members of a query line, in the order the writer emits them.
+const QUERY_FIELDS: [&str; 9] = [
+    "id",
+    "sql",
+    "template",
+    "data_keys",
+    "tables",
+    "columns",
+    "total_yield",
+    "table_yields",
+    "column_yields",
+];
+
+/// The members of the header line.
+const HEADER_FIELDS: [&str; 4] = ["format_version", "name", "seed", "query_count"];
+
+/// Decode one query line into `slot`, reusing its buffers.
+///
+/// Everything [`TraceReader`] accepts on a query line is accepted here:
+/// members in any order, unknown members (checked, then skipped), the
+/// first of duplicate members, escapes anywhere, and any integral
+/// spelling of an integer that [`byc_types::json::Num::as_u64`] takes,
+/// such as `5.0` or `-0`.
+///
+/// # Errors
+///
+/// [`Error::TraceFormat`] on malformed JSON, a missing member, a member
+/// of the wrong type or an integer out of its field's range. `slot` is
+/// then left partly overwritten.
+pub fn decode_query(line: &[u8], slot: &mut TraceQuery) -> Result<()> {
+    decode_line(line, slot, &mut String::new()).map_err(Error::TraceFormat)
+}
+
+fn decode_line(line: &[u8], q: &mut TraceQuery, key: &mut String) -> Decoded<()> {
+    let mut cursor = Cursor::new(line);
+    if cursor.peek() != Some(b'{') {
+        return Err("query is not an object".into());
     }
-    let u64_list = |key: &str| -> Result<Vec<u64>> {
-        field_array(v, key)?
-            .iter()
-            .map(|item| {
-                item.as_u64()
-                    .ok_or_else(|| Error::TraceFormat(format!("bad entry in {key:?}")))
-            })
-            .collect()
+    decode_object(&mut cursor, key, &QUERY_FIELDS, |field, cursor| {
+        match field {
+            0 => q.id = QueryId::new(u32_of(cursor)?),
+            1 => cursor.string(&mut q.sql)?,
+            2 => q.template = u32_of(cursor)?,
+            3 => list(cursor, &mut q.data_keys, u64_of)?,
+            4 => list(cursor, &mut q.tables, |c| u32_of(c).map(TableId::new))?,
+            5 => list(cursor, &mut q.columns, |c| u32_of(c).map(ColumnId::new))?,
+            6 => q.total_yield = Bytes::new(u64_of(cursor)?),
+            7 => list(cursor, &mut q.table_yields, |c| {
+                pair(c).map(|(id, b)| (TableId::new(id), b))
+            })?,
+            _ => list(cursor, &mut q.column_yields, |c| {
+                pair(c).map(|(id, b)| (ColumnId::new(id), b))
+            })?,
+        }
+        Ok(())
+    })?;
+    cursor.done()
+}
+
+fn decode_header(line: &[u8]) -> Decoded<Header> {
+    let mut header = Header {
+        format_version: 0,
+        name: String::new(),
+        seed: 0,
+        query_count: 0,
     };
-    let id_list = |key: &str| -> Result<Vec<u32>> {
-        field_array(v, key)?
-            .iter()
-            .map(|item| {
-                item.as_u32()
-                    .ok_or_else(|| Error::TraceFormat(format!("bad id in {key:?}")))
-            })
-            .collect()
-    };
-    Ok(TraceQuery {
-        id: QueryId::new(field_u32(v, "id")?),
-        sql: field_str(v, "sql")?.to_string(),
-        template: field_u32(v, "template")?,
-        data_keys: u64_list("data_keys")?,
-        tables: id_list("tables")?.into_iter().map(TableId::new).collect(),
-        columns: id_list("columns")?.into_iter().map(ColumnId::new).collect(),
-        total_yield: Bytes::new(field_u64(v, "total_yield")?),
-        table_yields: parse_yield_pairs(v, "table_yields")?
-            .into_iter()
-            .map(|(id, b)| (TableId::new(id), b))
-            .collect(),
-        column_yields: parse_yield_pairs(v, "column_yields")?
-            .into_iter()
-            .map(|(id, b)| (ColumnId::new(id), b))
-            .collect(),
-    })
+    let mut cursor = Cursor::new(line);
+    decode_object(
+        &mut cursor,
+        &mut String::new(),
+        &HEADER_FIELDS,
+        |field, cursor| {
+            match field {
+                0 => header.format_version = u32_of(cursor)?,
+                1 => cursor.string(&mut header.name)?,
+                2 => header.seed = u64_of(cursor)?,
+                _ => {
+                    let count = u64_of(cursor)?;
+                    header.query_count =
+                        usize::try_from(count).map_err(|_| format!("{count} is not a usize"))?;
+                }
+            }
+            Ok(())
+        },
+    )?;
+    cursor.done()?;
+    Ok(header)
+}
+
+/// Step through one object: `read(i, cursor)` reads the value of the
+/// first member named `fields[i]`; every other member is skipped. Each
+/// of `fields` (at most 32) must be present.
+fn decode_object(
+    cursor: &mut Cursor<'_>,
+    key: &mut String,
+    fields: &[&str],
+    mut read: impl FnMut(usize, &mut Cursor<'_>) -> Decoded<()>,
+) -> Decoded<()> {
+    cursor.object()?;
+    let mut seen = 0u32;
+    while cursor.member(key)? {
+        match fields.iter().position(|f| *f == key.as_str()) {
+            Some(i) if seen & 1 << i == 0 => {
+                seen |= 1 << i;
+                read(i, cursor).map_err(|e| format!("field {key:?}: {e}"))?;
+            }
+            _ => cursor.skip_value()?,
+        }
+    }
+    match fields.iter().zip(0..).find(|&(_, i)| seen & 1 << i == 0) {
+        Some((name, _)) => Err(format!("missing field {name:?}")),
+        None => Ok(()),
+    }
+}
+
+fn u64_of(cursor: &mut Cursor<'_>) -> Decoded<u64> {
+    cursor
+        .number()?
+        .as_u64()
+        .ok_or_else(|| "not a u64".to_string())
+}
+
+fn u32_of(cursor: &mut Cursor<'_>) -> Decoded<u32> {
+    let v = u64_of(cursor)?;
+    u32::try_from(v).map_err(|_| format!("{v} is not a u32"))
+}
+
+/// Refill `out` from an array, one `item` per element.
+fn list<T>(
+    cursor: &mut Cursor<'_>,
+    out: &mut Vec<T>,
+    mut item: impl FnMut(&mut Cursor<'_>) -> Decoded<T>,
+) -> Decoded<()> {
+    out.clear();
+    cursor.array()?;
+    while cursor.element()? {
+        out.push(item(cursor)?);
+    }
+    Ok(())
+}
+
+/// One `[id, bytes]` yield pair.
+fn pair(cursor: &mut Cursor<'_>) -> Decoded<(u32, Bytes)> {
+    const SHAPE: &str = "entries must be [id, bytes] pairs";
+    cursor.array()?;
+    if !cursor.element()? {
+        return Err(SHAPE.into());
+    }
+    let id = u32_of(cursor)?;
+    if !cursor.element()? {
+        return Err(SHAPE.into());
+    }
+    let bytes = u64_of(cursor)?;
+    if cursor.element()? {
+        return Err(SHAPE.into());
+    }
+    Ok((id, Bytes::new(bytes)))
+}
+
+/// A line of whitespace only, as `str::trim` counts it: skipped.
+fn is_blank(line: &[u8]) -> bool {
+    line.first() != Some(&b'{') && std::str::from_utf8(line).is_ok_and(|s| s.trim().is_empty())
 }
 
 /// A streaming trace writer: the header (with the final query count)
@@ -280,11 +349,17 @@ impl TraceWriter {
 }
 
 /// A chunked trace reader: parses the header eagerly, then streams
-/// queries on demand via [`TraceReader::next_chunk`] without ever
+/// queries on demand via [`TraceReader::refill`] without ever
 /// materializing the whole trace. The replay engine's streaming path
 /// feeds on this to keep 100M-query replays in constant memory.
 pub struct TraceReader {
-    lines: std::io::Lines<BufReader<File>>,
+    input: BufReader<File>,
+    /// The current line's bytes, reused for every line.
+    line: Vec<u8>,
+    /// Member keys are unescaped here, reused for every key.
+    key: String,
+    /// Each query is decoded here, into buffers reused for every line.
+    slot: TraceQuery,
     name: String,
     seed: u64,
     query_count: usize,
@@ -301,15 +376,13 @@ impl TraceReader {
     /// I/O errors; [`Error::TraceFormat`] on a missing or malformed
     /// header or a format-version mismatch.
     pub fn open(path: &Path) -> Result<Self> {
-        let file = File::open(path)?;
-        let mut lines = BufReader::new(file).lines();
-        let header_line = lines
-            .next()
-            .ok_or_else(|| Error::TraceFormat("empty trace file".into()))??;
-        let header_value = Value::parse(&header_line)
-            .map_err(|e| Error::TraceFormat(format!("bad header: {e}")))?;
-        let header = Header::from_json(&header_value)
-            .map_err(|e| Error::TraceFormat(format!("bad header: {e}")))?;
+        let mut input = BufReader::new(File::open(path)?);
+        let mut line = Vec::new();
+        if input.read_until(b'\n', &mut line)? == 0 {
+            return Err(Error::TraceFormat("empty trace file".into()));
+        }
+        let header =
+            decode_header(&line).map_err(|e| Error::TraceFormat(format!("bad header: {e}")))?;
         if header.format_version != FORMAT_VERSION {
             return Err(Error::TraceFormat(format!(
                 "unsupported format version {} (expected {FORMAT_VERSION})",
@@ -317,7 +390,10 @@ impl TraceReader {
             )));
         }
         Ok(Self {
-            lines,
+            input,
+            line,
+            key: String::new(),
+            slot: TraceQuery::default(),
             name: header.name,
             seed: header.seed,
             query_count: header.query_count,
@@ -353,42 +429,70 @@ impl TraceReader {
     ///
     /// # Errors
     ///
-    /// I/O errors; [`Error::TraceFormat`] on malformed lines or a final
-    /// count that disagrees with the header.
+    /// As [`Self::refill`].
     pub fn next_chunk(&mut self, max: usize) -> Result<Vec<TraceQuery>> {
-        if self.finished {
-            return Ok(Vec::new());
-        }
+        let mut chunk = Vec::new();
+        self.refill(&mut chunk, max)?;
+        Ok(chunk)
+    }
+
+    /// Refill `chunk` with the next up to `max` queries (at least 1 is
+    /// attempted), overwriting the entries it holds, so a chunk refilled
+    /// again and again keeps its allocation. Each query is decoded into
+    /// the reader's one reused slot and copied out with buffers of its
+    /// exact size: entries that kept their own buffers would each keep
+    /// the largest they ever held. An empty `chunk` means end of file;
+    /// at that point the header's query count has been verified against
+    /// what the file actually held.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors; [`Error::TraceFormat`] on a malformed line (naming
+    /// it) or a final count that disagrees with the header. `chunk` is
+    /// then left partly overwritten.
+    pub fn refill(&mut self, chunk: &mut Vec<TraceQuery>, max: usize) -> Result<()> {
         let max = max.max(1);
-        let mut out = Vec::new();
-        while out.len() < max {
-            let Some(line) = self.lines.next() else {
+        let mut filled = 0;
+        while filled < max {
+            let Some(query) = self.decode_next()? else {
+                break;
+            };
+            match chunk.get_mut(filled) {
+                Some(entry) => *entry = query.clone(),
+                None => chunk.push(query.clone()),
+            }
+            filled += 1;
+        }
+        chunk.truncate(filled);
+        Ok(())
+    }
+
+    /// Decode the next query into the reader's slot; `None` at end of
+    /// file, once the header's query count has been checked.
+    fn decode_next(&mut self) -> Result<Option<&TraceQuery>> {
+        while !self.finished {
+            self.line.clear();
+            if self.input.read_until(b'\n', &mut self.line)? == 0 {
                 self.finished = true;
-                let total = self.delivered + out.len();
-                if total != self.query_count {
+                if self.delivered != self.query_count {
                     return Err(Error::TraceFormat(format!(
                         "header promises {} queries, file has {}",
-                        self.query_count, total
+                        self.query_count, self.delivered
                     )));
                 }
                 break;
-            };
-            let line = line?;
+            }
             self.line_no += 1;
-            if line.trim().is_empty() {
+            if is_blank(&self.line) {
                 continue;
             }
-            let at = self.line_no;
-            let q = Value::parse(&line)
-                .map_err(|e| Error::TraceFormat(format!("bad query on line {at}: {e}")))
-                .and_then(|v| {
-                    query_from_json(&v)
-                        .map_err(|e| Error::TraceFormat(format!("bad query on line {at}: {e}")))
-                })?;
-            out.push(q);
+            decode_line(&self.line, &mut self.slot, &mut self.key).map_err(|e| {
+                Error::TraceFormat(format!("bad query on line {}: {e}", self.line_no))
+            })?;
+            self.delivered += 1;
+            return Ok(Some(&self.slot));
         }
-        self.delivered += out.len();
-        Ok(out)
+        Ok(None)
     }
 }
 
@@ -414,12 +518,8 @@ pub fn write_trace(trace: &Trace, path: &Path) -> Result<()> {
 pub fn read_trace(path: &Path) -> Result<Trace> {
     let mut r = TraceReader::open(path)?;
     let mut queries = Vec::with_capacity(r.query_count().min(1 << 20));
-    loop {
-        let chunk = r.next_chunk(8192)?;
-        if chunk.is_empty() {
-            break;
-        }
-        queries.extend(chunk);
+    while let Some(query) = r.decode_next()? {
+        queries.push(query.clone());
     }
     Ok(Trace {
         name: r.name().to_string(),
@@ -486,16 +586,90 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    const HEADER_1: &str = "{\"format_version\":1,\"name\":\"x\",\"seed\":0,\"query_count\":1}\n";
+
+    /// `read_trace` of a one-query file whose query line is `line`.
+    fn read_one(name: &str, line: &[u8]) -> Result<Trace> {
+        let path = tmp(name);
+        let mut bytes = HEADER_1.as_bytes().to_vec();
+        bytes.extend_from_slice(line);
+        std::fs::write(&path, bytes).unwrap();
+        let read = read_trace(&path);
+        std::fs::remove_file(&path).ok();
+        read
+    }
+
     #[test]
     fn malformed_query_line_rejected() {
-        let path = tmp("malformed.jsonl");
-        std::fs::write(
-            &path,
-            "{\"format_version\":1,\"name\":\"x\",\"seed\":0,\"query_count\":1}\nnot-json\n",
-        )
-        .unwrap();
-        let err = read_trace(&path).unwrap_err();
+        let err = read_one("malformed.jsonl", b"not-json\n").unwrap_err();
         assert!(err.to_string().contains("line 2"));
+        // Invalid UTF-8 is a format error that names its line, as is a
+        // missing member, and the message says so once.
+        let good = "{\"id\":0,\"sql\":\"select 1\",\"template\":0,\"data_keys\":[],\"tables\":[],\
+                    \"columns\":[],\"total_yield\":0,\"table_yields\":[],\"column_yields\":[]}";
+        let bad_utf8 = good
+            .replace("select 1", "select \u{FFFD}")
+            .replace('\u{FFFD}', "\u{1}");
+        let mut bytes = bad_utf8.into_bytes();
+        let at = bytes.iter().position(|&b| b == 1).unwrap();
+        bytes[at] = 0xFF;
+        for (name, line) in [
+            ("utf8.jsonl", bytes),
+            (
+                "missing.jsonl",
+                good.replace("\"sql\":\"select 1\",", "").into_bytes(),
+            ),
+        ] {
+            let err = read_one(name, &line).unwrap_err();
+            let text = err.to_string();
+            assert!(matches!(err, Error::TraceFormat(_)), "{name}: {text}");
+            assert!(
+                text.starts_with("trace format error: bad query on line 2: "),
+                "{text}"
+            );
+            assert_eq!(text.matches("trace format error").count(), 1, "{text}");
+        }
+    }
+
+    #[test]
+    fn out_of_range_integers_rejected() {
+        let good = "{\"id\":0,\"sql\":\"s\",\"template\":0,\"data_keys\":[],\"tables\":[],\
+                    \"columns\":[],\"total_yield\":7,\"table_yields\":[],\"column_yields\":[]}\n";
+        let seven = read_one("in-range.jsonl", good.replace(":7", ":7.0").as_bytes()).unwrap();
+        assert_eq!(seven.queries[0].total_yield, Bytes::new(7));
+        for spelling in ["18446744073709551616", "9007199254740993.0", "-1", "7.5"] {
+            let line = good.replace("\"total_yield\":7", &format!("\"total_yield\":{spelling}"));
+            let err = read_one("range.jsonl", line.as_bytes()).unwrap_err();
+            assert!(
+                err.to_string().contains("field \"total_yield\""),
+                "{spelling}: {err}"
+            );
+        }
+        let line = good.replace("\"id\":0", "\"id\":4294967296");
+        let err = read_one("id-range.jsonl", line.as_bytes()).unwrap_err();
+        assert!(err.to_string().contains("field \"id\""), "{err}");
+    }
+
+    #[test]
+    fn deep_nesting_rejected() {
+        let depth = 100_000;
+        let line = format!("{{\"x\":{}{}}}\n", "[".repeat(depth), "]".repeat(depth));
+        let err = read_one("deep.jsonl", line.as_bytes()).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+    }
+
+    #[test]
+    fn crlf_and_blank_lines_decode() {
+        let cat = build(SdssRelease::Edr, 1e-3, 1);
+        let trace = generate(&cat, &WorkloadConfig::smoke(41, 20)).unwrap();
+        let path = tmp("crlf.jsonl");
+        write_trace(&trace, &path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let crlf = text
+            .replace('\n', "\r\n")
+            .replacen("\r\n", "\r\n \t\r\n\u{3000}\n", 2);
+        std::fs::write(&path, crlf).unwrap();
+        assert_eq!(read_trace(&path).unwrap(), trace);
         std::fs::remove_file(&path).ok();
     }
 
@@ -537,6 +711,19 @@ mod tests {
             assert_eq!(r.delivered(), 150);
             // EOF is sticky.
             assert!(r.next_chunk(chunk).unwrap().is_empty());
+
+            // One refilled buffer hands out the same queries.
+            let mut r = TraceReader::open(&path).unwrap();
+            let mut slots = Vec::new();
+            let mut back = Vec::new();
+            loop {
+                r.refill(&mut slots, chunk).unwrap();
+                if slots.is_empty() {
+                    break;
+                }
+                back.extend(slots.iter().cloned());
+            }
+            assert_eq!(back, trace.queries, "refilled chunk size {chunk}");
         }
         std::fs::remove_file(&path).ok();
     }

@@ -249,8 +249,12 @@ fn region_keys(table_tag: u64, domain: (f64, f64), lo: f64, hi: f64) -> Vec<u64>
     const CELLS: f64 = 4096.0;
     let (min, max) = domain;
     let span = (max - min).max(f64::MIN_POSITIVE);
-    let a = (((lo - min) / span) * CELLS).floor() as u64;
-    let b = (((hi - min) / span) * CELLS).ceil() as u64;
+    // `lo` and `hi` lie in the domain, so both cells are in 0..=4096.
+    #[allow(clippy::cast_possible_truncation)]
+    let (a, b) = (
+        (((lo - min) / span) * CELLS).floor() as u64,
+        (((hi - min) / span) * CELLS).ceil() as u64,
+    );
     // Cap the enumeration; a handful of keys suffices for reuse analysis.
     (a..=b.min(a + 3)).map(|c| table_tag << 16 | c).collect()
 }

@@ -5,7 +5,7 @@ use byc_types::{Bytes, ColumnId, QueryId, TableId};
 
 /// One query of a trace, fully analyzed: the mediator needs only the
 /// referenced objects and the yield decomposition to replay it.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct TraceQuery {
     /// Position in the trace (doubles as the virtual clock).
     pub id: QueryId,
