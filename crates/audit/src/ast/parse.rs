@@ -25,6 +25,21 @@ pub struct ParsedFile {
     pub statics: Vec<StaticDef>,
     /// Item-position macro invocations (e.g. `thread_local! { ... }`).
     pub macro_uses: Vec<MacroUse>,
+    /// Every name a `use` item binds (globs bind none).
+    pub imports: Vec<Import>,
+}
+
+/// One name a `use` item binds: `use byc_sql::{analyze, parse as p};`
+/// binds `analyze` to `byc_sql::analyze` and `p` to `byc_sql::parse`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Import {
+    /// The name bound in scope (the last segment, or the `as` rename).
+    pub name: String,
+    /// The full path imported, first segment first.
+    pub path: Vec<String>,
+    /// Names of the enclosing inline modules, outermost first: the
+    /// scope the binding is visible in.
+    pub module_path: Vec<String>,
 }
 
 /// One function definition.
@@ -501,7 +516,22 @@ fn parse_items(trees: &[Tree], ctx: &Ctx, out: &mut ParsedFile) {
                 pending_attrs.clear();
                 pending_pub = false;
             }
-            "use" | "type" => {
+            "use" => {
+                let end = skip_to_semi(trees, i);
+                let tree = trees.get(i + 1..end.saturating_sub(1)).unwrap_or_default();
+                let mut bound = Vec::new();
+                use_tree(tree, &[], &mut bound);
+                out.imports
+                    .extend(bound.into_iter().map(|(name, path)| Import {
+                        name,
+                        path,
+                        module_path: ctx.module_path.clone(),
+                    }));
+                i = end;
+                pending_attrs.clear();
+                pending_pub = false;
+            }
+            "type" => {
                 i = skip_to_semi(trees, i);
                 pending_attrs.clear();
                 pending_pub = false;
@@ -592,6 +622,50 @@ fn parse_nested_fns(trees: &[Tree], ctx: &Ctx, out: &mut ParsedFile) {
             }
             _ => i += 1,
         }
+    }
+}
+
+/// Collect the `(bound name, full path)` pairs of one `use` tree below
+/// the path `prefix`: `a::b::{c, d::e as f, self, g::*}` binds `c`, `f`
+/// and `b`; globs and `as _` bind nothing.
+fn use_tree(trees: &[Tree], prefix: &[String], out: &mut Vec<(String, Vec<String>)>) {
+    let mut path = prefix.to_vec();
+    let mut alias = None;
+    let mut rest = trees.iter();
+    while let Some(tree) = rest.next() {
+        match tree {
+            Tree::Group(g) if g.delim == Delim::Brace => {
+                let comma = |t: &Tree| t.leaf().is_some_and(|t| t.kind.is_punct(','));
+                for item in g.trees.split(comma) {
+                    use_tree(item, &path, out);
+                }
+                return;
+            }
+            Tree::Leaf(t) if t.kind.is_punct('*') => return,
+            Tree::Leaf(t) => match t.kind.ident() {
+                Some("as") => {
+                    alias = rest
+                        .next()
+                        .and_then(Tree::leaf)
+                        .and_then(|t| t.kind.ident())
+                }
+                Some(segment) => path.push(segment.to_string()),
+                None => {} // the `::` separators
+            },
+            Tree::Group(_) => {}
+        }
+    }
+    if path.len() == prefix.len() {
+        return; // an empty item, e.g. after a trailing comma
+    }
+    if path.last().is_some_and(|s| s == "self") {
+        path.pop();
+    }
+    let Some(name) = alias.or(path.last().map(String::as_str)) else {
+        return;
+    };
+    if name != "_" {
+        out.push((name.to_string(), path.clone()));
     }
 }
 
@@ -980,6 +1054,35 @@ mod tests {
         assert_eq!(tys, vec!["Rc<u8>", "RefCell<u8>"]);
         assert_eq!(f.types[0].fields[0].name, "B");
         assert_eq!(f.types[0].fields[1].name, "C");
+    }
+
+    #[test]
+    fn use_items_bind_names() {
+        let p = parse_file(
+            "use a::b::{c, d::e as f, self, g::*, h as _};\n\
+             pub use std::mem::take;\n\
+             use super::*;\n\
+             mod inner { use byc_sql::{analyze, parse,}; }",
+        )
+        .unwrap();
+        let bound: Vec<(&str, String, Vec<String>)> = p
+            .imports
+            .iter()
+            .map(|i| (i.name.as_str(), i.path.join("::"), i.module_path.clone()))
+            .collect();
+        let top = Vec::<String>::new();
+        let inner = vec!["inner".to_string()];
+        assert_eq!(
+            bound,
+            vec![
+                ("c", "a::b::c".to_string(), top.clone()),
+                ("f", "a::b::d::e".to_string(), top.clone()),
+                ("b", "a::b".to_string(), top.clone()),
+                ("take", "std::mem::take".to_string(), top),
+                ("analyze", "byc_sql::analyze".to_string(), inner.clone()),
+                ("parse", "byc_sql::parse".to_string(), inner),
+            ]
+        );
     }
 
     #[test]

@@ -14,8 +14,13 @@
 //!   impl target or enclosing module matches `Qualifier`. A qualifier
 //!   the workspace has never defined (e.g. `Vec`, `Instant`) resolves
 //!   to nothing: the call is external.
-//! * `name(...)` — free functions of that name, preferring the same
-//!   file, then the same crate, then the workspace.
+//! * `name(...)` — when the caller's module imports `name` from a
+//!   workspace crate (`use byc_sql::{analyze, parse};`), the free
+//!   functions of that name in that crate; when it imports `name` from
+//!   outside the workspace (`use std::mem::take;`), nothing. Otherwise
+//!   free functions of that name, preferring the same file, then the
+//!   same crate, then the workspace. A workspace crate `crates/<dir>` is
+//!   the package `byc-<dir>`, imported as `byc_<dir>`.
 //!
 //! Known blind spot, documented in DESIGN.md §14: operator overloads
 //! (`+`, `+=` on `Bytes`) do not produce edges — operator `impl`s are
@@ -23,7 +28,7 @@
 //! Closure bodies belong to their enclosing named function, so calls
 //! made inside a closure are attributed to the function that wrote it.
 
-use crate::ast::parse::FnDef;
+use crate::ast::parse::{FnDef, Import};
 use crate::ast::scan::{calls_in, CallRef};
 use crate::source::SourceFile;
 use std::collections::{BTreeMap, BTreeSet};
@@ -63,12 +68,14 @@ pub type EntryPoint = (&'static str, &'static str);
 /// starts from. These are the public mouths of the replay machinery;
 /// anything transitively callable from them runs inside sweeps that may
 /// be hours long. The trace reader's mouths are among them: they take
-/// untrusted bytes off disk, ahead of every streamed replay.
+/// untrusted bytes off disk, ahead of every streamed replay. So is the
+/// mediator's SQL mouth, which takes query text from clients.
 pub const REPLAY_ENTRY_POINTS: &[EntryPoint] = &[
     ("ReplayEngine", "serve"),
     ("ReplaySession", "run"),
     ("ReplaySession", "sweep"),
     ("Mediator", "serve_trace_query"),
+    ("Mediator", "serve_sql"),
     ("TraceReader", "open"),
     ("TraceReader", "next_chunk"),
 ];
@@ -82,6 +89,8 @@ pub struct GraphFile<'a> {
     /// Inline module names declared in the file (for qualifier
     /// resolution).
     pub qualifiers: &'a BTreeSet<String>,
+    /// The names the file's `use` items bind.
+    pub imports: &'a [Import],
 }
 
 impl CallGraph {
@@ -160,6 +169,25 @@ impl CallGraph {
                 .filter(|&i| nodes[i].def.qualifier.is_none())
                 .collect();
             let caller_file = nodes[caller].file;
+            // An import settles which crate the name comes from.
+            let imported = files[caller_file]
+                .imports
+                .iter()
+                .find(|imp| imp.name == name && imp.module_path == nodes[caller].def.module_path);
+            let root = imported
+                .and_then(|imp| imp.path.first())
+                .map(String::as_str);
+            match root {
+                Some("crate" | "self" | "super") | None => {}
+                Some(root) => {
+                    let dir = root.strip_prefix("byc_");
+                    return free
+                        .iter()
+                        .copied()
+                        .filter(|&i| dir == Some(files[nodes[i].file].source.crate_name.as_str()))
+                        .collect();
+                }
+            }
             let same_file: Vec<usize> = free
                 .iter()
                 .copied()
@@ -304,10 +332,12 @@ mod tests {
             .iter()
             .zip(fns.iter())
             .zip(quals.iter())
-            .map(|((source, fns), qualifiers)| GraphFile {
+            .zip(parsed.iter())
+            .map(|(((source, fns), qualifiers), p)| GraphFile {
                 source,
                 fns,
                 qualifiers,
+                imports: &p.imports,
             })
             .collect();
         CallGraph::build(&graph_files)
@@ -377,6 +407,50 @@ mod tests {
         let d = idx(&g, None, "driver");
         assert_eq!(g.nodes[d].callees.len(), 1);
         assert_eq!(g.nodes[g.nodes[d].callees[0]].file, 0);
+    }
+
+    #[test]
+    fn imports_pick_the_crate_of_a_free_call() {
+        let g = graph(&[
+            (
+                "crates/federation/src/mediator.rs",
+                "federation",
+                "use byc_sql::{analyze, parse as p};\n\
+                 use std::mem::take;\n\
+                 fn serve() { analyze(); p(); take(); }",
+            ),
+            ("crates/sql/src/analyzer.rs", "sql", "pub fn analyze() {}"),
+            ("crates/sql/src/parser.rs", "sql", "pub fn parse() {}"),
+            (
+                "crates/audit/src/passes/mod.rs",
+                "audit",
+                "pub fn analyze() {} pub fn take() {}",
+            ),
+        ]);
+        let serve = idx(&g, None, "serve");
+        let sql_analyze = g
+            .nodes
+            .iter()
+            .position(|n| n.def.name == "analyze" && n.file == 1)
+            .expect("byc_sql::analyze is a node");
+        // `p` names no workspace fn, and `take` is std's.
+        assert_eq!(g.nodes[serve].callees, vec![sql_analyze]);
+    }
+
+    #[test]
+    fn crate_relative_imports_keep_the_ladder() {
+        let g = graph(&[
+            (
+                "crates/core/src/a.rs",
+                "core",
+                "use crate::b::helper;\nfn driver() { helper(); }",
+            ),
+            ("crates/core/src/b.rs", "core", "pub fn helper() {}"),
+            ("crates/engine/src/c.rs", "engine", "pub fn helper() {}"),
+        ]);
+        let d = idx(&g, None, "driver");
+        assert_eq!(g.nodes[d].callees.len(), 1);
+        assert_eq!(g.nodes[g.nodes[d].callees[0]].file, 1);
     }
 
     #[test]

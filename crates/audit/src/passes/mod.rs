@@ -146,6 +146,7 @@ pub fn analyze(sources: Vec<SourceFile>) -> Analysis {
             source: &f.source,
             fns,
             qualifiers,
+            imports: &f.parsed.imports,
         })
         .collect();
     let graph = CallGraph::build(&graph_files);

@@ -81,6 +81,9 @@ impl ObjectCatalog {
     /// are the raw proportional model (`fetch_cost = size`, `c = 1`);
     /// per-server link pricing is applied downstream by the federation's
     /// network model, not baked into the catalog.
+    // One object per table or column, and the catalog numbers both with
+    // `u32` ids (checked in `Catalog::add_table`): every index fits.
+    #[allow(clippy::cast_possible_truncation)]
     pub fn uniform(catalog: &Catalog, granularity: Granularity) -> Self {
         let mut objects = Vec::new();
         let mut by_table = vec![None; catalog.table_count()];

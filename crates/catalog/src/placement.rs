@@ -36,6 +36,9 @@ impl Placement {
     /// is in table order; `sizes` are the tables' byte sizes (only
     /// consulted by [`Placement::SizeBalanced`]). Deterministic: ties go
     /// to the lowest server id.
+    // Server indexes are below `server_count()`, a `u32`: the casts back
+    // are exact.
+    #[allow(clippy::cast_possible_truncation)]
     pub fn assign(&self, sizes: &[Bytes]) -> Vec<ServerId> {
         let n = self.server_count() as usize;
         match *self {

@@ -142,8 +142,9 @@ pub struct Catalog {
     tables: Vec<Table>,
     columns: Vec<Column>,
     table_names: HashMap<String, TableId>,
-    /// (table id, column name) → column id.
-    column_names: HashMap<(TableId, String), ColumnId>,
+    /// Per table, in id order: column name → column id. Looked up by
+    /// `&str`, so name resolution allocates nothing.
+    column_names: Vec<HashMap<String, ColumnId>>,
 }
 
 impl Catalog {
@@ -152,18 +153,19 @@ impl Catalog {
         Self::default()
     }
 
-    /// Register a table definition, assigning dense ids.
+    /// Register a table definition, assigning dense ids. Every name and
+    /// id is checked before the catalog changes, so a refused table
+    /// leaves no trace.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidConfig`] on duplicate table or column names
-    /// or a table with no columns.
+    /// Returns [`Error::InvalidConfig`] on duplicate table or column names,
+    /// a table with no columns, or more tables, columns or columns per
+    /// table than the ids can number.
     pub fn add_table(&mut self, def: TableDef) -> Result<TableId> {
+        let invalid = |what: &str| Error::InvalidConfig(format!("table {:?} {what}", def.name));
         if def.columns.is_empty() {
-            return Err(Error::InvalidConfig(format!(
-                "table {:?} has no columns",
-                def.name
-            )));
+            return Err(invalid("has no columns"));
         }
         if self.table_names.contains_key(&def.name) {
             return Err(Error::InvalidConfig(format!(
@@ -171,39 +173,46 @@ impl Catalog {
                 def.name
             )));
         }
-        let tid = TableId::new(self.tables.len() as u32);
-        let mut col_ids = Vec::with_capacity(def.columns.len());
-        let mut row_width = 0u64;
+        let tid = u32::try_from(self.tables.len())
+            .map(TableId::new)
+            .map_err(|_| invalid("overflows the table ids"))?;
+        let mut names = HashMap::with_capacity(def.columns.len());
+        let mut columns = Vec::with_capacity(def.columns.len());
         for (ordinal, c) in def.columns.iter().enumerate() {
-            let key = (tid, c.name.clone());
-            if self.column_names.contains_key(&key) {
+            let cid = self
+                .columns
+                .len()
+                .checked_add(ordinal)
+                .and_then(|id| u32::try_from(id).ok())
+                .map(ColumnId::new)
+                .ok_or_else(|| invalid("overflows the column ids"))?;
+            let ordinal = u16::try_from(ordinal).map_err(|_| invalid("has too many columns"))?;
+            if names.insert(c.name.clone(), cid).is_some() {
                 return Err(Error::InvalidConfig(format!(
                     "duplicate column {:?} in table {:?}",
                     c.name, def.name
                 )));
             }
-            let cid = ColumnId::new(self.columns.len() as u32);
-            self.columns.push(Column {
+            columns.push(Column {
                 id: cid,
                 table: tid,
-                ordinal: ordinal as u16,
+                ordinal,
                 name: c.name.clone(),
                 ty: c.ty,
                 min_value: c.min_value,
                 max_value: c.max_value,
             });
-            self.column_names.insert(key, cid);
-            col_ids.push(cid);
-            row_width += c.ty.width();
         }
         self.tables.push(Table {
             id: tid,
             name: def.name.clone(),
-            columns: col_ids,
+            columns: columns.iter().map(|c| c.id).collect(),
             row_count: def.row_count,
             server: def.server,
-            row_width,
+            row_width: columns.iter().map(Column::width).sum(),
         });
+        self.columns.extend(columns);
+        self.column_names.push(names);
         self.table_names.insert(def.name, tid);
         Ok(tid)
     }
@@ -259,13 +268,18 @@ impl Catalog {
     ///
     /// [`Error::UnknownName`] if not registered.
     pub fn column_by_name(&self, table: TableId, name: &str) -> Result<&Column> {
-        self.column_names
-            .get(&(table, name.to_string()))
-            .map(|&id| self.column(id))
+        self.find_column(table, name)
             .ok_or_else(|| Error::UnknownName {
                 kind: "column",
                 name: format!("{}.{}", self.table(table).name, name),
             })
+    }
+
+    /// The column of `table` named `name`, if any: the lookup behind
+    /// [`Catalog::column_by_name`], without building an error on a miss.
+    pub fn find_column(&self, table: TableId, name: &str) -> Option<&Column> {
+        let id = self.column_names.get(table.index())?.get(name)?;
+        self.columns.get(id.index())
     }
 
     /// Total stored size of every table in the catalog — the "database
@@ -334,6 +348,36 @@ mod tests {
             server: ServerId::new(0),
         };
         assert!(cat.add_table(def).is_err());
+    }
+
+    #[test]
+    fn refused_table_leaves_no_residue() {
+        let mut cat = Catalog::new();
+        let def = |name: &str, columns: &[&str]| TableDef {
+            name: name.into(),
+            columns: columns
+                .iter()
+                .map(|c| ColumnDef::new(*c, ColumnType::Int))
+                .collect(),
+            row_count: 1,
+            server: ServerId::new(0),
+        };
+        assert!(cat.add_table(def("A", &["x", "y", "x"])).is_err());
+        assert_eq!(cat.table_count(), 0);
+        assert_eq!(cat.column_count(), 0);
+        assert!(cat.table_by_name("A").is_err());
+        let b = cat.add_table(def("B", &["z"])).unwrap();
+        assert_eq!(b, TableId::new(0));
+        assert_eq!(cat.column_count(), 1);
+        assert!(cat.column_by_name(b, "x").is_err());
+        assert!(cat.find_column(b, "y").is_none());
+        let z = cat.column_by_name(b, "z").unwrap();
+        assert_eq!((z.id, z.table, z.ordinal), (ColumnId::new(0), b, 0));
+        // The refused name is free again, and its column is its own.
+        let a = cat.add_table(def("A", &["x"])).unwrap();
+        assert_eq!(cat.column_count(), 2);
+        assert_eq!(cat.column_by_name(a, "x").unwrap().table, a);
+        assert!(cat.find_column(b, "x").is_none());
     }
 
     #[test]

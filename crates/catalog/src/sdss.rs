@@ -300,6 +300,9 @@ pub fn build_with_placement(release: SdssRelease, scale: f64, placement: Placeme
     let defs: Vec<(&str, Vec<ColumnDef>, u64)> = BASE_ROWS
         .iter()
         .map(|&(name, base_rows)| {
+            // `as` saturates: a scale that pushes a table past `u64::MAX`
+            // rows clamps there.
+            #[allow(clippy::cast_possible_truncation)]
             let rows = ((base_rows as f64 * factor).round() as u64).max(1);
             (name, columns_for(name), rows)
         })
@@ -311,6 +314,9 @@ pub fn build_with_placement(release: SdssRelease, scale: f64, placement: Placeme
     let servers = placement.assign(&sizes);
     let mut cat = Catalog::new();
     for ((name, columns, rows), server) in defs.into_iter().zip(servers) {
+        // The built-in definitions cannot collide or overflow the ids; a
+        // `Result` would push an impossible error onto every caller.
+        #[allow(clippy::expect_used)]
         cat.add_table(TableDef {
             name: name.to_string(),
             columns,

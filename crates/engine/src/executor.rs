@@ -112,7 +112,7 @@ impl<'a> RowStore<'a> {
     ///
     /// [`Error::Semantic`] for shapes outside the executable subset (more
     /// than two tables, or multi-join queries).
-    pub fn execute(&self, query: &Query, resolved: &ResolvedQuery) -> Result<ResultSet> {
+    pub fn execute(&self, query: &Query<'_>, resolved: &ResolvedQuery<'_>) -> Result<ResultSet> {
         if resolved.tables.len() > 2 {
             return Err(Error::Semantic(
                 "executor supports at most two tables".into(),
@@ -188,7 +188,9 @@ impl<'a> RowStore<'a> {
         }
 
         // Plain projection.
-        let limit = resolved.top.unwrap_or(u64::MAX) as usize;
+        let limit = resolved
+            .top
+            .map_or(usize::MAX, |top| usize::try_from(top).unwrap_or(usize::MAX));
         let mut values = Vec::new();
         let mut width = 0u64;
         for access in &resolved.tables {
@@ -218,9 +220,9 @@ impl<'a> RowStore<'a> {
 
     fn arg_values(
         &self,
-        resolved: &ResolvedQuery,
+        resolved: &ResolvedQuery<'_>,
         combos: &[(u64, Option<u64>)],
-        arg: &byc_sql::ColumnRef,
+        arg: &byc_sql::ColumnRef<'_>,
     ) -> Vec<f64> {
         // Locate the argument column in the resolved accesses by name.
         for (slot, access) in resolved.tables.iter().enumerate() {

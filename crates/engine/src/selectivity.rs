@@ -42,7 +42,8 @@ fn domain_fraction(column: &Column, lo: f64, hi: f64) -> f64 {
     }
     let lo_c = lo.max(column.min_value);
     let hi_c = hi.min(column.max_value);
-    ((hi_c - lo_c) / span).clamp(0.0, 1.0)
+    let fraction: f64 = (hi_c - lo_c) / span;
+    fraction.clamp(0.0, 1.0)
 }
 
 /// Estimated selectivity of one resolved predicate.

@@ -14,7 +14,9 @@
 //!   total storage sizes of all columns referenced in the query".
 //!
 //! Decompositions use largest-remainder rounding so per-object yields sum
-//! exactly to the query yield — an invariant the test suite checks.
+//! exactly to the query yield, for every yield up to `u64::MAX` — an
+//! invariant the test suite checks. A query that references no column
+//! (a bare `count(*)`) has no object to carry its yield.
 
 use crate::selectivity::{join_selectivity, table_selectivity};
 use byc_catalog::Catalog;
@@ -57,32 +59,65 @@ impl YieldBreakdown {
     }
 }
 
-/// Distribute `total` over weights using largest-remainder rounding, so
-/// the shares sum exactly to `total`. Zero-total or all-zero-weight inputs
-/// yield all-zero shares.
-fn apportion(total: u64, weights: &[f64]) -> Vec<u64> {
-    let wsum: f64 = weights.iter().sum();
+/// Distribute `total` over weighted items by largest-remainder rounding,
+/// returning one `(key, share)` per item in input order. The shares sum
+/// exactly to `total`; zero-total or all-zero-weight inputs give all-zero
+/// shares.
+///
+/// Each item's exact share is `total · w / Σw`. Its floor goes straight
+/// into the output, and the leftover bytes go out in descending order of
+/// the remainders, ties to the earlier item: `leftover / n` to every
+/// item and one more to the first `leftover % n`. With integral weights
+/// and totals below 2^52 the floors never overshoot `total` and the
+/// leftover is at most the item count, so this is the classic rule: a
+/// byte each to the largest remainders. Larger totals lose precision in
+/// `f64`: the leftover can exceed the item count, and the floors alone
+/// can overshoot `total`, so each floor is capped at what is still
+/// unassigned.
+// `as` saturates a share past `u64::MAX`, which the cap then absorbs.
+#[allow(clippy::cast_possible_truncation)]
+fn apportion<K: Copy>(
+    total: u64,
+    weights: impl Iterator<Item = (K, f64)> + Clone,
+) -> Vec<(K, Bytes)> {
+    let mut shares = Vec::with_capacity(weights.clone().count());
+    let wsum: f64 = weights.clone().map(|(_, w)| w).sum();
     if total == 0 || wsum <= 0.0 {
-        return vec![0; weights.len()];
+        shares.extend(weights.map(|(key, _)| (key, Bytes::ZERO)));
+        return shares;
     }
-    let mut shares: Vec<u64> = Vec::with_capacity(weights.len());
-    let mut remainders: Vec<(usize, f64)> = Vec::with_capacity(weights.len());
+    let exact = |w: f64| {
+        let fraction: f64 = w / wsum;
+        total as f64 * fraction
+    };
     let mut assigned = 0u64;
-    for (i, &w) in weights.iter().enumerate() {
-        let exact = total as f64 * (w / wsum);
-        let floor = exact.floor() as u64;
-        shares.push(floor);
+    for (key, w) in weights.clone() {
+        let floor = (exact(w).floor() as u64).min(total - assigned);
         assigned += floor;
-        remainders.push((i, exact - floor as f64));
+        shares.push((key, Bytes::new(floor)));
     }
-    let mut leftover = total - assigned;
-    remainders.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-    for (i, _) in remainders {
-        if leftover == 0 {
-            break;
+    let leftover = total - assigned;
+    if leftover == 0 {
+        return shares;
+    }
+    let mut order: Vec<(usize, f64)> = weights
+        .enumerate()
+        .map(|(i, (_, w))| {
+            let exact = exact(w);
+            (i, exact - (exact.floor() as u64) as f64)
+        })
+        .collect();
+    // Stable: equal remainders keep item order.
+    order.sort_by(|a, b| b.1.total_cmp(&a.1));
+    let n = order.len() as u64;
+    let (each, first) = (
+        leftover.checked_div(n).unwrap_or(0),
+        leftover.checked_rem(n).unwrap_or(0),
+    );
+    for (rank, (i, _)) in (0u64..).zip(order) {
+        if let Some((_, share)) = shares.get_mut(i) {
+            *share += Bytes::new(each + u64::from(rank < first));
         }
-        shares[i] += 1;
-        leftover -= 1;
     }
     shares
 }
@@ -118,7 +153,7 @@ impl<'a> YieldModel<'a> {
     /// Estimated result cardinality of `query` before `TOP` and
     /// aggregation: product of filtered per-table cardinalities times the
     /// selectivity of each equi-join.
-    pub fn cardinality(&self, query: &ResolvedQuery) -> f64 {
+    pub fn cardinality(&self, query: &ResolvedQuery<'_>) -> f64 {
         let mut card = 1.0;
         for access in &query.tables {
             let rows = self.catalog.table(access.table).row_count as f64;
@@ -134,7 +169,7 @@ impl<'a> YieldModel<'a> {
 
     /// Bytes per result row: widths of projected columns plus one slot per
     /// aggregate item.
-    pub fn row_width(&self, query: &ResolvedQuery) -> u64 {
+    pub fn row_width(&self, query: &ResolvedQuery<'_>) -> u64 {
         let mut width = query.aggregate_items as u64 * AGGREGATE_VALUE_WIDTH;
         if !query.aggregate_only {
             for access in &query.tables {
@@ -148,7 +183,7 @@ impl<'a> YieldModel<'a> {
 
     /// Estimate the yield of `query` and decompose it over tables and
     /// columns.
-    pub fn estimate(&self, query: &ResolvedQuery) -> YieldBreakdown {
+    pub fn estimate(&self, query: &ResolvedQuery<'_>) -> YieldBreakdown {
         let mut rows = if query.aggregate_only {
             1.0
         } else {
@@ -157,6 +192,8 @@ impl<'a> YieldModel<'a> {
         if let Some(top) = query.top {
             rows = rows.min(top as f64);
         }
+        // `as` saturates: a cross join too large for `u64` rows clamps.
+        #[allow(clippy::cast_possible_truncation)]
         let result_rows = rows.round().max(if rows > 0.0 { 1.0 } else { 0.0 }) as u64;
         let width = self.row_width(query);
         let total = result_rows.saturating_mul(width);
@@ -164,36 +201,24 @@ impl<'a> YieldModel<'a> {
         // Table decomposition: weight = number of unique attributes the
         // table contributes to the query (paper §6 example: a two-table
         // join referencing four columns of each table splits 50/50).
-        let table_weights: Vec<f64> = query
-            .tables
-            .iter()
-            .map(|a| a.columns.len() as f64)
-            .collect();
-        let table_shares = apportion(total, &table_weights);
-        let per_table = query
-            .tables
-            .iter()
-            .zip(table_shares)
-            .map(|(a, s)| (a.table, Bytes::new(s)))
-            .collect();
+        let per_table = apportion(
+            total,
+            query
+                .tables
+                .iter()
+                .map(|a| (a.table, a.columns.len() as f64)),
+        );
 
         // Column decomposition: weight = storage width of each referenced
         // column (paper §6: p.objID is 8 of 46 bytes → yield 8/46 · Y).
-        let columns: Vec<ColumnId> = query
-            .tables
-            .iter()
-            .flat_map(|a| a.columns.iter().copied())
-            .collect();
-        let col_weights: Vec<f64> = columns
-            .iter()
-            .map(|&c| self.catalog.column(c).width() as f64)
-            .collect();
-        let col_shares = apportion(total, &col_weights);
-        let per_column = columns
-            .into_iter()
-            .zip(col_shares)
-            .map(|(c, s)| (c, Bytes::new(s)))
-            .collect();
+        let per_column = apportion(
+            total,
+            query
+                .tables
+                .iter()
+                .flat_map(|a| &a.columns)
+                .map(|&c| (c, self.catalog.column(c).width() as f64)),
+        );
 
         YieldBreakdown {
             total: Bytes::new(total),
@@ -383,20 +408,70 @@ mod tests {
         Ok(())
     }
 
+    /// `apportion` over plain weights, keyed by position.
+    fn shares(total: u64, weights: &[f64]) -> Vec<u64> {
+        let shares = apportion(total, weights.iter().map(|&w| ((), w)));
+        shares.into_iter().map(|(_, s)| s.raw()).collect()
+    }
+
+    #[test]
+    fn cross_join_decompositions_sum_to_total() -> Result<()> {
+        // On the benchmark's catalog three copies already saturate the
+        // total at `u64::MAX`; four push the floors of the exact shares
+        // past it.
+        let cat = byc_catalog::sdss::build(byc_catalog::sdss::SdssRelease::Edr, 0.01, 1);
+        for sql in [
+            "select * from PhotoObj a, PhotoObj b, PhotoObj c",
+            "select * from PhotoObj a, PhotoObj b, PhotoObj c, PhotoObj d",
+        ] {
+            let b = breakdown(&cat, sql)?;
+            assert_eq!(b.total, Bytes::new(u64::MAX), "{sql}");
+            let tables: u128 = b.per_table.iter().map(|&(_, y)| u128::from(y.raw())).sum();
+            let columns: u128 = b.per_column.iter().map(|&(_, y)| u128::from(y.raw())).sum();
+            assert_eq!(tables, u128::from(b.total.raw()), "{sql}");
+            assert_eq!(columns, u128::from(b.total.raw()), "{sql}");
+        }
+        Ok(())
+    }
+
     #[test]
     fn apportion_sums_exactly() {
-        let shares = apportion(100, &[1.0, 1.0, 1.0]);
-        assert_eq!(shares.iter().sum::<u64>(), 100);
-        let shares = apportion(7, &[3.0, 2.0, 2.0]);
-        assert_eq!(shares.iter().sum::<u64>(), 7);
-        assert_eq!(shares[0], 3);
+        let s = shares(100, &[1.0, 1.0, 1.0]);
+        assert_eq!(s.iter().sum::<u64>(), 100);
+        // Equal remainders: the earlier item takes the spare byte.
+        assert_eq!(s, vec![34, 33, 33]);
+        let s = shares(7, &[3.0, 2.0, 2.0]);
+        assert_eq!(s.iter().sum::<u64>(), 7);
+        assert_eq!(s[0], 3);
+        // The largest remainder wins: 10 · 0.25 and 10 · 0.75.
+        assert_eq!(shares(10, &[1.0, 3.0]), vec![3, 7]);
     }
 
     #[test]
     fn apportion_edge_cases() {
-        assert_eq!(apportion(0, &[1.0, 2.0]), vec![0, 0]);
-        assert_eq!(apportion(10, &[0.0, 0.0]), vec![0, 0]);
-        assert_eq!(apportion(10, &[]), Vec::<u64>::new());
-        assert_eq!(apportion(10, &[5.0]), vec![10]);
+        assert_eq!(shares(0, &[1.0, 2.0]), vec![0, 0]);
+        assert_eq!(shares(10, &[0.0, 0.0]), vec![0, 0]);
+        assert_eq!(shares(10, &[]), Vec::<u64>::new());
+        assert_eq!(shares(10, &[5.0]), vec![10]);
+    }
+
+    #[test]
+    fn apportion_is_exact_for_every_total() {
+        let weights = [8.0, 8.0, 4.0, 4.0, 2.0, 8.0, 4.0, 1.0, 16.0];
+        for total in [
+            u64::MAX,
+            u64::MAX - 1,
+            u64::MAX / 3,
+            1 << 63,
+            (1 << 53) + 1,
+            (1 << 53) - 1,
+            12_345_678_901,
+        ] {
+            for n in 1..=weights.len() {
+                let s = shares(total, &weights[..n]);
+                let sum: u128 = s.iter().map(|&x| u128::from(x)).sum();
+                assert_eq!(sum, u128::from(total), "total {total}, {n} items: {s:?}");
+            }
+        }
     }
 }

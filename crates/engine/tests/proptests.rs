@@ -108,7 +108,8 @@ proptest! {
     #[test]
     fn top_caps_yield(n in 1u64..500) {
         let cat = test_catalog(1_000);
-        let q = parse(&format!("select top {n} x, y from T")).unwrap();
+        let sql = format!("select top {n} x, y from T");
+        let q = parse(&sql).unwrap();
         let r = analyze(&cat, &q).unwrap();
         let b = YieldModel::new(&cat).estimate(&r);
         prop_assert!(b.result_rows <= n);

@@ -114,6 +114,9 @@ pub struct Mediator {
     degradation: DegradationPolicy,
     served: u64,
     wan_total: Bytes,
+    /// The query [`Mediator::serve_sql`] refills and serves on every
+    /// call, so its text and id lists reuse their buffers.
+    slot: TraceQuery,
 }
 
 impl Mediator {
@@ -162,6 +165,7 @@ impl Mediator {
             degradation: DegradationPolicy::default(),
             served: 0,
             wan_total: Bytes::ZERO,
+            slot: TraceQuery::default(),
         }
     }
 
@@ -266,18 +270,21 @@ impl Mediator {
         let query = parse(sql)?;
         let resolved = analyze(&self.catalog, &query)?;
         let breakdown = YieldModel::new(&self.catalog).estimate(&resolved);
-        let tq = TraceQuery {
-            id: QueryId::new(u32::try_from(self.served).unwrap_or(u32::MAX)),
-            sql: sql.to_string(),
-            template: u32::MAX,
-            data_keys: Vec::new(),
-            tables: resolved.table_ids().collect(),
-            columns: resolved.column_ids().collect(),
-            total_yield: breakdown.total,
-            table_yields: breakdown.per_table,
-            column_yields: breakdown.per_column,
-        };
-        Ok(self.serve_trace_query(&tq, &mut []))
+        let mut tq = std::mem::take(&mut self.slot);
+        tq.id = QueryId::new(u32::try_from(self.served).unwrap_or(u32::MAX));
+        tq.sql.clear();
+        tq.sql.push_str(sql);
+        tq.template = u32::MAX;
+        tq.tables.clear();
+        tq.tables.extend(resolved.table_ids());
+        tq.columns.clear();
+        tq.columns.extend(resolved.column_ids());
+        tq.total_yield = breakdown.total;
+        tq.table_yields = breakdown.per_table;
+        tq.column_yields = breakdown.per_column;
+        let served = self.serve_trace_query(&tq, &mut []);
+        self.slot = tq;
+        Ok(served)
     }
 
     /// Serve an already-analyzed trace query: one pass of the replay
@@ -460,6 +467,54 @@ mod tests {
         assert!(audit.is_clean());
         assert_eq!(audit.accesses, 2);
         assert_eq!(audit.deep_checks, 0);
+    }
+
+    #[test]
+    fn huge_cross_joins_serve_whole() {
+        // The benchmark's catalog: three copies of PhotoObj saturate the
+        // yield at `u64::MAX`, four push its decomposition past it.
+        let catalog = build(SdssRelease::Edr, 0.01, 1);
+        let db = catalog.database_size();
+        let policy = Box::new(RateProfile::new(
+            db.scale(0.15),
+            RateProfileConfig::default(),
+        ));
+        let mut m = Mediator::new(catalog, Granularity::Column, policy);
+        for sql in [
+            "select * from PhotoObj a, PhotoObj b, PhotoObj c",
+            "select * from PhotoObj a, PhotoObj b, PhotoObj c, PhotoObj d",
+        ] {
+            let served = m.serve_sql(sql).unwrap();
+            assert_eq!(served.delivered, Bytes::new(u64::MAX), "{sql}");
+            assert_eq!(
+                served.delivered,
+                served.from_cache + served.from_servers,
+                "{sql}"
+            );
+        }
+        assert!(
+            m.audit_report().is_clean(),
+            "{:?}",
+            m.audit_report().violations
+        );
+    }
+
+    #[test]
+    fn slot_is_refilled_per_query() {
+        let mut m = mediator(Granularity::Column);
+        let wide = "select p.ra, p.dec, p.objID from PhotoObj p where p.ra between 0 and 10";
+        let first = m.serve_sql(wide).unwrap();
+        let second = m.serve_sql(SQL).unwrap();
+        assert_eq!(first.outcomes.len(), 3);
+        assert_eq!(second.outcomes.len(), 2);
+        assert_eq!(m.slot.sql, SQL);
+        assert_eq!(m.slot.id, QueryId::new(1));
+        assert_eq!(m.slot.columns.len(), 2);
+        assert_eq!(m.slot.column_yields.len(), 2);
+        // A refused query leaves the clock and the slot alone.
+        assert!(m.serve_sql("select nope from PhotoObj").is_err());
+        assert_eq!(m.served_count(), 2);
+        assert_eq!(m.slot.sql, SQL);
     }
 
     #[test]

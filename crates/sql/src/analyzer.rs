@@ -4,15 +4,17 @@
 //! engine's yield model and the workload analyses consume: which tables are
 //! touched, which columns of each table are referenced (projection +
 //! predicates), the filter predicates per table, and the equi-join pairs.
+//! Qualifiers resolve against the query's own `FROM` list and column
+//! names against the catalog's per-table index, so a successful analysis
+//! allocates only the lists it returns.
 
-use crate::ast::{ColumnRef, CompareOp, Predicate, Query, SelectItem, Value};
+use crate::ast::{ColumnRef, CompareOp, Predicate, Query, SelectItem, TableRef, Value};
 use byc_catalog::Catalog;
 use byc_types::{ColumnId, Error, Result, TableId};
-use std::collections::HashMap;
 
 /// A resolved single-table filter predicate.
-#[derive(Clone, Debug, PartialEq)]
-pub enum ResolvedPredicate {
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum ResolvedPredicate<'a> {
     /// `column OP literal`.
     Compare {
         /// Constrained column.
@@ -20,7 +22,7 @@ pub enum ResolvedPredicate {
         /// Operator.
         op: CompareOp,
         /// Literal value.
-        value: Value,
+        value: Value<'a>,
     },
     /// `column BETWEEN lo AND hi`.
     Between {
@@ -33,7 +35,7 @@ pub enum ResolvedPredicate {
     },
 }
 
-impl ResolvedPredicate {
+impl ResolvedPredicate<'_> {
     /// The column this predicate constrains.
     pub fn column(&self) -> ColumnId {
         match self {
@@ -45,7 +47,7 @@ impl ResolvedPredicate {
 
 /// Everything the query touches in one table.
 #[derive(Clone, Debug, PartialEq)]
-pub struct TableAccess {
+pub struct TableAccess<'a> {
     /// The table.
     pub table: TableId,
     /// All columns of this table the query references, deduplicated, in
@@ -55,7 +57,27 @@ pub struct TableAccess {
     /// expanded; aggregate arguments included).
     pub projected: Vec<ColumnId>,
     /// Filter predicates on this table.
-    pub filters: Vec<ResolvedPredicate>,
+    pub filters: Vec<ResolvedPredicate<'a>>,
+}
+
+impl<'a> TableAccess<'a> {
+    fn touch(&mut self, col: ColumnId) {
+        if !self.columns.contains(&col) {
+            self.columns.push(col);
+        }
+    }
+
+    fn project(&mut self, col: ColumnId) {
+        self.touch(col);
+        if !self.projected.contains(&col) {
+            self.projected.push(col);
+        }
+    }
+
+    fn add_filter(&mut self, pred: ResolvedPredicate<'a>) {
+        self.touch(pred.column());
+        self.filters.push(pred);
+    }
 }
 
 /// An equi-join between columns of two different tables.
@@ -67,11 +89,12 @@ pub struct JoinPair {
     pub right: ColumnId,
 }
 
-/// The resolved, id-based view of a query.
+/// The resolved, id-based view of a query. The string literals of its
+/// filters borrow the query text.
 #[derive(Clone, Debug, PartialEq)]
-pub struct ResolvedQuery {
+pub struct ResolvedQuery<'a> {
     /// Per-table access information, in `FROM` order.
-    pub tables: Vec<TableAccess>,
+    pub tables: Vec<TableAccess<'a>>,
     /// Cross-table equi-joins.
     pub joins: Vec<JoinPair>,
     /// True iff every projection item is an aggregate (single-row result).
@@ -83,7 +106,7 @@ pub struct ResolvedQuery {
     pub top: Option<u64>,
 }
 
-impl ResolvedQuery {
+impl<'a> ResolvedQuery<'a> {
     /// Ids of all referenced tables, in `FROM` order.
     pub fn table_ids(&self) -> impl Iterator<Item = TableId> + '_ {
         self.tables.iter().map(|t| t.table)
@@ -95,52 +118,65 @@ impl ResolvedQuery {
     }
 
     /// The access entry for `table`, if referenced.
-    pub fn access(&self, table: TableId) -> Option<&TableAccess> {
+    pub fn access(&self, table: TableId) -> Option<&TableAccess<'a>> {
         self.tables.iter().find(|t| t.table == table)
     }
 }
 
-struct Resolver<'a> {
-    catalog: &'a Catalog,
-    /// binding name → FROM position.
-    bindings: HashMap<String, usize>,
-    /// FROM position → table id.
-    tables: Vec<TableId>,
+/// What a column reference resolves against: the catalog and the
+/// query's `FROM` entries.
+struct Scope<'q, 'a> {
+    catalog: &'q Catalog,
+    from: &'q [TableRef<'a>],
 }
 
-impl<'a> Resolver<'a> {
-    /// Resolve a column reference to (FROM position, column id).
-    fn resolve(&self, r: &ColumnRef) -> Result<(usize, ColumnId)> {
-        match &r.qualifier {
+impl Scope<'_, '_> {
+    /// Resolve a column reference to (FROM position, column id);
+    /// `accesses` holds the `FROM` entries' tables, in order.
+    fn resolve(
+        &self,
+        accesses: &[TableAccess<'_>],
+        r: &ColumnRef<'_>,
+    ) -> Result<(usize, ColumnId)> {
+        let mut bound = self.from.iter().zip(accesses).enumerate();
+        match r.qualifier {
             Some(q) => {
-                let &slot = self.bindings.get(q).ok_or_else(|| {
-                    Error::Semantic(format!("unknown table or alias {q:?} in {r}"))
-                })?;
-                let col = self.catalog.column_by_name(self.tables[slot], &r.column)?;
+                let (slot, access) = bound
+                    .find_map(|(slot, (t, access))| {
+                        (t.binding_name() == q).then_some((slot, access))
+                    })
+                    .ok_or_else(|| {
+                        Error::Semantic(format!("unknown table or alias {q:?} in {r}"))
+                    })?;
+                let col = self.catalog.column_by_name(access.table, r.column)?;
                 Ok((slot, col.id))
             }
             None => {
-                let mut found: Option<(usize, ColumnId)> = None;
-                for (slot, &tid) in self.tables.iter().enumerate() {
-                    if let Ok(col) = self.catalog.column_by_name(tid, &r.column) {
-                        if let Some((prev_slot, _)) = found {
-                            return Err(Error::Semantic(format!(
-                                "ambiguous column {:?}: in both {} and {}",
-                                r.column,
-                                self.catalog.table(self.tables[prev_slot]).name,
-                                self.catalog.table(tid).name
-                            )));
-                        }
-                        found = Some((slot, col.id));
+                let mut found: Option<(usize, TableId, ColumnId)> = None;
+                for (slot, (_, access)) in bound {
+                    let Some(col) = self.catalog.find_column(access.table, r.column) else {
+                        continue;
+                    };
+                    if let Some((_, prev, _)) = found {
+                        return Err(Error::Semantic(format!(
+                            "ambiguous column {:?}: in both {} and {}",
+                            r.column,
+                            self.catalog.table(prev).name,
+                            self.catalog.table(access.table).name
+                        )));
                     }
+                    found = Some((slot, access.table, col.id));
                 }
-                found.ok_or_else(|| Error::Semantic(format!("unknown column {:?}", r.column)))
+                found
+                    .map(|(slot, _, col)| (slot, col))
+                    .ok_or_else(|| Error::Semantic(format!("unknown column {:?}", r.column)))
             }
         }
     }
 }
 
-/// Resolve `query` against `catalog`.
+/// Resolve `query` against `catalog`. The result borrows the query
+/// text, not `query` itself.
 ///
 /// # Errors
 ///
@@ -148,116 +184,91 @@ impl<'a> Resolver<'a> {
 /// references, duplicate bindings, or aggregates mixed with joins in ways
 /// the yield model cannot attribute. Catalog lookups may also surface
 /// [`Error::UnknownName`].
-pub fn analyze(catalog: &Catalog, query: &Query) -> Result<ResolvedQuery> {
-    // Bind FROM entries.
-    let mut bindings = HashMap::new();
-    let mut table_ids = Vec::with_capacity(query.from.len());
+pub fn analyze<'a>(catalog: &Catalog, query: &Query<'a>) -> Result<ResolvedQuery<'a>> {
+    // Bind FROM entries: a binding name (alias, else table name) may be
+    // used once, and a qualifier names the one entry it binds.
+    let mut accesses: Vec<TableAccess<'a>> = Vec::with_capacity(query.from.len());
     for (slot, tref) in query.from.iter().enumerate() {
-        let table = catalog.table_by_name(&tref.table)?;
-        let name = tref.binding_name().to_string();
-        if bindings.insert(name.clone(), slot).is_some() {
+        let table = catalog.table_by_name(tref.table)?;
+        let name = tref.binding_name();
+        let earlier = query.from.get(..slot).unwrap_or_default();
+        if earlier.iter().any(|t| t.binding_name() == name) {
             return Err(Error::Semantic(format!("duplicate table binding {name:?}")));
         }
-        // The bare table name also resolves when aliased tables are unique.
-        table_ids.push(table.id);
-    }
-    let resolver = Resolver {
-        catalog,
-        bindings,
-        tables: table_ids.clone(),
-    };
-
-    let mut accesses: Vec<TableAccess> = table_ids
-        .iter()
-        .map(|&table| TableAccess {
-            table,
+        accesses.push(TableAccess {
+            table: table.id,
             columns: Vec::new(),
             projected: Vec::new(),
             filters: Vec::new(),
-        })
-        .collect();
-
-    let touch = |accesses: &mut Vec<TableAccess>, slot: usize, col: ColumnId| {
-        let a = &mut accesses[slot];
-        if !a.columns.contains(&col) {
-            a.columns.push(col);
-        }
+        });
+    }
+    let scope = Scope {
+        catalog,
+        from: &query.from,
     };
 
     // Projection.
     for item in &query.projection {
-        match item {
+        let column = match item {
             SelectItem::Wildcard => {
-                for (slot, &tid) in resolver.tables.iter().enumerate() {
-                    for &cid in &catalog.table(tid).columns {
-                        touch(&mut accesses, slot, cid);
-                        if !accesses[slot].projected.contains(&cid) {
-                            accesses[slot].projected.push(cid);
-                        }
+                for access in &mut accesses {
+                    for &cid in &catalog.table(access.table).columns {
+                        access.project(cid);
                     }
                 }
+                continue;
             }
-            SelectItem::Column { column, .. } => {
-                let (slot, cid) = resolver.resolve(column)?;
-                touch(&mut accesses, slot, cid);
-                if !accesses[slot].projected.contains(&cid) {
-                    accesses[slot].projected.push(cid);
-                }
-            }
-            SelectItem::Aggregate { arg, .. } => {
-                if let Some(column) = arg {
-                    let (slot, cid) = resolver.resolve(column)?;
-                    touch(&mut accesses, slot, cid);
-                    if !accesses[slot].projected.contains(&cid) {
-                        accesses[slot].projected.push(cid);
-                    }
-                }
-            }
+            SelectItem::Column { column, .. } => column,
+            SelectItem::Aggregate {
+                arg: Some(column), ..
+            } => column,
+            SelectItem::Aggregate { arg: None, .. } => continue,
+        };
+        let (slot, cid) = scope.resolve(&accesses, column)?;
+        if let Some(access) = accesses.get_mut(slot) {
+            access.project(cid);
         }
     }
 
     // Predicates.
     let mut joins = Vec::new();
     for pred in &query.predicates {
-        match pred {
+        let (slot, filter) = match *pred {
             Predicate::Compare { column, op, value } => {
-                let (slot, cid) = resolver.resolve(column)?;
-                touch(&mut accesses, slot, cid);
-                accesses[slot].filters.push(ResolvedPredicate::Compare {
-                    column: cid,
-                    op: *op,
-                    value: value.clone(),
-                });
+                let (slot, column) = scope.resolve(&accesses, &column)?;
+                (slot, ResolvedPredicate::Compare { column, op, value })
             }
             Predicate::Between { column, lo, hi } => {
-                let (slot, cid) = resolver.resolve(column)?;
-                touch(&mut accesses, slot, cid);
-                accesses[slot].filters.push(ResolvedPredicate::Between {
-                    column: cid,
-                    lo: *lo,
-                    hi: *hi,
-                });
+                let (slot, column) = scope.resolve(&accesses, &column)?;
+                (slot, ResolvedPredicate::Between { column, lo, hi })
             }
             Predicate::Join { left, right } => {
-                let (lslot, lcid) = resolver.resolve(left)?;
-                let (rslot, rcid) = resolver.resolve(right)?;
-                touch(&mut accesses, lslot, lcid);
-                touch(&mut accesses, rslot, rcid);
-                if lslot == rslot {
-                    // Same-table column equality: treat as an equality
-                    // filter for selectivity purposes.
-                    accesses[lslot].filters.push(ResolvedPredicate::Compare {
-                        column: lcid,
-                        op: CompareOp::Eq,
-                        value: Value::Number(0.0),
-                    });
-                } else {
+                let (lslot, lcid) = scope.resolve(&accesses, &left)?;
+                let (rslot, rcid) = scope.resolve(&accesses, &right)?;
+                for (slot, cid) in [(lslot, lcid), (rslot, rcid)] {
+                    if let Some(access) = accesses.get_mut(slot) {
+                        access.touch(cid);
+                    }
+                }
+                if lslot != rslot {
                     joins.push(JoinPair {
                         left: lcid,
                         right: rcid,
                     });
+                    continue;
                 }
+                // Same-table column equality: treat as an equality
+                // filter for selectivity purposes.
+                let filter = ResolvedPredicate::Compare {
+                    column: lcid,
+                    op: CompareOp::Eq,
+                    value: Value::Number(0.0),
+                };
+                (lslot, filter)
             }
+        };
+        if let Some(access) = accesses.get_mut(slot) {
+            access.add_filter(filter);
         }
     }
 

@@ -2,44 +2,63 @@
 //!
 //! The AST mirrors the trace grammar: a projection list (columns,
 //! aggregates, or `*`), a comma-join `FROM` list with optional aliases, and
-//! a conjunctive `WHERE` clause. `Display` renders back to SQL so that
-//! synthesized traces are readable and parse⟲render round-trips.
+//! a conjunctive `WHERE` clause. Every name and string literal is a slice
+//! of the query text the tree was parsed from (`'static` for the
+//! generator's templates). `Display` renders back to SQL so that
+//! synthesized traces are readable and parse⟲render round-trips: a name
+//! that is not a plain identifier, or that spells a keyword, renders in
+//! brackets.
 
+use crate::token::is_bare_identifier;
 use std::fmt;
 
-/// A possibly-qualified column reference, e.g. `p.ra` or `ra`.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct ColumnRef {
-    /// Table name or alias qualifier, if written.
-    pub qualifier: Option<String>,
-    /// Column name.
-    pub column: String,
+/// A name as SQL text: bare when it lexes back as this identifier,
+/// otherwise in brackets.
+struct Name<'a>(&'a str);
+
+impl fmt::Display for Name<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if is_bare_identifier(self.0) {
+            f.write_str(self.0)
+        } else {
+            write!(f, "[{}]", self.0)
+        }
+    }
 }
 
-impl ColumnRef {
+/// A possibly-qualified column reference, e.g. `p.ra` or `ra`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct ColumnRef<'a> {
+    /// Table name or alias qualifier, if written.
+    pub qualifier: Option<&'a str>,
+    /// Column name.
+    pub column: &'a str,
+}
+
+impl<'a> ColumnRef<'a> {
     /// An unqualified reference.
-    pub fn bare(column: impl Into<String>) -> Self {
+    pub fn bare(column: &'a str) -> Self {
         Self {
             qualifier: None,
-            column: column.into(),
+            column,
         }
     }
 
     /// A qualified reference.
-    pub fn qualified(qualifier: impl Into<String>, column: impl Into<String>) -> Self {
+    pub fn qualified(qualifier: &'a str, column: &'a str) -> Self {
         Self {
-            qualifier: Some(qualifier.into()),
-            column: column.into(),
+            qualifier: Some(qualifier),
+            column,
         }
     }
 }
 
-impl fmt::Display for ColumnRef {
+impl fmt::Display for ColumnRef<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.qualifier {
-            Some(q) => write!(f, "{q}.{}", self.column),
-            None => write!(f, "{}", self.column),
+        if let Some(q) = self.qualifier {
+            write!(f, "{}.", Name(q))?;
         }
+        write!(f, "{}", Name(self.column))
     }
 }
 
@@ -72,36 +91,36 @@ impl Aggregate {
 }
 
 /// One item in the projection list.
-#[derive(Clone, Debug, PartialEq)]
-pub enum SelectItem {
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum SelectItem<'a> {
     /// All columns of all tables in scope (`*`).
     Wildcard,
     /// A plain column, optionally renamed with `AS`.
     Column {
         /// The referenced column.
-        column: ColumnRef,
+        column: ColumnRef<'a>,
         /// Output name, if given.
-        alias: Option<String>,
+        alias: Option<&'a str>,
     },
     /// An aggregate over a column (or `*` for `COUNT`), optionally renamed.
     Aggregate {
         /// The aggregate function.
         func: Aggregate,
         /// Argument column; `None` means `*` (only valid for `COUNT`).
-        arg: Option<ColumnRef>,
+        arg: Option<ColumnRef<'a>>,
         /// Output name, if given.
-        alias: Option<String>,
+        alias: Option<&'a str>,
     },
 }
 
-impl fmt::Display for SelectItem {
+impl fmt::Display for SelectItem<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SelectItem::Wildcard => write!(f, "*"),
             SelectItem::Column { column, alias } => {
                 write!(f, "{column}")?;
                 if let Some(a) = alias {
-                    write!(f, " as {a}")?;
+                    write!(f, " as {}", Name(a))?;
                 }
                 Ok(())
             }
@@ -111,7 +130,7 @@ impl fmt::Display for SelectItem {
                     None => write!(f, "{}(*)", func.name())?,
                 }
                 if let Some(a) = alias {
-                    write!(f, " as {a}")?;
+                    write!(f, " as {}", Name(a))?;
                 }
                 Ok(())
             }
@@ -120,44 +139,42 @@ impl fmt::Display for SelectItem {
 }
 
 /// A table in the `FROM` list.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct TableRef {
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct TableRef<'a> {
     /// Base table name.
-    pub table: String,
+    pub table: &'a str,
     /// Alias, if given (`PhotoObj p`).
-    pub alias: Option<String>,
+    pub alias: Option<&'a str>,
 }
 
-impl TableRef {
+impl<'a> TableRef<'a> {
     /// A table reference without alias.
-    pub fn new(table: impl Into<String>) -> Self {
-        Self {
-            table: table.into(),
-            alias: None,
-        }
+    pub fn new(table: &'a str) -> Self {
+        Self { table, alias: None }
     }
 
     /// A table reference with alias.
-    pub fn aliased(table: impl Into<String>, alias: impl Into<String>) -> Self {
+    pub fn aliased(table: &'a str, alias: &'a str) -> Self {
         Self {
-            table: table.into(),
-            alias: Some(alias.into()),
+            table,
+            alias: Some(alias),
         }
     }
 
     /// The name that qualifies columns of this table: the alias when
     /// present, otherwise the table name.
-    pub fn binding_name(&self) -> &str {
-        self.alias.as_deref().unwrap_or(&self.table)
+    pub fn binding_name(&self) -> &'a str {
+        self.alias.unwrap_or(self.table)
     }
 }
 
-impl fmt::Display for TableRef {
+impl fmt::Display for TableRef<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.alias {
-            Some(a) => write!(f, "{} {a}", self.table),
-            None => write!(f, "{}", self.table),
+        write!(f, "{}", Name(self.table))?;
+        if let Some(a) = self.alias {
+            write!(f, " {}", Name(a))?;
         }
+        Ok(())
     }
 }
 
@@ -193,15 +210,15 @@ impl CompareOp {
 }
 
 /// A literal value on the right-hand side of a comparison.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Value {
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Value<'a> {
     /// Numeric literal.
     Number(f64),
     /// String literal.
-    Text(String),
+    Text(&'a str),
 }
 
-impl fmt::Display for Value {
+impl fmt::Display for Value<'_> {
     // The cast is exact: the number is integral and below 1e15.
     #[allow(clippy::cast_possible_truncation)]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -219,21 +236,21 @@ impl fmt::Display for Value {
 }
 
 /// One conjunct of the `WHERE` clause.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Predicate {
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Predicate<'a> {
     /// `col OP literal`.
     Compare {
         /// Left-hand column.
-        column: ColumnRef,
+        column: ColumnRef<'a>,
         /// Operator.
         op: CompareOp,
         /// Literal right-hand side.
-        value: Value,
+        value: Value<'a>,
     },
     /// `col BETWEEN lo AND hi`.
     Between {
         /// The constrained column.
-        column: ColumnRef,
+        column: ColumnRef<'a>,
         /// Lower bound (inclusive).
         lo: f64,
         /// Upper bound (inclusive).
@@ -243,13 +260,13 @@ pub enum Predicate {
     /// column equality, which the analyzer treats as a filter).
     Join {
         /// Left column.
-        left: ColumnRef,
+        left: ColumnRef<'a>,
         /// Right column.
-        right: ColumnRef,
+        right: ColumnRef<'a>,
     },
 }
 
-impl fmt::Display for Predicate {
+impl fmt::Display for Predicate<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Predicate::Compare { column, op, value } => {
@@ -263,20 +280,21 @@ impl fmt::Display for Predicate {
     }
 }
 
-/// A parsed SELECT query.
+/// A parsed SELECT query, borrowing its names and literals from the
+/// query text.
 #[derive(Clone, Debug, PartialEq)]
-pub struct Query {
+pub struct Query<'a> {
     /// `TOP n` row limit, if present.
     pub top: Option<u64>,
     /// Projection list (non-empty).
-    pub projection: Vec<SelectItem>,
+    pub projection: Vec<SelectItem<'a>>,
     /// `FROM` list (non-empty).
-    pub from: Vec<TableRef>,
+    pub from: Vec<TableRef<'a>>,
     /// Conjunctive `WHERE` predicates (possibly empty).
-    pub predicates: Vec<Predicate>,
+    pub predicates: Vec<Predicate<'a>>,
 }
 
-impl Query {
+impl Query<'_> {
     /// True iff every projection item is an aggregate. Aggregate-only
     /// queries return a single row, which matters to the yield model.
     pub fn is_aggregate_only(&self) -> bool {
@@ -288,7 +306,7 @@ impl Query {
     }
 }
 
-impl fmt::Display for Query {
+impl fmt::Display for Query<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "select ")?;
         if let Some(n) = self.top {
@@ -331,6 +349,25 @@ mod tests {
     }
 
     #[test]
+    fn odd_names_render_bracketed() {
+        assert_eq!(ColumnRef::qualified("p", "a b").to_string(), "p.[a b]");
+        assert_eq!(
+            ColumnRef::qualified("from", "select").to_string(),
+            "[from].[select]"
+        );
+        assert_eq!(
+            TableRef::aliased("Photo Obj", "As").to_string(),
+            "[Photo Obj] [As]"
+        );
+        assert_eq!(ColumnRef::bare("").to_string(), "[]");
+        let item = SelectItem::Column {
+            column: ColumnRef::bare("ra"),
+            alias: Some("1st"),
+        };
+        assert_eq!(item.to_string(), "ra as [1st]");
+    }
+
+    #[test]
     fn table_ref_binding_name() {
         assert_eq!(TableRef::new("PhotoObj").binding_name(), "PhotoObj");
         assert_eq!(TableRef::aliased("PhotoObj", "p").binding_name(), "p");
@@ -340,7 +377,7 @@ mod tests {
     fn value_display_integers_clean() {
         assert_eq!(Value::Number(2.0).to_string(), "2");
         assert_eq!(Value::Number(0.95).to_string(), "0.95");
-        assert_eq!(Value::Text("GALAXY".into()).to_string(), "'GALAXY'");
+        assert_eq!(Value::Text("GALAXY").to_string(), "'GALAXY'");
     }
 
     #[test]
@@ -355,7 +392,7 @@ mod tests {
                 SelectItem::Aggregate {
                     func: Aggregate::Count,
                     arg: None,
-                    alias: Some("n".into()),
+                    alias: Some("n"),
                 },
             ],
             from: vec![TableRef::aliased("PhotoObj", "p")],

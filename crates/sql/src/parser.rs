@@ -1,5 +1,9 @@
 //! Recursive-descent parser for the SDSS SELECT subset.
 //!
+//! The parser pulls one token at a time from the [`Lexer`] and keeps a
+//! single lookahead token; tokens are `Copy` and borrow the query text,
+//! so the only allocations a parse makes are the [`Query`]'s three lists.
+//!
 //! Grammar (conjunctive; `OR` is rejected with a targeted error because the
 //! trace workload never uses it and the yield model assumes conjuncts):
 //!
@@ -16,19 +20,21 @@
 //! ```
 
 use crate::ast::{Aggregate, ColumnRef, CompareOp, Predicate, Query, SelectItem, TableRef, Value};
-use crate::token::{tokenize, Keyword, Token, TokenKind};
+use crate::token::{Keyword, Lexer, Token, TokenKind};
 use byc_types::{Error, Result};
 
-/// Parse a single SELECT statement.
+/// Parse a single SELECT statement. The [`Query`] borrows its names and
+/// string literals from `input`.
 ///
 /// # Errors
 ///
 /// [`Error::Parse`] with a byte offset and message on any deviation from
 /// the grammar, including use of `OR`, `GROUP BY`, and `ORDER BY` (outside
 /// the trace subset).
-pub fn parse(input: &str) -> Result<Query> {
-    let tokens = tokenize(input)?;
-    let mut p = Parser { tokens, pos: 0 };
+pub fn parse(input: &str) -> Result<Query<'_>> {
+    let mut lexer = Lexer::new(input);
+    let next = lexer.pull()?;
+    let mut p = Parser { lexer, next };
     let q = p.query()?;
     p.expect_eof()?;
     Ok(q)
@@ -37,39 +43,42 @@ pub fn parse(input: &str) -> Result<Query> {
 /// 2^64: a `TOP` count must be below it to fit a `u64` exactly.
 const TOP_LIMIT: f64 = 18_446_744_073_709_551_616.0;
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
+struct Parser<'a> {
+    lexer: Lexer<'a>,
+    /// The lookahead: the first token the grammar has not consumed.
+    next: Token<'a>,
 }
 
-impl Parser {
-    fn peek(&self) -> &TokenKind {
-        &self.tokens[self.pos].kind
+impl<'a> Parser<'a> {
+    fn peek(&self) -> TokenKind<'a> {
+        self.next.kind
     }
 
     fn offset(&self) -> usize {
-        self.tokens[self.pos].offset
+        self.next.offset
     }
 
-    fn bump(&mut self) -> TokenKind {
-        let t = self.tokens[self.pos].kind.clone();
-        if self.pos + 1 < self.tokens.len() {
-            self.pos += 1;
-        }
-        t
+    /// Consume the lookahead and pull the next token.
+    fn bump(&mut self) -> Result<TokenKind<'a>> {
+        let kind = self.next.kind;
+        self.next = self.lexer.pull()?;
+        Ok(kind)
     }
 
-    fn eat_kw(&mut self, kw: Keyword) -> bool {
-        if *self.peek() == TokenKind::Keyword(kw) {
-            self.bump();
-            true
-        } else {
-            false
+    fn eat(&mut self, kind: TokenKind<'a>) -> Result<bool> {
+        let found = self.peek() == kind;
+        if found {
+            self.bump()?;
         }
+        Ok(found)
+    }
+
+    fn eat_kw(&mut self, kw: Keyword) -> Result<bool> {
+        self.eat(TokenKind::Keyword(kw))
     }
 
     fn expect_kw(&mut self, kw: Keyword, what: &str) -> Result<()> {
-        if self.eat_kw(kw) {
+        if self.eat_kw(kw)? {
             Ok(())
         } else {
             Err(self.error(format!("expected {what}")))
@@ -96,20 +105,20 @@ impl Parser {
         }
     }
 
-    fn ident(&mut self, what: &str) -> Result<String> {
-        match self.peek().clone() {
+    fn ident(&mut self, what: &str) -> Result<&'a str> {
+        match self.peek() {
             TokenKind::Ident(name) => {
-                self.bump();
+                self.bump()?;
                 Ok(name)
             }
             other => Err(self.error(format!("expected {what}, found {other:?}"))),
         }
     }
 
-    fn query(&mut self) -> Result<Query> {
+    fn query(&mut self) -> Result<Query<'a>> {
         self.expect_kw(Keyword::Select, "SELECT")?;
-        let top = if self.eat_kw(Keyword::Top) {
-            match self.bump() {
+        let top = if self.eat_kw(Keyword::Top)? {
+            match self.bump()? {
                 TokenKind::Number(n) if (0.0..TOP_LIMIT).contains(&n) && n.fract() == 0.0 => {
                     // Exact: integral and in range.
                     #[allow(clippy::cast_possible_truncation)]
@@ -120,30 +129,34 @@ impl Parser {
         } else {
             None
         };
-        let mut projection = vec![self.select_item()?];
-        while *self.peek() == TokenKind::Comma {
-            self.bump();
+        let mut projection = Vec::new();
+        loop {
             projection.push(self.select_item()?);
+            if !self.eat(TokenKind::Comma)? {
+                break;
+            }
         }
         self.expect_kw(Keyword::From, "FROM")?;
-        let mut from = vec![self.table_ref()?];
-        while *self.peek() == TokenKind::Comma {
-            self.bump();
+        let mut from = Vec::new();
+        loop {
             from.push(self.table_ref()?);
+            if !self.eat(TokenKind::Comma)? {
+                break;
+            }
         }
         let mut predicates = Vec::new();
-        if self.eat_kw(Keyword::Where) {
-            predicates.push(self.predicate()?);
+        if self.eat_kw(Keyword::Where)? {
             loop {
-                if self.eat_kw(Keyword::And) {
-                    predicates.push(self.predicate()?);
-                } else if *self.peek() == TokenKind::Keyword(Keyword::Or) {
+                predicates.push(self.predicate()?);
+                if self.eat_kw(Keyword::And)? {
+                    continue;
+                }
+                if self.peek() == TokenKind::Keyword(Keyword::Or) {
                     return Err(self.error(
                         "OR is outside the trace subset (conjunctive queries only)".into(),
                     ));
-                } else {
-                    break;
                 }
+                break;
             }
         }
         Ok(Query {
@@ -165,18 +178,16 @@ impl Parser {
         }
     }
 
-    fn select_item(&mut self) -> Result<SelectItem> {
-        if *self.peek() == TokenKind::Star {
-            self.bump();
+    fn select_item(&mut self) -> Result<SelectItem<'a>> {
+        if self.eat(TokenKind::Star)? {
             return Ok(SelectItem::Wildcard);
         }
         if let Some(func) = self.aggregate_kw() {
-            self.bump();
-            if self.bump() != TokenKind::LParen {
+            self.bump()?;
+            if self.bump()? != TokenKind::LParen {
                 return Err(self.error("expected '(' after aggregate".into()));
             }
-            let arg = if *self.peek() == TokenKind::Star {
-                self.bump();
+            let arg = if self.eat(TokenKind::Star)? {
                 if func != Aggregate::Count {
                     return Err(self.error("'*' argument is only valid for COUNT".into()));
                 }
@@ -184,7 +195,7 @@ impl Parser {
             } else {
                 Some(self.column_ref()?)
             };
-            if self.bump() != TokenKind::RParen {
+            if self.bump()? != TokenKind::RParen {
                 return Err(self.error("expected ')' after aggregate argument".into()));
             }
             let alias = self.optional_alias()?;
@@ -195,18 +206,18 @@ impl Parser {
         Ok(SelectItem::Column { column, alias })
     }
 
-    fn optional_alias(&mut self) -> Result<Option<String>> {
-        if self.eat_kw(Keyword::As) {
+    fn optional_alias(&mut self) -> Result<Option<&'a str>> {
+        if self.eat_kw(Keyword::As)? {
             Ok(Some(self.ident("alias after AS")?))
         } else {
             Ok(None)
         }
     }
 
-    fn table_ref(&mut self) -> Result<TableRef> {
+    fn table_ref(&mut self) -> Result<TableRef<'a>> {
         let table = self.ident("table name")?;
         // Optional alias: `PhotoObj p` or `PhotoObj AS p`.
-        let alias = if self.eat_kw(Keyword::As) {
+        let alias = if self.eat_kw(Keyword::As)? {
             Some(self.ident("alias after AS")?)
         } else if let TokenKind::Ident(_) = self.peek() {
             Some(self.ident("alias")?)
@@ -216,20 +227,13 @@ impl Parser {
         Ok(TableRef { table, alias })
     }
 
-    fn column_ref(&mut self) -> Result<ColumnRef> {
+    fn column_ref(&mut self) -> Result<ColumnRef<'a>> {
         let first = self.ident("column reference")?;
-        if *self.peek() == TokenKind::Dot {
-            self.bump();
+        if self.eat(TokenKind::Dot)? {
             let column = self.ident("column name after '.'")?;
-            Ok(ColumnRef {
-                qualifier: Some(first),
-                column,
-            })
+            Ok(ColumnRef::qualified(first, column))
         } else {
-            Ok(ColumnRef {
-                qualifier: None,
-                column: first,
-            })
+            Ok(ColumnRef::bare(first))
         }
     }
 
@@ -245,21 +249,19 @@ impl Parser {
                 return Err(self.error(format!("expected comparison operator, found {other:?}")))
             }
         };
-        self.bump();
+        self.bump()?;
         Ok(op)
     }
 
-    fn predicate(&mut self) -> Result<Predicate> {
+    fn predicate(&mut self) -> Result<Predicate<'a>> {
         let column = self.column_ref()?;
-        if self.eat_kw(Keyword::Between) {
-            let lo = match self.bump() {
-                TokenKind::Number(n) => n,
-                _ => return Err(self.error("expected number after BETWEEN".into())),
+        if self.eat_kw(Keyword::Between)? {
+            let TokenKind::Number(lo) = self.bump()? else {
+                return Err(self.error("expected number after BETWEEN".into()));
             };
             self.expect_kw(Keyword::And, "AND in BETWEEN")?;
-            let hi = match self.bump() {
-                TokenKind::Number(n) => n,
-                _ => return Err(self.error("expected number after BETWEEN ... AND".into())),
+            let TokenKind::Number(hi) = self.bump()? else {
+                return Err(self.error("expected number after BETWEEN ... AND".into()));
             };
             if lo > hi {
                 return Err(self.error(format!("BETWEEN bounds out of order: {lo} > {hi}")));
@@ -267,23 +269,9 @@ impl Parser {
             return Ok(Predicate::Between { column, lo, hi });
         }
         let op = self.compare_op()?;
-        match self.peek().clone() {
-            TokenKind::Number(n) => {
-                self.bump();
-                Ok(Predicate::Compare {
-                    column,
-                    op,
-                    value: Value::Number(n),
-                })
-            }
-            TokenKind::StringLit(s) => {
-                self.bump();
-                Ok(Predicate::Compare {
-                    column,
-                    op,
-                    value: Value::Text(s),
-                })
-            }
+        let value = match self.peek() {
+            TokenKind::Number(n) => Value::Number(n),
+            TokenKind::StringLit(s) => Value::Text(s),
             TokenKind::Ident(_) => {
                 if op != CompareOp::Eq {
                     return Err(
@@ -291,13 +279,15 @@ impl Parser {
                     );
                 }
                 let right = self.column_ref()?;
-                Ok(Predicate::Join {
+                return Ok(Predicate::Join {
                     left: column,
                     right,
-                })
+                });
             }
-            other => Err(self.error(format!("expected literal or column, found {other:?}"))),
-        }
+            other => return Err(self.error(format!("expected literal or column, found {other:?}"))),
+        };
+        self.bump()?;
+        Ok(Predicate::Compare { column, op, value })
     }
 }
 
@@ -333,6 +323,47 @@ mod tests {
         let rendered = q.to_string();
         let q2 = parse(&rendered).unwrap();
         assert_eq!(q, q2);
+    }
+
+    #[test]
+    fn odd_names_roundtrip_in_brackets() {
+        for sql in [
+            "select [a b] from T",
+            "select [select] from [from]",
+            "select [from].[as] as [where], count(*) as [1st] from [group] [from]",
+            "select [] from T",
+        ] {
+            let q = parse(sql).unwrap();
+            assert_eq!(parse(&q.to_string()).unwrap(), q, "{sql} -> {q}");
+        }
+    }
+
+    #[test]
+    fn non_finite_literal_rejected() {
+        let err = parse("select ra from T where ra between 1e308 and 1e309").unwrap_err();
+        assert!(err.to_string().contains("malformed number"), "{err}");
+        assert!(parse("select ra from T where ra between 1e307 and 1e308").is_ok());
+    }
+
+    #[test]
+    fn names_borrow_the_text() {
+        let sql = String::from("select p.ra from PhotoObj p where p.class = 'STAR'");
+        let q = parse(&sql).unwrap();
+        let text = sql.as_bytes().as_ptr_range();
+        let SelectItem::Column { column, .. } = q.projection[0] else {
+            panic!("unexpected {:?}", q.projection[0]);
+        };
+        assert!(text.contains(&column.column.as_ptr()));
+        assert!(text.contains(&q.from[0].table.as_ptr()));
+        let Predicate::Compare {
+            value: Value::Text(s),
+            ..
+        } = q.predicates[0]
+        else {
+            panic!("unexpected {:?}", q.predicates[0]);
+        };
+        assert_eq!(s, "STAR");
+        assert!(text.contains(&s.as_ptr()));
     }
 
     #[test]
@@ -403,7 +434,7 @@ mod tests {
         let q = parse("select objID from SpecObj where class = 'GALAXY'").unwrap();
         match &q.predicates[0] {
             Predicate::Compare { value, .. } => {
-                assert_eq!(value, &Value::Text("GALAXY".into()));
+                assert_eq!(value, &Value::Text("GALAXY"));
             }
             other => panic!("unexpected {other:?}"),
         }

@@ -1,8 +1,11 @@
-//! Hand-written SQL tokenizer.
+//! Hand-written SQL lexer.
 //!
-//! Produces a flat token stream with byte offsets so parse errors can point
-//! at the offending position. Keywords are case-insensitive, identifiers
-//! preserve case (the SkyServer schema is camelCase).
+//! A pull lexer: [`Lexer::pull`] hands the parser one token at a
+//! time, and every identifier and string literal is a slice of the
+//! input, so lexing a query allocates nothing. Each token carries its
+//! byte offset so parse errors can point at the offending position.
+//! Keywords are case-insensitive, identifiers preserve case (the
+//! SkyServer schema is camelCase).
 
 use byc_types::{Error, Result};
 
@@ -33,45 +36,52 @@ pub enum Keyword {
 }
 
 impl Keyword {
-    fn from_str(word: &str) -> Option<Keyword> {
-        // Keywords are matched case-insensitively.
-        Some(match word.to_ascii_uppercase().as_str() {
-            "SELECT" => Keyword::Select,
-            "TOP" => Keyword::Top,
-            "FROM" => Keyword::From,
-            "WHERE" => Keyword::Where,
-            "AND" => Keyword::And,
-            "OR" => Keyword::Or,
-            "AS" => Keyword::As,
-            "BETWEEN" => Keyword::Between,
-            "COUNT" => Keyword::Count,
-            "SUM" => Keyword::Sum,
-            "AVG" => Keyword::Avg,
-            "MIN" => Keyword::Min,
-            "MAX" => Keyword::Max,
-            "GROUP" => Keyword::GroupKw,
-            "ORDER" => Keyword::OrderKw,
-            "BY" => Keyword::By,
-            "ASC" => Keyword::Asc,
-            "DESC" => Keyword::Desc,
-            "NOT" => Keyword::Not,
-            "IN" => Keyword::In,
+    /// The keyword `word` spells, in any letter case.
+    pub(crate) fn from_word(word: &str) -> Option<Keyword> {
+        // Upper-case into a stack buffer sized for the longest keyword,
+        // BETWEEN; a longer word is no keyword.
+        let mut upper = [0u8; 7];
+        let upper = upper.get_mut(..word.len())?;
+        for (u, b) in upper.iter_mut().zip(word.bytes()) {
+            *u = b.to_ascii_uppercase();
+        }
+        Some(match &*upper {
+            b"SELECT" => Keyword::Select,
+            b"TOP" => Keyword::Top,
+            b"FROM" => Keyword::From,
+            b"WHERE" => Keyword::Where,
+            b"AND" => Keyword::And,
+            b"OR" => Keyword::Or,
+            b"AS" => Keyword::As,
+            b"BETWEEN" => Keyword::Between,
+            b"COUNT" => Keyword::Count,
+            b"SUM" => Keyword::Sum,
+            b"AVG" => Keyword::Avg,
+            b"MIN" => Keyword::Min,
+            b"MAX" => Keyword::Max,
+            b"GROUP" => Keyword::GroupKw,
+            b"ORDER" => Keyword::OrderKw,
+            b"BY" => Keyword::By,
+            b"ASC" => Keyword::Asc,
+            b"DESC" => Keyword::Desc,
+            b"NOT" => Keyword::Not,
+            b"IN" => Keyword::In,
             _ => return None,
         })
     }
 }
 
-/// One lexical token.
-#[derive(Clone, Debug, PartialEq)]
-pub enum TokenKind {
+/// One lexical token, borrowing its text from the input.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum TokenKind<'a> {
     /// A recognized keyword.
     Keyword(Keyword),
-    /// An identifier (table, column, or alias name).
-    Ident(String),
-    /// A numeric literal.
+    /// An identifier (table, column, or alias name); brackets stripped.
+    Ident(&'a str),
+    /// A finite numeric literal.
     Number(f64),
     /// A single-quoted string literal (quotes stripped).
-    StringLit(String),
+    StringLit(&'a str),
     /// `,`
     Comma,
     /// `.`
@@ -94,260 +104,213 @@ pub enum TokenKind {
     Ge,
     /// `<>` or `!=`
     Ne,
-    /// End of input sentinel.
+    /// End of input.
     Eof,
 }
 
 /// A token with its starting byte offset in the input.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Token {
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Token<'a> {
     /// Lexical class and payload.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'a>,
     /// Byte offset where the token starts.
     pub offset: usize,
 }
 
 fn is_ident_start(c: u8) -> bool {
-    c.is_ascii_alphabetic() || c == b'_' || c == b'['
+    c.is_ascii_alphabetic() || c == b'_'
 }
 
 fn is_ident_continue(c: u8) -> bool {
     c.is_ascii_alphanumeric() || c == b'_'
 }
 
-/// Tokenize `input` into a vector ending with an [`TokenKind::Eof`] token.
-///
-/// # Errors
-///
-/// [`Error::Parse`] on unterminated strings, malformed numbers, or bytes
-/// outside the grammar.
-pub fn tokenize(input: &str) -> Result<Vec<Token>> {
-    let bytes = input.as_bytes();
-    let mut tokens = Vec::new();
-    let mut i = 0usize;
-    while i < bytes.len() {
-        let c = bytes[i];
-        let start = i;
-        match c {
-            b' ' | b'\t' | b'\r' | b'\n' => {
-                i += 1;
-            }
-            b'-' if i + 1 < bytes.len() && bytes[i + 1] == b'-' => {
-                // Line comment.
-                while i < bytes.len() && bytes[i] != b'\n' {
-                    i += 1;
-                }
-            }
-            b'-' if i + 1 < bytes.len()
-                && (bytes[i + 1].is_ascii_digit() || bytes[i + 1] == b'.') =>
-            {
-                // Negative literal (the grammar has no binary minus).
-                i = lex_number(input, bytes, i, &mut tokens)?;
-            }
-            b',' => {
-                tokens.push(Token {
-                    kind: TokenKind::Comma,
-                    offset: start,
-                });
-                i += 1;
-            }
-            b'.' if i + 1 >= bytes.len() || !bytes[i + 1].is_ascii_digit() => {
-                tokens.push(Token {
-                    kind: TokenKind::Dot,
-                    offset: start,
-                });
-                i += 1;
-            }
-            b'(' => {
-                tokens.push(Token {
-                    kind: TokenKind::LParen,
-                    offset: start,
-                });
-                i += 1;
-            }
-            b')' => {
-                tokens.push(Token {
-                    kind: TokenKind::RParen,
-                    offset: start,
-                });
-                i += 1;
-            }
-            b'*' => {
-                tokens.push(Token {
-                    kind: TokenKind::Star,
-                    offset: start,
-                });
-                i += 1;
-            }
-            b'=' => {
-                tokens.push(Token {
-                    kind: TokenKind::Eq,
-                    offset: start,
-                });
-                i += 1;
-            }
-            b'<' => {
-                if i + 1 < bytes.len() && bytes[i + 1] == b'=' {
-                    tokens.push(Token {
-                        kind: TokenKind::Le,
-                        offset: start,
-                    });
-                    i += 2;
-                } else if i + 1 < bytes.len() && bytes[i + 1] == b'>' {
-                    tokens.push(Token {
-                        kind: TokenKind::Ne,
-                        offset: start,
-                    });
-                    i += 2;
-                } else {
-                    tokens.push(Token {
-                        kind: TokenKind::Lt,
-                        offset: start,
-                    });
-                    i += 1;
-                }
-            }
-            b'>' => {
-                if i + 1 < bytes.len() && bytes[i + 1] == b'=' {
-                    tokens.push(Token {
-                        kind: TokenKind::Ge,
-                        offset: start,
-                    });
-                    i += 2;
-                } else {
-                    tokens.push(Token {
-                        kind: TokenKind::Gt,
-                        offset: start,
-                    });
-                    i += 1;
-                }
-            }
-            b'!' => {
-                if i + 1 < bytes.len() && bytes[i + 1] == b'=' {
-                    tokens.push(Token {
-                        kind: TokenKind::Ne,
-                        offset: start,
-                    });
-                    i += 2;
-                } else {
-                    return Err(Error::Parse {
-                        offset: start,
-                        message: "expected '=' after '!'".into(),
-                    });
-                }
-            }
-            b'\'' => {
-                i += 1;
-                let lit_start = i;
-                while i < bytes.len() && bytes[i] != b'\'' {
-                    i += 1;
-                }
-                if i >= bytes.len() {
-                    return Err(Error::Parse {
-                        offset: start,
-                        message: "unterminated string literal".into(),
-                    });
-                }
-                tokens.push(Token {
-                    kind: TokenKind::StringLit(input[lit_start..i].to_string()),
-                    offset: start,
-                });
-                i += 1; // closing quote
-            }
-            b'0'..=b'9' | b'+' => {
-                i = lex_number(input, bytes, i, &mut tokens)?;
-            }
-            b'.' => {
-                // leading-dot number, e.g. `.95`
-                i = lex_number(input, bytes, i, &mut tokens)?;
-            }
-            c if is_ident_start(c) => {
-                // Bracketed identifiers [Name] (SQL Server style).
-                if c == b'[' {
-                    i += 1;
-                    let id_start = i;
-                    while i < bytes.len() && bytes[i] != b']' {
-                        i += 1;
-                    }
-                    if i >= bytes.len() {
-                        return Err(Error::Parse {
-                            offset: start,
-                            message: "unterminated bracketed identifier".into(),
-                        });
-                    }
-                    tokens.push(Token {
-                        kind: TokenKind::Ident(input[id_start..i].to_string()),
-                        offset: start,
-                    });
-                    i += 1;
-                } else {
-                    while i < bytes.len() && is_ident_continue(bytes[i]) {
-                        i += 1;
-                    }
-                    let word = &input[start..i];
-                    let kind = match Keyword::from_str(word) {
-                        Some(kw) => TokenKind::Keyword(kw),
-                        None => TokenKind::Ident(word.to_string()),
-                    };
-                    tokens.push(Token {
-                        kind,
-                        offset: start,
-                    });
-                }
-            }
-            other => {
-                return Err(Error::Parse {
-                    offset: start,
-                    message: format!("unexpected byte {:?}", other as char),
-                });
-            }
-        }
-    }
-    tokens.push(Token {
-        kind: TokenKind::Eof,
-        offset: bytes.len(),
-    });
-    Ok(tokens)
+/// True when `name` lexes back, unbracketed, as the identifier `name`:
+/// it is a plain word and no keyword. Any other name needs brackets.
+pub(crate) fn is_bare_identifier(name: &str) -> bool {
+    let mut bytes = name.bytes();
+    bytes.next().is_some_and(is_ident_start)
+        && bytes.all(is_ident_continue)
+        && Keyword::from_word(name).is_none()
 }
 
-fn lex_number(input: &str, bytes: &[u8], mut i: usize, tokens: &mut Vec<Token>) -> Result<usize> {
-    let start = i;
-    if bytes[i] == b'+' || bytes[i] == b'-' {
-        i += 1;
+/// The pull lexer over one query text.
+#[derive(Clone, Debug)]
+pub struct Lexer<'a> {
+    input: &'a str,
+    pos: usize,
+}
+
+impl<'a> Lexer<'a> {
+    /// A lexer at the start of `input`.
+    pub fn new(input: &'a str) -> Self {
+        Self { input, pos: 0 }
     }
-    while i < bytes.len() && (bytes[i].is_ascii_digit() || bytes[i] == b'.') {
-        i += 1;
+
+    fn byte(&self, at: usize) -> Option<u8> {
+        self.input.as_bytes().get(at).copied()
     }
-    // Exponent part.
-    if i < bytes.len() && (bytes[i] == b'e' || bytes[i] == b'E') {
-        let mut j = i + 1;
-        if j < bytes.len() && (bytes[j] == b'+' || bytes[j] == b'-') {
-            j += 1;
-        }
-        if j < bytes.len() && bytes[j].is_ascii_digit() {
-            i = j;
-            while i < bytes.len() && bytes[i].is_ascii_digit() {
-                i += 1;
+
+    /// The input from byte `from` to byte `to`. Every caller cuts at
+    /// ASCII bytes, which are always character boundaries.
+    fn text(&self, from: usize, to: usize) -> &'a str {
+        self.input.get(from..to).unwrap_or_default()
+    }
+
+    /// The first byte at or after `from` that is `b`, if any.
+    fn find(&self, from: usize, b: u8) -> Option<usize> {
+        let rest = self.input.as_bytes().get(from..)?;
+        rest.iter().position(|&c| c == b).map(|i| from + i)
+    }
+
+    /// The next token; [`TokenKind::Eof`] at the end of the input, and
+    /// again on every later call.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Parse`] on unterminated strings or bracketed names,
+    /// malformed or non-finite numbers, and characters outside the
+    /// grammar.
+    pub fn pull(&mut self) -> Result<Token<'a>> {
+        // Whitespace and `--` line comments.
+        loop {
+            match self.byte(self.pos) {
+                Some(b' ' | b'\t' | b'\r' | b'\n') => self.pos += 1,
+                Some(b'-') if self.byte(self.pos + 1) == Some(b'-') => {
+                    self.pos = self.find(self.pos, b'\n').unwrap_or(self.input.len());
+                }
+                _ => break,
             }
         }
+        let start = self.pos;
+        let Some(c) = self.byte(start) else {
+            return Ok(Token {
+                kind: TokenKind::Eof,
+                offset: start,
+            });
+        };
+        let next = self.byte(start + 1);
+        let (kind, end) = match c {
+            b',' => (TokenKind::Comma, start + 1),
+            b'(' => (TokenKind::LParen, start + 1),
+            b')' => (TokenKind::RParen, start + 1),
+            b'*' => (TokenKind::Star, start + 1),
+            b'=' => (TokenKind::Eq, start + 1),
+            b'<' => match next {
+                Some(b'=') => (TokenKind::Le, start + 2),
+                Some(b'>') => (TokenKind::Ne, start + 2),
+                _ => (TokenKind::Lt, start + 1),
+            },
+            b'>' => match next {
+                Some(b'=') => (TokenKind::Ge, start + 2),
+                _ => (TokenKind::Gt, start + 1),
+            },
+            b'!' => match next {
+                Some(b'=') => (TokenKind::Ne, start + 2),
+                _ => return Err(parse_error(start, "expected '=' after '!'".into())),
+            },
+            b'.' if !next.is_some_and(|b| b.is_ascii_digit()) => (TokenKind::Dot, start + 1),
+            // A leading sign is part of the literal: the grammar has no
+            // binary minus.
+            b'0'..=b'9' | b'+' | b'.' => self.number(start)?,
+            b'-' if next.is_some_and(|b| b.is_ascii_digit() || b == b'.') => self.number(start)?,
+            b'\'' => {
+                let Some(close) = self.find(start + 1, b'\'') else {
+                    return Err(parse_error(start, "unterminated string literal".into()));
+                };
+                (TokenKind::StringLit(self.text(start + 1, close)), close + 1)
+            }
+            // Bracketed identifiers [Name] (SQL Server style).
+            b'[' => {
+                let Some(close) = self.find(start + 1, b']') else {
+                    return Err(parse_error(
+                        start,
+                        "unterminated bracketed identifier".into(),
+                    ));
+                };
+                (TokenKind::Ident(self.text(start + 1, close)), close + 1)
+            }
+            c if is_ident_start(c) => {
+                let mut end = start + 1;
+                while self.byte(end).is_some_and(is_ident_continue) {
+                    end += 1;
+                }
+                let word = self.text(start, end);
+                let kind = match Keyword::from_word(word) {
+                    Some(kw) => TokenKind::Keyword(kw),
+                    None => TokenKind::Ident(word),
+                };
+                (kind, end)
+            }
+            _ => {
+                // Every token ends on an ASCII byte, so `start` is a
+                // character boundary.
+                let ch = self.text(start, self.input.len()).chars().next();
+                let ch = ch.unwrap_or(char::REPLACEMENT_CHARACTER);
+                return Err(parse_error(start, format!("unexpected character {ch:?}")));
+            }
+        };
+        self.pos = end;
+        Ok(Token {
+            kind,
+            offset: start,
+        })
     }
-    let text = &input[start..i];
-    let value: f64 = text.parse().map_err(|_| Error::Parse {
-        offset: start,
-        message: format!("malformed number {text:?}"),
-    })?;
-    tokens.push(Token {
-        kind: TokenKind::Number(value),
-        offset: start,
-    });
-    Ok(i)
+
+    /// Lex the number at `start`: an optional sign, digits and dots, and
+    /// an optional exponent; it must parse as a finite `f64`.
+    fn number(&self, start: usize) -> Result<(TokenKind<'a>, usize)> {
+        let mut end = start;
+        if matches!(self.byte(end), Some(b'+' | b'-')) {
+            end += 1;
+        }
+        while self
+            .byte(end)
+            .is_some_and(|b| b.is_ascii_digit() || b == b'.')
+        {
+            end += 1;
+        }
+        if matches!(self.byte(end), Some(b'e' | b'E')) {
+            let mut exp = end + 1;
+            if matches!(self.byte(exp), Some(b'+' | b'-')) {
+                exp += 1;
+            }
+            if self.byte(exp).is_some_and(|b| b.is_ascii_digit()) {
+                end = exp;
+                while self.byte(end).is_some_and(|b| b.is_ascii_digit()) {
+                    end += 1;
+                }
+            }
+        }
+        let text = self.text(start, end);
+        match text.parse::<f64>() {
+            Ok(value) if value.is_finite() => Ok((TokenKind::Number(value), end)),
+            _ => Err(parse_error(start, format!("malformed number {text:?}"))),
+        }
+    }
+}
+
+fn parse_error(offset: usize, message: String) -> Error {
+    Error::Parse { offset, message }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn kinds(input: &str) -> Vec<TokenKind> {
+    fn tokenize(input: &str) -> Result<Vec<Token<'_>>> {
+        let mut lexer = Lexer::new(input);
+        let mut tokens = Vec::new();
+        loop {
+            let token = lexer.pull()?;
+            tokens.push(token);
+            if token.kind == TokenKind::Eof {
+                return Ok(tokens);
+            }
+        }
+    }
+
+    fn kinds(input: &str) -> Vec<TokenKind<'_>> {
         tokenize(input)
             .unwrap()
             .into_iter()
@@ -366,21 +329,26 @@ mod tests {
                 TokenKind::Eof
             ]
         );
+        // Longer than any keyword, or a keyword's prefix: identifiers.
+        assert_eq!(kinds("betweens")[0], TokenKind::Ident("betweens"));
+        assert_eq!(kinds("sel")[0], TokenKind::Ident("sel"));
     }
 
     #[test]
     fn identifiers_preserve_case() {
         let ks = kinds("PhotoObj modelMag_g _x a1");
-        assert_eq!(ks[0], TokenKind::Ident("PhotoObj".into()));
-        assert_eq!(ks[1], TokenKind::Ident("modelMag_g".into()));
-        assert_eq!(ks[2], TokenKind::Ident("_x".into()));
-        assert_eq!(ks[3], TokenKind::Ident("a1".into()));
+        assert_eq!(ks[0], TokenKind::Ident("PhotoObj"));
+        assert_eq!(ks[1], TokenKind::Ident("modelMag_g"));
+        assert_eq!(ks[2], TokenKind::Ident("_x"));
+        assert_eq!(ks[3], TokenKind::Ident("a1"));
     }
 
     #[test]
     fn bracketed_identifier() {
         let ks = kinds("[Photo Obj]");
-        assert_eq!(ks[0], TokenKind::Ident("Photo Obj".into()));
+        assert_eq!(ks[0], TokenKind::Ident("Photo Obj"));
+        // A bracketed keyword is a name.
+        assert_eq!(kinds("[select]")[0], TokenKind::Ident("select"));
     }
 
     #[test]
@@ -391,6 +359,22 @@ mod tests {
         assert_eq!(ks[2], TokenKind::Number(0.5));
         assert_eq!(ks[3], TokenKind::Number(1000.0));
         assert_eq!(ks[4], TokenKind::Number(0.025));
+    }
+
+    #[test]
+    fn non_finite_numbers_rejected() {
+        for text in ["1e309", "-1e309", "1e400"] {
+            let err = tokenize(text).unwrap_err();
+            assert!(
+                matches!(&err, Error::Parse { offset: 0, message } if message.contains("malformed number")),
+                "{text}: {err}"
+            );
+        }
+        // The largest finite double still lexes.
+        assert_eq!(
+            kinds("1.7976931348623157e308")[0],
+            TokenKind::Number(f64::MAX)
+        );
     }
 
     #[test]
@@ -429,9 +413,9 @@ mod tests {
         assert_eq!(
             kinds("p.ra, (*)"),
             vec![
-                TokenKind::Ident("p".into()),
+                TokenKind::Ident("p"),
                 TokenKind::Dot,
-                TokenKind::Ident("ra".into()),
+                TokenKind::Ident("ra"),
                 TokenKind::Comma,
                 TokenKind::LParen,
                 TokenKind::Star,
@@ -444,7 +428,7 @@ mod tests {
     #[test]
     fn string_literals() {
         let ks = kinds("'GALAXY'");
-        assert_eq!(ks[0], TokenKind::StringLit("GALAXY".into()));
+        assert_eq!(ks[0], TokenKind::StringLit("GALAXY"));
     }
 
     #[test]
@@ -458,6 +442,11 @@ mod tests {
         let ks = kinds("select -- comment here\n 5");
         assert_eq!(ks[0], TokenKind::Keyword(Keyword::Select));
         assert_eq!(ks[1], TokenKind::Number(5.0));
+        // A comment that runs to the end of the input.
+        assert_eq!(
+            kinds("5 -- to the end"),
+            vec![TokenKind::Number(5.0), TokenKind::Eof]
+        );
     }
 
     #[test]
@@ -470,10 +459,42 @@ mod tests {
     }
 
     #[test]
+    fn unexpected_character_is_named_whole() {
+        let err = tokenize("select é from T").unwrap_err();
+        match err {
+            Error::Parse { offset, message } => {
+                assert_eq!(offset, 7);
+                assert_eq!(message, "unexpected character 'é'");
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
     fn offsets_recorded() {
         let toks = tokenize("select ra").unwrap();
         assert_eq!(toks[0].offset, 0);
         assert_eq!(toks[1].offset, 7);
+        assert_eq!(toks[2].offset, 9);
+    }
+
+    #[test]
+    fn eof_repeats() {
+        let mut lexer = Lexer::new("x");
+        assert_eq!(lexer.pull().unwrap().kind, TokenKind::Ident("x"));
+        for _ in 0..3 {
+            assert_eq!(lexer.pull().unwrap().kind, TokenKind::Eof);
+        }
+    }
+
+    #[test]
+    fn bare_identifiers() {
+        for name in ["ra", "PhotoObj", "_x", "a1"] {
+            assert!(is_bare_identifier(name), "{name}");
+        }
+        for name in ["", "a b", "1a", "select", "From", "é", "a-b"] {
+            assert!(!is_bare_identifier(name), "{name}");
+        }
     }
 
     #[test]

@@ -214,18 +214,18 @@ pub struct Session {
 /// Data produced when a session instantiates one query.
 #[derive(Clone, Debug)]
 pub struct BuiltQuery {
-    /// The query AST.
-    pub query: Query,
+    /// The query AST; its names are the templates' own.
+    pub query: Query<'static>,
     /// Identifiers of the data the query touches (for containment
     /// analysis): discretized region cells or object ids.
     pub data_keys: Vec<u64>,
 }
 
-fn col(q: &str, c: &str) -> ColumnRef {
+fn col(q: &'static str, c: &'static str) -> ColumnRef<'static> {
     ColumnRef::qualified(q, c)
 }
 
-fn items(alias: &str, names: &[&str]) -> Vec<SelectItem> {
+fn items(alias: &'static str, names: &[&'static str]) -> Vec<SelectItem<'static>> {
     names
         .iter()
         .map(|n| SelectItem::Column {
@@ -349,8 +349,8 @@ impl Session {
         &self,
         frac: f64,
         cursor: f64,
-        table: &str,
-        range_col: &str,
+        table: &'static str,
+        range_col: &'static str,
         domain: (f64, f64),
         tag: u64,
     ) -> BuiltQuery {
@@ -377,7 +377,7 @@ impl Session {
         let mut projection = items("p", &self.columns);
         projection.push(SelectItem::Column {
             column: col("s", "z"),
-            alias: Some("redshift".into()),
+            alias: Some("redshift"),
         });
         let spec_class = rng.next_bounded(6) as f64;
         let query = Query {
