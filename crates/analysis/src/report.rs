@@ -180,12 +180,6 @@ pub fn render_span_table(title: &str, spans: &[byc_telemetry::Span]) -> String {
             }
             let _ = write!(args, "{key}={value}");
         }
-        if let Some((open, close)) = span.wall {
-            if !args.is_empty() {
-                args.push(' ');
-            }
-            let _ = write!(args, "wall={open}..{close}");
-        }
         let indented = format!("{}{}", "  ".repeat(span.depth as usize), span.name);
         let _ = writeln!(
             out,
@@ -558,7 +552,6 @@ mod tests {
                 end: 800,
                 depth: 0,
                 args: vec![("queries".into(), 800)],
-                wall: None,
             },
             Span {
                 name: "queries 0..256".into(),
@@ -567,7 +560,6 @@ mod tests {
                 end: 256,
                 depth: 1,
                 args: vec![("hits".into(), 40)],
-                wall: Some((1000, 1700)),
             },
         ];
         let table = render_span_table("spans: replay GDS", &spans);
@@ -576,8 +568,7 @@ mod tests {
         // Children indent under their parent.
         assert!(table.contains("  queries 0..256"), "{table}");
         assert!(table.contains("queries=800"));
-        // Wall enrichment renders next to the args, never as the ticks.
-        assert!(table.contains("hits=40 wall=1000..1700"), "{table}");
+        assert!(table.contains("hits=40"), "{table}");
         assert!(table.contains("256"), "{table}");
     }
 

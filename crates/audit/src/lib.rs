@@ -30,12 +30,13 @@
 //!   panic-reachability, determinism dataflow, concurrency readiness.
 //! * [`sarif`] — SARIF 2.1.0 emission over `byc_types::json`.
 //!
-//! The runtime half of the audit story — [`CacheState::check_invariants`]
-//! and `PolicyAuditor` — lives in `byc-core`, so the decision checks can
-//! run inside replays without a dependency cycle.
+//! The runtime half of the audit story — the decision-stream checks of
+//! `byc_core::audit` — lives in `byc-core`, so they can run inside
+//! replays without a dependency cycle: every audited replay attaches a
+//! `DecisionAuditor` as an observer, and the mediator wraps its policy
+//! in a `PolicyAuditor`.
 //!
 //! [`CachePolicy`]: ../byc_core/policy/trait.CachePolicy.html
-//! [`CacheState::check_invariants`]: ../byc_core/cache/struct.CacheState.html
 
 #![warn(missing_docs)]
 

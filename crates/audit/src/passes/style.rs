@@ -43,8 +43,7 @@ const ACCOUNTING_FILES: &[&str] = &["accounting.rs", "metrics.rs", "report.rs", 
 /// `HashMap<ObjectId, _>` to `DenseMap` (vec-backed, raw-id indexed,
 /// deterministic iteration): eviction tie-breaking and scan order feed
 /// replay decisions, so SipHash iteration order must never creep back
-/// in. `offline.rs` is deliberately absent — its hash maps are scratch
-/// in a one-shot solver whose output ordering is explicitly sorted.
+/// in. `offline.rs` is absent: it keeps no per-object state.
 const POLICY_STATE_FILES: &[&str] = &[
     "cache.rs",
     "bypass_object.rs",

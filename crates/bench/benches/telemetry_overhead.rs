@@ -15,9 +15,9 @@
 //! streaming into an in-memory sink), and **recorder**
 //! (`--flight-recorder`, bounded per-tier event rings).
 //!
-//! CI builds this bench (`cargo bench --bench telemetry_overhead
-//! --no-run`) so the comparison stays compilable; the timing claim is
-//! checked by running it locally.
+//! CI builds this bench with every other (`cargo bench --no-run`) so
+//! the comparison stays compilable; the timing claim is checked by
+//! running it locally.
 
 use byc_catalog::sdss::{build, SdssRelease};
 use byc_catalog::{Granularity, ObjectCatalog};

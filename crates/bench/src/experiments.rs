@@ -376,16 +376,8 @@ fn cost_table(
             reports.push(replay_report(trace, &objects, policy.as_mut()));
         }
         // Capacity-relaxed offline lower bound: no policy can beat this.
-        let accesses: Vec<byc_core::access::Access> = trace
-            .queries
-            .iter()
-            .enumerate()
-            .flat_map(|(i, q)| {
-                byc_federation::simulator::accesses_of(q, &objects, byc_types::Tick::new(i as u64))
-            })
-            .collect();
-        let bound = byc_core::offline::offline_lower_bound(accesses.iter());
-        bounds.push((trace.name.clone(), bound.total.as_f64() / 1e9));
+        let bound = byc_core::offline::offline_lower_bound(&stats.demands);
+        bounds.push((trace.name.clone(), bound.as_f64() / 1e9));
     }
     let title = format!(
         "{id}: cost breakdown for {} caching (GB), cache = {:.0}% of DB",

@@ -3,8 +3,13 @@
 //!
 //! Each `fig*`/`tab*` function reproduces one artifact, writes its data as
 //! CSV/text under an output directory, and returns a human-readable
-//! summary. The `experiments` binary drives them; Criterion benches in
-//! `benches/` time the underlying machinery.
+//! summary. The `experiments` binary drives them.
+//!
+//! End-to-end and per-layer speed is measured by the standalone
+//! benchmark in `benchmark/` (BENCHMARK.json). The crate's three
+//! Criterion targets in `benches/` each back one gate or claim:
+//! `policy_hot_path` (CI's perf-smoke floor), `telemetry_overhead`
+//! (DESIGN.md §11.4, §16.4) and `fault_overhead` (DESIGN.md §12).
 //!
 //! | id   | paper artifact | function |
 //! |------|----------------|----------|

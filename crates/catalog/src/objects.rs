@@ -107,7 +107,7 @@ impl ObjectCatalog {
                 for c in catalog.columns() {
                     let t = catalog.table(c.table);
                     let id = ObjectId::new(objects.len() as u32);
-                    let size = Bytes::new(c.width() * t.row_count);
+                    let size = Bytes::new(c.width().saturating_mul(t.row_count));
                     objects.push(ObjectInfo {
                         id,
                         kind: ObjectKind::Column(c.id),

@@ -130,9 +130,9 @@ pub struct Table {
 }
 
 impl Table {
-    /// Total stored size of the table.
+    /// Total stored size of the table, saturating at `u64::MAX` bytes.
     pub fn size(&self) -> Bytes {
-        Bytes::new(self.row_width * self.row_count)
+        Bytes::new(self.row_width.saturating_mul(self.row_count))
     }
 }
 

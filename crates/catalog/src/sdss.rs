@@ -267,10 +267,77 @@ pub const TAIL_TABLES: &[&str] = &[
     "ProfileIndex",
 ];
 
+/// Columns of one base table.
+fn columns_for(name: &str) -> Vec<ColumnDef> {
+    match name {
+        "PhotoObj" => photoobj_columns(),
+        "Galaxy" | "Star" => view_columns(),
+        "SpecObj" => specobj_columns(),
+        "Neighbors" => neighbors_columns(),
+        "Field" => field_columns(),
+        "PlateX" => platex_columns(),
+        "PhotoZ" => photoz_columns(),
+        "SpecLineIndex" => speclineindex_columns(),
+        t if TAIL_TABLES.contains(&t) => tail_columns(),
+        other => unreachable!("unknown base table {other}"),
+    }
+}
+
+/// Bytes per row of a table with `columns`.
+fn row_width(columns: &[ColumnDef]) -> u64 {
+    columns.iter().map(|c| c.ty.width()).sum()
+}
+
+/// Row count of a base table at `factor` (scale × release factor). `as`
+/// saturates: a factor that pushes a table past `u64::MAX` rows clamps
+/// there.
+#[allow(clippy::cast_possible_truncation)]
+fn scaled_rows(base_rows: u64, factor: f64) -> u64 {
+    ((base_rows as f64 * factor).round() as u64).max(1)
+}
+
+/// Bytes of the base tables at `factor` (scale × release factor), given
+/// their bytes per row in [`BASE_ROWS`] order, or `None` if a table's
+/// bytes or their total do not fit in a `u64`.
+fn database_bytes(widths: &[u64], factor: f64) -> Option<u64> {
+    let mut total = 0u64;
+    for (&(_, base_rows), &width) in BASE_ROWS.iter().zip(widths) {
+        total = total.checked_add(width.checked_mul(scaled_rows(base_rows, factor))?)?;
+    }
+    Some(total)
+}
+
+/// The largest `scale` at which every table of `release`, and the whole
+/// database, has a byte count that fits in a `u64`. [`build`] saturates
+/// the sizes of a larger scale rather than panicking, so a caller that
+/// takes the scale from a user refuses anything above this.
+pub fn max_scale(release: SdssRelease) -> f64 {
+    let widths: Vec<u64> = BASE_ROWS
+        .iter()
+        .map(|&(name, _)| row_width(&columns_for(name)))
+        .collect();
+    let fits = |bits: u64| {
+        database_bytes(&widths, f64::from_bits(bits) * release.release_factor()).is_some()
+    };
+    // Sizes grow with the scale, and positive f64s order like their bit
+    // patterns, so bisecting the bits finds the exact largest scale.
+    let (mut fitting, mut overflowing) = (1.0f64.to_bits(), f64::MAX.to_bits());
+    while overflowing - fitting > 1 {
+        let mid = fitting + (overflowing - fitting) / 2;
+        if fits(mid) {
+            fitting = mid;
+        } else {
+            overflowing = mid;
+        }
+    }
+    f64::from_bits(fitting)
+}
+
 /// Build a synthetic SDSS-like catalog.
 ///
 /// `scale` multiplies every row count (use small values in tests;
-/// `scale = 1.0` yields ≈ 18 GiB for EDR). `server_count` spreads tables
+/// `scale = 1.0` yields ≈ 560 GiB for EDR). Above [`max_scale`] the byte
+/// counts saturate at `u64::MAX`. `server_count` spreads tables
 /// round-robin across that many federation servers (must be ≥ 1).
 pub fn build(release: SdssRelease, scale: f64, server_count: u32) -> Catalog {
     assert!(server_count >= 1, "need at least one server");
@@ -283,33 +350,13 @@ pub fn build(release: SdssRelease, scale: f64, server_count: u32) -> Catalog {
 pub fn build_with_placement(release: SdssRelease, scale: f64, placement: Placement) -> Catalog {
     assert!(scale > 0.0, "scale must be positive");
     let factor = scale * release.release_factor();
-    let columns_for = |name: &str| -> Vec<ColumnDef> {
-        match name {
-            "PhotoObj" => photoobj_columns(),
-            "Galaxy" | "Star" => view_columns(),
-            "SpecObj" => specobj_columns(),
-            "Neighbors" => neighbors_columns(),
-            "Field" => field_columns(),
-            "PlateX" => platex_columns(),
-            "PhotoZ" => photoz_columns(),
-            "SpecLineIndex" => speclineindex_columns(),
-            t if TAIL_TABLES.contains(&t) => tail_columns(),
-            other => unreachable!("unknown base table {other}"),
-        }
-    };
     let defs: Vec<(&str, Vec<ColumnDef>, u64)> = BASE_ROWS
         .iter()
-        .map(|&(name, base_rows)| {
-            // `as` saturates: a scale that pushes a table past `u64::MAX`
-            // rows clamps there.
-            #[allow(clippy::cast_possible_truncation)]
-            let rows = ((base_rows as f64 * factor).round() as u64).max(1);
-            (name, columns_for(name), rows)
-        })
+        .map(|&(name, base_rows)| (name, columns_for(name), scaled_rows(base_rows, factor)))
         .collect();
     let sizes: Vec<Bytes> = defs
         .iter()
-        .map(|(_, cols, rows)| Bytes::new(cols.iter().map(|c| c.ty.width()).sum::<u64>() * rows))
+        .map(|(_, cols, rows)| Bytes::new(row_width(cols).saturating_mul(*rows)))
         .collect();
     let servers = placement.assign(&sizes);
     let mut cat = Catalog::new();
@@ -417,6 +464,33 @@ mod tests {
         for t in tiny.tables() {
             assert!(t.row_count >= 1);
         }
+    }
+
+    #[test]
+    fn builds_at_the_largest_accepted_scale() {
+        for release in [SdssRelease::Edr, SdssRelease::Dr1] {
+            let max = max_scale(release);
+            let cat = build(release, max, 2);
+            let widths: Vec<u64> = cat.tables().iter().map(|t| t.row_width).collect();
+            let bytes_at = |scale: f64| database_bytes(&widths, scale * release.release_factor());
+            assert_eq!(bytes_at(max), Some(cat.database_size().raw()));
+            assert_eq!(bytes_at(f64::from_bits(max.to_bits() + 1)), None);
+            for granularity in [Granularity::Table, Granularity::Column] {
+                let objects = ObjectCatalog::uniform(&cat, granularity);
+                assert!(objects.total_size() <= cat.database_size());
+            }
+        }
+        // EDR is about 560 GiB at scale 1.
+        let edr_max = max_scale(SdssRelease::Edr);
+        assert!((3.0e7..3.1e7).contains(&edr_max), "{edr_max}");
+    }
+
+    #[test]
+    fn any_finite_scale_builds_saturated() {
+        let cat = build(SdssRelease::Dr1, f64::MAX, 1);
+        assert_eq!(cat.database_size(), Bytes::new(u64::MAX));
+        let objects = ObjectCatalog::uniform(&cat, Granularity::Column);
+        assert_eq!(objects.total_size(), Bytes::new(u64::MAX));
     }
 
     #[test]

@@ -110,7 +110,7 @@ impl ReplayArgs {
             .map_or(d.servers, |m| u32::try_from(m.len()).unwrap_or(u32::MAX));
         Ok(ReplayArgs {
             granularity: flags.text("granularity").unwrap_or(d.granularity),
-            scale: flags.catalog_scale(d.scale)?,
+            scale: flags.catalog_scale(d.scale, &d.trace)?,
             seed: flags.int("seed")?.unwrap_or(d.seed),
             servers: flags.positive_count("servers", servers)?,
             multipliers,
@@ -683,17 +683,27 @@ impl Flags {
         Ok(v)
     }
 
-    /// Every subcommand that takes --scale builds a catalog from it, and
-    /// the catalog builder rejects anything but a positive finite scale.
-    fn catalog_scale(&self, default: f64) -> Result<f64> {
+    /// Every subcommand that takes --scale builds a catalog from it: the
+    /// named release's, or EDR's for a trace file. The catalog builder
+    /// rejects anything but a positive finite scale, and past the
+    /// release's [`sdss::max_scale`] its byte counts no longer fit a u64.
+    fn catalog_scale(&self, default: f64, spec: &str) -> Result<f64> {
         let scale = self.parsed("scale", "a number")?.unwrap_or(default);
-        if scale.is_finite() && scale > 0.0 {
-            Ok(scale)
-        } else {
-            Err(Error::InvalidConfig(format!(
+        if !(scale.is_finite() && scale > 0.0) {
+            return Err(Error::InvalidConfig(format!(
                 "--scale must be a positive finite number, got {scale}"
-            )))
+            )));
         }
+        let release = parse_release(spec).unwrap_or(SdssRelease::Edr);
+        let max = sdss::max_scale(release);
+        if scale > max {
+            return Err(Error::InvalidConfig(format!(
+                "--scale {scale:e} overflows the {} catalog's byte counts; \
+                 the largest accepted value is {max:e}",
+                release.label()
+            )));
+        }
+        Ok(scale)
     }
 
     fn multipliers(&self) -> Result<Option<Vec<f64>>> {
@@ -791,15 +801,18 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
             .ok_or_else(|| Error::InvalidConfig("missing trace/release argument".into()))
     };
     match sub {
-        "gen-trace" => Ok(Command::GenTrace {
-            release: first()?,
-            out: flags
-                .path("out")
-                .ok_or_else(|| Error::InvalidConfig("gen-trace requires --out FILE".into()))?,
-            seed: flags.int("seed")?.unwrap_or(42),
-            scale: flags.catalog_scale(1.0)?,
-            queries: flags.int("queries")?.unwrap_or(0) as usize,
-        }),
+        "gen-trace" => {
+            let release = first()?;
+            Ok(Command::GenTrace {
+                out: flags
+                    .path("out")
+                    .ok_or_else(|| Error::InvalidConfig("gen-trace requires --out FILE".into()))?,
+                seed: flags.int("seed")?.unwrap_or(42),
+                scale: flags.catalog_scale(1.0, &release)?,
+                queries: flags.int("queries")?.unwrap_or(0) as usize,
+                release,
+            })
+        }
         "run" => Ok(Command::Run {
             replay: ReplayArgs::parse(first()?, &flags)?,
             policy: flags
@@ -809,11 +822,14 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
             trace_events: flags.path("trace-events"),
         }),
         "sweep" => Ok(Command::Sweep(ReplayArgs::parse(first()?, &flags)?)),
-        "analyze" => Ok(Command::Analyze {
-            trace: first()?,
-            scale: flags.catalog_scale(1.0)?,
-            seed: flags.int("seed")?.unwrap_or(42),
-        }),
+        "analyze" => {
+            let trace = first()?;
+            Ok(Command::Analyze {
+                scale: flags.catalog_scale(1.0, &trace)?,
+                seed: flags.int("seed")?.unwrap_or(42),
+                trace,
+            })
+        }
         _ => Ok(Command::Help),
     }
 }
@@ -2629,9 +2645,9 @@ mod tests {
         assert!(scope_faults(model, Some(1), two_tier.depth()).is_ok());
     }
 
-    /// Every invalid `--scale` value, each of which the catalog builder
-    /// would panic on.
-    const BAD_SCALES: [&str; 5] = ["0", "-1", "nan", "inf", "-0"];
+    /// Every invalid `--scale` value: the catalog builder would panic on
+    /// the first five, and at 1e8 the catalog's byte counts overflow.
+    const BAD_SCALES: [&str; 6] = ["0", "-1", "nan", "inf", "-0", "1e8"];
 
     fn assert_bad_scales_rejected(prefix: &[&str]) {
         for bad in BAD_SCALES {
@@ -2664,6 +2680,17 @@ mod tests {
     #[test]
     fn analyze_rejects_non_positive_scale() {
         assert_bad_scales_rejected(&["analyze", "edr"]);
+    }
+
+    #[test]
+    fn overflowing_scale_names_the_largest_accepted_value() {
+        // DR1 is twice EDR, so its limit is half of EDR's.
+        let dr1_max = sdss::max_scale(SdssRelease::Dr1);
+        let err = parse_args(&args(&["analyze", "dr1", "--scale", "2e7"])).unwrap_err();
+        assert!(err.to_string().contains(&format!("{dr1_max:e}")), "{err}");
+        assert!(parse_args(&args(&["analyze", "edr", "--scale", "2e7"])).is_ok());
+        let at_max = format!("{dr1_max:e}");
+        assert!(parse_args(&args(&["analyze", "dr1", "--scale", &at_max])).is_ok());
     }
 
     #[test]

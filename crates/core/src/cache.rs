@@ -28,8 +28,7 @@ pub struct CachedEntry {
 
 /// A reusable eviction plan: the victims speculatively popped from the
 /// utility heap by [`CacheState::plan_eviction_into`], waiting to be
-/// either committed ([`CacheState::commit_plan`]) or rolled back
-/// ([`CacheState::abort_plan`]).
+/// committed ([`CacheState::commit_plan`]).
 ///
 /// The buffer is owned by the policy and reused across accesses, so a
 /// steady-state decision makes no allocations.
@@ -130,9 +129,13 @@ impl CacheState {
     /// Record a query served from cache: accumulate its yield.
     ///
     /// Hitting a non-cached object is a policy bug; debug builds assert,
-    /// release builds ignore the call (the [`PolicyAuditor`] catches and
-    /// reports the inconsistency during replay).
+    /// release builds ignore the call. Where auditing is on (by default
+    /// in debug replays), the decision-stream audit flags the `Hit` such
+    /// a policy reports: a [`DecisionAuditor`] riding the replay as an
+    /// observer, or the [`PolicyAuditor`] the mediator wraps its policy
+    /// in.
     ///
+    /// [`DecisionAuditor`]: crate::audit::DecisionAuditor
     /// [`PolicyAuditor`]: crate::audit::PolicyAuditor
     pub fn record_hit(&mut self, object: ObjectId, yield_bytes: Bytes) {
         let Some(e) = self.entries.get_mut(object) else {
@@ -192,11 +195,6 @@ impl CacheState {
         self.heap.key_of(object)
     }
 
-    /// The cached object with minimum utility.
-    pub fn min_utility(&self) -> Option<(ObjectId, f64)> {
-        self.heap.peek_min()
-    }
-
     /// Iterate cached objects and entries in ascending id order (the
     /// [`DenseMap`] guarantee — deterministic across runs).
     pub fn iter(&self) -> impl Iterator<Item = (ObjectId, &CachedEntry)> + '_ {
@@ -215,9 +213,8 @@ impl CacheState {
     /// copy. Because the heap's `(utility, id)` order is total, the pop
     /// sequence is exactly the prefix a full sort of the candidates would
     /// produce. The popped entries are *speculative*: the cache index
-    /// still holds them, and the caller must finish with either
-    /// [`Self::commit_plan`] or [`Self::abort_plan`] before the next
-    /// query (an aborted plan restores the heap bit-exactly).
+    /// still holds them, and the caller must finish with
+    /// [`Self::commit_plan`] before the next query.
     pub fn plan_eviction_into(&mut self, size: Bytes, plan: &mut EvictionPlan) -> bool {
         plan.clear();
         if size > self.capacity {
@@ -276,34 +273,6 @@ impl CacheState {
         self.heap.push(object, utility);
     }
 
-    /// Roll a plan back: push every speculatively-popped victim back into
-    /// the utility heap with its original key. Because the heap order is
-    /// total, the restored heap pops identically to one that never
-    /// planned.
-    pub fn abort_plan(&mut self, plan: &EvictionPlan) {
-        for &(victim, utility) in plan.victims() {
-            self.heap.push(victim, utility);
-        }
-    }
-
-    /// Plan evictions for an incoming object of `size`, returning the
-    /// victims as a fresh vector and leaving the cache untouched: `None`
-    /// if the object can never fit, an empty vector if it already fits.
-    ///
-    /// This is the allocation-per-call convenience wrapper over
-    /// [`Self::plan_eviction_into`] + [`Self::abort_plan`]; the policy
-    /// hot paths use the `_into` APIs with a reusable
-    /// [`EvictionPlan`] instead.
-    pub fn plan_eviction(&mut self, size: Bytes) -> Option<Vec<(ObjectId, f64)>> {
-        let mut plan = EvictionPlan::new();
-        if !self.plan_eviction_into(size, &mut plan) {
-            return None;
-        }
-        let victims = plan.victims().to_vec();
-        self.abort_plan(&plan);
-        Some(victims)
-    }
-
     /// Verify the structural invariants of the cache state:
     ///
     /// 1. `used` equals the sum of the cached entries' sizes;
@@ -311,9 +280,10 @@ impl CacheState {
     /// 3. the utility heap indexes exactly the cached objects, and its
     ///    internal heap/index structure is consistent.
     ///
-    /// Cheap enough to run per-access in debug replays; the
-    /// [`PolicyAuditor`](crate::audit::PolicyAuditor) calls it through
-    /// the policies' deep-check hooks.
+    /// Only tests call it. Replays check policies from the outside, by
+    /// auditing their decision streams
+    /// ([`DecisionAuditor`](crate::audit::DecisionAuditor)), and never
+    /// see a policy's `CacheState`.
     ///
     /// # Errors
     ///
@@ -351,21 +321,6 @@ impl CacheState {
             Err(problems.join("; "))
         }
     }
-
-    /// Evict the planned victims and insert the object in one step.
-    pub fn evict_and_insert(
-        &mut self,
-        victims: &[(ObjectId, f64)],
-        object: ObjectId,
-        size: Bytes,
-        utility: f64,
-        now: Tick,
-    ) {
-        for &(v, _) in victims {
-            self.remove(v);
-        }
-        self.insert(object, size, utility, now);
-    }
 }
 
 #[cfg(test)]
@@ -378,6 +333,13 @@ mod tests {
 
     fn cache(cap: u64) -> CacheState {
         CacheState::new(Bytes::new(cap))
+    }
+
+    /// Plan room for `size`: the speculative plan, or `None` if the
+    /// object can never fit. Commit it before planning again.
+    fn plan(c: &mut CacheState, size: Bytes) -> Option<EvictionPlan> {
+        let mut plan = EvictionPlan::new();
+        c.plan_eviction_into(size, &mut plan).then_some(plan)
     }
 
     #[test]
@@ -462,21 +424,10 @@ mod tests {
     }
 
     #[test]
-    fn min_utility_tracks_heap() {
-        let mut c = cache(100);
-        c.insert(oid(0), Bytes::new(10), 5.0, Tick::ZERO);
-        c.insert(oid(1), Bytes::new(10), 2.0, Tick::ZERO);
-        assert_eq!(c.min_utility(), Some((oid(1), 2.0)));
-        c.set_utility(oid(1), 9.0);
-        assert_eq!(c.min_utility(), Some((oid(0), 5.0)));
-        assert_eq!(c.utility(oid(1)), Some(9.0));
-    }
-
-    #[test]
     fn plan_eviction_none_when_too_big() {
         let mut c = cache(100);
-        assert!(c.plan_eviction(Bytes::new(101)).is_none());
-        assert_eq!(c.plan_eviction(Bytes::new(100)), Some(vec![]));
+        assert!(plan(&mut c, Bytes::new(101)).is_none());
+        assert!(plan(&mut c, Bytes::new(100)).unwrap().is_empty());
     }
 
     #[test]
@@ -486,15 +437,12 @@ mod tests {
         c.insert(oid(1), Bytes::new(40), 1.0, Tick::ZERO);
         c.insert(oid(2), Bytes::new(20), 2.0, Tick::ZERO);
         // Need 50: free 0; evict utility-1 (40) then utility-2 (20).
-        let plan = c.plan_eviction(Bytes::new(50)).unwrap();
-        assert_eq!(
-            plan.iter().map(|&(o, _)| o).collect::<Vec<_>>(),
-            vec![oid(1), oid(2)]
-        );
+        let plan = plan(&mut c, Bytes::new(50)).unwrap();
+        assert_eq!(plan.objects().collect::<Vec<_>>(), vec![oid(1), oid(2)]);
     }
 
     /// Reference implementation of victim selection: the full `sort_by`
-    /// that `plan_eviction` used before switching to partial selection.
+    /// that victim planning used before it popped victims off the heap.
     fn plan_by_full_sort(c: &CacheState, size: Bytes) -> Option<Vec<(ObjectId, f64)>> {
         if size > c.capacity() {
             return None;
@@ -532,10 +480,10 @@ mod tests {
         c.insert(oid(2), Bytes::new(25), 1.0, Tick::ZERO);
         c.insert(oid(5), Bytes::new(25), 1.0, Tick::ZERO);
         c.insert(oid(9), Bytes::new(25), 2.0, Tick::ZERO);
-        let plan = c.plan_eviction(Bytes::new(60)).unwrap();
+        let plan = plan(&mut c, Bytes::new(60)).unwrap();
         assert_eq!(
-            plan,
-            vec![(oid(2), 1.0), (oid(5), 1.0), (oid(7), 1.0)],
+            plan.victims(),
+            &[(oid(2), 1.0), (oid(5), 1.0), (oid(7), 1.0)],
             "tie-break must be ascending id at equal utility"
         );
     }
@@ -557,11 +505,15 @@ mod tests {
             } else {
                 let size = Bytes::new(rng.next_range(1, 150));
                 let expected = plan_by_full_sort(&c, size);
-                let plan = c.plan_eviction(size);
-                assert_eq!(plan, expected, "divergence at step {step}");
+                let plan = plan(&mut c, size);
+                assert_eq!(
+                    plan.as_ref().map(|p| p.victims().to_vec()),
+                    expected,
+                    "divergence at step {step}"
+                );
                 if let Some(plan) = plan {
                     checked += 1;
-                    c.evict_and_insert(
+                    c.commit_plan(
                         &plan,
                         o,
                         size,
@@ -585,6 +537,7 @@ mod tests {
         c.commit_plan(&plan, oid(9), Bytes::new(50), 7.0, Tick::new(4));
         assert!(c.contains(oid(9)));
         assert!(!c.contains(oid(1)));
+        assert!(c.contains(oid(0)));
         assert_eq!(c.used(), Bytes::new(90));
         assert!(c.check_invariants().is_ok());
     }
@@ -596,46 +549,10 @@ mod tests {
         let mut plan = EvictionPlan::new();
         assert!(c.plan_eviction_into(Bytes::new(80), &mut plan));
         assert_eq!(plan.len(), 1);
-        c.abort_plan(&plan);
+        c.commit_plan(&plan, oid(1), Bytes::new(80), 1.0, Tick::new(1));
         assert!(!c.plan_eviction_into(Bytes::new(101), &mut plan));
         assert!(plan.is_empty());
-        c.abort_plan(&plan); // empty abort is a no-op
         assert!(c.check_invariants().is_ok());
-    }
-
-    #[test]
-    fn abort_plan_restores_planning_state_exactly() {
-        let mut c = cache(100);
-        c.insert(oid(3), Bytes::new(30), 1.0, Tick::ZERO);
-        c.insert(oid(1), Bytes::new(30), 1.0, Tick::ZERO);
-        c.insert(oid(2), Bytes::new(30), 2.0, Tick::ZERO);
-        let mut plan = EvictionPlan::new();
-        assert!(c.plan_eviction_into(Bytes::new(70), &mut plan));
-        // 10 bytes already free: freeing both utility-1.0 entries (id
-        // ascending) covers the 70; the utility-2.0 entry is untouched.
-        assert_eq!(plan.victims(), &[(oid(1), 1.0), (oid(3), 1.0)]);
-        c.abort_plan(&plan);
-        assert!(c.check_invariants().is_ok());
-        // Re-planning after the rollback must reproduce the same victims.
-        let mut replay = EvictionPlan::new();
-        assert!(c.plan_eviction_into(Bytes::new(70), &mut replay));
-        assert_eq!(replay.victims(), plan.victims());
-        c.abort_plan(&replay);
-        assert_eq!(c.len(), 3);
-        assert_eq!(c.used(), Bytes::new(90));
-    }
-
-    #[test]
-    fn evict_and_insert_applies_plan() {
-        let mut c = cache(100);
-        c.insert(oid(0), Bytes::new(40), 3.0, Tick::ZERO);
-        c.insert(oid(1), Bytes::new(40), 1.0, Tick::ZERO);
-        let plan = c.plan_eviction(Bytes::new(50)).unwrap();
-        c.evict_and_insert(&plan, oid(9), Bytes::new(50), 7.0, Tick::new(4));
-        assert!(c.contains(oid(9)));
-        assert!(!c.contains(oid(1)));
-        assert!(c.contains(oid(0)));
-        assert_eq!(c.used(), Bytes::new(90));
     }
 
     #[test]
@@ -661,8 +578,8 @@ mod tests {
                 }
             } else {
                 let size = Bytes::new(rng.next_range(1, 200));
-                if let Some(plan) = c.plan_eviction(size) {
-                    c.evict_and_insert(&plan, o, size, rng.next_f64(), Tick::new(step as u64));
+                if let Some(plan) = plan(&mut c, size) {
+                    c.commit_plan(&plan, o, size, rng.next_f64(), Tick::new(step as u64));
                 }
             }
             assert!(c.used() <= c.capacity(), "overflow at step {step}");

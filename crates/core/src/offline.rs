@@ -1,159 +1,95 @@
 //! Offline lower bound: the cheapest any caching strategy could serve a
 //! known access sequence, with the capacity constraint relaxed.
 //!
-//! For one object, the offline bypass-yield problem is a two-state
-//! shortest path over its access sequence: before each access the object
-//! is either cached or not, and
+//! For one object accessed in a known sequence:
 //!
 //! * serving an access while cached costs 0;
 //! * bypassing while not cached costs the access's yield;
 //! * loading costs the fetch cost (and may happen at any access);
 //! * evicting is free.
 //!
-//! Summing the per-object optima gives a lower bound on the cost of *any*
-//! policy — online or offline — because relaxing the capacity constraint
-//! only helps, and objects don't otherwise interact. The bound is tight
-//! when the profitable set fits in cache (exactly the regime of the
-//! paper's Figs 7–8 plateaus), which makes it a useful "how far from
-//! perfect?" row next to Tables 1–2.
+//! Without a capacity limit a load can stay forever, so one load before
+//! the first access serves every access, and the object's optimum is
+//! `min(Σ yields, fetch cost)`. Summing the per-object optima gives a
+//! lower bound on the cost of *any* policy — online or offline — because
+//! relaxing the capacity constraint only helps, and objects don't
+//! otherwise interact. The bound is tight when the profitable set fits in
+//! cache (exactly the regime of the paper's Figs 7–8 plateaus), which
+//! makes it a useful "how far from perfect?" row next to Tables 1–2.
 //!
-//! With free eviction and loads that persist forever, the two-state DP
-//! collapses to the closed form `min(Σ yields, fetch cost)` per object;
-//! the DP is kept because it generalizes directly to extensions (cache
-//! leases, consistency-driven expiry) where residency is bounded.
+//! The two-state shortest path over each access sequence, which this
+//! closed form collapses, is the test oracle (`crates/core/tests/offline.rs`).
 
-use crate::access::Access;
-use byc_types::{Bytes, ObjectId};
-use std::collections::HashMap;
+use crate::static_opt::ObjectDemand;
+use byc_types::Bytes;
 
-/// Per-object optimum and the aggregate bound.
-#[derive(Clone, Debug, PartialEq)]
-pub struct OfflineBound {
-    /// Sum of per-object optima: no policy can beat this WAN cost.
-    pub total: Bytes,
-    /// Number of distinct objects in the sequence.
-    pub objects: usize,
-    /// Objects whose optimum involves at least one load.
-    pub cacheworthy: usize,
-}
-
-/// Optimal offline cost of serving one object's access sequence
-/// (yields and the object's fetch cost), capacity-relaxed.
-///
-/// Dynamic program over two states (cached / not cached); O(n) time,
-/// O(1) space.
-pub fn per_object_optimum(fetch_cost: Bytes, yields: &[Bytes]) -> Bytes {
-    // cost_out: best cost so far with the object currently not cached.
-    // cost_in: best cost so far with the object currently cached.
-    let mut cost_out: u64 = 0;
-    let mut cost_in: u64 = fetch_cost.raw(); // may pre-load before first access
-    for &y in yields {
-        // Serve this access in each state, then allow free eviction /
-        // paid load *before the next* access.
-        let serve_out = cost_out.saturating_add(y.raw());
-        let serve_in = cost_in;
-        cost_out = serve_out.min(serve_in); // eviction is free
-        cost_in = serve_in.min(serve_out.saturating_add(fetch_cost.raw()));
-    }
-    Bytes::new(cost_out.min(cost_in))
-}
-
-/// Compute the aggregate offline lower bound of an access stream.
-pub fn offline_lower_bound<'a>(accesses: impl Iterator<Item = &'a Access>) -> OfflineBound {
-    let mut per_object: HashMap<ObjectId, (Bytes, Vec<Bytes>)> = HashMap::new();
-    for a in accesses {
-        let entry = per_object
-            .entry(a.object)
-            .or_insert_with(|| (a.fetch_cost, Vec::new()));
-        entry.1.push(a.yield_bytes);
-    }
-    let mut total = Bytes::ZERO;
-    let mut cacheworthy = 0usize;
-    let objects = per_object.len();
-    for (fetch, yields) in per_object.values() {
-        let optimum = per_object_optimum(*fetch, yields);
-        let all_bypass: Bytes = yields.iter().copied().sum();
-        if optimum < all_bypass {
-            cacheworthy += 1;
-        }
-        total += optimum;
-    }
-    OfflineBound {
-        total,
-        objects,
-        cacheworthy,
-    }
+/// The capacity-relaxed offline lower bound on any policy's WAN cost:
+/// `Σ min(total yield, fetch cost)` over whole-trace per-object demands.
+/// Saturates at `u64::MAX` bytes, as all [`Bytes`] arithmetic does.
+pub fn offline_lower_bound(demands: &[ObjectDemand]) -> Bytes {
+    demands
+        .iter()
+        .map(|d| d.total_yield.min(d.fetch_cost))
+        .sum()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use byc_types::Tick;
+    use crate::access::Access;
+    use byc_types::{ObjectId, Tick};
 
     fn b(v: u64) -> Bytes {
         Bytes::new(v)
     }
 
+    /// The bound for one object accessed with `yields`.
+    fn one_object(fetch: u64, yields: &[u64]) -> Bytes {
+        offline_lower_bound(&[ObjectDemand {
+            object: ObjectId::new(0),
+            total_yield: yields.iter().map(|&y| b(y)).sum(),
+            size: b(fetch),
+            fetch_cost: b(fetch),
+        }])
+    }
+
     #[test]
     fn all_bypass_when_cold() {
         // Three tiny accesses against an expensive object: bypass wins.
-        let opt = per_object_optimum(b(100), &[b(5), b(5), b(5)]);
-        assert_eq!(opt, b(15));
+        assert_eq!(one_object(100, &[5, 5, 5]), b(15));
     }
 
     #[test]
     fn load_up_front_when_hot() {
         // Cumulative yield far exceeds the fetch cost: load before the
         // first access.
-        let opt = per_object_optimum(b(100), &[b(80), b(80), b(80)]);
-        assert_eq!(opt, b(100));
+        assert_eq!(one_object(100, &[80, 80, 80]), b(100));
     }
 
     #[test]
     fn breakeven_prefers_either() {
         // Total yield exactly equals fetch: both strategies cost 100.
-        let opt = per_object_optimum(b(100), &[b(50), b(50)]);
-        assert_eq!(opt, b(100));
+        assert_eq!(one_object(100, &[50, 50]), b(100));
     }
 
     #[test]
     fn mixed_burst_structure() {
         // A hot burst, a long cold middle (modelled by a single tiny
-        // access), then another hot burst: optimal loads twice? No —
-        // loads persist for free, so one load up front costs 100 and
-        // serves everything: optimum = 100.
-        let opt = per_object_optimum(b(100), &[b(90), b(90), b(1), b(90), b(90)]);
-        assert_eq!(opt, b(100));
+        // access), then another hot burst: loads persist for free, so one
+        // load up front costs 100 and serves everything.
+        assert_eq!(one_object(100, &[90, 90, 1, 90, 90]), b(100));
     }
 
     #[test]
     fn preload_dominates_partial_strategies() {
         // Loading before the first access serves the cold trickle too:
-        // the optimum is min(total yield, fetch) = 100, not the tempting
-        // "bypass 2, then load" (102).
-        let opt = per_object_optimum(b(100), &[b(1), b(1), b(200), b(200)]);
-        assert_eq!(opt, b(100));
-    }
-
-    #[test]
-    fn optimum_equals_min_of_total_and_fetch() {
-        // The closed form the DP collapses to with free eviction and a
-        // load that persists forever.
-        let mut rng = byc_types::SplitMix64::new(3);
-        for _ in 0..100 {
-            let f = rng.next_range(1, 500);
-            let yields: Vec<Bytes> = (0..rng.next_bounded(20))
-                .map(|_| b(rng.next_range(1, 200)))
-                .collect();
-            let total: u64 = yields.iter().map(|y| y.raw()).sum();
-            let expect = if yields.is_empty() { 0 } else { total.min(f) };
-            assert_eq!(per_object_optimum(b(f), &yields), b(expect));
-        }
+        // the optimum is 100, not the tempting "bypass 2, then load" (102).
+        assert_eq!(one_object(100, &[1, 1, 200, 200]), b(100));
     }
 
     #[test]
     fn empty_sequence_costs_nothing() {
-        assert_eq!(per_object_optimum(b(100), &[]), Bytes::ZERO);
+        assert_eq!(one_object(100, &[]), Bytes::ZERO);
     }
 
     #[test]
@@ -163,21 +99,33 @@ mod tests {
         use crate::bypass_object::Landlord;
         use crate::online::OnlineBY;
         use crate::policy::{CachePolicy, Decision};
+        let size_of = |id: u32| b(50 + (u64::from(id) * 13) % 200);
         let mut rng = byc_types::SplitMix64::new(77);
         let accesses: Vec<Access> = (0..2_000u64)
             .map(|t| {
                 let id = rng.next_bounded(20) as u32;
-                let size = 50 + (id as u64 * 13) % 200;
+                let size = size_of(id);
                 Access {
                     object: ObjectId::new(id),
                     time: Tick::new(t),
-                    yield_bytes: Bytes::new(rng.next_bounded(size) + 1),
-                    size: Bytes::new(size),
-                    fetch_cost: Bytes::new(size),
+                    yield_bytes: b(rng.next_bounded(size.raw()) + 1),
+                    size,
+                    fetch_cost: size,
                 }
             })
             .collect();
-        let bound = offline_lower_bound(accesses.iter());
+        let mut demands: Vec<ObjectDemand> = (0..20u32)
+            .map(|id| ObjectDemand {
+                object: ObjectId::new(id),
+                total_yield: Bytes::ZERO,
+                size: size_of(id),
+                fetch_cost: size_of(id),
+            })
+            .collect();
+        for a in &accesses {
+            demands[a.object.index()].total_yield += a.yield_bytes;
+        }
+        let bound = offline_lower_bound(&demands);
         let mut policy = OnlineBY::new(Landlord::new(Bytes::new(100_000)));
         let mut online_cost = Bytes::ZERO;
         for a in &accesses {
@@ -188,35 +136,23 @@ mod tests {
             }
         }
         assert!(
-            bound.total <= online_cost,
-            "bound {} exceeds online cost {online_cost}",
-            bound.total
+            bound <= online_cost,
+            "bound {bound} exceeds online cost {online_cost}"
         );
-        assert!(bound.objects == 20);
-        assert!(bound.cacheworthy > 0);
+        // Some object is worth loading: the bound beats bypassing all.
+        let all_bypass: Bytes = accesses.iter().map(|a| a.yield_bytes).sum();
+        assert!(bound < all_bypass);
     }
 
     #[test]
     fn bound_aggregates_objects_independently() {
-        let accesses = [
-            Access {
-                object: ObjectId::new(0),
-                time: Tick::new(0),
-                yield_bytes: b(5),
-                size: b(100),
-                fetch_cost: b(100),
-            },
-            Access {
-                object: ObjectId::new(1),
-                time: Tick::new(1),
-                yield_bytes: b(500),
-                size: b(100),
-                fetch_cost: b(100),
-            },
-        ];
-        let bound = offline_lower_bound(accesses.iter());
+        let demand = |id: u32, total_yield: u64| ObjectDemand {
+            object: ObjectId::new(id),
+            total_yield: b(total_yield),
+            size: b(100),
+            fetch_cost: b(100),
+        };
         // Object 0: bypass (5). Object 1: load (100).
-        assert_eq!(bound.total, b(105));
-        assert_eq!(bound.cacheworthy, 1);
+        assert_eq!(offline_lower_bound(&[demand(0, 5), demand(1, 500)]), b(105));
     }
 }

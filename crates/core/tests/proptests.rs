@@ -8,7 +8,7 @@
 use byc_core::access::Access;
 use byc_core::audit::PolicyAuditor;
 use byc_core::bypass_object::{BypassObjectAlgorithm, Landlord, SizeClassMarking};
-use byc_core::cache::CacheState;
+use byc_core::cache::{CacheState, EvictionPlan};
 use byc_core::heap::IndexedMinHeap;
 use byc_core::inline::make;
 use byc_core::online::OnlineBY;
@@ -93,24 +93,27 @@ proptest! {
         ops in proptest::collection::vec((any::<u8>(), 1u64..500, any::<u32>()), 1..300),
     ) {
         let mut cache = CacheState::new(Bytes::new(capacity));
+        let mut plan = EvictionPlan::new();
         for (t, (id, size, key)) in ops.into_iter().enumerate() {
             let o = ObjectId::new(id as u32);
             if cache.contains(o) {
                 cache.record_hit(o, Bytes::new(size));
                 cache.set_utility(o, key as f64);
-            } else if let Some(plan) = cache.plan_eviction(Bytes::new(size)) {
+            } else if cache.plan_eviction_into(Bytes::new(size), &mut plan) {
                 let freed: u64 = plan
-                    .iter()
-                    .map(|&(v, _)| cache.entry(v).unwrap().size.raw())
+                    .objects()
+                    .map(|v| cache.entry(v).unwrap().size.raw())
                     .sum();
                 prop_assert!(cache.free().raw() + freed >= size);
-                cache.evict_and_insert(&plan, o, Bytes::new(size), key as f64, Tick::new(t as u64));
+                cache.commit_plan(&plan, o, Bytes::new(size), key as f64, Tick::new(t as u64));
             } else {
                 prop_assert!(size > capacity);
+                prop_assert!(plan.is_empty());
             }
             let sum: u64 = cache.iter().map(|(_, e)| e.size.raw()).sum();
             prop_assert_eq!(sum, cache.used().raw());
             prop_assert!(cache.used().raw() <= capacity);
+            prop_assert_eq!(cache.check_invariants(), Ok(()));
         }
     }
 

@@ -11,9 +11,9 @@
 //!
 //! * [`metrics`] — a **deterministic registry**: counters, gauges, and
 //!   fixed-bucket byte/virtual-latency histograms (with quantile
-//!   estimation) keyed by `(policy, server, object-class)`. No wall
-//!   clocks, no hash maps: the same replay always produces the same
-//!   registry, byte for byte.
+//!   estimation) keyed by policy and `(server, object class, tier)`. No
+//!   wall clocks, no hash maps: the same replay always produces the
+//!   same registry, byte for byte.
 //! * [`observer`] — [`TelemetryObserver`], an
 //!   [`Observer`](byc_federation::Observer) that accumulates the
 //!   registry's series and optionally streams per-decision events.
@@ -27,8 +27,7 @@
 //!   counter.
 //! * [`spans`] — **deterministic span tracing**: [`SpanTracer`] records
 //!   a phase tree keyed by query-index ticks (bit-identical across
-//!   runs, opt-in wall-clock enrichment in span args only) and exports
-//!   Chrome trace-event JSON loadable in Perfetto.
+//!   runs) and exports Chrome trace-event JSON loadable in Perfetto.
 //! * [`windows`] — **windowed metrics streams**: [`WindowedRegistry`]
 //!   streams each window of a
 //!   [`Breakdown`](byc_federation::Breakdown) closing every N queries as

@@ -7,10 +7,7 @@
 //! Chrome's trace format wants microseconds; ticks map 1:1 onto them,
 //! so one query renders as one microsecond of span time and the tree's
 //! *shape* (what nested where, how many queries each phase covered) is
-//! exact even though no wall clock was read. Wall-clock enrichment is
-//! opt-in via [`SpanTracer::with_clock`]: the injected clock's readings
-//! go into span `args` only, leaving the exported `ts`/`dur` fields —
-//! and therefore byte-identity — untouched.
+//! exact even though no wall clock was read.
 //!
 //! [`SpanObserver`] rides a replay as an [`Observer`] and grows the
 //! phase tree live: one root span per replay, one child span per chunk
@@ -51,9 +48,6 @@ pub struct Span {
     pub depth: u32,
     /// Numeric annotations, exported under the Chrome event's `args`.
     pub args: Vec<(String, u64)>,
-    /// Opt-in wall-clock readings `(at open, at close)` from the
-    /// injected clock, exported as `args` only — never as `ts`/`dur`.
-    pub wall: Option<(u64, u64)>,
 }
 
 /// Records a tree of [`Span`]s against a deterministic tick clock.
@@ -61,42 +55,18 @@ pub struct Span {
 /// The tick only moves via [`SpanTracer::set_tick`] and is monotonic
 /// (stale ticks are ignored), so out-of-order hooks cannot produce a
 /// span that ends before it starts.
+#[derive(Debug, Default)]
 pub struct SpanTracer {
     tid: u32,
     tick: u64,
     spans: Vec<Span>,
     open: Vec<usize>,
-    clock: Option<Box<dyn FnMut() -> u64 + Send>>,
-}
-
-impl std::fmt::Debug for SpanTracer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SpanTracer")
-            .field("tid", &self.tid)
-            .field("tick", &self.tick)
-            .field("spans", &self.spans.len())
-            .field("open", &self.open.len())
-            .field("clock", &self.clock.is_some())
-            .finish()
-    }
-}
-
-impl Default for SpanTracer {
-    fn default() -> Self {
-        SpanTracer::new()
-    }
 }
 
 impl SpanTracer {
-    /// A tracer on thread id 0 with no wall clock.
+    /// A tracer on thread id 0.
     pub fn new() -> SpanTracer {
-        SpanTracer {
-            tid: 0,
-            tick: 0,
-            spans: Vec::new(),
-            open: Vec::new(),
-            clock: None,
-        }
+        SpanTracer::default()
     }
 
     /// Set the thread id this tracer's spans export under (one tid per
@@ -104,16 +74,6 @@ impl SpanTracer {
     #[must_use]
     pub fn with_tid(mut self, tid: u32) -> SpanTracer {
         self.tid = tid;
-        self
-    }
-
-    /// Opt into wall-clock enrichment: `clock` is read at every span
-    /// open/close and the readings land in the span's `args`. The
-    /// exported `ts`/`dur` stay tick-based, so enrichment never breaks
-    /// bit-identity of the span tree itself.
-    #[must_use]
-    pub fn with_clock(mut self, clock: Box<dyn FnMut() -> u64 + Send>) -> SpanTracer {
-        self.clock = Some(clock);
         self
     }
 
@@ -133,13 +93,8 @@ impl SpanTracer {
         self.tick = self.tick.max(tick);
     }
 
-    fn read_clock(&mut self) -> Option<u64> {
-        self.clock.as_mut().map(|c| c())
-    }
-
     /// Open a span at the current tick.
     pub fn begin(&mut self, name: &str, cat: &str) {
-        let wall = self.read_clock().map(|w| (w, w));
         let depth = u32::try_from(self.open.len()).unwrap_or(u32::MAX);
         self.open.push(self.spans.len());
         self.spans.push(Span {
@@ -149,7 +104,6 @@ impl SpanTracer {
             end: self.tick,
             depth,
             args: Vec::new(),
-            wall,
         });
     }
 
@@ -165,13 +119,9 @@ impl SpanTracer {
     /// Close the innermost open span at the current tick. No-op when
     /// nothing is open.
     pub fn end(&mut self) {
-        let wall = self.read_clock();
         if let Some(idx) = self.open.pop() {
             if let Some(span) = self.spans.get_mut(idx) {
                 span.end = self.tick;
-                if let (Some(w), Some((start, _))) = (wall, span.wall) {
-                    span.wall = Some((start, w));
-                }
             }
         }
     }
@@ -195,7 +145,6 @@ impl SpanTracer {
             end: end.max(start),
             depth,
             args: args.iter().map(|&(k, v)| (k.to_string(), v)).collect(),
-            wall: None,
         });
     }
 
@@ -220,14 +169,10 @@ fn chrome_metadata(name: &str, tid: u32, value: &str) -> Value {
 }
 
 fn chrome_span(span: &Span, tid: u32) -> Value {
-    let mut args: Vec<(String, Value)> = Vec::with_capacity(span.args.len() + 3);
+    let mut args: Vec<(String, Value)> = Vec::with_capacity(span.args.len() + 1);
     args.push(("depth".into(), Value::u64(u64::from(span.depth))));
     for (key, value) in &span.args {
         args.push((key.clone(), Value::u64(*value)));
-    }
-    if let Some((open, close)) = span.wall {
-        args.push(("wall_open_us".into(), Value::u64(open)));
-        args.push(("wall_dur_us".into(), Value::u64(close.saturating_sub(open))));
     }
     Value::Object(vec![
         ("name".into(), Value::str(&span.name)),
@@ -249,8 +194,7 @@ fn chrome_span(span: &Span, tid: u32) -> Value {
 /// `traceEvents`), loadable in Perfetto / `chrome://tracing`.
 ///
 /// Fully deterministic: same tracers, same bytes. Tick time exports as
-/// microseconds (1 query = 1µs); wall-clock readings, when enabled,
-/// appear only under `args`.
+/// microseconds (1 query = 1µs).
 pub fn chrome_trace<'a>(threads: impl IntoIterator<Item = (&'a SpanTracer, &'a str)>) -> Value {
     let mut events = vec![chrome_metadata("process_name", 0, "byc-replay")];
     for (tracer, label) in threads {
@@ -348,13 +292,6 @@ impl SpanObserver {
     #[must_use]
     pub fn with_tid(mut self, tid: u32) -> SpanObserver {
         self.tracer = self.tracer.with_tid(tid);
-        self
-    }
-
-    /// Opt into wall-clock enrichment (see [`SpanTracer::with_clock`]).
-    #[must_use]
-    pub fn with_clock(mut self, clock: Box<dyn FnMut() -> u64 + Send>) -> SpanObserver {
-        self.tracer = self.tracer.with_clock(clock);
         self
     }
 
@@ -498,28 +435,6 @@ mod tests {
         assert_eq!(span["dur"].as_u64(), Some(100));
         assert_eq!(span["tid"].as_u64(), Some(3));
         assert_eq!(back["otherData"]["schema"].as_str(), Some(SPAN_SCHEMA));
-    }
-
-    #[test]
-    fn wall_clock_enrichment_lands_in_args_only() {
-        let mut fake = 1000u64;
-        let mut t = SpanTracer::new().with_clock(Box::new(move || {
-            fake += 250;
-            fake
-        }));
-        t.begin("phase", "pipeline");
-        t.set_tick(7);
-        t.end();
-        let span = &t.spans()[0];
-        assert_eq!(span.wall, Some((1250, 1500)));
-        let trace = chrome_trace([(&t, "main")]);
-        let events = trace["traceEvents"].as_array().unwrap();
-        let rendered = &events[2];
-        // ts/dur stay tick-based; wall readings are args.
-        assert_eq!(rendered["ts"].as_u64(), Some(0));
-        assert_eq!(rendered["dur"].as_u64(), Some(7));
-        assert_eq!(rendered["args"]["wall_open_us"].as_u64(), Some(1250));
-        assert_eq!(rendered["args"]["wall_dur_us"].as_u64(), Some(250));
     }
 
     #[test]
