@@ -78,6 +78,9 @@ pub fn gap_analysis(trace: &Trace, objects: &ObjectCatalog) -> (GapReport, Vec<u
         }
     }
     gaps.sort_unstable();
+    // `p` is a fraction in [0, 1], so the scaled rank lies in
+    // `0..gaps.len()`: truncating it is the floor the rank index wants.
+    #[allow(clippy::cast_possible_truncation)]
     let pct = |p: f64| -> u64 {
         if gaps.is_empty() {
             0

@@ -168,8 +168,8 @@ pub fn render_span_table(title: &str, spans: &[byc_telemetry::Span]) -> String {
     let _ = writeln!(out, "{title}");
     let _ = writeln!(
         out,
-        "{:<40} {:<10} {:>10} {:>10} {:>8}  {}",
-        "Span", "Cat", "Start", "End", "Ticks", "Args"
+        "{:<40} {:<10} {:>10} {:>10} {:>8}  Args",
+        "Span", "Cat", "Start", "End", "Ticks"
     );
     let _ = writeln!(out, "{}", "-".repeat(96));
     for span in spans {

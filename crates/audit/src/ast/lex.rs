@@ -155,10 +155,7 @@ pub fn lex(src: &str) -> Result<Vec<Tree>, String> {
     };
     let mut stack: Vec<(Delim, Span, Vec<Tree>)> = Vec::new();
     let mut top: Vec<Tree> = Vec::new();
-    loop {
-        let Some((token, open_close)) = lexer.next_token()? else {
-            break;
-        };
+    while let Some((token, open_close)) = lexer.next_token()? {
         match open_close {
             OpenClose::Open(delim) => stack.push((delim, token.span, Vec::new())),
             OpenClose::Close(delim) => {

@@ -8,8 +8,8 @@ use byc_catalog::sdss::{self, SdssRelease};
 use byc_catalog::{Catalog, Granularity, ObjectCatalog};
 use byc_core::rate_profile::{RateProfile, RateProfileConfig};
 use byc_federation::{
-    build_policy, Breakdown, CostReport, PerServerMultipliers, PolicyKind, ReplayEngine,
-    ReplaySession, SeriesPoint, SweepOptions, Uniform,
+    build_policy, Breakdown, CostReport, PerServerMultipliers, PolicyKind, ReplaySession,
+    SeriesPoint, SweepOptions, Uniform,
 };
 use byc_types::Result;
 use byc_workload::{generate, Trace, WorkloadConfig, WorkloadStats};
@@ -28,6 +28,14 @@ pub const SWEEP_FRACTIONS: [f64; 10] = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 
 
 /// The random seed all headline experiments use.
 pub const EXPERIMENT_SEED: u64 = 42;
+
+/// `fraction` of a preset's `count` queries, at least 100.
+// A float-to-int `as` saturates: a fraction past `usize::MAX` queries
+// clamps there and NaN reads 0, which the floor lifts to 100.
+#[allow(clippy::cast_possible_truncation)]
+fn query_count(count: usize, fraction: f64) -> usize {
+    ((count as f64 * fraction) as usize).max(100)
+}
 
 /// One replay via the session API, reduced to its cost report. The
 /// policy is always supplied, so the configuration error is unreachable.
@@ -95,18 +103,20 @@ impl ExperimentContext {
             SdssRelease::Edr => &mut self.edr,
             SdssRelease::Dr1 => &mut self.dr1,
         };
-        if slot.is_none() {
-            let catalog = sdss::build(release, self.scale, 1);
-            let mut config = match release {
-                SdssRelease::Edr => WorkloadConfig::edr(EXPERIMENT_SEED),
-                SdssRelease::Dr1 => WorkloadConfig::dr1(EXPERIMENT_SEED + 1),
-            };
-            config.query_count =
-                ((config.query_count as f64 * self.query_fraction) as usize).max(100);
-            let trace = generate(&catalog, &config)?;
-            *slot = Some((catalog, trace));
-        }
-        Ok(slot.as_ref().expect("just filled"))
+        let data = match slot.take() {
+            Some(data) => data,
+            None => {
+                let catalog = sdss::build(release, self.scale, 1);
+                let mut config = match release {
+                    SdssRelease::Edr => WorkloadConfig::edr(EXPERIMENT_SEED),
+                    SdssRelease::Dr1 => WorkloadConfig::dr1(EXPERIMENT_SEED + 1),
+                };
+                config.query_count = query_count(config.query_count, self.query_fraction);
+                let trace = generate(&catalog, &config)?;
+                (catalog, trace)
+            }
+        };
+        Ok(slot.insert(data))
     }
 
     /// The EDR catalog and trace.
@@ -324,13 +334,10 @@ fn sweep_fig(
         let _ = write!(summary, " {:>8.0}", f * 100.0);
     }
     let _ = writeln!(summary);
-    for kind in policies {
+    // Points come back policy-major, fraction-minor: one row each.
+    for (kind, row) in policies.iter().zip(points.chunks(SWEEP_FRACTIONS.len())) {
         let _ = write!(summary, "  {:14}", kind.label());
-        for f in SWEEP_FRACTIONS {
-            let p = points
-                .iter()
-                .find(|p| p.policy == kind.label() && (p.cache_fraction - f).abs() < 1e-9)
-                .expect("sweep point present");
+        for p in row {
             let _ = write!(summary, " {:>8.0}", p.report.total_cost().as_f64() / 1e9);
         }
         let _ = writeln!(summary);
@@ -527,8 +534,7 @@ pub fn semantic(ctx: &mut ExperimentContext) -> Result<ExperimentOutput> {
     let objects = ObjectCatalog::uniform(catalog, Granularity::Column);
     let stats = WorkloadStats::compute(trace, &objects);
     let capacity = objects.total_size().scale(HEADLINE_CACHE_FRACTION);
-    let engine = ReplayEngine::new(&objects);
-    let report = byc_federation::SemanticCache::new(capacity).replay(trace, &engine);
+    let report = byc_federation::SemanticCache::new(capacity).replay(trace, &objects, &Uniform);
     let mut rp = build_policy(
         PolicyKind::RateProfile,
         capacity,
@@ -583,7 +589,7 @@ pub fn byhr(ctx: &mut ExperimentContext) -> Result<ExperimentOutput> {
     // expensive WAN paths.
     let catalog = sdss::build(SdssRelease::Edr, scale, 4);
     let mut config = WorkloadConfig::edr(EXPERIMENT_SEED);
-    config.query_count = ((config.query_count as f64 * query_fraction) as usize).max(100);
+    config.query_count = query_count(config.query_count, query_fraction);
     let trace = generate(&catalog, &config)?;
     let network = PerServerMultipliers::new(vec![1.0, 2.0, 4.0, 8.0])?;
     let objects = ObjectCatalog::uniform(&catalog, Granularity::Column);

@@ -67,7 +67,7 @@ pub struct ReplayArgs {
     pub trace_spans: Option<PathBuf>,
     /// Stream a windowed telemetry snapshot every N queries as NDJSON
     /// on stderr, each sweep job's in job order (None = no stream).
-    pub metrics_every: Option<u64>,
+    pub metrics_every: Option<usize>,
     /// Ring depth of the fault flight recorder: keep the last K cost
     /// events per tier and dump postmortems on failed or degraded
     /// queries (None = off).
@@ -123,8 +123,8 @@ impl ReplayArgs {
             fault_seed: flags.int("fault-seed")?,
             degrade: flags.text("degrade").unwrap_or(d.degrade),
             trace_spans: flags.path("trace-spans"),
-            metrics_every: flags.int("metrics-every")?,
-            flight_recorder: flags.int("flight-recorder")?.map(|v| v as usize),
+            metrics_every: flags.size("metrics-every")?,
+            flight_recorder: flags.size("flight-recorder")?,
             trace: d.trace,
         })
     }
@@ -665,6 +665,12 @@ impl Flags {
         self.parsed(name, "an integer")
     }
 
+    /// A count that indexes memory: refused past `usize::MAX`, never
+    /// truncated.
+    fn size(&self, name: &str) -> Result<Option<usize>> {
+        self.parsed(name, "an integer")
+    }
+
     /// A u32 flag is refused out of range, never wrapped.
     fn int32(&self, name: &str) -> Result<Option<u32>> {
         self.int(name)?
@@ -809,7 +815,7 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
                     .ok_or_else(|| Error::InvalidConfig("gen-trace requires --out FILE".into()))?,
                 seed: flags.int("seed")?.unwrap_or(42),
                 scale: flags.catalog_scale(1.0, &release)?,
-                queries: flags.int("queries")?.unwrap_or(0) as usize,
+                queries: flags.size("queries")?.unwrap_or(0),
                 release,
             })
         }
@@ -858,7 +864,7 @@ struct Setup {
 
 impl Setup {
     fn new(args: &ReplayArgs) -> Result<Setup> {
-        require_positive(args.metrics_every, "metrics-every")?;
+        require_positive(args.metrics_every.map(|v| v as u64), "metrics-every")?;
         require_positive(args.flight_recorder.map(|v| v as u64), "flight-recorder")?;
         let granularity = parse_granularity(&args.granularity)?;
         let degradation = parse_degradation(&args.degrade)?;
@@ -946,7 +952,7 @@ impl Observers {
             }),
             windows: args
                 .metrics_every
-                .map(|every| WindowedRegistry::new(label, every as usize)),
+                .map(|every| WindowedRegistry::new(label, every)),
             recorder: args
                 .flight_recorder
                 .map(|depth| FlightRecorder::new(depth).with_context(setup.fault_context())),
@@ -1161,10 +1167,7 @@ pub fn run_command(command: Command) -> Result<String> {
                     .observe(&mut breakdown)
                     .observe(&mut observers);
                 for p in policies.iter_mut() {
-                    session = match setup.topology {
-                        Some(_) => session.tier_policy(p.as_mut()),
-                        None => session.policy(p.as_mut()),
-                    };
+                    session = session.policy(p.as_mut());
                 }
                 session.run()?
             };
@@ -1364,7 +1367,7 @@ pub fn run_command(command: Command) -> Result<String> {
                     .iter()
                     .position(|x| (*x - fraction).abs() < 1e-9)
                     .unwrap_or(0);
-                (p * fractions.len() + f) as u32 + 1
+                u32::try_from(p * fractions.len() + f + 1).unwrap_or(u32::MAX)
             };
             // One label per sweep point, so distinct (policy,
             // fraction) cells never merge in any export.
@@ -1443,13 +1446,10 @@ pub fn run_command(command: Command) -> Result<String> {
                 let _ = write!(out, " {:>9.0}", f * 100.0);
             }
             let _ = writeln!(out);
-            for kind in &policies {
+            // Points come back policy-major, fraction-minor: one row each.
+            for (kind, row) in policies.iter().zip(points.chunks(fractions.len())) {
                 let _ = write!(out, "{:16}", kind.label());
-                for f in fractions {
-                    let p = points
-                        .iter()
-                        .find(|p| p.policy == kind.label() && (p.cache_fraction - f).abs() < 1e-9)
-                        .expect("point exists");
+                for p in row {
                     let _ = write!(out, " {:>9.1}", p.report.total_cost().as_f64() / 1e9);
                 }
                 let _ = writeln!(out);

@@ -107,11 +107,6 @@ impl AuditReport {
 /// This is what lets the federation's replay engine audit *as an
 /// observer* while the policy itself stays un-wrapped; [`PolicyAuditor`]
 /// composes one of these with an owned policy for the wrapper-style API.
-///
-/// The shadow model assumes the cache starts empty. A policy whose cache
-/// is warm before its first decision (e.g. a pre-populated `StaticCache`
-/// with `charge_loads: false`) is outside the model and must not be
-/// audited.
 #[derive(Debug, Default)]
 pub struct DecisionAuditor {
     enabled: bool,

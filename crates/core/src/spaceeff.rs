@@ -16,7 +16,6 @@ use byc_types::{Bytes, ObjectId, SplitMix64};
 #[derive(Clone, Debug)]
 pub struct SpaceEffBY<A> {
     inner: A,
-    name: &'static str,
     rng: SplitMix64,
 }
 
@@ -25,16 +24,6 @@ impl<A: BypassObjectAlgorithm> SpaceEffBY<A> {
     pub fn new(inner: A, seed: u64) -> Self {
         Self {
             inner,
-            name: "SpaceEffBY",
-            rng: SplitMix64::new(seed),
-        }
-    }
-
-    /// Wrap with an explicit display name.
-    pub fn with_name(inner: A, seed: u64, name: &'static str) -> Self {
-        Self {
-            inner,
-            name,
             rng: SplitMix64::new(seed),
         }
     }
@@ -47,7 +36,7 @@ impl<A: BypassObjectAlgorithm> SpaceEffBY<A> {
 
 impl<A: BypassObjectAlgorithm> CachePolicy for SpaceEffBY<A> {
     fn name(&self) -> &'static str {
-        self.name
+        "SpaceEffBY"
     }
 
     fn on_access(&mut self, access: &Access) -> Decision {

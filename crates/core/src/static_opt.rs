@@ -114,11 +114,8 @@ pub fn plan_exact(demands: &[ObjectDemand], capacity: Bytes, grid: usize) -> Vec
     selected
 }
 
-/// The static-optimal policy: a fixed resident set, no eviction.
-///
-/// With `charge_loads` (the default used in our experiments) each selected
-/// object's fetch is charged at its first access; without it the cache is
-/// assumed pre-populated, matching the paper's description literally.
+/// The static-optimal policy: a fixed resident set, no eviction. Each
+/// selected object's fetch is charged at its first access.
 #[derive(Clone, Debug)]
 pub struct StaticCache {
     /// The fixed resident set (a dense id-indexed membership set).
@@ -128,12 +125,11 @@ pub struct StaticCache {
     loaded: DenseMap<Bytes>,
     capacity: Bytes,
     used: Bytes,
-    charge_loads: bool,
 }
 
 impl StaticCache {
     /// Create from a planned selection.
-    pub fn new(selected: Vec<ObjectId>, capacity: Bytes, charge_loads: bool) -> Self {
+    pub fn new(selected: Vec<ObjectId>, capacity: Bytes) -> Self {
         let mut set = DenseMap::new();
         for object in selected {
             set.insert(object, ());
@@ -143,13 +139,12 @@ impl StaticCache {
             loaded: DenseMap::new(),
             capacity,
             used: Bytes::ZERO,
-            charge_loads,
         }
     }
 
     /// Plan greedily from demands and build the policy.
-    pub fn plan(demands: &[ObjectDemand], capacity: Bytes, charge_loads: bool) -> Self {
-        Self::new(plan_greedy(demands, capacity), capacity, charge_loads)
+    pub fn plan(demands: &[ObjectDemand], capacity: Bytes) -> Self {
+        Self::new(plan_greedy(demands, capacity), capacity)
     }
 
     /// Number of selected objects.
@@ -177,22 +172,13 @@ impl CachePolicy for StaticCache {
         }
         self.loaded.insert(access.object, access.size);
         self.used += access.size;
-        if self.charge_loads {
-            Decision::load()
-        } else {
-            // Pre-populated: the first access is already a hit.
-            Decision::Hit
-        }
+        Decision::load()
     }
 
     fn contains(&self, object: ObjectId) -> bool {
-        // The resident set is fixed; report selected objects as cached
-        // once they have been touched (or always, when pre-populated).
-        if self.charge_loads {
-            self.loaded.contains(object)
-        } else {
-            self.selected.contains(object)
-        }
+        // The resident set is fixed; selected objects count as cached
+        // once their first access loaded them.
+        self.loaded.contains(object)
     }
 
     fn used(&self) -> Bytes {
@@ -204,11 +190,7 @@ impl CachePolicy for StaticCache {
     }
 
     fn cached_objects(&self) -> Vec<ObjectId> {
-        if self.charge_loads {
-            self.loaded.iter().map(|(o, _)| o).collect()
-        } else {
-            self.selected.iter().map(|(o, _)| o).collect()
-        }
+        self.loaded.iter().map(|(o, _)| o).collect()
     }
 
     fn invalidate(&mut self, object: ObjectId) -> bool {
@@ -354,7 +336,7 @@ mod tests {
 
     #[test]
     fn static_cache_hits_selected_only() {
-        let mut p = StaticCache::new(vec![oid(0)], Bytes::new(100), true);
+        let mut p = StaticCache::new(vec![oid(0)], Bytes::new(100));
         let a0 = Access {
             object: oid(0),
             time: Tick::ZERO,
@@ -372,20 +354,6 @@ mod tests {
         assert!(p.contains(oid(0)));
         assert!(!p.contains(oid(1)));
         assert_eq!(p.selected_len(), 1);
-    }
-
-    #[test]
-    fn prepopulated_static_never_loads() {
-        let mut p = StaticCache::new(vec![oid(0)], Bytes::new(100), false);
-        let a0 = Access {
-            object: oid(0),
-            time: Tick::ZERO,
-            yield_bytes: Bytes::new(10),
-            size: Bytes::new(50),
-            fetch_cost: Bytes::new(50),
-        };
-        assert!(p.on_access(&a0).is_hit());
-        assert!(p.on_access(&a0).is_hit());
     }
 
     #[test]

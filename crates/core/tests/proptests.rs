@@ -189,7 +189,7 @@ proptest! {
             Box::new(make::lru_k(cap, 2)),
             Box::new(make::lff(cap)),
             Box::new(make::gd_star(cap)),
-            Box::new(StaticCache::new(static_set, cap, true)),
+            Box::new(StaticCache::new(static_set, cap)),
             Box::new(NoCache),
         ];
         let mut auditors: Vec<PolicyAuditor<Box<dyn CachePolicy>>> =

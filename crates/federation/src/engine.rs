@@ -73,9 +73,8 @@ pub struct CostEvent<'a> {
     /// event per consulted tier: inner-tier bypasses carry only their
     /// relay traffic, and the resolving tier carries the delivery.
     pub tier: u32,
-    /// The policy-visible access, when a policy was consulted (`None` on
-    /// the query-level path used by the semantic baseline).
-    pub access: Option<&'a Access>,
+    /// The access the tier's policy saw.
+    pub access: &'a Access,
     /// Raw result bytes delivered to the client for this slice (`D_A`).
     pub delivered: Bytes,
     /// Raw result bytes shipped from the server (nonzero iff bypassed).
@@ -113,24 +112,31 @@ pub struct CostEvent<'a> {
     /// 1 iff every attempt failed and the slice was served from the
     /// stale local copy instead.
     pub degraded: u64,
-    /// The policy's decision, when a policy was consulted.
-    pub decision: Option<&'a Decision>,
+    /// The tier policy's decision.
+    pub decision: &'a Decision,
     /// The deciding policy, for observers that introspect cache state
     /// (the auditor's post-decision checks).
-    pub policy: Option<&'a dyn CachePolicy>,
+    pub policy: &'a dyn CachePolicy,
 }
 
-impl CostEvent<'_> {
-    /// An event for one slice with every quantity zero and no access,
-    /// decision, or policy attached.
+impl<'a> CostEvent<'a> {
+    /// Tier `tier`'s decision on one slice of query `query`, with every
+    /// quantity still zero.
     #[inline]
-    fn blank(query: usize, object: ObjectId, server: ServerId) -> CostEvent<'static> {
+    fn decided(
+        query: usize,
+        server: ServerId,
+        tier: usize,
+        access: &'a Access,
+        decision: &'a Decision,
+        policy: &'a dyn CachePolicy,
+    ) -> Self {
         CostEvent {
             query,
-            object,
+            object: access.object,
             server,
-            tier: 0,
-            access: None,
+            tier: u32::try_from(tier).unwrap_or(u32::MAX),
+            access,
             delivered: Bytes::ZERO,
             bypass_served: Bytes::ZERO,
             bypass_cost: Bytes::ZERO,
@@ -146,8 +152,8 @@ impl CostEvent<'_> {
             retries: 0,
             failed: 0,
             degraded: 0,
-            decision: None,
-            policy: None,
+            decision,
+            policy,
         }
     }
 }
@@ -195,8 +201,9 @@ pub trait Observer {
     /// The query's last slice was served.
     fn on_query_end(&mut self, _index: usize, _query: &TraceQuery) {}
 
-    /// The replay is over. `policy` is the replayed policy when one was
-    /// driving the decisions (`None` on the query-level path).
+    /// The replay is over. `policy` is the policy whose decisions the
+    /// observer saw: the site tier's, or for a per-tier observer its own
+    /// tier's.
     fn finish(&mut self, _policy: Option<&dyn CachePolicy>) {}
 
     /// Whether this observer consumes per-access events. Observers that
@@ -313,16 +320,33 @@ pub(crate) fn for_each_slice(
 /// is the edge above caching tier `t`, the last one the origin link. A
 /// flat network is a single link.
 #[derive(Clone, Copy)]
-enum Links<'a> {
+pub(crate) enum Links<'a> {
     Flat(&'a dyn NetworkModel),
     Tiered(&'a Topology),
 }
 
 impl Links<'_> {
-    fn depth(self) -> usize {
+    /// Caching tiers behind these links: one per link.
+    pub(crate) fn depth(self) -> usize {
         match self {
             Links::Flat(_) => 1,
             Links::Tiered(topology) => topology.depth(),
+        }
+    }
+
+    /// Each tier's cache size relative to the site tier's, bottom-up.
+    pub(crate) fn capacity_scales(self) -> Vec<f64> {
+        match self {
+            Links::Flat(_) => vec![1.0],
+            Links::Tiered(topology) => topology.tiers().iter().map(|t| t.capacity_scale).collect(),
+        }
+    }
+
+    /// The model or topology name, for configuration errors.
+    pub(crate) fn name(self) -> String {
+        match self {
+            Links::Flat(network) => format!("the flat {} network", network.name()),
+            Links::Tiered(topology) => format!("topology {}", topology.name()),
         }
     }
 
@@ -422,22 +446,15 @@ impl std::fmt::Debug for ReplayEngine<'_> {
 }
 
 impl<'a> ReplayEngine<'a> {
-    /// An engine over `objects` on a uniform flat network (the BYU
-    /// regime; pricing is the identity).
-    pub fn new(objects: &'a ObjectCatalog) -> Self {
-        Self::with_network(objects, &crate::network::UNIFORM)
-    }
-
     /// A flat engine: one caching tier, whose single link prices every
     /// object's traffic by its home server's link cost.
     pub fn with_network(objects: &'a ObjectCatalog, network: &'a dyn NetworkModel) -> Self {
         Self::over(objects, Links::Flat(network), None)
     }
 
-    /// An engine over a tier hierarchy: one caching tier per topology
-    /// tier, each link priced by the topology.
-    pub fn with_topology(objects: &'a ObjectCatalog, topology: &'a Topology) -> Self {
-        Self::over(objects, Links::Tiered(topology), None)
+    /// An engine with one caching tier per link of `links`.
+    pub(crate) fn with_links(objects: &'a ObjectCatalog, links: Links<'a>) -> Self {
+        Self::over(objects, links, None)
     }
 
     /// The fetch rows of a flat engine over `objects` and `network`, for
@@ -478,16 +495,6 @@ impl<'a> ReplayEngine<'a> {
     pub fn with_faults(mut self, plan: FaultPlan<'a>) -> Self {
         self.faults = Some(plan);
         self
-    }
-
-    /// The object view this engine resolves queries against.
-    pub fn objects(&self) -> &ObjectCatalog {
-        self.objects
-    }
-
-    /// The fault plan governing this engine's WAN transfers, if any.
-    pub fn faults(&self) -> Option<&FaultPlan<'a>> {
-        self.faults.as_ref()
     }
 
     /// The object's origin fetch priced down to `tier`.
@@ -695,36 +702,27 @@ impl<'a> ReplayEngine<'a> {
         delivered: bool,
     ) {
         let (server, raw_yield, top) = (r.server, r.raw_yield, r.top);
-        let blank = CostEvent::blank(r.index, r.object, server);
         // Inner tiers passed the slice through on its way up: when the
         // transfer delivered, its yield crossed the link above each.
-        if top > 0 {
-            let bypass = Decision::Bypass;
-            for t in 0..top {
-                let inner = Access {
-                    fetch_cost: self.fetch_at(r.object, t),
-                    ..*r.access
-                };
-                let mut event = blank;
-                event.tier = u32::try_from(t).unwrap_or(u32::MAX);
-                event.access = Some(&inner);
-                event.decision = Some(&bypass);
-                event.policy = tiers.get(t).map(|p| &**p as &dyn CachePolicy);
-                event.bypasses = 1;
-                if delivered {
-                    event.relay_cost =
-                        spiked_cost(self.links.price(t, server, raw_yield), multiplier);
-                }
-                emit(window, observers, &event);
+        let bypass = Decision::Bypass;
+        for (t, policy) in tiers.iter().enumerate().take(top) {
+            let inner = Access {
+                fetch_cost: self.fetch_at(r.object, t),
+                ..*r.access
+            };
+            let mut event = CostEvent::decided(r.index, server, t, &inner, &bypass, &**policy);
+            event.bypasses = 1;
+            if delivered {
+                event.relay_cost = spiked_cost(self.links.price(t, server, raw_yield), multiplier);
             }
+            emit(window, observers, &event);
         }
 
         // The resolving tier carries delivery, retries, and degradation.
-        let mut event = blank;
-        event.tier = u32::try_from(top).unwrap_or(u32::MAX);
-        event.access = Some(r.access);
-        event.decision = Some(r.decision);
-        event.policy = tiers.get(top).map(|p| &**p as &dyn CachePolicy);
+        let Some(policy) = tiers.get(top) else {
+            return; // the walk only stops at a tier it consulted
+        };
+        let mut event = CostEvent::decided(r.index, server, top, r.access, r.decision, &**policy);
         event.delivered = raw_yield;
         if failed_attempts > 0 {
             // Nominal priced cost of the whole transfer path.
@@ -767,44 +765,6 @@ impl<'a> ReplayEngine<'a> {
             degrade_slice(plan.degradation, &mut event, raw_yield);
         }
         emit(window, observers, &event);
-    }
-
-    /// Serve one query at *query* granularity: the whole result is either
-    /// cache-served (`hit`) or shipped from the servers over the site
-    /// link. Used by the semantic (query-result) baseline, which has no
-    /// per-object policy — events carry `decision: None` / `policy:
-    /// None`, but still one event per object slice so per-server
-    /// attribution works.
-    pub fn serve_query_level(
-        &self,
-        index: usize,
-        query: &TraceQuery,
-        hit: bool,
-        observers: &mut [&mut dyn Observer],
-    ) {
-        let access_count = partition_access_observers(observers);
-        for obs in observers.iter_mut() {
-            obs.on_query_start(index, query);
-        }
-        for_each_slice(query, self.objects, |object, raw_yield| {
-            let server = self.objects.info(object).server;
-            let mut event = CostEvent::blank(index, object, server);
-            event.delivered = raw_yield;
-            if hit {
-                event.hits = 1;
-                event.cache_served = raw_yield;
-            } else {
-                event.bypasses = 1;
-                event.bypass_served = raw_yield;
-                event.bypass_cost = self.links.price(0, server, raw_yield);
-            }
-            for obs in observers.iter_mut().take(access_count) {
-                obs.on_access(&event);
-            }
-        });
-        for obs in observers.iter_mut() {
-            obs.on_query_end(index, query);
-        }
     }
 }
 
@@ -996,39 +956,29 @@ impl Observer for CostObserver {
     }
 }
 
-/// Validates the decision stream with a [`DecisionAuditor`] shadow model.
+/// Validates one caching tier's decision stream with a
+/// [`DecisionAuditor`] shadow model: each tier is an independent cache,
+/// so a replay attaches one per tier (the flat WAN has one, tier 0).
 ///
-/// Every replay calls `finish` with the (tier's) policy, which runs the
+/// Every replay calls `finish` with the tier's policy, which runs the
 /// closing deep check and freezes the report —
 /// [`AuditObserver::into_report`] then returns it with no `Option` in the
-/// path. Events without a decision (the query-level path) are ignored.
+/// path.
 #[derive(Debug)]
 pub struct AuditObserver {
     auditor: DecisionAuditor,
     finished: AuditReport,
-    /// When set, only events of this tier are audited — tiered replays
-    /// run one shadow model per tier (each tier's decision stream is an
-    /// independent cache).
-    tier: Option<u32>,
+    /// The tier whose events are audited.
+    tier: u32,
 }
 
 impl AuditObserver {
-    /// An observer with invariant checking enabled.
-    pub fn new() -> Self {
+    /// An observer auditing tier `tier`'s decision stream.
+    pub fn for_tier(tier: u32) -> Self {
         AuditObserver {
             auditor: DecisionAuditor::new(),
             finished: AuditReport::default(),
-            tier: None,
-        }
-    }
-
-    /// An observer auditing only the given tier's decision stream.
-    /// Tiered replays attach one per tier; the flat path's single
-    /// unfiltered observer is the degenerate case.
-    pub fn for_tier(tier: u32) -> Self {
-        AuditObserver {
-            tier: Some(tier),
-            ..AuditObserver::new()
+            tier,
         }
     }
 
@@ -1038,21 +988,11 @@ impl AuditObserver {
     }
 }
 
-impl Default for AuditObserver {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Observer for AuditObserver {
     fn on_access(&mut self, event: &CostEvent<'_>) {
-        if self.tier.is_some_and(|t| t != event.tier) {
-            return;
-        }
-        if let (Some(access), Some(decision), Some(policy)) =
-            (event.access, event.decision, event.policy)
-        {
-            self.auditor.observe(access, decision, policy);
+        if event.tier == self.tier {
+            self.auditor
+                .observe(event.access, event.decision, event.policy);
         }
     }
 
@@ -1325,27 +1265,6 @@ mod tests {
             .unwrap();
         assert!(!audit.is_clean());
         assert!(audit.violations[0].contains("not cached"));
-    }
-
-    #[test]
-    fn query_level_path_attributes_servers() {
-        let (trace, objects) = setup(2);
-        let engine = ReplayEngine::new(&objects);
-        let mut cost = CostObserver::new("semantic", &trace.name, "column");
-        let mut breakdown = Breakdown::new();
-        for (i, q) in trace.queries.iter().take(50).enumerate() {
-            let hit = i % 2 == 0;
-            engine.serve_query_level(i, q, hit, &mut [&mut cost, &mut breakdown]);
-        }
-        let report = cost.into_report();
-        assert_eq!(report.queries, 50);
-        assert!(report.conserves_delivery());
-        assert!(report.cache_served > Bytes::ZERO);
-        assert!(report.bypass_cost > Bytes::ZERO);
-        let servers = breakdown.servers();
-        assert_eq!(servers.len(), 2);
-        let delivered: Bytes = servers.iter().map(|(_, s)| s.delivered).sum();
-        assert_eq!(delivered, report.sequence_cost);
     }
 
     #[test]

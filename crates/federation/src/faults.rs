@@ -441,18 +441,6 @@ impl<'a> FaultPlan<'a> {
         }
     }
 
-    /// Run the retry loop for one slice's transfer over the flat
-    /// single-link path (link 0).
-    pub fn fetch(
-        &self,
-        query: usize,
-        time: Tick,
-        object: ObjectId,
-        server: ServerId,
-    ) -> FetchResolution {
-        self.fetch_path(query, time, object, server, 0..1)
-    }
-
     /// Run the retry loop for one slice's transfer across a set of
     /// topology links. An attempt succeeds only when *every* link in the
     /// range delivers; its cost multiplier is the product of the links'
@@ -640,7 +628,7 @@ mod tests {
         }]);
         // No retries: the slice fails.
         let plan = FaultPlan::new(&model);
-        let r = plan.fetch(5, Tick::new(5), ObjectId::new(0), ServerId::new(0));
+        let r = plan.fetch_path(5, Tick::new(5), ObjectId::new(0), ServerId::new(0), 0..1);
         assert_eq!(r.delivered, None);
         assert_eq!(r.failed_attempts, 1);
         // Backed-off retries escape the window: attempts run at t=5 and
@@ -649,7 +637,7 @@ mod tests {
             retry: RetryPolicy::new(3, 10),
             ..FaultPlan::new(&model)
         };
-        let r = plan.fetch(5, Tick::new(5), ObjectId::new(0), ServerId::new(0));
+        let r = plan.fetch_path(5, Tick::new(5), ObjectId::new(0), ServerId::new(0), 0..1);
         assert_eq!(r.failed_attempts, 2);
         assert_eq!(r.delivered, Some(1.0));
     }

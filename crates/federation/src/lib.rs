@@ -10,20 +10,21 @@
 //! every [`session::ReplaySession`] run checks.
 //!
 //! * [`engine`] — the one replay kernel: [`engine::ReplayEngine`] serves
-//!   one `TraceQuery` at a time, walking each object slice up a tier
-//!   hierarchy (the flat WAN is depth 1), and turns each decision into
-//!   [`engine::CostEvent`]s that composable [`engine::Observer`]s
+//!   one `TraceQuery` at a time through its only entry point, walking
+//!   each object slice up a stack of tier policies (the flat WAN is
+//!   depth 1), and turns each tier policy's decision into an
+//!   [`engine::CostEvent`] that composable [`engine::Observer`]s
 //!   consume. Batch replays, sweeps, and the mediator all run it. One
 //!   observer, [`engine::Breakdown`], folds the WAN ledger by
 //!   `(window, tier, server)`; every per-server, per-tier, per-window and
 //!   cumulative-series view of a replay is a view over it.
 //! * [`session`] — the one replay entry point:
 //!   [`session::ReplaySession`] is a fluent builder over the engine that
-//!   configures policy, network pricing, faults, auditing, and extra
-//!   observers, then [`session::ReplaySession::run`]s one replay — of a
-//!   resident trace or one streamed off disk — or
-//!   [`session::ReplaySession::sweep`]s a (policy × cache-size) grid in
-//!   parallel.
+//!   configures one tier-policy stack, its links (a flat network or a
+//!   topology), faults, auditing, and extra observers, then
+//!   [`session::ReplaySession::run`]s one replay — of a resident trace
+//!   or one streamed off disk — or [`session::ReplaySession::sweep`]s a
+//!   (policy × cache-size) grid in parallel.
 //! * [`network`] — first-class WAN pricing: [`network::NetworkModel`]
 //!   with the [`network::Uniform`] (BYU) and
 //!   [`network::PerServerMultipliers`] (BYHR) regimes, and
@@ -47,7 +48,9 @@
 //!   subqueries and decisions out (what the examples drive).
 //! * [`policies`] — the named policy roster used by every experiment.
 //! * [`semantic`] — the query-result (semantic) cache baseline the paper
-//!   rejects in §6.1, implemented so the rejection is measurable.
+//!   rejects in §6.1, implemented so the rejection is measurable. It
+//!   takes no per-object decision, so it prices its hit-or-ship outcome
+//!   itself instead of running the kernel.
 //! * [`sweep`] — the sweep result shape ([`sweep::SweepPoint`],
 //!   Figs 9–10).
 

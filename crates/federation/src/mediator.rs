@@ -83,14 +83,12 @@ struct OutcomeObserver {
 
 impl Observer for OutcomeObserver {
     fn on_access(&mut self, event: &CostEvent<'_>) {
-        if let Some(decision) = event.decision {
-            self.outcomes.push(ObjectOutcome {
-                object: event.object,
-                server: event.server,
-                yield_bytes: event.delivered,
-                decision: decision.clone(),
-            });
-        }
+        self.outcomes.push(ObjectOutcome {
+            object: event.object,
+            server: event.server,
+            yield_bytes: event.delivered,
+            decision: event.decision.clone(),
+        });
     }
 }
 

@@ -294,28 +294,6 @@ impl Topology {
             .get(link)
             .map_or(Bytes::ZERO, |l| l.price(server, bytes))
     }
-
-    /// WAN cost of hauling `bytes` for `server` from the origin down to
-    /// tier `tier`: the sum of link prices at and above `tier`. This is
-    /// the buy price `f_i` tier `tier`'s policy weighs for a load.
-    pub fn fetch_suffix(&self, tier: usize, server: ServerId, bytes: Bytes) -> Bytes {
-        self.links
-            .iter()
-            .skip(tier)
-            .map(|l| l.price(server, bytes))
-            .sum()
-    }
-
-    /// Total yield price of delivering `bytes` for `server` over the
-    /// links strictly below tier `resolution` (the downstream relay path
-    /// of a slice resolved at that tier).
-    pub fn relay_prefix(&self, resolution: usize, server: ServerId, bytes: Bytes) -> Bytes {
-        self.links
-            .iter()
-            .take(resolution)
-            .map(|l| l.price(server, bytes))
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -376,12 +354,10 @@ mod tests {
         assert_eq!(topo.name(), "flat");
         assert_eq!(topo.depth(), 1);
         let huge = Bytes::new(u64::MAX - 3);
-        // One link: suffix from tier 0 is the link itself, identity under
-        // Uniform even on f64-unsafe quantities.
-        assert_eq!(topo.fetch_suffix(0, ServerId::new(0), huge), huge);
+        // One link, the identity under Uniform even on f64-unsafe
+        // quantities; there is no link above it.
         assert_eq!(topo.link_price(0, ServerId::new(0), huge), huge);
-        // No links below the only tier: relays are free.
-        assert_eq!(topo.relay_prefix(0, ServerId::new(0), huge), Bytes::ZERO);
+        assert_eq!(topo.link_price(1, ServerId::new(0), huge), Bytes::ZERO);
     }
 
     #[test]
@@ -394,14 +370,17 @@ mod tests {
         assert_eq!(topo.link_price(0, s, b), Bytes::new(100));
         assert_eq!(topo.link_price(1, s, b), Bytes::new(250));
         assert_eq!(topo.link_price(2, s, b), Bytes::new(1000));
-        // Fetch from the site tier crosses every link; from the national
-        // tier only the origin link.
-        assert_eq!(topo.fetch_suffix(0, s, b), Bytes::new(1350));
-        assert_eq!(topo.fetch_suffix(1, s, b), Bytes::new(1250));
-        assert_eq!(topo.fetch_suffix(2, s, b), Bytes::new(1000));
+        let sum = |links: std::ops::Range<usize>| -> Bytes {
+            links.map(|l| topo.link_price(l, s, b)).sum()
+        };
+        // A fetch from the site tier crosses every link; from the
+        // national tier only the origin link.
+        assert_eq!(sum(0..3), Bytes::new(1350));
+        assert_eq!(sum(1..3), Bytes::new(1250));
+        assert_eq!(sum(2..3), Bytes::new(1000));
         // A hit at the national tier relays down over the two inner links.
-        assert_eq!(topo.relay_prefix(2, s, b), Bytes::new(350));
-        assert_eq!(topo.relay_prefix(1, s, b), Bytes::new(100));
+        assert_eq!(sum(0..2), Bytes::new(350));
+        assert_eq!(sum(0..1), Bytes::new(100));
         // Out-of-range links carry no traffic.
         assert_eq!(topo.link_price(7, s, b), Bytes::ZERO);
     }

@@ -118,7 +118,7 @@ pub fn build_policy(
         PolicyKind::LruK => Box::new(make::lru_k(capacity, 2)),
         PolicyKind::Lff => Box::new(make::lff(capacity)),
         PolicyKind::GdStar => Box::new(make::gd_star(capacity)),
-        PolicyKind::Static => Box::new(StaticCache::plan(demands, capacity, true)),
+        PolicyKind::Static => Box::new(StaticCache::plan(demands, capacity)),
         PolicyKind::NoCache => Box::new(byc_core::static_opt::NoCache),
     }
 }

@@ -16,8 +16,14 @@
 //! LRU) if it fits. Unlike bypass-yield caching there is no rent-to-buy
 //! decision — result admission is free because the result already crossed
 //! the network.
+//!
+//! With no per-object decision there is no tier policy either, so the
+//! cache does not run the replay kernel: it prices each query's outcome
+//! itself, slice by slice, on the same object view and network model.
 
-use crate::engine::{CostObserver, Observer, ReplayEngine};
+use crate::engine::for_each_slice;
+use crate::network::NetworkModel;
+use byc_catalog::ObjectCatalog;
 use byc_types::{Bytes, QueryId};
 use byc_workload::{Trace, TraceQuery};
 use std::collections::{HashMap, VecDeque};
@@ -127,38 +133,43 @@ impl SemanticCache {
         self.entry_keys.insert(query.id, keys);
     }
 
-    /// Replay a whole trace through `engine` and report hit rates and
-    /// WAN cost.
+    /// Replay a whole trace and report hit rates and WAN cost.
     ///
-    /// The semantic cache decides at *query* level (the whole result is a
-    /// hit or shipped), so this drives the engine's query-level path:
-    /// containment decides, the engine decomposes and prices the traffic,
-    /// and a [`CostObserver`] accounts it — including per-server link
-    /// costs when the engine carries a non-uniform network.
-    pub fn replay(mut self, trace: &Trace, engine: &ReplayEngine<'_>) -> SemanticReport {
+    /// The semantic cache decides at *query* level: containment makes
+    /// the whole result a hit, or every slice of it ships from its home
+    /// server, priced by `network` over that server's link. Slices are
+    /// the query's objects at the granularity of `objects`; references
+    /// that name no object are skipped, as in every replay.
+    pub fn replay(
+        mut self,
+        trace: &Trace,
+        objects: &ObjectCatalog,
+        network: &dyn NetworkModel,
+    ) -> SemanticReport {
         let mut hits = 0u64;
-        let mut cost = CostObserver::new(
-            "Semantic",
-            &trace.name,
-            engine.objects().granularity().label(),
-        );
-        for (i, q) in trace.queries.iter().enumerate() {
+        let (mut sequence_cost, mut cache_served, mut total_cost) =
+            (Bytes::ZERO, Bytes::ZERO, Bytes::ZERO);
+        for q in &trace.queries {
             let hit = self.contains_query(q);
             if hit {
                 hits += 1;
             } else {
                 self.admit(q);
             }
-            engine.serve_query_level(i, q, hit, &mut [&mut cost]);
+            for_each_slice(q, objects, |object, raw_yield| {
+                sequence_cost += raw_yield;
+                if hit {
+                    cache_served += raw_yield;
+                } else {
+                    total_cost += network.price(objects.info(object).server, raw_yield);
+                }
+            });
         }
-        cost.finish(None);
-        let report = cost.into_report();
-        let sequence_cost = report.sequence_cost;
         SemanticReport {
             queries: trace.len(),
             hits,
             sequence_cost,
-            total_cost: report.total_cost(),
+            total_cost,
             hit_rate: if trace.is_empty() {
                 0.0
             } else {
@@ -167,7 +178,7 @@ impl SemanticCache {
             byte_hit_rate: if sequence_cost.is_zero() {
                 0.0
             } else {
-                report.cache_served.as_f64() / sequence_cost.as_f64()
+                cache_served.as_f64() / sequence_cost.as_f64()
             },
         }
     }
@@ -176,7 +187,8 @@ impl SemanticCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use byc_catalog::{Catalog, ColumnDef, ColumnType, Granularity, ObjectCatalog, TableDef};
+    use crate::network::{PerServerMultipliers, Uniform};
+    use byc_catalog::{Catalog, ColumnDef, ColumnType, Granularity, TableDef};
     use byc_types::{ColumnId, ServerId, TableId};
 
     /// A one-table catalog whose table 0 / column 0 back the hand-made
@@ -218,12 +230,41 @@ mod tests {
     #[test]
     fn repeat_query_hits() {
         let t = trace(vec![query(0, vec![7], 100), query(1, vec![7], 100)]);
-        let objects = objects();
-        let engine = ReplayEngine::new(&objects);
-        let report = SemanticCache::new(Bytes::new(1000)).replay(&t, &engine);
+        let report = SemanticCache::new(Bytes::new(1000)).replay(&t, &objects(), &Uniform);
         assert_eq!(report.hits, 1);
         assert_eq!(report.total_cost, Bytes::new(100));
         assert!((report.hit_rate - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn misses_ship_at_their_home_links_price() {
+        // Two tables on two servers; server 1's link costs 3x.
+        let mut cat = Catalog::new();
+        for (name, server) in [("A", 0), ("B", 1)] {
+            cat.add_table(TableDef {
+                name: name.into(),
+                columns: vec![ColumnDef::new("k", ColumnType::BigInt)],
+                row_count: 10,
+                server: ServerId::new(server),
+            })
+            .unwrap();
+        }
+        let objects = ObjectCatalog::uniform(&cat, Granularity::Table);
+        let mut q = query(0, vec![7], 400);
+        q.table_yields = vec![
+            (TableId::new(0), Bytes::new(100)),
+            (TableId::new(1), Bytes::new(300)),
+        ];
+        let mut repeat = q.clone();
+        repeat.id = QueryId::new(1);
+        let net = PerServerMultipliers::new(vec![1.0, 3.0]).unwrap();
+        let report =
+            SemanticCache::new(Bytes::new(1000)).replay(&trace(vec![q, repeat]), &objects, &net);
+        assert_eq!(report.hits, 1);
+        assert_eq!(report.sequence_cost, Bytes::new(800));
+        // The miss ships 100 B at 1x and 300 B at 3x; the repeat is free.
+        assert_eq!(report.total_cost, Bytes::new(1000));
+        assert!((report.byte_hit_rate - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -231,18 +272,14 @@ mod tests {
         // A refinement (keys ⊆ earlier keys) hits — the containment the
         // paper describes.
         let t = trace(vec![query(0, vec![1, 2, 3], 300), query(1, vec![2], 50)]);
-        let objects = objects();
-        let engine = ReplayEngine::new(&objects);
-        let report = SemanticCache::new(Bytes::new(1000)).replay(&t, &engine);
+        let report = SemanticCache::new(Bytes::new(1000)).replay(&t, &objects(), &Uniform);
         assert_eq!(report.hits, 1);
     }
 
     #[test]
     fn disjoint_queries_never_hit() {
         let t = trace((0..20).map(|i| query(i, vec![i as u64], 10)).collect());
-        let objects = objects();
-        let engine = ReplayEngine::new(&objects);
-        let report = SemanticCache::new(Bytes::new(1000)).replay(&t, &engine);
+        let report = SemanticCache::new(Bytes::new(1000)).replay(&t, &objects(), &Uniform);
         assert_eq!(report.hits, 0);
         assert_eq!(report.total_cost, report.sequence_cost);
     }
@@ -294,8 +331,7 @@ mod tests {
             byc_workload::generate(&cat, &byc_workload::WorkloadConfig::smoke(111, 3000)).unwrap();
         let capacity = cat.database_size().scale(0.3);
         let objects = ObjectCatalog::uniform(&cat, Granularity::Column);
-        let engine = ReplayEngine::new(&objects);
-        let report = SemanticCache::new(capacity).replay(&t, &engine);
+        let report = SemanticCache::new(capacity).replay(&t, &objects, &Uniform);
         assert!(
             report.byte_hit_rate < 0.35,
             "semantic byte hit rate {} unexpectedly high",

@@ -9,7 +9,7 @@
 //!
 //! ```text
 //! ReplaySession::new(&trace, &objects)
-//!     .policy(policy.as_mut())      // required for .run()
+//!     .policy(policy.as_mut())      // one per caching tier, bottom-up
 //!     .network(&net)                // default: Uniform (BYU)
 //!     .faults(&model)               // default: no fault layer
 //!     .retry(RetryPolicy::new(3, 8))
@@ -30,18 +30,23 @@
 //!     .sweep(SweepOptions::new(&policies, &fractions, &demands, seed))?
 //! ```
 //!
-//! Every run drives the one per-query kernel, [`ReplayEngine`], over a
-//! flat network (one caching tier) or a [`Topology`] (one policy per
-//! tier). `ReplaySession::from_reader(&mut reader, &objects)` streams a
-//! trace file through the same kernel instead of holding it in memory
-//! (DESIGN.md §17).
+//! Every run drives the one per-query kernel, [`ReplayEngine`], over one
+//! stack of tier policies. The session's links — a flat network
+//! ([`Self::network`](ReplaySession::network)) or a [`Topology`]
+//! ([`Self::topology`](ReplaySession::topology)), whichever was set
+//! last — fix the stack's depth: one tier on the flat WAN, one per
+//! topology tier. `ReplaySession::from_reader(&mut reader, &objects)`
+//! streams a trace file through the same kernel instead of holding it in
+//! memory (DESIGN.md §17).
 //!
-//! Configuration errors (no policy before `run`, a policy before
-//! `sweep`) surface as [`byc_types::Error::InvalidConfig`] — the crate
-//! has a no-panic lint, so the builder never panics on misuse.
+//! Configuration errors (a policy count that does not match the depth
+//! before `run`, a policy before `sweep`) surface as
+//! [`byc_types::Error::InvalidConfig`] — the crate has a no-panic lint,
+//! so the builder never panics on misuse.
 
 use crate::engine::{
-    partition_access_observers, AuditObserver, CostObserver, Observer, ReplayEngine, Unresolved,
+    partition_access_observers, AuditObserver, CostObserver, Links, Observer, ReplayEngine,
+    Unresolved,
 };
 use crate::faults::{DegradationPolicy, FaultModel, FaultPlan, RetryPolicy, NO_RETRY};
 use crate::network::{NetworkModel, Topology};
@@ -62,14 +67,13 @@ use byc_workload::{Trace, TraceReader};
 pub struct ReplaySession<'a> {
     source: ChunkSource<'a>,
     objects: &'a ObjectCatalog,
-    network: &'a dyn NetworkModel,
+    links: Links<'a>,
     faults: Option<&'a dyn FaultModel>,
     retry: RetryPolicy,
     degradation: DegradationPolicy,
     audit: Option<bool>,
-    topology: Option<&'a Topology>,
-    tier_policies: Vec<&'a mut (dyn CachePolicy + Send + Sync)>,
-    policy: Option<&'a mut dyn CachePolicy>,
+    /// The tier policies, bottom-up: the first is the site tier's.
+    tiers: Vec<&'a mut dyn CachePolicy>,
     observers: Vec<&'a mut dyn Observer>,
 }
 
@@ -77,13 +81,12 @@ impl std::fmt::Debug for ReplaySession<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ReplaySession")
             .field("trace", &self.source.name())
-            .field("network", &self.network.name())
+            .field("links", &self.links.name())
             .field("faults", &self.faults.map(FaultModel::name))
             .field("retry", &self.retry)
             .field("degradation", &self.degradation)
             .field("audit", &self.audit)
-            .field("topology", &self.topology.map(Topology::name))
-            .field("tier_policies", &self.tier_policies.len())
+            .field("tiers", &self.tiers.len())
             .field("observers", &self.observers.len())
             .finish_non_exhaustive()
     }
@@ -110,30 +113,32 @@ impl<'a> ReplaySession<'a> {
         ReplaySession {
             source,
             objects,
-            network: &crate::network::UNIFORM,
+            links: Links::Flat(&crate::network::UNIFORM),
             faults: None,
             retry: NO_RETRY,
             degradation: DegradationPolicy::default(),
             audit: None,
-            topology: None,
-            tier_policies: Vec::new(),
-            policy: None,
+            tiers: Vec::new(),
             observers: Vec::new(),
         }
     }
 
-    /// The policy driving decisions. Required before [`Self::run`];
-    /// rejected by the sweep terminals (they build their own policies).
+    /// Append the next caching tier's policy, bottom-up: the first call
+    /// binds the site tier. [`Self::run`] needs one per tier of the
+    /// session's links — exactly one on the flat WAN; the sweep
+    /// terminals build their own and reject any.
     #[must_use]
     pub fn policy(mut self, policy: &'a mut dyn CachePolicy) -> Self {
-        self.policy = Some(policy);
+        self.tiers.push(policy);
         self
     }
 
-    /// Price WAN traffic per home-server link (default: uniform/BYU).
+    /// Replay over the flat client↔server WAN, pricing traffic per
+    /// home-server link: one caching tier (the default, under the
+    /// uniform/BYU network). Replaces a [`Self::topology`].
     #[must_use]
     pub fn network(mut self, network: &'a dyn NetworkModel) -> Self {
-        self.network = network;
+        self.links = Links::Flat(network);
         self
     }
 
@@ -186,92 +191,53 @@ impl<'a> ReplaySession<'a> {
     }
 
     /// Replay over a tier hierarchy instead of the flat client↔server
-    /// WAN: every link is priced by the topology (superseding
-    /// [`Self::network`]), each caching tier runs its own policy, and a
-    /// miss bypasses one hop *up* instead of straight to the origin.
-    /// Requires exactly [`Topology::depth`] policies via
-    /// [`Self::tier_policy`] (bottom-up) instead of [`Self::policy`].
+    /// WAN: every link is priced by the topology, each caching tier runs
+    /// its own policy, and a miss bypasses one hop *up* instead of
+    /// straight to the origin. Requires exactly [`Topology::depth`]
+    /// policies, bottom-up. Replaces a [`Self::network`].
     #[must_use]
     pub fn topology(mut self, topology: &'a Topology) -> Self {
-        self.topology = Some(topology);
+        self.links = Links::Tiered(topology);
         self
     }
 
-    /// Append the next tier's policy, bottom-up: the first call binds
-    /// the site tier, the last the tier below the origin. Only
-    /// meaningful with [`Self::topology`]; the policy bound carries
-    /// `Send + Sync` because tier hierarchies are sweep-shareable.
+    /// Append the next tier's policy, bottom-up: [`Self::policy`]
+    /// under the name tiered callers use.
     #[must_use]
-    pub fn tier_policy(mut self, policy: &'a mut (dyn CachePolicy + Send + Sync)) -> Self {
-        self.tier_policies.push(policy);
-        self
+    pub fn tier_policy(self, policy: &'a mut (dyn CachePolicy + Send + Sync)) -> Self {
+        self.policy(policy)
     }
 
-    /// Replay the trace through the configured policy (or, with
-    /// [`Self::topology`], through the configured tier hierarchy).
+    /// Replay the trace through the configured tier policies.
     ///
     /// # Errors
     ///
-    /// [`Error::InvalidConfig`] when no policy was configured, or when
-    /// the tiered configuration is inconsistent (a flat `.policy(...)`
-    /// alongside a topology, or a tier-policy count that does not match
-    /// the topology's depth); IO and format errors from a trace reader.
+    /// [`Error::InvalidConfig`] when the number of policies is not the
+    /// depth of the session's links (one on the flat WAN); IO and format
+    /// errors from a trace reader.
     pub fn run(self) -> Result<Replay> {
         let audit_enabled = self.audit.unwrap_or(cfg!(debug_assertions));
         let ReplaySession {
             mut source,
             objects,
-            network,
+            links,
             faults,
             retry,
             degradation,
-            topology,
-            tier_policies,
-            policy,
+            mut tiers,
             mut observers,
             ..
         } = self;
-        // The tier stack, bottom-up: a flat session is one tier.
-        let mut tiers: Vec<&mut dyn CachePolicy> =
-            match (topology, policy) {
-                (None, Some(policy)) if tier_policies.is_empty() => vec![policy],
-                (None, None) if tier_policies.is_empty() => {
-                    return Err(Error::InvalidConfig(
-                        "ReplaySession::run needs a policy; call .policy(...) first \
-                     (or use a sweep terminal, which builds its own)"
-                            .into(),
-                    ))
-                }
-                (None, _) => return Err(Error::InvalidConfig(
-                    "tier policies need a topology; call .topology(...) before .tier_policy(...)"
-                        .into(),
-                )),
-                (Some(_), Some(_)) => {
-                    return Err(Error::InvalidConfig(
-                        "tiered sessions take one policy per tier via .tier_policy(...); \
-                     don't call .policy(...) alongside .topology(...)"
-                            .into(),
-                    ))
-                }
-                (Some(topology), None) => {
-                    if tier_policies.len() != topology.depth() {
-                        return Err(Error::InvalidConfig(format!(
-                            "topology {} has {} tiers but {} tier policies were configured",
-                            topology.name(),
-                            topology.depth(),
-                            tier_policies.len()
-                        )));
-                    }
-                    tier_policies
-                        .into_iter()
-                        .map(|p| p as &mut dyn CachePolicy)
-                        .collect()
-                }
-            };
-        let mut engine = match topology {
-            Some(topology) => ReplayEngine::with_topology(objects, topology),
-            None => ReplayEngine::with_network(objects, network),
-        };
+        if tiers.len() != links.depth() {
+            return Err(Error::InvalidConfig(format!(
+                "{} has {} caching tier(s) but {} policies were configured; \
+                 call .policy(...) once per tier, bottom-up",
+                links.name(),
+                links.depth(),
+                tiers.len()
+            )));
+        }
+        let mut engine = ReplayEngine::with_links(objects, links);
         let plan = faults.map(|model| FaultPlan {
             model,
             retry,
@@ -395,9 +361,9 @@ impl<'a> ReplaySession<'a> {
         seed: u64,
         make_observer: Option<&dyn Fn(PolicyKind, f64) -> O>,
     ) -> Result<Vec<(SweepPoint, Option<O>)>> {
-        if self.policy.is_some() {
+        if !self.tiers.is_empty() {
             return Err(Error::InvalidConfig(
-                "sweep terminals build one policy per (kind, fraction) job; \
+                "sweep terminals build one policy per tier per (kind, fraction) job; \
                  don't call .policy(...) before .sweep(...)"
                     .into(),
             ));
@@ -406,13 +372,6 @@ impl<'a> ReplaySession<'a> {
             return Err(Error::InvalidConfig(
                 "sweep observers come from SweepOptions::observe; \
                  don't call .observe(...) before .sweep(...)"
-                    .into(),
-            ));
-        }
-        if !self.tier_policies.is_empty() {
-            return Err(Error::InvalidConfig(
-                "sweep terminals build one policy per tier per job from the \
-                 topology; don't call .tier_policy(...) before .sweep(...)"
                     .into(),
             ));
         }
@@ -426,12 +385,11 @@ impl<'a> ReplaySession<'a> {
         let ReplaySession {
             source,
             objects,
-            network,
+            links,
             faults,
             retry,
             degradation,
             audit,
-            topology,
             ..
         } = self;
         let ChunkSource::Memory { trace, .. } = source else {
@@ -442,6 +400,7 @@ impl<'a> ReplaySession<'a> {
             ));
         };
         let db = objects.total_size();
+        let scales = links.capacity_scales();
         let mut jobs: Vec<(PolicyKind, f64, Option<O>)> = Vec::new();
         for &kind in policies {
             for &f in fractions {
@@ -454,39 +413,21 @@ impl<'a> ReplaySession<'a> {
             let handles: Vec<_> = jobs
                 .into_iter()
                 .map(|(kind, fraction, mut observer)| {
+                    let scales = &scales;
                     scope.spawn(move || -> Result<(SweepPoint, Option<O>)> {
-                        // Site-tier capacity; on a topology, inner tiers
-                        // scale it by their spec's `capacity_scale`.
+                        // Site-tier capacity; each tier's cache scales
+                        // it by its `capacity_scale` (1.0 on the flat WAN).
                         let capacity = db.scale(fraction);
-                        let mut flat_policy: Option<Box<dyn CachePolicy + Send + Sync>> = None;
-                        let mut tier_boxes: Vec<Box<dyn CachePolicy + Send + Sync>>;
+                        let mut policies: Vec<_> = scales
+                            .iter()
+                            .map(|s| build_policy(kind, db.scale(fraction * s), demands, seed))
+                            .collect();
                         let mut session = ReplaySession::new(trace, objects)
                             .retry(retry)
                             .degrade(degradation);
-                        match topology {
-                            Some(topo) => {
-                                tier_boxes = topo
-                                    .tiers()
-                                    .iter()
-                                    .map(|spec| {
-                                        build_policy(
-                                            kind,
-                                            db.scale(fraction * spec.capacity_scale),
-                                            demands,
-                                            seed,
-                                        )
-                                    })
-                                    .collect();
-                                session = session.topology(topo);
-                                for p in tier_boxes.iter_mut() {
-                                    session = session.tier_policy(p.as_mut());
-                                }
-                            }
-                            None => {
-                                let policy =
-                                    flat_policy.insert(build_policy(kind, capacity, demands, seed));
-                                session = session.network(network).policy(policy.as_mut());
-                            }
+                        session.links = links;
+                        for p in policies.iter_mut() {
+                            session = session.policy(p.as_mut());
                         }
                         if let Some(obs) = observer.as_mut() {
                             session = session.observe(obs);
@@ -947,17 +888,30 @@ mod tests {
         assert!(r.conserves_delivery());
     }
 
+    /// One tier stack: a flat topology bound with `.policy`, a network
+    /// bound with `.tier_policy`, and a network bound with `.policy` are
+    /// the same single-tier replay.
     #[test]
-    fn topology_with_flat_policy_is_a_config_error() {
-        let (trace, objects) = setup(1, 50);
-        let topo = Topology::flat(Box::new(Uniform));
-        let mut p = NoCache;
-        let err = ReplaySession::new(&trace, &objects)
-            .topology(&topo)
-            .policy(&mut p)
-            .run()
-            .unwrap_err();
-        assert!(matches!(err, Error::InvalidConfig(_)), "{err:?}");
+    fn flat_spellings_of_one_tier_give_equal_reports() {
+        let (trace, objects) = setup(2, 300);
+        let cap = objects.total_size().scale(0.3);
+        let net = PerServerMultipliers::new(vec![1.0, 2.0]).unwrap();
+        let topo = Topology::flat(Box::new(net.clone()));
+        let reports: Vec<_> = (0..3)
+            .map(|spelling| {
+                let mut p = RateProfile::new(cap, RateProfileConfig::default());
+                let session = ReplaySession::new(&trace, &objects);
+                let session = match spelling {
+                    0 => session.topology(&topo).policy(&mut p),
+                    1 => session.network(&net).tier_policy(&mut p),
+                    _ => session.network(&net).policy(&mut p),
+                };
+                session.run().unwrap().report
+            })
+            .collect();
+        assert_eq!(reports[0], reports[1]);
+        assert_eq!(reports[1], reports[2]);
+        assert!(reports[0].bypass_cost > reports[0].bypass_served);
     }
 
     #[test]
@@ -967,17 +921,6 @@ mod tests {
         let mut p = NoCache;
         let err = ReplaySession::new(&trace, &objects)
             .topology(&topo)
-            .tier_policy(&mut p)
-            .run()
-            .unwrap_err();
-        assert!(matches!(err, Error::InvalidConfig(_)), "{err:?}");
-    }
-
-    #[test]
-    fn tier_policy_without_topology_is_a_config_error() {
-        let (trace, objects) = setup(1, 50);
-        let mut p = NoCache;
-        let err = ReplaySession::new(&trace, &objects)
             .tier_policy(&mut p)
             .run()
             .unwrap_err();

@@ -221,7 +221,7 @@ mod tests {
         let (trace, objects) = setup(Granularity::Table);
         let stats = WorkloadStats::compute(&trace, &objects);
         let cap = objects.total_size().scale(0.4);
-        let mut static_policy = byc_core::static_opt::StaticCache::plan(&stats.demands, cap, true);
+        let mut static_policy = byc_core::static_opt::StaticCache::plan(&stats.demands, cap);
         let report = session_report(&trace, &objects, &mut static_policy);
         assert!(report.conserves_delivery());
         // Static caching must do no worse than no caching on fetch+bypass

@@ -68,13 +68,21 @@ fn partition(observers: &mut [&mut dyn Observer]) -> usize {
     split
 }
 
-fn blank(query: usize, object: ObjectId, server: ServerId) -> CostEvent<'static> {
+/// Tier `tier`'s event for one slice, every quantity zero.
+fn blank<'a>(
+    query: usize,
+    server: ServerId,
+    tier: u32,
+    access: &'a Access,
+    decision: &'a Decision,
+    policy: &'a dyn CachePolicy,
+) -> CostEvent<'a> {
     CostEvent {
         query,
-        object,
+        object: access.object,
         server,
-        tier: 0,
-        access: None,
+        tier,
+        access,
         delivered: Bytes::ZERO,
         bypass_served: Bytes::ZERO,
         bypass_cost: Bytes::ZERO,
@@ -90,8 +98,8 @@ fn blank(query: usize, object: ObjectId, server: ServerId) -> CostEvent<'static>
         retries: 0,
         failed: 0,
         degraded: 0,
-        decision: None,
-        policy: None,
+        decision,
+        policy,
     }
 }
 
@@ -125,11 +133,8 @@ pub fn slice_event<'a>(
     priced_yield: impl FnOnce() -> Bytes,
 ) -> CostEvent<'a> {
     let object = access.object;
-    let mut event = blank(index, object, server);
-    event.access = Some(access);
+    let mut event = blank(index, server, 0, access, decision, policy);
     event.delivered = raw_yield;
-    event.decision = Some(decision);
-    event.policy = Some(policy);
     match decision {
         Decision::Hit => {
             event.hits = 1;
@@ -144,7 +149,7 @@ pub fn slice_event<'a>(
                 }
                 Some(plan) => {
                     let nominal = priced_yield();
-                    let res = plan.fetch(index, time, object, server);
+                    let res = plan.fetch_path(index, time, object, server, 0..1);
                     event.retries = u64::from(res.failed_attempts);
                     event.retried_bytes = FaultPlan::wasted_bytes(nominal, res.failed_attempts);
                     match res.delivered {
@@ -166,7 +171,7 @@ pub fn slice_event<'a>(
                     event.cache_served = raw_yield;
                 }
                 Some(plan) => {
-                    let res = plan.fetch(index, time, object, server);
+                    let res = plan.fetch_path(index, time, object, server, 0..1);
                     event.retries = u64::from(res.failed_attempts);
                     event.retried_bytes =
                         FaultPlan::wasted_bytes(access.fetch_cost, res.failed_attempts);
@@ -303,11 +308,7 @@ pub fn serve_slice_tiered(
         FaultPlan::wasted_bytes(nominal, failed_attempts)
     };
     for (t, (access, decision)) in walk.iter().enumerate() {
-        let mut event = blank(index, object, server);
-        event.tier = t as u32;
-        event.access = Some(access);
-        event.decision = Some(decision);
-        event.policy = Some(&*tiers[t]);
+        let mut event = blank(index, server, t as u32, access, decision, &*tiers[t]);
         if t < top {
             event.bypasses = 1;
             if delivered_ok {
@@ -377,7 +378,11 @@ pub fn replay_tiered(
                 tiers,
                 faults.as_ref(),
                 &|l| topology.link_price(l, server, raw_yield),
-                &|t| topology.fetch_suffix(t, server, fetch),
+                &|t| {
+                    (t..topology.depth())
+                        .map(|l| topology.link_price(l, server, fetch))
+                        .sum()
+                },
                 &mut |event| {
                     for obs in observers.iter_mut().take(access_count) {
                         obs.on_access(event);

@@ -14,6 +14,7 @@
 //! calls below are on `fmt::Write` into a `String` — infallible by
 //! definition — and are allowlisted as such in `audit.toml`.
 
+use byc_core::policy::Decision;
 use byc_federation::{CostEvent, QueryWindow};
 use byc_types::json::Value;
 use byc_types::{Bytes, Error, ObjectId, Result, ServerId};
@@ -77,7 +78,7 @@ pub struct EventRecord {
     /// Raw result bytes delivered to the client (the slice's yield).
     pub yield_bytes: Bytes,
     /// The buy price `f_i` the policy weighed (network-priced fetch
-    /// cost; zero on the query-level path, which consults no policy).
+    /// cost).
     pub fetch_price: Bytes,
     /// WAN cost of the bypassed slice (`D_S` share, network-priced).
     pub bypass_cost: Bytes,
@@ -87,8 +88,7 @@ pub struct EventRecord {
     pub cache_served: Bytes,
     /// Objects evicted by this decision.
     pub evictions: u64,
-    /// Cache occupancy in bytes after the decision (zero when no policy
-    /// was attached).
+    /// The deciding tier's cache occupancy in bytes after the decision.
     pub occupancy: Bytes,
     /// WAN bytes wasted on failed transfer attempts of this slice
     /// (network-priced; zero without a fault layer).
@@ -110,16 +110,12 @@ pub struct EventRecord {
 }
 
 impl EventRecord {
-    /// Capture one engine event. The decision kind is derived from the
-    /// event's exclusive counters, so the query-level path (which has no
-    /// [`Decision`](byc_core::policy::Decision) value) records cleanly.
+    /// Capture one engine event.
     pub fn from_event(event: &CostEvent<'_>) -> EventRecord {
-        let decision = if event.hits == 1 {
-            DecisionKind::Hit
-        } else if event.bypasses == 1 {
-            DecisionKind::Bypass
-        } else {
-            DecisionKind::Load
+        let decision = match event.decision {
+            Decision::Hit => DecisionKind::Hit,
+            Decision::Bypass => DecisionKind::Bypass,
+            Decision::Load { .. } => DecisionKind::Load,
         };
         EventRecord {
             query: event.query as u64,
@@ -127,12 +123,12 @@ impl EventRecord {
             server: event.server,
             decision,
             yield_bytes: event.delivered,
-            fetch_price: event.access.map_or(Bytes::ZERO, |a| a.fetch_cost),
+            fetch_price: event.access.fetch_cost,
             bypass_cost: event.bypass_cost,
             fetch_cost: event.fetch_cost,
             cache_served: event.cache_served,
             evictions: event.evictions,
-            occupancy: event.policy.map_or(Bytes::ZERO, |p| p.used()),
+            occupancy: event.policy.used(),
             retried_bytes: event.retried_bytes,
             failed_bytes: event.failed_bytes,
             retries: event.retries,

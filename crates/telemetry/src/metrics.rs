@@ -301,7 +301,7 @@ pub struct PolicyMetrics {
     pub policy: String,
     /// Queries replayed.
     pub queries: u64,
-    /// Object accesses observed (policy decisions + query-level slices).
+    /// Object accesses observed: one per tier policy decision.
     pub accesses: u64,
     /// Per-`(server, class)` series, in key order.
     pub series: BTreeMap<SeriesKey, SeriesMetrics>,

@@ -29,7 +29,7 @@ pub struct EpisodeStats {
     pub queries: u64,
     /// Object slices served (accesses).
     pub slices: u64,
-    /// Policy decisions taken (slices that consulted a policy).
+    /// Policy decisions taken (one per slice event).
     pub decisions: u64,
     /// Objects evicted.
     pub evictions: u64,
@@ -126,7 +126,6 @@ pub struct TelemetryObserver {
     /// Query ordinal of each object's previous access (reuse gaps).
     last_seen: BTreeMap<ObjectId, u64>,
     slices_this_query: u64,
-    decisions_this_query: u64,
     evictions_this_query: u64,
     writer: Option<EventLogWriter>,
     /// The event log's IO outcome once [`Observer::finish`] consumed the
@@ -145,7 +144,6 @@ impl TelemetryObserver {
             metrics,
             last_seen: BTreeMap::new(),
             slices_this_query: 0,
-            decisions_this_query: 0,
             evictions_this_query: 0,
             writer: None,
             log_result: None,
@@ -182,25 +180,17 @@ impl TelemetryObserver {
 impl Observer for TelemetryObserver {
     fn on_query_start(&mut self, _index: usize, _query: &TraceQuery) {
         self.slices_this_query = 0;
-        self.decisions_this_query = 0;
         self.evictions_this_query = 0;
     }
 
     fn on_access(&mut self, event: &CostEvent<'_>) {
         self.metrics.accesses += 1;
         self.slices_this_query += 1;
-        if event.decision.is_some() {
-            self.decisions_this_query += 1;
-        }
         self.evictions_this_query += event.evictions;
 
-        // Class by cache footprint when a policy saw the access; the
-        // query-level path (no policy, no size) falls back to the
-        // delivered bytes — the only size signal that path has.
-        let size = event.access.map_or(event.delivered, |a| a.size);
         let key = SeriesKey {
             server: event.server,
-            class: ObjectClass::of(size),
+            class: ObjectClass::of(event.access.size),
             tier: event.tier,
         };
         let series = self.metrics.series.entry(key).or_default();
@@ -216,9 +206,7 @@ impl Observer for TelemetryObserver {
             );
         }
 
-        if let Some(policy) = event.policy {
-            self.metrics.occupancy.set(policy.used().raw());
-        }
+        self.metrics.occupancy.set(event.policy.used().raw());
 
         let query = event.query as u64;
         if let Some(prev) = self.last_seen.insert(event.object, query) {
@@ -233,9 +221,10 @@ impl Observer for TelemetryObserver {
     fn on_query_end(&mut self, _index: usize, _query: &TraceQuery) {
         self.metrics.queries += 1;
         self.metrics.slices_per_query.record(self.slices_this_query);
+        // Every slice event is a tier policy's decision.
         self.metrics.episodes.observe_query(
             self.slices_this_query,
-            self.decisions_this_query,
+            self.slices_this_query,
             self.evictions_this_query,
         );
     }
