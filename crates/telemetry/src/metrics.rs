@@ -308,10 +308,12 @@ pub struct PolicyMetrics {
     /// Cache occupancy in bytes (last + peak), sampled after every
     /// decision.
     pub occupancy: Gauge,
-    /// Distribution of cacheable object slices per query.
+    /// Distribution of cacheable object slices per query (one per slice,
+    /// however many tiers its decision walk consulted).
     pub slices_per_query: Histogram,
     /// Distribution of per-object reuse gaps in queries (virtual
-    /// latency: the only clock the workload has).
+    /// latency: the only clock the workload has), one per slice after
+    /// the object's first.
     pub reuse_gap: Histogram,
     /// Deterministic phase accounting per episode of the replay.
     pub episodes: crate::observer::PhaseProfile,

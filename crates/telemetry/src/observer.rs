@@ -27,9 +27,11 @@ const EPISODE_LEN: u64 = 1024;
 pub struct EpisodeStats {
     /// Queries replayed in this episode.
     pub queries: u64,
-    /// Object slices served (accesses).
+    /// Object slices served: one per slice, however many tiers its
+    /// decision walk consulted.
     pub slices: u64,
-    /// Policy decisions taken (one per slice event).
+    /// Policy decisions taken: one per consulted tier, so equal to
+    /// `slices` on the flat network and above it on a topology.
     pub decisions: u64,
     /// Objects evicted.
     pub evictions: u64,
@@ -123,9 +125,10 @@ impl PhaseProfile {
 /// without changing a single byte of the replay's reports.
 pub struct TelemetryObserver {
     metrics: PolicyMetrics,
-    /// Query ordinal of each object's previous access (reuse gaps).
+    /// Query ordinal of each object's previous slice (reuse gaps).
     last_seen: BTreeMap<ObjectId, u64>,
     slices_this_query: u64,
+    decisions_this_query: u64,
     evictions_this_query: u64,
     writer: Option<EventLogWriter>,
     /// The event log's IO outcome once [`Observer::finish`] consumed the
@@ -144,6 +147,7 @@ impl TelemetryObserver {
             metrics,
             last_seen: BTreeMap::new(),
             slices_this_query: 0,
+            decisions_this_query: 0,
             evictions_this_query: 0,
             writer: None,
             log_result: None,
@@ -180,12 +184,13 @@ impl TelemetryObserver {
 impl Observer for TelemetryObserver {
     fn on_query_start(&mut self, _index: usize, _query: &TraceQuery) {
         self.slices_this_query = 0;
+        self.decisions_this_query = 0;
         self.evictions_this_query = 0;
     }
 
     fn on_access(&mut self, event: &CostEvent<'_>) {
         self.metrics.accesses += 1;
-        self.slices_this_query += 1;
+        self.decisions_this_query += 1;
         self.evictions_this_query += event.evictions;
 
         let key = SeriesKey {
@@ -208,9 +213,14 @@ impl Observer for TelemetryObserver {
 
         self.metrics.occupancy.set(event.policy.used().raw());
 
-        let query = event.query as u64;
-        if let Some(prev) = self.last_seen.insert(event.object, query) {
-            self.metrics.reuse_gap.record(query.saturating_sub(prev));
+        // A slice's decision walk emits one event per consulted tier,
+        // starting at tier 0: its tier-0 event stands for the slice.
+        if event.tier == 0 {
+            self.slices_this_query += 1;
+            let query = event.query as u64;
+            if let Some(prev) = self.last_seen.insert(event.object, query) {
+                self.metrics.reuse_gap.record(query.saturating_sub(prev));
+            }
         }
 
         if let Some(writer) = self.writer.as_mut() {
@@ -221,10 +231,9 @@ impl Observer for TelemetryObserver {
     fn on_query_end(&mut self, _index: usize, _query: &TraceQuery) {
         self.metrics.queries += 1;
         self.metrics.slices_per_query.record(self.slices_this_query);
-        // Every slice event is a tier policy's decision.
         self.metrics.episodes.observe_query(
             self.slices_this_query,
-            self.slices_this_query,
+            self.decisions_this_query,
             self.evictions_this_query,
         );
     }

@@ -122,6 +122,70 @@ proptest! {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Reuse is a property of the trace, not of the policy or the
+    /// topology: every shipped policy, flat and on three tiers, records
+    /// the same reuse gaps and slices per query (one per slice, however
+    /// many tiers its decision walk consulted), while `accesses` and the
+    /// episodes' `decisions` count every tier's decision.
+    #[test]
+    fn reuse_gaps_and_slices_are_the_traces(
+        seed in any::<u64>(),
+        cache_fraction in 0.05f64..0.6,
+    ) {
+        use byc_federation::{Topology, Uniform};
+
+        let catalog = sdss::build(SdssRelease::Edr, 1e-4, 2);
+        let trace = generate(&catalog, &WorkloadConfig::smoke(seed, 150)).unwrap();
+        let objects = ObjectCatalog::uniform(&catalog, Granularity::Column);
+        let stats = WorkloadStats::compute(&trace, &objects);
+        let capacity = objects.total_size().scale(cache_fraction);
+        let topo = Topology::three_tier(0.25, 0.5, Box::new(Uniform)).unwrap();
+
+        let mut reference = None;
+        for kind in ALL_POLICIES {
+            let mut flat_policy = build_policy(kind, capacity, &stats.demands, seed);
+            let mut flat = TelemetryObserver::new(kind.label());
+            ReplaySession::new(&trace, &objects)
+                .policy(flat_policy.as_mut())
+                .observe(&mut flat)
+                .run()
+                .unwrap();
+            let mut tiers: Vec<_> = topo
+                .tiers()
+                .iter()
+                .map(|t| build_policy(kind, capacity.scale(t.capacity_scale), &stats.demands, seed))
+                .collect();
+            let mut tiered = TelemetryObserver::new(kind.label());
+            let mut session = ReplaySession::new(&trace, &objects).topology(&topo);
+            for p in tiers.iter_mut() {
+                session = session.tier_policy(p.as_mut());
+            }
+            let replay = session.observe(&mut tiered).run().unwrap();
+
+            let (flat, _) = flat.into_parts();
+            let (tiered, _) = tiered.into_parts();
+            let fingerprint = (flat.reuse_gap.clone(), flat.slices_per_query.clone());
+            let expected = reference.get_or_insert_with(|| fingerprint.clone());
+            prop_assert_eq!(&fingerprint, &*expected, "{:?} flat", kind);
+            prop_assert_eq!(&tiered.reuse_gap, &expected.0, "{:?} three-tier reuse gaps", kind);
+            prop_assert_eq!(
+                &tiered.slices_per_query, &expected.1, "{:?} three-tier slices", kind
+            );
+
+            let phases = tiered.episodes.totals();
+            prop_assert_eq!(phases.slices, tiered.slices_per_query.sum(), "{:?}", kind);
+            prop_assert_eq!(phases.decisions, tiered.accesses, "{:?}", kind);
+            let report = &replay.report;
+            prop_assert_eq!(
+                tiered.accesses, report.hits + report.bypasses + report.loads, "{:?}", kind
+            );
+        }
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The streaming observability layer is bit-deterministic: for every
