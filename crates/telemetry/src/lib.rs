@@ -61,7 +61,8 @@ pub use export::{
     WINDOW_COLUMNS,
 };
 pub use metrics::{
-    Gauge, Histogram, MetricsRegistry, ObjectClass, PolicyMetrics, SeriesKey, SeriesMetrics,
+    Buckets, Gauge, Histogram, MetricsRegistry, ObjectClass, PolicyMetrics, SeriesKey,
+    SeriesMetrics,
 };
 pub use observer::{EpisodeStats, PhaseProfile, TelemetryObserver};
 pub use recorder::{render_postmortem, render_postmortems, FlightRecorder, Postmortem};

@@ -102,6 +102,60 @@ pub const GAP_BUCKETS: [u64; 17] = [
 /// Bucket bounds for small-count histograms (object slices per query).
 pub const COUNT_BUCKETS: [u64; 8] = [1, 2, 4, 8, 16, 32, 64, 128];
 
+/// The bucket table of a [`Histogram`]: one of the three fixed tables
+/// above.
+///
+/// Each table is a geometric run of powers of two, `2^first`,
+/// `2^(first + step)`, … with `step = 2^shift`, so a value's bucket
+/// follows from its bit length: no scan of the bounds, and no lookup
+/// table per histogram. The fields are private, so no histogram is
+/// built over a table the computation does not fit.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Buckets {
+    bounds: &'static [u64],
+    /// Exponent of the first bound.
+    first: u32,
+    /// Base-2 logarithm of the exponent step between bounds.
+    shift: u32,
+}
+
+impl Buckets {
+    /// [`BYTE_BUCKETS`]: `2^10, 2^12, …, 2^40`.
+    pub const BYTES: Buckets = Buckets {
+        bounds: &BYTE_BUCKETS,
+        first: 10,
+        shift: 1,
+    };
+    /// [`GAP_BUCKETS`]: `2^0, 2^1, …, 2^16`.
+    pub const GAPS: Buckets = Buckets {
+        bounds: &GAP_BUCKETS,
+        first: 0,
+        shift: 0,
+    };
+    /// [`COUNT_BUCKETS`]: `2^0, 2^1, …, 2^7`.
+    pub const COUNTS: Buckets = Buckets {
+        bounds: &COUNT_BUCKETS,
+        first: 0,
+        shift: 0,
+    };
+
+    /// The bucket upper bounds.
+    pub const fn bounds(self) -> &'static [u64] {
+        self.bounds
+    }
+
+    /// The index of the first bound `>= value`, or `bounds.len()` (the
+    /// overflow bucket) when `value` exceeds them all.
+    #[inline]
+    fn index(self, value: u64) -> usize {
+        // The least `e` with `value <= 2^e` (0 for 0 and 1).
+        let e = u64::BITS - value.saturating_sub(1).leading_zeros();
+        // The least `i` with `e <= first + i * 2^shift`; `e <= 64`.
+        let i = (e.saturating_sub(self.first) + (1 << self.shift) - 1) >> self.shift;
+        (i as usize).min(self.bounds.len())
+    }
+}
+
 /// A fixed-bucket histogram with deterministic quantile estimation.
 ///
 /// Values above the last bound land in an overflow bucket. Quantiles are
@@ -110,31 +164,29 @@ pub const COUNT_BUCKETS: [u64; 8] = [1, 2, 4, 8, 16, 32, 64, 128];
 /// needs (sub-bucket exactness is the event log's job).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Histogram {
-    bounds: &'static [u64],
+    buckets: Buckets,
     counts: Vec<u64>,
     count: u64,
     sum: u64,
 }
 
 impl Histogram {
-    /// An empty histogram over the given fixed bounds.
-    pub fn new(bounds: &'static [u64]) -> Self {
+    /// An empty histogram over one of the fixed bucket tables.
+    pub fn new(buckets: Buckets) -> Self {
         Histogram {
-            bounds,
-            counts: vec![0; bounds.len() + 1],
+            buckets,
+            counts: vec![0; buckets.bounds.len() + 1],
             count: 0,
             sum: 0,
         }
     }
 
     /// Record one observation.
+    #[inline]
     pub fn record(&mut self, value: u64) {
-        let idx = self
-            .bounds
-            .iter()
-            .position(|&b| value <= b)
-            .unwrap_or(self.bounds.len());
-        self.counts[idx] += 1;
+        if let Some(c) = self.counts.get_mut(self.buckets.index(value)) {
+            *c += 1;
+        }
         self.count += 1;
         self.sum = self.sum.saturating_add(value);
     }
@@ -151,7 +203,7 @@ impl Histogram {
 
     /// The fixed bucket upper bounds.
     pub fn bounds(&self) -> &'static [u64] {
-        self.bounds
+        self.buckets.bounds
     }
 
     /// Per-bucket counts; the final entry is the overflow bucket.
@@ -181,13 +233,14 @@ impl Histogram {
             }
             let next = cum + c;
             if (next as f64) >= rank {
-                if idx >= self.bounds.len() {
+                let bounds = self.buckets.bounds;
+                if idx >= bounds.len() {
                     // Overflow bucket: the last bound is the best
                     // deterministic lower estimate we have.
-                    return self.bounds.last().copied().unwrap_or(0);
+                    return bounds.last().copied().unwrap_or(0);
                 }
-                let lo = if idx == 0 { 0 } else { self.bounds[idx - 1] };
-                let hi = self.bounds[idx];
+                let lo = if idx == 0 { 0 } else { bounds[idx - 1] };
+                let hi = bounds[idx];
                 let within = ((rank - cum as f64) / c as f64).clamp(0.0, 1.0);
                 // The interpolated offset is bounded by the bucket width
                 // (`within` is clamped to [0, 1]), so the cast is lossless
@@ -198,21 +251,21 @@ impl Histogram {
             }
             cum = next;
         }
-        self.bounds.last().copied().unwrap_or(0)
+        self.buckets.bounds.last().copied().unwrap_or(0)
     }
 
     /// Fold another histogram into this one.
     ///
     /// # Panics
     ///
-    /// Never panics in practice: histograms over different bound tables
+    /// Never panics in practice: histograms over different bucket tables
     /// are merged by count/sum only (bucket counts are kept from `self`),
-    /// which cannot happen for registry-internal merges where bounds are
-    /// crate constants.
+    /// which cannot happen for registry-internal merges where each
+    /// metric has one table.
     pub fn merge(&mut self, other: &Histogram) {
         self.count += other.count;
         self.sum = self.sum.saturating_add(other.sum);
-        if std::ptr::eq(self.bounds, other.bounds) || self.bounds == other.bounds {
+        if self.buckets == other.buckets {
             for (a, b) in self.counts.iter_mut().zip(&other.counts) {
                 *a += b;
             }
@@ -275,8 +328,8 @@ impl SeriesMetrics {
     pub fn new() -> Self {
         SeriesMetrics {
             window: QueryWindow::default(),
-            delivered: Histogram::new(&BYTE_BUCKETS),
-            wan: Histogram::new(&BYTE_BUCKETS),
+            delivered: Histogram::new(Buckets::BYTES),
+            wan: Histogram::new(Buckets::BYTES),
         }
     }
 
@@ -328,8 +381,8 @@ impl PolicyMetrics {
             accesses: 0,
             series: BTreeMap::new(),
             occupancy: Gauge::default(),
-            slices_per_query: Histogram::new(&COUNT_BUCKETS),
-            reuse_gap: Histogram::new(&GAP_BUCKETS),
+            slices_per_query: Histogram::new(Buckets::COUNTS),
+            reuse_gap: Histogram::new(Buckets::GAPS),
             episodes: crate::observer::PhaseProfile::default(),
         }
     }
@@ -424,7 +477,7 @@ mod tests {
 
     #[test]
     fn histogram_buckets_and_counts() {
-        let mut h = Histogram::new(&GAP_BUCKETS);
+        let mut h = Histogram::new(Buckets::GAPS);
         assert_eq!(h.quantile(0.5), 0);
         for v in [1, 1, 2, 3, 100] {
             h.record(v);
@@ -442,7 +495,7 @@ mod tests {
 
     #[test]
     fn histogram_overflow_bucket() {
-        let mut h = Histogram::new(&COUNT_BUCKETS);
+        let mut h = Histogram::new(Buckets::COUNTS);
         h.record(1_000_000);
         assert_eq!(h.bucket_counts()[COUNT_BUCKETS.len()], 1);
         // Overflow observations quote the last finite bound.
@@ -451,7 +504,7 @@ mod tests {
 
     #[test]
     fn histogram_quantiles_interpolate() {
-        let mut h = Histogram::new(&GAP_BUCKETS);
+        let mut h = Histogram::new(Buckets::GAPS);
         // 100 observations of exactly 8 → everything in the (4, 8] bucket.
         for _ in 0..100 {
             h.record(8);
@@ -472,7 +525,7 @@ mod tests {
 
     #[test]
     fn histogram_quantiles_split_across_buckets() {
-        let mut h = Histogram::new(&GAP_BUCKETS);
+        let mut h = Histogram::new(Buckets::GAPS);
         // Half the mass at 1, half at 1024.
         for _ in 0..50 {
             h.record(1);
@@ -488,9 +541,9 @@ mod tests {
 
     #[test]
     fn histogram_merge_is_exact() {
-        let mut a = Histogram::new(&BYTE_BUCKETS);
-        let mut b = Histogram::new(&BYTE_BUCKETS);
-        let mut whole = Histogram::new(&BYTE_BUCKETS);
+        let mut a = Histogram::new(Buckets::BYTES);
+        let mut b = Histogram::new(Buckets::BYTES);
+        let mut whole = Histogram::new(Buckets::BYTES);
         for v in [500u64, 2_000, 4_000_000] {
             a.record(v);
             whole.record(v);

@@ -8,12 +8,10 @@
 //! event to it at all.
 
 use crate::events::{EventLogWriter, EventRecord};
-use crate::metrics::{ObjectClass, PolicyMetrics, SeriesKey};
+use crate::metrics::{Gauge, Histogram, ObjectClass, PolicyMetrics, SeriesKey, SeriesMetrics};
 use byc_core::policy::CachePolicy;
 use byc_federation::{CostEvent, Observer};
-use byc_types::ObjectId;
 use byc_workload::TraceQuery;
-use std::collections::BTreeMap;
 
 /// Queries per [`PhaseProfile`] episode of a [`TelemetryObserver`].
 const EPISODE_LEN: u64 = 1024;
@@ -123,10 +121,30 @@ impl PhaseProfile {
 ///
 /// Strictly read-only over the event stream — attach it to any replay
 /// without changing a single byte of the replay's reports.
+///
+/// The per-event work is one fold into dense state. Within a replay an
+/// object's series key is fixed by the catalog (its home server and size
+/// class, plus the deciding tier), so each `(tier, object)` slot keeps
+/// the index of its series once found. Reuse gaps keep each object's
+/// last query in a per-object `Vec`, histograms bucket in O(1), and each
+/// tier's occupancy is re-read only on that tier's first event of a
+/// query and on its loads. [`TelemetryObserver::into_parts`] sorts the
+/// series into the snapshot's [`SeriesKey`] order.
 pub struct TelemetryObserver {
-    metrics: PolicyMetrics,
-    /// Query ordinal of each object's previous slice (reuse gaps).
-    last_seen: BTreeMap<ObjectId, u64>,
+    policy: String,
+    queries: u64,
+    accesses: u64,
+    /// Every series seen so far, each key once, in first-seen order.
+    series: Vec<(SeriesKey, SeriesMetrics)>,
+    /// Per caching tier, bottom-up.
+    tiers: Vec<TierSlots>,
+    /// One more than the query ordinal of each object's previous slice,
+    /// indexed by object id; 0 while the object has none (reuse gaps).
+    last_seen: Vec<u64>,
+    occupancy: Gauge,
+    slices_per_query: Histogram,
+    reuse_gap: Histogram,
+    episodes: PhaseProfile,
     slices_this_query: u64,
     decisions_this_query: u64,
     evictions_this_query: u64,
@@ -137,15 +155,37 @@ pub struct TelemetryObserver {
     log_result: Option<byc_types::Result<u64>>,
 }
 
+/// One caching tier's dense telemetry state, valid for one replay.
+#[derive(Default)]
+struct TierSlots {
+    /// Each object's index into [`TelemetryObserver::series`], indexed by
+    /// object id; [`UNRESOLVED`] until the object's first event here. A
+    /// sweep runs every job at once, so two bytes a slot, not eight.
+    series: Vec<u16>,
+    /// The tier policy's occupancy as last read, and the query it was
+    /// read in. Within a query only a load changes it (the policy
+    /// auditor checks `used()` against the decision stream after every
+    /// access); between queries an invalidation or a preload may.
+    used: u64,
+    read_in: Option<usize>,
+}
+
 impl TelemetryObserver {
     /// An observer for `policy` with no event log, rolling a phase
     /// episode every 1024 queries.
     pub fn new(policy: &str) -> Self {
-        let mut metrics = PolicyMetrics::new(policy);
-        metrics.episodes = PhaseProfile::new(EPISODE_LEN);
+        let empty = PolicyMetrics::new(policy);
         TelemetryObserver {
-            metrics,
-            last_seen: BTreeMap::new(),
+            policy: empty.policy,
+            queries: 0,
+            accesses: 0,
+            series: Vec::new(),
+            tiers: Vec::new(),
+            last_seen: Vec::new(),
+            occupancy: Gauge::default(),
+            slices_per_query: empty.slices_per_query,
+            reuse_gap: empty.reuse_gap,
+            episodes: PhaseProfile::new(EPISODE_LEN),
             slices_this_query: 0,
             decisions_this_query: 0,
             evictions_this_query: 0,
@@ -160,11 +200,6 @@ impl TelemetryObserver {
         self
     }
 
-    /// The metrics accumulated so far.
-    pub fn metrics(&self) -> &PolicyMetrics {
-        &self.metrics
-    }
-
     /// Finish: flush the event log (if any) and hand back the metrics
     /// plus the log's deferred IO outcome. Log IO errors are *deferred* —
     /// the hot path never checks them — and surface only here, unless a
@@ -177,8 +212,58 @@ impl TelemetryObserver {
             // session): report its stored outcome.
             None => self.log_result.take().unwrap_or(Ok(0)),
         };
-        (self.metrics, io.map(|_| ()))
+        let metrics = PolicyMetrics {
+            policy: self.policy,
+            queries: self.queries,
+            accesses: self.accesses,
+            series: self.series.into_iter().collect(),
+            occupancy: self.occupancy,
+            slices_per_query: self.slices_per_query,
+            reuse_gap: self.reuse_gap,
+            episodes: self.episodes,
+        };
+        (metrics, io.map(|_| ()))
     }
+}
+
+/// A [`TierSlots::series`] slot whose series is not known yet. A series
+/// index that does not fit below it is never cached, only looked up.
+const UNRESOLVED: u16 = u16::MAX;
+
+/// The series `event` folds into: the one its `(tier, object)` slot
+/// points at, or — on the object's first event at the tier — the one
+/// with the event's key, made if new.
+#[inline]
+fn series_of<'s>(
+    series: &'s mut Vec<(SeriesKey, SeriesMetrics)>,
+    slots: &mut Vec<u16>,
+    event: &CostEvent<'_>,
+) -> Option<&'s mut SeriesMetrics> {
+    let o = event.object.index();
+    if slots.len() <= o {
+        slots.resize(o + 1, UNRESOLVED);
+    }
+    let slot = slots.get_mut(o)?;
+    let index = match *slot {
+        UNRESOLVED => {
+            let key = SeriesKey {
+                server: event.server,
+                class: ObjectClass::of(event.access.size),
+                tier: event.tier,
+            };
+            let i = match series.iter().position(|(k, _)| *k == key) {
+                Some(i) => i,
+                None => {
+                    series.push((key, SeriesMetrics::new()));
+                    series.len() - 1
+                }
+            };
+            *slot = u16::try_from(i).unwrap_or(UNRESOLVED);
+            i
+        }
+        i => usize::from(i),
+    };
+    series.get_mut(index).map(|(_, s)| s)
 }
 
 impl Observer for TelemetryObserver {
@@ -189,37 +274,51 @@ impl Observer for TelemetryObserver {
     }
 
     fn on_access(&mut self, event: &CostEvent<'_>) {
-        self.metrics.accesses += 1;
+        self.accesses += 1;
         self.decisions_this_query += 1;
         self.evictions_this_query += event.evictions;
 
-        let key = SeriesKey {
-            server: event.server,
-            class: ObjectClass::of(event.access.size),
-            tier: event.tier,
+        let t = event.tier as usize;
+        if self.tiers.len() <= t {
+            self.tiers.resize_with(t + 1, TierSlots::default);
+        }
+        let Some(tier) = self.tiers.get_mut(t) else {
+            return; // just grown to hold tier `t`
         };
-        let series = self.metrics.series.entry(key).or_default();
-        series.window.absorb(event);
-        series.delivered.record(event.delivered.raw());
-        // Hits are WAN-free; recording them would bury the traffic
-        // distribution under a spike at zero. Relay traffic (inner-link
-        // forwarding on a tiered topology) is WAN and counts.
-        if event.hits == 0 {
-            series.wan.record(
-                (event.bypass_cost + event.fetch_cost + event.relay_cost + event.retried_bytes)
-                    .raw(),
-            );
+        if let Some(series) = series_of(&mut self.series, &mut tier.series, event) {
+            series.window.absorb(event);
+            series.delivered.record(event.delivered.raw());
+            // Hits are WAN-free; recording them would bury the traffic
+            // distribution under a spike at zero. Relay traffic
+            // (inner-link forwarding on a tiered topology) is WAN and
+            // counts.
+            if event.hits == 0 {
+                series.wan.record(
+                    (event.bypass_cost + event.fetch_cost + event.relay_cost + event.retried_bytes)
+                        .raw(),
+                );
+            }
         }
 
-        self.metrics.occupancy.set(event.policy.used().raw());
+        if event.loads != 0 || tier.read_in != Some(event.query) {
+            tier.used = event.policy.used().raw();
+            tier.read_in = Some(event.query);
+        }
+        self.occupancy.set(tier.used);
 
         // A slice's decision walk emits one event per consulted tier,
         // starting at tier 0: its tier-0 event stands for the slice.
         if event.tier == 0 {
             self.slices_this_query += 1;
-            let query = event.query as u64;
-            if let Some(prev) = self.last_seen.insert(event.object, query) {
-                self.metrics.reuse_gap.record(query.saturating_sub(prev));
+            let (o, query) = (event.object.index(), event.query as u64);
+            if self.last_seen.len() <= o {
+                self.last_seen.resize(o + 1, 0);
+            }
+            if let Some(prev) = self.last_seen.get_mut(o) {
+                if *prev > 0 {
+                    self.reuse_gap.record(query.saturating_sub(*prev - 1));
+                }
+                *prev = query + 1;
             }
         }
 
@@ -229,9 +328,9 @@ impl Observer for TelemetryObserver {
     }
 
     fn on_query_end(&mut self, _index: usize, _query: &TraceQuery) {
-        self.metrics.queries += 1;
-        self.metrics.slices_per_query.record(self.slices_this_query);
-        self.metrics.episodes.observe_query(
+        self.queries += 1;
+        self.slices_per_query.record(self.slices_this_query);
+        self.episodes.observe_query(
             self.slices_this_query,
             self.decisions_this_query,
             self.evictions_this_query,
@@ -239,6 +338,9 @@ impl Observer for TelemetryObserver {
     }
 
     fn finish(&mut self, _policy: Option<&dyn CachePolicy>) {
+        // The slots hold this replay's catalog and policies: an observer
+        // that rides another replay resolves them afresh.
+        self.tiers.clear();
         // Close the event log at end of replay so its buffered tail and
         // parked IO error cannot be silently dropped with the observer:
         // the outcome is stored for `warnings` (the session surfaces it

@@ -2,16 +2,20 @@
 //!
 //! The registry is an *independent re-derivation* of the replay's costs:
 //! [`TelemetryObserver`] absorbs the same event stream as the session's
-//! `CostObserver`, bucketed by `(server, object-class)` instead of
+//! `CostObserver`, bucketed by `(server, object-class, tier)` instead of
 //! globally. For every shipped policy, under arbitrary per-server
-//! pricing, the registry's totals must therefore equal the engine's
-//! `CostReport` field for field — and attaching telemetry must not
-//! change the report by a single byte.
+//! pricing, on the flat network and on a faulted topology, the
+//! registry's totals must therefore equal the engine's `CostReport`
+//! field for field — and attaching telemetry must not change the report
+//! by a single byte.
 
 use byc_catalog::sdss::{self, SdssRelease};
 use byc_catalog::{Granularity, ObjectCatalog};
-use byc_federation::{build_policy, PerServerMultipliers, PolicyKind, ReplaySession};
-use byc_telemetry::{MetricsRegistry, TelemetryObserver};
+use byc_federation::{
+    build_policy, DegradationPolicy, FlakyLinks, PerServerMultipliers, PolicyKind, ReplaySession,
+    RetryPolicy, Topology,
+};
+use byc_telemetry::{Buckets, Histogram, MetricsRegistry, TelemetryObserver};
 use byc_workload::{generate, WorkloadConfig, WorkloadStats};
 use proptest::prelude::*;
 
@@ -35,89 +39,165 @@ const ALL_POLICIES: [PolicyKind; 13] = [
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// For arbitrary pricing and every shipped policy, the registry's
-    /// per-policy totals equal the engine's `CostReport`, the replayed
-    /// report is identical with and without telemetry attached, and the
-    /// registry's structural counters are internally consistent.
+    /// For arbitrary pricing and every shipped policy — on the flat
+    /// network fault-free, and on three tiers under flaky links with
+    /// retries, degrading by either policy — the registry's per-policy
+    /// totals equal the engine's `CostReport`, the replayed report is
+    /// identical with and without telemetry attached, and the registry's
+    /// structural counters are internally consistent.
     #[test]
     fn registry_totals_equal_cost_report(
         seed in any::<u64>(),
         servers in 1u32..5,
         multipliers in proptest::collection::vec(0.25f64..8.0, 1..5),
         cache_fraction in 0.05f64..0.6,
+        failure_p in 0.02f64..0.3,
+        attempts in 1u32..4,
     ) {
         let catalog = sdss::build(SdssRelease::Edr, 1e-4, servers);
         let trace = generate(&catalog, &WorkloadConfig::smoke(seed, 150)).unwrap();
         let objects = ObjectCatalog::uniform(&catalog, Granularity::Column);
         let stats = WorkloadStats::compute(&trace, &objects);
         let network = PerServerMultipliers::new(multipliers).unwrap();
+        let three_tier = Topology::three_tier(0.25, 0.5, Box::new(network.clone())).unwrap();
+        let flaky = FlakyLinks::new(seed, failure_p, 0.1, 4.0);
         let capacity = objects.total_size().scale(cache_fraction);
-        let mut registry = MetricsRegistry::new();
-        for kind in ALL_POLICIES {
-            // Reference replay: no telemetry anywhere near it.
-            let mut bare = build_policy(kind, capacity, &stats.demands, seed);
-            let bare_report = ReplaySession::new(&trace, &objects)
-                .network(&network)
-                .policy(bare.as_mut())
-                .run()
-                .unwrap()
-                .report;
-
-            // Instrumented replay of the identical configuration.
-            let mut policy = build_policy(kind, capacity, &stats.demands, seed);
-            let mut telemetry = TelemetryObserver::new(kind.label());
-            let report = ReplaySession::new(&trace, &objects)
-                .network(&network)
-                .policy(policy.as_mut())
-                .observe(&mut telemetry)
-                .run()
-                .unwrap()
-                .report;
-            prop_assert_eq!(
-                &report, &bare_report,
-                "{:?}: telemetry changed the replay's report", kind
-            );
-
-            let (metrics, io) = telemetry.into_parts();
-            prop_assert!(io.is_ok(), "{kind:?}: no event log, no IO error");
-            prop_assert_eq!(metrics.queries as usize, report.queries, "{:?} queries", kind);
-
-            let totals = metrics.totals();
-            prop_assert_eq!(totals.delivered, report.sequence_cost, "{:?} delivered", kind);
-            prop_assert_eq!(totals.bypass_served, report.bypass_served, "{:?} bypass_served", kind);
-            prop_assert_eq!(totals.bypass_cost, report.bypass_cost, "{:?} D_S", kind);
-            prop_assert_eq!(totals.fetch_cost, report.fetch_cost, "{:?} D_L", kind);
-            prop_assert_eq!(totals.cache_served, report.cache_served, "{:?} D_C", kind);
-            prop_assert_eq!(totals.hits, report.hits, "{:?} hits", kind);
-            prop_assert_eq!(totals.bypasses, report.bypasses, "{:?} bypasses", kind);
-            prop_assert_eq!(totals.loads, report.loads, "{:?} loads", kind);
-            prop_assert_eq!(totals.evictions, report.evictions, "{:?} evictions", kind);
-
-            // Structural consistency: per-series decisions sum to the
-            // access count, every series conserves delivery, servers are
-            // real, and phase totals re-count the same stream.
-            prop_assert_eq!(totals.decisions(), metrics.accesses, "{:?} accesses", kind);
-            for (key, series) in &metrics.series {
-                prop_assert!(key.server.raw() < servers, "{kind:?} unknown server");
-                prop_assert!(
-                    series.window.conserves_delivery(),
-                    "{kind:?} series {key:?} conservation"
-                );
+        // `None`: the flat network, fault-free. `Some`: three tiers under
+        // flaky links, degrading failed slices by that policy.
+        let setups = [None, Some(DegradationPolicy::ServeStale), Some(DegradationPolicy::Fail)];
+        for degradation in setups {
+            let mut registry = MetricsRegistry::new();
+            for kind in ALL_POLICIES {
+                let replay = |telemetry: Option<&mut TelemetryObserver>| {
+                    let scales: Vec<f64> = match degradation {
+                        None => vec![1.0],
+                        Some(_) => three_tier.tiers().iter().map(|t| t.capacity_scale).collect(),
+                    };
+                    let mut policies: Vec<_> = scales
+                        .iter()
+                        .map(|s| build_policy(kind, capacity.scale(*s), &stats.demands, seed))
+                        .collect();
+                    let mut session = ReplaySession::new(&trace, &objects);
+                    session = match degradation {
+                        None => session.network(&network),
+                        Some(d) => session
+                            .topology(&three_tier)
+                            .faults(&flaky)
+                            .retry(RetryPolicy::new(attempts, 2))
+                            .degrade(d),
+                    };
+                    for p in policies.iter_mut() {
+                        session = session.tier_policy(p.as_mut());
+                    }
+                    if let Some(t) = telemetry {
+                        session = session.observe(t);
+                    }
+                    session.run().unwrap().report
+                };
+                // Reference replay: no telemetry anywhere near it.
+                let bare_report = replay(None);
+                // Instrumented replay of the identical configuration.
+                let mut telemetry = TelemetryObserver::new(kind.label());
+                let report = replay(Some(&mut telemetry));
+                let what = format!("{kind:?} {degradation:?}");
                 prop_assert_eq!(
-                    series.delivered.count(),
-                    series.window.decisions(),
-                    "{:?} {:?} delivered histogram count", kind, key
+                    &report, &bare_report,
+                    "{}: telemetry changed the replay's report", what
+                );
+
+                let (metrics, io) = telemetry.into_parts();
+                prop_assert!(io.is_ok(), "{what}: no event log, no IO error");
+                prop_assert_eq!(metrics.queries as usize, report.queries, "{} queries", what);
+
+                let totals = metrics.totals();
+                prop_assert_eq!(totals.delivered, report.sequence_cost, "{} delivered", what);
+                prop_assert_eq!(totals.bypass_served, report.bypass_served, "{} served", what);
+                prop_assert_eq!(totals.bypass_cost, report.bypass_cost, "{} D_S", what);
+                prop_assert_eq!(totals.fetch_cost, report.fetch_cost, "{} D_L", what);
+                prop_assert_eq!(totals.relay_cost, report.relay_cost, "{} relay", what);
+                prop_assert_eq!(totals.cache_served, report.cache_served, "{} D_C", what);
+                prop_assert_eq!(totals.retried_bytes, report.retried_bytes, "{} retried", what);
+                prop_assert_eq!(totals.failed_bytes, report.failed_bytes, "{} failed bytes", what);
+                prop_assert_eq!(totals.hits, report.hits, "{} hits", what);
+                prop_assert_eq!(totals.bypasses, report.bypasses, "{} bypasses", what);
+                prop_assert_eq!(totals.loads, report.loads, "{} loads", what);
+                prop_assert_eq!(totals.evictions, report.evictions, "{} evictions", what);
+                prop_assert_eq!(totals.retries, report.retries, "{} retries", what);
+
+                // Structural consistency: per-series decisions sum to the
+                // access count, every series conserves delivery, servers
+                // are real, and phase totals re-count the same stream.
+                prop_assert_eq!(totals.decisions(), metrics.accesses, "{} accesses", what);
+                for (key, series) in &metrics.series {
+                    prop_assert!(key.server.raw() < servers, "{what} unknown server");
+                    prop_assert!(
+                        series.window.conserves_delivery(),
+                        "{what} series {key:?} conservation"
+                    );
+                    prop_assert_eq!(
+                        series.delivered.count(),
+                        series.window.decisions(),
+                        "{} {:?} delivered histogram count", what, key
+                    );
+                }
+                let phases = metrics.episodes.totals();
+                prop_assert_eq!(phases.queries, metrics.queries, "{} phase queries", what);
+                prop_assert_eq!(phases.decisions, metrics.accesses, "{} phase decisions", what);
+                if degradation.is_none() {
+                    prop_assert_eq!(phases.slices, metrics.accesses, "{} phase slices", what);
+                }
+                prop_assert_eq!(phases.evictions, totals.evictions, "{} phase evictions", what);
+
+                registry.absorb(metrics);
+            }
+            // One registry held all 13 policies side by side without mixing.
+            prop_assert_eq!(registry.len(), ALL_POLICIES.len());
+        }
+    }
+}
+
+/// The bucket of `value` by a linear scan of `bounds`: the first bound
+/// at or above it, else the overflow bucket.
+fn scanned_bucket(bounds: &[u64], value: u64) -> usize {
+    bounds
+        .iter()
+        .position(|&b| value <= b)
+        .unwrap_or(bounds.len())
+}
+
+proptest! {
+    /// `Histogram::record` finds a value's bucket from its bit length;
+    /// on every table it lands where a linear scan of the bounds does:
+    /// at 0, 1 and `u64::MAX`, at every bound and one either side, near
+    /// every power of two, and anywhere else.
+    #[test]
+    fn bucket_index_matches_linear_scan(
+        anywhere in proptest::collection::vec(any::<u64>(), 0..32),
+        near_powers in proptest::collection::vec((0u32..64, 0i64..7), 0..32),
+    ) {
+        for buckets in [Buckets::BYTES, Buckets::GAPS, Buckets::COUNTS] {
+            let bounds = buckets.bounds();
+            let mut probes = vec![0, 1, u64::MAX];
+            for &b in bounds {
+                probes.extend([b - 1, b, b + 1]);
+            }
+            probes.extend(&anywhere);
+            probes.extend(
+                near_powers
+                    .iter()
+                    .map(|&(k, d)| (1u64 << k).saturating_add_signed(d - 3)),
+            );
+            for value in probes {
+                let mut h = Histogram::new(buckets);
+                h.record(value);
+                let bucket = h.bucket_counts().iter().position(|&c| c == 1);
+                prop_assert_eq!(
+                    bucket,
+                    Some(scanned_bucket(bounds, value)),
+                    "{:?} value {}", bounds, value
                 );
             }
-            let phases = metrics.episodes.totals();
-            prop_assert_eq!(phases.queries, metrics.queries, "{:?} phase queries", kind);
-            prop_assert_eq!(phases.slices, metrics.accesses, "{:?} phase slices", kind);
-            prop_assert_eq!(phases.evictions, totals.evictions, "{:?} phase evictions", kind);
-
-            registry.absorb(metrics);
         }
-        // One registry held all 13 policies side by side without mixing.
-        prop_assert_eq!(registry.len(), ALL_POLICIES.len());
     }
 }
 
@@ -134,7 +214,7 @@ proptest! {
         seed in any::<u64>(),
         cache_fraction in 0.05f64..0.6,
     ) {
-        use byc_federation::{Topology, Uniform};
+        use byc_federation::Uniform;
 
         let catalog = sdss::build(SdssRelease::Edr, 1e-4, 2);
         let trace = generate(&catalog, &WorkloadConfig::smoke(seed, 150)).unwrap();
