@@ -5,6 +5,8 @@
 //! * **bare** — the engine with only the accounting `CostObserver`, the
 //!   baseline every plain `byc run` pays. It is also the disabled path
 //!   of every observer below: telemetry is off by not attaching it;
+//! * **metrics** — the registry alone, no event log: the price of
+//!   `--metrics`, which `byc sweep` attaches to every job;
 //! * **enabled** — full registry accounting plus an NDJSON event log
 //!   written into an in-memory sink, the price of `byc run
 //!   --trace-events --metrics`.
@@ -63,6 +65,24 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
                     .total_cost()
             })
         });
+        group.bench_with_input(
+            BenchmarkId::new("metrics", kind.label()),
+            &kind,
+            |b, &kind| {
+                b.iter(|| {
+                    let mut policy = build_policy(kind, capacity, &stats.demands, 29);
+                    let mut telemetry = TelemetryObserver::new(kind.label());
+                    let cost = ReplaySession::new(&trace, &objects)
+                        .policy(policy.as_mut())
+                        .observe(&mut telemetry)
+                        .run()
+                        .unwrap()
+                        .report
+                        .total_cost();
+                    (cost, telemetry.into_parts().0.accesses)
+                })
+            },
+        );
         group.bench_with_input(
             BenchmarkId::new("enabled", kind.label()),
             &kind,

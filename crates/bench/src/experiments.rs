@@ -567,6 +567,9 @@ pub fn semantic(ctx: &mut ExperimentContext) -> Result<ExperimentOutput> {
         "  paper §6.1: astronomy workloads do not exhibit the query reuse and \
          containment semantic caching relies on — measured, not asserted."
     );
+    for w in &report.warnings {
+        let _ = writeln!(summary, "  warning: {w}");
+    }
     let path = ctx.artifact("semantic.txt")?;
     std::fs::write(&path, &summary)?;
     Ok(ExperimentOutput {

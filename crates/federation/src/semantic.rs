@@ -21,7 +21,7 @@
 //! cache does not run the replay kernel: it prices each query's outcome
 //! itself, slice by slice, on the same object view and network model.
 
-use crate::engine::for_each_slice;
+use crate::engine::{for_each_slice, Unresolved};
 use crate::network::NetworkModel;
 use byc_catalog::ObjectCatalog;
 use byc_types::{Bytes, QueryId};
@@ -43,6 +43,9 @@ pub struct SemanticReport {
     pub hit_rate: f64,
     /// Fraction of delivered bytes served from cache.
     pub byte_hit_rate: f64,
+    /// Problems the replay worked around: trace references that name no
+    /// object in the catalog, worded as a session replay words them.
+    pub warnings: Vec<String>,
 }
 
 /// A query-result cache with key-coverage containment and LRU eviction.
@@ -139,7 +142,8 @@ impl SemanticCache {
     /// the whole result a hit, or every slice of it ships from its home
     /// server, priced by `network` over that server's link. Slices are
     /// the query's objects at the granularity of `objects`; references
-    /// that name no object are skipped, as in every replay.
+    /// that name no object are skipped, as in every replay, and counted
+    /// in the report's warnings.
     pub fn replay(
         mut self,
         trace: &Trace,
@@ -149,6 +153,7 @@ impl SemanticCache {
         let mut hits = 0u64;
         let (mut sequence_cost, mut cache_served, mut total_cost) =
             (Bytes::ZERO, Bytes::ZERO, Bytes::ZERO);
+        let mut skipped = Unresolved::default();
         for q in &trace.queries {
             let hit = self.contains_query(q);
             if hit {
@@ -156,14 +161,14 @@ impl SemanticCache {
             } else {
                 self.admit(q);
             }
-            for_each_slice(q, objects, |object, raw_yield| {
+            skipped.add(for_each_slice(q, objects, |object, raw_yield| {
                 sequence_cost += raw_yield;
                 if hit {
                     cache_served += raw_yield;
                 } else {
                     total_cost += network.price(objects.info(object).server, raw_yield);
                 }
-            });
+            }));
         }
         SemanticReport {
             queries: trace.len(),
@@ -180,6 +185,7 @@ impl SemanticCache {
             } else {
                 cache_served.as_f64() / sequence_cost.as_f64()
             },
+            warnings: skipped.warning(objects.granularity()).into_iter().collect(),
         }
     }
 }
@@ -265,6 +271,46 @@ mod tests {
         // The miss ships 100 B at 1x and 300 B at 3x; the repeat is free.
         assert_eq!(report.total_cost, Bytes::new(1000));
         assert!((report.byte_hit_rate - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn unresolved_references_are_reported() {
+        let mut cat = Catalog::new();
+        cat.add_table(TableDef {
+            name: "A".into(),
+            columns: vec![ColumnDef::new("k", ColumnType::BigInt)],
+            row_count: 10,
+            server: ServerId::new(0),
+        })
+        .unwrap();
+        let columns = ObjectCatalog::uniform(&cat, Granularity::Column);
+        // Column 7 is not in the catalog.
+        let mut q = query(0, vec![7], 150);
+        q.column_yields = vec![
+            (ColumnId::new(0), Bytes::new(100)),
+            (ColumnId::new(7), Bytes::new(50)),
+        ];
+        let report =
+            SemanticCache::new(Bytes::new(1000)).replay(&trace(vec![q]), &columns, &Uniform);
+        assert_eq!(report.sequence_cost, Bytes::new(100));
+        assert_eq!(report.total_cost, Bytes::new(100));
+        assert_eq!(
+            report.warnings,
+            [Unresolved {
+                refs: 1,
+                bytes: Bytes::new(50)
+            }
+            .warning(Granularity::Column)
+            .unwrap()]
+        );
+        assert!(report.warnings[0].contains("name no column"));
+
+        let clean = SemanticCache::new(Bytes::new(1000)).replay(
+            &trace(vec![query(0, vec![7], 100)]),
+            &objects(),
+            &Uniform,
+        );
+        assert!(clean.warnings.is_empty());
     }
 
     #[test]
