@@ -155,7 +155,7 @@ proptest! {
                 let (metrics, io) = shipped.into_parts();
                 let (ref_metrics, ref_io) = reference.into_parts();
                 prop_assert!(io.is_ok() && ref_io.is_ok(), "{}", what);
-                prop_assert_eq!(metrics.queries as usize, replay.report.queries, "{}", what);
+                prop_assert_eq!(metrics.queries, replay.report.queries as u64, "{}", what);
                 assert_same(&metrics, &ref_metrics, &what);
                 prop_assert!(sink.bytes() == ref_sink.bytes(), "{}: event log", what);
                 prop_assert_eq!(logged, !sink.bytes().is_empty(), "{}", what);
@@ -178,9 +178,7 @@ fn occupancy_follows_invalidation_between_queries() {
     let stats = WorkloadStats::compute(&trace, &objects);
     let capacity = objects.total_size().scale(0.5);
     let tables: Vec<String> = catalog.tables().iter().map(|t| t.name.clone()).collect();
-    let Some((last, queries)) = trace.queries.split_last() else {
-        panic!("empty trace");
-    };
+    let (last, queries) = trace.queries.split_last().unwrap();
     let mut unloaded = 0;
     for kind in [
         PolicyKind::Lru,

@@ -107,7 +107,7 @@ proptest! {
 
                 let (metrics, io) = telemetry.into_parts();
                 prop_assert!(io.is_ok(), "{what}: no event log, no IO error");
-                prop_assert_eq!(metrics.queries as usize, report.queries, "{} queries", what);
+                prop_assert_eq!(metrics.queries, report.queries as u64, "{} queries", what);
 
                 let totals = metrics.totals();
                 prop_assert_eq!(totals.delivered, report.sequence_cost, "{} delivered", what);
