@@ -8,7 +8,7 @@
 //!   types (`Rc`, `RefCell`, `Cell`, `UnsafeCell`, raw pointers) plus
 //!   `static mut` and `thread_local!` anywhere in library code;
 //! * `send-sync-assert` — every shareable state type (`CacheState`,
-//!   `ReplayEngine`, every `CachePolicy`/`BypassObjectAlgorithm`
+//!   `ReplayTrace`, every `CachePolicy`/`BypassObjectAlgorithm`
 //!   implementor) must appear in the compile-time `Send + Sync`
 //!   assertion test, so a non-`Sync` field shows up as a build break in
 //!   the same change that introduces it.
@@ -28,8 +28,9 @@ const STATE_CRATES: &[&str] = &["core", "federation", "engine"];
 /// so they are checked compositionally, not by name.)
 const SHARED_TRAITS: &[&str] = &["CachePolicy", "BypassObjectAlgorithm"];
 
-/// Types that must always be asserted, beyond trait implementors.
-const ALWAYS_SHARED: &[&str] = &["CacheState", "ReplayEngine"];
+/// Types that must always be asserted, beyond trait implementors: the
+/// cache state, and the replay trace every sweep worker reads.
+const ALWAYS_SHARED: &[&str] = &["CacheState", "ReplayTrace"];
 
 /// Field-type path segments that are not `Sync` (or not `Send`).
 const NON_SYNC_SEGMENTS: &[&str] = &["Rc", "RefCell", "Cell", "UnsafeCell"];

@@ -221,7 +221,7 @@ fn missing_assert_file_is_one_finding_for_all_types() {
         .iter()
         .find(|f| f.rule == "send-sync-assert")
         .expect("send-sync-assert finding");
-    // CacheState (always-shared) and ReplayEngine (always-shared) are
+    // CacheState (always-shared) and ReplayTrace (always-shared) are
     // defined; LonePolicy implements no shared trait.
     assert!(f.message.contains("2 shareable type(s)"), "{}", f.message);
 }

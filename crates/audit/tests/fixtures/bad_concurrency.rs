@@ -15,3 +15,7 @@ static mut GLOBAL_EPOCH: u64 = 0;
 thread_local! {
     static SCRATCH: Vec<u64> = Vec::new();
 }
+
+pub struct ReplayTrace {
+    slices: Vec<(u32, u64)>,
+}

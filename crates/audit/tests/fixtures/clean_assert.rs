@@ -7,6 +7,6 @@ fn assert_send_sync<T: Send + Sync>() {}
 #[test]
 fn shared_state_is_send_sync() {
     assert_send_sync::<CacheState>();
-    assert_send_sync::<ReplayEngine>();
+    assert_send_sync::<ReplayTrace>();
     assert_send_sync::<OnlinePolicy>();
 }

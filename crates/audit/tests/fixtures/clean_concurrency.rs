@@ -6,3 +6,7 @@ pub struct CacheState {
     entries: Vec<u64>,
     epoch: AtomicU64,
 }
+
+pub struct ReplayTrace {
+    slices: Vec<(u32, u64)>,
+}

@@ -20,8 +20,8 @@ use byc_telemetry::{
 };
 use byc_types::{Bytes, Error, Result, ServerId, Tick};
 use byc_workload::{
-    generate, io as trace_io, Trace, TraceQuery, TraceReader, TraceSpec, WorkloadConfig,
-    WorkloadStats,
+    generate, io as trace_io, ReplayTrace, Trace, TraceQuery, TraceReader, TraceSpec,
+    WorkloadConfig, WorkloadStats,
 };
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -467,6 +467,30 @@ fn load_trace(
     }
 }
 
+/// The resident input of a replay, as [`load_trace`] finds it, resolved
+/// against the catalog's objects at `granularity`: a synthesized release
+/// is converted once, and a trace file is decoded straight into the
+/// [`ReplayTrace`], so no [`Trace`] of a file is built.
+fn load_replay(
+    spec: &str,
+    scale: f64,
+    seed: u64,
+    servers: u32,
+    granularity: Granularity,
+) -> Result<(byc_catalog::Catalog, ObjectCatalog, ReplayTrace)> {
+    if parse_release(spec).is_ok() {
+        let (catalog, trace) = load_trace(spec, scale, seed, servers)?;
+        let objects = ObjectCatalog::uniform(&catalog, granularity);
+        let replay = ReplayTrace::from_trace(&trace, &objects);
+        return Ok((catalog, objects, replay));
+    }
+    let catalog = sdss::build(SdssRelease::Edr, scale, servers);
+    let objects = ObjectCatalog::uniform(&catalog, granularity);
+    let replay = ReplayTrace::read(std::path::Path::new(spec), &objects)?;
+    check_scale(spec, replay.len(), replay.sequence_cost(), &catalog)?;
+    Ok((catalog, objects, replay))
+}
+
 /// Guard against replaying a trace file against a catalog at the wrong
 /// scale (yields would be mispriced by that factor), given the trace's
 /// query count and total yield.
@@ -611,9 +635,12 @@ FAULTS:   --faults injects deterministic WAN faults:
 
 TRACE FILES: `run` streams a trace file off disk a chunk at a time, so a
           100M-query file replays in constant memory; `--policy static`
-          loads it whole instead, because its offline plan needs the
-          trace's demand profile up front. `sweep` and `analyze` load the
-          whole trace (a sweep replays it once per grid point).";
+          holds it resident instead, because its offline plan needs the
+          trace's demand profile up front. `sweep` also holds it resident
+          (it replays the trace once per grid point), but only what a
+          replay reads: each query's id and yield and its per-object
+          yields, decoded straight off the file. `analyze` loads the
+          whole trace.";
 
 /// The flags `run` and `sweep` share: one per [`ReplayArgs`] field but
 /// the trace.
@@ -1084,22 +1111,30 @@ pub fn run_command(command: Command) -> Result<String> {
             // A trace file streams off disk, never resident — except
             // under Static, whose offline plan needs the whole trace's
             // demand profile before the first query. Synthesized
-            // releases are generated in memory.
+            // releases are generated in memory. A resident trace is held
+            // as a `ReplayTrace`, never as the decoded queries.
             let streamed = parse_release(&args.trace).is_err() && kind != PolicyKind::Static;
-            let (catalog, resident, mut reader) = if streamed {
+            let (catalog, objects, resident, mut reader) = if streamed {
                 let path = std::path::Path::new(&args.trace);
                 let catalog = sdss::build(SdssRelease::Edr, args.scale, args.servers.max(1));
+                let objects = ObjectCatalog::uniform(&catalog, setup.granularity);
                 // Refuse a mis-scaled file before replaying any of it, on
                 // its first queries' mean yield; the whole file's totals
                 // settle a borderline trace after the replay.
-                let sample = TraceReader::open(path)?.next_chunk(SCALE_SAMPLE)?;
-                let sample_yield = sample.iter().map(|q| q.total_yield).sum();
-                check_scale(&args.trace, sample.len(), sample_yield, &catalog)?;
-                (catalog, None, Some(TraceReader::open(path)?))
+                let mut sample = TraceReader::open(path)?;
+                let mut first = ReplayTrace::new(sample.name(), &objects);
+                first.refill(&mut sample, &objects, SCALE_SAMPLE)?;
+                check_scale(&args.trace, first.len(), first.sequence_cost(), &catalog)?;
+                (catalog, objects, None, Some(TraceReader::open(path)?))
             } else {
-                let (catalog, trace) =
-                    load_trace(&args.trace, args.scale, args.seed, args.servers.max(1))?;
-                (catalog, Some(trace), None)
+                let (catalog, objects, trace) = load_replay(
+                    &args.trace,
+                    args.scale,
+                    args.seed,
+                    args.servers.max(1),
+                    setup.granularity,
+                )?;
+                (catalog, objects, Some(trace), None)
             };
             if let Some(t) = pipeline.as_mut() {
                 let queries = match (&resident, &reader) {
@@ -1111,11 +1146,10 @@ pub fn run_command(command: Command) -> Result<String> {
                 t.end();
                 t.begin("build", "pipeline");
             }
-            let objects = ObjectCatalog::uniform(&catalog, setup.granularity);
             // Per-object demands are only consulted by Static, which
             // always has the resident trace.
             let demands = match (&resident, kind) {
-                (Some(tr), PolicyKind::Static) => WorkloadStats::compute(tr, &objects).demands,
+                (Some(tr), PolicyKind::Static) => WorkloadStats::of_replay(tr, &objects).demands,
                 _ => Vec::new(),
             };
             let capacity = objects.total_size().scale(cache_fraction);
@@ -1341,10 +1375,14 @@ pub fn run_command(command: Command) -> Result<String> {
         }
         Command::Sweep(args) => {
             let setup = Setup::new(&args)?;
-            let (catalog, trace) =
-                load_trace(&args.trace, args.scale, args.seed, args.servers.max(1))?;
-            let objects = ObjectCatalog::uniform(&catalog, setup.granularity);
-            let stats = WorkloadStats::compute(&trace, &objects);
+            let (_, objects, trace) = load_replay(
+                &args.trace,
+                args.scale,
+                args.seed,
+                args.servers.max(1),
+                setup.granularity,
+            )?;
+            let stats = WorkloadStats::of_replay(&trace, &objects);
             let fractions = [0.1, 0.2, 0.3, 0.4, 0.5, 0.75, 1.0];
             let policies = policy_roster();
             // Fault-aware points carry the model name in their label, and
@@ -1438,7 +1476,7 @@ pub fn run_command(command: Command) -> Result<String> {
             let mut out = format!(
                 "total WAN cost (GB) vs cache size, {} caching, trace {}{}\n",
                 setup.granularity.label(),
-                trace.name,
+                trace.name(),
                 setup.topology_note()
             );
             let _ = write!(out, "{:16}", "% of DB");

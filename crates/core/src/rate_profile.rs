@@ -33,7 +33,8 @@
 //! Episodes (§4.3) segment an object's history into bursts: a new episode
 //! starts when the running profile falls below `c ·` its episode maximum
 //! (default `c = 0.5`) or after `k` queries without an access (default
-//! `k = 1000`). Aging (episode weight decay) and pruning (a cap on
+//! `k = 5000`; the paper used `k = 1000`, see [`RateProfileConfig`]'s
+//! `Default`). Aging (episode weight decay) and pruning (a cap on
 //! profiled objects, evicting the least-recently-accessed profile) keep
 //! metadata compact (§3).
 
@@ -45,7 +46,8 @@ use crate::policy::{CachePolicy, Decision, Evictions};
 use byc_types::{Bytes, ObjectId, Tick};
 use std::collections::VecDeque;
 
-/// Tuning knobs for [`RateProfile`]. Defaults follow the paper (§4.3).
+/// Tuning knobs for [`RateProfile`]. Defaults follow the paper (§4.3),
+/// except the idle cutoff `k` (5000, where the paper used 1000).
 #[derive(Clone, Debug)]
 pub struct RateProfileConfig {
     /// `c`: close an episode when its running profile drops below
@@ -76,8 +78,7 @@ impl Default for RateProfileConfig {
             // traces interleave more concurrent sessions, so hot objects
             // see occasional gaps slightly above 1000 queries; a cutoff
             // of 5000 keeps their episodes alive without changing any
-            // bypass decision for genuinely cold objects (the ablation
-            // bench sweeps this knob, including the paper's value).
+            // bypass decision for genuinely cold objects.
             idle_cutoff: 5000,
             episode_weight_decay: 0.5,
             max_episodes: 8,

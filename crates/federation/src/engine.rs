@@ -1,19 +1,20 @@
 //! The one replay kernel behind every federation entry point.
 //!
 //! ```text
-//! TraceQuery → object slices → tier walk → CostEvent → observers
+//! ReplayTrace slices → tier walk → CostEvent → observers
 //! ```
 //!
-//! A [`ReplayEngine`] serves one query at a time. It walks the query's
-//! table or column yields in place, resolves each to its cacheable
-//! object, and walks that slice up a linear hierarchy of caching tiers,
-//! bottom-up (tier 0 nearest the clients): each tier's policy sees a
-//! priced [`Access`]; a `Bypass` forwards the request one hop up, a `Hit`
-//! or a `Load` resolves it. The flat client↔server WAN is the depth-1
-//! hierarchy — one tier behind one link — so flat and tiered replays,
-//! resident and streamed traces, sweeps, and the [`Mediator`] all run
-//! this same per-query code, and its decision→cost conversion is the only
-//! place in `byc-federation` where `Decision` variants become WAN costs.
+//! A `ReplayEngine` serves one query at a time. It takes the query's
+//! object slices, resolved against the catalog once when the query
+//! entered its [`ReplayTrace`], and walks each slice up a linear
+//! hierarchy of caching tiers, bottom-up (tier 0 nearest the clients):
+//! each tier's policy sees a priced [`Access`]; a `Bypass` forwards the
+//! request one hop up, a `Hit` or a `Load` resolves it. The flat
+//! client↔server WAN is the depth-1 hierarchy — one tier behind one
+//! link — so flat and tiered replays, resident and streamed traces,
+//! sweeps, and the [`Mediator`] all run this same per-query code, and
+//! its decision→cost conversion is the only place in `byc-federation`
+//! where `Decision` variants become WAN costs.
 //!
 //! An engine prices every object's origin fetch down to each tier once,
 //! when it is built (an `objects × depth` table). Per slice it prices the
@@ -31,12 +32,13 @@
 //!   [`DecisionAuditor`] shadow model.
 //!
 //! [`Mediator`]: crate::mediator::Mediator
+//! [`ReplayTrace`]: byc_workload::ReplayTrace
 
 use crate::accounting::CostReport;
 use crate::faults::{spiked_cost, DegradationPolicy, FaultPlan};
 use crate::network::{NetworkModel, Topology};
 use crate::simulator::SeriesPoint;
-use byc_catalog::{Granularity, ObjectCatalog};
+use byc_catalog::ObjectCatalog;
 use byc_core::access::Access;
 use byc_core::audit::{AuditReport, DecisionAuditor};
 use byc_core::policy::{CachePolicy, Decision};
@@ -191,14 +193,23 @@ impl std::fmt::Debug for CostEvent<'_> {
 /// The engine guarantees the call order `on_query_start → on_access* →
 /// on_query_end` per query, and exactly one `finish` after the last
 /// query of a full replay.
+///
+/// The query hooks' `query` carries only what a replay keeps of a query:
+/// a [`ReplaySession`](crate::session::ReplaySession) replays a
+/// [`ReplayTrace`](byc_workload::ReplayTrace) and passes one reused
+/// [`TraceQuery`] whose `id` and `total_yield` are the current query's
+/// and whose other members are empty. The mediator passes the query it
+/// serves. Read `index` and `total_yield`, nothing else.
 pub trait Observer {
-    /// A query is about to be served.
+    /// A query is about to be served (see the trait docs for what
+    /// `query` holds).
     fn on_query_start(&mut self, _index: usize, _query: &TraceQuery) {}
 
     /// One object slice was served; `event` carries its cost split.
     fn on_access(&mut self, _event: &CostEvent<'_>) {}
 
-    /// The query's last slice was served.
+    /// The query's last slice was served (see the trait docs for what
+    /// `query` holds).
     fn on_query_end(&mut self, _index: usize, _query: &TraceQuery) {}
 
     /// The replay is over. `policy` is the policy whose decisions the
@@ -242,78 +253,6 @@ pub(crate) fn partition_access_observers(observers: &mut [&mut dyn Observer]) ->
         }
     }
     split
-}
-
-/// Trace references that name no object of the catalog: the kernel
-/// skips them, so their bytes reach no report column.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) struct Unresolved {
-    /// References skipped.
-    pub refs: u64,
-    /// Result bytes they carried.
-    pub bytes: Bytes,
-}
-
-impl Unresolved {
-    // Off the slice loop's hot path: traces that resolve never call it.
-    #[cold]
-    #[inline(never)]
-    fn skip(&mut self, raw_yield: Bytes) {
-        self.refs += 1;
-        self.bytes += raw_yield;
-    }
-
-    /// Add another count into this one.
-    pub(crate) fn add(&mut self, other: Unresolved) {
-        self.refs += other.refs;
-        self.bytes += other.bytes;
-    }
-
-    /// The replay warning for a non-zero count, naming the granularity
-    /// the references failed to resolve at.
-    pub(crate) fn warning(self, granularity: Granularity) -> Option<String> {
-        (self.refs > 0).then(|| {
-            format!(
-                "{} trace references ({} of results) name no {} in the catalog; \
-                 they were skipped and their bytes are in no report column",
-                self.refs,
-                self.bytes,
-                granularity.label()
-            )
-        })
-    }
-}
-
-/// Call `f(object, raw yield)` for each slice of `query` at the
-/// granularity of `objects`, in the query's own table/column order.
-/// References that do not resolve to a cacheable object are skipped and
-/// counted in the result.
-#[inline]
-pub(crate) fn for_each_slice(
-    query: &TraceQuery,
-    objects: &ObjectCatalog,
-    mut f: impl FnMut(ObjectId, Bytes),
-) -> Unresolved {
-    let mut skipped = Unresolved::default();
-    match objects.granularity() {
-        Granularity::Table => {
-            for &(t, raw_yield) in &query.table_yields {
-                match objects.object_for_table(t) {
-                    Ok(object) => f(object, raw_yield),
-                    Err(_) => skipped.skip(raw_yield),
-                }
-            }
-        }
-        Granularity::Column => {
-            for &(c, raw_yield) in &query.column_yields {
-                match objects.object_for_column(c) {
-                    Ok(object) => f(object, raw_yield),
-                    Err(_) => skipped.skip(raw_yield),
-                }
-            }
-        }
-    }
-    skipped
 }
 
 /// The priced links an engine charges traffic over, bottom-up: link `t`
@@ -425,7 +364,7 @@ struct Resolved<'r> {
 /// An engine holds no replay state — that lives in the tier policies,
 /// the caller's [`QueryWindow`], and the observers — so one engine can
 /// serve any number of replays, concurrently included.
-pub struct ReplayEngine<'a> {
+pub(crate) struct ReplayEngine<'a> {
     objects: &'a ObjectCatalog,
     links: Links<'a>,
     depth: usize,
@@ -446,12 +385,6 @@ impl std::fmt::Debug for ReplayEngine<'_> {
 }
 
 impl<'a> ReplayEngine<'a> {
-    /// A flat engine: one caching tier, whose single link prices every
-    /// object's traffic by its home server's link cost.
-    pub fn with_network(objects: &'a ObjectCatalog, network: &'a dyn NetworkModel) -> Self {
-        Self::over(objects, Links::Flat(network), None)
-    }
-
     /// An engine with one caching tier per link of `links`.
     pub(crate) fn with_links(objects: &'a ObjectCatalog, links: Links<'a>) -> Self {
         Self::over(objects, links, None)
@@ -492,7 +425,7 @@ impl<'a> ReplayEngine<'a> {
     /// model/retry/degradation instead of always succeeding. Without
     /// this the engine runs the exact fault-free path.
     #[must_use]
-    pub fn with_faults(mut self, plan: FaultPlan<'a>) -> Self {
+    pub(crate) fn with_faults(mut self, plan: FaultPlan<'a>) -> Self {
         self.faults = Some(plan);
         self
     }
@@ -506,66 +439,50 @@ impl<'a> ReplayEngine<'a> {
             .unwrap_or(Bytes::ZERO)
     }
 
-    /// The site tier's view of one object slice. `yield_bytes` is the
-    /// raw delivered result — yield is a property of the query, not of
-    /// the network — while `fetch_cost` is priced over the links the
-    /// object would cross. This is the BYHR view (paper §3): policies
-    /// weigh raw rent (bypass yield) against the *true* buy price `f_i`.
-    /// Pricing both sides would cancel out of every rent-to-buy ratio
-    /// and blind ratio policies to the network entirely.
-    pub fn access_for(&self, object: ObjectId, raw_yield: Bytes, time: Tick) -> Access {
-        Access {
-            object,
-            time,
-            yield_bytes: raw_yield,
-            size: self.objects.info(object).size,
-            fetch_cost: self.fetch_at(object, 0),
-        }
-    }
-
     /// Serve query `index` inside its observer hooks: `on_query_start`
-    /// on every observer, the kernel ([`Self::serve`]) with its events
-    /// going to the first `access_count` observers — the prefix
+    /// on every observer with `query`, the kernel ([`Self::serve`]) over
+    /// the query's `slices` with its events going to the first
+    /// `access_count` observers — the prefix
     /// [`partition_access_observers`] leaves wanting accesses — then
     /// `on_query_end`. Sessions and the mediator serve their queries
-    /// through here. Returns the query's references the catalog could
-    /// not resolve.
+    /// through here.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn serve_query(
         &self,
         index: usize,
         query: &TraceQuery,
+        slices: &[(ObjectId, Bytes)],
         tiers: &mut [&mut dyn CachePolicy],
         window: &mut QueryWindow,
         observers: &mut [&mut dyn Observer],
         access_count: usize,
-    ) -> Unresolved {
+    ) {
         for obs in observers.iter_mut() {
             obs.on_query_start(index, query);
         }
         let access = observers.get_mut(..access_count).unwrap_or_default();
-        let skipped = self.serve(index, query, tiers, window, access);
+        self.serve(index, slices, tiers, window, access);
         for obs in observers.iter_mut() {
             obs.on_query_end(index, query);
         }
-        skipped
     }
 
-    /// Serve query `index` (the policy clock) through `tiers`, one policy
-    /// per caching tier, bottom-up: every slice's cost split folds into
-    /// `window` and reaches `observers` — which must be only those that
-    /// want accesses — as [`CostEvent`]s.
+    /// Serve the `slices` of query `index` (the policy clock) through
+    /// `tiers`, one policy per caching tier, bottom-up: every slice's
+    /// cost split folds into `window` and reaches `observers` — which
+    /// must be only those that want accesses — as [`CostEvent`]s.
     fn serve(
         &self,
         index: usize,
-        query: &TraceQuery,
+        slices: &[(ObjectId, Bytes)],
         tiers: &mut [&mut dyn CachePolicy],
         window: &mut QueryWindow,
         observers: &mut [&mut dyn Observer],
-    ) -> Unresolved {
+    ) {
         let time = Tick::new(index as u64);
-        for_each_slice(query, self.objects, |object, raw_yield| {
+        for &(object, raw_yield) in slices {
             self.serve_slice(index, time, object, raw_yield, tiers, window, observers);
-        })
+        }
     }
 
     /// Resolve one object slice through the tier hierarchy.
@@ -601,6 +518,11 @@ impl<'a> ReplayEngine<'a> {
     ) {
         let info = self.objects.info(object);
         let server = info.server;
+        // The BYHR view (paper §3): `yield_bytes` is the raw delivered
+        // result, a property of the query, while `fetch_cost` is priced
+        // over the links the object would cross. Pricing both would
+        // cancel out of every rent-to-buy ratio and blind ratio policies
+        // to the network.
         let access_at = |tier: usize| Access {
             object,
             time,
@@ -1157,6 +1079,7 @@ mod tests {
     use crate::network::{PerServerMultipliers, Uniform};
     use crate::session::ReplaySession;
     use byc_catalog::sdss::{build, SdssRelease};
+    use byc_catalog::Granularity;
     use byc_core::rate_profile::{RateProfile, RateProfileConfig};
     use byc_workload::Trace;
 
@@ -1197,20 +1120,88 @@ mod tests {
         }
     }
 
+    /// Records every access it sees and bypasses it.
+    #[derive(Default)]
+    struct Recorder(Vec<Access>);
+
+    impl CachePolicy for Recorder {
+        fn name(&self) -> &'static str {
+            "Recorder"
+        }
+        fn on_access(&mut self, access: &Access) -> Decision {
+            self.0.push(*access);
+            Decision::Bypass
+        }
+        fn contains(&self, _: ObjectId) -> bool {
+            false
+        }
+        fn used(&self) -> Bytes {
+            Bytes::ZERO
+        }
+        fn capacity(&self) -> Bytes {
+            Bytes::ZERO
+        }
+        fn cached_objects(&self) -> Vec<ObjectId> {
+            Vec::new()
+        }
+    }
+
+    /// Every object on both servers of a non-uniform network, at both
+    /// granularities: the policy sees the raw yield, the object's size,
+    /// and its fetch priced over its home server's link — 3x its size
+    /// on the expensive server, its size on the other.
     #[test]
     fn network_prices_fetch_but_not_yield() {
-        let (_, objects) = setup(2);
+        let cat = build(SdssRelease::Edr, 1e-3, 2);
         let net = PerServerMultipliers::new(vec![1.0, 3.0]).unwrap();
-        let engine = ReplayEngine::with_network(&objects, &net);
-        let raw = Bytes::new(1000);
-        for info in objects.objects() {
-            let access = engine.access_for(info.id, raw, Tick::ZERO);
-            // Yield is a property of the query result, not the network;
-            // only the buy price f_i carries the link multiplier.
-            assert_eq!(access.yield_bytes, raw);
-            assert_eq!(access.fetch_cost, net.price(info.server, info.fetch_cost));
-            assert_eq!(access.size, info.size);
+        let expensive = ServerId::new(1);
+        for granularity in [Granularity::Table, Granularity::Column] {
+            let objects = ObjectCatalog::uniform(&cat, granularity);
+            let engine = ReplayEngine::with_links(&objects, Links::Flat(&net));
+            let raw = Bytes::new(1000);
+            let slices: Vec<(ObjectId, Bytes)> = objects
+                .objects()
+                .iter()
+                .map(|info| (info.id, raw))
+                .collect();
+            let mut recorder = Recorder::default();
+            let mut policy: &mut dyn CachePolicy = &mut recorder;
+            engine.serve_query(
+                0,
+                &TraceQuery::default(),
+                &slices,
+                std::slice::from_mut(&mut policy),
+                &mut QueryWindow::default(),
+                &mut [],
+                0,
+            );
+            assert_eq!(recorder.0.len(), objects.len());
+            let servers: std::collections::BTreeSet<_> =
+                objects.objects().iter().map(|info| info.server).collect();
+            assert_eq!(servers.len(), 2, "{granularity:?}");
+            for (access, info) in recorder.0.iter().zip(objects.objects()) {
+                // Yield is a property of the query result, not the
+                // network; only the buy price f_i carries the link
+                // multiplier.
+                assert_eq!(access.object, info.id);
+                assert_eq!(access.yield_bytes, raw);
+                assert_eq!(access.size, info.size);
+                assert_eq!(access.fetch_cost, net.price(info.server, info.fetch_cost));
+                let expected = match info.server == expensive {
+                    true => info.size.scale(3.0),
+                    false => info.size,
+                };
+                assert_eq!(access.fetch_cost, expected, "{granularity:?} {:?}", info.id);
+            }
         }
+    }
+
+    #[test]
+    fn engine_is_send_sync() {
+        // An engine holds only read-only pricing state (its fetch rows
+        // and borrowed links), so one can serve replays on many threads.
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<ReplayEngine<'static>>();
     }
 
     #[test]

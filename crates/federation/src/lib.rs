@@ -9,9 +9,9 @@
 //! (`D_A = D_S + D_C`) regardless of caching configuration, an invariant
 //! every [`session::ReplaySession`] run checks.
 //!
-//! * [`engine`] — the one replay kernel: [`engine::ReplayEngine`] serves
-//!   one `TraceQuery` at a time through its only entry point, walking
-//!   each object slice up a stack of tier policies (the flat WAN is
+//! * [`engine`] — the one replay kernel: `ReplayEngine` serves one
+//!   query's object slices at a time through its only entry point,
+//!   walking each slice up a stack of tier policies (the flat WAN is
 //!   depth 1), and turns each tier policy's decision into an
 //!   [`engine::CostEvent`] that composable [`engine::Observer`]s
 //!   consume. Batch replays, sweeps, and the mediator all run it. One
@@ -22,9 +22,10 @@
 //!   [`session::ReplaySession`] is a fluent builder over the engine that
 //!   configures one tier-policy stack, its links (a flat network or a
 //!   topology), faults, auditing, and extra observers, then
-//!   [`session::ReplaySession::run`]s one replay — of a resident trace
-//!   or one streamed off disk — or [`session::ReplaySession::sweep`]s a
-//!   (policy × cache-size) grid in parallel.
+//!   [`session::ReplaySession::run`]s one replay — of a resident
+//!   `byc_workload::ReplayTrace` or one streamed off disk — or
+//!   [`session::ReplaySession::sweep`]s a (policy × cache-size) grid on
+//!   a bounded pool of worker threads.
 //! * [`network`] — first-class WAN pricing: [`network::NetworkModel`]
 //!   with the [`network::Uniform`] (BYU) and
 //!   [`network::PerServerMultipliers`] (BYHR) regimes, and
@@ -71,7 +72,7 @@ pub mod sweep;
 pub use accounting::CostReport;
 pub use engine::{
     AuditObserver, Breakdown, CostEvent, CostObserver, Observer, PerServerObserver, QueryWindow,
-    ReplayEngine, Window,
+    Window,
 };
 pub use faults::{
     fault_context, spiked_cost, DegradationPolicy, FaultModel, FaultPlan, FetchAttempt,
@@ -82,6 +83,6 @@ pub use mediator::Mediator;
 pub use network::{NetworkModel, PerServerMultipliers, TierSpec, Topology, Uniform};
 pub use policies::{build_policy, policy_roster, PolicyKind};
 pub use semantic::{SemanticCache, SemanticReport};
-pub use session::ReplaySession;
+pub use session::{ReplaySession, Resident};
 pub use simulator::{Replay, SeriesPoint};
 pub use sweep::{NoObserver, SweepOptions, SweepPoint};

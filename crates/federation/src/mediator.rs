@@ -17,7 +17,7 @@ use byc_core::policy::{CachePolicy, Decision};
 use byc_engine::YieldModel;
 use byc_sql::{analyze, parse};
 use byc_types::{Bytes, ObjectId, QueryId, Result, ServerId};
-use byc_workload::TraceQuery;
+use byc_workload::{for_each_slice, TraceQuery};
 
 /// Where one object's slice of a query was served.
 #[derive(Clone, Debug, PartialEq)]
@@ -115,6 +115,9 @@ pub struct Mediator {
     /// The query [`Mediator::serve_sql`] refills and serves on every
     /// call, so its text and id lists reuse their buffers.
     slot: TraceQuery,
+    /// The served query's object slices, resolved into this one buffer
+    /// on every call.
+    slices: Vec<(ObjectId, Bytes)>,
 }
 
 impl Mediator {
@@ -164,6 +167,7 @@ impl Mediator {
             served: 0,
             wan_total: Bytes::ZERO,
             slot: TraceQuery::default(),
+            slices: Vec::new(),
         }
     }
 
@@ -285,9 +289,11 @@ impl Mediator {
         Ok(served)
     }
 
-    /// Serve an already-analyzed trace query: one pass of the replay
-    /// kernel, the same per-query code every batch replay runs, with the
-    /// query count as the policy clock.
+    /// Serve an already-analyzed trace query: its references resolved
+    /// against the mediator's object view (those that name no object are
+    /// skipped), then one pass of the replay kernel, the same per-query
+    /// code every batch replay runs, with the query count as the policy
+    /// clock.
     ///
     /// `extra` observers ride the same pass — the telemetry seam: a
     /// `byc-telemetry` `TelemetryObserver` (or any other [`Observer`])
@@ -312,6 +318,10 @@ impl Mediator {
             outcomes: Vec::new(),
         };
         let mut window = QueryWindow::default();
+        self.slices.clear();
+        for_each_slice(tq, &self.objects, |object, raw_yield| {
+            self.slices.push((object, raw_yield));
+        });
         {
             let mut observers: Vec<&mut dyn Observer> = Vec::with_capacity(1 + extra.len());
             observers.push(&mut outcomes);
@@ -323,6 +333,7 @@ impl Mediator {
             engine.serve_query(
                 index,
                 tq,
+                &self.slices,
                 std::slice::from_mut(&mut policy),
                 &mut window,
                 &mut observers,

@@ -5,9 +5,9 @@
 //! from a distant server costs more than one from a well-connected
 //! replica. A [`NetworkModel`] prices every object's traffic — bypass
 //! yield and cache-load fetches alike — by its home server's link cost.
-//! The [`ReplayEngine`](crate::engine::ReplayEngine) applies the model
-//! when it constructs each [`Access`](byc_core::access::Access), so
-//! policies, observers, and the auditor all see consistently priced
+//! The replay kernel (`ReplayEngine`, in [`crate::engine`]) applies the
+//! model when it constructs each [`Access`](byc_core::access::Access),
+//! so policies, observers, and the auditor all see consistently priced
 //! traffic without any per-call-site scaling.
 //!
 //! [`Uniform`] is the BYU regime (every link costs 1·bytes) and is the

@@ -21,11 +21,10 @@
 //! cache does not run the replay kernel: it prices each query's outcome
 //! itself, slice by slice, on the same object view and network model.
 
-use crate::engine::{for_each_slice, Unresolved};
 use crate::network::NetworkModel;
 use byc_catalog::ObjectCatalog;
 use byc_types::{Bytes, QueryId};
-use byc_workload::{Trace, TraceQuery};
+use byc_workload::{for_each_slice, Trace, TraceQuery, Unresolved};
 use std::collections::{HashMap, VecDeque};
 
 /// Outcome statistics of replaying a trace through a semantic cache.

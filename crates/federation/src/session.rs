@@ -30,14 +30,20 @@
 //!     .sweep(SweepOptions::new(&policies, &fractions, &demands, seed))?
 //! ```
 //!
-//! Every run drives the one per-query kernel, [`ReplayEngine`], over one
+//! Every run drives the one per-query kernel, `ReplayEngine`, over one
 //! stack of tier policies. The session's links — a flat network
 //! ([`Self::network`](ReplaySession::network)) or a [`Topology`]
 //! ([`Self::topology`](ReplaySession::topology)), whichever was set
 //! last — fix the stack's depth: one tier on the flat WAN, one per
-//! topology tier. `ReplaySession::from_reader(&mut reader, &objects)`
-//! streams a trace file through the same kernel instead of holding it in
-//! memory (DESIGN.md §17).
+//! topology tier. The kernel replays a [`ReplayTrace`]: a session
+//! borrows one, or converts a [`Trace`] into one of its own when it is
+//! built. `ReplaySession::from_reader(&mut reader, &objects)` streams a
+//! trace file through the same kernel a chunk at a time instead of
+//! holding it in memory (DESIGN.md §17).
+//!
+//! A sweep runs its grid on a pool of `available_parallelism()` scoped
+//! workers. Each pulls the next job, in grid order, off one atomic
+//! index; every worker replays the one shared [`ReplayTrace`].
 //!
 //! Configuration errors (a policy count that does not match the depth
 //! before `run`, a policy before `sweep`) surface as
@@ -46,7 +52,6 @@
 
 use crate::engine::{
     partition_access_observers, AuditObserver, CostObserver, Links, Observer, ReplayEngine,
-    Unresolved,
 };
 use crate::faults::{DegradationPolicy, FaultModel, FaultPlan, RetryPolicy, NO_RETRY};
 use crate::network::{NetworkModel, Topology};
@@ -59,7 +64,33 @@ use byc_core::audit::AuditReport;
 use byc_core::policy::CachePolicy;
 use byc_core::static_opt::ObjectDemand;
 use byc_types::{Error, Result};
-use byc_workload::{Trace, TraceReader};
+use byc_workload::{ReplayTrace, Trace, TraceQuery, TraceReader, Unresolved};
+use std::borrow::Cow;
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
+
+/// A resident trace for [`ReplaySession::new`].
+#[derive(Clone, Copy, Debug)]
+pub enum Resident<'a> {
+    /// A trace, converted once into a [`ReplayTrace`] the session owns.
+    Trace(&'a Trace),
+    /// A replay trace the session borrows; it must have been resolved
+    /// against the session's object catalog.
+    Replay(&'a ReplayTrace),
+}
+
+impl<'a> From<&'a Trace> for Resident<'a> {
+    fn from(trace: &'a Trace) -> Self {
+        Resident::Trace(trace)
+    }
+}
+
+impl<'a> From<&'a ReplayTrace> for Resident<'a> {
+    fn from(trace: &'a ReplayTrace) -> Self {
+        Resident::Replay(trace)
+    }
+}
 
 /// A configured replay over one trace and object view. See the module
 /// docs for the grammar; terminals are [`ReplaySession::run`] and
@@ -93,20 +124,26 @@ impl std::fmt::Debug for ReplaySession<'_> {
 }
 
 impl<'a> ReplaySession<'a> {
-    /// A session over `trace` at the granularity of `objects`, on a
-    /// uniform network, fault-free, with auditing following the build
-    /// profile (on in debug, off in release) and no extra observers.
-    pub fn new(trace: &'a Trace, objects: &'a ObjectCatalog) -> Self {
-        Self::build(ChunkSource::memory(trace), objects)
+    /// A session over a resident trace at the granularity of `objects`,
+    /// on a uniform network, fault-free, with auditing following the
+    /// build profile (on in debug, off in release) and no extra
+    /// observers. A [`Trace`] is converted into a [`ReplayTrace`] here,
+    /// once; a [`ReplayTrace`] is borrowed.
+    pub fn new(trace: impl Into<Resident<'a>>, objects: &'a ObjectCatalog) -> Self {
+        let trace = match trace.into() {
+            Resident::Trace(trace) => Cow::Owned(ReplayTrace::from_trace(trace, objects)),
+            Resident::Replay(trace) => Cow::Borrowed(trace),
+        };
+        Self::build(ChunkSource::resident(trace), objects)
     }
 
     /// A session streaming queries off `reader` instead of an in-memory
-    /// trace: queries are parsed a chunk at a time and replayed as they
-    /// arrive, so memory stays constant in the trace length. The sweep
-    /// terminal (which replays the trace once per grid point) is
-    /// unavailable.
+    /// trace: queries are decoded and resolved a chunk at a time and
+    /// replayed as they arrive, so memory stays constant in the trace
+    /// length. The sweep terminal (which replays the trace once per grid
+    /// point) is unavailable.
     pub fn from_reader(reader: &'a mut TraceReader, objects: &'a ObjectCatalog) -> Self {
-        Self::build(ChunkSource::reader(reader), objects)
+        Self::build(ChunkSource::reader(reader, objects), objects)
     }
 
     fn build(source: ChunkSource<'a>, objects: &'a ObjectCatalog) -> Self {
@@ -213,8 +250,9 @@ impl<'a> ReplaySession<'a> {
     /// # Errors
     ///
     /// [`Error::InvalidConfig`] when the number of policies is not the
-    /// depth of the session's links (one on the flat WAN); IO and format
-    /// errors from a trace reader.
+    /// depth of the session's links (one on the flat WAN), or when a
+    /// borrowed [`ReplayTrace`] was resolved against another catalog
+    /// view; IO and format errors from a trace reader.
     pub fn run(self) -> Result<Replay> {
         let audit_enabled = self.audit.unwrap_or(cfg!(debug_assertions));
         let ReplaySession {
@@ -235,6 +273,15 @@ impl<'a> ReplaySession<'a> {
                 links.name(),
                 links.depth(),
                 tiers.len()
+            )));
+        }
+        if !source.fits(objects) {
+            return Err(Error::InvalidConfig(format!(
+                "replay trace {:?} was resolved against another catalog view \
+                 than the session's {} {}s",
+                source.name(),
+                objects.len(),
+                objects.granularity().label()
             )));
         }
         let mut engine = ReplayEngine::with_links(objects, links);
@@ -272,20 +319,27 @@ impl<'a> ReplaySession<'a> {
             let access_count = partition_access_observers(&mut all);
             let mut index = 0usize;
             let mut skipped = Unresolved::default();
+            // What the query hooks see of each query (the `Observer`
+            // contract): its id and total yield, every other member empty.
+            let mut hook = TraceQuery::default();
             while let Some(chunk) = source.next()? {
-                for query in chunk {
+                skipped.add(chunk.unresolved());
+                for (query, slices) in chunk.iter() {
+                    hook.id = query.id;
+                    hook.total_yield = query.total_yield;
                     // The cost observer's window is the kernel's fold
                     // target; only its query bookkeeping runs here.
-                    cost.on_query_start(index, query);
-                    skipped.add(engine.serve_query(
+                    cost.on_query_start(index, &hook);
+                    engine.serve_query(
                         index,
-                        query,
+                        &hook,
+                        slices,
                         &mut tiers,
                         &mut cost.window,
                         &mut all,
                         access_count,
-                    ));
-                    cost.on_query_end(index, query);
+                    );
+                    cost.on_query_end(index, &hook);
                     index += 1;
                 }
             }
@@ -313,19 +367,34 @@ impl<'a> ReplaySession<'a> {
 
     /// Replay every (policy, cache-fraction) pair of
     /// [`SweepOptions`]' grid in parallel under this session's
-    /// network/fault/audit configuration. Results are ordered by policy
-    /// then fraction; per-job observers configured via
-    /// [`SweepOptions::observe`] land in their sink in the same order.
+    /// network/fault/audit configuration, on `available_parallelism()`
+    /// worker threads that share the session's one resident
+    /// [`ReplayTrace`]. Results are ordered by policy then fraction;
+    /// per-job observers configured via [`SweepOptions::observe`] land in
+    /// their sink in the same order. A worker's panic is re-raised with
+    /// its original payload.
     ///
     /// # Errors
     ///
     /// [`Error::InvalidConfig`] when a policy or extra observers were
     /// configured (sweeps build their own per job), when the session
     /// streams off a reader (sweeps replay one in-memory trace), or when
-    /// a fraction is not positive.
+    /// a fraction is not positive; otherwise the first error of a job,
+    /// in grid order.
     pub fn sweep<O: Observer + Send>(
         self,
         options: SweepOptions<'_, O>,
+    ) -> Result<Vec<SweepPoint>> {
+        let workers = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        self.sweep_on(options, workers)
+    }
+
+    /// [`Self::sweep`] on `workers` threads (at least one, and no more
+    /// than there are jobs).
+    fn sweep_on<O: Observer + Send>(
+        self,
+        options: SweepOptions<'_, O>,
+        workers: usize,
     ) -> Result<Vec<SweepPoint>> {
         let SweepOptions {
             policies,
@@ -338,7 +407,7 @@ impl<'a> ReplaySession<'a> {
             Some(crate::sweep::SweepObserve { make, sink }) => (Some(make), Some(sink)),
             None => (None, None),
         };
-        let results = self.sweep_inner(policies, fractions, demands, seed, make)?;
+        let results = self.sweep_pool(policies, fractions, demands, seed, make, workers)?;
         let mut points = Vec::with_capacity(results.len());
         let mut observers = Vec::new();
         for (point, observer) in results {
@@ -351,15 +420,17 @@ impl<'a> ReplaySession<'a> {
         Ok(points)
     }
 
-    /// The shared sweep implementation: one session per grid point, all
-    /// run on scoped worker threads over the same trace.
-    fn sweep_inner<O: Observer + Send>(
+    /// The shared sweep implementation: one session per grid point over
+    /// the same resident trace, run by a pool of `workers` scoped threads
+    /// that pull jobs in grid order off one atomic index.
+    fn sweep_pool<O: Observer + Send>(
         self,
         policies: &[PolicyKind],
         fractions: &[f64],
         demands: &[ObjectDemand],
         seed: u64,
         make_observer: Option<&dyn Fn(PolicyKind, f64) -> O>,
+        workers: usize,
     ) -> Result<Vec<(SweepPoint, Option<O>)>> {
         if !self.tiers.is_empty() {
             return Err(Error::InvalidConfig(
@@ -392,77 +463,100 @@ impl<'a> ReplaySession<'a> {
             audit,
             ..
         } = self;
-        let ChunkSource::Memory { trace, .. } = source else {
+        let ChunkSource::Resident { trace, .. } = source else {
             return Err(Error::InvalidConfig(
                 "sweeps replay one in-memory trace across the whole grid; \
                  a reader-backed session cannot sweep"
                     .into(),
             ));
         };
+        let trace: &ReplayTrace = &trace;
         let db = objects.total_size();
         let scales = links.capacity_scales();
-        let mut jobs: Vec<(PolicyKind, f64, Option<O>)> = Vec::new();
+        // Every job's observer is made here, on the sweeping thread, in
+        // grid order; the worker that pulls the job takes it.
+        type Job<O> = Mutex<Option<(PolicyKind, f64, Option<O>)>>;
+        let mut jobs: Vec<Job<O>> = Vec::new();
         for &kind in policies {
             for &f in fractions {
                 let observer = make_observer.map(|make| make(kind, f));
-                jobs.push((kind, f, observer));
+                jobs.push(Mutex::new(Some((kind, f, observer))));
             }
         }
-
-        let results: Result<Vec<(SweepPoint, Option<O>)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = jobs
-                .into_iter()
-                .map(|(kind, fraction, mut observer)| {
-                    let scales = &scales;
-                    scope.spawn(move || -> Result<(SweepPoint, Option<O>)> {
-                        // Site-tier capacity; each tier's cache scales
-                        // it by its `capacity_scale` (1.0 on the flat WAN).
-                        let capacity = db.scale(fraction);
-                        let mut policies: Vec<_> = scales
-                            .iter()
-                            .map(|s| build_policy(kind, db.scale(fraction * s), demands, seed))
-                            .collect();
-                        let mut session = ReplaySession::new(trace, objects)
-                            .retry(retry)
-                            .degrade(degradation);
-                        session.links = links;
-                        for p in policies.iter_mut() {
-                            session = session.policy(p.as_mut());
-                        }
-                        if let Some(obs) = observer.as_mut() {
-                            session = session.observe(obs);
-                        }
-                        if let Some(model) = faults {
-                            session = session.faults(model);
-                        }
-                        session = match audit {
-                            Some(true) => session.audited(),
-                            Some(false) => session.unaudited(),
-                            None => session,
-                        };
-                        let replay = session.run()?;
-                        debug_assert_audit(&replay);
-                        Ok((
-                            SweepPoint {
-                                policy: kind.label().to_string(),
-                                cache_fraction: fraction,
-                                capacity,
-                                report: replay.report,
-                                warnings: replay.warnings,
-                            },
-                            observer,
-                        ))
-                    })
-                })
+        let run_job = |kind: PolicyKind,
+                       fraction: f64,
+                       mut observer: Option<O>|
+         -> Result<(SweepPoint, Option<O>)> {
+            // Site-tier capacity; each tier's cache scales it by its
+            // `capacity_scale` (1.0 on the flat WAN).
+            let capacity = db.scale(fraction);
+            let mut policies: Vec<_> = scales
+                .iter()
+                .map(|s| build_policy(kind, db.scale(fraction * s), demands, seed))
+                .collect();
+            let mut session = ReplaySession::new(trace, objects)
+                .retry(retry)
+                .degrade(degradation);
+            session.links = links;
+            for p in policies.iter_mut() {
+                session = session.policy(p.as_mut());
+            }
+            if let Some(obs) = observer.as_mut() {
+                session = session.observe(obs);
+            }
+            if let Some(model) = faults {
+                session = session.faults(model);
+            }
+            session = match audit {
+                Some(true) => session.audited(),
+                Some(false) => session.unaudited(),
+                None => session,
+            };
+            let replay = session.run()?;
+            debug_assert_audit(&replay);
+            Ok((
+                SweepPoint {
+                    policy: kind.label().to_string(),
+                    cache_fraction: fraction,
+                    capacity,
+                    report: replay.report,
+                    warnings: replay.warnings,
+                },
+                observer,
+            ))
+        };
+        // The index only hands out job numbers; each job's data crosses
+        // threads under its own mutex, so `Relaxed` suffices. Each number
+        // below the grid's size is handed out once, so each job runs once.
+        let next = AtomicUsize::new(0);
+        let work = || {
+            let mut done = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(slot) = jobs.get(i) else {
+                    return done;
+                };
+                // Taking a job cannot panic, so a poisoned lock's data is
+                // still whole.
+                let job = slot.lock().unwrap_or_else(PoisonError::into_inner).take();
+                if let Some((kind, fraction, observer)) = job {
+                    done.push((i, run_job(kind, fraction, observer)));
+                }
+            }
+        };
+        let mut finished: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers.clamp(1, jobs.len().max(1)))
+                .map(|_| scope.spawn(work))
                 .collect();
             handles
                 .into_iter()
                 // Re-raise a worker's panic with its original payload
                 // intact instead of masking it behind a generic message.
-                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
                 .collect()
         });
-        results
+        finished.sort_unstable_by_key(|&(i, _)| i);
+        finished.into_iter().map(|(_, result)| result).collect()
     }
 }
 
@@ -1022,5 +1116,189 @@ mod tests {
     #[test]
     fn unresolvable_column_refs_are_reported() {
         unresolvable_refs_are_reported(Granularity::Column);
+    }
+
+    /// A replay trace resolved against another catalog view is refused,
+    /// not replayed with foreign object ids.
+    #[test]
+    fn a_replay_trace_of_another_view_is_a_config_error() {
+        let (trace, columns) = setup(1, 50);
+        let tables = ObjectCatalog::uniform(&build(SdssRelease::Edr, 1e-3, 1), Granularity::Table);
+        let replay = ReplayTrace::from_trace(&trace, &tables);
+        let mut p = NoCache;
+        let err = ReplaySession::new(&replay, &columns)
+            .policy(&mut p)
+            .run()
+            .unwrap_err();
+        assert!(matches!(err, Error::InvalidConfig(_)), "{err:?}");
+        let mut p = NoCache;
+        let resident = ReplaySession::new(&ReplayTrace::from_trace(&trace, &columns), &columns)
+            .policy(&mut p)
+            .run()
+            .unwrap();
+        let mut p = NoCache;
+        assert_eq!(resident.report, run_report(&trace, &columns, &mut p));
+    }
+
+    /// The panic a [`Probe`] raises: its job's label.
+    #[derive(Debug)]
+    struct ProbePanic(String);
+
+    /// A per-job sweep observer: the job's windowed breakdown, a digest
+    /// of every event it saw, and one warning naming its job. With
+    /// `panic_at`, it panics when that query starts.
+    struct Probe {
+        label: String,
+        windows: Breakdown,
+        events: String,
+        panic_at: Option<usize>,
+    }
+
+    impl Probe {
+        fn new(kind: PolicyKind, fraction: f64, panic_at: Option<usize>) -> Self {
+            Probe {
+                label: format!("{}@{fraction}", kind.label()),
+                windows: Breakdown::every(40),
+                events: String::new(),
+                panic_at,
+            }
+        }
+    }
+
+    impl Observer for Probe {
+        fn on_query_start(&mut self, index: usize, query: &TraceQuery) {
+            if self.panic_at == Some(index) {
+                std::panic::panic_any(ProbePanic(self.label.clone()));
+            }
+            self.windows.on_query_start(index, query);
+        }
+
+        fn on_access(&mut self, event: &crate::engine::CostEvent<'_>) {
+            use std::fmt::Write as _;
+            self.windows.on_access(event);
+            let _ = write!(
+                self.events,
+                "{}/{}/{}/{}/{}/{};",
+                event.query,
+                event.tier,
+                event.object.raw(),
+                event.delivered.raw(),
+                event.retries,
+                self.windows.total().wan_cost().raw()
+            );
+        }
+
+        fn on_query_end(&mut self, index: usize, query: &TraceQuery) {
+            self.windows.on_query_end(index, query);
+        }
+
+        fn warnings(&mut self) -> Vec<String> {
+            vec![format!("probe {}", self.label)]
+        }
+    }
+
+    const POOL_POLICIES: [PolicyKind; 3] =
+        [PolicyKind::RateProfile, PolicyKind::Lru, PolicyKind::Static];
+    const POOL_FRACTIONS: [f64; 3] = [0.1, 0.3, 0.75];
+
+    /// A faulted sweep of the tainted smoke trace on `workers` threads,
+    /// with a [`Probe`] per job.
+    fn pool_sweep(
+        workers: usize,
+        panic_at: Option<(PolicyKind, f64, usize)>,
+    ) -> (Vec<SweepPoint>, Vec<Probe>, Bytes) {
+        let (_, tainted, objects, unknown) = with_unknown_refs(Granularity::Column);
+        let stats = WorkloadStats::compute(&tainted, &objects);
+        let model = FlakyLinks::new(3, 0.05, 0.1, 2.0);
+        let make = |kind: PolicyKind, fraction: f64| {
+            let at = panic_at
+                .filter(|&(k, f, _)| k == kind && f == fraction)
+                .map(|(_, _, at)| at);
+            Probe::new(kind, fraction, at)
+        };
+        let mut probes = Vec::new();
+        let options = SweepOptions::new(&POOL_POLICIES, &POOL_FRACTIONS, &stats.demands, 5)
+            .observe(&make, &mut probes);
+        let points = ReplaySession::new(&tainted, &objects)
+            .faults(&model)
+            .retry(RetryPolicy::new(2, 2))
+            .sweep_on(options, workers)
+            .unwrap();
+        (points, probes, unknown)
+    }
+
+    /// The pool's size changes nothing: 1, 2 and 5 workers return the same
+    /// points, warnings and per-job observers, all in grid order.
+    #[test]
+    fn sweep_pool_size_changes_nothing() {
+        let (one, one_probes, unknown) = pool_sweep(1, None);
+        assert_eq!(one.len(), 9);
+        assert_eq!(one_probes.len(), 9);
+        for (i, (point, probe)) in one.iter().zip(&one_probes).enumerate() {
+            let kind = POOL_POLICIES[i / 3];
+            let fraction = POOL_FRACTIONS[i % 3];
+            assert_eq!(point.policy, kind.label());
+            assert_eq!(point.cache_fraction, fraction);
+            assert_eq!(probe.label, format!("{}@{fraction}", kind.label()));
+            assert_eq!(
+                point.warnings,
+                [
+                    format!(
+                        "300 trace references ({unknown} of results) name no column in the \
+                         catalog; they were skipped and their bytes are in no report column"
+                    ),
+                    format!("probe {}", probe.label),
+                ]
+            );
+            assert!(!probe.events.is_empty());
+            assert_eq!(probe.windows.windows().len(), 8);
+        }
+        for workers in [2, 5] {
+            let (points, probes, _) = pool_sweep(workers, None);
+            assert_eq!(points.len(), one.len());
+            for (a, b) in one.iter().zip(&points) {
+                assert_eq!(
+                    (
+                        &a.policy,
+                        a.cache_fraction,
+                        a.capacity,
+                        &a.report,
+                        &a.warnings
+                    ),
+                    (
+                        &b.policy,
+                        b.cache_fraction,
+                        b.capacity,
+                        &b.report,
+                        &b.warnings
+                    ),
+                    "{workers} workers"
+                );
+            }
+            for (a, b) in one_probes.iter().zip(&probes) {
+                assert_eq!(a.label, b.label);
+                assert_eq!(
+                    a.windows.windows(),
+                    b.windows.windows(),
+                    "{workers} workers"
+                );
+                assert_eq!(a.events, b.events, "{} on {workers} workers", a.label);
+            }
+        }
+    }
+
+    /// A per-job observer's panic reaches the sweep's caller with its
+    /// original payload, on one worker and on several.
+    #[test]
+    fn a_sweep_observer_panic_keeps_its_payload() {
+        for workers in [1, 2, 5] {
+            let caught =
+                std::panic::catch_unwind(|| pool_sweep(workers, Some((PolicyKind::Lru, 0.3, 17))));
+            let payload = caught.err().expect("the sweep re-raises the panic");
+            let panic = payload
+                .downcast_ref::<ProbePanic>()
+                .expect("the payload is the observer's own");
+            assert_eq!(panic.0, format!("{}@0.3", PolicyKind::Lru.label()));
+        }
     }
 }

@@ -55,7 +55,6 @@ pub(crate) fn debug_assert_audit(replay: &Replay) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::for_each_slice;
     use crate::session::ReplaySession;
     use byc_catalog::sdss::{build, SdssRelease};
     use byc_catalog::{Granularity, ObjectCatalog};
@@ -63,6 +62,7 @@ mod tests {
     use byc_core::policy::CachePolicy;
     use byc_core::rate_profile::{RateProfile, RateProfileConfig};
     use byc_core::static_opt::NoCache;
+    use byc_workload::for_each_slice;
     use byc_workload::{generate, Trace, WorkloadConfig, WorkloadStats};
 
     fn setup(granularity: Granularity) -> (Trace, ObjectCatalog) {

@@ -1,7 +1,8 @@
-//! Compile-time Send + Sync assertions for every type a future
-//! multi-threaded sweep would share across worker threads: the cache
-//! state, the replay kernel (shareable read-only by replay workers), and
-//! all concrete policy/algorithm types.
+//! Compile-time Send + Sync assertions for every type a multi-threaded
+//! sweep shares across worker threads: the cache state, the replay trace
+//! every sweep worker reads, and all concrete policy/algorithm types.
+//! (The replay kernel is crate-private; its own assertion sits in its
+//! unit tests.)
 //!
 //! byc-audit's concurrency pass requires this file to name each
 //! shareable type in an `assert_send_sync::<T>()` call; removing an
@@ -18,7 +19,8 @@ use byc_core::spaceeff::SpaceEffBY;
 use byc_core::static_opt::{NoCache, StaticCache};
 use byc_core::CacheState;
 use byc_federation::policies::UniformCostAdapter;
-use byc_federation::{Breakdown, FlakyLinks, LinkScoped, ReplayEngine, Topology};
+use byc_federation::{Breakdown, FlakyLinks, LinkScoped, Topology};
+use byc_workload::ReplayTrace;
 
 fn assert_send_sync<T: Send + Sync>() {}
 
@@ -26,9 +28,8 @@ fn assert_send_sync<T: Send + Sync>() {}
 fn shared_state_is_send_sync() {
     // Core replay state shared (read-only or partitioned) across workers.
     assert_send_sync::<CacheState>();
-    // An engine holds only read-only pricing state (its fetch rows and
-    // borrowed links), so one can serve replays on many threads.
-    assert_send_sync::<ReplayEngine<'static>>();
+    // Every worker of a sweep replays the one resident replay trace.
+    assert_send_sync::<ReplayTrace>();
 }
 
 #[test]

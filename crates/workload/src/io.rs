@@ -349,9 +349,10 @@ impl TraceWriter {
 }
 
 /// A chunked trace reader: parses the header eagerly, then streams
-/// queries on demand via [`TraceReader::refill`] without ever
-/// materializing the whole trace. The replay engine's streaming path
-/// feeds on this to keep 100M-query replays in constant memory.
+/// queries on demand via [`TraceReader::next_chunk`] or
+/// [`crate::ReplayTrace::refill`] without ever materializing the whole
+/// trace. The replay engine's streaming path feeds on this to keep
+/// 100M-query replays in constant memory.
 pub struct TraceReader {
     input: BufReader<File>,
     /// The current line's bytes, reused for every line.
@@ -423,53 +424,30 @@ impl TraceReader {
         self.delivered
     }
 
-    /// Read up to `max` queries (at least 1 is attempted). An empty
-    /// vector means end of file; at that point the header's query count
-    /// has been verified against what the file actually held.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::refill`].
-    pub fn next_chunk(&mut self, max: usize) -> Result<Vec<TraceQuery>> {
-        let mut chunk = Vec::new();
-        self.refill(&mut chunk, max)?;
-        Ok(chunk)
-    }
-
-    /// Refill `chunk` with the next up to `max` queries (at least 1 is
-    /// attempted), overwriting the entries it holds, so a chunk refilled
-    /// again and again keeps its allocation. Each query is decoded into
-    /// the reader's one reused slot and copied out with buffers of its
-    /// exact size: entries that kept their own buffers would each keep
-    /// the largest they ever held. An empty `chunk` means end of file;
-    /// at that point the header's query count has been verified against
-    /// what the file actually held.
+    /// Read up to `max` queries (at least 1 is attempted), each decoded
+    /// into the reader's one reused slot and copied out with buffers of
+    /// its exact size. An empty vector means end of file; at that point
+    /// the header's query count has been verified against what the file
+    /// actually held.
     ///
     /// # Errors
     ///
     /// I/O errors; [`Error::TraceFormat`] on a malformed line (naming
-    /// it) or a final count that disagrees with the header. `chunk` is
-    /// then left partly overwritten.
-    pub fn refill(&mut self, chunk: &mut Vec<TraceQuery>, max: usize) -> Result<()> {
-        let max = max.max(1);
-        let mut filled = 0;
-        while filled < max {
+    /// it) or a final count that disagrees with the header.
+    pub fn next_chunk(&mut self, max: usize) -> Result<Vec<TraceQuery>> {
+        let mut chunk = Vec::new();
+        for _ in 0..max.max(1) {
             let Some(query) = self.decode_next()? else {
                 break;
             };
-            match chunk.get_mut(filled) {
-                Some(entry) => *entry = query.clone(),
-                None => chunk.push(query.clone()),
-            }
-            filled += 1;
+            chunk.push(query.clone());
         }
-        chunk.truncate(filled);
-        Ok(())
+        Ok(chunk)
     }
 
     /// Decode the next query into the reader's slot; `None` at end of
     /// file, once the header's query count has been checked.
-    fn decode_next(&mut self) -> Result<Option<&TraceQuery>> {
+    pub(crate) fn decode_next(&mut self) -> Result<Option<&TraceQuery>> {
         while !self.finished {
             self.line.clear();
             if self.input.read_until(b'\n', &mut self.line)? == 0 {
@@ -711,19 +689,6 @@ mod tests {
             assert_eq!(r.delivered(), 150);
             // EOF is sticky.
             assert!(r.next_chunk(chunk).unwrap().is_empty());
-
-            // One refilled buffer hands out the same queries.
-            let mut r = TraceReader::open(&path).unwrap();
-            let mut slots = Vec::new();
-            let mut back = Vec::new();
-            loop {
-                r.refill(&mut slots, chunk).unwrap();
-                if slots.is_empty() {
-                    break;
-                }
-                back.extend(slots.iter().cloned());
-            }
-            assert_eq!(back, trace.queries, "refilled chunk size {chunk}");
         }
         std::fs::remove_file(&path).ok();
     }

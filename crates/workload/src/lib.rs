@@ -1,5 +1,5 @@
 //! Workload substrate: SDSS-like trace synthesis, trace serialization,
-//! and workload statistics.
+//! the compact replay input, and workload statistics.
 //!
 //! The paper replays SQL traces logged at the largest SkyQuery node for
 //! two SDSS data releases (EDR: 27 663 queries; DR1: 24 567 queries; each
@@ -26,6 +26,7 @@
 
 pub mod generator;
 pub mod io;
+pub mod replay;
 pub mod spec;
 pub mod stats;
 pub mod templates;
@@ -33,6 +34,7 @@ pub mod trace;
 
 pub use generator::{generate, generate_with, WorkloadConfig};
 pub use io::{TraceReader, TraceWriter};
+pub use replay::{for_each_slice, ReplayQuery, ReplayTrace, Unresolved};
 pub use spec::{TraceSpec, TraceSummary};
 pub use stats::WorkloadStats;
 pub use trace::{Trace, TraceQuery};

@@ -1,111 +1,61 @@
-//! Workload statistics: per-object demands and summary numbers.
+//! Workload statistics: per-object demands.
 //!
-//! These feed the static-optimal planner (which needs per-object total
-//! yields) and the reports in EXPERIMENTS.md.
+//! These feed the static-optimal planner, which needs each object's total
+//! yield over the whole trace before the first query.
 
+use crate::replay::{for_each_slice, ReplayTrace};
 use crate::trace::Trace;
-use byc_catalog::{Granularity, ObjectCatalog};
+use byc_catalog::ObjectCatalog;
 use byc_core::static_opt::ObjectDemand;
-use byc_types::Bytes;
-use std::collections::HashMap;
+use byc_types::{Bytes, ObjectId};
 
-/// Summary statistics of a trace at one object granularity.
+/// The demand profile of a trace at one object granularity.
 #[derive(Clone, Debug)]
 pub struct WorkloadStats {
-    /// Trace name.
-    pub name: String,
-    /// Number of queries.
-    pub query_count: usize,
-    /// Total result bytes (no-cache network cost).
-    pub sequence_cost: Bytes,
-    /// Mean yield per query.
-    pub mean_yield: Bytes,
-    /// Per-object demand: total yield attributed and access count.
+    /// Per-object demand: the total yield attributed to each object of
+    /// the catalog, in object order.
     pub demands: Vec<ObjectDemand>,
-    /// Per-object access counts (parallel to `demands`).
-    pub access_counts: Vec<u64>,
-    /// Histogram of queries per template id.
-    pub template_histogram: HashMap<u32, usize>,
 }
 
 impl WorkloadStats {
-    /// Compute statistics of `trace` at the granularity of `objects`.
+    /// The demands of `trace` at the granularity of `objects`.
     pub fn compute(trace: &Trace, objects: &ObjectCatalog) -> Self {
         let mut yields = vec![Bytes::ZERO; objects.len()];
-        let mut counts = vec![0u64; objects.len()];
-        let mut template_histogram = HashMap::new();
         for q in &trace.queries {
-            *template_histogram.entry(q.template).or_insert(0) += 1;
-            match objects.granularity() {
-                Granularity::Table => {
-                    for &(t, y) in &q.table_yields {
-                        if let Ok(o) = objects.object_for_table(t) {
-                            yields[o.index()] += y;
-                            counts[o.index()] += 1;
-                        }
-                    }
-                }
-                Granularity::Column => {
-                    for &(c, y) in &q.column_yields {
-                        if let Ok(o) = objects.object_for_column(c) {
-                            yields[o.index()] += y;
-                            counts[o.index()] += 1;
-                        }
-                    }
-                }
-            }
+            for_each_slice(q, objects, |o, y| add(&mut yields, o, y));
         }
+        Self::of_yields(objects, &yields)
+    }
+
+    /// The demands of `trace`'s slices, which must have been resolved
+    /// against `objects`: equal to [`Self::compute`] on the trace it was
+    /// made from.
+    pub fn of_replay(trace: &ReplayTrace, objects: &ObjectCatalog) -> Self {
+        let mut yields = vec![Bytes::ZERO; objects.len()];
+        for &(o, y) in trace.slices() {
+            add(&mut yields, o, y);
+        }
+        Self::of_yields(objects, &yields)
+    }
+
+    fn of_yields(objects: &ObjectCatalog, yields: &[Bytes]) -> Self {
         let demands = objects
             .objects()
             .iter()
             .map(|info| ObjectDemand {
                 object: info.id,
-                total_yield: yields[info.id.index()],
+                total_yield: yields.get(info.id.index()).copied().unwrap_or_default(),
                 size: info.size,
                 fetch_cost: info.fetch_cost,
             })
             .collect();
-        let sequence_cost = trace.sequence_cost();
-        let mean_yield = if trace.is_empty() {
-            Bytes::ZERO
-        } else {
-            Bytes::new(sequence_cost.raw() / trace.len() as u64)
-        };
-        Self {
-            name: trace.name.clone(),
-            query_count: trace.len(),
-            sequence_cost,
-            mean_yield,
-            demands,
-            access_counts: counts,
-            template_histogram,
-        }
+        Self { demands }
     }
+}
 
-    /// Objects ordered by total demanded yield, descending.
-    pub fn hottest_objects(&self) -> Vec<ObjectDemand> {
-        let mut v = self.demands.clone();
-        v.sort_by(|a, b| {
-            b.total_yield
-                .cmp(&a.total_yield)
-                .then(a.object.cmp(&b.object))
-        });
-        v
-    }
-
-    /// Fraction of total demand covered by the `n` hottest objects.
-    pub fn demand_concentration(&self, n: usize) -> f64 {
-        let total: u64 = self.demands.iter().map(|d| d.total_yield.raw()).sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let top: u64 = self
-            .hottest_objects()
-            .iter()
-            .take(n)
-            .map(|d| d.total_yield.raw())
-            .sum();
-        top as f64 / total as f64
+fn add(yields: &mut [Bytes], object: ObjectId, raw_yield: Bytes) {
+    if let Some(total) = yields.get_mut(object.index()) {
+        *total += raw_yield;
     }
 }
 
@@ -114,6 +64,7 @@ mod tests {
     use super::*;
     use crate::generator::{generate, WorkloadConfig};
     use byc_catalog::sdss::{build, SdssRelease};
+    use byc_catalog::Granularity;
 
     fn setup() -> (Trace, ObjectCatalog, ObjectCatalog) {
         let cat = build(SdssRelease::Edr, 1e-3, 1);
@@ -130,24 +81,9 @@ mod tests {
             let stats = WorkloadStats::compute(&trace, objects);
             let sum: u64 = stats.demands.iter().map(|d| d.total_yield.raw()).sum();
             assert_eq!(sum, trace.sequence_cost().raw());
-        }
-    }
-
-    #[test]
-    fn mean_yield_consistent() {
-        let (trace, tables, _) = setup();
-        let stats = WorkloadStats::compute(&trace, &tables);
-        assert_eq!(stats.query_count, 1000);
-        assert_eq!(stats.mean_yield.raw(), trace.sequence_cost().raw() / 1000);
-    }
-
-    #[test]
-    fn hottest_objects_sorted() {
-        let (trace, _, columns) = setup();
-        let stats = WorkloadStats::compute(&trace, &columns);
-        let hot = stats.hottest_objects();
-        for w in hot.windows(2) {
-            assert!(w[0].total_yield >= w[1].total_yield);
+            let replay =
+                WorkloadStats::of_replay(&ReplayTrace::from_trace(&trace, objects), objects);
+            assert_eq!(replay.demands, stats.demands);
         }
     }
 
@@ -156,15 +92,10 @@ mod tests {
         // Schema locality ⇒ a few columns dominate demand.
         let (trace, _, columns) = setup();
         let stats = WorkloadStats::compute(&trace, &columns);
-        assert!(stats.demand_concentration(15) > 0.5);
-        assert!(stats.demand_concentration(columns.len()) > 0.999);
-    }
-
-    #[test]
-    fn template_histogram_counts_queries() {
-        let (trace, tables, _) = setup();
-        let stats = WorkloadStats::compute(&trace, &tables);
-        let total: usize = stats.template_histogram.values().sum();
-        assert_eq!(total, 1000);
+        let mut yields: Vec<u64> = stats.demands.iter().map(|d| d.total_yield.raw()).collect();
+        yields.sort_unstable_by(|a, b| b.cmp(a));
+        let total: u64 = yields.iter().sum();
+        let top: u64 = yields.iter().take(15).sum();
+        assert!(top as f64 / total as f64 > 0.5);
     }
 }

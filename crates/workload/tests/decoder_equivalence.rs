@@ -9,16 +9,20 @@
 //! `oracle/`) decodes a line, the shipped decoder must give the same
 //! `TraceQuery`; wherever the oracle refuses it, the shipped decoder must
 //! return an `Err`. Neither may panic. Whole files go through
-//! `TraceReader::refill`, one chunk refilled over and over, at chunk
-//! sizes 1, 7 and 1024.
+//! `TraceReader::next_chunk` at chunk sizes 1, 7 and 1024, and through
+//! `ReplayTrace::read`, which must
+//! accept or refuse each file as `read_trace` does, with the same error
+//! text, and when it accepts equal the conversion of `read_trace`'s
+//! trace at both granularities.
 
 mod oracle;
 
 use byc_catalog::sdss::{build, SdssRelease};
+use byc_catalog::{Granularity, ObjectCatalog};
 use byc_types::json::{Num, Value};
 use byc_types::SplitMix64;
-use byc_workload::io::decode_query;
-use byc_workload::{generate, TraceQuery, TraceReader, TraceWriter, WorkloadConfig};
+use byc_workload::io::{decode_query, read_trace};
+use byc_workload::{generate, ReplayTrace, TraceQuery, TraceReader, TraceWriter, WorkloadConfig};
 use proptest::prelude::*;
 use std::path::PathBuf;
 
@@ -330,21 +334,18 @@ fn agree(line: &[u8], slot: &mut TraceQuery) {
     }
 }
 
-/// A whole file through one chunk refilled at size `chunk`: the queries
-/// it held, or the error it stopped at.
+/// A whole file read `chunk` queries at a time: the queries it held, or
+/// the error it stopped at.
 fn read_chunked(path: &std::path::Path, chunk: usize) -> Result<Vec<TraceQuery>, String> {
     let mut reader = TraceReader::open(path).map_err(|e| e.to_string())?;
-    let mut slots = Vec::new();
     let mut out = Vec::new();
     loop {
-        reader
-            .refill(&mut slots, chunk)
-            .map_err(|e| e.to_string())?;
-        if slots.is_empty() {
+        let got = reader.next_chunk(chunk).map_err(|e| e.to_string())?;
+        if got.is_empty() {
             return Ok(out);
         }
-        assert!(slots.len() <= chunk);
-        out.extend(slots.iter().cloned());
+        assert!(got.len() <= chunk);
+        out.extend(got);
     }
 }
 
@@ -401,6 +402,23 @@ proptest! {
         }
         let path = tmp("chunked", seed);
         std::fs::write(&path, &file).unwrap();
+        let read = read_trace(&path);
+        let catalog = build(SdssRelease::Edr, 1e-4, 1);
+        for granularity in [Granularity::Table, Granularity::Column] {
+            let objects = ObjectCatalog::uniform(&catalog, granularity);
+            match (&read, ReplayTrace::read(&path, &objects)) {
+                (Ok(trace), Ok(replay)) => {
+                    prop_assert_eq!(replay, ReplayTrace::from_trace(trace, &objects));
+                }
+                (Err(want), Err(have)) => prop_assert_eq!(want.to_string(), have.to_string()),
+                (want, have) => prop_assert!(
+                    false,
+                    "read_trace {:?}, ReplayTrace::read {:?}",
+                    want.as_ref().map(|t| t.len()),
+                    have.map(|r| r.len())
+                ),
+            }
+        }
         let expected = oracle::read_file(&file);
         for chunk in [1usize, 7, 1024] {
             let got = read_chunked(&path, chunk);

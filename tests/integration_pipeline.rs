@@ -136,27 +136,16 @@ fn mediator_replay_matches_simulator_accounting() {
 #[test]
 fn multi_server_fetch_costs_flow_through() {
     // Non-uniform link costs (the BYHR regime) are priced by the network
-    // model at replay time: traffic homed on the expensive server costs
-    // 3x its raw bytes, the rest is untouched, and delivery conservation
-    // holds per server either way.
-    use byc_federation::{
-        Breakdown, NetworkModel, PerServerMultipliers, ReplayEngine, ReplaySession,
-    };
+    // model at replay time: bypassed traffic homed on the expensive
+    // server costs 3x its raw bytes, the rest is untouched, and delivery
+    // conservation holds per server either way. (The fetch prices every
+    // object's policy sees are checked in the engine's unit tests.)
+    use byc_federation::{Breakdown, NetworkModel, PerServerMultipliers, ReplaySession};
 
     let cat = catalog();
     let trace = generate(&cat, &WorkloadConfig::smoke(83, 400)).unwrap();
     let objects = ObjectCatalog::uniform(&cat, Granularity::Table);
     let network = PerServerMultipliers::new(vec![1.0, 3.0]).unwrap();
-    let engine = ReplayEngine::with_network(&objects, &network);
-    let expensive = byc_types::ServerId::new(1);
-    for info in objects.objects() {
-        let access = engine.access_for(info.id, info.size, byc_types::Tick::ZERO);
-        if info.server == expensive {
-            assert_eq!(access.fetch_cost, info.size.scale(3.0));
-        } else {
-            assert_eq!(access.fetch_cost, info.size);
-        }
-    }
 
     let mut policy = byc_core::static_opt::NoCache;
     let mut breakdown = Breakdown::new();
@@ -167,7 +156,7 @@ fn multi_server_fetch_costs_flow_through() {
         .run()
         .unwrap();
     let costs = breakdown.servers();
-    assert!(!costs.is_empty());
+    assert_eq!(costs.len(), 2);
     for (server, s) in costs {
         assert!(s.conserves_delivery(), "server {server:?}");
         let expected = network.price(server, s.bypass_served);
