@@ -32,9 +32,9 @@
 //!
 //! The runtime half of the audit story — the decision-stream checks of
 //! `byc_core::audit` — lives in `byc-core`, so they can run inside
-//! replays without a dependency cycle: every audited replay attaches a
-//! `DecisionAuditor` as an observer, and the mediator wraps its policy
-//! in a `PolicyAuditor`.
+//! replays without a dependency cycle: every audited replay and every
+//! audited mediator feeds a `DecisionAuditor` from the replay kernel's
+//! events.
 //!
 //! [`CachePolicy`]: ../byc_core/policy/trait.CachePolicy.html
 

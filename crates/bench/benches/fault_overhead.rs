@@ -20,12 +20,27 @@
 use byc_catalog::sdss::{build, SdssRelease};
 use byc_catalog::{Granularity, ObjectCatalog};
 use byc_federation::{
-    build_policy, DegradationPolicy, FaultModel, FlakyLinks, NoFaults, Outage, OutageWindows,
-    PolicyKind, ReplaySession, RetryPolicy,
+    build_policy, DegradationPolicy, FaultModel, FetchAttempt, FetchOutcome, FlakyLinks, Outage,
+    OutageWindows, PolicyKind, ReplaySession, RetryPolicy,
 };
 use byc_types::{ServerId, Tick};
 use byc_workload::{generate, WorkloadConfig, WorkloadStats};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+
+/// The identity fault model: every attempt delivers at nominal cost.
+struct NoFaults;
+
+impl FaultModel for NoFaults {
+    fn name(&self) -> &str {
+        "none"
+    }
+
+    fn outcome(&self, _attempt: &FetchAttempt) -> FetchOutcome {
+        FetchOutcome::Delivered {
+            cost_multiplier: 1.0,
+        }
+    }
+}
 
 fn bench_fault_overhead(c: &mut Criterion) {
     let catalog = build(SdssRelease::Edr, 1e-2, 2);

@@ -1186,7 +1186,8 @@ pub fn run_command(command: Command) -> Result<String> {
                 .windows
                 .map(|w| w.with_sink(Box::new(std::io::stderr())));
             let mut tally = YieldTally::default();
-            let mut breakdown = Breakdown::new();
+            // Only a tiered or multi-server run prints a breakdown table.
+            let mut breakdown = (setup.topology.is_some() || args.servers > 1).then(Breakdown::new);
             let replay = {
                 let mut session = match (reader.as_mut(), resident.as_ref()) {
                     (Some(reader), _) => {
@@ -1196,10 +1197,11 @@ pub fn run_command(command: Command) -> Result<String> {
                     // Unreachable: a trace is either streamed or resident.
                     (None, None) => return Err(Error::InvalidConfig("no trace input".into())),
                 };
-                session = setup
-                    .configure(session)
-                    .observe(&mut breakdown)
-                    .observe(&mut observers);
+                session = setup.configure(session);
+                if let Some(breakdown) = breakdown.as_mut() {
+                    session = session.observe(breakdown);
+                }
+                session = session.observe(&mut observers);
                 for p in policies.iter_mut() {
                     session = session.policy(p.as_mut());
                 }
@@ -1263,7 +1265,7 @@ pub fn run_command(command: Command) -> Result<String> {
             for w in &replay.warnings {
                 let _ = writeln!(out, "warning: {w}");
             }
-            if let Some(topo) = &setup.topology {
+            if let (Some(topo), Some(breakdown)) = (&setup.topology, &breakdown) {
                 // Tiers the walk never reached still get a (zero) row, so
                 // the table always shows the whole hierarchy.
                 let mut windows = vec![QueryWindow::default(); topo.depth()];
@@ -1288,7 +1290,7 @@ pub fn run_command(command: Command) -> Result<String> {
                     )
                 );
             }
-            let servers = breakdown.servers();
+            let servers = breakdown.map(|b| b.servers()).unwrap_or_default();
             if servers.len() > 1 {
                 let _ = writeln!(out);
                 let _ = write!(

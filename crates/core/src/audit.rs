@@ -1,7 +1,7 @@
 //! Runtime decision-stream auditing.
 //!
-//! A [`PolicyAuditor`] wraps any [`CachePolicy`] and validates the stream
-//! of [`Decision`]s it emits against a shadow model of the cache contents:
+//! A [`DecisionAuditor`] validates the stream of [`Decision`]s a
+//! [`CachePolicy`] emits against a shadow model of the cache contents:
 //!
 //! * a `Hit` is only legal for an object that was cached before the access;
 //! * a `Load` is only legal for an object that was *not* cached, whose
@@ -9,8 +9,9 @@
 //!   fits within capacity once those evictions are applied;
 //! * after every access the policy's own `used()` / `contains()` answers
 //!   must agree with the shadow model;
-//! * periodically (and in [`PolicyAuditor::finish`]) the full cached-object
-//!   set is cross-checked against [`CachePolicy::cached_objects`].
+//! * periodically (and in [`DecisionAuditor::finish`]) the full
+//!   cached-object set is cross-checked against
+//!   [`CachePolicy::cached_objects`].
 //!
 //! The auditor also keeps the paper's delivery accounting — `D_C` (bytes
 //! served from cache), `D_S` (bytes shipped by bypassing), `D_L` (bytes
@@ -98,18 +99,38 @@ impl AuditReport {
     }
 }
 
-/// The shadow-model checker behind [`PolicyAuditor`], usable on its own.
+/// Validates one cache's decision stream against a shadow model rebuilt
+/// purely from the decisions.
 ///
-/// A `DecisionAuditor` owns no policy: callers feed it the `(access,
-/// decision)` pairs of a replay via [`DecisionAuditor::observe`] together
-/// with a borrow of the policy that produced them, and it validates the
-/// stream against a shadow cache model rebuilt purely from decisions.
-/// This is what lets the federation's replay engine audit *as an
-/// observer* while the policy itself stays un-wrapped; [`PolicyAuditor`]
-/// composes one of these with an owned policy for the wrapper-style API.
+/// The auditor owns no policy: a replay feeds it each access's decision
+/// via [`DecisionAuditor::observe`], together with a borrow of the
+/// policy that made it, and reports each invalidation via
+/// [`DecisionAuditor::observe_invalidate`]. The federation's
+/// `AuditObserver` feeds one from a replay's events, so the policy
+/// itself runs unwrapped. See the [module docs](self) for the
+/// invariants checked.
+///
+/// ```
+/// use byc_core::audit::DecisionAuditor;
+/// use byc_core::rate_profile::{RateProfile, RateProfileConfig};
+/// use byc_core::{Access, CachePolicy};
+/// use byc_types::{Bytes, ObjectId, Tick};
+///
+/// let mut policy = RateProfile::new(Bytes::mib(64), RateProfileConfig::default());
+/// let mut auditor = DecisionAuditor::default();
+/// let access = Access {
+///     object: ObjectId::new(7),
+///     time: Tick::ZERO,
+///     yield_bytes: Bytes::kib(10),
+///     size: Bytes::mib(1),
+///     fetch_cost: Bytes::mib(1),
+/// };
+/// let decision = policy.on_access(&access);
+/// auditor.observe(&access, &decision, &policy);
+/// assert!(auditor.finish(&policy).is_clean());
+/// ```
 #[derive(Debug, Default)]
 pub struct DecisionAuditor {
-    enabled: bool,
     /// Shadow model: object -> size, rebuilt independently from the
     /// decision stream. `BTreeMap` keeps deep checks deterministic.
     shadow: BTreeMap<ObjectId, Bytes>,
@@ -118,27 +139,6 @@ pub struct DecisionAuditor {
 }
 
 impl DecisionAuditor {
-    /// An auditor with invariant checking enabled.
-    pub fn new() -> Self {
-        DecisionAuditor {
-            enabled: true,
-            ..DecisionAuditor::default()
-        }
-    }
-
-    /// A pure pass-through: decisions are counted for the report but no
-    /// invariants are checked and no shadow state is kept. Checking
-    /// cannot be turned on later (the shadow model would be incomplete),
-    /// so the choice is made at construction.
-    pub fn pass_through() -> Self {
-        DecisionAuditor::default()
-    }
-
-    /// True iff invariants are being checked (not a pass-through).
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// The report accumulated so far.
     pub fn report(&self) -> &AuditReport {
         &self.report
@@ -147,9 +147,7 @@ impl DecisionAuditor {
     /// Run the final deep check against `policy` and take the completed
     /// report, leaving this auditor empty.
     pub fn finish(&mut self, policy: &dyn CachePolicy) -> AuditReport {
-        if self.enabled {
-            self.deep_check(policy);
-        }
+        self.deep_check(policy);
         std::mem::take(&mut self.report)
     }
 
@@ -164,10 +162,6 @@ impl DecisionAuditor {
     /// the shadow model. Call in decision order, once per access.
     pub fn observe(&mut self, access: &Access, decision: &Decision, policy: &dyn CachePolicy) {
         self.report.accesses += 1;
-        if !self.enabled {
-            self.count_only(access, decision);
-            return;
-        }
         let was_cached = self.shadow.contains_key(&access.object);
         self.audit_decision(access, decision, was_cached, policy);
         self.audit_post_state(access, policy);
@@ -178,9 +172,6 @@ impl DecisionAuditor {
 
     /// Record an invalidation: `removed` is what the policy answered.
     pub fn observe_invalidate(&mut self, object: ObjectId, removed: bool, policy_name: &str) {
-        if !self.enabled {
-            return;
-        }
         let shadow_had = self.shadow.remove(&object);
         if let Some(size) = shadow_had {
             self.shadow_used -= size;
@@ -191,26 +182,6 @@ impl DecisionAuditor {
                  the decision stream says cached={}",
                 shadow_had.is_some()
             ));
-        }
-    }
-
-    /// Pass-through accounting: tally the decision without checking it.
-    fn count_only(&mut self, access: &Access, decision: &Decision) {
-        match decision {
-            Decision::Hit => {
-                self.report.hits += 1;
-                self.report.cache_served += access.yield_bytes;
-            }
-            Decision::Bypass => {
-                self.report.bypasses += 1;
-                self.report.bypass_served += access.yield_bytes;
-            }
-            Decision::Load { evictions } => {
-                self.report.loads += 1;
-                self.report.load_cost += access.fetch_cost;
-                self.report.cache_served += access.yield_bytes;
-                self.report.evictions += u64::try_from(evictions.len()).unwrap_or(u64::MAX);
-            }
         }
     }
 
@@ -346,117 +317,6 @@ impl DecisionAuditor {
     }
 }
 
-/// A [`CachePolicy`] wrapper that validates the wrapped policy's decision
-/// stream with a [`DecisionAuditor`]. See the [module docs](self) for the
-/// invariants checked.
-///
-/// The auditor itself implements [`CachePolicy`], so it drops into any
-/// replay loop unchanged:
-///
-/// ```
-/// use byc_core::audit::PolicyAuditor;
-/// use byc_core::rate_profile::{RateProfile, RateProfileConfig};
-/// use byc_core::{Access, CachePolicy};
-/// use byc_types::{Bytes, ObjectId, Tick};
-///
-/// let policy = RateProfile::new(Bytes::mib(64), RateProfileConfig::default());
-/// let mut audited = PolicyAuditor::new(policy);
-/// audited.on_access(&Access {
-///     object: ObjectId::new(7),
-///     time: Tick::ZERO,
-///     yield_bytes: Bytes::kib(10),
-///     size: Bytes::mib(1),
-///     fetch_cost: Bytes::mib(1),
-/// });
-/// assert!(audited.finish().is_clean());
-/// ```
-#[derive(Debug)]
-pub struct PolicyAuditor<P> {
-    inner: P,
-    auditor: DecisionAuditor,
-}
-
-impl<P: CachePolicy> PolicyAuditor<P> {
-    /// Wrap `inner` with auditing enabled.
-    pub fn new(inner: P) -> Self {
-        PolicyAuditor {
-            inner,
-            auditor: DecisionAuditor::new(),
-        }
-    }
-
-    /// Wrap `inner` as a pure pass-through: decisions are counted for the
-    /// report but no invariants are checked and no shadow state is kept.
-    /// Auditing cannot be turned on later (the shadow model would be
-    /// incomplete), so the choice is made at construction.
-    pub fn pass_through(inner: P) -> Self {
-        PolicyAuditor {
-            inner,
-            auditor: DecisionAuditor::pass_through(),
-        }
-    }
-
-    /// True iff invariants are being checked (not a pass-through).
-    pub fn is_enabled(&self) -> bool {
-        self.auditor.is_enabled()
-    }
-
-    /// The wrapped policy.
-    pub fn inner(&self) -> &P {
-        &self.inner
-    }
-
-    /// Unwrap, discarding the audit state.
-    pub fn into_inner(self) -> P {
-        self.inner
-    }
-
-    /// The report accumulated so far.
-    pub fn report(&self) -> &AuditReport {
-        self.auditor.report()
-    }
-
-    /// Run a final deep check and return the completed report.
-    pub fn finish(mut self) -> AuditReport {
-        self.auditor.finish(&self.inner)
-    }
-}
-
-impl<P: CachePolicy> CachePolicy for PolicyAuditor<P> {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn on_access(&mut self, access: &Access) -> Decision {
-        let decision = self.inner.on_access(access);
-        self.auditor.observe(access, &decision, &self.inner);
-        decision
-    }
-
-    fn contains(&self, object: ObjectId) -> bool {
-        self.inner.contains(object)
-    }
-
-    fn used(&self) -> Bytes {
-        self.inner.used()
-    }
-
-    fn capacity(&self) -> Bytes {
-        self.inner.capacity()
-    }
-
-    fn cached_objects(&self) -> Vec<ObjectId> {
-        self.inner.cached_objects()
-    }
-
-    fn invalidate(&mut self, object: ObjectId) -> bool {
-        let removed = self.inner.invalidate(object);
-        self.auditor
-            .observe_invalidate(object, removed, self.inner.name());
-        removed
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -549,6 +409,38 @@ mod tests {
         }
     }
 
+    /// A [`Scripted`] policy whose every decision and invalidation feeds
+    /// one [`DecisionAuditor`], as a replay's observer feeds it.
+    struct Audited {
+        policy: Scripted,
+        auditor: DecisionAuditor,
+    }
+
+    impl Audited {
+        fn new(policy: Scripted) -> Self {
+            Audited {
+                policy,
+                auditor: DecisionAuditor::default(),
+            }
+        }
+
+        fn on_access(&mut self, access: &Access) {
+            let decision = self.policy.on_access(access);
+            self.auditor.observe(access, &decision, &self.policy);
+        }
+
+        fn invalidate(&mut self, object: ObjectId) -> bool {
+            let removed = self.policy.invalidate(object);
+            self.auditor
+                .observe_invalidate(object, removed, self.policy.name());
+            removed
+        }
+
+        fn finish(mut self) -> AuditReport {
+            self.auditor.finish(&self.policy)
+        }
+    }
+
     #[test]
     fn clean_stream_is_clean() {
         let policy = Scripted::new(
@@ -562,7 +454,7 @@ mod tests {
                 },
             ],
         );
-        let mut audited = PolicyAuditor::new(policy);
+        let mut audited = Audited::new(policy);
         audited.on_access(&access(1, 60)); // load
         audited.on_access(&access(1, 60)); // hit
         audited.on_access(&access(2, 500)); // bypass (too big)
@@ -583,7 +475,7 @@ mod tests {
     #[test]
     fn hit_on_uncached_object_is_flagged() {
         let policy = Scripted::new(Bytes::new(100), vec![Decision::Hit]);
-        let mut audited = PolicyAuditor::new(policy);
+        let mut audited = Audited::new(policy);
         audited.on_access(&access(9, 10));
         let report = audited.finish();
         assert!(!report.is_clean());
@@ -593,7 +485,7 @@ mod tests {
     #[test]
     fn load_of_cached_object_is_flagged() {
         let policy = Scripted::new(Bytes::new(100), vec![Decision::load(), Decision::load()]);
-        let mut audited = PolicyAuditor::new(policy);
+        let mut audited = Audited::new(policy);
         audited.on_access(&access(4, 10));
         audited.on_access(&access(4, 10));
         let report = audited.finish();
@@ -606,7 +498,7 @@ mod tests {
     #[test]
     fn overflowing_load_is_flagged() {
         let policy = Scripted::new(Bytes::new(50), vec![Decision::load()]);
-        let mut audited = PolicyAuditor::new(policy);
+        let mut audited = Audited::new(policy);
         audited.on_access(&access(5, 80));
         let report = audited.finish();
         assert!(report
@@ -623,7 +515,7 @@ mod tests {
                 evictions: vec![ObjectId::new(42)].into(),
             }],
         );
-        let mut audited = PolicyAuditor::new(policy);
+        let mut audited = Audited::new(policy);
         audited.on_access(&access(6, 10));
         let report = audited.finish();
         assert!(report.violations.iter().any(|v| v.contains("not cached")));
@@ -633,7 +525,7 @@ mod tests {
     fn skewed_used_fails_post_state_check() {
         let mut policy = Scripted::new(Bytes::new(100), vec![Decision::load()]);
         policy.used_skew = Bytes::new(3);
-        let mut audited = PolicyAuditor::new(policy);
+        let mut audited = Audited::new(policy);
         audited.on_access(&access(7, 10));
         let report = audited.finish();
         assert!(report
@@ -645,11 +537,11 @@ mod tests {
     #[test]
     fn silent_policy_drop_is_caught_by_deep_check() {
         let policy = Scripted::new(Bytes::new(100), vec![Decision::load()]);
-        let mut audited = PolicyAuditor::new(policy);
+        let mut audited = Audited::new(policy);
         audited.on_access(&access(8, 10));
         // The policy forgets the object behind the auditor's back.
-        audited.inner.cached.clear();
-        audited.inner.used = Bytes::ZERO;
+        audited.policy.cached.clear();
+        audited.policy.used = Bytes::ZERO;
         let report = audited.finish();
         assert!(report
             .violations
@@ -660,34 +552,12 @@ mod tests {
     #[test]
     fn invalidate_keeps_shadow_in_sync() {
         let policy = Scripted::new(Bytes::new(100), vec![Decision::load(), Decision::load()]);
-        let mut audited = PolicyAuditor::new(policy);
+        let mut audited = Audited::new(policy);
         audited.on_access(&access(1, 10));
         assert!(audited.invalidate(ObjectId::new(1)));
         assert!(!audited.invalidate(ObjectId::new(1)));
         audited.on_access(&access(1, 10)); // re-load after invalidation
         let report = audited.finish();
         assert!(report.is_clean(), "{:?}", report.violations);
-    }
-
-    #[test]
-    fn pass_through_counts_but_never_checks() {
-        // A Hit on an uncached object: the pass-through must not flag it.
-        let policy = Scripted::new(Bytes::new(100), vec![Decision::Hit]);
-        let mut audited = PolicyAuditor::pass_through(policy);
-        assert!(!audited.is_enabled());
-        audited.on_access(&access(2, 10));
-        let report = audited.finish();
-        assert!(report.is_clean());
-        assert_eq!(report.hits, 1);
-        assert_eq!(report.deep_checks, 0);
-    }
-
-    #[test]
-    fn audits_through_a_boxed_dyn_policy() {
-        let policy: Box<dyn CachePolicy> =
-            Box::new(Scripted::new(Bytes::new(100), vec![Decision::Hit]));
-        let mut audited = PolicyAuditor::new(policy);
-        audited.on_access(&access(3, 10));
-        assert!(!audited.finish().is_clean());
     }
 }

@@ -130,13 +130,10 @@ impl CacheState {
     ///
     /// Hitting a non-cached object is a policy bug; debug builds assert,
     /// release builds ignore the call. Where auditing is on (by default
-    /// in debug replays), the decision-stream audit flags the `Hit` such
-    /// a policy reports: a [`DecisionAuditor`] riding the replay as an
-    /// observer, or the [`PolicyAuditor`] the mediator wraps its policy
-    /// in.
+    /// in debug replays and mediators), the [`DecisionAuditor`] fed from
+    /// the replay's events flags the `Hit` such a policy reports.
     ///
     /// [`DecisionAuditor`]: crate::audit::DecisionAuditor
-    /// [`PolicyAuditor`]: crate::audit::PolicyAuditor
     pub fn record_hit(&mut self, object: ObjectId, yield_bytes: Bytes) {
         let Some(e) = self.entries.get_mut(object) else {
             debug_assert!(false, "record_hit on non-cached object {object}");

@@ -6,7 +6,7 @@
 //! small instances.
 
 use byc_core::access::Access;
-use byc_core::audit::PolicyAuditor;
+use byc_core::audit::DecisionAuditor;
 use byc_core::bypass_object::{BypassObjectAlgorithm, Landlord, SizeClassMarking};
 use byc_core::cache::{CacheState, EvictionPlan};
 use byc_core::heap::IndexedMinHeap;
@@ -165,7 +165,7 @@ proptest! {
     }
 
     /// Every shipped policy produces a violation-free decision stream
-    /// under the [`PolicyAuditor`]'s shadow model on arbitrary traces,
+    /// under the [`DecisionAuditor`]'s shadow model on arbitrary traces,
     /// and the auditor's delivery accounting is conserved: every byte of
     /// yield is served either from cache (`D_C`) or by bypassing (`D_S`).
     #[test]
@@ -177,7 +177,7 @@ proptest! {
         let cap = Bytes::new(capacity);
         let static_set: Vec<ObjectId> =
             (0..4).map(|i| ObjectId::new(i * 7)).collect();
-        let policies: Vec<Box<dyn CachePolicy>> = vec![
+        let mut policies: Vec<Box<dyn CachePolicy>> = vec![
             Box::new(RateProfile::new(cap, RateProfileConfig::default())),
             Box::new(OnlineBY::new(Landlord::new(cap))),
             Box::new(OnlineBY::new(SizeClassMarking::new(cap))),
@@ -192,8 +192,8 @@ proptest! {
             Box::new(StaticCache::new(static_set, cap)),
             Box::new(NoCache),
         ];
-        let mut auditors: Vec<PolicyAuditor<Box<dyn CachePolicy>>> =
-            policies.into_iter().map(PolicyAuditor::new).collect();
+        let mut auditors: Vec<DecisionAuditor> =
+            policies.iter().map(|_| DecisionAuditor::default()).collect();
         let mut expected_delivery = Bytes::ZERO;
         for (t, &(id, yld)) in accesses.iter().enumerate() {
             // Size is a stable function of the object id; some objects
@@ -207,18 +207,20 @@ proptest! {
                 fetch_cost: Bytes::new(size),
             };
             expected_delivery += access.yield_bytes;
-            for a in auditors.iter_mut() {
-                a.on_access(&access);
+            for (p, a) in policies.iter_mut().zip(auditors.iter_mut()) {
+                let decision = p.on_access(&access);
+                a.observe(&access, &decision, p.as_ref());
                 // Occasional invalidation exercises the shadow-model
                 // bookkeeping on the same stream.
                 if t % 17 == 16 {
-                    a.invalidate(access.object);
+                    let removed = p.invalidate(access.object);
+                    a.observe_invalidate(access.object, removed, p.name());
                 }
             }
         }
-        for a in auditors {
-            let name = a.name();
-            let report = a.finish();
+        for (p, a) in policies.iter().zip(auditors.iter_mut()) {
+            let name = p.name();
+            let report = a.finish(p.as_ref());
             prop_assert!(
                 report.is_clean(),
                 "{}: {:?}", name, report.violations

@@ -36,7 +36,7 @@
 
 use crate::accounting::CostReport;
 use crate::faults::{spiked_cost, DegradationPolicy, FaultPlan};
-use crate::network::{NetworkModel, Topology};
+use crate::network::{NetworkModel, Topology, UNIFORM};
 use crate::simulator::SeriesPoint;
 use byc_catalog::ObjectCatalog;
 use byc_core::access::Access;
@@ -198,8 +198,12 @@ impl std::fmt::Debug for CostEvent<'_> {
 /// a [`ReplaySession`](crate::session::ReplaySession) replays a
 /// [`ReplayTrace`](byc_workload::ReplayTrace) and passes one reused
 /// [`TraceQuery`] whose `id` and `total_yield` are the current query's
-/// and whose other members are empty. The mediator passes the query it
-/// serves. Read `index` and `total_yield`, nothing else.
+/// and whose other members are empty. [`Mediator::serve_sql`] passes
+/// its one slot, whose `id`, `total_yield` and yield lists are set and
+/// whose text and id lists are empty; `serve_trace_query` passes its
+/// caller's query. Read `index` and `total_yield`, nothing else.
+///
+/// [`Mediator::serve_sql`]: crate::mediator::Mediator::serve_sql
 pub trait Observer {
     /// A query is about to be served (see the trait docs for what
     /// `query` holds).
@@ -390,22 +394,18 @@ impl<'a> ReplayEngine<'a> {
         Self::over(objects, links, None)
     }
 
-    /// The fetch rows of a flat engine over `objects` and `network`, for
-    /// a long-lived caller to build once and lend to
+    /// The fetch rows of a flat engine over `objects` on the uniform
+    /// network, for a long-lived caller to build once and lend to
     /// [`Self::with_rows`].
-    pub(crate) fn flat_rows(objects: &ObjectCatalog, network: &dyn NetworkModel) -> Vec<Bytes> {
-        fetch_rows(objects, Links::Flat(network))
+    pub(crate) fn flat_rows(objects: &ObjectCatalog) -> Vec<Bytes> {
+        fetch_rows(objects, Links::Flat(&UNIFORM))
     }
 
-    /// A flat engine over rows [`Self::flat_rows`] built for the same
-    /// `objects` and `network`: constant time, where the other
-    /// constructors price every object.
-    pub(crate) fn with_rows(
-        objects: &'a ObjectCatalog,
-        network: &'a dyn NetworkModel,
-        rows: &'a [Bytes],
-    ) -> Self {
-        Self::over(objects, Links::Flat(network), Some(rows))
+    /// A flat engine on the uniform network over rows
+    /// [`Self::flat_rows`] built for the same `objects`: constant time,
+    /// where the other constructors price every object.
+    pub(crate) fn with_rows(objects: &'a ObjectCatalog, rows: &'a [Bytes]) -> Self {
+        Self::over(objects, Links::Flat(&UNIFORM), Some(rows))
     }
 
     fn over(objects: &'a ObjectCatalog, links: Links<'a>, rows: Option<&'a [Bytes]>) -> Self {
@@ -885,10 +885,15 @@ impl Observer for CostObserver {
 /// Every replay calls `finish` with the tier's policy, which runs the
 /// closing deep check and freezes the report —
 /// [`AuditObserver::into_report`] then returns it with no `Option` in the
-/// path.
+/// path. A [`Mediator`] keeps one on tier 0 for its lifetime and reads
+/// its running report instead.
+///
+/// [`Mediator`]: crate::mediator::Mediator
 #[derive(Debug)]
 pub struct AuditObserver {
-    auditor: DecisionAuditor,
+    /// The tier's auditor; the mediator reports invalidations and reads
+    /// the running report through it.
+    pub(crate) auditor: DecisionAuditor,
     finished: AuditReport,
     /// The tier whose events are audited.
     tier: u32,
@@ -898,7 +903,7 @@ impl AuditObserver {
     /// An observer auditing tier `tier`'s decision stream.
     pub fn for_tier(tier: u32) -> Self {
         AuditObserver {
-            auditor: DecisionAuditor::new(),
+            auditor: DecisionAuditor::default(),
             finished: AuditReport::default(),
             tier,
         }
@@ -1073,6 +1078,33 @@ impl Observer for Breakdown {
     }
 }
 
+/// A lying policy for audit tests: claims a Hit on every access but
+/// never caches anything.
+#[cfg(test)]
+pub(crate) struct AlwaysHit;
+
+#[cfg(test)]
+impl CachePolicy for AlwaysHit {
+    fn name(&self) -> &'static str {
+        "AlwaysHit"
+    }
+    fn on_access(&mut self, _: &Access) -> Decision {
+        Decision::Hit
+    }
+    fn contains(&self, _: ObjectId) -> bool {
+        false
+    }
+    fn used(&self) -> Bytes {
+        Bytes::ZERO
+    }
+    fn capacity(&self) -> Bytes {
+        Bytes::mib(1)
+    }
+    fn cached_objects(&self) -> Vec<ObjectId> {
+        Vec::new()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1223,28 +1255,6 @@ mod tests {
 
     #[test]
     fn audit_catches_a_lying_policy() {
-        /// Claims a Hit on every access but never caches anything.
-        struct AlwaysHit;
-        impl CachePolicy for AlwaysHit {
-            fn name(&self) -> &'static str {
-                "AlwaysHit"
-            }
-            fn on_access(&mut self, _: &Access) -> Decision {
-                Decision::Hit
-            }
-            fn contains(&self, _: ObjectId) -> bool {
-                false
-            }
-            fn used(&self) -> Bytes {
-                Bytes::ZERO
-            }
-            fn capacity(&self) -> Bytes {
-                Bytes::mib(1)
-            }
-            fn cached_objects(&self) -> Vec<ObjectId> {
-                Vec::new()
-            }
-        }
         let (trace, objects) = setup(1);
         let mut liar = AlwaysHit;
         let audit = ReplaySession::new(&trace, &objects)

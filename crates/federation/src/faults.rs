@@ -147,13 +147,12 @@ impl<M: FaultModel> FaultModel for LinkScoped<M> {
 /// The fault-free model: every attempt succeeds at nominal cost.
 ///
 /// Replays through [`NoFaults`] are bit-identical to replays with no
-/// fault layer at all.
+/// fault layer at all, which this crate's tests check.
+#[cfg(test)]
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NoFaults;
+pub(crate) struct NoFaults;
 
-/// Shared [`NoFaults`] instance for call sites that need a `&'static`.
-pub static NO_FAULTS: NoFaults = NoFaults;
-
+#[cfg(test)]
 impl FaultModel for NoFaults {
     fn name(&self) -> &str {
         "none"

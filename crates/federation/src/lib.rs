@@ -36,8 +36,8 @@
 //!   [`faults::FaultModel`]s ([`faults::OutageWindows`],
 //!   [`faults::FlakyLinks`]), [`faults::LinkScoped`] scoping of a model
 //!   to one topology link, bounded [`faults::RetryPolicy`] backoff,
-//!   and the [`faults::DegradationPolicy`] the mediator falls back on
-//!   when retries are exhausted.
+//!   and the [`faults::DegradationPolicy`] a replay falls back on when
+//!   retries are exhausted.
 //! * [`accounting`] — [`accounting::CostReport`]: the bypass/fetch/total
 //!   breakdown of Tables 1–2 plus hit/bypass/load counters, retry-storm
 //!   traffic, and availability under faults.
@@ -76,8 +76,8 @@ pub use engine::{
 };
 pub use faults::{
     fault_context, spiked_cost, DegradationPolicy, FaultModel, FaultPlan, FetchAttempt,
-    FetchOutcome, FetchResolution, FlakyLinks, LinkScoped, NoFaults, Outage, OutageWindows,
-    RetryPolicy, NO_FAULTS, NO_RETRY,
+    FetchOutcome, FetchResolution, FlakyLinks, LinkScoped, Outage, OutageWindows, RetryPolicy,
+    NO_RETRY,
 };
 pub use mediator::Mediator;
 pub use network::{NetworkModel, PerServerMultipliers, TierSpec, Topology, Uniform};

@@ -8,11 +8,11 @@
 //! paper's architecture (§3, Figure 1), with bypassed sub-queries routed
 //! to their home servers.
 
-use crate::engine::{partition_access_observers, CostEvent, Observer, QueryWindow, ReplayEngine};
-use crate::faults::{DegradationPolicy, FaultModel, FaultPlan, RetryPolicy};
-use crate::network::{NetworkModel, Uniform};
+use crate::engine::{
+    partition_access_observers, AuditObserver, CostEvent, Observer, QueryWindow, ReplayEngine,
+};
 use byc_catalog::{Catalog, Granularity, ObjectCatalog};
-use byc_core::audit::{AuditReport, PolicyAuditor};
+use byc_core::audit::AuditReport;
 use byc_core::policy::{CachePolicy, Decision};
 use byc_engine::YieldModel;
 use byc_sql::{analyze, parse};
@@ -43,35 +43,16 @@ pub struct ServedQuery {
     pub from_cache: Bytes,
     /// Result bytes shipped from back-end servers (bypass traffic).
     pub from_servers: Bytes,
-    /// WAN cost of the bypassed slices, priced per home-server link.
-    /// Equals `from_servers` on a uniform network.
-    pub bypass_traffic: Bytes,
     /// WAN bytes spent on cache loads triggered by this query.
     pub load_traffic: Bytes,
-    /// WAN bytes wasted on failed transfer attempts (zero without a
-    /// fault layer).
-    pub retried_bytes: Bytes,
-    /// Result bytes this query failed to deliver (failed slices under
-    /// the `Fail` degradation policy).
-    pub failed_bytes: Bytes,
-    /// Slices served from the stale local copy after exhausted retries.
-    pub degraded_slices: u64,
-    /// Slices that delivered nothing after exhausted retries.
-    pub failed_slices: u64,
     /// Per-object outcomes, in decomposition order.
     pub outcomes: Vec<ObjectOutcome>,
 }
 
 impl ServedQuery {
-    /// WAN traffic this query generated (bypass + loads + wasted retry
-    /// traffic).
+    /// WAN traffic this query generated: bypass traffic plus loads.
     pub fn wan_cost(&self) -> Bytes {
-        self.bypass_traffic + self.load_traffic + self.retried_bytes
-    }
-
-    /// True iff every requested byte was delivered (possibly stale).
-    pub fn fully_delivered(&self) -> bool {
-        self.failed_slices == 0
+        self.from_servers + self.load_traffic
     }
 }
 
@@ -92,28 +73,29 @@ impl Observer for OutcomeObserver {
     }
 }
 
-/// The mediation middleware with its collocated bypass-yield cache.
+/// The mediation middleware with its collocated bypass-yield cache, on
+/// the uniform network.
 ///
-/// The policy sits behind a [`PolicyAuditor`] that validates its decision
-/// stream against a shadow cache model. Auditing is on in debug builds;
-/// release deployments opt in with [`Mediator::with_audit`] (one shadow-map
-/// update per object access). The auditor records violations rather than
-/// panicking — poll [`Mediator::audit_report`].
+/// Its decision stream is audited the way a session's is: an
+/// [`AuditObserver`] rides every served query and validates the policy's
+/// decisions against a shadow cache model. Auditing is on in debug
+/// builds; release deployments opt in with [`Mediator::with_audit`]. The
+/// auditor records violations rather than panicking — poll
+/// [`Mediator::audit_report`].
 pub struct Mediator {
     catalog: Catalog,
     objects: ObjectCatalog,
-    policy: PolicyAuditor<Box<dyn CachePolicy>>,
-    network: Box<dyn NetworkModel>,
-    /// The kernel's priced fetch rows for `objects` over `network`,
-    /// built once for the mediator's lifetime.
+    policy: Box<dyn CachePolicy>,
+    /// The kernel's priced fetch rows for `objects`, built once for the
+    /// mediator's lifetime.
     fetch_rows: Vec<Bytes>,
-    faults: Option<Box<dyn FaultModel>>,
-    retry: RetryPolicy,
-    degradation: DegradationPolicy,
+    /// The decision-stream audit, when auditing is on.
+    audit: Option<AuditObserver>,
     served: u64,
     wan_total: Bytes,
-    /// The query [`Mediator::serve_sql`] refills and serves on every
-    /// call, so its text and id lists reuse their buffers.
+    /// The query [`Mediator::serve_sql`] hands the kernel. Only the
+    /// members the kernel reads are set: the id, the total yield and the
+    /// two yield lists.
     slot: TraceQuery,
     /// The served query's object slices, resolved into this one buffer
     /// on every call.
@@ -122,8 +104,8 @@ pub struct Mediator {
 
 impl Mediator {
     /// Build a mediator over `catalog` caching at `granularity` with the
-    /// given policy, on a uniform network. Decision auditing follows the
-    /// build profile: enabled in debug, pass-through in release.
+    /// given policy. Decision auditing follows the build profile: on in
+    /// debug, off in release.
     pub fn new(catalog: Catalog, granularity: Granularity, policy: Box<dyn CachePolicy>) -> Self {
         Self::with_audit(catalog, granularity, policy, cfg!(debug_assertions))
     }
@@ -137,33 +119,14 @@ impl Mediator {
         policy: Box<dyn CachePolicy>,
         audit: bool,
     ) -> Self {
-        Self::with_network(catalog, granularity, policy, audit, Box::new(Uniform))
-    }
-
-    /// Build a mediator whose WAN traffic is priced per home-server link.
-    pub fn with_network(
-        catalog: Catalog,
-        granularity: Granularity,
-        policy: Box<dyn CachePolicy>,
-        audit: bool,
-        network: Box<dyn NetworkModel>,
-    ) -> Self {
         let objects = ObjectCatalog::uniform(&catalog, granularity);
-        let policy = if audit {
-            PolicyAuditor::new(policy)
-        } else {
-            PolicyAuditor::pass_through(policy)
-        };
-        let fetch_rows = ReplayEngine::flat_rows(&objects, network.as_ref());
+        let fetch_rows = ReplayEngine::flat_rows(&objects);
         Self {
             catalog,
             objects,
             policy,
-            network,
             fetch_rows,
-            faults: None,
-            retry: RetryPolicy::default(),
-            degradation: DegradationPolicy::default(),
+            audit: audit.then(|| AuditObserver::for_tier(0)),
             served: 0,
             wan_total: Bytes::ZERO,
             slot: TraceQuery::default(),
@@ -171,51 +134,15 @@ impl Mediator {
         }
     }
 
-    /// Route this mediator's WAN transfers through a fault model, with
-    /// the given retry bounds and degradation fallback. Replaces any
-    /// previous fault configuration.
-    #[must_use]
-    pub fn with_faults(
-        mut self,
-        model: Box<dyn FaultModel>,
-        retry: RetryPolicy,
-        degradation: DegradationPolicy,
-    ) -> Self {
-        self.faults = Some(model);
-        self.retry = retry;
-        self.degradation = degradation;
-        self
-    }
-
-    /// The network model pricing this mediator's WAN traffic.
-    pub fn network(&self) -> &dyn NetworkModel {
-        self.network.as_ref()
-    }
-
-    /// The fault model this mediator's transfers resolve through, if any.
-    pub fn fault_model(&self) -> Option<&dyn FaultModel> {
-        self.faults.as_deref()
-    }
-
-    /// True iff the decision stream is being validated (not just counted).
-    pub fn audit_enabled(&self) -> bool {
-        self.policy.is_enabled()
-    }
-
-    /// The decision-stream audit accumulated so far: counts, delivery
-    /// accounting, and any invariant violations.
-    pub fn audit_report(&self) -> &AuditReport {
-        self.policy.report()
+    /// The decision-stream audit accumulated so far (counts, delivery
+    /// accounting, and any invariant violations), when auditing is on.
+    pub fn audit_report(&self) -> Option<&AuditReport> {
+        self.audit.as_ref().map(|audit| audit.auditor.report())
     }
 
     /// The schema catalog.
     pub fn catalog(&self) -> &Catalog {
         &self.catalog
-    }
-
-    /// The cacheable-object view.
-    pub fn objects(&self) -> &ObjectCatalog {
-        &self.objects
     }
 
     /// Queries served so far.
@@ -241,26 +168,28 @@ impl Mediator {
     /// catalog.
     pub fn invalidate_table(&mut self, table: &str) -> Result<usize> {
         let table = self.catalog.table_by_name(table)?;
-        let mut dropped = 0usize;
-        match self.objects.granularity() {
-            byc_catalog::Granularity::Table => {
-                if let Ok(o) = self.objects.object_for_table(table.id) {
-                    if self.policy.invalidate(o) {
-                        dropped += 1;
-                    }
-                }
+        let (policy, audit) = (&mut self.policy, &mut self.audit);
+        let mut invalidate = |object: ObjectId| {
+            let removed = policy.invalidate(object);
+            if let Some(audit) = audit.as_mut() {
+                audit
+                    .auditor
+                    .observe_invalidate(object, removed, policy.name());
             }
-            byc_catalog::Granularity::Column => {
-                for &c in &table.columns {
-                    if let Ok(o) = self.objects.object_for_column(c) {
-                        if self.policy.invalidate(o) {
-                            dropped += 1;
-                        }
-                    }
-                }
-            }
-        }
-        Ok(dropped)
+            usize::from(removed)
+        };
+        Ok(match self.objects.granularity() {
+            Granularity::Table => self
+                .objects
+                .object_for_table(table.id)
+                .map_or(0, &mut invalidate),
+            Granularity::Column => table
+                .columns
+                .iter()
+                .filter_map(|&c| self.objects.object_for_column(c).ok())
+                .map(invalidate)
+                .sum(),
+        })
     }
 
     /// Parse, price, and serve one SQL query.
@@ -274,13 +203,6 @@ impl Mediator {
         let breakdown = YieldModel::new(&self.catalog).estimate(&resolved);
         let mut tq = std::mem::take(&mut self.slot);
         tq.id = QueryId::new(u32::try_from(self.served).unwrap_or(u32::MAX));
-        tq.sql.clear();
-        tq.sql.push_str(sql);
-        tq.template = u32::MAX;
-        tq.tables.clear();
-        tq.tables.extend(resolved.table_ids());
-        tq.columns.clear();
-        tq.columns.extend(resolved.column_ids());
         tq.total_yield = breakdown.total;
         tq.table_yields = breakdown.per_table;
         tq.column_yields = breakdown.per_column;
@@ -304,15 +226,7 @@ impl Mediator {
         tq: &TraceQuery,
         extra: &mut [&mut dyn Observer],
     ) -> ServedQuery {
-        let mut engine =
-            ReplayEngine::with_rows(&self.objects, self.network.as_ref(), &self.fetch_rows);
-        if let Some(model) = self.faults.as_deref() {
-            engine = engine.with_faults(FaultPlan {
-                model,
-                retry: self.retry,
-                degradation: self.degradation,
-            });
-        }
+        let engine = ReplayEngine::with_rows(&self.objects, &self.fetch_rows);
         let index = usize::try_from(self.served).unwrap_or(usize::MAX);
         let mut outcomes = OutcomeObserver {
             outcomes: Vec::new(),
@@ -323,13 +237,16 @@ impl Mediator {
             self.slices.push((object, raw_yield));
         });
         {
-            let mut observers: Vec<&mut dyn Observer> = Vec::with_capacity(1 + extra.len());
+            let mut observers: Vec<&mut dyn Observer> = Vec::with_capacity(2 + extra.len());
             observers.push(&mut outcomes);
+            if let Some(audit) = self.audit.as_mut() {
+                observers.push(audit);
+            }
             for obs in extra.iter_mut() {
                 observers.push(&mut **obs);
             }
             let access_count = partition_access_observers(&mut observers);
-            let mut policy: &mut dyn CachePolicy = &mut self.policy;
+            let mut policy: &mut dyn CachePolicy = self.policy.as_mut();
             engine.serve_query(
                 index,
                 tq,
@@ -345,12 +262,7 @@ impl Mediator {
             delivered: window.delivered,
             from_cache: window.cache_served,
             from_servers: window.bypass_served,
-            bypass_traffic: window.bypass_cost,
             load_traffic: window.fetch_cost,
-            retried_bytes: window.retried_bytes,
-            failed_bytes: window.failed_bytes,
-            degraded_slices: window.degraded_slices,
-            failed_slices: window.failed_slices,
             outcomes: outcomes.outcomes,
         };
         self.served += 1;
@@ -362,17 +274,23 @@ impl Mediator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::AlwaysHit;
     use byc_catalog::sdss::{build, SdssRelease};
     use byc_core::rate_profile::{RateProfile, RateProfileConfig};
 
     fn mediator(granularity: Granularity) -> Mediator {
+        audited(granularity, cfg!(debug_assertions))
+    }
+
+    /// A Rate-Profile mediator with auditing forced on or off.
+    fn audited(granularity: Granularity, audit: bool) -> Mediator {
         let catalog = build(SdssRelease::Edr, 1e-4, 2);
         let db = catalog.database_size();
         let policy = Box::new(RateProfile::new(
             db.scale(0.5),
             RateProfileConfig::default(),
         ));
-        Mediator::new(catalog, granularity, policy)
+        Mediator::with_audit(catalog, granularity, policy, audit)
     }
 
     const SQL: &str = "select p.ra, p.dec from PhotoObj p \
@@ -449,33 +367,41 @@ mod tests {
 
     #[test]
     fn audit_stays_clean_and_tracks_traffic() {
-        let mut m = mediator(Granularity::Column);
+        let mut m = audited(Granularity::Column, true);
         for _ in 0..10 {
             m.serve_sql(SQL).unwrap();
         }
-        m.invalidate_table("PhotoObj").unwrap();
+        // The drops reach the auditor: had they not, its shadow model
+        // would still hold the dropped columns and flag the next query.
+        assert!(m.invalidate_table("PhotoObj").unwrap() > 0);
         m.serve_sql(SQL).unwrap();
-        let audit = m.audit_report();
+        let audit = m.audit_report().unwrap();
         assert!(audit.is_clean(), "{:?}", audit.violations);
         assert_eq!(audit.accesses, 22); // 11 queries x 2 columns
         assert_eq!(audit.wan_cost(), m.wan_total());
     }
 
     #[test]
-    fn audit_opt_out_is_a_pass_through() {
+    fn audit_flags_a_hit_on_an_uncached_object() {
         let catalog = build(SdssRelease::Edr, 1e-4, 2);
-        let db = catalog.database_size();
-        let policy = Box::new(RateProfile::new(
-            db.scale(0.5),
-            RateProfileConfig::default(),
-        ));
-        let mut m = Mediator::with_audit(catalog, Granularity::Column, policy, false);
-        assert!(!m.audit_enabled());
+        let mut m = Mediator::with_audit(catalog, Granularity::Column, Box::new(AlwaysHit), true);
         m.serve_sql(SQL).unwrap();
-        let audit = m.audit_report();
-        assert!(audit.is_clean());
-        assert_eq!(audit.accesses, 2);
-        assert_eq!(audit.deep_checks, 0);
+        let audit = m.audit_report().unwrap();
+        assert!(!audit.is_clean());
+        assert!(
+            audit.violations[0].contains("not cached"),
+            "{:?}",
+            audit.violations
+        );
+    }
+
+    #[test]
+    fn audit_opt_out_is_a_pass_through() {
+        // Off, the policy serves unwrapped and no report is kept.
+        let mut m = audited(Granularity::Column, false);
+        let served = m.serve_sql(SQL).unwrap();
+        assert_eq!(served.outcomes.len(), 2);
+        assert!(m.audit_report().is_none());
     }
 
     #[test]
@@ -488,7 +414,7 @@ mod tests {
             db.scale(0.15),
             RateProfileConfig::default(),
         ));
-        let mut m = Mediator::new(catalog, Granularity::Column, policy);
+        let mut m = Mediator::with_audit(catalog, Granularity::Column, policy, true);
         for sql in [
             "select * from PhotoObj a, PhotoObj b, PhotoObj c",
             "select * from PhotoObj a, PhotoObj b, PhotoObj c, PhotoObj d",
@@ -501,11 +427,8 @@ mod tests {
                 "{sql}"
             );
         }
-        assert!(
-            m.audit_report().is_clean(),
-            "{:?}",
-            m.audit_report().violations
-        );
+        let audit = m.audit_report().unwrap();
+        assert!(audit.is_clean(), "{:?}", audit.violations);
     }
 
     #[test]
@@ -516,14 +439,13 @@ mod tests {
         let second = m.serve_sql(SQL).unwrap();
         assert_eq!(first.outcomes.len(), 3);
         assert_eq!(second.outcomes.len(), 2);
-        assert_eq!(m.slot.sql, SQL);
         assert_eq!(m.slot.id, QueryId::new(1));
-        assert_eq!(m.slot.columns.len(), 2);
+        assert_eq!(m.slot.total_yield, second.delivered);
         assert_eq!(m.slot.column_yields.len(), 2);
         // A refused query leaves the clock and the slot alone.
         assert!(m.serve_sql("select nope from PhotoObj").is_err());
         assert_eq!(m.served_count(), 2);
-        assert_eq!(m.slot.sql, SQL);
+        assert_eq!(m.slot.id, QueryId::new(1));
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! shareable type in an `assert_send_sync::<T>()` call; removing an
 //! assertion (or adding a policy type without one) fails the audit.
 
-use byc_core::audit::PolicyAuditor;
 use byc_core::bypass_object::{Landlord, SizeClassMarking};
 use byc_core::inline::{
     GdStarRule, GdsRule, GdspRule, InlineCache, LffRule, LfuRule, LruKRule, LruRule,
@@ -61,6 +60,5 @@ fn policies_are_send_sync() {
     // The bare algorithms and the wrappers policies ride in.
     assert_send_sync::<Landlord>();
     assert_send_sync::<SizeClassMarking>();
-    assert_send_sync::<PolicyAuditor<StaticCache>>();
     assert_send_sync::<UniformCostAdapter<StaticCache>>();
 }

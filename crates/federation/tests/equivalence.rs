@@ -3,7 +3,8 @@
 //! must be the *same machine*. Replaying one generated trace through both,
 //! with the same policy kind, seed, and granularity, must produce
 //! identical `D_S` / `D_L` / `D_C` totals — any divergence means the two
-//! paths price or account decisions differently.
+//! paths price or account decisions differently. Both audit from the
+//! same kernel events, so their audit reports must agree too.
 
 use byc_catalog::sdss::{build, SdssRelease};
 use byc_catalog::{Granularity, ObjectCatalog};
@@ -31,11 +32,12 @@ fn equivalence_case(kind: PolicyKind, granularity: Granularity, seed: u64) {
 
     // Path 1: the simulator's batch replay of the decomposed trace.
     let mut policy = build_policy(kind, capacity, &stats.demands, seed);
-    let report = ReplaySession::new(&trace, &objects)
+    let replay = ReplaySession::new(&trace, &objects)
         .policy(policy.as_mut())
+        .audited()
         .run()
-        .expect("policy configured")
-        .report;
+        .expect("policy configured");
+    let report = replay.report;
     let simulated = Totals {
         bypass: report.bypass_cost,
         fetch: report.fetch_cost,
@@ -45,7 +47,7 @@ fn equivalence_case(kind: PolicyKind, granularity: Granularity, seed: u64) {
     // Path 2: the mediator serving every query from its SQL text, which
     // re-parses, re-analyzes, and re-prices each query from scratch.
     let policy = build_policy(kind, capacity, &stats.demands, seed);
-    let mut mediator = Mediator::new(catalog, granularity, policy);
+    let mut mediator = Mediator::with_audit(catalog, granularity, policy, true);
     let mut served_totals = Totals {
         bypass: Bytes::ZERO,
         fetch: Bytes::ZERO,
@@ -69,6 +71,17 @@ fn equivalence_case(kind: PolicyKind, granularity: Granularity, seed: u64) {
     );
     assert_eq!(mediator.wan_total(), report.total_cost());
     assert_eq!(mediator.served_count() as usize, trace.len());
+
+    // The two audits agree in every counter, byte total and violation;
+    // only the session's closing deep check is the mediator's to lack.
+    let session_audit = replay.audit.expect("session audited");
+    let mut mediator_audit = mediator.audit_report().expect("mediator audited").clone();
+    assert!(session_audit.accesses > 0);
+    mediator_audit.deep_checks += 1;
+    assert_eq!(
+        mediator_audit, session_audit,
+        "mediator and session audits disagree for {kind:?} at {granularity:?}"
+    );
 }
 
 #[test]
