@@ -1114,18 +1114,18 @@ pub fn run_command(command: Command) -> Result<String> {
             // releases are generated in memory. A resident trace is held
             // as a `ReplayTrace`, never as the decoded queries.
             let streamed = parse_release(&args.trace).is_err() && kind != PolicyKind::Static;
-            let (catalog, objects, resident, mut reader) = if streamed {
-                let path = std::path::Path::new(&args.trace);
+            let (catalog, objects, resident, mut stream) = if streamed {
                 let catalog = sdss::build(SdssRelease::Edr, args.scale, args.servers.max(1));
                 let objects = ObjectCatalog::uniform(&catalog, setup.granularity);
                 // Refuse a mis-scaled file before replaying any of it, on
-                // its first queries' mean yield; the whole file's totals
+                // its first queries' mean yield; those queries are then
+                // the replay's first chunk, and the whole file's totals
                 // settle a borderline trace after the replay.
-                let mut sample = TraceReader::open(path)?;
-                let mut first = ReplayTrace::new(sample.name(), &objects);
-                first.refill(&mut sample, &objects, SCALE_SAMPLE)?;
-                check_scale(&args.trace, first.len(), first.sequence_cost(), &catalog)?;
-                (catalog, objects, None, Some(TraceReader::open(path)?))
+                let mut reader = TraceReader::open(std::path::Path::new(&args.trace))?;
+                let mut sample = ReplayTrace::new(reader.name(), &objects);
+                sample.refill(&mut reader, &objects, SCALE_SAMPLE)?;
+                check_scale(&args.trace, sample.len(), sample.sequence_cost(), &catalog)?;
+                (catalog, objects, None, Some((reader, sample)))
             } else {
                 let (catalog, objects, trace) = load_replay(
                     &args.trace,
@@ -1137,9 +1137,9 @@ pub fn run_command(command: Command) -> Result<String> {
                 (catalog, objects, Some(trace), None)
             };
             if let Some(t) = pipeline.as_mut() {
-                let queries = match (&resident, &reader) {
+                let queries = match (&resident, &stream) {
                     (Some(tr), _) => tr.len(),
-                    (None, Some(reader)) => reader.query_count(),
+                    (None, Some((reader, _))) => reader.query_count(),
                     (None, None) => 0,
                 };
                 t.arg("queries", queries as u64);
@@ -1189,9 +1189,9 @@ pub fn run_command(command: Command) -> Result<String> {
             // Only a tiered or multi-server run prints a breakdown table.
             let mut breakdown = (setup.topology.is_some() || args.servers > 1).then(Breakdown::new);
             let replay = {
-                let mut session = match (reader.as_mut(), resident.as_ref()) {
-                    (Some(reader), _) => {
-                        ReplaySession::from_reader(reader, &objects).observe(&mut tally)
+                let mut session = match (stream.as_mut(), resident.as_ref()) {
+                    (Some((reader, sample)), _) => {
+                        ReplaySession::from_reader(reader, sample, &objects).observe(&mut tally)
                     }
                     (None, Some(tr)) => ReplaySession::new(tr, &objects),
                     // Unreachable: a trace is either streamed or resident.
@@ -1207,9 +1207,10 @@ pub fn run_command(command: Command) -> Result<String> {
                 }
                 session.run()?
             };
+            replay.debug_assert_audit();
             // A streamed file only reveals its whole mean yield once
             // replayed; a refused run leaves no decision log behind.
-            if reader.is_some() {
+            if streamed {
                 if let Err(e) =
                     check_scale(&args.trace, tally.queries, tally.sequence_cost, &catalog)
                 {

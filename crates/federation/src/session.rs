@@ -37,9 +37,10 @@
 //! last — fix the stack's depth: one tier on the flat WAN, one per
 //! topology tier. The kernel replays a [`ReplayTrace`]: a session
 //! borrows one, or converts a [`Trace`] into one of its own when it is
-//! built. `ReplaySession::from_reader(&mut reader, &objects)` streams a
-//! trace file through the same kernel a chunk at a time instead of
-//! holding it in memory (DESIGN.md §17).
+//! built. `ReplaySession::from_reader(&mut reader, &mut chunk, &objects)`
+//! streams a trace file through the same kernel a chunk at a time,
+//! refilling `chunk` in place, instead of holding it in memory
+//! (DESIGN.md §17).
 //!
 //! A sweep runs its grid on a pool of `available_parallelism()` scoped
 //! workers. Each pulls the next job, in grid order, off one atomic
@@ -56,7 +57,7 @@ use crate::engine::{
 use crate::faults::{DegradationPolicy, FaultModel, FaultPlan, RetryPolicy, NO_RETRY};
 use crate::network::{NetworkModel, Topology};
 use crate::policies::{build_policy, PolicyKind};
-use crate::simulator::{debug_assert_audit, Replay};
+use crate::simulator::Replay;
 use crate::stream::ChunkSource;
 use crate::sweep::{SweepOptions, SweepPoint};
 use byc_catalog::ObjectCatalog;
@@ -138,12 +139,19 @@ impl<'a> ReplaySession<'a> {
     }
 
     /// A session streaming queries off `reader` instead of an in-memory
-    /// trace: queries are decoded and resolved a chunk at a time and
-    /// replayed as they arrive, so memory stays constant in the trace
-    /// length. The sweep terminal (which replays the trace once per grid
-    /// point) is unavailable.
-    pub fn from_reader(reader: &'a mut TraceReader, objects: &'a ObjectCatalog) -> Self {
-        Self::build(ChunkSource::reader(reader, objects), objects)
+    /// trace: queries are decoded and resolved into `chunk` a chunk at a
+    /// time and replayed as they arrive, so memory stays constant in the
+    /// trace length. Queries `chunk` already holds, refilled off `reader`
+    /// against `objects` (such as a sample the caller judged), are
+    /// replayed first, so each query is decoded once; pass an empty
+    /// [`ReplayTrace::new`] to start at the reader. The sweep terminal
+    /// (which replays the trace once per grid point) is unavailable.
+    pub fn from_reader(
+        reader: &'a mut TraceReader,
+        chunk: &'a mut ReplayTrace,
+        objects: &'a ObjectCatalog,
+    ) -> Self {
+        Self::build(ChunkSource::reader(reader, chunk, objects), objects)
     }
 
     fn build(source: ChunkSource<'a>, objects: &'a ObjectCatalog) -> Self {
@@ -513,7 +521,7 @@ impl<'a> ReplaySession<'a> {
                 None => session,
             };
             let replay = session.run()?;
-            debug_assert_audit(&replay);
+            replay.debug_assert_audit();
             Ok((
                 SweepPoint {
                     policy: kind.label().to_string(),
@@ -589,7 +597,7 @@ pub(crate) fn run_report(
 ) -> crate::accounting::CostReport {
     match ReplaySession::new(trace, objects).policy(policy).run() {
         Ok(replay) => {
-            debug_assert_audit(&replay);
+            replay.debug_assert_audit();
             replay.report
         }
         // Unreachable: the policy is always set above.

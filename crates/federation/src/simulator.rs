@@ -41,14 +41,19 @@ pub struct Replay {
     pub warnings: Vec<String>,
 }
 
-pub(crate) fn debug_assert_audit(replay: &Replay) {
-    if let Some(audit) = &replay.audit {
-        debug_assert!(
-            audit.is_clean(),
-            "policy {} violated cache invariants: {}",
-            replay.report.policy,
-            audit.violations.join("; ")
-        );
+impl Replay {
+    /// In a debug build, abort when the decision-stream audit found a
+    /// violated cache invariant. A replay without an audit, or a release
+    /// build, checks nothing.
+    pub fn debug_assert_audit(&self) {
+        if let Some(audit) = &self.audit {
+            debug_assert!(
+                audit.is_clean(),
+                "policy {} violated cache invariants: {}",
+                self.report.policy,
+                audit.violations.join("; ")
+            );
+        }
     }
 }
 

@@ -27,11 +27,13 @@ pub(crate) enum ChunkSource<'a> {
         done: bool,
     },
     /// Chunks straight off a trace file, never all resident; `chunk` is
-    /// refilled in place for the whole replay.
+    /// refilled in place for the whole replay. While `primed`, it still
+    /// holds the queries it was handed with, which go first.
     Reader {
         reader: &'a mut TraceReader,
         objects: &'a ObjectCatalog,
-        chunk: ReplayTrace,
+        chunk: &'a mut ReplayTrace,
+        primed: bool,
     },
 }
 
@@ -42,13 +44,17 @@ impl<'a> ChunkSource<'a> {
     }
 
     /// A source resolving `reader`'s queries against `objects` a chunk
-    /// at a time.
-    pub(crate) fn reader(reader: &'a mut TraceReader, objects: &'a ObjectCatalog) -> Self {
-        let chunk = ReplayTrace::new(reader.name(), objects);
+    /// at a time into `chunk`, starting with the queries `chunk` holds.
+    pub(crate) fn reader(
+        reader: &'a mut TraceReader,
+        chunk: &'a mut ReplayTrace,
+        objects: &'a ObjectCatalog,
+    ) -> Self {
         ChunkSource::Reader {
             reader,
             objects,
             chunk,
+            primed: true,
         }
     }
 
@@ -83,9 +89,12 @@ impl<'a> ChunkSource<'a> {
                 reader,
                 objects,
                 chunk,
+                primed,
             } => {
-                chunk.refill(reader, objects, READ_CHUNK)?;
-                Ok((!chunk.is_empty()).then_some(&*chunk))
+                if !std::mem::take(primed) || chunk.is_empty() {
+                    chunk.refill(reader, objects, READ_CHUNK)?;
+                }
+                Ok((!chunk.is_empty()).then_some(&**chunk))
             }
         }
     }

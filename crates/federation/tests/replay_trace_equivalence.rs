@@ -278,8 +278,9 @@ impl Case<'_> {
         let mut tiers = self.policies(kind);
         let mut lane = Lane::new();
         let mut reader = TraceReader::open(&self.file.0).unwrap();
+        let mut chunk = ReplayTrace::new(reader.name(), self.objects);
         let session = match streamed {
-            true => ReplaySession::from_reader(&mut reader, self.objects),
+            true => ReplaySession::from_reader(&mut reader, &mut chunk, self.objects),
             false => ReplaySession::new(self.replay, self.objects),
         };
         let mut session = self.links.configure(session).observe(&mut lane);
@@ -416,8 +417,9 @@ fn unresolved_references_add_up_across_chunks() {
     for streamed in [false, true] {
         let replay = ReplayTrace::from_trace(&trace, &objects);
         let mut reader = TraceReader::open(&file.0).unwrap();
+        let mut chunk = ReplayTrace::new(reader.name(), &objects);
         let session = match streamed {
-            true => ReplaySession::from_reader(&mut reader, &objects),
+            true => ReplaySession::from_reader(&mut reader, &mut chunk, &objects),
             false => ReplaySession::new(&replay, &objects),
         };
         let mut policy = build_policy(PolicyKind::NoCache, Bytes::ZERO, &[], 0);

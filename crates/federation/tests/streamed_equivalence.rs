@@ -17,7 +17,7 @@ use byc_federation::{
     build_policy, CostReport, DegradationPolicy, FaultModel, FaultPlan, FlakyLinks, NetworkModel,
     PerServerMultipliers, PolicyKind, ReplaySession, RetryPolicy, Topology, Uniform,
 };
-use byc_workload::{generate, Trace, TraceReader, WorkloadConfig, WorkloadStats};
+use byc_workload::{generate, ReplayTrace, Trace, TraceReader, WorkloadConfig, WorkloadStats};
 use proptest::prelude::*;
 use std::path::PathBuf;
 
@@ -109,7 +109,8 @@ fn streamed_flat(
     let capacity = objects.total_size().scale(0.25);
     let mut policy = build_policy(kind, capacity, &stats.demands, seed);
     let mut reader = file.reader();
-    let mut session = ReplaySession::from_reader(&mut reader, objects)
+    let mut chunk = ReplayTrace::new(reader.name(), objects);
+    let mut session = ReplaySession::from_reader(&mut reader, &mut chunk, objects)
         .policy(policy.as_mut())
         .network(network)
         .unaudited();
@@ -186,7 +187,8 @@ proptest! {
             let reference = oracle::tiered_report(&trace, &objects, &topo, &mut refs, None);
             let mut tiers = build();
             let mut reader = file.reader();
-            let mut session = ReplaySession::from_reader(&mut reader, &objects)
+            let mut chunk = ReplayTrace::new(reader.name(), &objects);
+            let mut session = ReplaySession::from_reader(&mut reader, &mut chunk, &objects)
                 .topology(&topo)
                 .unaudited();
             for p in tiers.iter_mut() {
@@ -247,4 +249,49 @@ fn chunk_size_edges_replay_identically() {
         assert_eq!(streamed.queries, len);
         assert!(streamed.conserves_delivery());
     }
+}
+
+/// A session started on a chunk already refilled off its reader (as a
+/// streamed `byc run` starts on the sample it judged for scale) replays
+/// that chunk once, then the rest of the reader: the report is the
+/// oracle's, and the reader hands out each query once.
+#[test]
+fn primed_first_chunk_replays_once() {
+    let (trace, objects, stats) = smoke(37, 1, 1100);
+    let file = TraceFile::write(&trace, "primed");
+    let kind = PolicyKind::RateProfile;
+    let reference = reference_flat(&trace, &objects, &stats, kind, 37, &Uniform, None);
+    for first in [1, 700, 1024, 1100, 2000] {
+        let mut reader = file.reader();
+        let mut chunk = ReplayTrace::new(reader.name(), &objects);
+        chunk.refill(&mut reader, &objects, first).unwrap();
+        assert_eq!(reader.delivered(), first.min(trace.len()));
+        let capacity = objects.total_size().scale(0.25);
+        let mut policy = build_policy(kind, capacity, &stats.demands, 37);
+        let streamed = ReplaySession::from_reader(&mut reader, &mut chunk, &objects)
+            .policy(policy.as_mut())
+            .unaudited()
+            .run()
+            .unwrap()
+            .report;
+        assert_eq!(reference, streamed, "first chunk of {first}");
+        assert_eq!(reader.delivered(), reader.query_count());
+    }
+    // An empty file's first chunk is empty, and so is the replay.
+    let empty = Trace {
+        name: trace.name.clone(),
+        seed: trace.seed,
+        queries: Vec::new(),
+    };
+    let file = TraceFile::write(&empty, "primed-empty");
+    let mut reader = file.reader();
+    let mut chunk = ReplayTrace::new(reader.name(), &objects);
+    chunk.refill(&mut reader, &objects, 1024).unwrap();
+    let mut policy = build_policy(kind, objects.total_size().scale(0.25), &[], 37);
+    let report = ReplaySession::from_reader(&mut reader, &mut chunk, &objects)
+        .policy(policy.as_mut())
+        .run()
+        .unwrap()
+        .report;
+    assert_eq!(report.queries, 0);
 }

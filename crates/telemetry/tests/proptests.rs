@@ -378,7 +378,7 @@ proptest! {
 fn windows_are_identical_across_streamed_chunk_boundaries() {
     use byc_federation::ReplaySession;
     use byc_telemetry::WindowedRegistry;
-    use byc_workload::TraceReader;
+    use byc_workload::{ReplayTrace, TraceReader};
 
     let catalog = sdss::build(SdssRelease::Edr, 1e-4, 2);
     // Longer than one reader chunk (1024 queries), so the stream
@@ -394,8 +394,9 @@ fn windows_are_identical_across_streamed_chunk_boundaries() {
             let mut policy = build_policy(kind, capacity, &stats.demands, 19);
             let mut windows = WindowedRegistry::new(kind.label(), 100);
             let mut reader = TraceReader::open(&path).unwrap();
+            let mut chunk = ReplayTrace::new(reader.name(), &objects);
             let session = match streamed {
-                true => ReplaySession::from_reader(&mut reader, &objects),
+                true => ReplaySession::from_reader(&mut reader, &mut chunk, &objects),
                 false => ReplaySession::new(&trace, &objects),
             };
             session

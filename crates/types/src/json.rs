@@ -267,8 +267,12 @@ pub const MAX_DEPTH: usize = 128;
 /// and a `\u` escape of a lone surrogate decodes to U+FFFD. Strings must be valid UTF-8, and at
 /// most [`MAX_DEPTH`] arrays and objects nest.
 ///
-/// Every read skips the whitespace before it. Errors are messages that
-/// name the byte offset.
+/// Every read skips the whitespace before it, testing the byte at the
+/// cursor before it loops, and a plain integer of up to 19 digits folds
+/// in one pass; [`Self::member_in`] matches a key against a field table
+/// as written. So a compact writer's bytes take the fewest steps, and
+/// any other spelling the general ones. Errors are messages that name
+/// the byte offset.
 pub struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -292,8 +296,16 @@ impl<'a> Cursor<'a> {
     /// The next byte after whitespace, not consumed; `None` at the end.
     #[inline]
     pub fn peek(&mut self) -> Option<u8> {
+        match self.bytes.get(self.pos) {
+            Some(&b) if !is_space(b) => Some(b),
+            _ => self.skip_space(),
+        }
+    }
+
+    /// [`Self::peek`] past whitespace at the cursor.
+    fn skip_space(&mut self) -> Option<u8> {
         while let Some(&b) = self.bytes.get(self.pos) {
-            if !matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
+            if !is_space(b) {
                 return Some(b);
             }
             self.pos += 1;
@@ -326,6 +338,44 @@ impl<'a> Cursor<'a> {
         self.string(key)?;
         self.expect(b':')?;
         Ok(true)
+    }
+
+    /// [`Self::member`], with the key looked up in `names`: `Some(Some(i))`
+    /// for `names[i]`, `Some(None)` for any other key, `None` once the
+    /// object's `}` is consumed.
+    ///
+    /// A key written as the literal `"name":` of `names[hint]` is matched
+    /// on its bytes; any other key is unescaped into `key` and looked up.
+    /// The text accepted and the errors are [`Self::member`]'s. `names`
+    /// must hold no `"`, `\` or control character.
+    ///
+    /// # Errors
+    ///
+    /// Malformed separators or key.
+    #[inline]
+    pub fn member_in(
+        &mut self,
+        names: &[&str],
+        hint: usize,
+        key: &mut String,
+    ) -> Result<Option<Option<usize>>, String> {
+        if !self.advance(b'}')? {
+            return Ok(None);
+        }
+        if let Some(name) = names.get(hint) {
+            let rest = self.bytes.get(self.pos..).unwrap_or_default();
+            if let Some((b'"', rest)) = rest.split_first() {
+                if let Some(after) = rest.strip_prefix(name.as_bytes()) {
+                    if after.starts_with(b"\":") {
+                        self.pos += name.len() + 3;
+                        return Ok(Some(Some(hint)));
+                    }
+                }
+            }
+        }
+        self.string(key)?;
+        self.expect(b':')?;
+        Ok(Some(names.iter().position(|name| *name == key.as_str())))
     }
 
     /// Open an array; step through its elements with [`Self::element`].
@@ -399,34 +449,31 @@ impl<'a> Cursor<'a> {
     pub fn number(&mut self) -> Result<Num, String> {
         self.peek();
         let start = self.pos;
-        // The common case, a plain run of digits, folds in one pass.
-        let mut end = start;
+        // The common case, a plain run of at most 19 digits, folds in one
+        // pass: 19 nines are below `u64::MAX`, so the fold cannot overflow.
+        let digits = self.bytes.get(start..).unwrap_or_default();
+        let mut len = 0;
         let mut v = 0u64;
-        while let Some(&b) = self.bytes.get(end) {
+        for &b in digits.iter().take(19) {
             let digit = b.wrapping_sub(b'0');
             if digit > 9 {
                 break;
             }
-            match v
-                .checked_mul(10)
-                .and_then(|v| v.checked_add(u64::from(digit)))
-            {
-                Some(next) => v = next,
-                None => return self.number_text(start),
-            }
-            end += 1;
+            v = v * 10 + u64::from(digit);
+            len += 1;
         }
-        match self.bytes.get(end) {
-            Some(b'.' | b'e' | b'E' | b'+' | b'-') => self.number_text(start),
-            _ if end == start => self.number_text(start),
+        match digits.get(len) {
+            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') => self.number_text(start),
+            _ if len == 0 => self.number_text(start),
             _ => {
-                self.pos = end;
+                self.pos = start + len;
                 Ok(Num::U(v))
             }
         }
     }
 
     /// Any other number: lexed and classified through the text.
+    #[cold]
     fn number_text(&mut self, start: usize) -> Result<Num, String> {
         let rest = self.bytes.get(start..).unwrap_or_default();
         if !matches!(rest.first(), Some(b'-' | b'0'..=b'9')) {
@@ -632,6 +679,12 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// JSON's whitespace.
+#[inline]
+fn is_space(b: u8) -> bool {
+    matches!(b, b' ' | b'\t' | b'\n' | b'\r')
+}
+
 /// The length of the run at the start of `bytes` that a string copies
 /// as is: no `"`, no `\\` and no control character. Eight bytes are
 /// tested at a time with the word-wise "has a byte below n" test, which
@@ -791,6 +844,162 @@ mod tests {
         assert_eq!(s, "\u{e9}");
         assert!(!cursor.member(&mut key).unwrap());
         cursor.done().unwrap();
+    }
+
+    #[test]
+    fn integer_step_boundaries() {
+        let number = |text: &str| Cursor::new(text.as_bytes()).number();
+        // 19 digits fold; a 20th goes to the general path.
+        assert_eq!(
+            number("9999999999999999999"),
+            Ok(Num::U(9_999_999_999_999_999_999))
+        );
+        assert_eq!(
+            number("10000000000000000000"),
+            Ok(Num::U(10_000_000_000_000_000_000))
+        );
+        assert_eq!(number("18446744073709551615"), Ok(Num::U(u64::MAX)));
+        let past = number("18446744073709551616").unwrap();
+        assert!(matches!(past, Num::F(_)), "{past:?}");
+        assert_eq!(past.as_u64(), None);
+        // The fold and the general lexer agree on every digit run around
+        // 19 digits, whatever follows it, and stop at the same byte.
+        for len in 1..=24 {
+            for fill in ["0", "1", "9"] {
+                for tail in ["", ",", "]", "}", " ", ".5", "e2", "E0", "+", "-1", "x"] {
+                    let text = format!("{}{tail}", fill.repeat(len));
+                    let mut fast = Cursor::new(text.as_bytes());
+                    let mut general = Cursor::new(text.as_bytes());
+                    assert_eq!(fast.number(), general.number_text(0), "{text}");
+                    assert_eq!(fast.pos, general.pos, "{text}");
+                }
+            }
+        }
+    }
+
+    /// Every member of `text` through `member_in`, the hint following
+    /// the last key found as the trace decoder's does, against `member`
+    /// on the same text: the same keys, the same error and the same byte
+    /// after each step. The keys found, as indexes into `names`.
+    fn member_in_agrees(
+        text: &str,
+        names: &[&str],
+        mut hint: usize,
+    ) -> Result<Vec<Option<usize>>, String> {
+        let mut general = Cursor::new(text.as_bytes());
+        let mut stepped = Cursor::new(text.as_bytes());
+        let (mut key, mut scratch) = (String::new(), String::new());
+        general.object().unwrap();
+        stepped.object().unwrap();
+        let mut found = Vec::new();
+        loop {
+            let want = general.member(&mut key);
+            let got = stepped.member_in(names, hint, &mut scratch);
+            assert_eq!(stepped.pos, general.pos, "{text}");
+            match (want, got) {
+                (Ok(true), Ok(Some(field))) => {
+                    assert_eq!(field, names.iter().position(|n| *n == key), "{text}");
+                    if field.is_none() {
+                        assert_eq!(scratch, key, "{text}");
+                    }
+                    hint = field.map_or(hint, |i| i + 1);
+                    found.push(field);
+                    let skipped = general.skip_value();
+                    assert_eq!(stepped.skip_value(), skipped, "{text}");
+                    skipped?;
+                }
+                (Ok(false), Ok(None)) => return Ok(found),
+                (Err(want), Err(got)) => {
+                    assert_eq!(want, got, "{text}");
+                    return Err(got);
+                }
+                (want, got) => panic!("{text}: member {want:?}, member_in {got:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn member_step_boundaries() {
+        let names = ["id", "tables", "columns"];
+        let found = |text: &str, hint: usize| member_in_agrees(text, &names, hint);
+        // The hinted literal, and the same key wherever the literal misses:
+        // escaped, after whitespace, or before whitespace.
+        for text in [
+            r#"{"id":1}"#,
+            r#"{"\u0069d":1}"#,
+            r#"{"i\u0064":1}"#,
+            r#"{ "id":1}"#,
+            "{\t\r\n\"id\":1}",
+            r#"{"id" :1}"#,
+        ] {
+            assert_eq!(found(text, 0), Ok(vec![Some(0)]), "{text}");
+        }
+        // Keys that extend or cut short the expected one are other keys.
+        for text in [
+            r#"{"tables2":1}"#,
+            r#"{"table":1}"#,
+            r#"{"tables\u0032":1}"#,
+            r#"{"":1}"#,
+        ] {
+            assert_eq!(found(text, 1), Ok(vec![None]), "{text}");
+        }
+        // After a comma: the hint, whitespace, and a hint that misses.
+        assert_eq!(
+            found(r#"{"id":1,"tables":2, "columns" :3}"#, 0),
+            Ok(vec![Some(0), Some(1), Some(2)])
+        );
+        assert_eq!(
+            found(r#"{"columns":3,"tables":[2],"id":{"x":1}}"#, 0),
+            Ok(vec![Some(2), Some(1), Some(0)])
+        );
+        assert_eq!(
+            found(r#"{"tables2":0,"column\u0073":3,"id":1}"#, 5),
+            Ok(vec![None, Some(2), Some(0)])
+        );
+        assert_eq!(found("{}", 0), Ok(vec![]));
+        // Errors at the same byte, with the same text.
+        for bad in [
+            r#"{"id"1}"#,
+            r#"{"id""#,
+            r#"{"id"#,
+            r#"{"i\x":1}"#,
+            r#"{id:1}"#,
+            "{",
+            "{\"\u{1}\":1}",
+            r#"{"id":1,}"#,
+            r#"{"id":1 "tables":2}"#,
+            r#"{"id":1,"tables""#,
+        ] {
+            assert!(found(bad, 0).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn a_hint_that_always_misses_still_finds_every_member() {
+        let names = ["a", "b", "c", "d"];
+        let text = br#"{"d":4,"c":3,"b":2,"a":1}"#;
+        let mut cursor = Cursor::new(text);
+        let mut key = String::new();
+        cursor.object().unwrap();
+        let mut hint = 0;
+        let mut read = Vec::new();
+        while let Some(field) = cursor.member_in(&names, hint, &mut key).unwrap() {
+            let i = field.unwrap();
+            hint = i + 1;
+            read.push((i, cursor.number().unwrap()));
+        }
+        cursor.done().unwrap();
+        assert_eq!(
+            read,
+            [
+                (3, Num::U(4)),
+                (2, Num::U(3)),
+                (1, Num::U(2)),
+                (0, Num::U(1))
+            ]
+        );
+        // Every key the hint missed was unescaped into the scratch key.
+        assert_eq!(key, "a");
     }
 
     #[test]

@@ -196,7 +196,8 @@ fn decode_header(line: &[u8]) -> Decoded<Header> {
 
 /// Step through one object: `read(i, cursor)` reads the value of the
 /// first member named `fields[i]`; every other member is skipped. Each
-/// of `fields` (at most 32) must be present.
+/// of `fields` (at most 32) must be present. The field after the last
+/// one read is expected next, as the writer orders them.
 fn decode_object(
     cursor: &mut Cursor<'_>,
     key: &mut String,
@@ -205,11 +206,13 @@ fn decode_object(
 ) -> Decoded<()> {
     cursor.object()?;
     let mut seen = 0u32;
-    while cursor.member(key)? {
-        match fields.iter().position(|f| *f == key.as_str()) {
-            Some(i) if seen & 1 << i == 0 => {
+    let mut hint = 0;
+    while let Some(field) = cursor.member_in(fields, hint, key)? {
+        match field.and_then(|i| fields.get(i).map(|name| (i, name))) {
+            Some((i, name)) if seen & 1 << i == 0 => {
                 seen |= 1 << i;
-                read(i, cursor).map_err(|e| format!("field {key:?}: {e}"))?;
+                hint = i + 1;
+                read(i, cursor).map_err(|e| format!("field {name:?}: {e}"))?;
             }
             _ => cursor.skip_value()?,
         }
@@ -626,6 +629,22 @@ mod tests {
         let line = good.replace("\"id\":0", "\"id\":4294967296");
         let err = read_one("id-range.jsonl", line.as_bytes()).unwrap_err();
         assert!(err.to_string().contains("field \"id\""), "{err}");
+    }
+
+    #[test]
+    fn members_in_reverse_order_decode_alike() {
+        let cat = build(SdssRelease::Edr, 1e-3, 1);
+        let trace = generate(&cat, &WorkloadConfig::smoke(43, 20)).unwrap();
+        let mut slot = TraceQuery::default();
+        for q in &trace.queries {
+            let Value::Object(mut fields) = query_to_json(q) else {
+                panic!("a query is an object");
+            };
+            // Reversed, no member is the one the decoder expects next.
+            fields.reverse();
+            decode_query(Value::Object(fields).to_string().as_bytes(), &mut slot).unwrap();
+            assert_eq!(&slot, q);
+        }
     }
 
     #[test]

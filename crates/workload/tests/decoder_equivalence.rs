@@ -4,8 +4,8 @@
 //! Every case generates a trace, writes it with `TraceWriter`, and then
 //! mutates the written lines: reordered, duplicated and unknown (nested)
 //! members, escaped keys and SQL, respelled integers, out-of-range ids,
-//! missing and mistyped members, truncation at every byte, spliced lines
-//! and flipped bytes. Wherever the oracle (the first decoder, in
+//! missing and mistyped members, truncation at every byte, spliced lines,
+//! flipped bytes, and one whitespace byte at each token boundary in turn. Wherever the oracle (the first decoder, in
 //! `oracle/`) decodes a line, the shipped decoder must give the same
 //! `TraceQuery`; wherever the oracle refuses it, the shipped decoder must
 //! return an `Err`. Neither may panic. Whole files go through
@@ -334,6 +334,38 @@ fn agree(line: &[u8], slot: &mut TraceQuery) {
     }
 }
 
+/// Every byte offset of `line` between two JSON tokens, and its two
+/// ends: where whitespace may go without changing what it says.
+fn token_boundaries(line: &[u8]) -> Vec<usize> {
+    let mut at = vec![0, line.len()];
+    let (mut in_string, mut escaped) = (false, false);
+    for (i, &b) in line.iter().enumerate() {
+        if in_string {
+            match b {
+                _ if escaped => escaped = false,
+                b'\\' => escaped = true,
+                b'"' => {
+                    in_string = false;
+                    at.push(i + 1);
+                }
+                _ => {}
+            }
+            continue;
+        }
+        match b {
+            b'"' => {
+                in_string = true;
+                at.push(i);
+            }
+            b'{' | b'}' | b'[' | b']' | b',' | b':' => at.extend([i, i + 1]),
+            _ => {}
+        }
+    }
+    at.sort_unstable();
+    at.dedup();
+    at
+}
+
 /// A whole file read `chunk` queries at a time: the queries it held, or
 /// the error it stopped at.
 fn read_chunked(path: &std::path::Path, chunk: usize) -> Result<Vec<TraceQuery>, String> {
@@ -372,6 +404,31 @@ proptest! {
         let line = mutated(&lines[pick(&mut rng, lines.len())], &lines, false, &mut rng);
         for cut in 0..=line.len() {
             agree(&line.as_bytes()[..cut], &mut slot);
+        }
+    }
+
+    /// One whitespace byte at each token boundary of a written line, one
+    /// boundary at a time: wherever the decoder meets other bytes than
+    /// the writer's, it must still return the oracle's query.
+    #[test]
+    fn whitespace_at_every_token_boundary(seed in any::<u64>(), queries in 1usize..4) {
+        let (_, lines) = written_lines(seed, queries);
+        let mut slot = TraceQuery::default();
+        for line in &lines {
+            let expected = oracle::read_line(line).unwrap().unwrap();
+            for (n, at) in token_boundaries(line).into_iter().enumerate() {
+                let mut spaced = line.clone();
+                spaced.insert(at, b" \t\r\n"[n % 4]);
+                let text = String::from_utf8_lossy(&spaced).into_owned();
+                prop_assert_eq!(
+                    oracle::read_line(&spaced).unwrap(),
+                    Some(expected.clone()),
+                    "{}",
+                    text
+                );
+                prop_assert!(decode_query(&spaced, &mut slot).is_ok(), "{}", text);
+                prop_assert_eq!(&slot, &expected, "{}", text);
+            }
         }
     }
 
