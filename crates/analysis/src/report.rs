@@ -302,13 +302,25 @@ pub fn render_metrics_table(title: &str, registry: &byc_telemetry::MetricsRegist
             gb(t.fetch_cost.as_f64()),
             gb(t.cache_served.as_f64()),
         );
+        // One peak on the flat network, one per tier on a topology.
+        let peaks: Vec<String> = policy
+            .occupancy_by_tier()
+            .into_iter()
+            .map(|(tier, g)| {
+                let peak = gb(g.peak as f64);
+                match tier {
+                    None => format!("{peak:.2}"),
+                    Some(t) => format!("tier{t}:{peak:.2}"),
+                }
+            })
+            .collect();
         let _ = writeln!(
             out,
-            "{:<18} queries={} accesses={} occupancy_peak_gb={:.2} reuse_gap_p50={} p90={}",
+            "{:<18} queries={} accesses={} occupancy_peak_gb={} reuse_gap_p50={} p90={}",
             policy.policy,
             policy.queries,
             policy.accesses,
-            gb(policy.occupancy.peak as f64),
+            peaks.join(","),
             policy.reuse_gap.quantile(0.5),
             policy.reuse_gap.quantile(0.9),
         );

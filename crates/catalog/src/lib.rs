@@ -11,8 +11,8 @@
 //! * [`objects`] — the cacheable-object view of a catalog at a chosen
 //!   [`objects::Granularity`] (whole tables or single columns, the two
 //!   granularities compared in paper §6.1).
-//! * [`placement`] — table→server [`placement::Placement`] builders for
-//!   multi-server federations (single-server, round-robin, size-balanced).
+//! * [`placement`] — the round-robin table→server [`placement::round_robin`]
+//!   rule for multi-server federations.
 //! * [`sdss`] — builders for the synthetic SDSS-like schemas (EDR and DR1
 //!   releases) used by the experiments.
 
@@ -24,5 +24,4 @@ pub mod schema;
 pub mod sdss;
 
 pub use objects::{Granularity, ObjectCatalog, ObjectInfo, ObjectKind};
-pub use placement::Placement;
 pub use schema::{Catalog, Column, ColumnDef, ColumnType, Table, TableDef};

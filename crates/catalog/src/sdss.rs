@@ -23,9 +23,8 @@
 //! table to answer a 10 MB query is exactly the bandwidth waste the
 //! paper's §1 warns about.
 
-use crate::placement::Placement;
+use crate::placement::round_robin;
 use crate::schema::{Catalog, ColumnDef, ColumnType, TableDef};
-use byc_types::Bytes;
 
 /// Which synthetic data release to build.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -337,38 +336,22 @@ pub fn max_scale(release: SdssRelease) -> f64 {
 ///
 /// `scale` multiplies every row count (use small values in tests;
 /// `scale = 1.0` yields ≈ 560 GiB for EDR). Above [`max_scale`] the byte
-/// counts saturate at `u64::MAX`. `server_count` spreads tables
-/// round-robin across that many federation servers (must be ≥ 1).
+/// counts saturate at `u64::MAX`. `server_count` spreads the tables
+/// [`round_robin`] across that many federation servers (must be ≥ 1).
 pub fn build(release: SdssRelease, scale: f64, server_count: u32) -> Catalog {
     assert!(server_count >= 1, "need at least one server");
-    build_with_placement(release, scale, Placement::RoundRobin(server_count))
-}
-
-/// Build a release with an explicit table→server [`Placement`].
-///
-/// `scale` multiplies every row count, as in [`build`].
-pub fn build_with_placement(release: SdssRelease, scale: f64, placement: Placement) -> Catalog {
     assert!(scale > 0.0, "scale must be positive");
     let factor = scale * release.release_factor();
-    let defs: Vec<(&str, Vec<ColumnDef>, u64)> = BASE_ROWS
-        .iter()
-        .map(|&(name, base_rows)| (name, columns_for(name), scaled_rows(base_rows, factor)))
-        .collect();
-    let sizes: Vec<Bytes> = defs
-        .iter()
-        .map(|(_, cols, rows)| Bytes::new(row_width(cols).saturating_mul(*rows)))
-        .collect();
-    let servers = placement.assign(&sizes);
     let mut cat = Catalog::new();
-    for ((name, columns, rows), server) in defs.into_iter().zip(servers) {
+    for (i, &(name, base_rows)) in (0u32..).zip(BASE_ROWS) {
         // The built-in definitions cannot collide or overflow the ids; a
         // `Result` would push an impossible error onto every caller.
         #[allow(clippy::expect_used)]
         cat.add_table(TableDef {
             name: name.to_string(),
-            columns,
-            row_count: rows,
-            server,
+            columns: columns_for(name),
+            row_count: scaled_rows(base_rows, factor),
+            server: round_robin(i, server_count),
         })
         .expect("static schema definitions are valid");
     }
@@ -499,23 +482,6 @@ mod tests {
         let servers: Vec<u32> = cat.tables().iter().map(|t| t.server.raw()).collect();
         let expected: Vec<u32> = (0..BASE_ROWS.len() as u32).map(|i| i % 3).collect();
         assert_eq!(servers, expected);
-    }
-
-    #[test]
-    fn size_balanced_placement_splits_the_database() {
-        let cat = build_with_placement(SdssRelease::Edr, 1e-4, Placement::SizeBalanced(4));
-        let mut per_server = [0u64; 4];
-        for t in cat.tables() {
-            per_server[t.server.index()] += t.size().raw();
-        }
-        // PhotoObj dominates the database, so its server is the heaviest;
-        // but every server must hold something, and the non-PhotoObj
-        // servers must be within 4x of one another.
-        assert!(per_server.iter().all(|&b| b > 0));
-        let mut rest: Vec<u64> = per_server.to_vec();
-        rest.sort_unstable();
-        let (lightest, heaviest_rest) = (rest[0], rest[2]);
-        assert!(heaviest_rest < lightest * 4, "rest spread {rest:?}");
     }
 
     #[test]

@@ -51,10 +51,12 @@ use std::ops::Range;
 /// The cost consequences of serving one object slice of one query at one
 /// caching tier — what the kernel emits to every observer.
 ///
-/// Exactly one of the `hits` / `bypasses` / `loads` counters is 1 (they
-/// are counters, not flags, so observers can sum them blindly), and the
-/// byte fields are pre-split by decision: observers accumulate without
-/// ever matching on [`Decision`] themselves.
+/// Its cost split is a one-slice [`QueryWindow`]: exactly one of the
+/// `hits` / `bypasses` / `loads` counters is 1 (they are counters, not
+/// flags), and the byte fields are pre-split by decision, so every view
+/// of the replay — a [`CostReport`], a [`Breakdown`] cell, a telemetry
+/// series, the event log's totals — is a [`QueryWindow::merge`] of these
+/// windows, without ever matching on [`Decision`].
 ///
 /// Byte fields come in two currencies. *Delivered* quantities
 /// (`delivered`, `bypass_served`, `cache_served`) are raw result bytes —
@@ -66,8 +68,6 @@ use std::ops::Range;
 pub struct CostEvent<'a> {
     /// Query ordinal within the replay.
     pub query: usize,
-    /// The cacheable object served.
-    pub object: ObjectId,
     /// The object's home server (prices the WAN quantities).
     pub server: ServerId,
     /// The caching tier this event belongs to, bottom-up (0 = site tier).
@@ -75,45 +75,12 @@ pub struct CostEvent<'a> {
     /// event per consulted tier: inner-tier bypasses carry only their
     /// relay traffic, and the resolving tier carries the delivery.
     pub tier: u32,
-    /// The access the tier's policy saw.
+    /// The access the tier's policy saw; `access.object` is the
+    /// cacheable object served.
     pub access: &'a Access,
-    /// Raw result bytes delivered to the client for this slice (`D_A`).
-    pub delivered: Bytes,
-    /// Raw result bytes shipped from the server (nonzero iff bypassed).
-    pub bypass_served: Bytes,
-    /// WAN cost of the bypassed slice (`D_S`, network-priced).
-    pub bypass_cost: Bytes,
-    /// WAN cost of the cache load (`D_L`, network-priced; nonzero iff
-    /// loaded).
-    pub fetch_cost: Bytes,
-    /// WAN cost of relaying a slice resolved *above* this tier over the
-    /// link directly above it (network-priced). Nonzero only for
-    /// inner-tier bypass events of a tiered topology; always zero on the
-    /// flat topology.
-    pub relay_cost: Bytes,
-    /// Raw result bytes served out of the cache (`D_C`).
-    pub cache_served: Bytes,
-    /// WAN bytes wasted on failed transfer attempts of this slice
-    /// (network-priced; zero without a fault layer).
-    pub retried_bytes: Bytes,
-    /// Raw result bytes this slice failed to deliver (nonzero iff
-    /// `failed`).
-    pub failed_bytes: Bytes,
-    /// 1 iff the decision was a hit.
-    pub hits: u64,
-    /// 1 iff the decision was a bypass.
-    pub bypasses: u64,
-    /// 1 iff the decision was a load.
-    pub loads: u64,
-    /// Objects evicted by this decision.
-    pub evictions: u64,
-    /// Failed transfer attempts of this slice (the retry count).
-    pub retries: u64,
-    /// 1 iff every attempt failed and the slice delivered nothing.
-    pub failed: u64,
-    /// 1 iff every attempt failed and the slice was served from the
-    /// stale local copy instead.
-    pub degraded: u64,
+    /// The slice's cost split at this tier: one decision, and the
+    /// delivery, WAN, retry and degradation quantities it caused.
+    pub window: QueryWindow,
     /// The tier policy's decision.
     pub decision: &'a Decision,
     /// The deciding policy, for observers that introspect cache state
@@ -135,25 +102,10 @@ impl<'a> CostEvent<'a> {
     ) -> Self {
         CostEvent {
             query,
-            object: access.object,
             server,
             tier: u32::try_from(tier).unwrap_or(u32::MAX),
             access,
-            delivered: Bytes::ZERO,
-            bypass_served: Bytes::ZERO,
-            bypass_cost: Bytes::ZERO,
-            fetch_cost: Bytes::ZERO,
-            relay_cost: Bytes::ZERO,
-            cache_served: Bytes::ZERO,
-            retried_bytes: Bytes::ZERO,
-            failed_bytes: Bytes::ZERO,
-            hits: 0,
-            bypasses: 0,
-            loads: 0,
-            evictions: 0,
-            retries: 0,
-            failed: 0,
-            degraded: 0,
+            window: QueryWindow::default(),
             decision,
             policy,
         }
@@ -164,24 +116,10 @@ impl std::fmt::Debug for CostEvent<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CostEvent")
             .field("query", &self.query)
-            .field("object", &self.object)
             .field("server", &self.server)
             .field("tier", &self.tier)
-            .field("delivered", &self.delivered)
-            .field("bypass_served", &self.bypass_served)
-            .field("bypass_cost", &self.bypass_cost)
-            .field("fetch_cost", &self.fetch_cost)
-            .field("relay_cost", &self.relay_cost)
-            .field("cache_served", &self.cache_served)
-            .field("retried_bytes", &self.retried_bytes)
-            .field("failed_bytes", &self.failed_bytes)
-            .field("hits", &self.hits)
-            .field("bypasses", &self.bypasses)
-            .field("loads", &self.loads)
-            .field("evictions", &self.evictions)
-            .field("retries", &self.retries)
-            .field("failed", &self.failed)
-            .field("degraded", &self.degraded)
+            .field("access", &self.access)
+            .field("window", &self.window)
             .field("decision", &self.decision)
             .finish_non_exhaustive()
     }
@@ -326,16 +264,16 @@ fn fetch_rows(objects: &ObjectCatalog, links: Links<'_>) -> Vec<Bytes> {
 /// cache-tier delivery, zero fresh WAN) or fail the slice (nothing
 /// delivered; the undeliverable yield is tracked in `failed_bytes` so
 /// availability and the fault-free reconciliation stay exact).
-fn degrade_slice(degradation: DegradationPolicy, event: &mut CostEvent<'_>, raw_yield: Bytes) {
+fn degrade_slice(degradation: DegradationPolicy, window: &mut QueryWindow, raw_yield: Bytes) {
     match degradation {
         DegradationPolicy::ServeStale => {
-            event.degraded = 1;
-            event.cache_served = raw_yield;
+            window.degraded_slices = 1;
+            window.cache_served = raw_yield;
         }
         DegradationPolicy::Fail => {
-            event.failed = 1;
-            event.delivered = Bytes::ZERO;
-            event.failed_bytes = raw_yield;
+            window.failed_slices = 1;
+            window.delivered = Bytes::ZERO;
+            window.failed_bytes = raw_yield;
         }
     }
 }
@@ -343,7 +281,7 @@ fn degrade_slice(degradation: DegradationPolicy, event: &mut CostEvent<'_>, raw_
 /// Fold one event into the window and hand it to the access observers.
 #[inline]
 fn emit(window: &mut QueryWindow, observers: &mut [&mut dyn Observer], event: &CostEvent<'_>) {
-    window.absorb(event);
+    window.merge(&event.window);
     for obs in observers.iter_mut() {
         obs.on_access(event);
     }
@@ -633,9 +571,10 @@ impl<'a> ReplayEngine<'a> {
                 ..*r.access
             };
             let mut event = CostEvent::decided(r.index, server, t, &inner, &bypass, &**policy);
-            event.bypasses = 1;
+            event.window.bypasses = 1;
             if delivered {
-                event.relay_cost = spiked_cost(self.links.price(t, server, raw_yield), multiplier);
+                event.window.relay_cost =
+                    spiked_cost(self.links.price(t, server, raw_yield), multiplier);
             }
             emit(window, observers, &event);
         }
@@ -645,7 +584,8 @@ impl<'a> ReplayEngine<'a> {
             return; // the walk only stops at a tier it consulted
         };
         let mut event = CostEvent::decided(r.index, server, top, r.access, r.decision, &**policy);
-        event.delivered = raw_yield;
+        let w = &mut event.window;
+        w.delivered = raw_yield;
         if failed_attempts > 0 {
             // Nominal priced cost of the whole transfer path.
             let downstream: Bytes = (0..top)
@@ -656,47 +596,48 @@ impl<'a> ReplayEngine<'a> {
                 Decision::Load { .. } => downstream + r.access.fetch_cost,
                 Decision::Bypass => downstream + self.links.price(top, server, raw_yield),
             };
-            event.retries = u64::from(failed_attempts);
-            event.retried_bytes = FaultPlan::wasted_bytes(nominal, failed_attempts);
+            w.retries = u64::from(failed_attempts);
+            w.retried_bytes = FaultPlan::wasted_bytes(nominal, failed_attempts);
         }
         match r.decision {
             Decision::Hit => {
-                event.hits = 1;
+                w.hits = 1;
                 if delivered {
-                    event.cache_served = raw_yield;
+                    w.cache_served = raw_yield;
                 }
             }
             Decision::Bypass => {
-                event.bypasses = 1;
+                w.bypasses = 1;
                 if delivered {
-                    event.bypass_served = raw_yield;
-                    event.bypass_cost =
+                    w.bypass_served = raw_yield;
+                    w.bypass_cost =
                         spiked_cost(self.links.price(top, server, raw_yield), multiplier);
                 }
             }
             Decision::Load { evictions } => {
-                event.loads = 1;
-                event.evictions = evictions.len() as u64;
+                w.loads = 1;
+                w.evictions = evictions.len() as u64;
                 if delivered {
-                    event.fetch_cost = spiked_cost(r.access.fetch_cost, multiplier);
-                    event.cache_served = raw_yield;
+                    w.fetch_cost = spiked_cost(r.access.fetch_cost, multiplier);
+                    w.cache_served = raw_yield;
                 }
             }
         }
         if let (false, Some(plan)) = (delivered, &self.faults) {
-            degrade_slice(plan.degradation, &mut event, raw_yield);
+            degrade_slice(plan.degradation, w, raw_yield);
         }
         emit(window, observers, &event);
     }
 }
 
-/// The shared per-window accumulation every byte-summing observer runs:
-/// one field-by-field absorption of a [`CostEvent`] stream over some
-/// window (a whole replay, one [`Breakdown`] cell, one metric series).
+/// The cost split of some window of the replay: one slice at one tier
+/// (a [`CostEvent`]'s), a whole replay, one [`Breakdown`] cell, one
+/// metric series, or an event log's totals.
 ///
-/// [`CostObserver`], [`Breakdown`] and the telemetry registry all absorb
-/// through here, so a new [`CostEvent`] field has exactly one place to be
-/// threaded into the accounting.
+/// A wider window is the [`QueryWindow::merge`] of the one-slice windows
+/// in it: [`CostObserver`], [`Breakdown`], the kernel's own fold and the
+/// telemetry registry all merge the events' windows, so a new field has
+/// exactly one place to be threaded into the accounting, [`Self::merge`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueryWindow {
     /// Raw result bytes delivered to the client (`D_A` share).
@@ -735,27 +676,9 @@ pub struct QueryWindow {
 }
 
 impl QueryWindow {
-    /// Accumulate one event.
+    /// Fold another window into this one: an event into its replay,
+    /// cell or series, and rows into totals.
     #[inline]
-    pub fn absorb(&mut self, event: &CostEvent<'_>) {
-        self.delivered += event.delivered;
-        self.bypass_served += event.bypass_served;
-        self.bypass_cost += event.bypass_cost;
-        self.fetch_cost += event.fetch_cost;
-        self.relay_cost += event.relay_cost;
-        self.cache_served += event.cache_served;
-        self.retried_bytes += event.retried_bytes;
-        self.failed_bytes += event.failed_bytes;
-        self.hits += event.hits;
-        self.bypasses += event.bypasses;
-        self.loads += event.loads;
-        self.evictions += event.evictions;
-        self.retries += event.retries;
-        self.failed_slices += event.failed;
-        self.degraded_slices += event.degraded;
-    }
-
-    /// Fold another window into this one (rows, totals, registries).
     pub fn merge(&mut self, other: &QueryWindow) {
         self.delivered += other.delivered;
         self.bypass_served += other.bypass_served;
@@ -863,7 +786,7 @@ impl Observer for CostObserver {
     }
 
     fn on_access(&mut self, event: &CostEvent<'_>) {
-        self.window.absorb(event);
+        self.window.merge(&event.window);
     }
 
     /// Fold the query's slice faults into per-query counts: a query
@@ -1067,7 +990,7 @@ impl Observer for Breakdown {
     fn on_access(&mut self, event: &CostEvent<'_>) {
         if let Some(window) = self.windows.last_mut() {
             let cell = window.cells.entry((event.tier, event.server)).or_default();
-            cell.absorb(event);
+            cell.merge(&event.window);
         }
     }
 

@@ -65,9 +65,9 @@ struct OutcomeObserver {
 impl Observer for OutcomeObserver {
     fn on_access(&mut self, event: &CostEvent<'_>) {
         self.outcomes.push(ObjectOutcome {
-            object: event.object,
+            object: event.access.object,
             server: event.server,
-            yield_bytes: event.delivered,
+            yield_bytes: event.window.delivered,
             decision: event.decision.clone(),
         });
     }

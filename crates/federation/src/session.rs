@@ -1189,9 +1189,9 @@ mod tests {
                 "{}/{}/{}/{}/{}/{};",
                 event.query,
                 event.tier,
-                event.object.raw(),
-                event.delivered.raw(),
-                event.retries,
+                event.access.object.raw(),
+                event.window.delivered.raw(),
+                event.window.retries,
                 self.windows.total().wan_cost().raw()
             );
         }

@@ -26,7 +26,7 @@ use byc_core::access::Access;
 use byc_core::policy::{CachePolicy, Decision};
 use byc_federation::{
     spiked_cost, CostEvent, CostObserver, CostReport, DegradationPolicy, FaultPlan, NetworkModel,
-    Observer, Topology,
+    Observer, QueryWindow, Topology,
 };
 use byc_types::{Bytes, ObjectId, ServerId, Tick};
 use byc_workload::{Trace, TraceQuery};
@@ -79,25 +79,10 @@ fn blank<'a>(
 ) -> CostEvent<'a> {
     CostEvent {
         query,
-        object: access.object,
         server,
         tier,
         access,
-        delivered: Bytes::ZERO,
-        bypass_served: Bytes::ZERO,
-        bypass_cost: Bytes::ZERO,
-        fetch_cost: Bytes::ZERO,
-        relay_cost: Bytes::ZERO,
-        cache_served: Bytes::ZERO,
-        retried_bytes: Bytes::ZERO,
-        failed_bytes: Bytes::ZERO,
-        hits: 0,
-        bypasses: 0,
-        loads: 0,
-        evictions: 0,
-        retries: 0,
-        failed: 0,
-        degraded: 0,
+        window: QueryWindow::default(),
         decision,
         policy,
     }
@@ -107,13 +92,13 @@ fn blank<'a>(
 fn degrade_slice(plan: &FaultPlan<'_>, event: &mut CostEvent<'_>, raw_yield: Bytes) {
     match plan.degradation {
         DegradationPolicy::ServeStale => {
-            event.degraded = 1;
-            event.cache_served = raw_yield;
+            event.window.degraded_slices = 1;
+            event.window.cache_served = raw_yield;
         }
         DegradationPolicy::Fail => {
-            event.failed = 1;
-            event.delivered = Bytes::ZERO;
-            event.failed_bytes = raw_yield;
+            event.window.failed_slices = 1;
+            event.window.delivered = Bytes::ZERO;
+            event.window.failed_bytes = raw_yield;
         }
     }
 }
@@ -134,28 +119,29 @@ pub fn slice_event<'a>(
 ) -> CostEvent<'a> {
     let object = access.object;
     let mut event = blank(index, server, 0, access, decision, policy);
-    event.delivered = raw_yield;
+    event.window.delivered = raw_yield;
     match decision {
         Decision::Hit => {
-            event.hits = 1;
-            event.cache_served = raw_yield;
+            event.window.hits = 1;
+            event.window.cache_served = raw_yield;
         }
         Decision::Bypass => {
-            event.bypasses = 1;
+            event.window.bypasses = 1;
             match faults {
                 None => {
-                    event.bypass_served = raw_yield;
-                    event.bypass_cost = priced_yield();
+                    event.window.bypass_served = raw_yield;
+                    event.window.bypass_cost = priced_yield();
                 }
                 Some(plan) => {
                     let nominal = priced_yield();
                     let res = plan.fetch_path(index, time, object, server, 0..1);
-                    event.retries = u64::from(res.failed_attempts);
-                    event.retried_bytes = FaultPlan::wasted_bytes(nominal, res.failed_attempts);
+                    event.window.retries = u64::from(res.failed_attempts);
+                    event.window.retried_bytes =
+                        FaultPlan::wasted_bytes(nominal, res.failed_attempts);
                     match res.delivered {
                         Some(m) => {
-                            event.bypass_served = raw_yield;
-                            event.bypass_cost = spiked_cost(nominal, m);
+                            event.window.bypass_served = raw_yield;
+                            event.window.bypass_cost = spiked_cost(nominal, m);
                         }
                         None => degrade_slice(plan, &mut event, raw_yield),
                     }
@@ -163,22 +149,22 @@ pub fn slice_event<'a>(
             }
         }
         Decision::Load { evictions } => {
-            event.loads = 1;
-            event.evictions = evictions.len() as u64;
+            event.window.loads = 1;
+            event.window.evictions = evictions.len() as u64;
             match faults {
                 None => {
-                    event.fetch_cost = access.fetch_cost;
-                    event.cache_served = raw_yield;
+                    event.window.fetch_cost = access.fetch_cost;
+                    event.window.cache_served = raw_yield;
                 }
                 Some(plan) => {
                     let res = plan.fetch_path(index, time, object, server, 0..1);
-                    event.retries = u64::from(res.failed_attempts);
-                    event.retried_bytes =
+                    event.window.retries = u64::from(res.failed_attempts);
+                    event.window.retried_bytes =
                         FaultPlan::wasted_bytes(access.fetch_cost, res.failed_attempts);
                     match res.delivered {
                         Some(m) => {
-                            event.fetch_cost = spiked_cost(access.fetch_cost, m);
-                            event.cache_served = raw_yield;
+                            event.window.fetch_cost = spiked_cost(access.fetch_cost, m);
+                            event.window.cache_served = raw_yield;
                         }
                         None => degrade_slice(plan, &mut event, raw_yield),
                     }
@@ -310,34 +296,34 @@ pub fn serve_slice_tiered(
     for (t, (access, decision)) in walk.iter().enumerate() {
         let mut event = blank(index, server, t as u32, access, decision, &*tiers[t]);
         if t < top {
-            event.bypasses = 1;
+            event.window.bypasses = 1;
             if delivered_ok {
-                event.relay_cost = spiked_cost(yield_price(t), multiplier);
+                event.window.relay_cost = spiked_cost(yield_price(t), multiplier);
             }
             emit(&event);
             continue;
         }
-        event.delivered = raw_yield;
-        event.retries = u64::from(failed_attempts);
-        event.retried_bytes = wasted;
+        event.window.delivered = raw_yield;
+        event.window.retries = u64::from(failed_attempts);
+        event.window.retried_bytes = wasted;
         match decision {
-            Decision::Hit => event.hits = 1,
-            Decision::Bypass => event.bypasses = 1,
+            Decision::Hit => event.window.hits = 1,
+            Decision::Bypass => event.window.bypasses = 1,
             Decision::Load { evictions } => {
-                event.loads = 1;
-                event.evictions = evictions.len() as u64;
+                event.window.loads = 1;
+                event.window.evictions = evictions.len() as u64;
             }
         }
         if delivered_ok {
             match decision {
-                Decision::Hit => event.cache_served = raw_yield,
+                Decision::Hit => event.window.cache_served = raw_yield,
                 Decision::Bypass => {
-                    event.bypass_served = raw_yield;
-                    event.bypass_cost = spiked_cost(yield_price(t), multiplier);
+                    event.window.bypass_served = raw_yield;
+                    event.window.bypass_cost = spiked_cost(yield_price(t), multiplier);
                 }
                 Decision::Load { .. } => {
-                    event.fetch_cost = spiked_cost(fetch_suffix(t), multiplier);
-                    event.cache_served = raw_yield;
+                    event.window.fetch_cost = spiked_cost(fetch_suffix(t), multiplier);
+                    event.window.cache_served = raw_yield;
                 }
             }
         } else if let Some(plan) = faults {

@@ -7,16 +7,19 @@
 //! cache (`D_C`). Pricing may inflate what the traffic *costs*, never
 //! what is *delivered*. And every view of a `Breakdown` must be exactly
 //! a partition of the global report — it folds the same event stream as
-//! the session's `CostObserver`, so their totals cannot drift.
+//! the session's `CostObserver`, so their totals cannot drift. Each of
+//! those folds merges one-slice windows, so every event's window is
+//! checked against the kernel's per-event contract too.
 
 mod oracle;
 
 use byc_catalog::sdss::{self, SdssRelease};
 use byc_catalog::{Granularity, ObjectCatalog};
+use byc_core::policy::Decision;
 use byc_federation::{
-    build_policy, Breakdown, CostReport, DegradationPolicy, FaultModel, FaultPlan, FlakyLinks,
-    NetworkModel, Outage, OutageWindows, PerServerMultipliers, PolicyKind, QueryWindow,
-    ReplaySession, RetryPolicy, SeriesPoint, Topology, Uniform,
+    build_policy, Breakdown, CostEvent, CostReport, DegradationPolicy, FaultModel, FaultPlan,
+    FlakyLinks, NetworkModel, Observer, Outage, OutageWindows, PerServerMultipliers, PolicyKind,
+    QueryWindow, ReplaySession, RetryPolicy, SeriesPoint, Topology, Uniform,
 };
 use byc_types::{Bytes, ServerId, Tick};
 use byc_workload::{generate, Trace, WorkloadConfig, WorkloadStats};
@@ -39,12 +42,64 @@ const ALL_POLICIES: [PolicyKind; 13] = [
     PolicyKind::NoCache,
 ];
 
+/// The per-event contract every fold of the replay relies on, checked
+/// on each event's one-slice window: exactly one decision, counted under
+/// the event's own decision; delivery conserved
+/// (`delivered == bypass_served + cache_served`); and an inner-tier
+/// bypass, which forwards the slice up the hierarchy, carrying nothing
+/// but its relay cost. Keeps the first violation for the test to report.
+struct EventContract {
+    /// The replay's caching tiers.
+    depth: u32,
+    events: u64,
+    violation: Option<String>,
+}
+
+impl EventContract {
+    fn new(depth: usize) -> Self {
+        EventContract {
+            depth: u32::try_from(depth).unwrap(),
+            events: 0,
+            violation: None,
+        }
+    }
+}
+
+impl Observer for EventContract {
+    fn on_access(&mut self, event: &CostEvent<'_>) {
+        self.events += 1;
+        let w = &event.window;
+        let counted = match event.decision {
+            Decision::Hit => w.hits,
+            Decision::Bypass => w.bypasses,
+            Decision::Load { .. } => w.loads,
+        };
+        let relay_only = QueryWindow {
+            bypasses: 1,
+            relay_cost: w.relay_cost,
+            ..QueryWindow::default()
+        };
+        let broken = if w.decisions() != 1 || counted != 1 {
+            "one decision"
+        } else if !w.conserves_delivery() {
+            "delivery conservation"
+        } else if event.decision.is_bypass() && event.tier + 1 < self.depth && *w != relay_only {
+            "an inner-tier bypass carries only its relay cost"
+        } else {
+            return;
+        };
+        self.violation
+            .get_or_insert_with(|| format!("{broken}: {event:?}"));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// For arbitrary per-server cost multipliers, window lengths and
-    /// every shipped policy, on the flat network and on a two-tier
-    /// topology, fault-free or under flaky links: a `Breakdown`'s windows
+    /// every shipped policy, on the flat network and on two- and
+    /// three-tier topologies, fault-free or under flaky links: every
+    /// event keeps the per-event contract, a `Breakdown`'s windows
     /// tile the replay, each server conserves delivery, the per-server
     /// and per-tier views each sum to the session's `CostReport` field
     /// for field, and the cumulative series ends at the report's total.
@@ -62,21 +117,26 @@ proptest! {
         let objects = ObjectCatalog::uniform(&catalog, Granularity::Column);
         let stats = WorkloadStats::compute(&trace, &objects);
         let network = PerServerMultipliers::new(multipliers.clone()).unwrap();
-        let origin = PerServerMultipliers::new(multipliers).unwrap();
-        let two_tier = Topology::two_tier(0.25, Box::new(origin)).unwrap();
+        let origin = || Box::new(PerServerMultipliers::new(multipliers.clone()).unwrap());
+        let two_tier = Topology::two_tier(0.25, origin()).unwrap();
+        let three_tier = Topology::three_tier(0.25, 0.5, origin()).unwrap();
         let flaky = FlakyLinks::new(seed, 0.1, 0.1, 4.0);
         let capacity = objects.total_size().scale(cache_fraction);
         for kind in ALL_POLICIES {
-            for tiered in [false, true] {
-                let scales: &[f64] = if tiered { &[1.0, 4.0] } else { &[1.0] };
+            for topology in [None, Some(&two_tier), Some(&three_tier)] {
+                let scales: Vec<f64> = match topology {
+                    Some(t) => t.tiers().iter().map(|tier| tier.capacity_scale).collect(),
+                    None => vec![1.0],
+                };
                 let mut policies: Vec<_> = scales
                     .iter()
                     .map(|s| build_policy(kind, capacity.scale(*s), &stats.demands, seed))
                     .collect();
                 let mut breakdown = Breakdown::every(every);
+                let mut contract = EventContract::new(scales.len());
                 let mut session = ReplaySession::new(&trace, &objects);
-                if tiered {
-                    session = session.topology(&two_tier);
+                if let Some(topology) = topology {
+                    session = session.topology(topology);
                     for p in policies.iter_mut() {
                         session = session.tier_policy(p.as_mut());
                     }
@@ -86,8 +146,16 @@ proptest! {
                 if faulted {
                     session = session.faults(&flaky).retry(RetryPolicy::new(2, 1));
                 }
-                let report = session.observe(&mut breakdown).run().unwrap().report;
-                let what = format!("{kind:?} tiered={tiered} faulted={faulted}");
+                let report = session
+                    .observe(&mut breakdown)
+                    .observe(&mut contract)
+                    .run()
+                    .unwrap()
+                    .report;
+                let what = format!("{kind:?} depth={} faulted={faulted}", scales.len());
+                prop_assert_eq!(contract.violation, None, "{} per-event contract", what);
+                let decisions = report.hits + report.bypasses + report.loads;
+                prop_assert_eq!(contract.events, decisions, "{} events", what);
                 prop_assert!(report.conserves_delivery(), "{what} global conservation");
 
                 let mut next = 0;
@@ -106,7 +174,10 @@ proptest! {
                 }
                 assert_rows_sum_to(&per_server, &report, &format!("{what} per-server"));
                 let per_tier = breakdown.tiers();
-                prop_assert!(per_tier.iter().all(|(t, _)| *t < 2), "{what} unknown tier");
+                prop_assert!(
+                    per_tier.iter().all(|(t, _)| *t < contract.depth),
+                    "{what} unknown tier"
+                );
                 assert_rows_sum_to(&per_tier, &report, &format!("{what} per-tier"));
 
                 let end = SeriesPoint {

@@ -75,38 +75,17 @@ pub struct EventRecord {
     pub server: ServerId,
     /// The decision taken.
     pub decision: DecisionKind,
-    /// Raw result bytes delivered to the client (the slice's yield).
-    pub yield_bytes: Bytes,
     /// The buy price `f_i` the policy weighed (network-priced fetch
     /// cost).
     pub fetch_price: Bytes,
-    /// WAN cost of the bypassed slice (`D_S` share, network-priced).
-    pub bypass_cost: Bytes,
-    /// WAN cost of the cache load (`D_L` share, network-priced).
-    pub fetch_cost: Bytes,
-    /// Raw bytes served out of the cache (`D_C` share).
-    pub cache_served: Bytes,
-    /// Objects evicted by this decision.
-    pub evictions: u64,
     /// The deciding tier's cache occupancy in bytes after the decision.
     pub occupancy: Bytes,
-    /// WAN bytes wasted on failed transfer attempts of this slice
-    /// (network-priced; zero without a fault layer).
-    pub retried_bytes: Bytes,
-    /// Raw result bytes the slice failed to deliver.
-    pub failed_bytes: Bytes,
-    /// Failed transfer attempts (the retry count).
-    pub retries: u64,
-    /// 1 iff every attempt failed and the slice delivered nothing.
-    pub failed: u64,
-    /// 1 iff every attempt failed and the slice was served stale.
-    pub degraded: u64,
     /// Caching tier that took the decision (0 = site; always 0 on a
     /// flat topology, where the key is omitted from the wire format).
     pub tier: u32,
-    /// WAN cost of relaying the slice over this tier's inner link
-    /// (network-priced; zero on a flat topology).
-    pub relay_cost: Bytes,
+    /// The slice's cost split at this tier: the engine event's one-slice
+    /// window.
+    pub window: QueryWindow,
 }
 
 impl EventRecord {
@@ -119,23 +98,13 @@ impl EventRecord {
         };
         EventRecord {
             query: event.query as u64,
-            object: event.object,
+            object: event.access.object,
             server: event.server,
             decision,
-            yield_bytes: event.delivered,
             fetch_price: event.access.fetch_cost,
-            bypass_cost: event.bypass_cost,
-            fetch_cost: event.fetch_cost,
-            cache_served: event.cache_served,
-            evictions: event.evictions,
             occupancy: event.policy.used(),
-            retried_bytes: event.retried_bytes,
-            failed_bytes: event.failed_bytes,
-            retries: event.retries,
-            failed: event.failed,
-            degraded: event.degraded,
             tier: event.tier,
-            relay_cost: event.relay_cost,
+            window: event.window,
         }
     }
 
@@ -146,6 +115,7 @@ impl EventRecord {
     // rather than unwrapped: this sits on the replay hot path, where a
     // panic site would trip the no-panic audit.
     fn render_into(&self, buf: &mut String) {
+        let w = &self.window;
         let _ = write!(
             buf,
             "{{\"q\":{},\"o\":{},\"s\":{},\"d\":\"{}\",\"y\":{},\"f\":{},\"bc\":{},\"fc\":{},\"cs\":{},\"ev\":{},\"occ\":{}",
@@ -153,40 +123,45 @@ impl EventRecord {
             self.object.raw(),
             self.server.raw(),
             self.decision.label(),
-            self.yield_bytes.raw(),
+            w.delivered.raw(),
             self.fetch_price.raw(),
-            self.bypass_cost.raw(),
-            self.fetch_cost.raw(),
-            self.cache_served.raw(),
-            self.evictions,
+            w.bypass_cost.raw(),
+            w.fetch_cost.raw(),
+            w.cache_served.raw(),
+            w.evictions,
             self.occupancy.raw(),
         );
         // Tier columns only appear on tiered topologies: flat logs
         // (tier 0, no relay traffic) stay byte-identical to logs written
         // before topologies existed, and the reader defaults the missing
         // keys to zero.
-        if self.tier != 0 || self.relay_cost != Bytes::ZERO {
-            let _ = write!(buf, ",\"t\":{},\"rc\":{}", self.tier, self.relay_cost.raw());
+        if self.tier != 0 || w.relay_cost != Bytes::ZERO {
+            let _ = write!(buf, ",\"t\":{},\"rc\":{}", self.tier, w.relay_cost.raw());
         }
         // Fault columns only appear when the slice actually hit the fault
         // layer, so fault-free logs stay byte-identical to version-1 logs
         // written before the fault model existed (the reader defaults the
         // missing keys to zero).
-        if self.retries != 0 || self.failed != 0 || self.degraded != 0 {
+        if w.retries != 0 || w.failed_slices != 0 || w.degraded_slices != 0 {
             let _ = write!(
                 buf,
                 ",\"rb\":{},\"fb\":{},\"rt\":{},\"fl\":{},\"dg\":{}",
-                self.retried_bytes.raw(),
-                self.failed_bytes.raw(),
-                self.retries,
-                self.failed,
-                self.degraded,
+                w.retried_bytes.raw(),
+                w.failed_bytes.raw(),
+                w.retries,
+                w.failed_slices,
+                w.degraded_slices,
             );
         }
         let _ = writeln!(buf, "}}");
     }
 
     /// Parse one NDJSON record line.
+    ///
+    /// The wire format carries the delivered bytes (`y`) and the cached
+    /// share (`cs`), not the server-shipped share: a slice delivers its
+    /// bytes from the servers or from the cache, so that share is
+    /// `y - cs`. The decision counters follow from `d`.
     ///
     /// # Errors
     ///
@@ -202,34 +177,46 @@ impl EventRecord {
             .as_str()
             .and_then(DecisionKind::parse)
             .ok_or_else(|| Error::TraceFormat(format!("bad decision in event record: {line}")))?;
+        let query = field("q")?;
+        let object = u32::try_from(field("o")?)
+            .map_err(|_| Error::TraceFormat("object id out of range".into()))?;
+        let server = u32::try_from(field("s")?)
+            .map_err(|_| Error::TraceFormat("server id out of range".into()))?;
+        let delivered = Bytes::new(field("y")?);
+        let fetch_price = Bytes::new(field("f")?);
+        let bypass_cost = Bytes::new(field("bc")?);
+        let fetch_cost = Bytes::new(field("fc")?);
+        let cache_served = Bytes::new(field("cs")?);
+        let evictions = field("ev")?;
+        let occupancy = Bytes::new(field("occ")?);
         Ok(EventRecord {
-            query: field("q")?,
-            object: ObjectId::new(
-                u32::try_from(field("o")?)
-                    .map_err(|_| Error::TraceFormat("object id out of range".into()))?,
-            ),
-            server: ServerId::new(
-                u32::try_from(field("s")?)
-                    .map_err(|_| Error::TraceFormat("server id out of range".into()))?,
-            ),
+            query,
+            object: ObjectId::new(object),
+            server: ServerId::new(server),
             decision,
-            yield_bytes: Bytes::new(field("y")?),
-            fetch_price: Bytes::new(field("f")?),
-            bypass_cost: Bytes::new(field("bc")?),
-            fetch_cost: Bytes::new(field("fc")?),
-            cache_served: Bytes::new(field("cs")?),
-            evictions: field("ev")?,
-            occupancy: Bytes::new(field("occ")?),
-            // Absent in fault-free logs (and all pre-fault logs): zero.
-            retried_bytes: Bytes::new(v["rb"].as_u64().unwrap_or(0)),
-            failed_bytes: Bytes::new(v["fb"].as_u64().unwrap_or(0)),
-            retries: v["rt"].as_u64().unwrap_or(0),
-            failed: v["fl"].as_u64().unwrap_or(0),
-            degraded: v["dg"].as_u64().unwrap_or(0),
+            fetch_price,
+            occupancy,
             // Absent on flat-topology (and all pre-topology) logs: zero.
             tier: u32::try_from(v["t"].as_u64().unwrap_or(0))
                 .map_err(|_| Error::TraceFormat("tier out of range".into()))?,
-            relay_cost: Bytes::new(v["rc"].as_u64().unwrap_or(0)),
+            window: QueryWindow {
+                delivered,
+                bypass_served: delivered.saturating_sub(cache_served),
+                bypass_cost,
+                fetch_cost,
+                relay_cost: Bytes::new(v["rc"].as_u64().unwrap_or(0)),
+                cache_served,
+                // Absent in fault-free logs (and all pre-fault logs): zero.
+                retried_bytes: Bytes::new(v["rb"].as_u64().unwrap_or(0)),
+                failed_bytes: Bytes::new(v["fb"].as_u64().unwrap_or(0)),
+                hits: u64::from(decision == DecisionKind::Hit),
+                bypasses: u64::from(decision == DecisionKind::Bypass),
+                loads: u64::from(decision == DecisionKind::Load),
+                evictions,
+                retries: v["rt"].as_u64().unwrap_or(0),
+                failed_slices: v["fl"].as_u64().unwrap_or(0),
+                degraded_slices: v["dg"].as_u64().unwrap_or(0),
+            },
         })
     }
 }
@@ -351,32 +338,14 @@ pub struct EventLog {
 }
 
 impl EventLog {
-    /// Sum the log's byte and decision columns into the replay's own
-    /// [`QueryWindow`]. A record delivers its bytes from the servers or
-    /// from the cache, so its server-shipped share is
-    /// `yield_bytes - cache_served`.
+    /// Sum the log's records into the replay's own [`QueryWindow`]: the
+    /// merge of every record's window.
     pub fn totals(&self) -> QueryWindow {
-        let mut t = QueryWindow::default();
+        let mut total = QueryWindow::default();
         for e in &self.events {
-            t.delivered += e.yield_bytes;
-            t.bypass_served += e.yield_bytes.saturating_sub(e.cache_served);
-            t.bypass_cost += e.bypass_cost;
-            t.fetch_cost += e.fetch_cost;
-            t.relay_cost += e.relay_cost;
-            t.cache_served += e.cache_served;
-            t.retried_bytes += e.retried_bytes;
-            t.failed_bytes += e.failed_bytes;
-            t.evictions += e.evictions;
-            t.retries += e.retries;
-            t.failed_slices += e.failed;
-            t.degraded_slices += e.degraded;
-            match e.decision {
-                DecisionKind::Hit => t.hits += 1,
-                DecisionKind::Bypass => t.bypasses += 1,
-                DecisionKind::Load => t.loads += 1,
-            }
+            total.merge(&e.window);
         }
-        t
+        total
     }
 
     /// Read a log from the file at `path`.
@@ -542,31 +511,30 @@ mod tests {
             object: ObjectId::new(7),
             server: ServerId::new(1),
             decision: DecisionKind::Bypass,
-            yield_bytes: Bytes::new(1000),
             fetch_price: Bytes::new(5000),
-            bypass_cost: Bytes::new(2000),
-            fetch_cost: Bytes::ZERO,
-            cache_served: Bytes::ZERO,
-            evictions: 0,
             occupancy: Bytes::mib(3),
-            retried_bytes: Bytes::ZERO,
-            failed_bytes: Bytes::ZERO,
-            retries: 0,
-            failed: 0,
-            degraded: 0,
             tier: 0,
-            relay_cost: Bytes::ZERO,
+            window: QueryWindow {
+                delivered: Bytes::new(1000),
+                bypass_served: Bytes::new(1000),
+                bypass_cost: Bytes::new(2000),
+                bypasses: 1,
+                ..QueryWindow::default()
+            },
         }
     }
 
     fn faulted_record(query: u64) -> EventRecord {
+        let sample = sample_record(query);
         EventRecord {
-            retried_bytes: Bytes::new(4000),
-            failed_bytes: Bytes::new(1000),
-            retries: 2,
-            failed: 1,
-            degraded: 0,
-            ..sample_record(query)
+            window: QueryWindow {
+                retried_bytes: Bytes::new(4000),
+                failed_bytes: Bytes::new(1000),
+                retries: 2,
+                failed_slices: 1,
+                ..sample.window
+            },
+            ..sample
         }
     }
 
@@ -605,18 +573,22 @@ mod tests {
             assert!(!buf.contains(&format!("\"{key}\":")), "{buf}");
         }
         let back = EventRecord::parse(buf.trim_end()).unwrap();
-        assert_eq!(back.retries, 0);
-        assert_eq!(back.failed_bytes, Bytes::ZERO);
+        assert_eq!(back.window.retries, 0);
+        assert_eq!(back.window.failed_bytes, Bytes::ZERO);
         assert_eq!(back.tier, 0);
-        assert_eq!(back.relay_cost, Bytes::ZERO);
+        assert_eq!(back.window.relay_cost, Bytes::ZERO);
     }
 
     #[test]
     fn tiered_record_roundtrips_and_counts_relay_as_wan() {
+        let sample = sample_record(9);
         let record = EventRecord {
             tier: 2,
-            relay_cost: Bytes::new(750),
-            ..sample_record(9)
+            window: QueryWindow {
+                relay_cost: Bytes::new(750),
+                ..sample.window
+            },
+            ..sample
         };
         let mut buf = String::new();
         record.render_into(&mut buf);

@@ -5,7 +5,7 @@
 //! read the same fields, so the two exports of one run agree on every
 //! counter — a property the test suite asserts rather than assumes.
 
-use crate::metrics::{Histogram, MetricsRegistry, PolicyMetrics};
+use crate::metrics::{Gauge, Histogram, MetricsRegistry, PolicyMetrics};
 use byc_types::json::Value;
 use byc_types::{Error, Result};
 use std::fmt::Write as _;
@@ -111,6 +111,24 @@ pub const WINDOW_COLUMNS: [WindowColumn; 15] = [
     ),
 ];
 
+/// One exported occupancy gauge column: `(metric name, help text,
+/// extractor)`.
+type GaugeColumn = (&'static str, &'static str, fn(&Gauge) -> u64);
+
+/// The occupancy gauge columns of the Prometheus export.
+const GAUGE_COLUMNS: [GaugeColumn; 2] = [
+    (
+        "byc_cache_occupancy_bytes",
+        "Cache occupancy after the last decision.",
+        |g| g.last,
+    ),
+    (
+        "byc_cache_occupancy_peak_bytes",
+        "Highest cache occupancy observed.",
+        |g| g.peak,
+    ),
+];
+
 /// Escape a label value per the Prometheus text exposition rules:
 /// backslash, double quote, and line feed become `\\`, `\"`, and `\n`.
 /// Values without those characters come back unchanged (no allocation
@@ -151,7 +169,8 @@ fn prom_histogram(out: &mut String, name: &str, help: &str, labels: &str, h: &Hi
 /// Render the registry as Prometheus text exposition.
 ///
 /// Counters carry `{policy, server, class, tier}` labels (one series per
-/// registry cell); gauges and per-policy histograms carry `{policy}`.
+/// registry cell); per-policy histograms carry `{policy}`, and so do the
+/// occupancy gauges, plus a `tier` label on a multi-tier topology.
 /// Output is fully deterministic: same registry, same bytes.
 pub fn prometheus_text(registry: &MetricsRegistry) -> String {
     let mut out = String::new();
@@ -194,31 +213,16 @@ pub fn prometheus_text(registry: &MetricsRegistry) -> String {
         );
     }
 
-    let _ = writeln!(
-        out,
-        "# HELP byc_cache_occupancy_bytes Cache occupancy after the last decision."
-    );
-    let _ = writeln!(out, "# TYPE byc_cache_occupancy_bytes gauge");
-    for p in registry.iter() {
-        let _ = writeln!(
-            out,
-            "byc_cache_occupancy_bytes{{policy=\"{}\"}} {}",
-            escape_label(&p.policy),
-            p.occupancy.last
-        );
-    }
-    let _ = writeln!(
-        out,
-        "# HELP byc_cache_occupancy_peak_bytes Highest cache occupancy observed."
-    );
-    let _ = writeln!(out, "# TYPE byc_cache_occupancy_peak_bytes gauge");
-    for p in registry.iter() {
-        let _ = writeln!(
-            out,
-            "byc_cache_occupancy_peak_bytes{{policy=\"{}\"}} {}",
-            escape_label(&p.policy),
-            p.occupancy.peak
-        );
+    for (name, help, read) in GAUGE_COLUMNS {
+        let _ = writeln!(out, "# HELP {name} {help}");
+        let _ = writeln!(out, "# TYPE {name} gauge");
+        for p in registry.iter() {
+            let policy = escape_label(&p.policy);
+            for (tier, gauge) in p.occupancy_by_tier() {
+                let tier = tier.map(|t| format!(",tier=\"{t}\"")).unwrap_or_default();
+                let _ = writeln!(out, "{name}{{policy=\"{policy}\"{tier}}} {}", read(&gauge));
+            }
+        }
     }
 
     for p in registry.iter() {
@@ -287,17 +291,24 @@ fn json_policy(p: &PolicyMetrics) -> Value {
             ])
         })
         .collect();
+    let gauge = |tier: Option<u32>, g: &Gauge| {
+        let tier = tier.map(|t| ("tier".into(), Value::u64(u64::from(t))));
+        let mut fields: Vec<(String, Value)> = tier.into_iter().collect();
+        fields.push(("last".into(), Value::u64(g.last)));
+        fields.push(("peak".into(), Value::u64(g.peak)));
+        Value::Object(fields)
+    };
+    // A flat policy's one gauge is an object; a topology's, an array of
+    // them, one per tier.
+    let occupancy = match p.occupancy_by_tier().as_slice() {
+        [(None, flat)] => gauge(None, flat),
+        tiers => Value::Array(tiers.iter().map(|(t, g)| gauge(*t, g)).collect()),
+    };
     Value::Object(vec![
         ("policy".into(), Value::str(&p.policy)),
         ("queries".into(), Value::u64(p.queries)),
         ("accesses".into(), Value::u64(p.accesses)),
-        (
-            "occupancy".into(),
-            Value::Object(vec![
-                ("last".into(), Value::u64(p.occupancy.last)),
-                ("peak".into(), Value::u64(p.occupancy.peak)),
-            ]),
-        ),
+        ("occupancy".into(), occupancy),
         ("series".into(), Value::Array(series)),
         (
             "slices_per_query".into(),
@@ -347,7 +358,9 @@ mod tests {
         let mut p = PolicyMetrics::new("GDS");
         p.queries = 7;
         p.accesses = 21;
-        p.occupancy.set(12_345);
+        let mut gauge = Gauge::default();
+        gauge.set(12_345);
+        p.occupancy.push(gauge);
         for (server, class, hits, bytes) in [
             (0u32, ObjectClass::Tiny, 5u64, 1_000u64),
             (1, ObjectClass::Large, 2, 9_000_000),
@@ -441,6 +454,43 @@ mod tests {
             );
             assert!(prom.contains(&q), "missing: {q}");
         }
+    }
+
+    /// A topology's gauges carry a `tier` label in Prometheus and a
+    /// `tier` member in JSON, and the two exports agree tier by tier; a
+    /// flat policy's one gauge carries neither.
+    #[test]
+    fn tiered_occupancy_is_labelled_by_tier_in_both_exports() {
+        let mut p = PolicyMetrics::new("GDS@three-tier");
+        for (peak, last) in [(9, 5), (3, 0), (7, 7)] {
+            let mut gauge = Gauge::default();
+            gauge.set(peak);
+            gauge.set(last);
+            p.occupancy.push(gauge);
+        }
+        let mut reg = sample_registry();
+        reg.absorb(p);
+        let prom = prometheus_text(&reg);
+        let snap = json_snapshot(&reg);
+        let policies = snap["policies"].as_array().unwrap();
+        assert_eq!(policies[0]["occupancy"]["last"].as_u64(), Some(12_345));
+        assert!(prom.contains("byc_cache_occupancy_bytes{policy=\"GDS\"} 12345"));
+        let tiers = policies[1]["occupancy"].as_array().unwrap();
+        assert_eq!(tiers.len(), 3);
+        for (t, gauge) in tiers.iter().enumerate() {
+            assert_eq!(gauge["tier"].as_u64(), Some(t as u64));
+            let cell = format!("{{policy=\"GDS@three-tier\",tier=\"{t}\"}}");
+            for (name, key) in [
+                ("byc_cache_occupancy_bytes", "last"),
+                ("byc_cache_occupancy_peak_bytes", "peak"),
+            ] {
+                let line = format!("{name}{cell} {}", gauge[key].as_u64().unwrap());
+                assert!(prom.contains(&line), "missing: {line}");
+            }
+        }
+        assert_eq!(tiers[0]["last"].as_u64(), Some(5));
+        assert_eq!(tiers[0]["peak"].as_u64(), Some(9));
+        assert!(!prom.contains("byc_cache_occupancy_bytes{policy=\"GDS@three-tier\"}"));
     }
 
     #[test]

@@ -358,9 +358,10 @@ pub struct PolicyMetrics {
     pub accesses: u64,
     /// Per-`(server, class)` series, in key order.
     pub series: BTreeMap<SeriesKey, SeriesMetrics>,
-    /// Cache occupancy in bytes (last + peak), sampled after every
-    /// decision.
-    pub occupancy: Gauge,
+    /// Cache occupancy in bytes (last + peak) per caching tier,
+    /// bottom-up, each sampled after that tier's decisions: one gauge on
+    /// the flat network.
+    pub occupancy: Vec<Gauge>,
     /// Distribution of cacheable object slices per query (one per slice,
     /// however many tiers its decision walk consulted).
     pub slices_per_query: Histogram,
@@ -380,7 +381,7 @@ impl PolicyMetrics {
             queries: 0,
             accesses: 0,
             series: BTreeMap::new(),
-            occupancy: Gauge::default(),
+            occupancy: Vec::new(),
             slices_per_query: Histogram::new(Buckets::COUNTS),
             reuse_gap: Histogram::new(Buckets::GAPS),
             episodes: crate::observer::PhaseProfile::default(),
@@ -398,6 +399,17 @@ impl PolicyMetrics {
         total
     }
 
+    /// The occupancy gauges as the exports label them: a single-tier
+    /// (flat) policy's one gauge with no tier, as exports wrote it before
+    /// topologies existed, else each tier's gauge with its tier.
+    pub fn occupancy_by_tier(&self) -> Vec<(Option<u32>, Gauge)> {
+        match self.occupancy.as_slice() {
+            [] => vec![(None, Gauge::default())],
+            [flat] => vec![(None, *flat)],
+            tiers => (0..).zip(tiers).map(|(t, g)| (Some(t), *g)).collect(),
+        }
+    }
+
     /// Fold another snapshot of the *same* policy into this one.
     pub fn merge(&mut self, other: &PolicyMetrics) {
         self.queries += other.queries;
@@ -405,7 +417,13 @@ impl PolicyMetrics {
         for (key, series) in &other.series {
             self.series.entry(*key).or_default().merge(series);
         }
-        self.occupancy.merge(&other.occupancy);
+        if self.occupancy.len() < other.occupancy.len() {
+            self.occupancy
+                .resize(other.occupancy.len(), Gauge::default());
+        }
+        for (gauge, later) in self.occupancy.iter_mut().zip(&other.occupancy) {
+            gauge.merge(later);
+        }
         self.slices_per_query.merge(&other.slices_per_query);
         self.reuse_gap.merge(&other.reuse_gap);
         self.episodes.merge(&other.episodes);
@@ -592,6 +610,30 @@ mod tests {
         assert_eq!(merged.queries, 15);
         assert_eq!(merged.series[&key].window.hits, 5);
         assert_eq!(merged.totals().hits, 5);
+    }
+
+    #[test]
+    fn registry_merges_gauges_tier_by_tier() {
+        let gauge = |peak: u64, last: u64| {
+            let mut g = Gauge::default();
+            g.set(peak);
+            g.set(last);
+            g
+        };
+        let mut a = PolicyMetrics::new("GDS");
+        a.occupancy = vec![gauge(10, 4)];
+        let mut b = PolicyMetrics::new("GDS");
+        b.occupancy = vec![gauge(6, 6), gauge(8, 2)];
+        a.merge(&b);
+        assert_eq!(a.occupancy, [gauge(10, 6), gauge(8, 2)]);
+        assert_eq!(
+            a.occupancy_by_tier(),
+            [(Some(0), gauge(10, 6)), (Some(1), gauge(8, 2))]
+        );
+        assert_eq!(
+            PolicyMetrics::new("x").occupancy_by_tier(),
+            [(None, Gauge::default())]
+        );
     }
 
     #[test]

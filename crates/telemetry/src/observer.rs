@@ -127,8 +127,8 @@ impl PhaseProfile {
 /// class, plus the deciding tier), so each `(tier, object)` slot keeps
 /// the index of its series once found. Reuse gaps keep each object's
 /// last query in a per-object `Vec`, histograms bucket in O(1), and each
-/// tier's occupancy is re-read only on that tier's first event of a
-/// query and on its loads. [`TelemetryObserver::into_parts`] sorts the
+/// tier's occupancy gauge is re-read only on that tier's first event of
+/// a query and on its loads. [`TelemetryObserver::into_parts`] sorts the
 /// series into the snapshot's [`SeriesKey`] order.
 pub struct TelemetryObserver {
     policy: String,
@@ -141,7 +141,6 @@ pub struct TelemetryObserver {
     /// One more than the query ordinal of each object's previous slice,
     /// indexed by object id; 0 while the object has none (reuse gaps).
     last_seen: Vec<u64>,
-    occupancy: Gauge,
     slices_per_query: Histogram,
     reuse_gap: Histogram,
     episodes: PhaseProfile,
@@ -155,18 +154,20 @@ pub struct TelemetryObserver {
     log_result: Option<byc_types::Result<u64>>,
 }
 
-/// One caching tier's dense telemetry state, valid for one replay.
+/// One caching tier's dense telemetry state: its series slots and
+/// occupancy read are valid for one replay, its gauge for the observer's
+/// life.
 #[derive(Default)]
 struct TierSlots {
     /// Each object's index into [`TelemetryObserver::series`], indexed by
     /// object id; [`UNRESOLVED`] until the object's first event here. A
     /// sweep runs every job at once, so two bytes a slot, not eight.
     series: Vec<u16>,
-    /// The tier policy's occupancy as last read, and the query it was
-    /// read in. Within a query only a load changes it (the policy
-    /// auditor checks `used()` against the decision stream after every
-    /// access); between queries an invalidation or a preload may.
-    used: u64,
+    /// The tier policy's occupancy, last read in query `read_in`.
+    /// Within a query only a load changes it (the policy auditor checks
+    /// `used()` against the decision stream after every access); between
+    /// queries an invalidation or a preload may.
+    occupancy: Gauge,
     read_in: Option<usize>,
 }
 
@@ -182,7 +183,6 @@ impl TelemetryObserver {
             series: Vec::new(),
             tiers: Vec::new(),
             last_seen: Vec::new(),
-            occupancy: Gauge::default(),
             slices_per_query: empty.slices_per_query,
             reuse_gap: empty.reuse_gap,
             episodes: PhaseProfile::new(EPISODE_LEN),
@@ -217,7 +217,7 @@ impl TelemetryObserver {
             queries: self.queries,
             accesses: self.accesses,
             series: self.series.into_iter().collect(),
-            occupancy: self.occupancy,
+            occupancy: self.tiers.iter().map(|t| t.occupancy).collect(),
             slices_per_query: self.slices_per_query,
             reuse_gap: self.reuse_gap,
             episodes: self.episodes,
@@ -239,7 +239,7 @@ fn series_of<'s>(
     slots: &mut Vec<u16>,
     event: &CostEvent<'_>,
 ) -> Option<&'s mut SeriesMetrics> {
-    let o = event.object.index();
+    let o = event.access.object.index();
     if slots.len() <= o {
         slots.resize(o + 1, UNRESOLVED);
     }
@@ -274,9 +274,10 @@ impl Observer for TelemetryObserver {
     }
 
     fn on_access(&mut self, event: &CostEvent<'_>) {
+        let window = &event.window;
         self.accesses += 1;
         self.decisions_this_query += 1;
-        self.evictions_this_query += event.evictions;
+        self.evictions_this_query += window.evictions;
 
         let t = event.tier as usize;
         if self.tiers.len() <= t {
@@ -286,31 +287,27 @@ impl Observer for TelemetryObserver {
             return; // just grown to hold tier `t`
         };
         if let Some(series) = series_of(&mut self.series, &mut tier.series, event) {
-            series.window.absorb(event);
-            series.delivered.record(event.delivered.raw());
+            series.window.merge(window);
+            series.delivered.record(window.delivered.raw());
             // Hits are WAN-free; recording them would bury the traffic
             // distribution under a spike at zero. Relay traffic
             // (inner-link forwarding on a tiered topology) is WAN and
             // counts.
-            if event.hits == 0 {
-                series.wan.record(
-                    (event.bypass_cost + event.fetch_cost + event.relay_cost + event.retried_bytes)
-                        .raw(),
-                );
+            if window.hits == 0 {
+                series.wan.record(window.wan_cost().raw());
             }
         }
 
-        if event.loads != 0 || tier.read_in != Some(event.query) {
-            tier.used = event.policy.used().raw();
+        if window.loads != 0 || tier.read_in != Some(event.query) {
+            tier.occupancy.set(event.policy.used().raw());
             tier.read_in = Some(event.query);
         }
-        self.occupancy.set(tier.used);
 
         // A slice's decision walk emits one event per consulted tier,
         // starting at tier 0: its tier-0 event stands for the slice.
         if event.tier == 0 {
             self.slices_this_query += 1;
-            let (o, query) = (event.object.index(), event.query as u64);
+            let (o, query) = (event.access.object.index(), event.query as u64);
             if self.last_seen.len() <= o {
                 self.last_seen.resize(o + 1, 0);
             }
@@ -338,9 +335,15 @@ impl Observer for TelemetryObserver {
     }
 
     fn finish(&mut self, _policy: Option<&dyn CachePolicy>) {
-        // The slots hold this replay's catalog and policies: an observer
-        // that rides another replay resolves them afresh.
-        self.tiers.clear();
+        // The slots' series and reads hold this replay's catalog and
+        // policies: an observer that rides another replay resolves them
+        // afresh, and only its gauges carry on. The series slots are
+        // freed, not cleared: a sweep holds every job's observer until
+        // the sweep ends.
+        for tier in &mut self.tiers {
+            tier.series = Vec::new();
+            tier.read_in = None;
+        }
         // Close the event log at end of replay so its buffered tail and
         // parked IO error cannot be silently dropped with the observer:
         // the outcome is stored for `warnings` (the session surfaces it

@@ -107,8 +107,8 @@ impl Observer for FlightRecorder {
             ring.pop_front();
         }
         ring.push_back(EventRecord::from_event(event));
-        self.failed_this_query += event.failed;
-        self.degraded_this_query += event.degraded;
+        self.failed_this_query += event.window.failed_slices;
+        self.degraded_this_query += event.window.degraded_slices;
     }
 
     fn on_query_end(&mut self, index: usize, _query: &TraceQuery) {
@@ -145,6 +145,7 @@ impl Observer for FlightRecorder {
 }
 
 fn render_event(out: &mut String, e: &EventRecord) {
+    let w = &e.window;
     let _ = write!(
         out,
         "    q{:>6}  obj {:>5}  srv {}  {:<6}  delivered {:>10}",
@@ -152,20 +153,20 @@ fn render_event(out: &mut String, e: &EventRecord) {
         e.object.raw(),
         e.server.raw(),
         e.decision.label(),
-        e.yield_bytes.raw(),
+        w.delivered.raw(),
     );
-    if e.retries > 0 {
+    if w.retries > 0 {
         let _ = write!(
             out,
             "  retries {} (+{} wasted B)",
-            e.retries,
-            e.retried_bytes.raw()
+            w.retries,
+            w.retried_bytes.raw()
         );
     }
-    if e.failed > 0 {
-        let _ = write!(out, "  FAILED ({} B undelivered)", e.failed_bytes.raw());
+    if w.failed_slices > 0 {
+        let _ = write!(out, "  FAILED ({} B undelivered)", w.failed_bytes.raw());
     }
-    if e.degraded > 0 {
+    if w.degraded_slices > 0 {
         let _ = write!(out, "  DEGRADED (served stale)");
     }
     out.push('\n');
@@ -219,7 +220,9 @@ mod tests {
     use crate::events::DecisionKind;
     use byc_catalog::sdss::{build, SdssRelease};
     use byc_catalog::{Granularity, ObjectCatalog};
-    use byc_federation::{DegradationPolicy, Outage, OutageWindows, ReplaySession, RetryPolicy};
+    use byc_federation::{
+        DegradationPolicy, Outage, OutageWindows, QueryWindow, ReplaySession, RetryPolicy,
+    };
     use byc_types::{Bytes, ObjectId, ServerId, Tick};
 
     fn failing_postmortem() -> Postmortem {
@@ -228,31 +231,29 @@ mod tests {
             object: ObjectId::new(4),
             server: ServerId::new(1),
             decision: DecisionKind::Bypass,
-            yield_bytes: Bytes::new(500),
             fetch_price: Bytes::new(2000),
-            bypass_cost: Bytes::new(500),
-            fetch_cost: Bytes::ZERO,
-            cache_served: Bytes::ZERO,
-            evictions: 0,
             occupancy: Bytes::ZERO,
-            retried_bytes: Bytes::ZERO,
-            failed_bytes: Bytes::ZERO,
-            retries: 0,
-            failed: 0,
-            degraded: 0,
             tier: 0,
-            relay_cost: Bytes::ZERO,
+            window: QueryWindow {
+                delivered: Bytes::new(500),
+                bypass_served: Bytes::new(500),
+                bypass_cost: Bytes::new(500),
+                bypasses: 1,
+                ..QueryWindow::default()
+            },
         };
         let bad = EventRecord {
             query: 120,
             object: ObjectId::new(7),
             server: ServerId::new(0),
-            yield_bytes: Bytes::ZERO,
-            bypass_cost: Bytes::ZERO,
-            retried_bytes: Bytes::new(1200),
-            failed_bytes: Bytes::new(600),
-            retries: 2,
-            failed: 1,
+            window: QueryWindow {
+                retried_bytes: Bytes::new(1200),
+                failed_bytes: Bytes::new(600),
+                bypasses: 1,
+                retries: 2,
+                failed_slices: 1,
+                ..QueryWindow::default()
+            },
             ..ok
         };
         Postmortem {
@@ -312,7 +313,7 @@ mod tests {
         // failure, oldest first.
         assert!(ring.windows(2).all(|w| w[0].query <= w[1].query));
         assert_eq!(ring.last().unwrap().query, first.query as u64);
-        assert!(ring.iter().any(|e| e.failed == 1));
+        assert!(ring.iter().any(|e| e.window.failed_slices == 1));
         if report.failed_queries > FlightRecorder::MAX_POSTMORTEMS as u64 {
             assert!(!recorder.warnings().is_empty());
         }

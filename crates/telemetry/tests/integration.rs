@@ -192,8 +192,10 @@ fn golden_registry() -> MetricsRegistry {
     let mut plain = byc_telemetry::PolicyMetrics::new("GDS");
     plain.queries = 10;
     plain.accesses = 25;
-    plain.occupancy.set(4096);
-    plain.occupancy.set(2048);
+    let mut gauge = byc_telemetry::Gauge::default();
+    gauge.set(4096);
+    gauge.set(2048);
+    plain.occupancy.push(gauge);
     for (server, tier, delivered) in [(0u32, 0u32, 500u64), (1, 1, 2000)] {
         let key = SeriesKey {
             server: ServerId::new(server),

@@ -5,7 +5,11 @@
 //! * its series through a `BTreeMap<SeriesKey, SeriesMetrics>` entry,
 //!   the key rebuilt from the event's server, size class and tier;
 //! * its reuse gap through a `BTreeMap<ObjectId, u64>` insert;
-//! * the occupancy gauge through the deciding policy's `used()`.
+//! * the deciding tier's occupancy gauge through its policy's `used()`.
+//!
+//! It adds each event's window into its series field by field, and sums
+//! the four WAN terms itself, rather than through `QueryWindow`'s own
+//! `merge` and `wan_cost`.
 //!
 //! Its histograms record through the shipped `Histogram::record`; the
 //! bucket proptest pins that to a linear scan of the bounds.
@@ -13,9 +17,9 @@
 #![allow(dead_code)]
 
 use byc_core::policy::CachePolicy;
-use byc_federation::{CostEvent, Observer};
+use byc_federation::{CostEvent, Observer, QueryWindow};
 use byc_telemetry::{
-    EventLogWriter, EventRecord, ObjectClass, PhaseProfile, PolicyMetrics, SeriesKey,
+    EventLogWriter, EventRecord, Gauge, ObjectClass, PhaseProfile, PolicyMetrics, SeriesKey,
 };
 use byc_types::ObjectId;
 use byc_workload::TraceQuery;
@@ -78,9 +82,10 @@ impl Observer for TelemetryObserver {
     }
 
     fn on_access(&mut self, event: &CostEvent<'_>) {
+        let e = &event.window;
         self.metrics.accesses += 1;
         self.decisions_this_query += 1;
-        self.evictions_this_query += event.evictions;
+        self.evictions_this_query += e.evictions;
 
         let key = SeriesKey {
             server: event.server,
@@ -88,21 +93,25 @@ impl Observer for TelemetryObserver {
             tier: event.tier,
         };
         let series = self.metrics.series.entry(key).or_default();
-        series.window.absorb(event);
-        series.delivered.record(event.delivered.raw());
-        if event.hits == 0 {
-            series.wan.record(
-                (event.bypass_cost + event.fetch_cost + event.relay_cost + event.retried_bytes)
-                    .raw(),
-            );
+        add(&mut series.window, e);
+        series.delivered.record(e.delivered.raw());
+        if e.hits == 0 {
+            series
+                .wan
+                .record((e.bypass_cost + e.fetch_cost + e.relay_cost + e.retried_bytes).raw());
         }
 
-        self.metrics.occupancy.set(event.policy.used().raw());
+        let tier = event.tier as usize;
+        let occupancy = &mut self.metrics.occupancy;
+        if occupancy.len() <= tier {
+            occupancy.resize(tier + 1, Gauge::default());
+        }
+        occupancy[tier].set(event.policy.used().raw());
 
         if event.tier == 0 {
             self.slices_this_query += 1;
             let query = event.query as u64;
-            if let Some(prev) = self.last_seen.insert(event.object, query) {
+            if let Some(prev) = self.last_seen.insert(event.access.object, query) {
                 self.metrics.reuse_gap.record(query.saturating_sub(prev));
             }
         }
@@ -134,4 +143,23 @@ impl Observer for TelemetryObserver {
             _ => Vec::new(),
         }
     }
+}
+
+/// Add one event's window into a series window, field by field.
+fn add(w: &mut QueryWindow, e: &QueryWindow) {
+    w.delivered += e.delivered;
+    w.bypass_served += e.bypass_served;
+    w.bypass_cost += e.bypass_cost;
+    w.fetch_cost += e.fetch_cost;
+    w.relay_cost += e.relay_cost;
+    w.cache_served += e.cache_served;
+    w.retried_bytes += e.retried_bytes;
+    w.failed_bytes += e.failed_bytes;
+    w.hits += e.hits;
+    w.bypasses += e.bypasses;
+    w.loads += e.loads;
+    w.evictions += e.evictions;
+    w.retries += e.retries;
+    w.failed_slices += e.failed_slices;
+    w.degraded_slices += e.degraded_slices;
 }
