@@ -1561,6 +1561,7 @@ pub fn run_command(command: Command) -> Result<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use byc_types::SplitMix64;
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
@@ -2279,6 +2280,155 @@ mod tests {
         }
         // --fault-link without a fault model is rejected.
         assert!(scope_faults(None, Some(1), 3).is_err());
+    }
+
+    /// Well-formed `--faults` and `--topology` specs, for mutation.
+    const GOOD_SPECS: [&str; 10] = [
+        "none",
+        "outage:0@10..20,1@5..8",
+        "outage:1@0..1",
+        "flaky:p=0.1",
+        "flaky:p=0.1,spike=0.05x4",
+        "flat",
+        "two-tier",
+        "two-tier:0.5",
+        "three-tier",
+        "three-tier:0.1,0.25",
+    ];
+
+    /// Numbers no spec should hold, in spellings `f64`, `u32` and `u64`
+    /// parse or refuse: NaN, infinities, negatives, values past every
+    /// integer width, subnormals, and what is not a number at all.
+    const ODD_NUMBERS: [&str; 16] = [
+        "NaN",
+        "nan",
+        "inf",
+        "-infinity",
+        "-1",
+        "-0",
+        "0",
+        "1e309",
+        "-1e309",
+        "5e-324",
+        "4294967296",
+        "18446744073709551616",
+        "1e19",
+        "+1",
+        "",
+        "0x1f",
+    ];
+
+    fn pick(rng: &mut SplitMix64, n: usize) -> usize {
+        usize::try_from(rng.next_bounded(n.max(1) as u64)).unwrap()
+    }
+
+    /// Where `spec`'s numbers are: runs of digits, with a fraction.
+    fn number_runs(spec: &str) -> Vec<(usize, usize)> {
+        let bytes = spec.as_bytes();
+        let digit = |i: usize| bytes.get(i).is_some_and(u8::is_ascii_digit);
+        let mut runs = Vec::new();
+        let mut i = 0;
+        while i < bytes.len() {
+            if !digit(i) {
+                i += 1;
+                continue;
+            }
+            let start = i;
+            while digit(i) {
+                i += 1;
+            }
+            if bytes.get(i) == Some(&b'.') && digit(i + 1) {
+                i += 1;
+                while digit(i) {
+                    i += 1;
+                }
+            }
+            runs.push((start, i));
+        }
+        runs
+    }
+
+    /// Corrupted copies of the ASCII spec `spec`: every truncation,
+    /// flipped bytes, splices with `other` (whole, and parameters after
+    /// the `:`), and each number swapped for an odd one.
+    fn spec_mutants(spec: &str, other: &str, rng: &mut SplitMix64) -> Vec<String> {
+        let mut out: Vec<String> = (0..=spec.len()).map(|i| spec[..i].to_string()).collect();
+        for _ in 0..6 {
+            let (i, j) = (pick(rng, spec.len() + 1), pick(rng, other.len() + 1));
+            out.push(format!("{}{}", &spec[..i], &other[j..]));
+        }
+        if let (Some((shape, params)), Some((_, spliced))) =
+            (spec.split_once(':'), other.split_once(':'))
+        {
+            out.push(format!("{shape}:{spliced}"));
+            out.push(format!("{shape}:{params},{spliced}"));
+            out.push(format!("{shape}:{params},{params}"));
+        }
+        let flips = b":,@.=x-+eE019 pPnN";
+        for _ in 0..8 {
+            let mut bytes = spec.as_bytes().to_vec();
+            if let Some(b) = bytes.get_mut(pick(rng, spec.len())) {
+                *b = flips[pick(rng, flips.len())];
+            }
+            out.push(String::from_utf8(bytes).unwrap());
+        }
+        for (start, end) in number_runs(spec) {
+            for _ in 0..3 {
+                let odd = ODD_NUMBERS[pick(rng, ODD_NUMBERS.len())];
+                out.push(format!("{}{odd}{}", &spec[..start], &spec[end..]));
+            }
+        }
+        out
+    }
+
+    /// A spec parser's answer: a value, or a configuration error naming
+    /// the spec. Any other error fails the test, as a panic does.
+    fn config<T>(result: Result<T>, spec: &str) -> Option<T> {
+        match result {
+            Ok(value) => Some(value),
+            Err(Error::InvalidConfig(_)) => None,
+            Err(other) => panic!("{spec:?}: not a configuration error: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn spec_mutants_cover_every_kind() {
+        let mut rng = SplitMix64::new(3);
+        let mutants = spec_mutants("flaky:p=0.1,spike=0.05x4", "three-tier:0.1,0.25", &mut rng);
+        assert_eq!(number_runs("outage:0@10..20"), [(7, 8), (9, 11), (13, 15)]);
+        assert!(mutants.iter().any(|m| m == "flaky:p=0.1,spike=0.05x"));
+        assert!(mutants.iter().any(|m| m == "flaky:0.1,0.25"));
+        assert!(mutants.iter().any(|m| ODD_NUMBERS
+            .iter()
+            .any(|odd| !odd.is_empty() && m.contains(odd))));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Mutated `--faults` and `--topology` specs, and the fault
+        /// model of each scoped to a `--fault-link`, end in `Ok` or
+        /// `InvalidConfig`, whatever the server count, the cost
+        /// multipliers or the link.
+        #[test]
+        fn mutated_specs_end_in_ok_or_invalid_config(seed in proptest::prelude::any::<u64>()) {
+            let mut rng = SplitMix64::new(seed);
+            let spec = GOOD_SPECS[pick(&mut rng, GOOD_SPECS.len())];
+            let other = GOOD_SPECS[pick(&mut rng, GOOD_SPECS.len())];
+            for text in spec_mutants(spec, other, &mut rng) {
+                let servers = [0, 1, 2, u32::MAX][pick(&mut rng, 4)];
+                let faults = config(parse_faults(&text, seed, servers), &text).flatten();
+                let multipliers = match pick(&mut rng, 3) {
+                    0 => None,
+                    1 => Some(vec![1.0, 2.0]),
+                    _ => Some(vec![f64::NAN, -1.0, f64::INFINITY]),
+                };
+                let topology = config(parse_topology(&text, &multipliers), &text).flatten();
+                let depth = topology.map_or(1, |t| t.depth());
+                let link = [None, Some(0), Some(1), Some(2), Some(u32::MAX)][pick(&mut rng, 5)];
+                config(scope_faults(faults, link, depth), &text);
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use crate::yield_model::AGGREGATE_VALUE_WIDTH;
 use byc_catalog::{Catalog, ColumnType};
-use byc_sql::{Aggregate, CompareOp, Query, ResolvedPredicate, ResolvedQuery, SelectItem, Value};
+use byc_sql::{Aggregate, CompareOp, Literal, Query, ResolvedPredicate, ResolvedQuery, SelectItem};
 use byc_types::{Bytes, ColumnId, Error, Result, SplitMix64, TableId};
 use std::collections::HashMap;
 
@@ -88,10 +88,10 @@ impl<'a> RowStore<'a> {
             ResolvedPredicate::Compare { column, op, value } => {
                 let v = self.value(table, row, *column);
                 let rhs = match value {
-                    Value::Number(n) => *n,
+                    Literal::Number(n) => *n,
                     // Strings hash to a pseudo-value; text predicates are
                     // out of the validated subset.
-                    Value::Text(_) => return true,
+                    Literal::Text => return true,
                 };
                 match op {
                     CompareOp::Eq => v == rhs,
@@ -112,7 +112,7 @@ impl<'a> RowStore<'a> {
     ///
     /// [`Error::Semantic`] for shapes outside the executable subset (more
     /// than two tables, or multi-join queries).
-    pub fn execute(&self, query: &Query<'_>, resolved: &ResolvedQuery<'_>) -> Result<ResultSet> {
+    pub fn execute(&self, query: &Query<'_>, resolved: &ResolvedQuery) -> Result<ResultSet> {
         if resolved.tables.len() > 2 {
             return Err(Error::Semantic(
                 "executor supports at most two tables".into(),
@@ -220,7 +220,7 @@ impl<'a> RowStore<'a> {
 
     fn arg_values(
         &self,
-        resolved: &ResolvedQuery<'_>,
+        resolved: &ResolvedQuery,
         combos: &[(u64, Option<u64>)],
         arg: &byc_sql::ColumnRef<'_>,
     ) -> Vec<f64> {

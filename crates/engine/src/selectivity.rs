@@ -7,7 +7,7 @@
 //! are exact for range predicates, which dominate the SDSS workload.
 
 use byc_catalog::{Catalog, Column, ColumnType};
-use byc_sql::{CompareOp, ResolvedPredicate, TableAccess, Value};
+use byc_sql::{CompareOp, Literal, ResolvedPredicate, TableAccess};
 
 /// Selectivity assigned to equality on a string column (no string
 /// histograms; matches the conventional 1/10 heuristic).
@@ -53,18 +53,18 @@ pub fn predicate_selectivity(catalog: &Catalog, pred: &ResolvedPredicate) -> f64
     match pred {
         ResolvedPredicate::Between { lo, hi, .. } => domain_fraction(column, *lo, *hi),
         ResolvedPredicate::Compare { op, value, .. } => match (op, value) {
-            (CompareOp::Eq, Value::Number(_)) => 1.0 / distinct_estimate(column, rows),
-            (CompareOp::Eq, Value::Text(_)) => TEXT_EQ_SELECTIVITY,
-            (CompareOp::Ne, Value::Number(_)) => 1.0 - 1.0 / distinct_estimate(column, rows),
-            (CompareOp::Ne, Value::Text(_)) => 1.0 - TEXT_EQ_SELECTIVITY,
-            (CompareOp::Lt, Value::Number(v)) | (CompareOp::Le, Value::Number(v)) => {
+            (CompareOp::Eq, Literal::Number(_)) => 1.0 / distinct_estimate(column, rows),
+            (CompareOp::Eq, Literal::Text) => TEXT_EQ_SELECTIVITY,
+            (CompareOp::Ne, Literal::Number(_)) => 1.0 - 1.0 / distinct_estimate(column, rows),
+            (CompareOp::Ne, Literal::Text) => 1.0 - TEXT_EQ_SELECTIVITY,
+            (CompareOp::Lt, Literal::Number(v)) | (CompareOp::Le, Literal::Number(v)) => {
                 domain_fraction(column, column.min_value, *v)
             }
-            (CompareOp::Gt, Value::Number(v)) | (CompareOp::Ge, Value::Number(v)) => {
+            (CompareOp::Gt, Literal::Number(v)) | (CompareOp::Ge, Literal::Number(v)) => {
                 domain_fraction(column, *v, column.max_value)
             }
             // Ordered comparison on text: fall back to an uninformative half.
-            (_, Value::Text(_)) => 0.5,
+            (_, Literal::Text) => 0.5,
         },
     }
 }

@@ -26,8 +26,12 @@ use byc_types::{Bytes, ColumnId, TableId};
 /// Width in bytes of one aggregate output value.
 pub const AGGREGATE_VALUE_WIDTH: u64 = 8;
 
-/// A query's estimated yield and its decomposition over objects.
-#[derive(Clone, Debug, PartialEq)]
+/// Items whose remainder order [`apportion`] sorts without allocating.
+const INLINE_ITEMS: usize = 16;
+
+/// A query's estimated yield and its decomposition over objects. The
+/// default is the empty breakdown [`YieldModel::estimate_into`] refills.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct YieldBreakdown {
     /// Total result size on the wire.
     pub total: Bytes,
@@ -59,10 +63,10 @@ impl YieldBreakdown {
     }
 }
 
-/// Distribute `total` over weighted items by largest-remainder rounding,
-/// returning one `(key, share)` per item in input order. The shares sum
-/// exactly to `total`; zero-total or all-zero-weight inputs give all-zero
-/// shares.
+/// Distribute `total` over weighted items by largest-remainder rounding
+/// into `shares`, one `(key, share)` per item in input order. The
+/// shares sum exactly to `total`; zero-total or all-zero-weight inputs
+/// give all-zero shares.
 ///
 /// Each item's exact share is `total · w / Σw`. Its floor goes straight
 /// into the output, and the leftover bytes go out in descending order of
@@ -74,17 +78,25 @@ impl YieldBreakdown {
 /// `f64`: the leftover can exceed the item count, and the floors alone
 /// can overshoot `total`, so each floor is capped at what is still
 /// unassigned.
+///
+/// The remainder order is sorted on the stack for up to
+/// [`INLINE_ITEMS`] items, and in a list of its own past that.
 // `as` saturates a share past `u64::MAX`, which the cap then absorbs.
 #[allow(clippy::cast_possible_truncation)]
 fn apportion<K: Copy>(
     total: u64,
     weights: impl Iterator<Item = (K, f64)> + Clone,
-) -> Vec<(K, Bytes)> {
-    let mut shares = Vec::with_capacity(weights.clone().count());
+    shares: &mut Vec<(K, Bytes)>,
+) {
+    shares.clear();
+    // Exactly: a fresh list is allocated at its length. Amortized growth
+    // allocates at least four items, which measured slower on the one-
+    // and two-item lists most queries have.
+    shares.reserve_exact(weights.clone().count());
     let wsum: f64 = weights.clone().map(|(_, w)| w).sum();
     if total == 0 || wsum <= 0.0 {
         shares.extend(weights.map(|(key, _)| (key, Bytes::ZERO)));
-        return shares;
+        return;
     }
     let exact = |w: f64| {
         let fraction: f64 = w / wsum;
@@ -98,15 +110,21 @@ fn apportion<K: Copy>(
     }
     let leftover = total - assigned;
     if leftover == 0 {
-        return shares;
+        return;
     }
-    let mut order: Vec<(usize, f64)> = weights
-        .enumerate()
-        .map(|(i, (_, w))| {
-            let exact = exact(w);
-            (i, exact - (exact.floor() as u64) as f64)
-        })
-        .collect();
+    let mut inline = [(0usize, 0.0f64); INLINE_ITEMS];
+    let mut spilled = Vec::new();
+    let order = match inline.get_mut(..shares.len()) {
+        Some(order) => order,
+        None => {
+            spilled.resize(shares.len(), (0, 0.0));
+            spilled.as_mut_slice()
+        }
+    };
+    for (slot, (i, (_, w))) in order.iter_mut().zip(weights.enumerate()) {
+        let exact = exact(w);
+        *slot = (i, exact - (exact.floor() as u64) as f64);
+    }
     // Stable: equal remainders keep item order.
     order.sort_by(|a, b| b.1.total_cmp(&a.1));
     let n = order.len() as u64;
@@ -114,12 +132,11 @@ fn apportion<K: Copy>(
         leftover.checked_div(n).unwrap_or(0),
         leftover.checked_rem(n).unwrap_or(0),
     );
-    for (rank, (i, _)) in (0u64..).zip(order) {
+    for (rank, &(i, _)) in (0u64..).zip(order.iter()) {
         if let Some((_, share)) = shares.get_mut(i) {
             *share += Bytes::new(each + u64::from(rank < first));
         }
     }
-    shares
 }
 
 /// Analytic yield estimator over a catalog's statistics.
@@ -153,7 +170,7 @@ impl<'a> YieldModel<'a> {
     /// Estimated result cardinality of `query` before `TOP` and
     /// aggregation: product of filtered per-table cardinalities times the
     /// selectivity of each equi-join.
-    pub fn cardinality(&self, query: &ResolvedQuery<'_>) -> f64 {
+    pub fn cardinality(&self, query: &ResolvedQuery) -> f64 {
         let mut card = 1.0;
         for access in &query.tables {
             let rows = self.catalog.table(access.table).row_count as f64;
@@ -169,7 +186,7 @@ impl<'a> YieldModel<'a> {
 
     /// Bytes per result row: widths of projected columns plus one slot per
     /// aggregate item.
-    pub fn row_width(&self, query: &ResolvedQuery<'_>) -> u64 {
+    pub fn row_width(&self, query: &ResolvedQuery) -> u64 {
         let mut width = query.aggregate_items as u64 * AGGREGATE_VALUE_WIDTH;
         if !query.aggregate_only {
             for access in &query.tables {
@@ -182,8 +199,18 @@ impl<'a> YieldModel<'a> {
     }
 
     /// Estimate the yield of `query` and decompose it over tables and
-    /// columns.
-    pub fn estimate(&self, query: &ResolvedQuery<'_>) -> YieldBreakdown {
+    /// columns into a fresh [`YieldBreakdown`].
+    pub fn estimate(&self, query: &ResolvedQuery) -> YieldBreakdown {
+        let mut breakdown = YieldBreakdown::default();
+        self.estimate_into(query, &mut breakdown);
+        breakdown
+    }
+
+    /// Estimate the yield of `query` and decompose it over tables and
+    /// columns into `out`, refilling its two lists in place: a caller
+    /// that estimates many queries into one breakdown allocates only
+    /// when a query references more objects than every one before it.
+    pub fn estimate_into(&self, query: &ResolvedQuery, out: &mut YieldBreakdown) {
         let mut rows = if query.aggregate_only {
             1.0
         } else {
@@ -197,35 +224,32 @@ impl<'a> YieldModel<'a> {
         let result_rows = rows.round().max(if rows > 0.0 { 1.0 } else { 0.0 }) as u64;
         let width = self.row_width(query);
         let total = result_rows.saturating_mul(width);
+        out.total = Bytes::new(total);
+        out.result_rows = result_rows;
 
         // Table decomposition: weight = number of unique attributes the
         // table contributes to the query (paper §6 example: a two-table
         // join referencing four columns of each table splits 50/50).
-        let per_table = apportion(
+        apportion(
             total,
             query
                 .tables
                 .iter()
                 .map(|a| (a.table, a.columns.len() as f64)),
+            &mut out.per_table,
         );
 
         // Column decomposition: weight = storage width of each referenced
         // column (paper §6: p.objID is 8 of 46 bytes → yield 8/46 · Y).
-        let per_column = apportion(
+        apportion(
             total,
             query
                 .tables
                 .iter()
                 .flat_map(|a| &a.columns)
                 .map(|&c| (c, self.catalog.column(c).width() as f64)),
+            &mut out.per_column,
         );
-
-        YieldBreakdown {
-            total: Bytes::new(total),
-            result_rows,
-            per_table,
-            per_column,
-        }
     }
 }
 
@@ -408,9 +432,45 @@ mod tests {
         Ok(())
     }
 
+    #[test]
+    fn estimate_into_refills_in_place() -> Result<()> {
+        let cat = catalog()?;
+        let wide = parse(
+            "select p.ra, p.dec, s.z from PhotoObj p, SpecObj s \
+             where p.objID = s.objID and s.zConf > 0.95",
+        )?;
+        let narrow = parse("select ra from PhotoObj where ra between 0 and 36")?;
+        let (wide, narrow) = (analyze(&cat, &wide)?, analyze(&cat, &narrow)?);
+        let model = YieldModel::new(&cat);
+        let mut b = YieldBreakdown::default();
+        model.estimate_into(&wide, &mut b);
+        let capacities = (b.per_table.capacity(), b.per_column.capacity());
+        for r in [&narrow, &wide, &narrow] {
+            model.estimate_into(r, &mut b);
+            assert_eq!(b, model.estimate(r));
+            assert_eq!(
+                (b.per_table.capacity(), b.per_column.capacity()),
+                capacities
+            );
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn apportion_spills_past_the_inline_order() {
+        // One more item than sorts on the stack, with bytes left over.
+        let weights = [3.0; INLINE_ITEMS + 1];
+        let s = shares(100, &weights);
+        assert_eq!(s.iter().sum::<u64>(), 100);
+        // 100 = 17 · 5 + 15: the first 15 items take the spare bytes.
+        assert_eq!(s.iter().filter(|&&x| x == 6).count(), 15);
+        assert!(s[..15].iter().all(|&x| x == 6) && s[15..].iter().all(|&x| x == 5));
+    }
+
     /// `apportion` over plain weights, keyed by position.
     fn shares(total: u64, weights: &[f64]) -> Vec<u64> {
-        let shares = apportion(total, weights.iter().map(|&w| ((), w)));
+        let mut shares = Vec::new();
+        apportion(total, weights.iter().map(|&w| ((), w)), &mut shares);
         shares.into_iter().map(|(_, s)| s.raw()).collect()
     }
 

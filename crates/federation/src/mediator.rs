@@ -7,6 +7,12 @@
 //! WAN — exactly the role SkyQuery's mediation middleware plays in the
 //! paper's architecture (§3, Figure 1), with bypassed sub-queries routed
 //! to their home servers.
+//!
+//! Every list a call fills on the way — the AST's, the resolved query's,
+//! the yield decomposition's, the object slices and the kernel's observer
+//! list — lives in the mediator and is refilled in place, so once the
+//! widest query has been served a call allocates only the outcome list
+//! it returns.
 
 use crate::engine::{
     partition_access_observers, AuditObserver, CostEvent, Observer, QueryWindow, ReplayEngine,
@@ -14,8 +20,8 @@ use crate::engine::{
 use byc_catalog::{Catalog, Granularity, ObjectCatalog};
 use byc_core::audit::AuditReport;
 use byc_core::policy::{CachePolicy, Decision};
-use byc_engine::YieldModel;
-use byc_sql::{analyze, parse};
+use byc_engine::{YieldBreakdown, YieldModel};
+use byc_sql::{analyze_into, parse_into, Predicate, Query, ResolvedQuery, SelectItem, TableRef};
 use byc_types::{Bytes, ObjectId, QueryId, Result, ServerId};
 use byc_workload::{for_each_slice, TraceQuery};
 
@@ -73,6 +79,27 @@ impl Observer for OutcomeObserver {
     }
 }
 
+/// An emptied copy of `list` with another element type, on the same
+/// buffer when the two types have the same size and alignment: std
+/// collects a `vec::IntoIter` pipeline in place when it can. This is how
+/// a list of borrowed names or observers outlives the call whose data it
+/// borrowed, without `unsafe`; the tests pin that the buffer survives.
+fn recycle<T, U>(list: Vec<T>) -> Vec<U> {
+    list.into_iter().filter_map(|_| None).collect()
+}
+
+/// The SQL front end's lists, empty between [`Mediator::serve_sql`]
+/// calls. The AST's names borrow each call's text, so a call re-types
+/// those three lists for its text with [`recycle`] and back.
+#[derive(Default)]
+struct FrontEnd {
+    projection: Vec<SelectItem<'static>>,
+    from: Vec<TableRef<'static>>,
+    predicates: Vec<Predicate<'static>>,
+    /// Refilled whole by every call that parses.
+    resolved: ResolvedQuery,
+}
+
 /// The mediation middleware with its collocated bypass-yield cache, on
 /// the uniform network.
 ///
@@ -95,11 +122,16 @@ pub struct Mediator {
     wan_total: Bytes,
     /// The query [`Mediator::serve_sql`] hands the kernel. Only the
     /// members the kernel reads are set: the id, the total yield and the
-    /// two yield lists.
+    /// two yield lists, which every call refills in place.
     slot: TraceQuery,
+    /// The front end's lists, refilled by every [`Mediator::serve_sql`].
+    front: FrontEnd,
     /// The served query's object slices, resolved into this one buffer
     /// on every call.
     slices: Vec<(ObjectId, Bytes)>,
+    /// The kernel's observer list, empty between calls; each call
+    /// re-types it for its observers with [`recycle`].
+    observers: Vec<&'static mut dyn Observer>,
 }
 
 impl Mediator {
@@ -130,7 +162,9 @@ impl Mediator {
             served: 0,
             wan_total: Bytes::ZERO,
             slot: TraceQuery::default(),
+            front: FrontEnd::default(),
             slices: Vec::new(),
+            observers: Vec::new(),
         }
     }
 
@@ -196,16 +230,34 @@ impl Mediator {
     ///
     /// # Errors
     ///
-    /// Parse and semantic errors from the SQL substrate.
+    /// Parse and semantic errors from the SQL substrate. A refused query
+    /// leaves the clock, the cache and every later answer as they would
+    /// be without it.
     pub fn serve_sql(&mut self, sql: &str) -> Result<ServedQuery> {
-        let query = parse(sql)?;
-        let resolved = analyze(&self.catalog, &query)?;
-        let breakdown = YieldModel::new(&self.catalog).estimate(&resolved);
+        let front = &mut self.front;
+        let mut query = Query {
+            top: None,
+            projection: recycle(std::mem::take(&mut front.projection)),
+            from: recycle(std::mem::take(&mut front.from)),
+            predicates: recycle(std::mem::take(&mut front.predicates)),
+        };
+        let analyzed = parse_into(sql, &mut query)
+            .and_then(|()| analyze_into(&self.catalog, &query, &mut front.resolved));
+        front.projection = recycle(query.projection);
+        front.from = recycle(query.from);
+        front.predicates = recycle(query.predicates);
+        analyzed?;
         let mut tq = std::mem::take(&mut self.slot);
+        let mut yields = YieldBreakdown {
+            per_table: std::mem::take(&mut tq.table_yields),
+            per_column: std::mem::take(&mut tq.column_yields),
+            ..YieldBreakdown::default()
+        };
+        YieldModel::new(&self.catalog).estimate_into(&front.resolved, &mut yields);
         tq.id = QueryId::new(u32::try_from(self.served).unwrap_or(u32::MAX));
-        tq.total_yield = breakdown.total;
-        tq.table_yields = breakdown.per_table;
-        tq.column_yields = breakdown.per_column;
+        tq.total_yield = yields.total;
+        tq.table_yields = yields.per_table;
+        tq.column_yields = yields.per_column;
         let served = self.serve_trace_query(&tq, &mut []);
         self.slot = tq;
         Ok(served)
@@ -228,35 +280,35 @@ impl Mediator {
     ) -> ServedQuery {
         let engine = ReplayEngine::with_rows(&self.objects, &self.fetch_rows);
         let index = usize::try_from(self.served).unwrap_or(usize::MAX);
-        let mut outcomes = OutcomeObserver {
-            outcomes: Vec::new(),
-        };
         let mut window = QueryWindow::default();
         self.slices.clear();
         for_each_slice(tq, &self.objects, |object, raw_yield| {
             self.slices.push((object, raw_yield));
         });
-        {
-            let mut observers: Vec<&mut dyn Observer> = Vec::with_capacity(2 + extra.len());
-            observers.push(&mut outcomes);
-            if let Some(audit) = self.audit.as_mut() {
-                observers.push(audit);
-            }
-            for obs in extra.iter_mut() {
-                observers.push(&mut **obs);
-            }
-            let access_count = partition_access_observers(&mut observers);
-            let mut policy: &mut dyn CachePolicy = self.policy.as_mut();
-            engine.serve_query(
-                index,
-                tq,
-                &self.slices,
-                std::slice::from_mut(&mut policy),
-                &mut window,
-                &mut observers,
-                access_count,
-            );
+        // One outcome per slice: the flat kernel consults one tier.
+        let mut outcomes = OutcomeObserver {
+            outcomes: Vec::with_capacity(self.slices.len()),
+        };
+        let mut observers: Vec<&mut dyn Observer> = recycle(std::mem::take(&mut self.observers));
+        observers.push(&mut outcomes);
+        if let Some(audit) = self.audit.as_mut() {
+            observers.push(audit);
         }
+        for obs in extra.iter_mut() {
+            observers.push(&mut **obs);
+        }
+        let access_count = partition_access_observers(&mut observers);
+        let mut policy: &mut dyn CachePolicy = self.policy.as_mut();
+        engine.serve_query(
+            index,
+            tq,
+            &self.slices,
+            std::slice::from_mut(&mut policy),
+            &mut window,
+            &mut observers,
+            access_count,
+        );
+        self.observers = recycle(observers);
         let outcome = ServedQuery {
             id: QueryId::new(u32::try_from(self.served).unwrap_or(u32::MAX)),
             delivered: window.delivered,
@@ -446,6 +498,74 @@ mod tests {
         assert!(m.serve_sql("select nope from PhotoObj").is_err());
         assert_eq!(m.served_count(), 2);
         assert_eq!(m.slot.id, QueryId::new(1));
+    }
+
+    /// The benchmark trace's widest query shape, a two-table join, with
+    /// a filter on each table so that every list it fills is non-empty.
+    const WIDEST: &str = "select p.objID, p.modelMag_g, p.dec, p.ra, p.modelMag_r, \
+                          s.z as redshift from SpecObj s, PhotoObj p \
+                          where p.objID = s.objID and s.specClass = 1 and s.zConf > 0.95 \
+                          and s.z between 1.8 and 3.3 and p.ra > 10";
+
+    /// Every list a `serve_sql` call refills, as (address, capacity),
+    /// each table's lists last, in `FROM` order.
+    fn buffers(m: &Mediator) -> Vec<(usize, usize)> {
+        fn of<T>(v: &Vec<T>) -> (usize, usize) {
+            (v.as_ptr().addr(), v.capacity())
+        }
+        let front = &m.front;
+        let mut out = vec![
+            of(&front.projection),
+            of(&front.from),
+            of(&front.predicates),
+            of(&front.resolved.tables),
+            of(&front.resolved.joins),
+            of(&m.slot.table_yields),
+            of(&m.slot.column_yields),
+            of(&m.slices),
+            of(&m.observers),
+        ];
+        for a in &front.resolved.tables {
+            out.extend([of(&a.columns), of(&a.projected), of(&a.filters)]);
+        }
+        out
+    }
+
+    #[test]
+    fn serve_sql_refills_its_lists_in_place() {
+        // Pins std's in-place `collect` that `recycle` relies on, and the
+        // analyzer's parking of a join's second table.
+        let mut m = mediator(Granularity::Column);
+        m.serve_sql(WIDEST).unwrap();
+        let wide = buffers(&m);
+        assert!(wide.iter().all(|&(_, cap)| cap > 0), "{wide:?}");
+        let count = "select count(*) from PhotoObj p where p.ra between 1 and 2";
+        for sql in [SQL, count, WIDEST, SQL, WIDEST] {
+            m.serve_sql(sql).unwrap();
+            let now = buffers(&m);
+            assert_eq!(now[..], wide[..now.len()], "{sql}");
+        }
+        assert_eq!(buffers(&m), wide);
+    }
+
+    #[test]
+    fn a_refused_call_changes_no_later_answer() {
+        for refused in [
+            // Refused by the parser after it filled every list.
+            "select p.ra, p.dec from PhotoObj p where p.ra between 0 and 10 or p.dec > 1",
+            // Refused by the analyzer after it filled the first table.
+            "select p.ra, s.nope from PhotoObj p, SpecObj s where p.objID = s.objID",
+            "select p.ra from PhotoObj p, SpecObj p",
+            "",
+        ] {
+            let mut m = mediator(Granularity::Column);
+            let mut fresh = mediator(Granularity::Column);
+            assert_eq!(m.serve_sql(WIDEST), fresh.serve_sql(WIDEST));
+            assert!(m.serve_sql(refused).is_err(), "{refused:?}");
+            let second = m.serve_sql(SQL).unwrap();
+            assert_eq!(second, fresh.serve_sql(SQL).unwrap(), "{refused:?}");
+            assert_eq!(second.id, QueryId::new(1));
+        }
     }
 
     #[test]

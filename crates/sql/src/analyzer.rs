@@ -5,16 +5,27 @@
 //! touched, which columns of each table are referenced (projection +
 //! predicates), the filter predicates per table, and the equi-join pairs.
 //! Qualifiers resolve against the query's own `FROM` list and column
-//! names against the catalog's per-table index, so a successful analysis
-//! allocates only the lists it returns.
+//! names against the catalog's per-table index. The result borrows
+//! nothing, so [`analyze_into`] can refill one [`ResolvedQuery`] for
+//! query after query without allocating once its lists are wide enough.
 
 use crate::ast::{ColumnRef, CompareOp, Predicate, Query, SelectItem, TableRef, Value};
 use byc_catalog::Catalog;
 use byc_types::{ColumnId, Error, Result, TableId};
 
+/// A filter's literal as the yield model reads it: a number's value,
+/// and of a string only that it is one.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Literal {
+    /// Numeric literal.
+    Number(f64),
+    /// String literal.
+    Text,
+}
+
 /// A resolved single-table filter predicate.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub enum ResolvedPredicate<'a> {
+pub enum ResolvedPredicate {
     /// `column OP literal`.
     Compare {
         /// Constrained column.
@@ -22,7 +33,7 @@ pub enum ResolvedPredicate<'a> {
         /// Operator.
         op: CompareOp,
         /// Literal value.
-        value: Value<'a>,
+        value: Literal,
     },
     /// `column BETWEEN lo AND hi`.
     Between {
@@ -35,7 +46,7 @@ pub enum ResolvedPredicate<'a> {
     },
 }
 
-impl ResolvedPredicate<'_> {
+impl ResolvedPredicate {
     /// The column this predicate constrains.
     pub fn column(&self) -> ColumnId {
         match self {
@@ -46,8 +57,8 @@ impl ResolvedPredicate<'_> {
 }
 
 /// Everything the query touches in one table.
-#[derive(Clone, Debug, PartialEq)]
-pub struct TableAccess<'a> {
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct TableAccess {
     /// The table.
     pub table: TableId,
     /// All columns of this table the query references, deduplicated, in
@@ -57,10 +68,10 @@ pub struct TableAccess<'a> {
     /// expanded; aggregate arguments included).
     pub projected: Vec<ColumnId>,
     /// Filter predicates on this table.
-    pub filters: Vec<ResolvedPredicate<'a>>,
+    pub filters: Vec<ResolvedPredicate>,
 }
 
-impl<'a> TableAccess<'a> {
+impl TableAccess {
     fn touch(&mut self, col: ColumnId) {
         if !self.columns.contains(&col) {
             self.columns.push(col);
@@ -74,7 +85,7 @@ impl<'a> TableAccess<'a> {
         }
     }
 
-    fn add_filter(&mut self, pred: ResolvedPredicate<'a>) {
+    fn add_filter(&mut self, pred: ResolvedPredicate) {
         self.touch(pred.column());
         self.filters.push(pred);
     }
@@ -89,12 +100,14 @@ pub struct JoinPair {
     pub right: ColumnId,
 }
 
-/// The resolved, id-based view of a query. The string literals of its
-/// filters borrow the query text.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ResolvedQuery<'a> {
+/// The resolved, id-based view of a query.
+///
+/// Two resolutions are equal when their public fields are: the entries
+/// a narrower refill parked for reuse are not part of the value.
+#[derive(Clone, Debug, Default)]
+pub struct ResolvedQuery {
     /// Per-table access information, in `FROM` order.
-    pub tables: Vec<TableAccess<'a>>,
+    pub tables: Vec<TableAccess>,
     /// Cross-table equi-joins.
     pub joins: Vec<JoinPair>,
     /// True iff every projection item is an aggregate (single-row result).
@@ -104,9 +117,22 @@ pub struct ResolvedQuery<'a> {
     pub aggregate_items: u32,
     /// `TOP n` limit, if present.
     pub top: Option<u64>,
+    /// Table entries past the last refill's `FROM` list, kept with their
+    /// lists for the next wider one, the nearest slot's last.
+    spare: Vec<TableAccess>,
 }
 
-impl<'a> ResolvedQuery<'a> {
+impl PartialEq for ResolvedQuery {
+    fn eq(&self, other: &Self) -> bool {
+        self.tables == other.tables
+            && self.joins == other.joins
+            && self.aggregate_only == other.aggregate_only
+            && self.aggregate_items == other.aggregate_items
+            && self.top == other.top
+    }
+}
+
+impl ResolvedQuery {
     /// Ids of all referenced tables, in `FROM` order.
     pub fn table_ids(&self) -> impl Iterator<Item = TableId> + '_ {
         self.tables.iter().map(|t| t.table)
@@ -118,8 +144,31 @@ impl<'a> ResolvedQuery<'a> {
     }
 
     /// The access entry for `table`, if referenced.
-    pub fn access(&self, table: TableId) -> Option<&TableAccess<'a>> {
+    pub fn access(&self, table: TableId) -> Option<&TableAccess> {
         self.tables.iter().find(|t| t.table == table)
+    }
+
+    /// Empty every list for a query of `tables` `FROM` entries, keeping
+    /// the buffers: entries past `tables` are parked in `spare`, and a
+    /// slot is filled from there before a new entry is made, so each
+    /// slot keeps its own lists.
+    fn reset(&mut self, tables: usize) {
+        if self.tables.len() > tables {
+            self.spare.extend(self.tables.drain(tables..).rev());
+        }
+        let spare = &mut self.spare;
+        // Exactly, as the yield model's lists: a fresh resolution's table
+        // list is allocated at its length.
+        self.tables
+            .reserve_exact(tables.saturating_sub(self.tables.len()));
+        self.tables
+            .resize_with(tables, || spare.pop().unwrap_or_default());
+        for access in &mut self.tables {
+            access.columns.clear();
+            access.projected.clear();
+            access.filters.clear();
+        }
+        self.joins.clear();
     }
 }
 
@@ -133,11 +182,7 @@ struct Scope<'q, 'a> {
 impl Scope<'_, '_> {
     /// Resolve a column reference to (FROM position, column id);
     /// `accesses` holds the `FROM` entries' tables, in order.
-    fn resolve(
-        &self,
-        accesses: &[TableAccess<'_>],
-        r: &ColumnRef<'_>,
-    ) -> Result<(usize, ColumnId)> {
+    fn resolve(&self, accesses: &[TableAccess], r: &ColumnRef<'_>) -> Result<(usize, ColumnId)> {
         let mut bound = self.from.iter().zip(accesses).enumerate();
         match r.qualifier {
             Some(q) => {
@@ -175,8 +220,21 @@ impl Scope<'_, '_> {
     }
 }
 
-/// Resolve `query` against `catalog`. The result borrows the query
-/// text, not `query` itself.
+/// Resolve `query` against `catalog` into a fresh [`ResolvedQuery`].
+///
+/// # Errors
+///
+/// As [`analyze_into`].
+pub fn analyze(catalog: &Catalog, query: &Query<'_>) -> Result<ResolvedQuery> {
+    let mut resolved = ResolvedQuery::default();
+    analyze_into(catalog, query, &mut resolved)?;
+    Ok(resolved)
+}
+
+/// Resolve `query` against `catalog` into `out`, refilling its lists in
+/// place. A caller that resolves many queries into one `ResolvedQuery`
+/// allocates only when a query is wider than every one before it. On an
+/// error `out` holds part of a resolution; the next call overwrites it.
 ///
 /// # Errors
 ///
@@ -184,34 +242,30 @@ impl Scope<'_, '_> {
 /// references, duplicate bindings, or aggregates mixed with joins in ways
 /// the yield model cannot attribute. Catalog lookups may also surface
 /// [`Error::UnknownName`].
-pub fn analyze<'a>(catalog: &Catalog, query: &Query<'a>) -> Result<ResolvedQuery<'a>> {
+pub fn analyze_into(catalog: &Catalog, query: &Query<'_>, out: &mut ResolvedQuery) -> Result<()> {
+    out.reset(query.from.len());
     // Bind FROM entries: a binding name (alias, else table name) may be
     // used once, and a qualifier names the one entry it binds.
-    let mut accesses: Vec<TableAccess<'a>> = Vec::with_capacity(query.from.len());
-    for (slot, tref) in query.from.iter().enumerate() {
+    for (slot, (tref, access)) in query.from.iter().zip(&mut out.tables).enumerate() {
         let table = catalog.table_by_name(tref.table)?;
         let name = tref.binding_name();
         let earlier = query.from.get(..slot).unwrap_or_default();
         if earlier.iter().any(|t| t.binding_name() == name) {
             return Err(Error::Semantic(format!("duplicate table binding {name:?}")));
         }
-        accesses.push(TableAccess {
-            table: table.id,
-            columns: Vec::new(),
-            projected: Vec::new(),
-            filters: Vec::new(),
-        });
+        access.table = table.id;
     }
     let scope = Scope {
         catalog,
         from: &query.from,
     };
+    let accesses = &mut out.tables;
 
     // Projection.
     for item in &query.projection {
         let column = match item {
             SelectItem::Wildcard => {
-                for access in &mut accesses {
+                for access in accesses.iter_mut() {
                     for &cid in &catalog.table(access.table).columns {
                         access.project(cid);
                     }
@@ -224,34 +278,37 @@ pub fn analyze<'a>(catalog: &Catalog, query: &Query<'a>) -> Result<ResolvedQuery
             } => column,
             SelectItem::Aggregate { arg: None, .. } => continue,
         };
-        let (slot, cid) = scope.resolve(&accesses, column)?;
+        let (slot, cid) = scope.resolve(accesses, column)?;
         if let Some(access) = accesses.get_mut(slot) {
             access.project(cid);
         }
     }
 
     // Predicates.
-    let mut joins = Vec::new();
     for pred in &query.predicates {
         let (slot, filter) = match *pred {
             Predicate::Compare { column, op, value } => {
-                let (slot, column) = scope.resolve(&accesses, &column)?;
+                let (slot, column) = scope.resolve(accesses, &column)?;
+                let value = match value {
+                    Value::Number(n) => Literal::Number(n),
+                    Value::Text(_) => Literal::Text,
+                };
                 (slot, ResolvedPredicate::Compare { column, op, value })
             }
             Predicate::Between { column, lo, hi } => {
-                let (slot, column) = scope.resolve(&accesses, &column)?;
+                let (slot, column) = scope.resolve(accesses, &column)?;
                 (slot, ResolvedPredicate::Between { column, lo, hi })
             }
             Predicate::Join { left, right } => {
-                let (lslot, lcid) = scope.resolve(&accesses, &left)?;
-                let (rslot, rcid) = scope.resolve(&accesses, &right)?;
+                let (lslot, lcid) = scope.resolve(accesses, &left)?;
+                let (rslot, rcid) = scope.resolve(accesses, &right)?;
                 for (slot, cid) in [(lslot, lcid), (rslot, rcid)] {
                     if let Some(access) = accesses.get_mut(slot) {
                         access.touch(cid);
                     }
                 }
                 if lslot != rslot {
-                    joins.push(JoinPair {
+                    out.joins.push(JoinPair {
                         left: lcid,
                         right: rcid,
                     });
@@ -262,7 +319,7 @@ pub fn analyze<'a>(catalog: &Catalog, query: &Query<'a>) -> Result<ResolvedQuery
                 let filter = ResolvedPredicate::Compare {
                     column: lcid,
                     op: CompareOp::Eq,
-                    value: Value::Number(0.0),
+                    value: Literal::Number(0.0),
                 };
                 (lslot, filter)
             }
@@ -277,16 +334,11 @@ pub fn analyze<'a>(catalog: &Catalog, query: &Query<'a>) -> Result<ResolvedQuery
         .iter()
         .filter(|i| matches!(i, SelectItem::Aggregate { .. }))
         .count();
-    let aggregate_items = u32::try_from(aggregate_items)
+    out.aggregate_items = u32::try_from(aggregate_items)
         .map_err(|_| Error::Semantic(format!("{aggregate_items} aggregates in one query")))?;
-
-    Ok(ResolvedQuery {
-        tables: accesses,
-        joins,
-        aggregate_only: query.is_aggregate_only(),
-        aggregate_items,
-        top: query.top,
-    })
+    out.aggregate_only = query.is_aggregate_only();
+    out.top = query.top;
+    Ok(())
 }
 
 #[cfg(test)]
@@ -459,6 +511,70 @@ mod tests {
         assert_eq!(r.tables[0].columns.len(), 1);
         assert_eq!(r.tables[0].projected.len(), 1);
         assert_eq!(r.tables[0].filters.len(), 2);
+        Ok(())
+    }
+
+    /// Every list of `r`, parked entries' included, as (address,
+    /// capacity).
+    fn buffers(r: &ResolvedQuery) -> Vec<(usize, usize)> {
+        fn of<T>(v: &[T], capacity: usize) -> (usize, usize) {
+            (v.as_ptr().addr(), capacity)
+        }
+        let mut out = vec![
+            of(&r.tables, r.tables.capacity()),
+            of(&r.joins, r.joins.capacity()),
+        ];
+        for a in r.tables.iter().chain(r.spare.iter().rev()) {
+            out.push(of(&a.columns, a.columns.capacity()));
+            out.push(of(&a.projected, a.projected.capacity()));
+            out.push(of(&a.filters, a.filters.capacity()));
+        }
+        out
+    }
+
+    #[test]
+    fn refills_keep_every_list() -> Result<()> {
+        let cat = catalog()?;
+        let join = parse(
+            "select p.ra, s.z from PhotoObj p, SpecObj s \
+             where p.objID = s.objID and s.zConf > 0.5 and p.dec > 0",
+        )?;
+        let narrow = parse("select ra from PhotoObj where dec > 0")?;
+        let mut r = ResolvedQuery::default();
+        analyze_into(&cat, &join, &mut r)?;
+        assert_eq!(r, analyze(&cat, &join)?);
+        let wide = buffers(&r);
+        assert!(wide.iter().all(|&(_, cap)| cap > 0), "{wide:?}");
+        // The join's second table is parked with its lists, not freed,
+        // and comes back to the same slot.
+        analyze_into(&cat, &narrow, &mut r)?;
+        assert_eq!(r, analyze(&cat, &narrow)?);
+        assert_eq!(r.spare.len(), 1);
+        assert_eq!(buffers(&r), wide);
+        analyze_into(&cat, &join, &mut r)?;
+        assert_eq!(r, analyze(&cat, &join)?);
+        assert_eq!(buffers(&r), wide);
+        // A refusal part-way leaves nothing the next refill can see.
+        assert!(analyze_into(&cat, &parse("select p.nope from PhotoObj p")?, &mut r).is_err());
+        analyze_into(&cat, &narrow, &mut r)?;
+        assert_eq!(r, analyze(&cat, &narrow)?);
+        Ok(())
+    }
+
+    #[test]
+    fn text_literals_resolve_to_their_kind() -> Result<()> {
+        let cat = catalog()?;
+        let q = parse("select ra from PhotoObj where objID = 'x' and ra < 3")?;
+        let r = analyze(&cat, &q)?;
+        let values: Vec<Literal> = r.tables[0]
+            .filters
+            .iter()
+            .filter_map(|f| match *f {
+                ResolvedPredicate::Compare { value, .. } => Some(value),
+                ResolvedPredicate::Between { .. } => None,
+            })
+            .collect();
+        assert_eq!(values, [Literal::Text, Literal::Number(3.0)]);
         Ok(())
     }
 

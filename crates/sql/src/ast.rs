@@ -281,8 +281,9 @@ impl fmt::Display for Predicate<'_> {
 }
 
 /// A parsed SELECT query, borrowing its names and literals from the
-/// query text.
-#[derive(Clone, Debug, PartialEq)]
+/// query text. The default is the empty query [`crate::parse_into`]
+/// refills.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Query<'a> {
     /// `TOP n` row limit, if present.
     pub top: Option<u64>,

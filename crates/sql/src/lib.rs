@@ -29,6 +29,9 @@
 //! * [`analyzer`] — name resolution against a
 //!   [`Catalog`](byc_catalog::Catalog), producing a [`analyzer::ResolvedQuery`]
 //!   with referenced tables/columns and per-table predicate lists.
+//!
+//! [`parse_into`] and [`analyze_into`] refill a caller's [`Query`] and
+//! [`ResolvedQuery`] in place; [`parse`] and [`analyze`] fill fresh ones.
 
 #![warn(missing_docs)]
 
@@ -37,6 +40,6 @@ pub mod ast;
 pub mod parser;
 pub mod token;
 
-pub use analyzer::{analyze, ResolvedPredicate, ResolvedQuery, TableAccess};
+pub use analyzer::{analyze, analyze_into, Literal, ResolvedPredicate, ResolvedQuery, TableAccess};
 pub use ast::{Aggregate, ColumnRef, CompareOp, Predicate, Query, SelectItem, TableRef, Value};
-pub use parser::parse;
+pub use parser::{parse, parse_into};

@@ -2,7 +2,8 @@
 //!
 //! The parser pulls one token at a time from the [`Lexer`] and keeps a
 //! single lookahead token; tokens are `Copy` and borrow the query text,
-//! so the only allocations a parse makes are the [`Query`]'s three lists.
+//! so the only allocations a parse makes are the [`Query`]'s three lists,
+//! and [`parse_into`] refills those in place.
 //!
 //! Grammar (conjunctive; `OR` is rejected with a targeted error because the
 //! trace workload never uses it and the yield model assumes conjuncts):
@@ -28,16 +29,29 @@ use byc_types::{Error, Result};
 ///
 /// # Errors
 ///
+/// As [`parse_into`].
+pub fn parse(input: &str) -> Result<Query<'_>> {
+    let mut query = Query::default();
+    parse_into(input, &mut query)?;
+    Ok(query)
+}
+
+/// Parse a single SELECT statement into `query`, refilling its three
+/// lists in place: a caller that parses many texts into one `Query`
+/// allocates only when a text is wider than every one before it. On an
+/// error `query` holds part of a parse; the next call overwrites it.
+///
+/// # Errors
+///
 /// [`Error::Parse`] with a byte offset and message on any deviation from
 /// the grammar, including use of `OR`, `GROUP BY`, and `ORDER BY` (outside
 /// the trace subset).
-pub fn parse(input: &str) -> Result<Query<'_>> {
+pub fn parse_into<'a>(input: &'a str, query: &mut Query<'a>) -> Result<()> {
     let mut lexer = Lexer::new(input);
     let next = lexer.pull()?;
     let mut p = Parser { lexer, next };
-    let q = p.query()?;
-    p.expect_eof()?;
-    Ok(q)
+    p.query(query)?;
+    p.expect_eof()
 }
 
 /// 2^64: a `TOP` count must be below it to fit a `u64` exactly.
@@ -115,9 +129,12 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn query(&mut self) -> Result<Query<'a>> {
+    fn query(&mut self, q: &mut Query<'a>) -> Result<()> {
+        q.projection.clear();
+        q.from.clear();
+        q.predicates.clear();
         self.expect_kw(Keyword::Select, "SELECT")?;
-        let top = if self.eat_kw(Keyword::Top)? {
+        q.top = if self.eat_kw(Keyword::Top)? {
             match self.bump()? {
                 TokenKind::Number(n) if (0.0..TOP_LIMIT).contains(&n) && n.fract() == 0.0 => {
                     // Exact: integral and in range.
@@ -129,25 +146,22 @@ impl<'a> Parser<'a> {
         } else {
             None
         };
-        let mut projection = Vec::new();
         loop {
-            projection.push(self.select_item()?);
+            q.projection.push(self.select_item()?);
             if !self.eat(TokenKind::Comma)? {
                 break;
             }
         }
         self.expect_kw(Keyword::From, "FROM")?;
-        let mut from = Vec::new();
         loop {
-            from.push(self.table_ref()?);
+            q.from.push(self.table_ref()?);
             if !self.eat(TokenKind::Comma)? {
                 break;
             }
         }
-        let mut predicates = Vec::new();
         if self.eat_kw(Keyword::Where)? {
             loop {
-                predicates.push(self.predicate()?);
+                q.predicates.push(self.predicate()?);
                 if self.eat_kw(Keyword::And)? {
                     continue;
                 }
@@ -159,12 +173,7 @@ impl<'a> Parser<'a> {
                 break;
             }
         }
-        Ok(Query {
-            top,
-            projection,
-            from,
-            predicates,
-        })
+        Ok(())
     }
 
     fn aggregate_kw(&self) -> Option<Aggregate> {
@@ -364,6 +373,34 @@ mod tests {
         };
         assert_eq!(s, "STAR");
         assert!(text.contains(&s.as_ptr()));
+    }
+
+    #[test]
+    fn parse_into_refills_in_place() {
+        let mut q = Query::default();
+        parse_into(PAPER_QUERY, &mut q).unwrap();
+        let capacities = (
+            q.projection.capacity(),
+            q.from.capacity(),
+            q.predicates.capacity(),
+        );
+        for sql in ["select top 3 ra from T", "select x", PAPER_QUERY] {
+            let fresh = parse(sql);
+            let refilled = parse_into(sql, &mut q);
+            match fresh {
+                Ok(fresh) => assert_eq!(q, fresh, "{sql}"),
+                Err(e) => assert_eq!(refilled, Err(e), "{sql}"),
+            }
+            assert_eq!(
+                (
+                    q.projection.capacity(),
+                    q.from.capacity(),
+                    q.predicates.capacity()
+                ),
+                capacities,
+                "{sql}"
+            );
+        }
     }
 
     #[test]

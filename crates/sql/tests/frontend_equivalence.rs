@@ -14,15 +14,23 @@
 //! wherever the oracle refuses it, the shipped parser must return an
 //! `Err`. The one deliberate difference: a literal that is not finite
 //! (`1e309`), which the oracle read as infinity, is refused. Where both
-//! parse, `analyze` must give an equal `ResolvedQuery` or fail on both
-//! sides, and the yield decomposition must equal the first one's below
-//! 2^53 and sum to the total above it. Neither side may panic.
+//! parse, `analyze` must give an equal `ResolvedQuery` (up to string
+//! literals' text, which the shipped resolution does not keep) or fail
+//! on both sides, and the yield decomposition must equal the first one's
+//! below 2^53 and sum to the total above it. Neither side may panic.
+//!
+//! Every case of a run also goes through one long-lived `Query`,
+//! `ResolvedQuery` and `YieldBreakdown`, refilled by `parse_into`,
+//! `analyze_into` and `estimate_into`: each must equal what the fresh
+//! calls return, errors included, whatever the cases before it left in
+//! them.
 
 mod oracle;
 
 use byc_catalog::sdss::{build, SdssRelease};
 use byc_catalog::Catalog;
 use byc_engine::{YieldBreakdown, YieldModel};
+use byc_sql::{Query, ResolvedQuery};
 use byc_types::SplitMix64;
 use proptest::prelude::*;
 
@@ -421,7 +429,11 @@ fn check(catalog: &Catalog, text: &str, tally: &mut Tally) {
     };
     let resolved =
         shipped.unwrap_or_else(|e| panic!("refused {text:?}, which the oracle analyzes: {e}"));
-    assert_eq!(oracle::owned_resolved(&resolved), expected, "{text:?}");
+    assert_eq!(
+        oracle::owned_resolved(&resolved),
+        oracle::without_text(expected),
+        "{text:?}"
+    );
     tally.analyzed += 1;
 
     let breakdown = YieldModel::new(catalog).estimate(&resolved);
@@ -437,10 +449,58 @@ fn check(catalog: &Catalog, text: &str, tally: &mut Tally) {
     assert!(sums_to_total(&breakdown), "{text:?}: {breakdown:?}");
 }
 
+/// One value of each front-end stage that case after case refills.
+#[derive(Default)]
+struct Reused<'t> {
+    query: Query<'t>,
+    resolved: ResolvedQuery,
+    breakdown: YieldBreakdown,
+}
+
+/// The fresh call's result and the refilled value's agree: equal
+/// values, or equal errors. Returns the fresh value when both succeed.
+fn same<T: PartialEq + std::fmt::Debug>(
+    text: &str,
+    fresh: byc_types::Result<T>,
+    refilled: byc_types::Result<()>,
+    value: &T,
+) -> Option<T> {
+    match (fresh, refilled) {
+        (Ok(fresh), Ok(())) => {
+            assert_eq!(value, &fresh, "{text:?}");
+            Some(fresh)
+        }
+        (Err(fresh), Err(refilled)) => {
+            assert_eq!(refilled, fresh, "{text:?}");
+            None
+        }
+        (fresh, refilled) => panic!("{text:?}: fresh {fresh:?}, refilled {refilled:?}"),
+    }
+}
+
+/// Run one text through the `_into` forms on `reused` and through the
+/// fresh calls: every stage must agree.
+fn check_reuse<'t>(catalog: &Catalog, text: &'t str, reused: &mut Reused<'t>) {
+    let fresh = byc_sql::parse(text);
+    let refilled = byc_sql::parse_into(text, &mut reused.query);
+    let Some(query) = same(text, fresh, refilled, &reused.query) else {
+        return;
+    };
+    let fresh = byc_sql::analyze(catalog, &query);
+    let refilled = byc_sql::analyze_into(catalog, &reused.query, &mut reused.resolved);
+    let Some(resolved) = same(text, fresh, refilled, &reused.resolved) else {
+        return;
+    };
+    let model = YieldModel::new(catalog);
+    model.estimate_into(&reused.resolved, &mut reused.breakdown);
+    assert_eq!(reused.breakdown, model.estimate(&resolved), "{text:?}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Generated queries and their mutants, on both front ends.
+    /// Generated queries and their mutants, on both front ends, and
+    /// through one refilled value of each stage.
     #[test]
     fn front_end_matches_oracle(seed in any::<u64>()) {
         let catalog = build(SdssRelease::Edr, 0.01, 1);
@@ -451,14 +511,19 @@ proptest! {
             out: String::new(),
         }
         .query();
-        let mut tally = Tally::default();
+        let mut texts = Vec::new();
         for _ in 0..4 {
             let sql = write(&mut rng);
             let other = write(&mut rng);
-            check(&catalog, &sql, &mut tally);
-            for text in mutants(&sql, &other, &mut rng) {
-                check(&catalog, &text, &mut tally);
-            }
+            let mutated = mutants(&sql, &other, &mut rng);
+            texts.push(sql);
+            texts.extend(mutated);
+        }
+        let mut tally = Tally::default();
+        let mut reused = Reused::default();
+        for text in &texts {
+            check(&catalog, text, &mut tally);
+            check_reuse(&catalog, text, &mut reused);
         }
     }
 }

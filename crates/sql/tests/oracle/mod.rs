@@ -13,7 +13,8 @@
 //!
 //! [`owned`], [`borrowed`] and [`owned_resolved`] translate between
 //! these types and the shipped borrowing ones, so results compare field
-//! for field.
+//! for field. A shipped resolution keeps of a string literal only that it
+//! is one, so resolutions compare after [`without_text`].
 
 #![allow(dead_code)]
 
@@ -152,8 +153,10 @@ pub fn borrowed(q: &ast::Query) -> byc_sql::Query<'_> {
     }
 }
 
-/// A shipped resolved query as the oracle's owning one.
-pub fn owned_resolved(r: &byc_sql::ResolvedQuery<'_>) -> analyzer::ResolvedQuery {
+/// A shipped resolved query as the oracle's owning one: a number keeps
+/// its value, and a string literal, of which the shipped analyzer keeps
+/// only that it is one, becomes the empty text.
+pub fn owned_resolved(r: &byc_sql::ResolvedQuery) -> analyzer::ResolvedQuery {
     use byc_sql::ResolvedPredicate as P;
     analyzer::ResolvedQuery {
         tables: r
@@ -170,7 +173,10 @@ pub fn owned_resolved(r: &byc_sql::ResolvedQuery<'_>) -> analyzer::ResolvedQuery
                         P::Compare { column, op, value } => analyzer::ResolvedPredicate::Compare {
                             column: *column,
                             op: *op,
-                            value: owned_value(value),
+                            value: match *value {
+                                byc_sql::Literal::Number(n) => ast::Value::Number(n),
+                                byc_sql::Literal::Text => ast::Value::Text(String::new()),
+                            },
                         },
                         P::Between { column, lo, hi } => analyzer::ResolvedPredicate::Between {
                             column: *column,
@@ -193,6 +199,21 @@ pub fn owned_resolved(r: &byc_sql::ResolvedQuery<'_>) -> analyzer::ResolvedQuery
         aggregate_items: r.aggregate_items,
         top: r.top,
     }
+}
+
+/// The oracle's resolution with every string literal emptied, as
+/// [`owned_resolved`] renders a shipped one.
+pub fn without_text(mut r: analyzer::ResolvedQuery) -> analyzer::ResolvedQuery {
+    for filter in r.tables.iter_mut().flat_map(|a| &mut a.filters) {
+        if let analyzer::ResolvedPredicate::Compare {
+            value: ast::Value::Text(text),
+            ..
+        } = filter
+        {
+            text.clear();
+        }
+    }
+    r
 }
 
 /// True when a query the oracle accepted holds a literal that is not

@@ -41,7 +41,7 @@ fn apportion(total: u64, weights: &[f64]) -> Vec<u64> {
 /// Estimate the yield of `query` and decompose it over tables and
 /// columns. Only totals below 2^53 are in its domain: past that the
 /// floors can overflow `assigned`.
-pub fn estimate(catalog: &Catalog, query: &ResolvedQuery<'_>) -> YieldBreakdown {
+pub fn estimate(catalog: &Catalog, query: &ResolvedQuery) -> YieldBreakdown {
     let model = YieldModel::new(catalog);
     let mut rows = if query.aggregate_only {
         1.0

@@ -165,7 +165,9 @@ impl EventRecord {
     ///
     /// # Errors
     ///
-    /// [`Error::TraceFormat`] on malformed JSON or missing fields.
+    /// [`Error::TraceFormat`] on malformed JSON, missing fields, or a
+    /// cached share larger than the delivered bytes, which no slice can
+    /// have.
     pub fn parse(line: &str) -> Result<EventRecord> {
         let v = Value::parse(line).map_err(Error::TraceFormat)?;
         let field = |key: &str| -> Result<u64> {
@@ -187,6 +189,13 @@ impl EventRecord {
         let bypass_cost = Bytes::new(field("bc")?);
         let fetch_cost = Bytes::new(field("fc")?);
         let cache_served = Bytes::new(field("cs")?);
+        let bypass_served = delivered.raw().checked_sub(cache_served.raw()).ok_or_else(|| {
+            Error::TraceFormat(format!(
+                "event record's cached share \"cs\" ({}) exceeds its delivered bytes \"y\" ({}): {line}",
+                cache_served.raw(),
+                delivered.raw()
+            ))
+        })?;
         let evictions = field("ev")?;
         let occupancy = Bytes::new(field("occ")?);
         Ok(EventRecord {
@@ -201,7 +210,7 @@ impl EventRecord {
                 .map_err(|_| Error::TraceFormat("tier out of range".into()))?,
             window: QueryWindow {
                 delivered,
-                bypass_served: delivered.saturating_sub(cache_served),
+                bypass_served: Bytes::new(bypass_served),
                 bypass_cost,
                 fetch_cost,
                 relay_cost: Bytes::new(v["rc"].as_u64().unwrap_or(0)),
@@ -616,6 +625,23 @@ mod tests {
         assert!(buf.ends_with('\n'));
         let back = EventRecord::parse(buf.trim_end()).unwrap();
         assert_eq!(back, record);
+    }
+
+    #[test]
+    fn record_caching_more_than_it_delivers_is_refused() {
+        let line =
+            r#"{"q":0,"o":0,"s":0,"d":"hit","y":5,"f":0,"bc":0,"fc":0,"cs":9,"ev":0,"occ":0}"#;
+        let err = EventRecord::parse(line).unwrap_err();
+        assert!(matches!(err, Error::TraceFormat(_)), "{err:?}");
+        let text = err.to_string();
+        assert!(
+            text.contains("\"cs\" (9)") && text.contains("\"y\" (5)"),
+            "{text}"
+        );
+        // The same record with its whole delivery cached parses.
+        let back = EventRecord::parse(&line.replace("\"cs\":9", "\"cs\":5")).unwrap();
+        assert!(back.window.conserves_delivery());
+        assert_eq!(back.window.bypass_served, Bytes::ZERO);
     }
 
     #[test]

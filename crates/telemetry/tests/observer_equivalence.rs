@@ -7,7 +7,8 @@
 //! see one event stream: for every shipped policy, flat and on three
 //! tiers, fault-free and under flaky links with retries, with and
 //! without an event log, the two must give equal `PolicyMetrics`,
-//! byte-equal JSON and Prometheus exports and byte-equal event logs.
+//! byte-equal JSON and Prometheus exports and byte-equal event logs, and
+//! every record of the log must parse and render back to its own bytes.
 //! A mediator that invalidates tables between queries checks the
 //! occupancy gauge where a decision is not the only thing that moves it.
 
@@ -20,7 +21,7 @@ use byc_federation::{
     PolicyKind, ReplaySession, RetryPolicy, Topology,
 };
 use byc_telemetry::{
-    json_snapshot, prometheus_text, EventLogWriter, MetricsRegistry, PolicyMetrics,
+    json_snapshot, prometheus_text, read_events, EventLogWriter, MetricsRegistry, PolicyMetrics,
     TelemetryObserver,
 };
 use byc_workload::{generate, WorkloadConfig, WorkloadStats};
@@ -61,6 +62,20 @@ impl SharedBuf {
     fn bytes(&self) -> Vec<u8> {
         self.0.lock().unwrap().clone()
     }
+}
+
+/// The log in `sink` parsed and written again: every kernel event's
+/// record must survive `parse(render(r))` exactly.
+fn reread(sink: &SharedBuf, policy: &str) -> Vec<u8> {
+    let text = String::from_utf8(sink.bytes()).unwrap();
+    let log = read_events(&text).unwrap_or_else(|e| panic!("{policy}: {e}"));
+    let echo = SharedBuf::default();
+    let mut writer = EventLogWriter::new(Box::new(echo.clone()), policy);
+    for record in &log.events {
+        writer.record(record);
+    }
+    writer.finish().unwrap();
+    echo.bytes()
 }
 
 /// The JSON and Prometheus exports of a registry holding `metrics`.
@@ -158,6 +173,9 @@ proptest! {
                 prop_assert_eq!(metrics.queries, replay.report.queries as u64, "{}", what);
                 assert_same(&metrics, &ref_metrics, &what);
                 prop_assert!(sink.bytes() == ref_sink.bytes(), "{}: event log", what);
+                if logged {
+                    prop_assert!(reread(&sink, kind.label()) == sink.bytes(), "{}: reread", what);
+                }
                 prop_assert_eq!(logged, !sink.bytes().is_empty(), "{}", what);
             }
         }
