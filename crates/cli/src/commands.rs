@@ -454,6 +454,7 @@ fn load_trace(
                 SdssRelease::Dr1 => WorkloadConfig::dr1(seed),
             };
             let trace = generate(&catalog, &config)?;
+            total_yield(trace.queries.iter().map(|q| q.total_yield), scale)?;
             Ok((catalog, trace))
         }
         Err(_) => {
@@ -461,7 +462,8 @@ fn load_trace(
             // the trace's release, so default to EDR at the caller's scale.
             let trace = trace_io::read_trace(std::path::Path::new(spec))?;
             let catalog = sdss::build(SdssRelease::Edr, scale, servers);
-            check_scale(spec, trace.len(), trace.sequence_cost(), &catalog)?;
+            let total = total_yield(trace.queries.iter().map(|q| q.total_yield), scale)?;
+            check_scale(spec, trace.len(), total, &catalog)?;
             Ok((catalog, trace))
         }
     }
@@ -487,8 +489,29 @@ fn load_replay(
     let catalog = sdss::build(SdssRelease::Edr, scale, servers);
     let objects = ObjectCatalog::uniform(&catalog, granularity);
     let replay = ReplayTrace::read(std::path::Path::new(spec), &objects)?;
-    check_scale(spec, replay.len(), replay.sequence_cost(), &catalog)?;
+    let total = total_yield(replay.iter().map(|(q, _)| q.total_yield), scale)?;
+    check_scale(spec, replay.len(), total, &catalog)?;
     Ok((catalog, objects, replay))
+}
+
+/// The total yield of a trace's queries, refused when it does not fit a
+/// u64: every byte total of a replay or an analysis would saturate at
+/// 2^64 B, below `sdss::max_scale`, where the catalog's own sizes still
+/// fit.
+fn total_yield(yields: impl IntoIterator<Item = Bytes>, scale: f64) -> Result<Bytes> {
+    yields
+        .into_iter()
+        .try_fold(0u64, |total, y| total.checked_add(y.raw()))
+        .map(Bytes::new)
+        .ok_or_else(|| saturated(scale))
+}
+
+/// [`total_yield`]'s refusal.
+fn saturated(scale: f64) -> Error {
+    Error::InvalidConfig(format!(
+        "at --scale {scale:e} the trace's total yield overflows a u64 byte count, \
+         so its byte totals would saturate; pass a smaller --scale"
+    ))
 }
 
 /// Guard against replaying a trace file against a catalog at the wrong
@@ -525,17 +548,19 @@ fn check_scale(
 const SCALE_SAMPLE: usize = 1024;
 
 /// Sums a streamed trace's query count and yield as the replay goes, for
-/// the [`check_scale`] guard a resident load runs on the whole trace.
-#[derive(Default)]
+/// the [`total_yield`] and [`check_scale`] guards a resident load runs on
+/// the whole trace. The sum is `None` once it overflows.
 struct YieldTally {
     queries: usize,
-    sequence_cost: Bytes,
+    sequence_cost: Option<u64>,
 }
 
 impl Observer for YieldTally {
     fn on_query_start(&mut self, _index: usize, query: &TraceQuery) {
         self.queries += 1;
-        self.sequence_cost += query.total_yield;
+        self.sequence_cost = self
+            .sequence_cost
+            .and_then(|total| total.checked_add(query.total_yield.raw()));
     }
 
     fn wants_accesses(&self) -> bool {
@@ -1124,7 +1149,8 @@ pub fn run_command(command: Command) -> Result<String> {
                 let mut reader = TraceReader::open(std::path::Path::new(&args.trace))?;
                 let mut sample = ReplayTrace::new(reader.name(), &objects);
                 sample.refill(&mut reader, &objects, SCALE_SAMPLE)?;
-                check_scale(&args.trace, sample.len(), sample.sequence_cost(), &catalog)?;
+                let total = total_yield(sample.iter().map(|(q, _)| q.total_yield), args.scale)?;
+                check_scale(&args.trace, sample.len(), total, &catalog)?;
                 (catalog, objects, None, Some((reader, sample)))
             } else {
                 let (catalog, objects, trace) = load_replay(
@@ -1185,7 +1211,10 @@ pub fn run_command(command: Command) -> Result<String> {
             observers.windows = observers
                 .windows
                 .map(|w| w.with_sink(Box::new(std::io::stderr())));
-            let mut tally = YieldTally::default();
+            let mut tally = YieldTally {
+                queries: 0,
+                sequence_cost: Some(0),
+            };
             // Only a tiered or multi-server run prints a breakdown table.
             let mut breakdown = (setup.topology.is_some() || args.servers > 1).then(Breakdown::new);
             let replay = {
@@ -1211,8 +1240,12 @@ pub fn run_command(command: Command) -> Result<String> {
             // A streamed file only reveals its whole mean yield once
             // replayed; a refused run leaves no decision log behind.
             if streamed {
+                let total = tally
+                    .sequence_cost
+                    .map(Bytes::new)
+                    .ok_or_else(|| saturated(args.scale));
                 if let Err(e) =
-                    check_scale(&args.trace, tally.queries, tally.sequence_cost, &catalog)
+                    total.and_then(|total| check_scale(&args.trace, tally.queries, total, &catalog))
                 {
                     if let Some(path) = &trace_events {
                         std::fs::remove_file(path).ok();
@@ -2882,6 +2915,168 @@ mod tests {
         assert!(parse_args(&args(&["analyze", "edr", "--scale", "2e7"])).is_ok());
         let at_max = format!("{dr1_max:e}");
         assert!(parse_args(&args(&["analyze", "dr1", "--scale", &at_max])).is_ok());
+    }
+
+    /// Everything one grid point's observer bundle produced, and its
+    /// point's report and warnings, for comparison.
+    fn point_outputs(
+        report: &byc_federation::CostReport,
+        warnings: &[String],
+        observers: Observers,
+    ) -> String {
+        let postmortems = observers.postmortems();
+        let (snapshot, io) = observers.telemetry.unwrap().into_parts();
+        io.unwrap();
+        let mut registry = MetricsRegistry::new();
+        registry.absorb(snapshot);
+        format!(
+            "{report:?}\n{warnings:?}\n{}\n{}\n{:?}\n{:?}\n{postmortems:?}",
+            byc_telemetry::json_snapshot(&registry),
+            byc_telemetry::prometheus_text(&registry),
+            observers.spans.unwrap().into_tracer().spans(),
+            observers.windows.unwrap().breakdown().windows(),
+        )
+    }
+
+    /// With every observer flag, a sweep, which replays NoCache once for
+    /// all its fractions, gives each grid point the report, warnings,
+    /// metrics, spans, windows and postmortems of a replay of that point
+    /// alone, on a faulted three-tier federation.
+    #[test]
+    fn swept_observer_bundles_equal_one_run_per_point() {
+        let argv = [
+            "sweep",
+            "edr",
+            "--topology",
+            "three-tier",
+            "--faults",
+            "flaky:p=0.2",
+            "--degrade",
+            "fail",
+            "--metrics",
+            "unused.json",
+            "--trace-spans",
+            "unused-spans.json",
+            "--metrics-every",
+            "50",
+            "--flight-recorder",
+            "2",
+        ];
+        let Command::Sweep(replay_args) = parse_args(&args(&argv)).unwrap() else {
+            panic!("a sweep command");
+        };
+        let setup = Setup::new(&replay_args).unwrap();
+        let catalog = sdss::build(SdssRelease::Edr, 1e-3, 1);
+        let trace = generate(&catalog, &WorkloadConfig::smoke(71, 300)).unwrap();
+        let objects = ObjectCatalog::uniform(&catalog, setup.granularity);
+        let replay = ReplayTrace::from_trace(&trace, &objects);
+        let demands = WorkloadStats::of_replay(&replay, &objects).demands;
+        let policies = policy_roster();
+        let fractions = [0.1, 0.5, 1.0];
+        let bundle = |kind: PolicyKind, fraction: f64| {
+            let lane = policies.iter().position(|k| *k == kind).unwrap() * fractions.len()
+                + fractions.iter().position(|f| *f == fraction).unwrap()
+                + 1;
+            let label = format!("{}@{fraction:.2}", kind.label());
+            Observers::new(&replay_args, &setup, &label, u32::try_from(lane).unwrap())
+        };
+        let mut swept = Vec::new();
+        let options =
+            SweepOptions::new(&policies, &fractions, &demands, 3).observe(&bundle, &mut swept);
+        let points = setup
+            .configure(ReplaySession::new(&replay, &objects))
+            .sweep(options)
+            .unwrap();
+        assert_eq!(points.len(), swept.len());
+        let db = objects.total_size();
+        let scales: Vec<f64> = setup
+            .topology
+            .as_ref()
+            .unwrap()
+            .tiers()
+            .iter()
+            .map(|t| t.capacity_scale)
+            .collect();
+        let mut truncated = 0;
+        for (point, observers) in points.iter().zip(swept) {
+            let kind = policies
+                .iter()
+                .copied()
+                .find(|k| k.label() == point.policy)
+                .unwrap();
+            let mut alone = bundle(kind, point.cache_fraction);
+            let mut tiers: Vec<_> = scales
+                .iter()
+                .map(|s| build_policy(kind, db.scale(point.cache_fraction * s), &demands, 3))
+                .collect();
+            let mut session = setup
+                .configure(ReplaySession::new(&replay, &objects))
+                .observe(&mut alone);
+            for p in tiers.iter_mut() {
+                session = session.policy(p.as_mut());
+            }
+            let run = session.run().unwrap();
+            truncated += usize::from(!run.warnings.is_empty());
+            assert_eq!(
+                point_outputs(&point.report, &point.warnings, observers),
+                point_outputs(&run.report, &run.warnings, alone),
+                "{}@{}",
+                point.policy,
+                point.cache_fraction
+            );
+        }
+        // The recorder warned about truncated postmortems somewhere.
+        assert!(truncated > 0);
+    }
+
+    /// At `--scale 3e7`, below EDR's limit, the catalog's sizes fit a u64
+    /// but the trace's total yield does not: `analyze`, `run` and `sweep`
+    /// refuse it, naming the scale, whether the trace is synthesized or a
+    /// file, resident or streamed.
+    #[test]
+    fn a_saturated_trace_total_is_refused() {
+        let refused = |argv: &[&str]| {
+            let err = parse_args(&args(argv)).and_then(run_command).unwrap_err();
+            assert!(
+                matches!(err, Error::InvalidConfig(_))
+                    && err
+                        .to_string()
+                        .contains("at --scale 3e7 the trace's total yield"),
+                "{argv:?}: {err}"
+            );
+        };
+        refused(&["analyze", "edr", "--scale", "3e7"]);
+        refused(&["run", "edr", "--policy", "nocache", "--scale", "3e7"]);
+        refused(&["sweep", "edr", "--scale", "3e7"]);
+        let path = std::env::temp_dir().join(format!("byc-cli-3e7-{}.jsonl", std::process::id()));
+        let file = path.to_str().unwrap();
+        let gen = ["gen-trace", "edr", "--out", file, "--scale", "3e7"];
+        parse_args(&args(&gen)).and_then(run_command).unwrap();
+        refused(&["analyze", file, "--scale", "3e7"]);
+        refused(&["run", file, "--policy", "nocache", "--scale", "3e7"]);
+        refused(&["run", file, "--policy", "static", "--scale", "3e7"]);
+        refused(&["sweep", file, "--scale", "3e7"]);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A tenth of that scale fits, and prints what it always printed.
+    #[test]
+    fn a_total_that_fits_prints_as_before() {
+        let out = |argv: &[&str]| parse_args(&args(argv)).and_then(run_command).unwrap();
+        let analyze = out(&["analyze", "edr", "--scale", "3e6"]);
+        assert!(
+            analyze.starts_with("trace EDR: 27663 queries, sequence cost 3397338277.88 GiB\n"),
+            "{analyze}"
+        );
+        let run = out(&["run", "edr", "--policy", "nocache", "--scale", "3e6"]);
+        assert_eq!(
+            run,
+            "NoCache on EDR (column caching, cache 15% = 251349815.59 GiB)\n\
+             Data Set Version   Queries  Seq Cost (GB) Algorithm           Bypass (GB)   Fetch (GB)   Total (GB)\n\
+             ----------------------------------------------------------------------------------------------------\n\
+             Set 1    EDR         27663  3647864199.24 NoCache            3647864199.24         0.00 3647864199.24\n\
+             hits 0 | bypasses 125029 | loads 0 | evictions 0 | traffic reduction 1.0x | byte hit rate 0.0%\n"
+        );
     }
 
     #[test]

@@ -60,6 +60,14 @@ impl PolicyKind {
         }
     }
 
+    /// True for kinds whose decisions do not depend on the cache's
+    /// capacity: replays of such a kind at different cache sizes are the
+    /// same replay, so a sweep runs it once for all its sizes. Only
+    /// [`PolicyKind::NoCache`], which caches nothing at any size.
+    pub const fn ignores_capacity(self) -> bool {
+        matches!(self, PolicyKind::NoCache)
+    }
+
     /// True for the three bypass-yield algorithms.
     pub const fn is_bypass_yield(self) -> bool {
         matches!(
@@ -198,23 +206,25 @@ mod tests {
         assert!(roster.contains(&PolicyKind::NoCache));
     }
 
+    const ALL: [PolicyKind; 13] = [
+        PolicyKind::RateProfile,
+        PolicyKind::OnlineBY,
+        PolicyKind::OnlineBYMarking,
+        PolicyKind::SpaceEffBY,
+        PolicyKind::Gds,
+        PolicyKind::Gdsp,
+        PolicyKind::Lru,
+        PolicyKind::Lfu,
+        PolicyKind::LruK,
+        PolicyKind::Lff,
+        PolicyKind::GdStar,
+        PolicyKind::Static,
+        PolicyKind::NoCache,
+    ];
+
     #[test]
     fn build_produces_named_policies() {
-        for kind in [
-            PolicyKind::RateProfile,
-            PolicyKind::OnlineBY,
-            PolicyKind::OnlineBYMarking,
-            PolicyKind::SpaceEffBY,
-            PolicyKind::Gds,
-            PolicyKind::Gdsp,
-            PolicyKind::Lru,
-            PolicyKind::Lfu,
-            PolicyKind::LruK,
-            PolicyKind::Lff,
-            PolicyKind::GdStar,
-            PolicyKind::Static,
-            PolicyKind::NoCache,
-        ] {
+        for kind in ALL {
             let p = build_policy(kind, Bytes::mib(1), &[], 7);
             assert_eq!(p.name(), kind.label(), "{kind:?}");
         }
@@ -274,6 +284,17 @@ mod tests {
             fetch_cost: Bytes::new(100),
         });
         assert_eq!(adapter.inner().saw, vec![(100, 100, 5)]);
+    }
+
+    #[test]
+    fn only_no_cache_ignores_capacity() {
+        for kind in ALL {
+            assert_eq!(
+                kind.ignores_capacity(),
+                kind == PolicyKind::NoCache,
+                "{kind:?}"
+            );
+        }
     }
 
     #[test]

@@ -43,8 +43,13 @@
 //! (DESIGN.md §17).
 //!
 //! A sweep runs its grid on a pool of `available_parallelism()` scoped
-//! workers. Each pulls the next job, in grid order, off one atomic
-//! index; every worker replays the one shared [`ReplayTrace`].
+//! workers, all reading the session's one resident [`ReplayTrace`]. A
+//! job is one replay: of one (kind, fraction) grid point, or of a kind
+//! that [ignores capacity](PolicyKind::ignores_capacity) for every
+//! fraction at once, with each fraction's observer on the one session.
+//! Workers pull jobs off one atomic index, those that make more grid
+//! points first, then in grid order, and the points come back in grid
+//! order.
 //!
 //! Configuration errors (a policy count that does not match the depth
 //! before `run`, a policy before `sweep`) surface as
@@ -376,19 +381,23 @@ impl<'a> ReplaySession<'a> {
     /// Replay every (policy, cache-fraction) pair of
     /// [`SweepOptions`]' grid in parallel under this session's
     /// network/fault/audit configuration, on `available_parallelism()`
-    /// worker threads that share the session's one resident
-    /// [`ReplayTrace`]. Results are ordered by policy then fraction;
-    /// per-job observers configured via [`SweepOptions::observe`] land in
-    /// their sink in the same order. A worker's panic is re-raised with
-    /// its original payload.
+    /// worker threads that read the session's one resident
+    /// [`ReplayTrace`]. A kind that
+    /// [ignores capacity](PolicyKind::ignores_capacity) is replayed once,
+    /// with every fraction's observer attached, and still makes one point
+    /// per fraction: its own fraction, capacity and observer warnings,
+    /// and the one report. Results are ordered by policy then fraction;
+    /// per-point observers configured via [`SweepOptions::observe`] land
+    /// in their sink in the same order. A worker's panic is re-raised
+    /// with its original payload.
     ///
     /// # Errors
     ///
     /// [`Error::InvalidConfig`] when a policy or extra observers were
     /// configured (sweeps build their own per job), when the session
     /// streams off a reader (sweeps replay one in-memory trace), or when
-    /// a fraction is not positive; otherwise the first error of a job,
-    /// in grid order.
+    /// a fraction is not positive; otherwise the first error of a grid
+    /// point, in grid order.
     pub fn sweep<O: Observer + Send>(
         self,
         options: SweepOptions<'_, O>,
@@ -428,9 +437,8 @@ impl<'a> ReplaySession<'a> {
         Ok(points)
     }
 
-    /// The shared sweep implementation: one session per grid point over
-    /// the same resident trace, run by a pool of `workers` scoped threads
-    /// that pull jobs in grid order off one atomic index.
+    /// The shared sweep implementation, on a pool of `workers` scoped
+    /// threads; the module docs say which jobs it runs, and in what order.
     fn sweep_pool<O: Observer + Send>(
         self,
         policies: &[PolicyKind],
@@ -481,23 +489,38 @@ impl<'a> ReplaySession<'a> {
         let trace: &ReplayTrace = &trace;
         let db = objects.total_size();
         let scales = links.capacity_scales();
-        // Every job's observer is made here, on the sweeping thread, in
-        // grid order; the worker that pulls the job takes it.
-        type Job<O> = Mutex<Option<(PolicyKind, f64, Option<O>)>>;
+        // Every grid point's observer is made here, on the sweeping
+        // thread, in grid order; the worker that pulls its job takes it.
         let mut jobs: Vec<Job<O>> = Vec::new();
-        for &kind in policies {
-            for &f in fractions {
-                let observer = make_observer.map(|make| make(kind, f));
-                jobs.push(Mutex::new(Some((kind, f, observer))));
+        for (row, &kind) in policies.iter().enumerate() {
+            let first = row * fractions.len();
+            let points = fractions.iter().map(|&fraction| GridPoint {
+                fraction,
+                observer: make_observer.map(|make| Kept::new(make(kind, fraction))),
+            });
+            if kind.ignores_capacity() && !fractions.is_empty() {
+                jobs.push(Job {
+                    kind,
+                    first,
+                    points: points.collect(),
+                });
+            } else {
+                jobs.extend(points.enumerate().map(|(i, point)| Job {
+                    kind,
+                    first: first + i,
+                    points: vec![point],
+                }));
             }
         }
-        let run_job = |kind: PolicyKind,
-                       fraction: f64,
-                       mut observer: Option<O>|
-         -> Result<(SweepPoint, Option<O>)> {
-            // Site-tier capacity; each tier's cache scales it by its
-            // `capacity_scale` (1.0 on the flat WAN).
-            let capacity = db.scale(fraction);
+        jobs.sort_by_key(|job| std::cmp::Reverse(job.points.len()));
+        let run_job = |job: Job<O>| -> Result<Vec<(SweepPoint, Option<O>)>> {
+            let Job {
+                kind, mut points, ..
+            } = job;
+            // Site-tier capacity of the job's first fraction, which a
+            // merged job's kind ignores; each tier's cache scales it by
+            // its `capacity_scale` (1.0 on the flat WAN).
+            let fraction = points.first().map_or(1.0, |point| point.fraction);
             let mut policies: Vec<_> = scales
                 .iter()
                 .map(|s| build_policy(kind, db.scale(fraction * s), demands, seed))
@@ -509,8 +532,8 @@ impl<'a> ReplaySession<'a> {
             for p in policies.iter_mut() {
                 session = session.policy(p.as_mut());
             }
-            if let Some(obs) = observer.as_mut() {
-                session = session.observe(obs);
+            for observer in points.iter_mut().filter_map(|p| p.observer.as_mut()) {
+                session = session.observe(observer);
             }
             if let Some(model) = faults {
                 session = session.faults(model);
@@ -522,20 +545,30 @@ impl<'a> ReplaySession<'a> {
             };
             let replay = session.run()?;
             replay.debug_assert_audit();
-            Ok((
-                SweepPoint {
-                    policy: kind.label().to_string(),
-                    cache_fraction: fraction,
-                    capacity,
-                    report: replay.report,
-                    warnings: replay.warnings,
-                },
-                observer,
-            ))
+            Ok(points
+                .into_iter()
+                .map(|point| {
+                    let mut warnings = replay.warnings.clone();
+                    let observer = point.observer.map(|kept| {
+                        warnings.extend(kept.warnings);
+                        kept.observer
+                    });
+                    let point = SweepPoint {
+                        policy: kind.label().to_string(),
+                        cache_fraction: point.fraction,
+                        capacity: db.scale(point.fraction),
+                        report: replay.report.clone(),
+                        warnings,
+                    };
+                    (point, observer)
+                })
+                .collect())
         };
         // The index only hands out job numbers; each job's data crosses
         // threads under its own mutex, so `Relaxed` suffices. Each number
-        // below the grid's size is handed out once, so each job runs once.
+        // below the job count is handed out once, so each job runs once.
+        let jobs: Vec<Mutex<Option<Job<O>>>> =
+            jobs.into_iter().map(|job| Mutex::new(Some(job))).collect();
         let next = AtomicUsize::new(0);
         let work = || {
             let mut done = Vec::new();
@@ -547,8 +580,8 @@ impl<'a> ReplaySession<'a> {
                 // Taking a job cannot panic, so a poisoned lock's data is
                 // still whole.
                 let job = slot.lock().unwrap_or_else(PoisonError::into_inner).take();
-                if let Some((kind, fraction, observer)) = job {
-                    done.push((i, run_job(kind, fraction, observer)));
+                if let Some(job) = job {
+                    done.push((job.first, run_job(job)));
                 }
             }
         };
@@ -563,8 +596,75 @@ impl<'a> ReplaySession<'a> {
                 .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
                 .collect()
         });
-        finished.sort_unstable_by_key(|&(i, _)| i);
-        finished.into_iter().map(|(_, result)| result).collect()
+        // In grid order, a merged job's points are contiguous from its
+        // first, so its error (every one of its points would have had the
+        // same) ranks where its first point's would.
+        finished.sort_unstable_by_key(|&(first, _)| first);
+        let mut points = Vec::new();
+        for (_, job) in finished {
+            points.extend(job?);
+        }
+        Ok(points)
+    }
+}
+
+/// One replay of a sweep: its kind, and the grid points it makes, from
+/// `first` on in grid order.
+struct Job<O> {
+    kind: PolicyKind,
+    first: usize,
+    points: Vec<GridPoint<O>>,
+}
+
+/// One grid point of a sweep job: its cache fraction and its observer.
+struct GridPoint<O> {
+    fraction: f64,
+    observer: Option<Kept<O>>,
+}
+
+/// A grid point's observer on its job's session. It forwards every hook
+/// and keeps the observer's warnings for the point's own
+/// [`SweepPoint::warnings`]: a merged job's session carries one per
+/// fraction, and its [`Replay::warnings`] would list every one of them
+/// at every point.
+struct Kept<O> {
+    observer: O,
+    warnings: Vec<String>,
+}
+
+impl<O> Kept<O> {
+    fn new(observer: O) -> Self {
+        Kept {
+            observer,
+            warnings: Vec::new(),
+        }
+    }
+}
+
+impl<O: Observer> Observer for Kept<O> {
+    fn on_query_start(&mut self, index: usize, query: &TraceQuery) {
+        self.observer.on_query_start(index, query);
+    }
+
+    fn on_access(&mut self, event: &crate::engine::CostEvent<'_>) {
+        self.observer.on_access(event);
+    }
+
+    fn on_query_end(&mut self, index: usize, query: &TraceQuery) {
+        self.observer.on_query_end(index, query);
+    }
+
+    fn finish(&mut self, policy: Option<&dyn CachePolicy>) {
+        self.observer.finish(policy);
+    }
+
+    fn wants_accesses(&self) -> bool {
+        self.observer.wants_accesses()
+    }
+
+    fn warnings(&mut self) -> Vec<String> {
+        self.warnings.extend(self.observer.warnings());
+        Vec::new()
     }
 }
 
@@ -611,6 +711,7 @@ mod tests {
     use crate::engine::{Breakdown, QueryWindow};
     use crate::faults::{FlakyLinks, LinkScoped, NoFaults, Outage, OutageWindows};
     use crate::network::{PerServerMultipliers, Uniform};
+    use crate::policies::policy_roster;
     use byc_catalog::sdss::{build, SdssRelease};
     use byc_catalog::Granularity;
     use byc_core::rate_profile::{RateProfile, RateProfileConfig};
@@ -1307,6 +1408,273 @@ mod tests {
                 .downcast_ref::<ProbePanic>()
                 .expect("the payload is the observer's own");
             assert_eq!(panic.0, format!("{}@0.3", PolicyKind::Lru.label()));
+        }
+    }
+
+    /// A grid point's observer standing in for the CLI's bundle:
+    /// telemetry (a digest of every event, and of the policy it finishes
+    /// with), spans (query boundaries only), windows, and a flight
+    /// recorder that keeps the first [`Bundle::RECORDED`] failing or
+    /// degraded queries and warns about the rest. A spans-only bundle
+    /// wants no per-access events.
+    struct Bundle {
+        label: String,
+        spans_only: bool,
+        telemetry: String,
+        spans: Vec<(usize, bool)>,
+        windows: Breakdown,
+        recorded: Vec<usize>,
+        truncated: usize,
+        troubled: bool,
+    }
+
+    impl Bundle {
+        const RECORDED: usize = 3;
+
+        fn new(kind: PolicyKind, fraction: f64) -> Self {
+            Bundle {
+                label: format!("{}@{fraction}", kind.label()),
+                spans_only: fraction == 0.3,
+                telemetry: String::new(),
+                spans: Vec::new(),
+                windows: Breakdown::every(64),
+                recorded: Vec::new(),
+                truncated: 0,
+                troubled: false,
+            }
+        }
+    }
+
+    impl Observer for Bundle {
+        fn on_query_start(&mut self, index: usize, query: &TraceQuery) {
+            self.spans.push((index, true));
+            self.windows.on_query_start(index, query);
+        }
+
+        fn on_access(&mut self, event: &crate::engine::CostEvent<'_>) {
+            use std::fmt::Write as _;
+            self.windows.on_access(event);
+            self.troubled |= event.window.failed_slices + event.window.degraded_slices > 0;
+            let _ = write!(
+                self.telemetry,
+                "{}/{}/{}/{:?}/{}/{};",
+                event.query,
+                event.tier,
+                event.access.object.raw(),
+                event.decision,
+                event.window.wan_cost().raw(),
+                event.policy.used().raw()
+            );
+        }
+
+        fn on_query_end(&mut self, index: usize, query: &TraceQuery) {
+            self.spans.push((index, false));
+            self.windows.on_query_end(index, query);
+            if std::mem::take(&mut self.troubled) {
+                match self.recorded.len() < Self::RECORDED {
+                    true => self.recorded.push(index),
+                    false => self.truncated += 1,
+                }
+            }
+        }
+
+        fn finish(&mut self, policy: Option<&dyn CachePolicy>) {
+            use std::fmt::Write as _;
+            if let Some(p) = policy {
+                let _ = write!(
+                    self.telemetry,
+                    "finish {} {}/{}",
+                    p.name(),
+                    p.used(),
+                    p.capacity()
+                );
+            }
+        }
+
+        fn wants_accesses(&self) -> bool {
+            !self.spans_only
+        }
+
+        fn warnings(&mut self) -> Vec<String> {
+            match self.truncated {
+                0 => Vec::new(),
+                n => vec![format!(
+                    "recorder {}: {n} more troubled queries",
+                    self.label
+                )],
+            }
+        }
+    }
+
+    /// What a bundle observed, for comparison.
+    fn observed(b: &Bundle) -> String {
+        format!(
+            "{} {} {:?} {:?} {:?} {}",
+            b.label,
+            b.telemetry,
+            b.spans,
+            b.windows.windows(),
+            b.recorded,
+            b.truncated
+        )
+    }
+
+    /// Grid point `(kind, fraction)` replayed on a session of its own,
+    /// as a sweep job replays it, with its own bundle.
+    #[allow(clippy::too_many_arguments)]
+    fn one_point(
+        trace: &ReplayTrace,
+        objects: &ObjectCatalog,
+        links: Links<'_>,
+        faults: Option<&FlakyLinks>,
+        demands: &[ObjectDemand],
+        kind: PolicyKind,
+        fraction: f64,
+    ) -> Result<(SweepPoint, Bundle)> {
+        let db = objects.total_size();
+        let mut policies: Vec<_> = links
+            .capacity_scales()
+            .iter()
+            .map(|s| build_policy(kind, db.scale(fraction * s), demands, 5))
+            .collect();
+        let mut bundle = Bundle::new(kind, fraction);
+        let mut session = ReplaySession::new(trace, objects);
+        session.links = links;
+        for p in policies.iter_mut() {
+            session = session.policy(p.as_mut());
+        }
+        if let Some(model) = faults {
+            session = session.faults(model).retry(RetryPolicy::new(3, 2));
+        }
+        let replay = session.observe(&mut bundle).run()?;
+        let point = SweepPoint {
+            policy: kind.label().to_string(),
+            cache_fraction: fraction,
+            capacity: db.scale(fraction),
+            report: replay.report,
+            warnings: replay.warnings,
+        };
+        Ok((point, bundle))
+    }
+
+    /// The roster's sweep on `workers` threads, with a bundle per point.
+    fn bundled_sweep(
+        trace: &ReplayTrace,
+        objects: &ObjectCatalog,
+        links: Links<'_>,
+        faults: Option<&FlakyLinks>,
+        demands: &[ObjectDemand],
+        workers: usize,
+    ) -> (Result<Vec<SweepPoint>>, Vec<Bundle>) {
+        let policies = policy_roster();
+        let make = |kind: PolicyKind, fraction: f64| Bundle::new(kind, fraction);
+        let mut bundles = Vec::new();
+        let options =
+            SweepOptions::new(&policies, &POOL_FRACTIONS, demands, 5).observe(&make, &mut bundles);
+        let mut session = ReplaySession::new(trace, objects);
+        session.links = links;
+        if let Some(model) = faults {
+            session = session.faults(model).retry(RetryPolicy::new(3, 2));
+        }
+        let points = session.sweep_on(options, workers);
+        (points, bundles)
+    }
+
+    /// A sweep, whose capacity-blind kinds replay once for all their
+    /// fractions, gives every roster kind on flat, two-tier and
+    /// three-tier links, clean and flaky, the points, per-point warnings
+    /// and observers that one run per point gives, in grid order.
+    #[test]
+    fn merged_jobs_equal_one_run_per_point() {
+        let (_, tainted, objects, _) = with_unknown_refs(Granularity::Column);
+        let trace = ReplayTrace::from_trace(&tainted, &objects);
+        let stats = WorkloadStats::of_replay(&trace, &objects);
+        let net = PerServerMultipliers::new(vec![1.0, 2.0]).unwrap();
+        let two = Topology::two_tier(0.25, Box::new(Uniform)).unwrap();
+        let three = Topology::three_tier(0.1, 0.25, Box::new(Uniform)).unwrap();
+        let flaky = FlakyLinks::new(3, 0.08, 0.1, 2.0);
+        let mut warned = 0;
+        for links in [
+            Links::Flat(&net),
+            Links::Tiered(&two),
+            Links::Tiered(&three),
+        ] {
+            for faults in [None, Some(&flaky)] {
+                let case = format!("{} faults {}", links.name(), faults.is_some());
+                let mut want = Vec::new();
+                let mut want_bundles = Vec::new();
+                for kind in policy_roster() {
+                    for fraction in POOL_FRACTIONS {
+                        let (point, bundle) = one_point(
+                            &trace,
+                            &objects,
+                            links,
+                            faults,
+                            &stats.demands,
+                            kind,
+                            fraction,
+                        )
+                        .unwrap();
+                        want.push(point);
+                        want_bundles.push(bundle);
+                    }
+                }
+                for workers in [1, 3] {
+                    let (points, bundles) =
+                        bundled_sweep(&trace, &objects, links, faults, &stats.demands, workers);
+                    let points = points.unwrap();
+                    assert_eq!(points.len(), want.len(), "{case}");
+                    for (have, want) in points.iter().zip(&want) {
+                        let at = format!("{case}, {} @ {}", want.policy, want.cache_fraction);
+                        assert_eq!(have.policy, want.policy, "{at}");
+                        assert_eq!(have.cache_fraction, want.cache_fraction, "{at}");
+                        assert_eq!(have.capacity, want.capacity, "{at}");
+                        assert_eq!(have.report, want.report, "{at}");
+                        assert_eq!(have.warnings, want.warnings, "{at}");
+                        let merged = PolicyKind::NoCache.label() == have.policy;
+                        warned += usize::from(merged && have.warnings.len() > 1);
+                    }
+                    assert_eq!(bundles.len(), want_bundles.len(), "{case}");
+                    for (have, want) in bundles.iter().zip(&want_bundles) {
+                        assert_eq!(observed(have), observed(want), "{case}, {workers} workers");
+                    }
+                }
+            }
+        }
+        // The recorder warned on merged points.
+        assert!(warned > 0);
+    }
+
+    /// A sweep's error is the first one in grid order that one run per
+    /// point meets, and no observer reaches the sink.
+    #[test]
+    fn a_sweep_error_is_the_first_in_grid_order() {
+        let (trace, columns) = setup(1, 50);
+        let tables = ObjectCatalog::uniform(&build(SdssRelease::Edr, 1e-3, 1), Granularity::Table);
+        let foreign = ReplayTrace::from_trace(&trace, &tables);
+        let stats = WorkloadStats::compute(&trace, &columns);
+        for workers in [1, 2] {
+            let (points, bundles) = bundled_sweep(
+                &foreign,
+                &columns,
+                Links::Flat(&crate::network::UNIFORM),
+                None,
+                &stats.demands,
+                workers,
+            );
+            let first = one_point(
+                &foreign,
+                &columns,
+                Links::Flat(&crate::network::UNIFORM),
+                None,
+                &stats.demands,
+                policy_roster()[0],
+                POOL_FRACTIONS[0],
+            );
+            let err = points.unwrap_err();
+            assert!(matches!(err, Error::InvalidConfig(_)), "{err:?}");
+            assert_eq!(Err::<(), _>(err), first.map(|_| ()));
+            assert!(bundles.is_empty());
         }
     }
 }

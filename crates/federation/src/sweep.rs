@@ -5,7 +5,7 @@
 //! [`ReplaySession`](crate::session::ReplaySession) — see
 //! [`ReplaySession::sweep`](crate::session::ReplaySession::sweep). It
 //! takes one [`SweepOptions`] value describing the whole
-//! (policy × cache-fraction) grid; per-job observers attach via
+//! (policy × cache-fraction) grid; per-point observers attach via
 //! [`SweepOptions::observe`] instead of a separate `sweep_with` entry
 //! point.
 
@@ -22,26 +22,26 @@ pub struct NoObserver;
 
 impl Observer for NoObserver {}
 
-/// Per-job observer wiring: a factory plus the sink the observers come
-/// back in (job order).
+/// Per-point observer wiring: a factory plus the sink the observers
+/// come back in (grid order).
 pub(crate) struct SweepObserve<'s, O> {
-    /// Called once per (policy, fraction) job, on the sweeping thread,
-    /// before the job's replay starts.
+    /// Called once per (policy, fraction) grid point, on the sweeping
+    /// thread, before any replay starts.
     pub(crate) make: &'s dyn Fn(PolicyKind, f64) -> O,
-    /// Receives each job's observer after its replay, in job order
+    /// Receives each point's observer after its replay, in grid order
     /// (policy-major, fraction-minor — matching the returned points).
     pub(crate) sink: &'s mut Vec<O>,
 }
 
 /// Everything a sweep replays: the (policy × cache-fraction) grid, the
 /// per-object demands (consulted by [`PolicyKind::Static`]), the policy
-/// seed, and optionally a per-job observer factory.
+/// seed, and optionally a per-point observer factory.
 ///
 /// One `validate()`-free options struct replaces the old four-positional
 /// `sweep(policies, fractions, demands, seed)` /
 /// `sweep_with(..., make_observer)` pair: construct with
 /// [`SweepOptions::new`], chain [`SweepOptions::observe`] to ride an
-/// observer on every job.
+/// observer on every grid point.
 ///
 /// ```text
 /// session.sweep(SweepOptions::new(&policies, &fractions, &demands, 7))?;
@@ -61,7 +61,7 @@ pub struct SweepOptions<'s, O: Observer + Send = NoObserver> {
 }
 
 impl<'s> SweepOptions<'s, NoObserver> {
-    /// A sweep over every (policy, fraction) pair, no per-job observers.
+    /// A sweep over every (policy, fraction) pair, no per-point observers.
     pub fn new(
         policies: &'s [PolicyKind],
         fractions: &'s [f64],
@@ -86,12 +86,15 @@ impl Default for SweepOptions<'_, NoObserver> {
 }
 
 impl<'s, O: Observer + Send> SweepOptions<'s, O> {
-    /// Ride one observer per (policy, fraction) job — the telemetry
-    /// seam for sweeps. `make` runs once per job on the sweeping thread
-    /// *before* the job's replay; the observer rides the job's worker
-    /// thread and lands in `sink` in job order (policy-major), so
-    /// callers can merge per-job metric snapshots deterministically
-    /// against the returned points.
+    /// Ride one observer per (policy, fraction) grid point — the
+    /// telemetry seam for sweeps. `make` runs once per point on the
+    /// sweeping thread *before* any replay; the observer rides the
+    /// replay that makes its point, on a worker thread, and lands in
+    /// `sink` in grid order (policy-major), so callers can merge
+    /// per-point metric snapshots deterministically against the returned
+    /// points. The points of a kind that
+    /// [ignores capacity](PolicyKind::ignores_capacity) share one replay,
+    /// so their observers see the same events.
     #[must_use]
     pub fn observe<P: Observer + Send>(
         self,
@@ -119,9 +122,10 @@ pub struct SweepPoint {
     pub capacity: Bytes,
     /// Full cost report of the replay.
     pub report: CostReport,
-    /// Observer warnings drained from the job's replay (parked
-    /// telemetry IO errors, flight-recorder truncation notes). Empty
-    /// for observer-free sweeps and clean runs.
+    /// The replay's warnings and those of this point's own observer
+    /// (unresolved trace references, parked telemetry IO errors,
+    /// flight-recorder truncation notes). Empty for observer-free sweeps
+    /// and clean runs.
     pub warnings: Vec<String>,
 }
 

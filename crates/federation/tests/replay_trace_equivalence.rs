@@ -8,10 +8,11 @@
 //! observers a query with only its id and total yield. For all 13
 //! policies, flat and three-tier, on clean links and on flaky links with
 //! retries, at both granularities, and on traces with unresolved
-//! references, three outputs must not differ: the `CostReport`, the
-//! windows of a `Breakdown`, and the telemetry JSON export. The
-//! unresolved-reference warning must be word for word the same on a run
-//! and on every sweep point.
+//! references, four outputs must not differ: the `CostReport`, the
+//! windows of a `Breakdown`, and the telemetry JSON and Prometheus
+//! exports. The unresolved-reference warning must be word for word the
+//! same on a run and on every sweep point. A kind that ignores capacity
+//! must replay alike at every cache size.
 
 mod oracle;
 
@@ -23,7 +24,7 @@ use byc_federation::{
     FaultPlan, FlakyLinks, NetworkModel, Observer, PerServerMultipliers, PolicyKind, ReplaySession,
     RetryPolicy, SweepOptions, Topology, Window,
 };
-use byc_telemetry::{json_snapshot, MetricsRegistry, TelemetryObserver};
+use byc_telemetry::{json_snapshot, prometheus_text, MetricsRegistry, TelemetryObserver};
 use byc_types::{Bytes, ColumnId, TableId};
 use byc_workload::{generate, ReplayTrace, Trace, TraceQuery, TraceReader, WorkloadConfig};
 use proptest::prelude::*;
@@ -125,6 +126,7 @@ struct Outputs {
     report: CostReport,
     windows: Vec<Window>,
     export: String,
+    prometheus: String,
 }
 
 /// A windowed breakdown and a telemetry observer riding one replay.
@@ -150,6 +152,7 @@ impl Lane {
             report,
             windows: self.windows.windows().to_vec(),
             export: json_snapshot(&registry).to_string(),
+            prometheus: prometheus_text(&registry),
         }
     }
 }
@@ -387,6 +390,80 @@ proptest! {
     ) {
         let granularity = if column { Granularity::Column } else { Granularity::Table };
         check(seed, fault_seed, granularity, taint);
+    }
+}
+
+/// Replays of every kind that [ignores capacity](PolicyKind::ignores_capacity),
+/// one session per cache size from a hundredth of the database to
+/// three times it, flat and three-tier, clean and flaky: reports,
+/// windows and both telemetry exports are the same at every size. A
+/// sweep replays such a kind once for all its sizes, so this is what
+/// lets it.
+fn capacity_blind_kinds_replay_alike(seed: u64, fault_seed: u64, granularity: Granularity) {
+    let (trace, catalog) = smoke(seed, 90, seed.is_multiple_of(2));
+    let objects = ObjectCatalog::uniform(&catalog, granularity);
+    let replay = ReplayTrace::from_trace(&trace, &objects);
+    let demands = byc_workload::WorkloadStats::compute(&trace, &objects).demands;
+    let network = PerServerMultipliers::new(vec![1.0, 3.0]).unwrap();
+    let topology = Topology::three_tier(0.1, 0.25, Box::new(network.clone())).unwrap();
+    let flaky = FlakyLinks::new(fault_seed, 0.15, 0.1, 4.0);
+    let faulted: Faults<'_> = Some((&flaky, RetryPolicy::new(2, 2), DegradationPolicy::Fail));
+    let db = objects.total_size();
+    let blind: Vec<PolicyKind> = ALL_POLICIES
+        .into_iter()
+        .filter(|k| k.ignores_capacity())
+        .collect();
+    assert_eq!(blind, [PolicyKind::NoCache]);
+    for kind in blind {
+        for links in [Links::Flat(&network), Links::Tiered(&topology)] {
+            for faults in [None, faulted] {
+                let replays: Vec<_> = [0.01, 0.1, 0.3, 1.0, 3.0]
+                    .into_iter()
+                    .map(|fraction| {
+                        let mut tiers: Vec<_> = links
+                            .scales()
+                            .iter()
+                            .map(|s| build_policy(kind, db.scale(fraction * s), &demands, seed))
+                            .collect();
+                        let mut lane = Lane::new();
+                        let mut session = links
+                            .configure(ReplaySession::new(&replay, &objects))
+                            .observe(&mut lane);
+                        for p in tiers.iter_mut() {
+                            session = session.policy(p.as_mut());
+                        }
+                        if let Some((model, retry, degradation)) = faults {
+                            session = session.faults(model).retry(retry).degrade(degradation);
+                        }
+                        let replay = session.run().unwrap();
+                        (lane.outputs(replay.report), replay.warnings)
+                    })
+                    .collect();
+                for other in &replays[1..] {
+                    assert_eq!(
+                        other,
+                        &replays[0],
+                        "{kind:?} {granularity:?} tiered {} faults {}",
+                        matches!(links, Links::Tiered(_)),
+                        faults.is_some()
+                    );
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    #[test]
+    fn capacity_blind_kinds_replay_alike_at_every_size(
+        seed in any::<u64>(),
+        fault_seed in any::<u64>(),
+        column in any::<bool>(),
+    ) {
+        let granularity = if column { Granularity::Column } else { Granularity::Table };
+        capacity_blind_kinds_replay_alike(seed, fault_seed, granularity);
     }
 }
 

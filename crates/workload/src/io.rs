@@ -16,7 +16,8 @@ use crate::trace::{Trace, TraceQuery};
 use byc_types::json::{Cursor, Value};
 use byc_types::{Bytes, ColumnId, Error, QueryId, Result, TableId};
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::Path;
 
 /// Current file-format version.
@@ -272,6 +273,31 @@ fn is_blank(line: &[u8]) -> bool {
     line.first() != Some(&b'{') && std::str::from_utf8(line).is_ok_and(|s| s.trim().is_empty())
 }
 
+/// Read the header line off `input` into `line` and check it.
+fn read_header(input: &mut impl BufRead, line: &mut Vec<u8>) -> Result<Header> {
+    if input.read_until(b'\n', line)? == 0 {
+        return Err(Error::TraceFormat("empty trace file".into()));
+    }
+    let header = decode_header(line).map_err(|e| Error::TraceFormat(format!("bad header: {e}")))?;
+    if header.format_version != FORMAT_VERSION {
+        return Err(Error::TraceFormat(format!(
+            "unsupported format version {} (expected {FORMAT_VERSION})",
+            header.format_version
+        )));
+    }
+    Ok(header)
+}
+
+/// The end-of-file check: the file held the queries its header promised.
+pub(crate) fn check_count(promised: usize, found: usize) -> Result<()> {
+    if promised != found {
+        return Err(Error::TraceFormat(format!(
+            "header promises {promised} queries, file has {found}"
+        )));
+    }
+    Ok(())
+}
+
 /// A streaming trace writer: the header (with the final query count)
 /// goes out first, then one query per [`TraceWriter::write`] call.
 /// Nothing is buffered beyond the `BufWriter` block, so
@@ -382,17 +408,7 @@ impl TraceReader {
     pub fn open(path: &Path) -> Result<Self> {
         let mut input = BufReader::new(File::open(path)?);
         let mut line = Vec::new();
-        if input.read_until(b'\n', &mut line)? == 0 {
-            return Err(Error::TraceFormat("empty trace file".into()));
-        }
-        let header =
-            decode_header(&line).map_err(|e| Error::TraceFormat(format!("bad header: {e}")))?;
-        if header.format_version != FORMAT_VERSION {
-            return Err(Error::TraceFormat(format!(
-                "unsupported format version {} (expected {FORMAT_VERSION})",
-                header.format_version
-            )));
-        }
+        let header = read_header(&mut input, &mut line)?;
         Ok(Self {
             input,
             line,
@@ -455,12 +471,7 @@ impl TraceReader {
             self.line.clear();
             if self.input.read_until(b'\n', &mut self.line)? == 0 {
                 self.finished = true;
-                if self.delivered != self.query_count {
-                    return Err(Error::TraceFormat(format!(
-                        "header promises {} queries, file has {}",
-                        self.query_count, self.delivered
-                    )));
-                }
+                check_count(self.query_count, self.delivered)?;
                 break;
             }
             self.line_no += 1;
@@ -474,6 +485,115 @@ impl TraceReader {
             return Ok(Some(&self.slot));
         }
         Ok(None)
+    }
+}
+
+/// A trace file read in byte ranges, each through its own file handle,
+/// so that several threads can decode one file: the header, and the
+/// bytes its query lines occupy. A line belongs to the range its first
+/// byte is in, so ranges that partition the body partition its lines.
+pub(crate) struct TraceFile<'p> {
+    path: &'p Path,
+    /// The trace name from the header.
+    pub(crate) name: String,
+    /// The query count the header promises.
+    pub(crate) query_count: usize,
+    /// Where the query lines are: from just past the header line to the
+    /// end of the file.
+    pub(crate) body: Range<u64>,
+}
+
+impl<'p> TraceFile<'p> {
+    /// Open `path` and check its header, as [`TraceReader::open`] does.
+    ///
+    /// # Errors
+    ///
+    /// Exactly [`TraceReader::open`]'s.
+    pub(crate) fn open(path: &'p Path) -> Result<Self> {
+        let mut input = BufReader::new(File::open(path)?);
+        let mut line = Vec::new();
+        let header = read_header(&mut input, &mut line)?;
+        let end = input.get_ref().metadata()?.len();
+        let start = u64::try_from(line.len()).unwrap_or(u64::MAX).min(end);
+        Ok(Self {
+            path,
+            name: header.name,
+            query_count: header.query_count,
+            body: start..end,
+        })
+    }
+
+    /// Decode, in file order, each query line whose first byte is in
+    /// `range` (a line may run past its end), and hand every query to
+    /// `each` from one reused slot. Blank lines are skipped, as
+    /// [`TraceReader`] skips them. Returns the number of queries.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors; [`Error::TraceFormat`] on the first malformed line,
+    /// naming it by its line number in the whole file, with the text
+    /// [`TraceReader`] gives the same line.
+    pub(crate) fn decode_range(
+        &self,
+        range: Range<u64>,
+        mut each: impl FnMut(&TraceQuery),
+    ) -> Result<usize> {
+        if range.start >= range.end {
+            return Ok(0);
+        }
+        // A line starts at `range.start` only if the byte before it ends
+        // the line before, so reading resumes one byte early and drops
+        // everything up to the first newline.
+        let mut at = range.start.saturating_sub(1).max(self.body.start);
+        let mut file = File::open(self.path)?;
+        file.seek(SeekFrom::Start(at))?;
+        let mut input = BufReader::new(file);
+        let mut line = Vec::new();
+        if at < range.start {
+            at += u64::try_from(input.read_until(b'\n', &mut line)?).unwrap_or(u64::MAX);
+        }
+        let mut slot = TraceQuery::default();
+        let mut key = String::new();
+        let mut decoded = 0;
+        while at < range.end {
+            line.clear();
+            let read = input.read_until(b'\n', &mut line)?;
+            if read == 0 {
+                break;
+            }
+            let start = at;
+            at += u64::try_from(read).unwrap_or(u64::MAX);
+            if is_blank(&line) {
+                continue;
+            }
+            if let Err(e) = decode_line(&line, &mut slot, &mut key) {
+                return Err(Error::TraceFormat(format!(
+                    "bad query on line {}: {e}",
+                    self.line_at(start)?
+                )));
+            }
+            decoded += 1;
+            each(&slot);
+        }
+        Ok(decoded)
+    }
+
+    /// The 1-based number of the line that starts at byte `offset`: one
+    /// more than the newlines before it. Read off the file only for an
+    /// error message.
+    #[cold]
+    fn line_at(&self, offset: u64) -> Result<usize> {
+        let mut input = BufReader::new(File::open(self.path)?.take(offset));
+        let mut newlines = 0;
+        loop {
+            let buf = input.fill_buf()?;
+            if buf.is_empty() {
+                return Ok(newlines + 1);
+            }
+            newlines += buf.iter().filter(|&&b| b == b'\n').count();
+            let read = buf.len();
+            input.consume(read);
+        }
     }
 }
 

@@ -16,17 +16,28 @@
 //! without resolving anything again. A resident `TraceQuery` also owns
 //! its SQL text, data keys, table and column lists and the other
 //! granularity's yields, six heap blocks in all; a replay trace keeps one
-//! entry per query and one per slice in two flat vectors.
+//! entry per query and one per slice in flat vectors.
 //!
-//! A replay trace is filled from a file ([`ReplayTrace::read`], through
-//! the reader's one reused query slot, so every member of every line is
-//! still checked), from a resident [`Trace`] ([`ReplayTrace::from_trace`]),
-//! or a chunk at a time off a [`TraceReader`] ([`ReplayTrace::refill`]).
+//! A replay trace is filled from a file ([`ReplayTrace::read`], every
+//! member of every line still checked), from a resident [`Trace`]
+//! ([`ReplayTrace::from_trace`]), or a chunk at a time off a
+//! [`TraceReader`] ([`ReplayTrace::refill`]).
+//!
+//! The queries are kept in *runs*, each with its own query and slice
+//! vectors, iterated in order. [`ReplayTrace::read`] splits the file
+//! after its header into one byte range per core and decodes each range
+//! on its own thread into its own run; every other way of filling a
+//! replay trace makes one run. The runs stay separate rather than being
+//! joined, which would hold two copies of every slice at once, and two
+//! replay traces are equal when their queries are, wherever their runs
+//! break.
 
-use crate::io::TraceReader;
+use crate::io::{check_count, TraceFile, TraceReader};
 use crate::trace::{Trace, TraceQuery};
 use byc_catalog::{Granularity, ObjectCatalog};
 use byc_types::{Bytes, ObjectId, QueryId, Result};
+use std::num::NonZeroUsize;
+use std::ops::Range;
 use std::path::Path;
 
 /// Trace references that name no object of the catalog: a replay skips
@@ -109,21 +120,53 @@ pub struct ReplayQuery {
     pub id: QueryId,
     /// Total result size on the wire, unresolved references included.
     pub total_yield: Bytes,
-    /// End of the query's run in [`ReplayTrace::slices`]; the run starts
-    /// where the previous query's ends.
+    /// End of the query's slices in its run; they start where the
+    /// previous query's end.
     end: usize,
+}
+
+/// Consecutive queries of a replay trace, with their slices.
+#[derive(Clone, Debug, Default)]
+struct Run {
+    queries: Vec<ReplayQuery>,
+    slices: Vec<(ObjectId, Bytes)>,
+}
+
+impl Run {
+    /// Append one query, resolving its references against `objects`;
+    /// returns the references that named no object.
+    fn push(&mut self, query: &TraceQuery, objects: &ObjectCatalog) -> Unresolved {
+        let skipped = for_each_slice(query, objects, |object, raw_yield| {
+            self.slices.push((object, raw_yield));
+        });
+        self.queries.push(ReplayQuery {
+            id: query.id,
+            total_yield: query.total_yield,
+            end: self.slices.len(),
+        });
+        skipped
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (&ReplayQuery, &[(ObjectId, Bytes)])> + '_ {
+        let mut start = 0;
+        self.queries.iter().map(move |query| {
+            let slices = self.slices.get(start..query.end).unwrap_or_default();
+            start = query.end;
+            (query, slices)
+        })
+    }
 }
 
 /// A trace reduced to what a replay reads, resolved against one object
 /// catalog (see the module docs).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub struct ReplayTrace {
     name: String,
     granularity: Granularity,
     /// Objects in the catalog the slices were resolved against.
     object_count: usize,
-    queries: Vec<ReplayQuery>,
-    slices: Vec<(ObjectId, Bytes)>,
+    /// The queries, in trace order.
+    runs: Vec<Run>,
     unresolved: Unresolved,
 }
 
@@ -134,8 +177,7 @@ impl ReplayTrace {
             name: name.to_string(),
             granularity: objects.granularity(),
             object_count: objects.len(),
-            queries: Vec::new(),
-            slices: Vec::new(),
+            runs: Vec::new(),
             unresolved: Unresolved::default(),
         }
     }
@@ -143,31 +185,102 @@ impl ReplayTrace {
     /// `trace`'s queries, resolved against `objects`.
     pub fn from_trace(trace: &Trace, objects: &ObjectCatalog) -> Self {
         let mut replay = Self::new(&trace.name, objects);
-        replay.queries.reserve_exact(trace.len());
+        let mut run = Run::default();
+        run.queries.reserve_exact(trace.len());
         for query in &trace.queries {
-            replay.push(query, objects);
+            replay.unresolved.add(run.push(query, objects));
         }
+        replay.runs.push(run);
         replay
     }
 
-    /// Read a trace file straight into a replay trace: every line is
-    /// decoded and checked as [`crate::io::read_trace`] decodes and checks
-    /// it, into the reader's one reused slot, and only the slot's replay
-    /// view is kept. No [`Trace`] is built.
+    /// Read a trace file straight into a replay trace, on one thread per
+    /// core (see the module docs). Every line is decoded and checked as
+    /// [`crate::io::read_trace`] decodes and checks it, and only each
+    /// query's replay view is kept. No [`Trace`] is built.
     ///
     /// # Errors
     ///
     /// Exactly the errors [`crate::io::read_trace`] returns on the same
     /// file, with the same text.
     pub fn read(path: &Path, objects: &ObjectCatalog) -> Result<Self> {
-        let mut reader = TraceReader::open(path)?;
-        let mut replay = Self::new(reader.name(), objects);
-        replay
-            .queries
-            .reserve_exact(reader.query_count().min(1 << 20));
-        while let Some(query) = reader.decode_next()? {
-            replay.push(query, objects);
+        let workers = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        Self::read_on(path, objects, workers)
+    }
+
+    /// [`Self::read`] on `workers` byte ranges of (nearly) equal length.
+    pub(crate) fn read_on(path: &Path, objects: &ObjectCatalog, workers: usize) -> Result<Self> {
+        let workers = workers.max(1);
+        Self::read_split(path, objects, |body| {
+            let len = u128::from(body.end - body.start);
+            let count = u128::try_from(workers).unwrap_or(1);
+            (0..=workers)
+                .map(|i| {
+                    let step = u128::try_from(i).unwrap_or(0) * len / count;
+                    body.start + u64::try_from(step).unwrap_or(0)
+                })
+                .collect()
+        })
+    }
+
+    /// [`Self::read`] with the query lines split at the byte offsets
+    /// `cuts(body)` returns, ascending from the body's start to its end:
+    /// each range between two cuts is decoded into a run of its own, the
+    /// first on this thread, every other on a scoped thread. The first
+    /// error in file order wins, and the header's query count is checked
+    /// once every range is in.
+    fn read_split(
+        path: &Path,
+        objects: &ObjectCatalog,
+        cuts: impl FnOnce(Range<u64>) -> Vec<u64>,
+    ) -> Result<Self> {
+        let file = TraceFile::open(path)?;
+        let body = file.body.clone();
+        let ranges: Vec<Range<u64>> = cuts(body.clone())
+            .windows(2)
+            .filter_map(|pair| match *pair {
+                [start, end] => Some(start..end),
+                _ => None,
+            })
+            .collect();
+        let promised = u128::try_from(file.query_count.min(1 << 20)).unwrap_or(0);
+        let decode = |range: Range<u64>| -> Result<(Run, Unresolved, usize)> {
+            // Reserve this range's share of the promised queries, and a
+            // little over: a run that outgrows its reservation doubles.
+            let share = promised * u128::from(range.end - range.start)
+                / u128::from((body.end - body.start).max(1));
+            let share = usize::try_from(share + share / 16 + 16).unwrap_or(0);
+            let mut run = Run::default();
+            run.queries.reserve_exact(share.min(file.query_count));
+            let mut unresolved = Unresolved::default();
+            let decoded = file.decode_range(range, |query| {
+                unresolved.add(run.push(query, objects));
+            })?;
+            Ok((run, unresolved, decoded))
+        };
+        let results: Vec<_> = std::thread::scope(|scope| {
+            let mut ranges = ranges.into_iter();
+            let first = ranges.next();
+            let handles: Vec<_> = ranges.map(|r| scope.spawn(move || decode(r))).collect();
+            first
+                .map(decode)
+                .into_iter()
+                .chain(
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e))),
+                )
+                .collect()
+        });
+        let mut replay = Self::new(&file.name, objects);
+        let mut decoded = 0;
+        for result in results {
+            let (run, unresolved, count) = result?;
+            replay.runs.push(run);
+            replay.unresolved.add(unresolved);
+            decoded += count;
         }
+        check_count(file.query_count, decoded)?;
         Ok(replay)
     }
 
@@ -187,30 +300,26 @@ impl ReplayTrace {
         objects: &ObjectCatalog,
         max: usize,
     ) -> Result<()> {
-        self.queries.clear();
-        self.slices.clear();
+        let mut run = std::mem::take(&mut self.runs)
+            .into_iter()
+            .next()
+            .unwrap_or_default();
+        run.queries.clear();
+        run.slices.clear();
         self.unresolved = Unresolved::default();
+        let mut filled = Ok(());
         for _ in 0..max.max(1) {
-            let Some(query) = reader.decode_next()? else {
-                break;
-            };
-            self.push(query, objects);
+            match reader.decode_next() {
+                Ok(Some(query)) => self.unresolved.add(run.push(query, objects)),
+                Ok(None) => break,
+                Err(e) => {
+                    filled = Err(e);
+                    break;
+                }
+            }
         }
-        Ok(())
-    }
-
-    /// Append one query, resolving its references against `objects`,
-    /// which must be the catalog this trace was made for.
-    fn push(&mut self, query: &TraceQuery, objects: &ObjectCatalog) {
-        let skipped = for_each_slice(query, objects, |object, raw_yield| {
-            self.slices.push((object, raw_yield));
-        });
-        self.unresolved.add(skipped);
-        self.queries.push(ReplayQuery {
-            id: query.id,
-            total_yield: query.total_yield,
-            end: self.slices.len(),
-        });
+        self.runs.push(run);
+        filled
     }
 
     /// The trace's name.
@@ -227,40 +336,49 @@ impl ReplayTrace {
 
     /// Number of queries.
     pub fn len(&self) -> usize {
-        self.queries.len()
+        self.runs.iter().map(|run| run.queries.len()).sum()
     }
 
     /// True iff the trace has no queries.
     pub fn is_empty(&self) -> bool {
-        self.queries.is_empty()
+        self.runs.iter().all(|run| run.queries.is_empty())
     }
 
     /// Every slice of every query, in trace order.
-    pub fn slices(&self) -> &[(ObjectId, Bytes)] {
-        &self.slices
+    pub fn slices(&self) -> impl Iterator<Item = (ObjectId, Bytes)> + '_ {
+        self.runs.iter().flat_map(|run| run.slices.iter().copied())
     }
 
     /// The queries in order, each with its slices.
     pub fn iter(&self) -> impl Iterator<Item = (&ReplayQuery, &[(ObjectId, Bytes)])> + '_ {
-        let mut start = 0;
-        self.queries.iter().map(move |query| {
-            let run = self.slices.get(start..query.end).unwrap_or_default();
-            start = query.end;
-            (query, run)
-        })
+        self.runs.iter().flat_map(Run::iter)
     }
 
     /// The references that resolved to no object, over every query.
     pub fn unresolved(&self) -> Unresolved {
         self.unresolved
     }
+}
 
-    /// The *sequence cost*: total result bytes shipped when every query
-    /// is evaluated at the servers, as [`Trace::sequence_cost`].
-    pub fn sequence_cost(&self) -> Bytes {
-        self.queries.iter().map(|q| q.total_yield).sum()
+impl PartialEq for ReplayTrace {
+    /// Equal names, catalog views, unresolved counts, and queries with
+    /// equal ids, yields and slices, in the same order: where the runs
+    /// break does not matter.
+    fn eq(&self, other: &Self) -> bool {
+        fn content(
+            t: &ReplayTrace,
+        ) -> impl Iterator<Item = (QueryId, Bytes, &[(ObjectId, Bytes)])> {
+            t.iter().map(|(q, slices)| (q.id, q.total_yield, slices))
+        }
+        self.name == other.name
+            && self.granularity == other.granularity
+            && self.object_count == other.object_count
+            && self.unresolved == other.unresolved
+            && content(self).eq(content(other))
     }
 }
+
+impl Eq for ReplayTrace {}
 
 #[cfg(test)]
 mod tests {
@@ -285,7 +403,8 @@ mod tests {
             assert_eq!(replay.name(), trace.name);
             assert!(replay.fits(&objects));
             assert_eq!(replay.unresolved(), Unresolved::default());
-            assert_eq!(replay.sequence_cost(), trace.sequence_cost());
+            let total: Bytes = replay.iter().map(|(q, _)| q.total_yield).sum();
+            assert_eq!(total, trace.sequence_cost());
             for ((query, run), original) in replay.iter().zip(&trace.queries) {
                 assert_eq!(query.id, original.id);
                 assert_eq!(query.total_yield, original.total_yield);
@@ -340,18 +459,322 @@ mod tests {
                     break;
                 }
                 assert!(chunk.len() <= max);
-                for (query, run) in chunk.iter() {
-                    let start = joined.slices.len();
-                    joined.slices.extend_from_slice(run);
-                    joined.queries.push(ReplayQuery {
-                        end: start + run.len(),
-                        ..*query
-                    });
-                }
+                assert_eq!(chunk.runs.len(), 1);
+                joined.runs.extend(chunk.runs.iter().cloned());
+                joined.unresolved.add(chunk.unresolved());
             }
+            assert!(joined.runs.len() > 1 || max == 1000);
             assert_eq!(joined, converted, "chunk size {max}");
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Equality is the queries', wherever the runs break.
+    #[test]
+    fn equality_ignores_run_boundaries() {
+        let (trace, objects) = setup(Granularity::Column);
+        let whole = ReplayTrace::from_trace(&trace, &objects);
+        let mut split = ReplayTrace::new(&trace.name, &objects);
+        for part in trace.queries.chunks(70) {
+            let mut run = Run::default();
+            for query in part {
+                split.unresolved.add(run.push(query, &objects));
+            }
+            split.runs.push(run);
+        }
+        assert_eq!(split.runs.len(), 5);
+        assert_eq!(split, whole);
+        assert_eq!(split.len(), whole.len());
+        assert_eq!(split.slices().count(), whole.slices().count());
+        // One query fewer, or one slice moved to the next query, is not
+        // the same trace.
+        split.runs[4].queries.pop();
+        assert_ne!(split, whole);
+        let mut moved = ReplayTrace::from_trace(&trace, &objects);
+        moved.runs[0].queries[0].end -= 1;
+        assert_ne!(moved, whole);
+    }
+
+    /// A scratch file holding `bytes`, removed on drop.
+    struct Scratch(std::path::PathBuf);
+
+    impl Scratch {
+        fn new(name: &str, bytes: &[u8]) -> Self {
+            static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+            let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let path = std::env::temp_dir().join(format!(
+                "byc-replay-split-{}-{n}-{name}.jsonl",
+                std::process::id()
+            ));
+            std::fs::write(&path, bytes).unwrap();
+            Scratch(path)
+        }
+    }
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            std::fs::remove_file(&self.0).ok();
+        }
+    }
+
+    /// What `read_trace` makes of the file at `path`: its conversion, or
+    /// its error text.
+    fn serial(path: &Path, objects: &ObjectCatalog) -> std::result::Result<ReplayTrace, String> {
+        crate::io::read_trace(path)
+            .map(|trace| ReplayTrace::from_trace(&trace, objects))
+            .map_err(|e| e.to_string())
+    }
+
+    /// Read `bytes` on 1 to 8 workers, each read equal to `read_trace`'s;
+    /// returns that.
+    fn reads_alike(
+        name: &str,
+        bytes: &[u8],
+        objects: &ObjectCatalog,
+    ) -> std::result::Result<ReplayTrace, String> {
+        let file = Scratch::new(name, bytes);
+        let expected = serial(&file.0, objects);
+        for workers in 1..=8 {
+            let read = ReplayTrace::read_on(&file.0, objects, workers).map_err(|e| e.to_string());
+            assert_eq!(read, expected, "{name} on {workers} workers");
+            if let Ok(read) = read {
+                let runs = read.runs.len();
+                assert_eq!(runs, workers, "{name}: one run per range");
+            }
+        }
+        expected
+    }
+
+    /// The smoke trace as written: its header line and its query lines,
+    /// each with its newline.
+    fn written(objects: &ObjectCatalog) -> (Vec<u8>, Vec<Vec<u8>>, ReplayTrace) {
+        let cat = build(SdssRelease::Edr, 1e-3, 2);
+        let trace = generate(&cat, &WorkloadConfig::smoke(61, 40)).unwrap();
+        let file = Scratch::new("written", b"");
+        write_trace(&trace, &file.0).unwrap();
+        let text = std::fs::read(&file.0).unwrap();
+        let mut lines = text.split_inclusive(|&b| b == b'\n').map(<[u8]>::to_vec);
+        let header = lines.next().unwrap();
+        (
+            header,
+            lines.collect(),
+            ReplayTrace::from_trace(&trace, objects),
+        )
+    }
+
+    #[test]
+    fn split_reads_equal_the_serial_reader() {
+        let (_, objects) = setup(Granularity::Column);
+        let (header, lines, converted) = written(&objects);
+        let plain: Vec<u8> = [header.clone()]
+            .iter()
+            .chain(&lines)
+            .flatten()
+            .copied()
+            .collect();
+        assert_eq!(
+            reads_alike("plain", &plain, &objects),
+            Ok(converted.clone())
+        );
+
+        let crlf: Vec<u8> = plain.iter().fold(Vec::new(), |mut out, &b| {
+            if b == b'\n' {
+                out.push(b'\r');
+            }
+            out.push(b);
+            out
+        });
+        assert_eq!(reads_alike("crlf", &crlf, &objects), Ok(converted.clone()));
+
+        let mut blank = header.clone();
+        for (i, line) in lines.iter().enumerate() {
+            if i % 7 == 0 {
+                blank.extend_from_slice(" \t\r\n".as_bytes());
+            }
+            blank.extend_from_slice(line);
+            if i % 5 == 2 {
+                blank.extend_from_slice("\u{3000}\n\n".as_bytes());
+            }
+        }
+        assert_eq!(
+            reads_alike("blank", &blank, &objects),
+            Ok(converted.clone())
+        );
+
+        let unterminated = &plain[..plain.len() - 1];
+        assert_eq!(
+            reads_alike("unterminated", unterminated, &objects),
+            Ok(converted)
+        );
+
+        let count = lines.len();
+        let promise = |n: usize| {
+            let text = String::from_utf8(header.clone()).unwrap();
+            text.replace(
+                &format!("\"query_count\":{count}"),
+                &format!("\"query_count\":{n}"),
+            )
+            .into_bytes()
+        };
+        for (name, n) in [("short", count + 1), ("long", count - 1)] {
+            let bytes: Vec<u8> = [promise(n)]
+                .iter()
+                .chain(&lines)
+                .flatten()
+                .copied()
+                .collect();
+            let err = reads_alike(name, &bytes, &objects).unwrap_err();
+            assert!(
+                err.ends_with(&format!("header promises {n} queries, file has {count}")),
+                "{err}"
+            );
+        }
+        for (name, bytes) in [
+            ("header-only", promise(0)),
+            (
+                "header-unterminated",
+                promise(0)[..header.len() - 1].to_vec(),
+            ),
+            ("header-blank", [promise(0), b"\n \n".to_vec()].concat()),
+        ] {
+            let empty = reads_alike(name, &bytes, &objects).unwrap();
+            assert!(empty.is_empty(), "{name}");
+        }
+        let err = reads_alike("header-short", &promise(2), &objects).unwrap_err();
+        assert!(
+            err.ends_with("header promises 2 queries, file has 0"),
+            "{err}"
+        );
+        assert!(reads_alike("empty", b"", &objects).is_err());
+    }
+
+    /// A malformed line in any range is refused under its line number in
+    /// the whole file, and the first one in the file wins.
+    #[test]
+    fn a_malformed_line_in_each_range_names_its_line() {
+        let (_, objects) = setup(Granularity::Table);
+        let (header, lines, _) = written(&objects);
+        // Blank lines shift line numbers away from query indexes.
+        let mut all = vec![header.clone()];
+        for (i, line) in lines.iter().enumerate() {
+            all.push(line.clone());
+            if i % 3 == 0 {
+                all.push(b"\r\n".to_vec());
+            }
+        }
+        let starts: Vec<u64> = all
+            .iter()
+            .scan(0u64, |at, line| {
+                let start = *at;
+                *at += line.len() as u64;
+                Some(start)
+            })
+            .collect();
+        let len: u64 = all.iter().map(|l| l.len() as u64).sum();
+        let body = header.len() as u64;
+        for workers in 1..=8u64 {
+            for range in 0..workers {
+                let from = body + range * (len - body) / workers;
+                let to = body + (range + 1) * (len - body) / workers;
+                // The last query line that starts in this range.
+                let Some(bad) = (1..all.len())
+                    .rev()
+                    .find(|&i| (from..to).contains(&starts[i]) && all[i].len() > 2)
+                else {
+                    continue;
+                };
+                let mut bytes = all.clone();
+                bytes[bad][0] = b'x';
+                let bytes: Vec<u8> = bytes.concat();
+                let file = Scratch::new("malformed", &bytes);
+                let want = serial(&file.0, &objects).unwrap_err();
+                assert!(
+                    want.starts_with(&format!(
+                        "trace format error: bad query on line {}: ",
+                        bad + 1
+                    )),
+                    "{want}"
+                );
+                let have =
+                    ReplayTrace::read_on(&file.0, &objects, usize::try_from(workers).unwrap());
+                assert_eq!(
+                    have.map_err(|e| e.to_string()),
+                    Err(want),
+                    "range {range} of {workers}"
+                );
+            }
+        }
+        // Two malformed lines in different ranges: the first in the file
+        // is the one named.
+        let mut bytes = all.clone();
+        bytes[2][0] = b'x';
+        let last = bytes.len() - 1;
+        bytes[last][0] = b'x';
+        let bytes = bytes.concat();
+        let err = reads_alike("two-bad", &bytes, &objects).unwrap_err();
+        assert!(err.contains("bad query on line 3: "), "{err}");
+    }
+
+    /// Cut a small file's query lines in two at every byte offset, and in
+    /// three around every offset: each split reads as the serial reader
+    /// does, with CRLF endings, blank lines and a U+3000 line.
+    #[test]
+    fn a_range_boundary_at_every_byte_offset() {
+        let (_, objects) = setup(Granularity::Column);
+        let (header, lines, converted) = written(&objects);
+        let mut bytes = header.clone();
+        for (i, line) in lines.iter().take(4).enumerate() {
+            let mut line = line.clone();
+            line.insert(line.len() - 1, b'\r');
+            bytes.extend_from_slice(&line);
+            if i == 1 {
+                bytes.extend_from_slice("\n\u{3000}\n \r\n".as_bytes());
+            }
+        }
+        let text = String::from_utf8(bytes).unwrap().replace(
+            &format!("\"query_count\":{}", lines.len()),
+            "\"query_count\":4",
+        );
+        let header_len = text.find('\n').unwrap() + 1;
+        let mut bad = text.clone().into_bytes();
+        // The first byte of the second query line, CR included.
+        bad[header_len + lines[0].len() + 1] = b'!';
+        for (name, bytes) in [("small", text.into_bytes()), ("small-bad", bad)] {
+            let file = Scratch::new(name, &bytes);
+            let want = serial(&file.0, &objects);
+            if name == "small" {
+                let first_four: Vec<_> = converted.iter().take(4).collect();
+                let read = want.as_ref().unwrap();
+                assert_eq!(read.iter().collect::<Vec<_>>(), first_four);
+            } else {
+                assert!(want.as_ref().unwrap_err().contains("line 3"), "{want:?}");
+            }
+            let body = header_len as u64..bytes.len() as u64;
+            for cut in body.clone() {
+                let halves = ReplayTrace::read_split(&file.0, &objects, |b| {
+                    assert_eq!(b, body);
+                    vec![b.start, cut, b.end]
+                });
+                assert_eq!(
+                    halves.map_err(|e| e.to_string()),
+                    want,
+                    "{name} cut at {cut}"
+                );
+                let thirds = ReplayTrace::read_split(&file.0, &objects, |b| {
+                    vec![
+                        b.start,
+                        cut.saturating_sub(1).max(b.start),
+                        (cut + 2).min(b.end),
+                        b.end,
+                    ]
+                });
+                assert_eq!(
+                    thirds.map_err(|e| e.to_string()),
+                    want,
+                    "{name} cuts around {cut}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@ impl WorkloadStats {
     /// made from.
     pub fn of_replay(trace: &ReplayTrace, objects: &ObjectCatalog) -> Self {
         let mut yields = vec![Bytes::ZERO; objects.len()];
-        for &(o, y) in trace.slices() {
+        for (o, y) in trace.slices() {
             add(&mut yields, o, y);
         }
         Self::of_yields(objects, &yields)
