@@ -189,6 +189,22 @@ fn walk_calls(trees: &[Tree], out: &mut Vec<CallRef>) {
     }
 }
 
+/// True when `trees` is exactly `..`, the full range.
+fn is_full_range(trees: &[Tree]) -> bool {
+    match trees {
+        [Tree::Leaf(first), Tree::Leaf(second)] => {
+            matches!(
+                first.kind,
+                TokenKind::Punct {
+                    ch: '.',
+                    joint: true
+                }
+            ) && second.kind.is_punct('.')
+        }
+        _ => false,
+    }
+}
+
 /// Find every potential panic site in `body`, recursively.
 pub fn panic_sites_in(body: &Group) -> Vec<PanicSite> {
     let mut out = Vec::new();
@@ -202,8 +218,9 @@ fn walk_panics(trees: &[Tree], out: &mut Vec<PanicSite>) {
         match tree {
             Tree::Group(g) => {
                 // Index expression: a bracket group directly after an
-                // expression-ending token.
-                if g.delim == Delim::Bracket {
+                // expression-ending token. A full range `[..]` takes any
+                // slice whole and cannot panic.
+                if g.delim == Delim::Bracket && !is_full_range(&g.trees) {
                     if let Some(prev) = i.checked_sub(1).and_then(|j| trees.get(j)) {
                         let indexable = match prev {
                             Tree::Leaf(t) => match &t.kind {
@@ -517,6 +534,33 @@ mod tests {
             .filter(|s| s.kind == PanicKind::Index)
             .collect();
         assert_eq!(idx.len(), 3, "x[i], items[j], f()[0]: {sites:?}");
+    }
+
+    /// A full range takes a slice whole and cannot panic; a range with
+    /// either end, and a plain index, can.
+    #[test]
+    fn full_range_is_no_index_site() {
+        let body = body_of(
+            "fn f() { let a = &x[..]; g(&[1, 2][..]); let b = &x[i..]; let c = &x[..n]; \
+             let d = x[i]; let e = &x[..=n]; let f = &x[i..j]; }",
+        );
+        let sites = panic_sites_in(&body);
+        let idx: Vec<&str> = sites
+            .iter()
+            .filter(|s| s.kind == PanicKind::Index)
+            .map(|s| s.what.as_str())
+            .collect();
+        assert_eq!(idx.len(), 5, "{idx:?}");
+        assert!(!idx.iter().any(|w| w.replace(' ', "") == "[..]"), "{idx:?}");
+        for flagged in ["i..", "..n", "i", "..=n", "i..j"] {
+            assert!(
+                idx.iter()
+                    .any(|w| w.replace(' ', "") == format!("[{flagged}]")),
+                "{flagged}: {idx:?}"
+            );
+        }
+        // Alone in a body, a full range makes no site at all.
+        assert!(panic_sites_in(&body_of("fn f() { h(&v[..]) }")).is_empty());
     }
 
     #[test]

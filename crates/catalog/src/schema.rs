@@ -2,6 +2,76 @@
 
 use byc_types::{Bytes, ColumnId, Error, Result, ServerId, TableId};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// The hash of the catalog's name maps: a multiply-rotate over eight
+/// bytes at a time from a fixed seed. Names are few and short, and the
+/// catalog's own, so SipHash's keyed resistance to chosen collisions
+/// buys nothing there and costs a name lookup on every column a query
+/// references; a fixed seed also makes the maps the same in every run.
+#[derive(Clone, Copy, Debug)]
+struct NameHasher {
+    hash: u64,
+}
+
+/// An odd multiplier with well-spread bits (the golden-ratio constant),
+/// also the seed.
+const NAME_MULTIPLIER: u64 = 0x9e37_79b9_7f4a_7c15;
+
+impl Default for NameHasher {
+    fn default() -> Self {
+        Self {
+            hash: NAME_MULTIPLIER,
+        }
+    }
+}
+
+impl NameHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(23) ^ word).wrapping_mul(NAME_MULTIPLIER);
+    }
+}
+
+impl Hasher for NameHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            if let Ok(word) = <[u8; 8]>::try_from(word) {
+                self.add(u64::from_le_bytes(word));
+            }
+        }
+        // The last one to seven bytes as one word: four to seven from
+        // two overlapping four-byte loads, fewer byte by byte. A copy
+        // into a zeroed buffer would be read back before it landed.
+        let tail = words.remainder();
+        let word = match (tail.first_chunk::<4>(), tail.last_chunk::<4>()) {
+            (Some(&low), Some(&high)) => {
+                u64::from(u32::from_le_bytes(low)) | u64::from(u32::from_le_bytes(high)) << 32
+            }
+            _ => tail.iter().fold(0, |word, &b| word << 8 | u64::from(b)),
+        };
+        if !tail.is_empty() {
+            self.add(word);
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, byte: u8) {
+        self.add(u64::from(byte));
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        // The multiply leaves the low bits, which pick the bucket, the
+        // weakest; rotate the well-mixed high bits down.
+        self.hash.rotate_left(26)
+    }
+}
+
+/// A map keyed by catalog names, hashed with [`NameHasher`].
+type NameMap<V> = HashMap<String, V, BuildHasherDefault<NameHasher>>;
 
 /// Storage type of a column. Widths follow SQL Server conventions, which is
 /// what the SDSS SkyServer schema uses.
@@ -141,10 +211,10 @@ impl Table {
 pub struct Catalog {
     tables: Vec<Table>,
     columns: Vec<Column>,
-    table_names: HashMap<String, TableId>,
+    table_names: NameMap<TableId>,
     /// Per table, in id order: column name → column id. Looked up by
     /// `&str`, so name resolution allocates nothing.
-    column_names: Vec<HashMap<String, ColumnId>>,
+    column_names: Vec<NameMap<ColumnId>>,
 }
 
 impl Catalog {
@@ -176,7 +246,7 @@ impl Catalog {
         let tid = u32::try_from(self.tables.len())
             .map(TableId::new)
             .map_err(|_| invalid("overflows the table ids"))?;
-        let mut names = HashMap::with_capacity(def.columns.len());
+        let mut names = NameMap::with_capacity_and_hasher(def.columns.len(), Default::default());
         let mut columns = Vec::with_capacity(def.columns.len());
         for (ordinal, c) in def.columns.iter().enumerate() {
             let cid = self

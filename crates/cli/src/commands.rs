@@ -547,24 +547,34 @@ fn check_scale(
 /// judges before the replay starts.
 const SCALE_SAMPLE: usize = 1024;
 
-/// Sums a streamed trace's query count and yield as the replay goes, for
-/// the [`total_yield`] and [`check_scale`] guards a resident load runs on
-/// the whole trace. The sum is `None` once it overflows.
+/// Sums a streamed trace's query count and yield a chunk at a time, as
+/// the session is about to replay each chunk, for the [`total_yield`]
+/// and [`check_scale`] guards a resident load runs on the whole trace.
+/// Yields are non-negative, so once the sum overflows it stays
+/// overflowed: the chunk in which it does is refused before any of its
+/// queries is replayed.
 struct YieldTally {
+    scale: f64,
     queries: usize,
-    sequence_cost: Option<u64>,
+    sequence_cost: Bytes,
 }
 
-impl Observer for YieldTally {
-    fn on_query_start(&mut self, _index: usize, query: &TraceQuery) {
-        self.queries += 1;
-        self.sequence_cost = self
-            .sequence_cost
-            .and_then(|total| total.checked_add(query.total_yield.raw()));
+impl YieldTally {
+    fn new(scale: f64) -> Self {
+        Self {
+            scale,
+            queries: 0,
+            sequence_cost: Bytes::ZERO,
+        }
     }
 
-    fn wants_accesses(&self) -> bool {
-        false
+    /// Add `chunk`'s queries, or refuse the chunk whose yield takes the
+    /// sum past a u64.
+    fn add(&mut self, chunk: &ReplayTrace) -> Result<()> {
+        let chunk_cost = total_yield(chunk.iter().map(|(q, _)| q.total_yield), self.scale)?;
+        self.sequence_cost = total_yield([self.sequence_cost, chunk_cost], self.scale)?;
+        self.queries += chunk.len();
+        Ok(())
     }
 }
 
@@ -1211,16 +1221,15 @@ pub fn run_command(command: Command) -> Result<String> {
             observers.windows = observers
                 .windows
                 .map(|w| w.with_sink(Box::new(std::io::stderr())));
-            let mut tally = YieldTally {
-                queries: 0,
-                sequence_cost: Some(0),
-            };
+            let mut tally = YieldTally::new(args.scale);
+            let mut check = |chunk: &ReplayTrace| tally.add(chunk);
             // Only a tiered or multi-server run prints a breakdown table.
             let mut breakdown = (setup.topology.is_some() || args.servers > 1).then(Breakdown::new);
             let replay = {
                 let mut session = match (stream.as_mut(), resident.as_ref()) {
                     (Some((reader, sample)), _) => {
-                        ReplaySession::from_reader(reader, sample, &objects).observe(&mut tally)
+                        ReplaySession::from_reader(reader, sample, &objects)
+                            .check_chunks(&mut check)
                     }
                     (None, Some(tr)) => ReplaySession::new(tr, &objects),
                     // Unreachable: a trace is either streamed or resident.
@@ -1234,25 +1243,26 @@ pub fn run_command(command: Command) -> Result<String> {
                 for p in policies.iter_mut() {
                     session = session.policy(p.as_mut());
                 }
-                session.run()?
+                session.run()
             };
-            replay.debug_assert_audit();
-            // A streamed file only reveals its whole mean yield once
-            // replayed; a refused run leaves no decision log behind.
-            if streamed {
-                let total = tally
-                    .sequence_cost
-                    .map(Bytes::new)
-                    .ok_or_else(|| saturated(args.scale));
-                if let Err(e) =
-                    total.and_then(|total| check_scale(&args.trace, tally.queries, total, &catalog))
-                {
+            // A streamed file's total is judged chunk by chunk as it is
+            // replayed, and its whole mean yield once it is; a failed or
+            // refused run leaves no decision log behind.
+            let replay = replay.and_then(|replay| match streamed {
+                true => check_scale(&args.trace, tally.queries, tally.sequence_cost, &catalog)
+                    .map(|()| replay),
+                false => Ok(replay),
+            });
+            let replay = match replay {
+                Ok(replay) => replay,
+                Err(e) => {
                     if let Some(path) = &trace_events {
                         std::fs::remove_file(path).ok();
                     }
                     return Err(e);
                 }
-            }
+            };
+            replay.debug_assert_audit();
             let report = replay.report;
             if let Some(t) = pipeline.as_mut() {
                 t.set_tick(report.queries as u64);
@@ -2464,6 +2474,212 @@ mod tests {
         }
     }
 
+    /// A valid argv of every subcommand, as the tests above spell them.
+    const GOOD_ARGVS: [&[&str]; 13] = [
+        &["help"],
+        &[
+            "gen-trace",
+            "edr",
+            "--out",
+            "t.jsonl",
+            "--seed",
+            "9",
+            "--scale",
+            "0.03",
+            "--queries",
+            "100",
+        ],
+        &[
+            "run",
+            "edr",
+            "--policy",
+            "gds",
+            "--granularity",
+            "table",
+            "--cache-fraction",
+            "0.3",
+            "--scale",
+            "0.001",
+        ],
+        &[
+            "run",
+            "edr",
+            "--policy",
+            "gds",
+            "--cost-multipliers",
+            "1,2,4,8",
+        ],
+        &[
+            "sweep",
+            "edr",
+            "--servers",
+            "2",
+            "--cost-multipliers",
+            "1,3",
+        ],
+        &[
+            "run",
+            "edr",
+            "--policy",
+            "gds",
+            "--trace-events",
+            "events.ndjson",
+            "--metrics",
+            "metrics.json",
+            "--metrics-format",
+            "json",
+        ],
+        &[
+            "run",
+            "edr",
+            "--policy",
+            "gds",
+            "--faults",
+            "flaky:p=0.01,spike=0.05x4",
+            "--retry",
+            "3",
+            "--fault-seed",
+            "7",
+            "--degrade",
+            "fail",
+        ],
+        &[
+            "run",
+            "edr",
+            "--policy",
+            "lru",
+            "--topology",
+            "three-tier:0.1,0.25",
+            "--faults",
+            "outage:0@10..20",
+            "--fault-link",
+            "2",
+        ],
+        &[
+            "run",
+            "edr",
+            "--policy",
+            "gds",
+            "--trace-spans",
+            "spans.json",
+            "--metrics-every",
+            "64",
+            "--flight-recorder",
+            "8",
+        ],
+        &["sweep", "edr", "--metrics", "sweep.prom"],
+        &[
+            "sweep",
+            "edr",
+            "--topology",
+            "two-tier",
+            "--fault-link",
+            "0",
+        ],
+        &["analyze", "dr1", "--scale", "0.5", "--seed", "3"],
+        &["analyze", "trace.jsonl"],
+    ];
+
+    /// Values no flag should take as they are: empty, negative, zero,
+    /// not a number, infinite, past every float and every u64, junk, and
+    /// another flag's name.
+    const ODD_VALUES: [&str; 9] = [
+        "",
+        "-1",
+        "0",
+        "NaN",
+        "inf",
+        "1e400",
+        "18446744073709551616",
+        "junk",
+        "--policy",
+    ];
+
+    /// Corrupted copies of the valid `argv`: every truncation; each flag
+    /// dropped, duplicated, left without its value, swapped with another
+    /// flag (with its value, or its name only) and swapped with its own
+    /// value; each value replaced by an odd one.
+    fn argv_mutants(argv: &[&str], rng: &mut SplitMix64) -> Vec<Vec<String>> {
+        let argv = args(argv);
+        let mut out: Vec<Vec<String>> = (0..=argv.len()).map(|n| argv[..n].to_vec()).collect();
+        // Each flag's position: after the subcommand and its positional
+        // argument, flags and values alternate.
+        let flags: Vec<usize> = (2..argv.len().saturating_sub(1)).step_by(2).collect();
+        for &i in &flags {
+            let mut dropped = argv.clone();
+            dropped.drain(i..i + 2);
+            out.push(dropped);
+            let mut twice = argv.clone();
+            twice.extend_from_slice(&argv[i..i + 2]);
+            out.push(twice);
+            let mut bare = argv.clone();
+            bare.remove(i + 1);
+            out.push(bare);
+            let mut inverted = argv.clone();
+            inverted.swap(i, i + 1);
+            out.push(inverted);
+            let j = flags[pick(rng, flags.len())];
+            let mut swapped = argv.clone();
+            swapped.swap(i, j);
+            swapped.swap(i + 1, j + 1);
+            out.push(swapped);
+            let mut renamed = argv.clone();
+            renamed.swap(i, j);
+            out.push(renamed);
+            for _ in 0..3 {
+                let mut odd = argv.clone();
+                odd[i + 1] = ODD_VALUES[pick(rng, ODD_VALUES.len())].to_string();
+                out.push(odd);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn argv_mutants_cover_every_kind() {
+        let mut rng = SplitMix64::new(5);
+        let argv = ["sweep", "edr", "--servers", "2", "--retry", "3"];
+        let mutants = argv_mutants(&argv, &mut rng);
+        let has = |want: &[&str]| mutants.iter().any(|m| m == &args(want));
+        assert!(has(&["sweep", "edr", "--servers"]));
+        assert!(has(&["sweep", "edr", "--retry", "3"]));
+        assert!(has(&[
+            "sweep",
+            "edr",
+            "--servers",
+            "2",
+            "--retry",
+            "3",
+            "--servers",
+            "2"
+        ]));
+        assert!(has(&["sweep", "edr", "--servers", "--retry", "3"]));
+        assert!(has(&["sweep", "edr", "2", "--servers", "--retry", "3"]));
+        assert!(mutants
+            .iter()
+            .any(|m| m.get(3).is_some_and(|v| ODD_VALUES.contains(&v.as_str()))));
+        for argv in GOOD_ARGVS {
+            assert!(parse_args(&args(argv)).is_ok(), "{argv:?}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Mutated argv of every subcommand ends in `Ok` or
+        /// `InvalidConfig` and never panics. Only `parse_args` runs, so a
+        /// mutated `--queries` or `--scale` generates nothing.
+        #[test]
+        fn mutated_argv_ends_in_ok_or_invalid_config(seed in proptest::prelude::any::<u64>()) {
+            let mut rng = SplitMix64::new(seed);
+            for argv in GOOD_ARGVS {
+                for mutant in argv_mutants(argv, &mut rng) {
+                    config(parse_args(&mutant), &format!("{mutant:?}"));
+                }
+            }
+        }
+    }
+
     #[test]
     fn flat_topology_flag_output_matches_no_flag() {
         // `--topology flat` is the flat single-tier WAN itself, so
@@ -3056,6 +3272,87 @@ mod tests {
         refused(&["run", file, "--policy", "nocache", "--scale", "3e7"]);
         refused(&["run", file, "--policy", "static", "--scale", "3e7"]);
         refused(&["sweep", file, "--scale", "3e7"]);
+        // Refused halfway through the stream, the run leaves no decision
+        // log behind.
+        let events = path.with_extension("events.ndjson");
+        let log = events.to_str().unwrap();
+        let argv = ["run", file, "--policy", "nocache", "--scale", "3e7"];
+        refused(&[&argv[..], &["--trace-events", log]].concat());
+        assert!(!events.exists(), "a refused run left its decision log");
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A streamed run refuses the chunk in which the total yield
+    /// overflows before serving any query of it, and reads no chunk
+    /// after it: the replay stops where the whole-file sum, taken here
+    /// in u128, first passes a u64, about halfway through the file.
+    #[test]
+    fn a_saturating_chunk_is_refused_before_its_replay() {
+        struct Served(usize);
+        impl Observer for Served {
+            fn on_query_start(&mut self, _index: usize, _query: &TraceQuery) {
+                self.0 += 1;
+            }
+            fn wants_accesses(&self) -> bool {
+                false
+            }
+        }
+        let path = std::env::temp_dir().join(format!("byc-cli-chunk-{}.jsonl", std::process::id()));
+        let file = path.to_str().unwrap();
+        let gen = ["gen-trace", "edr", "--out", file, "--scale", "3e7"];
+        parse_args(&args(&gen)).and_then(run_command).unwrap();
+        let catalog = sdss::build(SdssRelease::Edr, 3e7, 1);
+        let objects = ObjectCatalog::uniform(&catalog, Granularity::Column);
+        let trace = trace_io::read_trace(&path).unwrap();
+        let mut sum = 0u128;
+        let first_over = trace
+            .queries
+            .iter()
+            .position(|q| {
+                sum += u128::from(q.total_yield.raw());
+                sum > u128::from(u64::MAX)
+            })
+            .unwrap();
+        assert!(
+            (trace.queries.len() / 4..trace.queries.len() * 3 / 4).contains(&first_over),
+            "{first_over} of {}",
+            trace.queries.len()
+        );
+
+        // The streamed run's session, as `run` builds it, with an
+        // observer counting the queries served.
+        let mut reader = TraceReader::open(&path).unwrap();
+        let mut sample = ReplayTrace::new(reader.name(), &objects);
+        sample.refill(&mut reader, &objects, SCALE_SAMPLE).unwrap();
+        let mut tally = YieldTally::new(3e7);
+        let mut chunks = Vec::new();
+        let mut check = |chunk: &ReplayTrace| {
+            chunks.push(chunk.len());
+            tally.add(chunk)
+        };
+        let mut served = Served(0);
+        let mut policy = build_policy(PolicyKind::NoCache, Bytes::new(1), &[], 1);
+        let err = ReplaySession::from_reader(&mut reader, &mut sample, &objects)
+            .check_chunks(&mut check)
+            .observe(&mut served)
+            .policy(policy.as_mut())
+            .run()
+            .unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("at --scale 3e7 the trace's total yield overflows"),
+            "{err}"
+        );
+        // Every chunk before the refused one was served whole, and none
+        // of the refused one: it holds the first query past the limit.
+        let (refused, accepted) = chunks.split_last().unwrap();
+        let before: usize = accepted.iter().sum();
+        assert_eq!(served.0, before);
+        assert_eq!(tally.queries, before);
+        assert!(
+            (before..before + refused).contains(&first_over),
+            "{chunks:?}"
+        );
         std::fs::remove_file(&path).ok();
     }
 

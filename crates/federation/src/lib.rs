@@ -83,6 +83,6 @@ pub use mediator::Mediator;
 pub use network::{NetworkModel, PerServerMultipliers, TierSpec, Topology, Uniform};
 pub use policies::{build_policy, policy_roster, PolicyKind};
 pub use semantic::{SemanticCache, SemanticReport};
-pub use session::{ReplaySession, Resident};
+pub use session::{ChunkCheck, ReplaySession, Resident};
 pub use simulator::{Replay, SeriesPoint};
 pub use sweep::{NoObserver, SweepOptions, SweepPoint};

@@ -112,7 +112,13 @@ pub struct ReplaySession<'a> {
     /// The tier policies, bottom-up: the first is the site tier's.
     tiers: Vec<&'a mut dyn CachePolicy>,
     observers: Vec<&'a mut dyn Observer>,
+    /// Judges each chunk before it is replayed.
+    check: Option<&'a mut ChunkCheck<'a>>,
 }
+
+/// A judge of each run of queries a session is about to replay; see
+/// [`ReplaySession::check_chunks`].
+pub type ChunkCheck<'a> = dyn FnMut(&ReplayTrace) -> Result<()> + 'a;
 
 impl std::fmt::Debug for ReplaySession<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -125,6 +131,7 @@ impl std::fmt::Debug for ReplaySession<'_> {
             .field("audit", &self.audit)
             .field("tiers", &self.tiers.len())
             .field("observers", &self.observers.len())
+            .field("checks_chunks", &self.check.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -170,6 +177,7 @@ impl<'a> ReplaySession<'a> {
             audit: None,
             tiers: Vec::new(),
             observers: Vec::new(),
+            check: None,
         }
     }
 
@@ -225,6 +233,17 @@ impl<'a> ReplaySession<'a> {
         self
     }
 
+    /// Judge every run of queries before it is replayed: `check` sees
+    /// each chunk a reader-backed session decodes (a resident trace is
+    /// one chunk), and its first `Err` ends [`Self::run`] with that
+    /// error before any query of that chunk is served. The sweep
+    /// terminal refuses a session with a check.
+    #[must_use]
+    pub fn check_chunks(mut self, check: &'a mut ChunkCheck<'a>) -> Self {
+        self.check = Some(check);
+        self
+    }
+
     /// Force decision-stream auditing on (even in release builds).
     /// Violations are reported in [`Replay::audit`], never panicked on.
     #[must_use]
@@ -277,6 +296,7 @@ impl<'a> ReplaySession<'a> {
             degradation,
             mut tiers,
             mut observers,
+            mut check,
             ..
         } = self;
         if tiers.len() != links.depth() {
@@ -336,6 +356,9 @@ impl<'a> ReplaySession<'a> {
             // contract): its id and total yield, every other member empty.
             let mut hook = TraceQuery::default();
             while let Some(chunk) = source.next()? {
+                if let Some(check) = check.as_mut() {
+                    check(chunk)?;
+                }
                 skipped.add(chunk.unresolved());
                 for (query, slices) in chunk.iter() {
                     hook.id = query.id;
@@ -459,6 +482,13 @@ impl<'a> ReplaySession<'a> {
             return Err(Error::InvalidConfig(
                 "sweep observers come from SweepOptions::observe; \
                  don't call .observe(...) before .sweep(...)"
+                    .into(),
+            ));
+        }
+        if self.check.is_some() {
+            return Err(Error::InvalidConfig(
+                "a sweep replays its resident trace once per grid point; \
+                 don't call .check_chunks(...) before .sweep(...)"
                     .into(),
             ));
         }

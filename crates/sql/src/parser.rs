@@ -5,6 +5,13 @@
 //! so the only allocations a parse makes are the [`Query`]'s three lists,
 //! and [`parse_into`] refills those in place.
 //!
+//! Moving the lookahead cannot fail: bytes the lexer cannot read pull as
+//! [`TokenKind::Invalid`], which no grammar rule accepts, and every
+//! error the parser reports is the lexer's once it has one. A parse
+//! therefore fails with the lexer's offset and message exactly when the
+//! grammar consumed the token before the unreadable bytes, as if the
+//! error had been raised by that step.
+//!
 //! Grammar (conjunctive; `OR` is rejected with a targeted error because the
 //! trace workload never uses it and the yield model assumes conjuncts):
 //!
@@ -48,7 +55,7 @@ pub fn parse(input: &str) -> Result<Query<'_>> {
 /// the trace subset).
 pub fn parse_into<'a>(input: &'a str, query: &mut Query<'a>) -> Result<()> {
     let mut lexer = Lexer::new(input);
-    let next = lexer.pull()?;
+    let next = lexer.pull();
     let mut p = Parser { lexer, next };
     p.query(query)?;
     p.expect_eof()
@@ -64,6 +71,7 @@ struct Parser<'a> {
 }
 
 impl<'a> Parser<'a> {
+    #[inline]
     fn peek(&self) -> TokenKind<'a> {
         self.next.kind
     }
@@ -73,36 +81,49 @@ impl<'a> Parser<'a> {
     }
 
     /// Consume the lookahead and pull the next token.
-    fn bump(&mut self) -> Result<TokenKind<'a>> {
+    #[inline]
+    fn bump(&mut self) -> TokenKind<'a> {
         let kind = self.next.kind;
-        self.next = self.lexer.pull()?;
-        Ok(kind)
+        self.lexer.pull_into(&mut self.next);
+        kind
     }
 
-    fn eat(&mut self, kind: TokenKind<'a>) -> Result<bool> {
+    #[inline]
+    fn eat(&mut self, kind: TokenKind<'a>) -> bool {
         let found = self.peek() == kind;
         if found {
-            self.bump()?;
+            self.bump();
         }
-        Ok(found)
+        found
     }
 
-    fn eat_kw(&mut self, kw: Keyword) -> Result<bool> {
+    #[inline]
+    fn eat_kw(&mut self, kw: Keyword) -> bool {
         self.eat(TokenKind::Keyword(kw))
     }
 
     fn expect_kw(&mut self, kw: Keyword, what: &str) -> Result<()> {
-        if self.eat_kw(kw)? {
+        if self.eat_kw(kw) {
             Ok(())
         } else {
             Err(self.error(format!("expected {what}")))
         }
     }
 
+    /// The parse's error: the lexer's, once it pulled an invalid token,
+    /// else `message` at the lookahead. No rule accepts an invalid
+    /// token and the lexer returns it on every later pull, so a parse
+    /// that pulled one fails at some later step; a lexer returning a
+    /// `Result` per token would have failed at the step that pulled it,
+    /// with its own error, which is therefore the one to report.
+    #[cold]
     fn error(&self, message: String) -> Error {
-        Error::Parse {
-            offset: self.offset(),
-            message,
+        match self.lexer.error() {
+            Some(e) => e.clone(),
+            None => Error::Parse {
+                offset: self.offset(),
+                message,
+            },
         }
     }
 
@@ -119,10 +140,11 @@ impl<'a> Parser<'a> {
         }
     }
 
+    #[inline(always)]
     fn ident(&mut self, what: &str) -> Result<&'a str> {
         match self.peek() {
             TokenKind::Ident(name) => {
-                self.bump()?;
+                self.bump();
                 Ok(name)
             }
             other => Err(self.error(format!("expected {what}, found {other:?}"))),
@@ -134,8 +156,8 @@ impl<'a> Parser<'a> {
         q.from.clear();
         q.predicates.clear();
         self.expect_kw(Keyword::Select, "SELECT")?;
-        q.top = if self.eat_kw(Keyword::Top)? {
-            match self.bump()? {
+        q.top = if self.eat_kw(Keyword::Top) {
+            match self.bump() {
                 TokenKind::Number(n) if (0.0..TOP_LIMIT).contains(&n) && n.fract() == 0.0 => {
                     // Exact: integral and in range.
                     #[allow(clippy::cast_possible_truncation)]
@@ -147,22 +169,22 @@ impl<'a> Parser<'a> {
             None
         };
         loop {
-            q.projection.push(self.select_item()?);
-            if !self.eat(TokenKind::Comma)? {
+            self.select_item(&mut q.projection)?;
+            if !self.eat(TokenKind::Comma) {
                 break;
             }
         }
         self.expect_kw(Keyword::From, "FROM")?;
         loop {
-            q.from.push(self.table_ref()?);
-            if !self.eat(TokenKind::Comma)? {
+            self.table_ref(&mut q.from)?;
+            if !self.eat(TokenKind::Comma) {
                 break;
             }
         }
-        if self.eat_kw(Keyword::Where)? {
+        if self.eat_kw(Keyword::Where) {
             loop {
-                q.predicates.push(self.predicate()?);
-                if self.eat_kw(Keyword::And)? {
+                self.predicate(&mut q.predicates)?;
+                if self.eat_kw(Keyword::And) {
                     continue;
                 }
                 if self.peek() == TokenKind::Keyword(Keyword::Or) {
@@ -176,6 +198,7 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
+    #[inline]
     fn aggregate_kw(&self) -> Option<Aggregate> {
         match self.peek() {
             TokenKind::Keyword(Keyword::Count) => Some(Aggregate::Count),
@@ -187,16 +210,22 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn select_item(&mut self) -> Result<SelectItem<'a>> {
-        if self.eat(TokenKind::Star)? {
-            return Ok(SelectItem::Wildcard);
+    /// Parse one projection item onto `items`. Each step below pushes
+    /// its value where it is built rather than returning it: a value
+    /// built field by field and then moved whole is read back before
+    /// its stores have landed.
+    #[inline]
+    fn select_item(&mut self, items: &mut Vec<SelectItem<'a>>) -> Result<()> {
+        if self.eat(TokenKind::Star) {
+            items.push(SelectItem::Wildcard);
+            return Ok(());
         }
         if let Some(func) = self.aggregate_kw() {
-            self.bump()?;
-            if self.bump()? != TokenKind::LParen {
+            self.bump();
+            if self.bump() != TokenKind::LParen {
                 return Err(self.error("expected '(' after aggregate".into()));
             }
-            let arg = if self.eat(TokenKind::Star)? {
+            let arg = if self.eat(TokenKind::Star) {
                 if func != Aggregate::Count {
                     return Err(self.error("'*' argument is only valid for COUNT".into()));
                 }
@@ -204,41 +233,47 @@ impl<'a> Parser<'a> {
             } else {
                 Some(self.column_ref()?)
             };
-            if self.bump()? != TokenKind::RParen {
+            if self.bump() != TokenKind::RParen {
                 return Err(self.error("expected ')' after aggregate argument".into()));
             }
             let alias = self.optional_alias()?;
-            return Ok(SelectItem::Aggregate { func, arg, alias });
+            items.push(SelectItem::Aggregate { func, arg, alias });
+            return Ok(());
         }
         let column = self.column_ref()?;
         let alias = self.optional_alias()?;
-        Ok(SelectItem::Column { column, alias })
+        items.push(SelectItem::Column { column, alias });
+        Ok(())
     }
 
+    #[inline]
     fn optional_alias(&mut self) -> Result<Option<&'a str>> {
-        if self.eat_kw(Keyword::As)? {
+        if self.eat_kw(Keyword::As) {
             Ok(Some(self.ident("alias after AS")?))
         } else {
             Ok(None)
         }
     }
 
-    fn table_ref(&mut self) -> Result<TableRef<'a>> {
+    #[inline]
+    fn table_ref(&mut self, tables: &mut Vec<TableRef<'a>>) -> Result<()> {
         let table = self.ident("table name")?;
         // Optional alias: `PhotoObj p` or `PhotoObj AS p`.
-        let alias = if self.eat_kw(Keyword::As)? {
+        let alias = if self.eat_kw(Keyword::As) {
             Some(self.ident("alias after AS")?)
         } else if let TokenKind::Ident(_) = self.peek() {
             Some(self.ident("alias")?)
         } else {
             None
         };
-        Ok(TableRef { table, alias })
+        tables.push(TableRef { table, alias });
+        Ok(())
     }
 
+    #[inline(always)]
     fn column_ref(&mut self) -> Result<ColumnRef<'a>> {
         let first = self.ident("column reference")?;
-        if self.eat(TokenKind::Dot)? {
+        if self.eat(TokenKind::Dot) {
             let column = self.ident("column name after '.'")?;
             Ok(ColumnRef::qualified(first, column))
         } else {
@@ -246,6 +281,7 @@ impl<'a> Parser<'a> {
         }
     }
 
+    #[inline]
     fn compare_op(&mut self) -> Result<CompareOp> {
         let op = match self.peek() {
             TokenKind::Eq => CompareOp::Eq,
@@ -258,24 +294,26 @@ impl<'a> Parser<'a> {
                 return Err(self.error(format!("expected comparison operator, found {other:?}")))
             }
         };
-        self.bump()?;
+        self.bump();
         Ok(op)
     }
 
-    fn predicate(&mut self) -> Result<Predicate<'a>> {
+    #[inline]
+    fn predicate(&mut self, predicates: &mut Vec<Predicate<'a>>) -> Result<()> {
         let column = self.column_ref()?;
-        if self.eat_kw(Keyword::Between)? {
-            let TokenKind::Number(lo) = self.bump()? else {
+        if self.eat_kw(Keyword::Between) {
+            let TokenKind::Number(lo) = self.bump() else {
                 return Err(self.error("expected number after BETWEEN".into()));
             };
             self.expect_kw(Keyword::And, "AND in BETWEEN")?;
-            let TokenKind::Number(hi) = self.bump()? else {
+            let TokenKind::Number(hi) = self.bump() else {
                 return Err(self.error("expected number after BETWEEN ... AND".into()));
             };
             if lo > hi {
                 return Err(self.error(format!("BETWEEN bounds out of order: {lo} > {hi}")));
             }
-            return Ok(Predicate::Between { column, lo, hi });
+            predicates.push(Predicate::Between { column, lo, hi });
+            return Ok(());
         }
         let op = self.compare_op()?;
         let value = match self.peek() {
@@ -288,15 +326,17 @@ impl<'a> Parser<'a> {
                     );
                 }
                 let right = self.column_ref()?;
-                return Ok(Predicate::Join {
+                predicates.push(Predicate::Join {
                     left: column,
                     right,
                 });
+                return Ok(());
             }
             other => return Err(self.error(format!("expected literal or column, found {other:?}"))),
         };
-        self.bump()?;
-        Ok(Predicate::Compare { column, op, value })
+        self.bump();
+        predicates.push(Predicate::Compare { column, op, value });
+        Ok(())
     }
 }
 

@@ -9,11 +9,14 @@
 //! text: truncation at every character boundary, splices of two queries,
 //! flipped bytes, inserted non-ASCII text and swapped keywords.
 //!
-//! Wherever the oracle (the first front end, in `oracle/`) parses a
-//! text, the shipped parser must give the same AST, field for field;
-//! wherever the oracle refuses it, the shipped parser must return an
-//! `Err`. The one deliberate difference: a literal that is not finite
-//! (`1e309`), which the oracle read as infinity, is refused. Where both
+//! On every text the shipped parser must return what the pull front end
+//! it replaced (`oracle/pull/`) returns: the same AST, or the same
+//! `Error::Parse` offset and message. Wherever the first front end (the
+//! rest of `oracle/`) parses a text, the shipped parser must give the
+//! same AST, field for field; wherever it refuses it, the shipped parser
+//! must return an `Err`. The one deliberate difference from the first:
+//! a literal that is not finite (`1e309`), which it read as infinity, is
+//! refused. Where both
 //! parse, `analyze` must give an equal `ResolvedQuery` (up to string
 //! literals' text, which the shipped resolution does not keep) or fail
 //! on both sides, and the yield decomposition must equal the first one's
@@ -391,9 +394,10 @@ fn sums_to_total(b: &YieldBreakdown) -> bool {
     }
 }
 
-/// Run one text through both front ends and compare.
+/// Run one text through the front ends and compare.
 fn check(catalog: &Catalog, text: &str, tally: &mut Tally) {
     let shipped = byc_sql::parse(text);
+    assert_eq!(shipped, oracle::pull::parser::parse(text), "{text:?}");
     let expected = match oracle::parser::parse(text) {
         Err(_) => {
             assert!(
@@ -570,4 +574,112 @@ fn cross_joins_sum_to_total() {
         check(&catalog, sql, &mut tally);
     }
     assert_eq!((tally.analyzed, tally.huge), (2, 2));
+}
+
+/// `text`'s token kinds up to the end, or up to the first error with
+/// that error, as the shipped lexer pulls them.
+fn shipped_tokens(text: &str) -> String {
+    use byc_sql::token::{Lexer, TokenKind};
+    let mut lexer = Lexer::new(text);
+    let mut out = String::new();
+    loop {
+        let token = lexer.pull();
+        match token.kind {
+            TokenKind::Invalid => {
+                out.push_str(&format!("{:?}", lexer.error()));
+                return out;
+            }
+            TokenKind::Eof => return out,
+            kind => out.push_str(&format!("{kind:?}@{} ", token.offset)),
+        }
+    }
+}
+
+/// The same for the pull oracle's lexer.
+fn pull_tokens(text: &str) -> String {
+    use oracle::pull::token::{Lexer, TokenKind};
+    let mut lexer = Lexer::new(text);
+    let mut out = String::new();
+    loop {
+        match lexer.pull() {
+            Err(e) => {
+                out.push_str(&format!("{:?}", Some(e)));
+                return out;
+            }
+            Ok(token) if token.kind == TokenKind::Eof => return out,
+            Ok(token) => out.push_str(&format!("{:?}@{} ", token.kind, token.offset)),
+        }
+    }
+}
+
+/// Every letter case of every keyword, and every one-byte insertion,
+/// deletion or substitution of a word byte (a letter, a digit or `_`) in
+/// each keyword's lower- and upper-case spelling: the shipped lexer and
+/// parser read each word as the pull front end does, alone and in each
+/// place a query puts a word.
+#[test]
+fn keyword_spellings_match_the_pull_oracle() {
+    let word_bytes: Vec<u8> = (b'a'..=b'z')
+        .chain(b'A'..=b'Z')
+        .chain(b'0'..=b'9')
+        .chain([b'_'])
+        .collect();
+    let mut words: Vec<Vec<u8>> = Vec::new();
+    for kw in KEYWORDS {
+        let n = kw.len();
+        let cases = words.len();
+        for mask in 0..1u32 << n {
+            let spelled = kw
+                .bytes()
+                .enumerate()
+                .map(|(i, b)| match mask >> i & 1 {
+                    1 => b.to_ascii_uppercase(),
+                    _ => b,
+                })
+                .collect();
+            words.push(spelled);
+        }
+        if *kw == "between" {
+            assert_eq!(words.len() - cases, 128);
+        }
+        for base in [kw.to_string(), kw.to_ascii_uppercase()] {
+            let base = base.as_bytes();
+            for at in 0..=n {
+                for &b in &word_bytes {
+                    words.push([&base[..at], &[b], &base[at..]].concat());
+                }
+            }
+            for at in 0..n {
+                words.push([&base[..at], &base[at + 1..]].concat());
+                for &b in word_bytes.iter().filter(|&&b| b != base[at]) {
+                    words.push([&base[..at], &[b], &base[at + 1..]].concat());
+                }
+            }
+        }
+    }
+    let mut keywords = 0;
+    for word in &words {
+        let word = std::str::from_utf8(word).unwrap();
+        let tokens = shipped_tokens(word);
+        assert_eq!(tokens, pull_tokens(word), "{word:?}");
+        keywords += usize::from(tokens.starts_with("Keyword"));
+        for text in [
+            format!("select {word} from T"),
+            format!("select x from {word}"),
+            format!("select x from T {word}"),
+            format!("select x from T where {word} = 1"),
+            format!("select x from T where a between 1 {word} 2"),
+            format!("{word} x from T"),
+        ] {
+            assert_eq!(
+                byc_sql::parse(&text),
+                oracle::pull::parser::parse(&text),
+                "{text:?}"
+            );
+        }
+    }
+    // Every case spelling, and the edits that spell another keyword
+    // (`or` from `order`, `as` from `asc`), lex as keywords.
+    let spellings: usize = KEYWORDS.iter().map(|kw| 1 << kw.len()).sum();
+    assert!(keywords > spellings, "{keywords} of {}", words.len());
 }

@@ -9,7 +9,10 @@
 //! * [`analyzer::analyze`] — resolution through a `HashMap` of binding
 //!   names;
 //! * [`yield_model::estimate`] — the decomposition through separate
-//!   weight, share and remainder lists.
+//!   weight, share and remainder lists;
+//! * [`pull::parser::parse`] — the borrowing pull lexer and parser that
+//!   came second, a `Result` per token, which give the shipped AST types
+//!   directly: a shipped parse must equal it, errors included.
 //!
 //! [`owned`], [`borrowed`] and [`owned_resolved`] translate between
 //! these types and the shipped borrowing ones, so results compare field
@@ -21,6 +24,7 @@
 pub mod analyzer;
 pub mod ast;
 pub mod parser;
+pub mod pull;
 pub mod token;
 pub mod yield_model;
 
