@@ -269,10 +269,7 @@ pub const MAX_DEPTH: usize = 128;
 ///
 /// Every read skips the whitespace before it, testing the byte at the
 /// cursor before it loops, and a plain integer of up to 19 digits folds
-/// in one pass; [`Self::member_in`] matches a key against a field table
-/// as written. So a compact writer's bytes take the fewest steps, and
-/// any other spelling the general ones. Errors are messages that name
-/// the byte offset.
+/// in one pass. Errors are messages that name the byte offset.
 pub struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -338,44 +335,6 @@ impl<'a> Cursor<'a> {
         self.string(key)?;
         self.expect(b':')?;
         Ok(true)
-    }
-
-    /// [`Self::member`], with the key looked up in `names`: `Some(Some(i))`
-    /// for `names[i]`, `Some(None)` for any other key, `None` once the
-    /// object's `}` is consumed.
-    ///
-    /// A key written as the literal `"name":` of `names[hint]` is matched
-    /// on its bytes; any other key is unescaped into `key` and looked up.
-    /// The text accepted and the errors are [`Self::member`]'s. `names`
-    /// must hold no `"`, `\` or control character.
-    ///
-    /// # Errors
-    ///
-    /// Malformed separators or key.
-    #[inline]
-    pub fn member_in(
-        &mut self,
-        names: &[&str],
-        hint: usize,
-        key: &mut String,
-    ) -> Result<Option<Option<usize>>, String> {
-        if !self.advance(b'}')? {
-            return Ok(None);
-        }
-        if let Some(name) = names.get(hint) {
-            let rest = self.bytes.get(self.pos..).unwrap_or_default();
-            if let Some((b'"', rest)) = rest.split_first() {
-                if let Some(after) = rest.strip_prefix(name.as_bytes()) {
-                    if after.starts_with(b"\":") {
-                        self.pos += name.len() + 3;
-                        return Ok(Some(Some(hint)));
-                    }
-                }
-            }
-        }
-        self.string(key)?;
-        self.expect(b':')?;
-        Ok(Some(names.iter().position(|name| *name == key.as_str())))
     }
 
     /// Open an array; step through its elements with [`Self::element`].
@@ -689,7 +648,10 @@ fn is_space(b: u8) -> bool {
 /// as is: no `"`, no `\\` and no control character. Eight bytes are
 /// tested at a time with the word-wise "has a byte below n" test, which
 /// never misses such a byte; a word it flags is scanned byte by byte.
-fn plain_run(bytes: &[u8]) -> usize {
+///
+/// A string whose content is such a run and valid UTF-8, then `"`, reads
+/// as [`Cursor::string`] reads it.
+pub fn plain_run(bytes: &[u8]) -> usize {
     const ONES: u64 = u64::from_le_bytes([1; 8]);
     const HIGHS: u64 = u64::from_le_bytes([0x80; 8]);
     let zero_in = |w: u64| w.wrapping_sub(ONES) & !w & HIGHS;
@@ -875,131 +837,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// Every member of `text` through `member_in`, the hint following
-    /// the last key found as the trace decoder's does, against `member`
-    /// on the same text: the same keys, the same error and the same byte
-    /// after each step. The keys found, as indexes into `names`.
-    fn member_in_agrees(
-        text: &str,
-        names: &[&str],
-        mut hint: usize,
-    ) -> Result<Vec<Option<usize>>, String> {
-        let mut general = Cursor::new(text.as_bytes());
-        let mut stepped = Cursor::new(text.as_bytes());
-        let (mut key, mut scratch) = (String::new(), String::new());
-        general.object().unwrap();
-        stepped.object().unwrap();
-        let mut found = Vec::new();
-        loop {
-            let want = general.member(&mut key);
-            let got = stepped.member_in(names, hint, &mut scratch);
-            assert_eq!(stepped.pos, general.pos, "{text}");
-            match (want, got) {
-                (Ok(true), Ok(Some(field))) => {
-                    assert_eq!(field, names.iter().position(|n| *n == key), "{text}");
-                    if field.is_none() {
-                        assert_eq!(scratch, key, "{text}");
-                    }
-                    hint = field.map_or(hint, |i| i + 1);
-                    found.push(field);
-                    let skipped = general.skip_value();
-                    assert_eq!(stepped.skip_value(), skipped, "{text}");
-                    skipped?;
-                }
-                (Ok(false), Ok(None)) => return Ok(found),
-                (Err(want), Err(got)) => {
-                    assert_eq!(want, got, "{text}");
-                    return Err(got);
-                }
-                (want, got) => panic!("{text}: member {want:?}, member_in {got:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn member_step_boundaries() {
-        let names = ["id", "tables", "columns"];
-        let found = |text: &str, hint: usize| member_in_agrees(text, &names, hint);
-        // The hinted literal, and the same key wherever the literal misses:
-        // escaped, after whitespace, or before whitespace.
-        for text in [
-            r#"{"id":1}"#,
-            r#"{"\u0069d":1}"#,
-            r#"{"i\u0064":1}"#,
-            r#"{ "id":1}"#,
-            "{\t\r\n\"id\":1}",
-            r#"{"id" :1}"#,
-        ] {
-            assert_eq!(found(text, 0), Ok(vec![Some(0)]), "{text}");
-        }
-        // Keys that extend or cut short the expected one are other keys.
-        for text in [
-            r#"{"tables2":1}"#,
-            r#"{"table":1}"#,
-            r#"{"tables\u0032":1}"#,
-            r#"{"":1}"#,
-        ] {
-            assert_eq!(found(text, 1), Ok(vec![None]), "{text}");
-        }
-        // After a comma: the hint, whitespace, and a hint that misses.
-        assert_eq!(
-            found(r#"{"id":1,"tables":2, "columns" :3}"#, 0),
-            Ok(vec![Some(0), Some(1), Some(2)])
-        );
-        assert_eq!(
-            found(r#"{"columns":3,"tables":[2],"id":{"x":1}}"#, 0),
-            Ok(vec![Some(2), Some(1), Some(0)])
-        );
-        assert_eq!(
-            found(r#"{"tables2":0,"column\u0073":3,"id":1}"#, 5),
-            Ok(vec![None, Some(2), Some(0)])
-        );
-        assert_eq!(found("{}", 0), Ok(vec![]));
-        // Errors at the same byte, with the same text.
-        for bad in [
-            r#"{"id"1}"#,
-            r#"{"id""#,
-            r#"{"id"#,
-            r#"{"i\x":1}"#,
-            r#"{id:1}"#,
-            "{",
-            "{\"\u{1}\":1}",
-            r#"{"id":1,}"#,
-            r#"{"id":1 "tables":2}"#,
-            r#"{"id":1,"tables""#,
-        ] {
-            assert!(found(bad, 0).is_err(), "{bad}");
-        }
-    }
-
-    #[test]
-    fn a_hint_that_always_misses_still_finds_every_member() {
-        let names = ["a", "b", "c", "d"];
-        let text = br#"{"d":4,"c":3,"b":2,"a":1}"#;
-        let mut cursor = Cursor::new(text);
-        let mut key = String::new();
-        cursor.object().unwrap();
-        let mut hint = 0;
-        let mut read = Vec::new();
-        while let Some(field) = cursor.member_in(&names, hint, &mut key).unwrap() {
-            let i = field.unwrap();
-            hint = i + 1;
-            read.push((i, cursor.number().unwrap()));
-        }
-        cursor.done().unwrap();
-        assert_eq!(
-            read,
-            [
-                (3, Num::U(4)),
-                (2, Num::U(3)),
-                (1, Num::U(2)),
-                (0, Num::U(1))
-            ]
-        );
-        // Every key the hint missed was unescaped into the scratch key.
-        assert_eq!(key, "a");
     }
 
     #[test]

@@ -5,18 +5,21 @@
 //! Line-delimited JSON keeps huge traces streamable and lets externally
 //! collected traces be converted with ordinary text tooling.
 //!
-//! Reading is one pass per line on [`byc_types::json::Cursor`], with no
-//! JSON tree: each field is written straight into the reader's one
-//! [`TraceQuery`] slot, whose `String` and `Vec`s are cleared and
-//! refilled for every line. Members may come in any order, unknown
+//! A query line in the writer's own layout is decoded in one straight
+//! pass, where it lies in the reader's buffer, into whatever the caller
+//! keeps: a [`TraceQuery`] slot, or a replay trace's slices.
+//! Any other line goes to the step-wise decoder on
+//! [`byc_types::json::Cursor`], the only authority on what is accepted
+//! and the only source of error text: it writes each field straight into
+//! a reused [`TraceQuery`] slot, members may come in any order, unknown
 //! members are checked and skipped, and the first of duplicate members
 //! wins.
 
 use crate::trace::{Trace, TraceQuery};
-use byc_types::json::{Cursor, Value};
+use byc_types::json::{plain_run, Cursor, Value};
 use byc_types::{Bytes, ColumnId, Error, QueryId, Result, TableId};
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::ops::Range;
 use std::path::Path;
 
@@ -122,7 +125,9 @@ const QUERY_FIELDS: [&str; 9] = [
 /// The members of the header line.
 const HEADER_FIELDS: [&str; 4] = ["format_version", "name", "seed", "query_count"];
 
-/// Decode one query line into `slot`, reusing its buffers.
+/// Decode one query line into `slot`, reusing its buffers: in one pass
+/// when it is in the writer's layout, as the readers do, and otherwise
+/// with the step-wise decoder.
 ///
 /// Everything [`TraceReader`] accepts on a query line is accepted here:
 /// members in any order, unknown members (checked, then skipped), the
@@ -136,6 +141,28 @@ const HEADER_FIELDS: [&str; 4] = ["format_version", "name", "seed", "query_count
 /// of the wrong type or an integer out of its field's range. `slot` is
 /// then left partly overwritten.
 pub fn decode_query(line: &[u8], slot: &mut TraceQuery) -> Result<()> {
+    if decode_written(line, slot) {
+        return Ok(());
+    }
+    decode_stepwise(line, slot)
+}
+
+/// [`decode_query`]'s one pass alone: `true` when `line` is a query line
+/// in the writer's layout, with or without its line end, decoded into
+/// `slot`. On `false` `slot` is left partly overwritten.
+#[doc(hidden)]
+pub fn decode_written(line: &[u8], slot: &mut TraceQuery) -> bool {
+    pass(line, true, slot).is_some()
+}
+
+/// [`decode_query`]'s step-wise decoder alone, whatever the line's
+/// layout.
+///
+/// # Errors
+///
+/// As [`decode_query`].
+#[doc(hidden)]
+pub fn decode_stepwise(line: &[u8], slot: &mut TraceQuery) -> Result<()> {
     decode_line(line, slot, &mut String::new()).map_err(Error::TraceFormat)
 }
 
@@ -197,8 +224,7 @@ fn decode_header(line: &[u8]) -> Decoded<Header> {
 
 /// Step through one object: `read(i, cursor)` reads the value of the
 /// first member named `fields[i]`; every other member is skipped. Each
-/// of `fields` (at most 32) must be present. The field after the last
-/// one read is expected next, as the writer orders them.
+/// of `fields` (at most 32) must be present.
 fn decode_object(
     cursor: &mut Cursor<'_>,
     key: &mut String,
@@ -207,12 +233,11 @@ fn decode_object(
 ) -> Decoded<()> {
     cursor.object()?;
     let mut seen = 0u32;
-    let mut hint = 0;
-    while let Some(field) = cursor.member_in(fields, hint, key)? {
-        match field.and_then(|i| fields.get(i).map(|name| (i, name))) {
-            Some((i, name)) if seen & 1 << i == 0 => {
+    while cursor.member(key)? {
+        let field = fields.iter().zip(0..).find(|(name, _)| **name == *key);
+        match field {
+            Some((name, i)) if seen & 1 << i == 0 => {
                 seen |= 1 << i;
-                hint = i + 1;
                 read(i, cursor).map_err(|e| format!("field {name:?}: {e}"))?;
             }
             _ => cursor.skip_value()?,
@@ -268,9 +293,342 @@ fn pair(cursor: &mut Cursor<'_>) -> Decoded<(u32, Bytes)> {
     Ok((id, Bytes::new(bytes)))
 }
 
+/// Where a query line goes, member by member, in the order the writer
+/// emits them: from the one pass over a line in the writer's layout, or
+/// from a query the step-wise decoder filled ([`Self::query`]). A sink
+/// may drop a member: it has been checked as the step-wise decoder
+/// checks it. The pass calls [`Self::start`] once it has the line's id,
+/// and then either [`Self::end`], once the whole line is read, or
+/// [`Self::undo`], where it gives up. Before `start` it may call `undo`
+/// alone.
+pub(crate) trait Sink {
+    /// A line with query `id` begins.
+    fn start(&mut self, id: QueryId);
+    /// The SQL text.
+    fn sql(&mut self, sql: &str);
+    /// The template number.
+    fn template(&mut self, template: u32);
+    /// One data key.
+    fn data_key(&mut self, key: u64);
+    /// One referenced table.
+    fn table(&mut self, table: TableId);
+    /// One referenced column.
+    fn column(&mut self, column: ColumnId);
+    /// The total yield.
+    fn total_yield(&mut self, bytes: Bytes);
+    /// One table's yield.
+    fn table_yield(&mut self, table: TableId, bytes: Bytes);
+    /// One column's yield.
+    fn column_yield(&mut self, column: ColumnId, bytes: Bytes);
+    /// The line was read whole.
+    fn end(&mut self);
+    /// The pass gave up: nothing of this line may be left behind.
+    fn undo(&mut self);
+
+    /// The step-wise decoder's query, for a line the pass did not take,
+    /// written member by member as the pass writes a line.
+    fn query(&mut self, query: &TraceQuery) {
+        self.start(query.id);
+        self.sql(&query.sql);
+        self.template(query.template);
+        for &key in &query.data_keys {
+            self.data_key(key);
+        }
+        for &table in &query.tables {
+            self.table(table);
+        }
+        for &column in &query.columns {
+            self.column(column);
+        }
+        self.total_yield(query.total_yield);
+        for &(table, bytes) in &query.table_yields {
+            self.table_yield(table, bytes);
+        }
+        for &(column, bytes) in &query.column_yields {
+            self.column_yield(column, bytes);
+        }
+        self.end();
+    }
+}
+
+impl Sink for TraceQuery {
+    fn start(&mut self, id: QueryId) {
+        self.id = id;
+        self.data_keys.clear();
+        self.tables.clear();
+        self.columns.clear();
+        self.table_yields.clear();
+        self.column_yields.clear();
+    }
+    fn sql(&mut self, sql: &str) {
+        self.sql.clear();
+        self.sql.push_str(sql);
+    }
+    fn template(&mut self, template: u32) {
+        self.template = template;
+    }
+    fn data_key(&mut self, key: u64) {
+        self.data_keys.push(key);
+    }
+    fn table(&mut self, table: TableId) {
+        self.tables.push(table);
+    }
+    fn column(&mut self, column: ColumnId) {
+        self.columns.push(column);
+    }
+    fn total_yield(&mut self, bytes: Bytes) {
+        self.total_yield = bytes;
+    }
+    fn table_yield(&mut self, table: TableId, bytes: Bytes) {
+        self.table_yields.push((table, bytes));
+    }
+    fn column_yield(&mut self, column: ColumnId, bytes: Bytes) {
+        self.column_yields.push((column, bytes));
+    }
+    fn end(&mut self) {}
+    // A slot is left partly overwritten, as the step-wise decoder leaves it.
+    fn undo(&mut self) {}
+}
+
+/// Decode the query line at the start of `bytes` into `sink` in one pass,
+/// if it is in the writer's layout: `{"id":N,"sql":"…","template":N,`
+/// `"data_keys":[N,…],"tables":[N,…],"columns":[N,…],"total_yield":N,`
+/// `"table_yields":[[N,N],…],"column_yields":[[N,N],…]}`, then `\n`;
+/// when `bytes` are the `whole` line, nothing or `\n` alone. Returns the
+/// bytes the line took, its `\n` included.
+///
+/// The pass takes only text the step-wise decoder reads to the same
+/// query: each key with its separators as one literal, an integer as a
+/// plain run of at most 19 digits within its field's range, and the SQL
+/// as one plain run of valid UTF-8. On any other byte it gives up, and
+/// the line is left to the step-wise decoder.
+fn pass(bytes: &[u8], whole: bool, sink: &mut impl Sink) -> Option<usize> {
+    let len = layout(bytes, whole, sink);
+    match len {
+        Some(_) => sink.end(),
+        None => sink.undo(),
+    }
+    len
+}
+
+/// The body of [`pass`].
+#[inline]
+fn layout(bytes: &[u8], whole: bool, sink: &mut impl Sink) -> Option<usize> {
+    let mut at = Written { rest: bytes };
+    at.literal(b"{\"id\":")?;
+    sink.start(QueryId::new(at.u32()?));
+    at.literal(b",\"sql\":\"")?;
+    sink.sql(at.plain_string()?);
+    at.literal(b",\"template\":")?;
+    sink.template(at.u32()?);
+    at.literal(b",\"data_keys\":")?;
+    at.list(|at| at.u64().map(|key| sink.data_key(key)))?;
+    at.literal(b",\"tables\":")?;
+    at.list(|at| at.u32().map(|table| sink.table(TableId::new(table))))?;
+    at.literal(b",\"columns\":")?;
+    at.list(|at| at.u32().map(|column| sink.column(ColumnId::new(column))))?;
+    at.literal(b",\"total_yield\":")?;
+    sink.total_yield(Bytes::new(at.u64()?));
+    at.literal(b",\"table_yields\":")?;
+    at.list(|at| {
+        at.pair()
+            .map(|(table, bytes)| sink.table_yield(TableId::new(table), bytes))
+    })?;
+    at.literal(b",\"column_yields\":")?;
+    at.list(|at| {
+        at.pair()
+            .map(|(column, bytes)| sink.column_yield(ColumnId::new(column), bytes))
+    })?;
+    at.literal(b"}")?;
+    let read = bytes.len() - at.rest.len();
+    match (at.rest, whole) {
+        ([b'\n', ..], false) | ([b'\n'], true) => Some(read + 1),
+        ([], true) => Some(read),
+        _ => None,
+    }
+}
+
+/// The bytes left to [`pass`]: each step reads exactly what the writer
+/// writes there, or returns `None`.
+struct Written<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Written<'a> {
+    #[inline]
+    fn literal(&mut self, text: &[u8]) -> Option<()> {
+        self.rest = self.rest.strip_prefix(text)?;
+        Some(())
+    }
+
+    /// A run of 1 to 19 digits, folded as [`Cursor::number`] folds it:
+    /// 19 nines are below `u64::MAX`. The layout puts `,`, `]` or `}`
+    /// after every number, so a 20th digit, or any of `-.eE+` after the
+    /// run, which the step-wise decoder reads as a number of another
+    /// spelling, ends the pass at the next step.
+    #[inline]
+    fn u64(&mut self) -> Option<u64> {
+        let mut value = 0u64;
+        let mut len = 0;
+        for &b in self.rest.iter().take(19) {
+            let digit = b.wrapping_sub(b'0');
+            if digit > 9 {
+                break;
+            }
+            value = value * 10 + u64::from(digit);
+            len += 1;
+        }
+        if len == 0 {
+            return None;
+        }
+        self.rest = self.rest.get(len..)?;
+        Some(value)
+    }
+
+    #[inline]
+    fn u32(&mut self) -> Option<u32> {
+        u32::try_from(self.u64()?).ok()
+    }
+
+    /// The rest of a string whose `"` is already read: one plain run of
+    /// valid UTF-8, then its closing `"`.
+    #[inline]
+    fn plain_string(&mut self) -> Option<&'a str> {
+        let (text, rest) = self.rest.split_at_checked(plain_run(self.rest))?;
+        self.rest = rest.strip_prefix(b"\"")?;
+        std::str::from_utf8(text).ok()
+    }
+
+    /// `[`, then `item` for each element, separated by `,`, then `]`.
+    #[inline]
+    fn list(&mut self, mut item: impl FnMut(&mut Self) -> Option<()>) -> Option<()> {
+        self.literal(b"[")?;
+        if self.literal(b"]").is_some() {
+            return Some(());
+        }
+        loop {
+            item(self)?;
+            let (&next, rest) = self.rest.split_first()?;
+            self.rest = rest;
+            match next {
+                b',' => {}
+                b']' => return Some(()),
+                _ => return None,
+            }
+        }
+    }
+
+    /// One `[id,bytes]` yield pair.
+    #[inline]
+    fn pair(&mut self) -> Option<(u32, Bytes)> {
+        self.literal(b"[")?;
+        let id = self.u32()?;
+        self.literal(b",")?;
+        let bytes = self.u64()?;
+        self.literal(b"]")?;
+        Some((id, Bytes::new(bytes)))
+    }
+}
+
 /// A line of whitespace only, as `str::trim` counts it: skipped.
 fn is_blank(line: &[u8]) -> bool {
     line.first() != Some(&b'{') && std::str::from_utf8(line).is_ok_and(|s| s.trim().is_empty())
+}
+
+/// What one read off [`Lines`] found.
+enum Line {
+    /// The end of the input.
+    End,
+    /// A blank line, skipped.
+    Blank,
+    /// A query, decoded into the sink.
+    Query,
+    /// A line the step-wise decoder refused, with its message.
+    Bad(String),
+}
+
+/// The query lines of a buffered input. A line in the writer's layout
+/// that the buffer holds whole is decoded where it lies; any other line
+/// is copied out first.
+struct Lines<R> {
+    input: R,
+    /// The line being read, when it had to be copied; reused.
+    line: Vec<u8>,
+    /// Member keys are unescaped here, reused for every key.
+    key: String,
+    /// The step-wise decoder decodes each query here, into buffers
+    /// reused for every line.
+    slot: TraceQuery,
+}
+
+impl<R: BufRead> Lines<R> {
+    fn new(input: R) -> Self {
+        Self {
+            input,
+            line: Vec::new(),
+            key: String::new(),
+            slot: TraceQuery::default(),
+        }
+    }
+
+    /// Read the next line and decode it into `sink`, in one pass if it
+    /// is in the writer's layout, else through the step-wise decoder and
+    /// [`Sink::query`]. Returns what was found and the bytes the line
+    /// took, its line end included.
+    fn next_into(&mut self, sink: &mut impl Sink) -> io::Result<(Line, usize)> {
+        let (key, slot) = (&mut self.key, &mut self.slot);
+        read_line(&mut self.input, &mut self.line, sink, |line, sink| {
+            decode_line(line, slot, key)?;
+            sink.query(slot);
+            Ok(())
+        })
+    }
+
+    /// [`Self::next_into`] into the slot, with no copy.
+    fn next_slot(&mut self) -> io::Result<(Line, usize)> {
+        let key = &mut self.key;
+        read_line(
+            &mut self.input,
+            &mut self.line,
+            &mut self.slot,
+            |line, slot| decode_line(line, slot, key),
+        )
+    }
+}
+
+/// The body of [`Lines::next_into`]: the pass on the buffer's bytes, and on a
+/// line the buffer does not hold whole, copied into `line`; `stepwise`
+/// on a line the pass does not take.
+fn read_line<S: Sink>(
+    input: &mut impl BufRead,
+    line: &mut Vec<u8>,
+    sink: &mut S,
+    stepwise: impl FnOnce(&[u8], &mut S) -> Decoded<()>,
+) -> io::Result<(Line, usize)> {
+    let held = input.fill_buf()?;
+    let buffered = held.len();
+    if let Some(len) = pass(held, false, sink) {
+        input.consume(len);
+        return Ok((Line::Query, len));
+    }
+    line.clear();
+    let read = input.read_until(b'\n', line)?;
+    // The pass has seen every byte of a line the buffer held whole and
+    // that ends in a newline.
+    let seen = read <= buffered && line.last() == Some(&b'\n');
+    let found = if read == 0 {
+        Line::End
+    } else if !seen && pass(line, true, sink).is_some() {
+        Line::Query
+    } else if is_blank(line) {
+        Line::Blank
+    } else {
+        match stepwise(line, sink) {
+            Ok(()) => Line::Query,
+            Err(e) => Line::Bad(e),
+        }
+    };
+    Ok((found, read))
 }
 
 /// Read the header line off `input` into `line` and check it.
@@ -383,13 +741,7 @@ impl TraceWriter {
 /// trace. The replay engine's streaming path feeds on this to keep
 /// 100M-query replays in constant memory.
 pub struct TraceReader {
-    input: BufReader<File>,
-    /// The current line's bytes, reused for every line.
-    line: Vec<u8>,
-    /// Member keys are unescaped here, reused for every key.
-    key: String,
-    /// Each query is decoded here, into buffers reused for every line.
-    slot: TraceQuery,
+    lines: Lines<BufReader<File>>,
     name: String,
     seed: u64,
     query_count: usize,
@@ -410,10 +762,7 @@ impl TraceReader {
         let mut line = Vec::new();
         let header = read_header(&mut input, &mut line)?;
         Ok(Self {
-            input,
-            line,
-            key: String::new(),
-            slot: TraceQuery::default(),
+            lines: Lines::new(input),
             name: header.name,
             seed: header.seed,
             query_count: header.query_count,
@@ -468,23 +817,45 @@ impl TraceReader {
     /// file, once the header's query count has been checked.
     pub(crate) fn decode_next(&mut self) -> Result<Option<&TraceQuery>> {
         while !self.finished {
-            self.line.clear();
-            if self.input.read_until(b'\n', &mut self.line)? == 0 {
-                self.finished = true;
-                check_count(self.query_count, self.delivered)?;
-                break;
+            let (line, _) = self.lines.next_slot()?;
+            if self.count(line)? {
+                return Ok(Some(&self.lines.slot));
             }
-            self.line_no += 1;
-            if is_blank(&self.line) {
-                continue;
-            }
-            decode_line(&self.line, &mut self.slot, &mut self.key).map_err(|e| {
-                Error::TraceFormat(format!("bad query on line {}: {e}", self.line_no))
-            })?;
-            self.delivered += 1;
-            return Ok(Some(&self.slot));
         }
         Ok(None)
+    }
+
+    /// Decode the next query into `sink`; `false` at end of file, once
+    /// the header's query count has been checked.
+    pub(crate) fn decode_into(&mut self, sink: &mut impl Sink) -> Result<bool> {
+        while !self.finished {
+            let (line, _) = self.lines.next_into(sink)?;
+            if self.count(line)? {
+                return Ok(true);
+            }
+        }
+        Ok(false)
+    }
+
+    /// Count one line read: `true` for a query.
+    fn count(&mut self, line: Line) -> Result<bool> {
+        if let Line::End = line {
+            self.finished = true;
+            check_count(self.query_count, self.delivered)?;
+            return Ok(false);
+        }
+        self.line_no += 1;
+        match line {
+            Line::Query => {
+                self.delivered += 1;
+                Ok(true)
+            }
+            Line::Bad(e) => Err(Error::TraceFormat(format!(
+                "bad query on line {}: {e}",
+                self.line_no
+            ))),
+            Line::End | Line::Blank => Ok(false),
+        }
     }
 }
 
@@ -524,20 +895,16 @@ impl<'p> TraceFile<'p> {
     }
 
     /// Decode, in file order, each query line whose first byte is in
-    /// `range` (a line may run past its end), and hand every query to
-    /// `each` from one reused slot. Blank lines are skipped, as
-    /// [`TraceReader`] skips them. Returns the number of queries.
+    /// `range` (a line may run past its end) into `sink`. Blank lines are
+    /// skipped, as [`TraceReader`] skips them. Returns the number of
+    /// queries.
     ///
     /// # Errors
     ///
     /// I/O errors; [`Error::TraceFormat`] on the first malformed line,
     /// naming it by its line number in the whole file, with the text
     /// [`TraceReader`] gives the same line.
-    pub(crate) fn decode_range(
-        &self,
-        range: Range<u64>,
-        mut each: impl FnMut(&TraceQuery),
-    ) -> Result<usize> {
+    pub(crate) fn decode_range(&self, range: Range<u64>, sink: &mut impl Sink) -> Result<usize> {
         if range.start >= range.end {
             return Ok(0);
         }
@@ -552,28 +919,23 @@ impl<'p> TraceFile<'p> {
         if at < range.start {
             at += u64::try_from(input.read_until(b'\n', &mut line)?).unwrap_or(u64::MAX);
         }
-        let mut slot = TraceQuery::default();
-        let mut key = String::new();
+        let mut lines = Lines::new(input);
         let mut decoded = 0;
         while at < range.end {
-            line.clear();
-            let read = input.read_until(b'\n', &mut line)?;
-            if read == 0 {
-                break;
-            }
             let start = at;
+            let (line, read) = lines.next_into(sink)?;
             at += u64::try_from(read).unwrap_or(u64::MAX);
-            if is_blank(&line) {
-                continue;
+            match line {
+                Line::End => break,
+                Line::Blank => {}
+                Line::Query => decoded += 1,
+                Line::Bad(e) => {
+                    return Err(Error::TraceFormat(format!(
+                        "bad query on line {}: {e}",
+                        self.line_at(start)?
+                    )))
+                }
             }
-            if let Err(e) = decode_line(&line, &mut slot, &mut key) {
-                return Err(Error::TraceFormat(format!(
-                    "bad query on line {}: {e}",
-                    self.line_at(start)?
-                )));
-            }
-            decoded += 1;
-            each(&slot);
         }
         Ok(decoded)
     }
@@ -765,6 +1127,25 @@ mod tests {
             decode_query(Value::Object(fields).to_string().as_bytes(), &mut slot).unwrap();
             assert_eq!(&slot, q);
         }
+    }
+
+    /// A whole line in the writer's layout ends at its `}` or at the one
+    /// `\n` after it; any other ending is the step-wise decoder's to judge.
+    #[test]
+    fn a_whole_line_ends_at_its_newline() {
+        let cat = build(SdssRelease::Edr, 1e-3, 1);
+        let trace = generate(&cat, &WorkloadConfig::smoke(47, 2)).unwrap();
+        let [first, second] = [0, 1].map(|i| query_to_json(&trace.queries[i]).to_string());
+        let mut slot = TraceQuery::default();
+        for ending in ["", "\n", "\r\n", "\n\n", " \n\t"] {
+            let line = format!("{first}{ending}");
+            assert_eq!(decode_written(line.as_bytes(), &mut slot), ending.len() < 2);
+            decode_query(line.as_bytes(), &mut slot).unwrap();
+            assert_eq!(slot, trace.queries[0], "{ending:?}");
+        }
+        let joined = format!("{first}\n{second}");
+        assert!(!decode_written(joined.as_bytes(), &mut slot));
+        assert!(decode_query(joined.as_bytes(), &mut slot).is_err());
     }
 
     #[test]

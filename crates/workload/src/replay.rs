@@ -32,10 +32,10 @@
 //! replay traces are equal when their queries are, wherever their runs
 //! break.
 
-use crate::io::{check_count, TraceFile, TraceReader};
+use crate::io::{check_count, Sink, TraceFile, TraceReader};
 use crate::trace::{Trace, TraceQuery};
 use byc_catalog::{Granularity, ObjectCatalog};
-use byc_types::{Bytes, ObjectId, QueryId, Result};
+use byc_types::{Bytes, ColumnId, ObjectId, QueryId, Result, TableId};
 use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::path::Path;
@@ -133,20 +133,6 @@ struct Run {
 }
 
 impl Run {
-    /// Append one query, resolving its references against `objects`;
-    /// returns the references that named no object.
-    fn push(&mut self, query: &TraceQuery, objects: &ObjectCatalog) -> Unresolved {
-        let skipped = for_each_slice(query, objects, |object, raw_yield| {
-            self.slices.push((object, raw_yield));
-        });
-        self.queries.push(ReplayQuery {
-            id: query.id,
-            total_yield: query.total_yield,
-            end: self.slices.len(),
-        });
-        skipped
-    }
-
     fn iter(&self) -> impl Iterator<Item = (&ReplayQuery, &[(ObjectId, Bytes)])> + '_ {
         let mut start = 0;
         self.queries.iter().map(move |query| {
@@ -154,6 +140,80 @@ impl Run {
             start = query.end;
             (query, slices)
         })
+    }
+}
+
+/// A run being filled, one query at a time. The pass over a line in the
+/// writer's layout resolves each yield pair of the catalog's granularity
+/// to its slice as it reads it and drops every other member; a decoded
+/// query comes member by member the same way ([`Sink::query`]).
+struct Fill<'o> {
+    run: Run,
+    objects: &'o ObjectCatalog,
+    /// The references of the run's queries that named no object.
+    unresolved: Unresolved,
+    /// The line being read: its id, its total yield, and its references
+    /// that named no object.
+    id: QueryId,
+    total_yield: Bytes,
+    skipped: Unresolved,
+}
+
+impl<'o> Fill<'o> {
+    fn new(run: Run, objects: &'o ObjectCatalog) -> Self {
+        Fill {
+            run,
+            objects,
+            unresolved: Unresolved::default(),
+            id: QueryId::default(),
+            total_yield: Bytes::ZERO,
+            skipped: Unresolved::default(),
+        }
+    }
+
+    #[inline]
+    fn slice(&mut self, object: Result<ObjectId>, raw_yield: Bytes) {
+        match object {
+            Ok(object) => self.run.slices.push((object, raw_yield)),
+            Err(_) => self.skipped.skip(raw_yield),
+        }
+    }
+}
+
+impl Sink for Fill<'_> {
+    fn start(&mut self, id: QueryId) {
+        self.id = id;
+        self.skipped = Unresolved::default();
+    }
+    fn sql(&mut self, _: &str) {}
+    fn template(&mut self, _: u32) {}
+    fn data_key(&mut self, _: u64) {}
+    fn table(&mut self, _: TableId) {}
+    fn column(&mut self, _: ColumnId) {}
+    fn total_yield(&mut self, bytes: Bytes) {
+        self.total_yield = bytes;
+    }
+    fn table_yield(&mut self, table: TableId, bytes: Bytes) {
+        if self.objects.granularity() == Granularity::Table {
+            self.slice(self.objects.object_for_table(table), bytes);
+        }
+    }
+    fn column_yield(&mut self, column: ColumnId, bytes: Bytes) {
+        if self.objects.granularity() == Granularity::Column {
+            self.slice(self.objects.object_for_column(column), bytes);
+        }
+    }
+    fn end(&mut self) {
+        self.run.queries.push(ReplayQuery {
+            id: self.id,
+            total_yield: self.total_yield,
+            end: self.run.slices.len(),
+        });
+        self.unresolved.add(self.skipped);
+    }
+    fn undo(&mut self) {
+        let end = self.run.queries.last().map_or(0, |query| query.end);
+        self.run.slices.truncate(end);
     }
 }
 
@@ -184,13 +244,15 @@ impl ReplayTrace {
 
     /// `trace`'s queries, resolved against `objects`.
     pub fn from_trace(trace: &Trace, objects: &ObjectCatalog) -> Self {
-        let mut replay = Self::new(&trace.name, objects);
         let mut run = Run::default();
         run.queries.reserve_exact(trace.len());
+        let mut fill = Fill::new(run, objects);
         for query in &trace.queries {
-            replay.unresolved.add(run.push(query, objects));
+            fill.query(query);
         }
-        replay.runs.push(run);
+        let mut replay = Self::new(&trace.name, objects);
+        replay.runs.push(fill.run);
+        replay.unresolved = fill.unresolved;
         replay
     }
 
@@ -252,11 +314,9 @@ impl ReplayTrace {
             let share = usize::try_from(share + share / 16 + 16).unwrap_or(0);
             let mut run = Run::default();
             run.queries.reserve_exact(share.min(file.query_count));
-            let mut unresolved = Unresolved::default();
-            let decoded = file.decode_range(range, |query| {
-                unresolved.add(run.push(query, objects));
-            })?;
-            Ok((run, unresolved, decoded))
+            let mut fill = Fill::new(run, objects);
+            let decoded = file.decode_range(range, &mut fill)?;
+            Ok((fill.run, fill.unresolved, decoded))
         };
         let results: Vec<_> = std::thread::scope(|scope| {
             let mut ranges = ranges.into_iter();
@@ -306,19 +366,20 @@ impl ReplayTrace {
             .unwrap_or_default();
         run.queries.clear();
         run.slices.clear();
-        self.unresolved = Unresolved::default();
+        let mut fill = Fill::new(run, objects);
         let mut filled = Ok(());
         for _ in 0..max.max(1) {
-            match reader.decode_next() {
-                Ok(Some(query)) => self.unresolved.add(run.push(query, objects)),
-                Ok(None) => break,
+            match reader.decode_into(&mut fill) {
+                Ok(true) => {}
+                Ok(false) => break,
                 Err(e) => {
                     filled = Err(e);
                     break;
                 }
             }
         }
-        self.runs.push(run);
+        self.runs.push(fill.run);
+        self.unresolved = fill.unresolved;
         filled
     }
 
@@ -476,11 +537,12 @@ mod tests {
         let whole = ReplayTrace::from_trace(&trace, &objects);
         let mut split = ReplayTrace::new(&trace.name, &objects);
         for part in trace.queries.chunks(70) {
-            let mut run = Run::default();
+            let mut fill = Fill::new(Run::default(), &objects);
             for query in part {
-                split.unresolved.add(run.push(query, &objects));
+                fill.query(query);
             }
-            split.runs.push(run);
+            split.unresolved.add(fill.unresolved);
+            split.runs.push(fill.run);
         }
         assert_eq!(split.runs.len(), 5);
         assert_eq!(split, whole);

@@ -5,24 +5,36 @@
 //! mutates the written lines: reordered, duplicated and unknown (nested)
 //! members, escaped keys and SQL, respelled integers, out-of-range ids,
 //! missing and mistyped members, truncation at every byte, spliced lines,
-//! flipped bytes, and one whitespace byte at each token boundary in turn. Wherever the oracle (the first decoder, in
-//! `oracle/`) decodes a line, the shipped decoder must give the same
-//! `TraceQuery`; wherever the oracle refuses it, the shipped decoder must
-//! return an `Err`. Neither may panic. Whole files go through
-//! `TraceReader::next_chunk` at chunk sizes 1, 7 and 1024, and through
-//! `ReplayTrace::read`, which must
-//! accept or refuse each file as `read_trace` does, with the same error
-//! text, and when it accepts equal the conversion of `read_trace`'s
-//! trace at both granularities.
+//! flipped bytes, and one whitespace byte at each token boundary in
+//! turn. Wherever the oracle (the first decoder, in `oracle/`) decodes a
+//! line, the shipped decoder must give the same `TraceQuery`; wherever
+//! the oracle refuses it, the shipped decoder must return an `Err`.
+//! Neither may panic.
+//!
+//! The shipped decoder is a one-pass decoder for the writer's layout in
+//! front of the step-wise one. Wherever the pass takes one of these
+//! lines, the step-wise decoder must take it too, to an equal
+//! `TraceQuery`, and the replay view the pass resolves must equal the
+//! conversion of the step-wise query at both granularities. The pass
+//! must take every line the writer writes.
+//!
+//! Whole files go through `TraceReader::next_chunk`, and through
+//! `ReplayTrace::refill`, at chunk sizes 1, 7 and 1024, and through
+//! `ReplayTrace::read`. Each must accept or refuse a file as `read_trace`
+//! does, with the same error text, and when it accepts give the same
+//! queries (the replay traces at both granularities). A file whose lines
+//! cross the readers' buffer refills at every byte offset reads the same.
 
 mod oracle;
 
 use byc_catalog::sdss::{build, SdssRelease};
 use byc_catalog::{Granularity, ObjectCatalog};
 use byc_types::json::{Num, Value};
-use byc_types::SplitMix64;
-use byc_workload::io::{decode_query, read_trace};
-use byc_workload::{generate, ReplayTrace, TraceQuery, TraceReader, TraceWriter, WorkloadConfig};
+use byc_types::{Bytes, ObjectId, QueryId, SplitMix64};
+use byc_workload::io::{decode_query, decode_stepwise, decode_written, read_trace};
+use byc_workload::{
+    generate, ReplayTrace, Trace, TraceQuery, TraceReader, TraceWriter, Unresolved, WorkloadConfig,
+};
 use proptest::prelude::*;
 use std::path::PathBuf;
 
@@ -38,9 +50,23 @@ fn tmp(name: &str, seed: u64) -> PathBuf {
 /// A generated trace as `TraceWriter` writes it: the header line and
 /// the query lines, without their newlines.
 fn written_lines(seed: u64, queries: usize) -> (Vec<u8>, Vec<Vec<u8>>) {
-    let cat = build(SdssRelease::Edr, 1e-4, 1);
-    let trace = generate(&cat, &WorkloadConfig::smoke(seed, queries)).unwrap();
-    let path = tmp("written", seed);
+    written_release(SdssRelease::Edr, seed, queries)
+}
+
+/// [`written_lines`] for a trace of `release`, with its preset.
+fn written_release(release: SdssRelease, seed: u64, queries: usize) -> (Vec<u8>, Vec<Vec<u8>>) {
+    let cat = build(release, 1e-4, 1);
+    let preset = match release {
+        SdssRelease::Edr => WorkloadConfig::edr(seed),
+        SdssRelease::Dr1 => WorkloadConfig::dr1(seed),
+    };
+    let config = WorkloadConfig {
+        name: format!("smoke-{queries}"),
+        query_count: queries,
+        ..preset
+    };
+    let trace = generate(&cat, &config).unwrap();
+    let path = tmp(&format!("written-{release:?}-{queries}"), seed);
     let mut w = TraceWriter::create(&path, &trace.name, trace.seed, trace.len()).unwrap();
     for q in &trace.queries {
         w.write(q).unwrap();
@@ -312,7 +338,8 @@ fn damaged(line: &[u8], others: &[Vec<u8>], rng: &mut SplitMix64) -> Vec<u8> {
 /// One line through both decoders: equal queries where the oracle
 /// decodes, an `Err` where it refuses. `slot` is reused across calls,
 /// so a slot left over from a longer query must not leak into this one.
-fn agree(line: &[u8], slot: &mut TraceQuery) {
+/// The line goes through the one pass alone too (see [`Taken`]).
+fn agree(line: &[u8], slot: &mut TraceQuery, taken: &mut Taken) {
     let shipped = decode_query(line, slot);
     match oracle::read_line(line) {
         Ok(Some(expected)) => {
@@ -331,6 +358,71 @@ fn agree(line: &[u8], slot: &mut TraceQuery) {
             "oracle refuses, shipped decodes: {:?}",
             String::from_utf8_lossy(line)
         ),
+    }
+    taken.check(line);
+}
+
+/// The lines the one pass took, each with the step-wise decoder's query.
+#[derive(Default)]
+struct Taken {
+    lines: Vec<Vec<u8>>,
+    queries: Vec<TraceQuery>,
+    /// The pass's slot, reused across lines.
+    slot: TraceQuery,
+}
+
+impl Taken {
+    /// The pass alone on `line`: where it takes the line, the step-wise
+    /// decoder must take it too, to the same query.
+    fn check(&mut self, line: &[u8]) {
+        if !decode_written(line, &mut self.slot) {
+            return;
+        }
+        let mut stepwise = TraceQuery::default();
+        let decoded = decode_stepwise(line, &mut stepwise);
+        let text = String::from_utf8_lossy(line);
+        assert!(
+            decoded.is_ok(),
+            "the pass takes, the step-wise decoder refuses ({decoded:?}): {text:?}"
+        );
+        assert_eq!(self.slot, stepwise, "{text:?}");
+        self.lines
+            .push(line.strip_suffix(b"\n").unwrap_or(line).to_vec());
+        self.queries.push(stepwise);
+    }
+
+    /// The lines taken, as one file: read through `ReplayTrace::read`
+    /// and `ReplayTrace::refill` at both granularities, where the pass
+    /// resolves each line's slices, they must equal the conversion of the
+    /// step-wise queries.
+    fn views_agree(&self, seed: u64) {
+        let name = "taken";
+        let mut file = format!(
+            "{{\"format_version\":1,\"name\":\"{name}\",\"seed\":0,\"query_count\":{}}}\n",
+            self.lines.len()
+        )
+        .into_bytes();
+        for line in &self.lines {
+            file.extend_from_slice(line);
+            file.push(b'\n');
+        }
+        let path = tmp(name, seed);
+        std::fs::write(&path, &file).unwrap();
+        let trace = Trace {
+            name: name.into(),
+            seed: 0,
+            queries: self.queries.clone(),
+        };
+        let catalog = build(SdssRelease::Edr, 1e-4, 1);
+        for granularity in [Granularity::Table, Granularity::Column] {
+            let objects = ObjectCatalog::uniform(&catalog, granularity);
+            let want = ReplayTrace::from_trace(&trace, &objects);
+            assert_eq!(ReplayTrace::read(&path, &objects).unwrap(), want);
+            for chunk in [1, 1024] {
+                assert_eq!(refilled(&path, &objects, chunk), Ok(content(&want)));
+            }
+        }
+        std::fs::remove_file(&path).ok();
     }
 }
 
@@ -381,6 +473,119 @@ fn read_chunked(path: &std::path::Path, chunk: usize) -> Result<Vec<TraceQuery>,
     }
 }
 
+/// What a replay reads of each query (its id, total yield and slices),
+/// and the references that named no object.
+type Content = (Vec<(QueryId, Bytes, Vec<(ObjectId, Bytes)>)>, Unresolved);
+
+fn content(replay: &ReplayTrace) -> Content {
+    let queries = replay
+        .iter()
+        .map(|(q, slices)| (q.id, q.total_yield, slices.to_vec()))
+        .collect();
+    (queries, replay.unresolved())
+}
+
+/// A whole file refilled into one replay trace `chunk` queries at a
+/// time: the content of every chunk in turn, or the error it stopped at.
+fn refilled(
+    path: &std::path::Path,
+    objects: &ObjectCatalog,
+    chunk: usize,
+) -> Result<Content, String> {
+    let mut reader = TraceReader::open(path).map_err(|e| e.to_string())?;
+    let mut replay = ReplayTrace::new(reader.name(), objects);
+    let (mut queries, mut unresolved) = (Vec::new(), Unresolved::default());
+    loop {
+        replay
+            .refill(&mut reader, objects, chunk)
+            .map_err(|e| e.to_string())?;
+        if replay.is_empty() {
+            return Ok((queries, unresolved));
+        }
+        assert!(replay.len() <= chunk);
+        let (got, skipped) = content(&replay);
+        queries.extend(got);
+        unresolved.add(skipped);
+    }
+}
+
+/// The pass takes every line the writer writes, for both releases and
+/// several seeds (no generated SQL holds an escape or a non-ASCII byte).
+#[test]
+fn the_pass_takes_every_written_line() {
+    for release in [SdssRelease::Edr, SdssRelease::Dr1] {
+        for seed in [1, 2, 7, 11, 29] {
+            let (_, lines) = written_release(release, seed, 300);
+            let mut slot = TraceQuery::default();
+            for line in &lines {
+                let text = String::from_utf8_lossy(line);
+                assert!(
+                    decode_written(line, &mut slot),
+                    "{release:?} {seed}: {text}"
+                );
+                assert_eq!(Ok(Some(slot.clone())), oracle::read_line(line), "{text}");
+                let mut ended = line.clone();
+                ended.push(b'\n');
+                assert!(decode_written(&ended, &mut slot), "{text}");
+            }
+        }
+    }
+}
+
+/// A blank line of `k` bytes ahead of the query lines moves every line
+/// `k` bytes further into the file. As `k` runs over the longest line's
+/// length, some line crosses the end of each reader's first 8 KiB buffer
+/// fill (std's `BufReader` default) at each of its bytes, so a pass
+/// that gives up at the buffer's end and a line read again after the
+/// refill show. `next_chunk`, `refill` and `ReplayTrace::read` read the
+/// queries the writer wrote, whatever `k` is.
+#[test]
+fn lines_across_the_first_buffer_refill() {
+    let (header, lines) = written_lines(23, 80);
+    let longest = lines.iter().map(Vec::len).max().unwrap() + 1;
+    // Lines enough to run past the first buffer by two of the longest.
+    let mut count = 0;
+    let mut len = header.len() + longest;
+    while len < 8192 + 2 * longest {
+        len += lines[count].len() + 1;
+        count += 1;
+    }
+    let lines = &lines[..count];
+    let header = String::from_utf8(header).unwrap();
+    let name = Value::parse(&header).unwrap()["name"]
+        .as_str()
+        .unwrap()
+        .to_string();
+    let header = header.replace("\"query_count\":80", &format!("\"query_count\":{count}"));
+    let trace = Trace {
+        name,
+        seed: 23,
+        queries: lines
+            .iter()
+            .map(|line| oracle::read_line(line).unwrap().unwrap())
+            .collect(),
+    };
+    let catalog = build(SdssRelease::Edr, 1e-4, 1);
+    let objects = ObjectCatalog::uniform(&catalog, Granularity::Column);
+    let want = ReplayTrace::from_trace(&trace, &objects);
+    let path = tmp("refill-boundary", 23);
+    for k in 1..=longest {
+        let mut file = header.clone().into_bytes();
+        file.push(b'\n');
+        file.extend(std::iter::repeat_n(b' ', k - 1));
+        file.push(b'\n');
+        for line in lines {
+            file.extend_from_slice(line);
+            file.push(b'\n');
+        }
+        std::fs::write(&path, &file).unwrap();
+        assert_eq!(read_chunked(&path, 7), Ok(trace.queries.clone()), "k = {k}");
+        assert_eq!(refilled(&path, &objects, 7), Ok(content(&want)), "k = {k}");
+        assert_eq!(ReplayTrace::read(&path, &objects).unwrap(), want, "k = {k}");
+    }
+    std::fs::remove_file(&path).ok();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -391,20 +596,29 @@ proptest! {
         let (_, lines) = written_lines(seed, queries);
         let mut rng = SplitMix64::new(seed);
         let mut slot = TraceQuery::default();
+        let mut taken = Taken::default();
         for line in &lines {
-            agree(line, &mut slot);
+            agree(line, &mut slot, &mut taken);
             let respelled = mutated(line, &lines, false, &mut rng);
-            agree(respelled.as_bytes(), &mut slot);
+            agree(respelled.as_bytes(), &mut slot, &mut taken);
             let broken = mutated(line, &lines, true, &mut rng);
-            agree(broken.as_bytes(), &mut slot);
-            agree(&damaged(respelled.as_bytes(), &lines, &mut rng), &mut slot);
-            agree(&damaged(line, &lines, &mut rng), &mut slot);
+            agree(broken.as_bytes(), &mut slot, &mut taken);
+            agree(&damaged(respelled.as_bytes(), &lines, &mut rng), &mut slot, &mut taken);
+            agree(&damaged(line, &lines, &mut rng), &mut slot, &mut taken);
+            // The writer's bytes but for one number at an edge of its range.
+            let edge = respell_a_number(std::str::from_utf8(line).unwrap(), &mut rng);
+            agree(edge.as_bytes(), &mut slot, &mut taken);
         }
-        // Every cut of one line.
-        let line = mutated(&lines[pick(&mut rng, lines.len())], &lines, false, &mut rng);
+        // Every cut of one line, the writer's own among them.
+        let line = if rng.chance(0.5) {
+            lines[pick(&mut rng, lines.len())].clone()
+        } else {
+            mutated(&lines[pick(&mut rng, lines.len())], &lines, false, &mut rng).into_bytes()
+        };
         for cut in 0..=line.len() {
-            agree(&line.as_bytes()[..cut], &mut slot);
+            agree(&line[..cut], &mut slot, &mut taken);
         }
+        taken.views_agree(seed);
     }
 
     /// One whitespace byte at each token boundary of a written line, one
@@ -414,6 +628,7 @@ proptest! {
     fn whitespace_at_every_token_boundary(seed in any::<u64>(), queries in 1usize..4) {
         let (_, lines) = written_lines(seed, queries);
         let mut slot = TraceQuery::default();
+        let mut taken = Taken::default();
         for line in &lines {
             let expected = oracle::read_line(line).unwrap().unwrap();
             for (n, at) in token_boundaries(line).into_iter().enumerate() {
@@ -428,8 +643,10 @@ proptest! {
                 );
                 prop_assert!(decode_query(&spaced, &mut slot).is_ok(), "{}", text);
                 prop_assert_eq!(&slot, &expected, "{}", text);
+                taken.check(&spaced);
             }
         }
+        taken.views_agree(seed);
     }
 
     /// Whole files, with CRLF endings, blank lines and at most one
@@ -463,6 +680,18 @@ proptest! {
         let catalog = build(SdssRelease::Edr, 1e-4, 1);
         for granularity in [Granularity::Table, Granularity::Column] {
             let objects = ObjectCatalog::uniform(&catalog, granularity);
+            let converted = read
+                .as_ref()
+                .map(|trace| content(&ReplayTrace::from_trace(trace, &objects)))
+                .map_err(ToString::to_string);
+            for chunk in [1usize, 7, 1024] {
+                prop_assert_eq!(
+                    refilled(&path, &objects, chunk),
+                    converted.clone(),
+                    "refill chunk {}",
+                    chunk
+                );
+            }
             match (&read, ReplayTrace::read(&path, &objects)) {
                 (Ok(trace), Ok(replay)) => {
                     prop_assert_eq!(replay, ReplayTrace::from_trace(trace, &objects));
