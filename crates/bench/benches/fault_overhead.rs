@@ -26,6 +26,7 @@ use byc_federation::{
 use byc_types::{ServerId, Tick};
 use byc_workload::{generate, WorkloadConfig, WorkloadStats};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use std::ops::Range;
 
 /// The identity fault model: every attempt delivers at nominal cost.
 struct NoFaults;
@@ -35,7 +36,7 @@ impl FaultModel for NoFaults {
         "none"
     }
 
-    fn outcome(&self, _attempt: &FetchAttempt) -> FetchOutcome {
+    fn outcome(&self, _attempt: &FetchAttempt, _links: Range<u32>) -> FetchOutcome {
         FetchOutcome::Delivered {
             cost_multiplier: 1.0,
         }

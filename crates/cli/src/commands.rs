@@ -15,8 +15,8 @@ use byc_federation::{
 };
 use byc_telemetry::{
     render_postmortems, window_header, window_record, write_chrome_trace, write_metrics,
-    EventLogWriter, FlightRecorder, MetricsFormat, MetricsRegistry, SpanObserver, SpanTracer,
-    TelemetryObserver, WindowedRegistry,
+    EventLogWriter, FlightRecorder, MetricsFormat, MetricsRegistry, PolicyMetrics, SpanObserver,
+    SpanTracer, TelemetryObserver, WindowedRegistry,
 };
 use byc_types::{Bytes, Error, Result, ServerId, Tick};
 use byc_workload::{
@@ -1455,9 +1455,20 @@ pub fn run_command(command: Command) -> Result<String> {
             };
             // One label per sweep point, so distinct (policy,
             // fraction) cells never merge in any export.
+            let metrics_label =
+                |policy: &str, fraction: f64| format!("{policy}@{fraction:.2}{suffix}");
             let make = |kind: PolicyKind, fraction: f64| {
-                let label = format!("{}@{:.2}{suffix}", kind.label(), fraction);
-                Observers::new(&args, &setup, &label, lane(kind, fraction))
+                let label = metrics_label(kind.label(), fraction);
+                let mut bundle = Observers::new(&args, &setup, &label, lane(kind, fraction));
+                // A kind that ignores capacity replays once for every
+                // fraction, and its telemetry differs between them only in
+                // its label: the first fraction's observer folds it, and
+                // the others take a relabelled copy below. Spans, windows
+                // and the recorder stay per point.
+                if kind.ignores_capacity() && fractions.first() != Some(&fraction) {
+                    bundle.telemetry = None;
+                }
+                bundle
             };
             // Only pay for observers when a flag asked for them.
             let observing = args.metrics.is_some()
@@ -1477,34 +1488,47 @@ pub fn run_command(command: Command) -> Result<String> {
             let mut registry = MetricsRegistry::new();
             let mut tracers: Vec<(SpanTracer, String)> = Vec::new();
             let mut observers = observers.into_iter();
-            for point in &points {
-                let label = format!("{}@{:.2}", point.policy, point.cache_fraction);
-                for w in &point.warnings {
-                    let _ = writeln!(extra, "warning: {label}: {w}");
-                }
-                let Some(observer) = observers.next() else {
-                    continue;
-                };
-                if let Some(dump) = observer.postmortems() {
-                    let _ = writeln!(extra, "postmortems for {label}:");
-                    extra.push_str(&dump);
-                }
-                if let Some(t) = observer.telemetry {
-                    let (snapshot, io) = t.into_parts();
-                    io?;
-                    registry.absorb(snapshot);
-                }
-                if let Some(w) = observer.windows {
-                    // Stream post-hoc in job order: headers and records
-                    // stay deterministic instead of interleaving across
-                    // worker threads.
-                    eprintln!("{}", window_header(w.policy(), w.every()));
-                    for (i, window) in w.breakdown().windows().iter().enumerate() {
-                        eprintln!("{}", window_record(i, window));
+            for (kind, row) in policies.iter().zip(points.chunks(fractions.len())) {
+                // The first fraction's telemetry of a kind that ignores
+                // capacity, which its other fractions share.
+                let mut shared: Option<PolicyMetrics> = None;
+                for point in row {
+                    let label = format!("{}@{:.2}", point.policy, point.cache_fraction);
+                    for w in &point.warnings {
+                        let _ = writeln!(extra, "warning: {label}: {w}");
                     }
-                }
-                if let Some(s) = observer.spans {
-                    tracers.push((s.into_tracer(), label));
+                    let Some(observer) = observers.next() else {
+                        continue;
+                    };
+                    if let Some(dump) = observer.postmortems() {
+                        let _ = writeln!(extra, "postmortems for {label}:");
+                        extra.push_str(&dump);
+                    }
+                    if let Some(t) = observer.telemetry {
+                        let (snapshot, io) = t.into_parts();
+                        io?;
+                        if kind.ignores_capacity() {
+                            shared = Some(snapshot.clone());
+                        }
+                        registry.absorb(snapshot);
+                    } else if let Some(first) = &shared {
+                        registry.absorb(PolicyMetrics {
+                            policy: metrics_label(kind.label(), point.cache_fraction),
+                            ..first.clone()
+                        });
+                    }
+                    if let Some(w) = observer.windows {
+                        // Stream post-hoc in job order: headers and records
+                        // stay deterministic instead of interleaving across
+                        // worker threads.
+                        eprintln!("{}", window_header(w.policy(), w.every()));
+                        for (i, window) in w.breakdown().windows().iter().enumerate() {
+                            eprintln!("{}", window_record(i, window));
+                        }
+                    }
+                    if let Some(s) = observer.spans {
+                        tracers.push((s.into_tracer(), label));
+                    }
                 }
             }
             if let Some(path) = &args.metrics {
@@ -3243,6 +3267,130 @@ mod tests {
         }
         // The recorder warned about truncated postmortems somewhere.
         assert!(truncated > 0);
+    }
+
+    /// `byc sweep` folds NoCache's telemetry once, at its first fraction,
+    /// and exports a relabelled copy at the others. In both formats every
+    /// `NoCache@F@flaky@three-tier` entry equals the first fraction's
+    /// apart from its label, and equals the export of a NoCache replay at
+    /// `F` with its own `TelemetryObserver`.
+    #[test]
+    fn swept_nocache_telemetry_is_folded_once_and_relabelled() {
+        let dir = std::env::temp_dir();
+        let tag = format!("byc-cli-shared-fold-{}", std::process::id());
+        let trace = dir.join(format!("{tag}.jsonl"));
+        run_command(Command::GenTrace {
+            release: "edr".into(),
+            out: trace.clone(),
+            seed: 5,
+            scale: 0.001,
+            queries: 300,
+        })
+        .unwrap();
+        let args = ReplayArgs {
+            granularity: "table".into(),
+            scale: 0.001,
+            seed: 5,
+            topology: Some("three-tier".into()),
+            faults: Some("flaky:p=0.05,spike=0.05x4".into()),
+            retry: 3,
+            ..ReplayArgs::new(trace.to_string_lossy())
+        };
+        let fractions = [0.1, 0.2, 0.3, 0.4, 0.5, 0.75, 1.0];
+        let labels: Vec<String> = fractions
+            .iter()
+            .map(|f| format!("NoCache@{f:.2}@flaky@three-tier"))
+            .collect();
+
+        // NoCache replayed alone at each fraction, each with its own
+        // observer, exported under the sweep's labels.
+        let setup = Setup::new(&args).unwrap();
+        let (_, objects, replay) =
+            load_replay(&args.trace, args.scale, args.seed, 1, setup.granularity).unwrap();
+        let topology = setup.topology.as_ref().unwrap();
+        let mut alone = MetricsRegistry::new();
+        for (f, label) in fractions.iter().zip(&labels) {
+            let mut tiers: Vec<_> = topology
+                .tiers()
+                .iter()
+                .map(|t| {
+                    let capacity = objects.total_size().scale(f * t.capacity_scale);
+                    build_policy(PolicyKind::NoCache, capacity, &[], 5)
+                })
+                .collect();
+            let mut observer = TelemetryObserver::new(label);
+            let mut session = setup
+                .configure(ReplaySession::new(&replay, &objects))
+                .observe(&mut observer);
+            for p in tiers.iter_mut() {
+                session = session.policy(p.as_mut());
+            }
+            session.run().unwrap();
+            let (snapshot, io) = observer.into_parts();
+            io.unwrap();
+            alone.absorb(snapshot);
+        }
+
+        // An export's NoCache entries by label, with the label taken out
+        // of the entry.
+        let entries = |format: MetricsFormat, text: &str| -> Vec<(String, String)> {
+            let mut entries: Vec<(String, String)> = Vec::new();
+            match format {
+                MetricsFormat::Json => {
+                    let value = byc_types::json::Value::parse(text).unwrap();
+                    for p in value["policies"].as_array().unwrap() {
+                        let name = p["policy"].as_str().unwrap().to_string();
+                        let byc_types::json::Value::Object(members) = p else {
+                            panic!("{name} is not an object");
+                        };
+                        let rest = members.iter().filter(|(k, _)| k != "policy").cloned();
+                        let rest = byc_types::json::Value::Object(rest.collect());
+                        if name.starts_with("NoCache@") {
+                            entries.push((name, rest.to_string()));
+                        }
+                    }
+                }
+                MetricsFormat::Prometheus => {
+                    for line in text.lines().filter(|l| !l.starts_with('#')) {
+                        let Some((_, rest)) = line.split_once("policy=\"NoCache@") else {
+                            continue;
+                        };
+                        let name = format!("NoCache@{}", rest.split('"').next().unwrap());
+                        let line = line.replace(&name, "POLICY");
+                        match entries.iter_mut().find(|(n, _)| *n == name) {
+                            Some((_, lines)) => lines.push_str(&line),
+                            None => entries.push((name, line)),
+                        }
+                    }
+                }
+            }
+            entries
+        };
+        for (format, ext) in [
+            (MetricsFormat::Json, "json"),
+            (MetricsFormat::Prometheus, "prom"),
+        ] {
+            let path = dir.join(format!("{tag}.{ext}"));
+            write_metrics(&alone, format, &path).unwrap();
+            let want = entries(format, &std::fs::read_to_string(&path).unwrap());
+            run_command(Command::Sweep(ReplayArgs {
+                metrics: Some(path.clone()),
+                metrics_format: format,
+                ..args.clone()
+            }))
+            .unwrap();
+            let have = entries(format, &std::fs::read_to_string(&path).unwrap());
+            std::fs::remove_file(&path).ok();
+            let names: Vec<&String> = have.iter().map(|(n, _)| n).collect();
+            assert_eq!(names, labels.iter().collect::<Vec<_>>(), "{ext}");
+            let (_, first) = &have[0];
+            assert!(!first.is_empty(), "{ext}");
+            for (name, entry) in &have {
+                assert_eq!(entry, first, "{ext}: {name} against the first");
+            }
+            assert_eq!(have, want, "{ext}: against NoCache replayed alone");
+        }
+        std::fs::remove_file(&trace).ok();
     }
 
     /// At `--scale 3e7`, below EDR's limit, the catalog's sizes fit a u64

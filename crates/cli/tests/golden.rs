@@ -200,6 +200,25 @@ fn sweep_outputs_match_golden() {
         &dir.read("sweep_three_tier.metrics.json"),
         "sweep_three_tier.metrics.json",
     );
+    let flaky = [
+        "--granularity",
+        "table",
+        "--topology",
+        "three-tier",
+        "--faults",
+        "flaky:p=0.05,spike=0.05x4",
+        "--retry",
+        "3",
+        "--metrics",
+        "sweep_flaky.metrics.json",
+        "--metrics-format",
+        "json",
+    ];
+    assert_golden(&dir.byc(&argv(&sweep, &flaky)), "sweep_flaky.txt");
+    assert_golden(
+        &dir.read("sweep_flaky.metrics.json"),
+        "sweep_flaky.metrics.json",
+    );
     let recorder = [
         "--faults",
         "outage:0@40..42",

@@ -9,8 +9,9 @@
 //! giving up a single bit of reproducibility:
 //!
 //! * a [`FaultModel`] decides the outcome of each WAN *transfer attempt*
-//!   purely from the attempt's coordinates (query-index time, object,
-//!   server, attempt ordinal) and a seed — no wall clock, no interior
+//!   across the run of topology links its bytes cross, purely from the
+//!   attempt's coordinates (query-index time, object, server, attempt
+//!   ordinal), each link's index and a seed — no wall clock, no interior
 //!   mutability, so one model can be shared across sweep threads and two
 //!   replays with the same seed are bit-identical;
 //! * a [`RetryPolicy`] bounds how many attempts the mediator makes,
@@ -26,11 +27,13 @@
 //! bad network citizen generates.
 
 use byc_types::{Bytes, ObjectId, ServerId, SplitMix64, Tick};
+use std::ops::Range;
 
 #[cfg(doc)]
 use crate::network::NetworkModel;
 
-/// One WAN transfer attempt, as seen by a [`FaultModel`].
+/// One WAN transfer attempt, as seen by a [`FaultModel`]. The links it
+/// crosses are passed beside it, as a run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FetchAttempt {
     /// Query ordinal within the replay.
@@ -44,41 +47,48 @@ pub struct FetchAttempt {
     pub server: ServerId,
     /// Attempt ordinal, 1-based (1 = first try).
     pub attempt: u32,
-    /// Which topology link the bytes are crossing, indexed bottom-up
-    /// (`links[t]` is the edge above caching tier `t`). Always 0 on the
-    /// flat single-link topology.
-    pub link: u32,
 }
 
-/// The outcome of one transfer attempt.
+/// The outcome of one transfer attempt across its run of links.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum FetchOutcome {
-    /// The transfer completed. `cost_multiplier` scales the priced WAN
-    /// cost of the transfer (1.0 = nominal; >1.0 models a transient
-    /// latency/congestion spike priced as extra bytes through the
-    /// [`NetworkModel`] seam).
+    /// The transfer completed on every link. `cost_multiplier` scales the
+    /// priced WAN cost of the transfer (1.0 = nominal; >1.0 models a
+    /// transient latency/congestion spike priced as extra bytes through
+    /// the [`NetworkModel`] seam): the product of the links' multipliers,
+    /// in link order.
     Delivered {
         /// WAN cost multiplier for this transfer (1.0 = nominal).
         cost_multiplier: f64,
     },
-    /// The transfer failed; the bytes already sent are wasted WAN
-    /// traffic.
+    /// The transfer failed on some link; the bytes already sent are
+    /// wasted WAN traffic.
     Failed,
 }
 
+/// Nominal delivery: every link delivered unspiked.
+const NOMINAL: FetchOutcome = FetchOutcome::Delivered {
+    cost_multiplier: 1.0,
+};
+
 /// A deterministic, shareable fault process over WAN transfer attempts.
 ///
-/// Implementations must be pure functions of the attempt and their own
-/// immutable configuration: `Sync` with no interior mutability, so the
-/// sweep can share one model across threads and replays stay
-/// bit-identical for a seed.
+/// Implementations must be pure functions of the attempt, its links and
+/// their own immutable configuration: `Sync` with no interior
+/// mutability, so the sweep can share one model across threads and
+/// replays stay bit-identical for a seed.
 pub trait FaultModel: Sync {
     /// Short display name ("none", "outage", "flaky"), used in sweep
     /// labels and reports.
     fn name(&self) -> &str;
 
-    /// Decide the outcome of `attempt`.
-    fn outcome(&self, attempt: &FetchAttempt) -> FetchOutcome;
+    /// Decide `attempt` across the run of topology `links` its bytes
+    /// cross, indexed bottom-up (`links[t]` is the edge above caching
+    /// tier `t`; the flat topology has link 0 only). The attempt fails
+    /// at its first failed link; otherwise it delivers at the product of
+    /// the links' multipliers, in link order. An empty run crosses no
+    /// link, so a model should deliver it at nominal cost.
+    fn outcome(&self, attempt: &FetchAttempt, links: Range<u32>) -> FetchOutcome;
 
     /// Human-readable summary of the configured fault process, used to
     /// annotate flight-recorder postmortems. Defaults to [`Self::name`].
@@ -92,8 +102,8 @@ impl<M: FaultModel + ?Sized> FaultModel for Box<M> {
         (**self).name()
     }
 
-    fn outcome(&self, attempt: &FetchAttempt) -> FetchOutcome {
-        (**self).outcome(attempt)
+    fn outcome(&self, attempt: &FetchAttempt, links: Range<u32>) -> FetchOutcome {
+        (**self).outcome(attempt, links)
     }
 
     fn describe(&self) -> String {
@@ -129,13 +139,15 @@ impl<M: FaultModel> FaultModel for LinkScoped<M> {
         self.model.name()
     }
 
-    fn outcome(&self, attempt: &FetchAttempt) -> FetchOutcome {
-        if attempt.link == self.link {
-            self.model.outcome(attempt)
+    /// The model decides the scoped link alone, when the run crosses it;
+    /// every other link delivers at nominal cost.
+    fn outcome(&self, attempt: &FetchAttempt, links: Range<u32>) -> FetchOutcome {
+        if links.contains(&self.link) {
+            // Contained in a `u32` range, so the link is below `u32::MAX`.
+            self.model
+                .outcome(attempt, self.link..self.link.saturating_add(1))
         } else {
-            FetchOutcome::Delivered {
-                cost_multiplier: 1.0,
-            }
+            NOMINAL
         }
     }
 
@@ -158,10 +170,8 @@ impl FaultModel for NoFaults {
         "none"
     }
 
-    fn outcome(&self, _attempt: &FetchAttempt) -> FetchOutcome {
-        FetchOutcome::Delivered {
-            cost_multiplier: 1.0,
-        }
+    fn outcome(&self, _attempt: &FetchAttempt, _links: Range<u32>) -> FetchOutcome {
+        NOMINAL
     }
 }
 
@@ -178,9 +188,9 @@ pub struct Outage {
 }
 
 /// Scheduled per-server downtime: every attempt against a server inside
-/// one of its outage windows fails. Retry backoff is observable here — a
-/// later attempt whose backed-off virtual time lands past `until`
-/// succeeds.
+/// one of its outage windows fails, on whichever link it crosses first.
+/// Retry backoff is observable here — a later attempt whose backed-off
+/// virtual time lands past `until` succeeds.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct OutageWindows {
     windows: Vec<Outage>,
@@ -210,13 +220,11 @@ impl FaultModel for OutageWindows {
         "outage"
     }
 
-    fn outcome(&self, attempt: &FetchAttempt) -> FetchOutcome {
-        if self.is_down(attempt.server, attempt.time) {
+    fn outcome(&self, attempt: &FetchAttempt, links: Range<u32>) -> FetchOutcome {
+        if !links.is_empty() && self.is_down(attempt.server, attempt.time) {
             FetchOutcome::Failed
         } else {
-            FetchOutcome::Delivered {
-                cost_multiplier: 1.0,
-            }
+            NOMINAL
         }
     }
 
@@ -234,16 +242,18 @@ impl FaultModel for OutageWindows {
     }
 }
 
-/// Seeded per-attempt link flakiness: each attempt independently fails
-/// with probability `failure_p`; surviving attempts suffer a transient
-/// cost spike (`cost_multiplier = spike_multiplier`) with probability
+/// Seeded per-attempt link flakiness: each link an attempt crosses
+/// independently fails with probability `failure_p`; a surviving link
+/// suffers a transient cost spike (`spike_multiplier`) with probability
 /// `spike_p`.
 ///
-/// The randomness is *stateless*: each attempt's draw is derived by
-/// folding the attempt's coordinates into the seed through
-/// [`SplitMix64`], so outcomes depend only on (seed, time, object,
-/// attempt) — independent of replay order, shareable across sweep
-/// threads, and bit-reproducible.
+/// The randomness is *stateless*: each link's draw is derived by folding
+/// the attempt's coordinates and then the link's index into the seed
+/// through [`SplitMix64`], so outcomes depend only on (seed, time,
+/// object, server, attempt, link) — independent of replay order,
+/// shareable across sweep threads, and bit-reproducible. The attempt's
+/// part of the fold is the same on every link, so it is made once per
+/// attempt and only the link is folded per hop.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FlakyLinks {
     /// Seed of the fault stream (the CLI's `--fault-seed`).
@@ -267,20 +277,19 @@ impl FlakyLinks {
         }
     }
 
-    /// The per-attempt generator: the seed with the attempt's coordinates
-    /// folded in, one SplitMix64 scramble per field.
-    fn attempt_rng(&self, a: &FetchAttempt) -> SplitMix64 {
+    /// The seed with the attempt's coordinates folded in, one SplitMix64
+    /// scramble per field; each link folds its index into it last.
+    fn attempt_seed(&self, a: &FetchAttempt) -> u64 {
         let mut s = self.seed;
         for part in [
             a.time.raw(),
             u64::from(a.object.raw()),
             u64::from(a.server.raw()),
             u64::from(a.attempt),
-            u64::from(a.link),
         ] {
             s = SplitMix64::new(s ^ part).next_u64();
         }
-        SplitMix64::new(s)
+        s
     }
 }
 
@@ -289,16 +298,20 @@ impl FaultModel for FlakyLinks {
         "flaky"
     }
 
-    fn outcome(&self, attempt: &FetchAttempt) -> FetchOutcome {
-        let mut rng = self.attempt_rng(attempt);
-        if rng.chance(self.failure_p) {
-            return FetchOutcome::Failed;
+    fn outcome(&self, attempt: &FetchAttempt, links: Range<u32>) -> FetchOutcome {
+        let seed = self.attempt_seed(attempt);
+        let mut cost_multiplier = 1.0;
+        for link in links {
+            let mut rng = SplitMix64::new(SplitMix64::new(seed ^ u64::from(link)).next_u64());
+            if rng.chance(self.failure_p) {
+                return FetchOutcome::Failed;
+            }
+            if rng.chance(self.spike_p) {
+                // Multiplying by 1.0 is exact, so an unspiked run keeps
+                // the multiplier 1.0 bit pattern.
+                cost_multiplier *= self.spike_multiplier;
+            }
         }
-        let cost_multiplier = if rng.chance(self.spike_p) {
-            self.spike_multiplier
-        } else {
-            1.0
-        };
         FetchOutcome::Delivered { cost_multiplier }
     }
 
@@ -440,12 +453,13 @@ impl<'a> FaultPlan<'a> {
         }
     }
 
-    /// Run the retry loop for one slice's transfer across a set of
-    /// topology links. An attempt succeeds only when *every* link in the
-    /// range delivers; its cost multiplier is the product of the links'
+    /// Run the retry loop for one slice's transfer across a run of
+    /// topology links, with one [`FaultModel::outcome`] call per
+    /// attempt. An attempt succeeds only when *every* link in the run
+    /// delivers; its cost multiplier is the product of the links'
     /// multipliers (exactly 1.0 while no link spikes, so un-spiked
     /// tiered transfers stay bit-identical to nominal pricing). An empty
-    /// range (a tier-0 hit: no WAN hop at all) trivially delivers at
+    /// run (a tier-0 hit: no WAN hop at all) trivially delivers at
     /// nominal cost without consulting the model.
     pub fn fetch_path(
         &self,
@@ -453,37 +467,26 @@ impl<'a> FaultPlan<'a> {
         time: Tick,
         object: ObjectId,
         server: ServerId,
-        links: std::ops::Range<u32>,
+        links: Range<u32>,
     ) -> FetchResolution {
+        if links.is_empty() {
+            return FetchResolution {
+                failed_attempts: 0,
+                delivered: Some(1.0),
+            };
+        }
         let max = self.retry.max_attempts.max(1);
         for attempt in 1..=max {
-            let time = self.retry.attempt_time(time, attempt);
-            let mut cost_multiplier = 1.0;
-            let mut failed = false;
-            for link in links.clone() {
-                let at = FetchAttempt {
-                    query,
-                    time,
-                    object,
-                    server,
-                    attempt,
-                    link,
-                };
-                match self.model.outcome(&at) {
-                    FetchOutcome::Delivered { cost_multiplier: m } => {
-                        // Skip the multiply at 1.0 so nominal transfers
-                        // keep the exact multiplier 1.0 bit pattern.
-                        if m != 1.0 {
-                            cost_multiplier *= m;
-                        }
-                    }
-                    FetchOutcome::Failed => {
-                        failed = true;
-                        break;
-                    }
-                }
-            }
-            if !failed {
+            let at = FetchAttempt {
+                query,
+                time: self.retry.attempt_time(time, attempt),
+                object,
+                server,
+                attempt,
+            };
+            if let FetchOutcome::Delivered { cost_multiplier } =
+                self.model.outcome(&at, links.clone())
+            {
                 return FetchResolution {
                     failed_attempts: attempt - 1,
                     delivered: Some(cost_multiplier),
@@ -522,6 +525,7 @@ pub fn spiked_cost(nominal: Bytes, cost_multiplier: f64) -> Bytes {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn attempt(time: u64, object: u32, server: u32, n: u32) -> FetchAttempt {
         FetchAttempt {
@@ -530,19 +534,13 @@ mod tests {
             object: ObjectId::new(object),
             server: ServerId::new(server),
             attempt: n,
-            link: 0,
         }
     }
 
     #[test]
     fn no_faults_always_delivers_at_nominal_cost() {
         for t in 0..100 {
-            assert_eq!(
-                NoFaults.outcome(&attempt(t, 3, 1, 1)),
-                FetchOutcome::Delivered {
-                    cost_multiplier: 1.0
-                }
-            );
+            assert_eq!(NoFaults.outcome(&attempt(t, 3, 1, 1), 0..3), NOMINAL);
         }
     }
 
@@ -553,27 +551,20 @@ mod tests {
             from: Tick::new(10),
             until: Tick::new(20),
         }]);
+        assert_eq!(model.outcome(&attempt(9, 0, 1, 1), 0..1), NOMINAL);
         assert_eq!(
-            model.outcome(&attempt(9, 0, 1, 1)),
-            FetchOutcome::Delivered {
-                cost_multiplier: 1.0
-            }
+            model.outcome(&attempt(10, 0, 1, 1), 0..1),
+            FetchOutcome::Failed
         );
-        assert_eq!(model.outcome(&attempt(10, 0, 1, 1)), FetchOutcome::Failed);
-        assert_eq!(model.outcome(&attempt(19, 0, 1, 1)), FetchOutcome::Failed);
         assert_eq!(
-            model.outcome(&attempt(20, 0, 1, 1)),
-            FetchOutcome::Delivered {
-                cost_multiplier: 1.0
-            }
+            model.outcome(&attempt(19, 0, 1, 1), 0..1),
+            FetchOutcome::Failed
         );
+        assert_eq!(model.outcome(&attempt(20, 0, 1, 1), 0..1), NOMINAL);
         // Other servers are unaffected.
-        assert_eq!(
-            model.outcome(&attempt(15, 0, 0, 1)),
-            FetchOutcome::Delivered {
-                cost_multiplier: 1.0
-            }
-        );
+        assert_eq!(model.outcome(&attempt(15, 0, 0, 1), 0..1), NOMINAL);
+        // A run that crosses no link cannot fail.
+        assert_eq!(model.outcome(&attempt(15, 0, 1, 1), 2..2), NOMINAL);
     }
 
     #[test]
@@ -581,7 +572,7 @@ mod tests {
         let model = FlakyLinks::new(7, 0.3, 0.2, 4.0);
         for t in 0..200 {
             let a = attempt(t, t as u32 % 5, 0, 1);
-            assert_eq!(model.outcome(&a), model.outcome(&a));
+            assert_eq!(model.outcome(&a, 0..3), model.outcome(&a, 0..3));
         }
     }
 
@@ -589,7 +580,7 @@ mod tests {
     fn flaky_failure_rate_tracks_probability() {
         let model = FlakyLinks::new(11, 0.25, 0.0, 1.0);
         let fails = (0..10_000)
-            .filter(|&t| model.outcome(&attempt(t, 1, 0, 1)) == FetchOutcome::Failed)
+            .filter(|&t| model.outcome(&attempt(t, 1, 0, 1), 0..1) == FetchOutcome::Failed)
             .count();
         let rate = fails as f64 / 10_000.0;
         assert!((rate - 0.25).abs() < 0.02, "failure rate {rate}");
@@ -601,7 +592,10 @@ mod tests {
         // must not always agree — the attempt ordinal feeds the stream.
         let model = FlakyLinks::new(13, 0.5, 0.0, 1.0);
         let disagreements = (0..1_000)
-            .filter(|&t| model.outcome(&attempt(t, 2, 0, 1)) != model.outcome(&attempt(t, 2, 0, 2)))
+            .filter(|&t| {
+                model.outcome(&attempt(t, 2, 0, 1), 0..1)
+                    != model.outcome(&attempt(t, 2, 0, 2), 0..1)
+            })
             .count();
         assert!(disagreements > 300, "only {disagreements} disagreements");
     }
@@ -667,18 +661,17 @@ mod tests {
         let scoped = LinkScoped::new(outage, 1);
         assert_eq!(scoped.link(), 1);
         // Link 0 traffic sails through the (total) outage...
+        assert_eq!(scoped.outcome(&attempt(5, 0, 0, 1), 0..1), NOMINAL);
+        // ...a run that crosses link 1 fails, and one past it does not.
         assert_eq!(
-            scoped.outcome(&attempt(5, 0, 0, 1)),
-            FetchOutcome::Delivered {
-                cost_multiplier: 1.0
-            }
+            scoped.outcome(&attempt(5, 0, 0, 1), 1..2),
+            FetchOutcome::Failed
         );
-        // ...link 1 traffic fails.
-        let on_link_1 = FetchAttempt {
-            link: 1,
-            ..attempt(5, 0, 0, 1)
-        };
-        assert_eq!(scoped.outcome(&on_link_1), FetchOutcome::Failed);
+        assert_eq!(
+            scoped.outcome(&attempt(5, 0, 0, 1), 0..3),
+            FetchOutcome::Failed
+        );
+        assert_eq!(scoped.outcome(&attempt(5, 0, 0, 1), 2..3), NOMINAL);
     }
 
     #[test]
@@ -708,7 +701,7 @@ mod tests {
             fn name(&self) -> &str {
                 "panicky"
             }
-            fn outcome(&self, _attempt: &FetchAttempt) -> FetchOutcome {
+            fn outcome(&self, _attempt: &FetchAttempt, _links: Range<u32>) -> FetchOutcome {
                 FetchOutcome::Failed
             }
         }
@@ -720,15 +713,16 @@ mod tests {
 
     #[test]
     fn fetch_path_multiplies_spikes_across_links() {
-        // A model that spikes every link by 2x: a three-link path costs 8x.
+        // A model that spikes every link of its run by 2x: a three-link
+        // path costs 8x.
         struct AlwaysSpiked;
         impl FaultModel for AlwaysSpiked {
             fn name(&self) -> &str {
                 "spiked"
             }
-            fn outcome(&self, _attempt: &FetchAttempt) -> FetchOutcome {
+            fn outcome(&self, _attempt: &FetchAttempt, links: Range<u32>) -> FetchOutcome {
                 FetchOutcome::Delivered {
-                    cost_multiplier: 2.0,
+                    cost_multiplier: links.fold(1.0, |m, _| m * 2.0),
                 }
             }
         }
@@ -762,16 +756,120 @@ mod tests {
 
     #[test]
     fn flaky_draws_differ_across_links() {
-        // The link index feeds the per-attempt stream: with p = 0.5 the
-        // same attempt on link 0 and link 1 must not always agree.
+        // The link index feeds each link's stream: with p = 0.5 the same
+        // attempt on link 0 and link 1 must not always agree.
         let model = FlakyLinks::new(17, 0.5, 0.0, 1.0);
         let disagreements = (0..1_000)
             .filter(|&t| {
-                let a0 = attempt(t, 2, 0, 1);
-                let a1 = FetchAttempt { link: 1, ..a0 };
-                model.outcome(&a0) != model.outcome(&a1)
+                let a = attempt(t, 2, 0, 1);
+                model.outcome(&a, 0..1) != model.outcome(&a, 1..2)
             })
             .count();
         assert!(disagreements > 300, "only {disagreements} disagreements");
+    }
+
+    /// One link's outcome as the fault layer drew it link by link: five
+    /// SplitMix64 scrambles over time, object, server, attempt and link,
+    /// then the failure chance, then the spike chance.
+    fn flaky_link(model: &FlakyLinks, a: &FetchAttempt, link: u32) -> FetchOutcome {
+        let mut s = model.seed;
+        for part in [
+            a.time.raw(),
+            u64::from(a.object.raw()),
+            u64::from(a.server.raw()),
+            u64::from(a.attempt),
+            u64::from(link),
+        ] {
+            s = SplitMix64::new(s ^ part).next_u64();
+        }
+        let mut rng = SplitMix64::new(s);
+        if rng.chance(model.failure_p) {
+            return FetchOutcome::Failed;
+        }
+        let cost_multiplier = match rng.chance(model.spike_p) {
+            true => model.spike_multiplier,
+            false => 1.0,
+        };
+        FetchOutcome::Delivered { cost_multiplier }
+    }
+
+    /// A run of links decided one link at a time: failed at the first
+    /// failed link, else the links' multipliers multiplied in link
+    /// order, skipping 1.0.
+    fn per_link(links: Range<u32>, link: impl Fn(u32) -> FetchOutcome) -> FetchOutcome {
+        let mut product = 1.0;
+        for l in links {
+            match link(l) {
+                FetchOutcome::Failed => return FetchOutcome::Failed,
+                FetchOutcome::Delivered { cost_multiplier } => {
+                    if cost_multiplier != 1.0 {
+                        product *= cost_multiplier;
+                    }
+                }
+            }
+        }
+        FetchOutcome::Delivered {
+            cost_multiplier: product,
+        }
+    }
+
+    /// Outcomes compared bit for bit.
+    fn bits(outcome: FetchOutcome) -> Option<u64> {
+        match outcome {
+            FetchOutcome::Delivered { cost_multiplier } => Some(cost_multiplier.to_bits()),
+            FetchOutcome::Failed => None,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Each model's run decision equals the link-by-link draw, empty
+        /// runs included.
+        #[test]
+        fn run_outcome_equals_the_per_link_draw(
+            seed in any::<u64>(),
+            time in 0u64..4_096,
+            object in 0u32..64,
+            server in 0u32..4,
+            n in 1u32..9,
+            (start, end) in (0u32..5, 0u32..5),
+            failure_p in 0.0f64..0.6,
+            spike_p in 0.0f64..0.6,
+            spike_multiplier in prop_oneof![Just(1.0f64), 1.0f64..8.0],
+            scoped in 0u32..4,
+            (from, span) in (0u64..4_096, 0u64..512),
+        ) {
+            let a = attempt(time, object, server, n);
+            let links = start.min(end)..end;
+            let flaky = FlakyLinks::new(seed, failure_p, spike_p, spike_multiplier);
+            let want = per_link(links.clone(), |l| flaky_link(&flaky, &a, l));
+            prop_assert_eq!(bits(flaky.outcome(&a, links.clone())), bits(want));
+            let boxed: Box<dyn FaultModel> = Box::new(flaky);
+            prop_assert_eq!(bits(boxed.outcome(&a, links.clone())), bits(want));
+
+            let on_one = LinkScoped::new(flaky, scoped);
+            let want = per_link(links.clone(), |l| match l == scoped {
+                true => flaky_link(&flaky, &a, l),
+                false => NOMINAL,
+            });
+            prop_assert_eq!(bits(on_one.outcome(&a, links.clone())), bits(want));
+            let boxed: Box<dyn FaultModel> = Box::new(on_one);
+            prop_assert_eq!(bits(boxed.outcome(&a, links.clone())), bits(want));
+
+            let outage = OutageWindows::new(vec![Outage {
+                server: ServerId::new(server % 2),
+                from: Tick::new(from),
+                until: Tick::new(from + span),
+            }]);
+            let down = outage.is_down(a.server, a.time);
+            let want = per_link(links.clone(), |_| match down {
+                true => FetchOutcome::Failed,
+                false => NOMINAL,
+            });
+            prop_assert_eq!(bits(outage.outcome(&a, links.clone())), bits(want));
+            let boxed: Box<dyn FaultModel> = Box::new(outage);
+            prop_assert_eq!(bits(boxed.outcome(&a, links)), bits(want));
+        }
     }
 }
