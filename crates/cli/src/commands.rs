@@ -1634,6 +1634,61 @@ mod tests {
         list.iter().map(|s| s.to_string()).collect()
     }
 
+    /// `sweep`, `analyze` and `run`, resident and streamed, print the
+    /// same bytes for a trace piped in through `/dev/fd/N` as for its
+    /// file.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_piped_trace_reads_as_its_file() {
+        use std::io::Write as _;
+        use std::os::fd::AsRawFd;
+        let path = std::env::temp_dir().join(format!("byc-cli-piped-{}.jsonl", std::process::id()));
+        let file = path.to_str().unwrap();
+        let gen = [
+            "gen-trace",
+            "edr",
+            "--out",
+            file,
+            "--scale",
+            "0.01",
+            "--queries",
+            "600",
+            "--seed",
+            "5",
+        ];
+        parse_args(&args(&gen)).and_then(run_command).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        for command in [
+            &["sweep", "TRACE", "--scale", "0.01"][..],
+            &["analyze", "TRACE", "--scale", "0.01"],
+            &["run", "TRACE", "--policy", "static", "--scale", "0.01"],
+            &["run", "TRACE", "--policy", "gds", "--scale", "0.01"],
+        ] {
+            let on = |trace: &str| {
+                let argv: Vec<&str> = command
+                    .iter()
+                    .map(|&a| if a == "TRACE" { trace } else { a })
+                    .collect();
+                parse_args(&args(&argv))
+                    .and_then(run_command)
+                    .map_err(|e| e.to_string())
+            };
+            let from_file = on(file);
+            assert!(from_file.is_ok(), "{command:?}: {from_file:?}");
+            let (reader, mut writer) = std::io::pipe().unwrap();
+            let fd = format!("/dev/fd/{}", reader.as_raw_fd());
+            let from_pipe = std::thread::scope(|scope| {
+                let bytes = &bytes;
+                scope.spawn(move || writer.write_all(bytes).ok());
+                let out = on(&fd);
+                drop(reader);
+                out
+            });
+            assert_eq!(from_pipe, from_file, "{command:?}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
     #[test]
     fn no_args_is_help() {
         assert_eq!(parse_args(&[]).unwrap(), Command::Help);

@@ -438,19 +438,6 @@ impl<R: std::io::BufRead> EventReader<R> {
     }
 }
 
-impl EventReader<std::io::BufReader<std::fs::File>> {
-    /// Stream the log at `path`.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Io`] if the file cannot be opened, [`Error::TraceFormat`]
-    /// on a bad header.
-    pub fn open(path: &Path) -> Result<Self> {
-        let file = std::fs::File::open(path)?;
-        EventReader::new(std::io::BufReader::new(file))
-    }
-}
-
 impl<R: std::io::BufRead> Iterator for EventReader<R> {
     type Item = Result<EventRecord>;
 
@@ -705,7 +692,8 @@ mod tests {
             writer.record(&sample_record(q));
         }
         writer.finish().unwrap();
-        let reader = EventReader::open(&path).unwrap();
+        let file = std::io::BufReader::new(std::fs::File::open(&path).unwrap());
+        let reader = EventReader::new(file).unwrap();
         assert_eq!(reader.policy(), "LRU");
         assert_eq!(reader.count(), 10);
         std::fs::remove_file(&path).unwrap();

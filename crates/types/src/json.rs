@@ -124,11 +124,6 @@ impl Value {
         }
     }
 
-    /// The value as `usize`, if it is a non-negative integral number.
-    pub fn as_usize(&self) -> Option<usize> {
-        self.as_u64().and_then(|v| usize::try_from(v).ok())
-    }
-
     /// The value as `u32`, if it fits.
     pub fn as_u32(&self) -> Option<u32> {
         self.as_u64().and_then(|v| u32::try_from(v).ok())
@@ -185,20 +180,27 @@ impl std::ops::Index<&str> for Value {
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
+/// Write `s` as a JSON string, quotes included: `"`, `\` and control
+/// characters escaped, everything else as is. [`Value`]'s `Display` and
+/// the trace writer both write strings through it.
+///
+/// # Errors
+///
+/// Only `out`'s own; writing into a `String` cannot fail.
+pub fn write_string(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    out.write_char('"')?;
     for c in s.chars() {
         match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+            '"' => out.write_str("\\\"")?,
+            '\\' => out.write_str("\\\\")?,
+            '\n' => out.write_str("\\n")?,
+            '\r' => out.write_str("\\r")?,
+            '\t' => out.write_str("\\t")?,
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
+            c => out.write_char(c)?,
         }
     }
-    f.write_str("\"")
+    out.write_char('"')
 }
 
 impl fmt::Display for Value {
@@ -221,7 +223,7 @@ impl fmt::Display for Value {
                     f.write_str("null")
                 }
             }
-            Value::String(s) => write_escaped(f, s),
+            Value::String(s) => write_string(f, s),
             Value::Array(items) => {
                 f.write_str("[")?;
                 for (i, v) in items.iter().enumerate() {
@@ -238,7 +240,7 @@ impl fmt::Display for Value {
                     if i > 0 {
                         f.write_str(",")?;
                     }
-                    write_escaped(f, k)?;
+                    write_string(f, k)?;
                     f.write_str(":")?;
                     write!(f, "{v}")?;
                 }
@@ -892,7 +894,6 @@ mod tests {
     fn accessor_conversions() {
         let v = Value::parse("{\"n\":7,\"f\":1.5,\"s\":\"x\"}").unwrap();
         assert_eq!(v["n"].as_u32(), Some(7));
-        assert_eq!(v["n"].as_usize(), Some(7));
         assert_eq!(v["f"].as_f64(), Some(1.5));
         assert_eq!(v["f"].as_u64(), None);
         assert_eq!(v["s"].as_str(), Some("x"));

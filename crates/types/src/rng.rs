@@ -87,12 +87,6 @@ impl SplitMix64 {
         (mu + sigma * self.next_gaussian()).exp()
     }
 
-    /// Fork an independent generator. The child stream is decorrelated
-    /// from the parent by mixing in a large odd constant.
-    pub fn fork(&mut self) -> SplitMix64 {
-        SplitMix64::new(self.next_u64() ^ 0xA5A5_A5A5_DEAD_BEEF)
-    }
-
     /// Fisher–Yates shuffle of a slice.
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {
@@ -285,16 +279,6 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..100).collect::<Vec<_>>());
         assert_ne!(v, (0..100).collect::<Vec<_>>(), "shuffle left identity");
-    }
-
-    #[test]
-    fn fork_decorrelates() {
-        let mut parent = SplitMix64::new(41);
-        let mut child = parent.fork();
-        let same = (0..32)
-            .filter(|_| parent.next_u64() == child.next_u64())
-            .count();
-        assert_eq!(same, 0);
     }
 
     #[test]

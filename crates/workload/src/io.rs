@@ -5,21 +5,28 @@
 //! Line-delimited JSON keeps huge traces streamable and lets externally
 //! collected traces be converted with ordinary text tooling.
 //!
-//! A query line in the writer's own layout is decoded in one straight
+//! [`TraceWriter`] writes every query line in one layout, spelled once
+//! here (`key`), and a line in that layout is decoded in one straight
 //! pass, where it lies in the reader's buffer, into whatever the caller
-//! keeps: a [`TraceQuery`] slot, or a replay trace's slices.
-//! Any other line goes to the step-wise decoder on
-//! [`byc_types::json::Cursor`], the only authority on what is accepted
-//! and the only source of error text: it writes each field straight into
-//! a reused [`TraceQuery`] slot, members may come in any order, unknown
-//! members are checked and skipped, and the first of duplicate members
-//! wins.
+//! keeps: a [`TraceQuery`], or a replay trace's slices. Any other line
+//! goes to the step-wise decoder on [`byc_types::json::Cursor`], the only
+//! authority on what is accepted and the only source of error text: it
+//! writes each field straight into a reused [`TraceQuery`] slot, members
+//! may come in any order, unknown members are checked and skipped, and
+//! the first of duplicate members wins.
+//!
+//! Every reader runs one loop over the lines of a byte range of the
+//! file (`Lines`): [`TraceReader`] over the whole body, to end of file,
+//! and [`read_trace`] and [`crate::ReplayTrace::read`] over one range
+//! per core.
 
 use crate::trace::{Trace, TraceQuery};
-use byc_types::json::{plain_run, Cursor, Value};
+use byc_types::json::{self, plain_run, Cursor, Value};
 use byc_types::{Bytes, ColumnId, Error, QueryId, Result, TableId};
+use std::fmt::Write as _;
 use std::fs::File;
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Seek, SeekFrom, Write};
+use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::path::Path;
 
@@ -27,9 +34,9 @@ use std::path::Path;
 pub const FORMAT_VERSION: u32 = 1;
 
 #[derive(Clone, Debug)]
-struct Header {
+pub(crate) struct Header {
     format_version: u32,
-    name: String,
+    pub(crate) name: String,
     seed: u64,
     query_count: usize,
 }
@@ -48,62 +55,61 @@ impl Header {
     }
 }
 
-fn yield_pairs(pairs: &[(u32, Bytes)]) -> Value {
-    Value::Array(
-        pairs
-            .iter()
-            .map(|&(id, b)| Value::Array(vec![Value::u64(id.into()), Value::u64(b.raw())]))
-            .collect(),
-    )
+/// The writer's layout of a query line: `{`, then each member's key, with
+/// the `,` before it and the `:` after it, and its value, in this order,
+/// then `}` and `\n`. [`TraceWriter::write`] writes these bytes and the
+/// one pass matches them.
+mod key {
+    pub(super) const ID: &str = "{\"id\":";
+    pub(super) const SQL: &str = ",\"sql\":";
+    pub(super) const TEMPLATE: &str = ",\"template\":";
+    pub(super) const DATA_KEYS: &str = ",\"data_keys\":";
+    pub(super) const TABLES: &str = ",\"tables\":";
+    pub(super) const COLUMNS: &str = ",\"columns\":";
+    pub(super) const TOTAL_YIELD: &str = ",\"total_yield\":";
+    pub(super) const TABLE_YIELDS: &str = ",\"table_yields\":";
+    pub(super) const COLUMN_YIELDS: &str = ",\"column_yields\":";
 }
 
-fn query_to_json(q: &TraceQuery) -> Value {
-    Value::Object(vec![
-        ("id".into(), Value::u64(q.id.raw().into())),
-        ("sql".into(), Value::str(&q.sql)),
-        ("template".into(), Value::u64(q.template.into())),
-        (
-            "data_keys".into(),
-            Value::Array(q.data_keys.iter().map(|&k| Value::u64(k)).collect()),
-        ),
-        (
-            "tables".into(),
-            Value::Array(
-                q.tables
-                    .iter()
-                    .map(|t| Value::u64(t.raw().into()))
-                    .collect(),
-            ),
-        ),
-        (
-            "columns".into(),
-            Value::Array(
-                q.columns
-                    .iter()
-                    .map(|c| Value::u64(c.raw().into()))
-                    .collect(),
-            ),
-        ),
-        ("total_yield".into(), Value::u64(q.total_yield.raw())),
-        (
-            "table_yields".into(),
-            yield_pairs(
-                &q.table_yields
-                    .iter()
-                    .map(|&(t, b)| (t.raw(), b))
-                    .collect::<Vec<_>>(),
-            ),
-        ),
-        (
-            "column_yields".into(),
-            yield_pairs(
-                &q.column_yields
-                    .iter()
-                    .map(|&(c, b)| (c.raw(), b))
-                    .collect::<Vec<_>>(),
-            ),
-        ),
-    ])
+/// Append `q` to `out` as one line in the writer's layout, its `\n`
+/// included. Integers are written as plain digit runs and the SQL text
+/// through [`json::write_string`].
+fn render(out: &mut String, q: &TraceQuery) -> std::fmt::Result {
+    /// `[`, each item, separated by `,`, then `]`.
+    fn list<T>(
+        out: &mut String,
+        items: &[T],
+        mut item: impl FnMut(&mut String, &T) -> std::fmt::Result,
+    ) -> std::fmt::Result {
+        out.push('[');
+        for (i, x) in items.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            item(out, x)?;
+        }
+        out.push(']');
+        Ok(())
+    }
+    write!(out, "{}{}{}", key::ID, q.id.raw(), key::SQL)?;
+    json::write_string(out, &q.sql)?;
+    write!(out, "{}{}{}", key::TEMPLATE, q.template, key::DATA_KEYS)?;
+    list(out, &q.data_keys, |out, k| write!(out, "{k}"))?;
+    out.push_str(key::TABLES);
+    list(out, &q.tables, |out, t| write!(out, "{}", t.raw()))?;
+    out.push_str(key::COLUMNS);
+    list(out, &q.columns, |out, c| write!(out, "{}", c.raw()))?;
+    let total = q.total_yield.raw();
+    write!(out, "{}{total}{}", key::TOTAL_YIELD, key::TABLE_YIELDS)?;
+    list(out, &q.table_yields, |out, (t, b)| {
+        write!(out, "[{},{}]", t.raw(), b.raw())
+    })?;
+    out.push_str(key::COLUMN_YIELDS);
+    list(out, &q.column_yields, |out, (c, b)| {
+        write!(out, "[{},{}]", c.raw(), b.raw())
+    })?;
+    out.push_str("}\n");
+    Ok(())
 }
 
 /// A decoding step's result: a message the reader prefixes with the line.
@@ -152,7 +158,15 @@ pub fn decode_query(line: &[u8], slot: &mut TraceQuery) -> Result<()> {
 /// `slot`. On `false` `slot` is left partly overwritten.
 #[doc(hidden)]
 pub fn decode_written(line: &[u8], slot: &mut TraceQuery) -> bool {
-    pass(line, true, slot).is_some()
+    let mut sink = Queries {
+        slot: std::mem::take(slot),
+        queries: Vec::new(),
+    };
+    // The body of the pass alone: the slot is all the caller keeps, so
+    // the line is not copied out at its end.
+    let taken = layout(line, true, &mut sink).is_some();
+    *slot = sink.slot;
+    taken
 }
 
 /// [`decode_query`]'s step-wise decoder alone, whatever the line's
@@ -296,24 +310,24 @@ fn pair(cursor: &mut Cursor<'_>) -> Decoded<(u32, Bytes)> {
 /// Where a query line goes, member by member, in the order the writer
 /// emits them: from the one pass over a line in the writer's layout, or
 /// from a query the step-wise decoder filled ([`Self::query`]). A sink
-/// may drop a member: it has been checked as the step-wise decoder
-/// checks it. The pass calls [`Self::start`] once it has the line's id,
-/// and then either [`Self::end`], once the whole line is read, or
-/// [`Self::undo`], where it gives up. Before `start` it may call `undo`
-/// alone.
+/// may drop a member, as the default methods do: it has been checked as
+/// the step-wise decoder checks it. The pass calls [`Self::start`] once
+/// it has the line's id, and then either [`Self::end`], once the whole
+/// line is read, or [`Self::undo`], where it gives up. Before `start` it
+/// may call `undo` alone.
 pub(crate) trait Sink {
     /// A line with query `id` begins.
     fn start(&mut self, id: QueryId);
     /// The SQL text.
-    fn sql(&mut self, sql: &str);
+    fn sql(&mut self, _sql: &str) {}
     /// The template number.
-    fn template(&mut self, template: u32);
+    fn template(&mut self, _template: u32) {}
     /// One data key.
-    fn data_key(&mut self, key: u64);
+    fn data_key(&mut self, _key: u64) {}
     /// One referenced table.
-    fn table(&mut self, table: TableId);
+    fn table(&mut self, _table: TableId) {}
     /// One referenced column.
-    fn column(&mut self, column: ColumnId);
+    fn column(&mut self, _column: ColumnId) {}
     /// The total yield.
     fn total_yield(&mut self, bytes: Bytes);
     /// One table's yield.
@@ -351,51 +365,61 @@ pub(crate) trait Sink {
     }
 }
 
-impl Sink for TraceQuery {
+/// Whole queries: each line is decoded into one reused slot, and copied
+/// out with buffers of its exact size once it is read whole. A slot the
+/// pass gives up on is left partly overwritten, as the step-wise decoder
+/// leaves it.
+#[derive(Default)]
+struct Queries {
+    slot: TraceQuery,
+    queries: Vec<TraceQuery>,
+}
+
+impl Sink for Queries {
     fn start(&mut self, id: QueryId) {
-        self.id = id;
-        self.data_keys.clear();
-        self.tables.clear();
-        self.columns.clear();
-        self.table_yields.clear();
-        self.column_yields.clear();
+        let q = &mut self.slot;
+        q.id = id;
+        q.data_keys.clear();
+        q.tables.clear();
+        q.columns.clear();
+        q.table_yields.clear();
+        q.column_yields.clear();
     }
     fn sql(&mut self, sql: &str) {
-        self.sql.clear();
-        self.sql.push_str(sql);
+        self.slot.sql.clear();
+        self.slot.sql.push_str(sql);
     }
     fn template(&mut self, template: u32) {
-        self.template = template;
+        self.slot.template = template;
     }
     fn data_key(&mut self, key: u64) {
-        self.data_keys.push(key);
+        self.slot.data_keys.push(key);
     }
     fn table(&mut self, table: TableId) {
-        self.tables.push(table);
+        self.slot.tables.push(table);
     }
     fn column(&mut self, column: ColumnId) {
-        self.columns.push(column);
+        self.slot.columns.push(column);
     }
     fn total_yield(&mut self, bytes: Bytes) {
-        self.total_yield = bytes;
+        self.slot.total_yield = bytes;
     }
     fn table_yield(&mut self, table: TableId, bytes: Bytes) {
-        self.table_yields.push((table, bytes));
+        self.slot.table_yields.push((table, bytes));
     }
     fn column_yield(&mut self, column: ColumnId, bytes: Bytes) {
-        self.column_yields.push((column, bytes));
+        self.slot.column_yields.push((column, bytes));
     }
-    fn end(&mut self) {}
-    // A slot is left partly overwritten, as the step-wise decoder leaves it.
+    fn end(&mut self) {
+        self.queries.push(self.slot.clone());
+    }
     fn undo(&mut self) {}
 }
 
 /// Decode the query line at the start of `bytes` into `sink` in one pass,
-/// if it is in the writer's layout: `{"id":N,"sql":"…","template":N,`
-/// `"data_keys":[N,…],"tables":[N,…],"columns":[N,…],"total_yield":N,`
-/// `"table_yields":[[N,N],…],"column_yields":[[N,N],…]}`, then `\n`;
-/// when `bytes` are the `whole` line, nothing or `\n` alone. Returns the
-/// bytes the line took, its `\n` included.
+/// if it is in the writer's layout ([`key`]), then `\n`; when `bytes` are
+/// the `whole` line, nothing or `\n` alone. Returns the bytes the line
+/// took, its `\n` included.
 ///
 /// The pass takes only text the step-wise decoder reads to the same
 /// query: each key with its separators as one literal, an integer as a
@@ -415,31 +439,31 @@ fn pass(bytes: &[u8], whole: bool, sink: &mut impl Sink) -> Option<usize> {
 #[inline]
 fn layout(bytes: &[u8], whole: bool, sink: &mut impl Sink) -> Option<usize> {
     let mut at = Written { rest: bytes };
-    at.literal(b"{\"id\":")?;
+    at.literal(key::ID)?;
     sink.start(QueryId::new(at.u32()?));
-    at.literal(b",\"sql\":\"")?;
+    at.literal(key::SQL)?;
     sink.sql(at.plain_string()?);
-    at.literal(b",\"template\":")?;
+    at.literal(key::TEMPLATE)?;
     sink.template(at.u32()?);
-    at.literal(b",\"data_keys\":")?;
+    at.literal(key::DATA_KEYS)?;
     at.list(|at| at.u64().map(|key| sink.data_key(key)))?;
-    at.literal(b",\"tables\":")?;
+    at.literal(key::TABLES)?;
     at.list(|at| at.u32().map(|table| sink.table(TableId::new(table))))?;
-    at.literal(b",\"columns\":")?;
+    at.literal(key::COLUMNS)?;
     at.list(|at| at.u32().map(|column| sink.column(ColumnId::new(column))))?;
-    at.literal(b",\"total_yield\":")?;
+    at.literal(key::TOTAL_YIELD)?;
     sink.total_yield(Bytes::new(at.u64()?));
-    at.literal(b",\"table_yields\":")?;
+    at.literal(key::TABLE_YIELDS)?;
     at.list(|at| {
         at.pair()
             .map(|(table, bytes)| sink.table_yield(TableId::new(table), bytes))
     })?;
-    at.literal(b",\"column_yields\":")?;
+    at.literal(key::COLUMN_YIELDS)?;
     at.list(|at| {
         at.pair()
             .map(|(column, bytes)| sink.column_yield(ColumnId::new(column), bytes))
     })?;
-    at.literal(b"}")?;
+    at.literal("}")?;
     let read = bytes.len() - at.rest.len();
     match (at.rest, whole) {
         ([b'\n', ..], false) | ([b'\n'], true) => Some(read + 1),
@@ -456,8 +480,8 @@ struct Written<'a> {
 
 impl<'a> Written<'a> {
     #[inline]
-    fn literal(&mut self, text: &[u8]) -> Option<()> {
-        self.rest = self.rest.strip_prefix(text)?;
+    fn literal(&mut self, text: &str) -> Option<()> {
+        self.rest = self.rest.strip_prefix(text.as_bytes())?;
         Some(())
     }
 
@@ -490,10 +514,10 @@ impl<'a> Written<'a> {
         u32::try_from(self.u64()?).ok()
     }
 
-    /// The rest of a string whose `"` is already read: one plain run of
-    /// valid UTF-8, then its closing `"`.
+    /// A string: `"`, one plain run of valid UTF-8, then `"`.
     #[inline]
     fn plain_string(&mut self) -> Option<&'a str> {
+        self.literal("\"")?;
         let (text, rest) = self.rest.split_at_checked(plain_run(self.rest))?;
         self.rest = rest.strip_prefix(b"\"")?;
         std::str::from_utf8(text).ok()
@@ -502,8 +526,8 @@ impl<'a> Written<'a> {
     /// `[`, then `item` for each element, separated by `,`, then `]`.
     #[inline]
     fn list(&mut self, mut item: impl FnMut(&mut Self) -> Option<()>) -> Option<()> {
-        self.literal(b"[")?;
-        if self.literal(b"]").is_some() {
+        self.literal("[")?;
+        if self.literal("]").is_some() {
             return Some(());
         }
         loop {
@@ -521,11 +545,11 @@ impl<'a> Written<'a> {
     /// One `[id,bytes]` yield pair.
     #[inline]
     fn pair(&mut self) -> Option<(u32, Bytes)> {
-        self.literal(b"[")?;
+        self.literal("[")?;
         let id = self.u32()?;
-        self.literal(b",")?;
+        self.literal(",")?;
         let bytes = self.u64()?;
-        self.literal(b"]")?;
+        self.literal("]")?;
         Some((id, Bytes::new(bytes)))
     }
 }
@@ -535,23 +559,54 @@ fn is_blank(line: &[u8]) -> bool {
     line.first() != Some(&b'{') && std::str::from_utf8(line).is_ok_and(|s| s.trim().is_empty())
 }
 
-/// What one read off [`Lines`] found.
-enum Line {
-    /// The end of the input.
-    End,
-    /// A blank line, skipped.
-    Blank,
-    /// A query, decoded into the sink.
-    Query,
-    /// A line the step-wise decoder refused, with its message.
-    Bad(String),
+/// Why a range of lines stopped short.
+enum Fault {
+    /// Reading failed.
+    Io(io::Error),
+    /// The `line`-th line of the range is malformed: the step-wise
+    /// decoder's message.
+    Bad { line: usize, message: String },
 }
 
-/// The query lines of a buffered input. A line in the writer's layout
-/// that the buffer holds whole is decoded where it lies; any other line
-/// is copied out first.
+impl From<io::Error> for Fault {
+    fn from(e: io::Error) -> Self {
+        Fault::Io(e)
+    }
+}
+
+impl Fault {
+    /// The error, naming a malformed line by its number in the file,
+    /// where `before` lines precede its range.
+    fn after(self, before: usize) -> Error {
+        match self {
+            Fault::Io(e) => e.into(),
+            Fault::Bad { line, message } => {
+                Error::TraceFormat(format!("bad query on line {}: {message}", before + line))
+            }
+        }
+    }
+}
+
+/// The query lines whose first bytes lie in one byte range of a trace
+/// file, read in order off a buffered input: the one loop every reader
+/// runs. A line belongs to the range its first byte is in, and may run
+/// past the range's end. A line in the writer's layout that the buffer
+/// holds whole is decoded where it lies; any other line is copied out
+/// first.
+///
+/// The cursor counts the lines it reads, blank ones included. A
+/// malformed line's number in the file is one (the header) plus the
+/// lines of every range before this one plus its own place in this one.
 struct Lines<R> {
     input: R,
+    /// The offset in the file of the next line.
+    at: u64,
+    /// The range's end: a line that starts here or later is not its own.
+    end: u64,
+    /// Lines read, blank and malformed ones included.
+    read: usize,
+    /// Queries decoded.
+    queries: usize,
     /// The line being read, when it had to be copied; reused.
     line: Vec<u8>,
     /// Member keys are unescaped here, reused for every key.
@@ -562,98 +617,156 @@ struct Lines<R> {
 }
 
 impl<R: BufRead> Lines<R> {
-    fn new(input: R) -> Self {
+    /// The lines of `range`, read off `input`, which stands at its start.
+    fn new(input: R, range: Range<u64>) -> Self {
         Self {
             input,
+            at: range.start,
+            end: range.end,
+            read: 0,
+            queries: 0,
             line: Vec::new(),
             key: String::new(),
             slot: TraceQuery::default(),
         }
     }
 
-    /// Read the next line and decode it into `sink`, in one pass if it
-    /// is in the writer's layout, else through the step-wise decoder and
-    /// [`Sink::query`]. Returns what was found and the bytes the line
-    /// took, its line end included.
-    fn next_into(&mut self, sink: &mut impl Sink) -> io::Result<(Line, usize)> {
-        let (key, slot) = (&mut self.key, &mut self.slot);
-        read_line(&mut self.input, &mut self.line, sink, |line, sink| {
-            decode_line(line, slot, key)?;
-            sink.query(slot);
-            Ok(())
-        })
+    /// True once every line of the range is read, or the input is.
+    fn exhausted(&self) -> bool {
+        self.at >= self.end
     }
 
-    /// [`Self::next_into`] into the slot, with no copy.
-    fn next_slot(&mut self) -> io::Result<(Line, usize)> {
-        let key = &mut self.key;
-        read_line(
-            &mut self.input,
-            &mut self.line,
-            &mut self.slot,
-            |line, slot| decode_line(line, slot, key),
-        )
-    }
-}
-
-/// The body of [`Lines::next_into`]: the pass on the buffer's bytes, and on a
-/// line the buffer does not hold whole, copied into `line`; `stepwise`
-/// on a line the pass does not take.
-fn read_line<S: Sink>(
-    input: &mut impl BufRead,
-    line: &mut Vec<u8>,
-    sink: &mut S,
-    stepwise: impl FnOnce(&[u8], &mut S) -> Decoded<()>,
-) -> io::Result<(Line, usize)> {
-    let held = input.fill_buf()?;
-    let buffered = held.len();
-    if let Some(len) = pass(held, false, sink) {
-        input.consume(len);
-        return Ok((Line::Query, len));
-    }
-    line.clear();
-    let read = input.read_until(b'\n', line)?;
-    // The pass has seen every byte of a line the buffer held whole and
-    // that ends in a newline.
-    let seen = read <= buffered && line.last() == Some(&b'\n');
-    let found = if read == 0 {
-        Line::End
-    } else if !seen && pass(line, true, sink).is_some() {
-        Line::Query
-    } else if is_blank(line) {
-        Line::Blank
-    } else {
-        match stepwise(line, sink) {
-            Ok(()) => Line::Query,
-            Err(e) => Line::Bad(e),
+    /// Decode up to `max` more query lines into `sink`, skipping blank
+    /// lines, and stop early once the range is exhausted.
+    ///
+    /// # Errors
+    ///
+    /// [`Fault::Bad`] on a malformed line; the lines after it are left
+    /// unread.
+    fn decode(&mut self, max: usize, sink: &mut impl Sink) -> std::result::Result<(), Fault> {
+        let stop = self.queries.saturating_add(max);
+        while self.queries < stop && !self.exhausted() {
+            self.next_into(sink)?;
         }
-    };
-    Ok((found, read))
+        Ok(())
+    }
+
+    /// Read the next line, count it and decode it into `sink`: the pass
+    /// on the buffer's bytes, and on a line the buffer does not hold
+    /// whole, copied out; the step-wise decoder and [`Sink::query`] on a
+    /// line the pass does not take. The end of the input exhausts the
+    /// range.
+    fn next_into(&mut self, sink: &mut impl Sink) -> std::result::Result<(), Fault> {
+        let held = self.input.fill_buf()?;
+        let buffered = held.len();
+        if let Some(len) = pass(held, false, sink) {
+            self.input.consume(len);
+            self.count_line(len);
+            self.queries += 1;
+            return Ok(());
+        }
+        let line = &mut self.line;
+        line.clear();
+        let len = self.input.read_until(b'\n', line)?;
+        if len == 0 {
+            self.end = self.at;
+            return Ok(());
+        }
+        self.count_line(len);
+        let line = &self.line;
+        // The pass has seen every byte of a line the buffer held whole and
+        // that ends in a newline.
+        let seen = len <= buffered && line.last() == Some(&b'\n');
+        if !seen && pass(line, true, sink).is_some() {
+            self.queries += 1;
+        } else if !is_blank(line) {
+            let place = self.read;
+            decode_line(line, &mut self.slot, &mut self.key).map_err(|message| Fault::Bad {
+                line: place,
+                message,
+            })?;
+            sink.query(&self.slot);
+            self.queries += 1;
+        }
+        Ok(())
+    }
+
+    /// Move past one line of `len` bytes.
+    fn count_line(&mut self, len: usize) {
+        self.at = self
+            .at
+            .saturating_add(u64::try_from(len).unwrap_or(u64::MAX));
+        self.read += 1;
+    }
 }
 
-/// Read the header line off `input` into `line` and check it.
-fn read_header(input: &mut impl BufRead, line: &mut Vec<u8>) -> Result<Header> {
-    if input.read_until(b'\n', line)? == 0 {
-        return Err(Error::TraceFormat("empty trace file".into()));
+impl Lines<BufReader<File>> {
+    /// The lines of `range`, a part of the body of the trace file at
+    /// `path` that starts at `body`, through a handle of its own.
+    fn open_range(path: &Path, range: Range<u64>, body: u64) -> io::Result<Self> {
+        // A line starts at `range.start` only if the byte before it ends
+        // the line before, so reading resumes one byte early and drops
+        // everything up to the first newline.
+        let mut at = range.start.saturating_sub(1).max(body);
+        let mut file = File::open(path)?;
+        file.seek(SeekFrom::Start(at))?;
+        let mut input = BufReader::new(file);
+        if at < range.start {
+            let dropped = input.skip_until(b'\n')?;
+            at = at.saturating_add(u64::try_from(dropped).unwrap_or(u64::MAX));
+        }
+        Ok(Lines::new(input, at..range.end))
     }
-    let header = decode_header(line).map_err(|e| Error::TraceFormat(format!("bad header: {e}")))?;
-    if header.format_version != FORMAT_VERSION {
-        return Err(Error::TraceFormat(format!(
-            "unsupported format version {} (expected {FORMAT_VERSION})",
-            header.format_version
-        )));
-    }
-    Ok(header)
 }
 
 /// The end-of-file check: the file held the queries its header promised.
-pub(crate) fn check_count(promised: usize, found: usize) -> Result<()> {
+fn check_count(promised: usize, found: usize) -> Result<()> {
     if promised != found {
         return Err(Error::TraceFormat(format!(
             "header promises {promised} queries, file has {found}"
         )));
     }
     Ok(())
+}
+
+/// A trace file, opened and its header checked: the header, and where
+/// the query lines are.
+pub(crate) struct TraceFile {
+    pub(crate) header: Header,
+    /// Where the query lines are, from just past the header line to the
+    /// end of the file; `None` when the file is not a regular file, such
+    /// as a pipe, whose length is not known before it is read.
+    body: Option<Range<u64>>,
+}
+
+impl TraceFile {
+    /// Open `path` and check its header. Returns the file and a cursor
+    /// over its whole body, to end of file, on the handle the header was
+    /// read from.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors; [`Error::TraceFormat`] on a missing or malformed
+    /// header or a format-version mismatch.
+    fn open(path: &Path) -> Result<(Self, Lines<BufReader<File>>)> {
+        let mut input = BufReader::new(File::open(path)?);
+        let mut line = Vec::new();
+        if input.read_until(b'\n', &mut line)? == 0 {
+            return Err(Error::TraceFormat("empty trace file".into()));
+        }
+        let header =
+            decode_header(&line).map_err(|e| Error::TraceFormat(format!("bad header: {e}")))?;
+        if header.format_version != FORMAT_VERSION {
+            return Err(Error::TraceFormat(format!(
+                "unsupported format version {} (expected {FORMAT_VERSION})",
+                header.format_version
+            )));
+        }
+        let start = u64::try_from(line.len()).unwrap_or(u64::MAX);
+        let meta = input.get_ref().metadata()?;
+        let body = meta.is_file().then(|| start.min(meta.len())..meta.len());
+        Ok((Self { header, body }, Lines::new(input, start..u64::MAX)))
+    }
 }
 
 /// A streaming trace writer: the header (with the final query count)
@@ -667,6 +780,8 @@ pub(crate) fn check_count(promised: usize, found: usize) -> Result<()> {
 /// [`TraceReader`].
 pub struct TraceWriter {
     w: BufWriter<File>,
+    /// The line being written; reused.
+    line: String,
     promised: usize,
     written: usize,
 }
@@ -689,6 +804,7 @@ impl TraceWriter {
         writeln!(w, "{}", header.to_json())?;
         Ok(Self {
             w,
+            line: String::new(),
             promised: query_count,
             written: 0,
         })
@@ -712,7 +828,10 @@ impl TraceWriter {
                 self.promised
             )));
         }
-        writeln!(self.w, "{}", query_to_json(q))?;
+        self.line.clear();
+        // Writing into a `String` cannot fail.
+        let _ = render(&mut self.line, q);
+        self.w.write_all(self.line.as_bytes())?;
         self.written += 1;
         Ok(())
     }
@@ -740,14 +859,12 @@ impl TraceWriter {
 /// [`crate::ReplayTrace::refill`] without ever materializing the whole
 /// trace. The replay engine's streaming path feeds on this to keep
 /// 100M-query replays in constant memory.
+///
+/// It is a `TraceFile` and one cursor over the file's whole body, read
+/// to end of file: the loop every reader runs.
 pub struct TraceReader {
+    file: TraceFile,
     lines: Lines<BufReader<File>>,
-    name: String,
-    seed: u64,
-    query_count: usize,
-    delivered: usize,
-    line_no: usize,
-    finished: bool,
 }
 
 impl TraceReader {
@@ -758,44 +875,34 @@ impl TraceReader {
     /// I/O errors; [`Error::TraceFormat`] on a missing or malformed
     /// header or a format-version mismatch.
     pub fn open(path: &Path) -> Result<Self> {
-        let mut input = BufReader::new(File::open(path)?);
-        let mut line = Vec::new();
-        let header = read_header(&mut input, &mut line)?;
-        Ok(Self {
-            lines: Lines::new(input),
-            name: header.name,
-            seed: header.seed,
-            query_count: header.query_count,
-            delivered: 0,
-            line_no: 1,
-            finished: false,
-        })
+        let (file, lines) = TraceFile::open(path)?;
+        Ok(Self { file, lines })
     }
 
     /// The trace name from the header.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.file.header.name
     }
 
     /// The generator seed from the header.
     pub fn seed(&self) -> u64 {
-        self.seed
+        self.file.header.seed
     }
 
     /// Total query count promised by the header.
     pub fn query_count(&self) -> usize {
-        self.query_count
+        self.file.header.query_count
     }
 
     /// Queries handed out so far.
     pub fn delivered(&self) -> usize {
-        self.delivered
+        self.lines.queries
     }
 
     /// Read up to `max` queries (at least 1 is attempted), each decoded
-    /// into the reader's one reused slot and copied out with buffers of
-    /// its exact size. An empty vector means end of file; at that point
-    /// the header's query count has been verified against what the file
+    /// into one reused slot and copied out with buffers of its exact
+    /// size. An empty vector means end of file; at that point the
+    /// header's query count has been verified against what the file
     /// actually held.
     ///
     /// # Errors
@@ -803,160 +910,144 @@ impl TraceReader {
     /// I/O errors; [`Error::TraceFormat`] on a malformed line (naming
     /// it) or a final count that disagrees with the header.
     pub fn next_chunk(&mut self, max: usize) -> Result<Vec<TraceQuery>> {
-        let mut chunk = Vec::new();
-        for _ in 0..max.max(1) {
-            let Some(query) = self.decode_next()? else {
-                break;
-            };
-            chunk.push(query.clone());
-        }
-        Ok(chunk)
+        let mut chunk = Queries::default();
+        self.decode_into(max, &mut chunk)?;
+        Ok(chunk.queries)
     }
 
-    /// Decode the next query into the reader's slot; `None` at end of
-    /// file, once the header's query count has been checked.
-    pub(crate) fn decode_next(&mut self) -> Result<Option<&TraceQuery>> {
-        while !self.finished {
-            let (line, _) = self.lines.next_slot()?;
-            if self.count(line)? {
-                return Ok(Some(&self.lines.slot));
-            }
-        }
-        Ok(None)
-    }
-
-    /// Decode the next query into `sink`; `false` at end of file, once
-    /// the header's query count has been checked.
-    pub(crate) fn decode_into(&mut self, sink: &mut impl Sink) -> Result<bool> {
-        while !self.finished {
-            let (line, _) = self.lines.next_into(sink)?;
-            if self.count(line)? {
-                return Ok(true);
-            }
-        }
-        Ok(false)
-    }
-
-    /// Count one line read: `true` for a query.
-    fn count(&mut self, line: Line) -> Result<bool> {
-        if let Line::End = line {
-            self.finished = true;
-            check_count(self.query_count, self.delivered)?;
-            return Ok(false);
-        }
-        self.line_no += 1;
-        match line {
-            Line::Query => {
-                self.delivered += 1;
-                Ok(true)
-            }
-            Line::Bad(e) => Err(Error::TraceFormat(format!(
-                "bad query on line {}: {e}",
-                self.line_no
-            ))),
-            Line::End | Line::Blank => Ok(false),
-        }
-    }
-}
-
-/// A trace file read in byte ranges, each through its own file handle,
-/// so that several threads can decode one file: the header, and the
-/// bytes its query lines occupy. A line belongs to the range its first
-/// byte is in, so ranges that partition the body partition its lines.
-pub(crate) struct TraceFile<'p> {
-    path: &'p Path,
-    /// The trace name from the header.
-    pub(crate) name: String,
-    /// The query count the header promises.
-    pub(crate) query_count: usize,
-    /// Where the query lines are: from just past the header line to the
-    /// end of the file.
-    pub(crate) body: Range<u64>,
-}
-
-impl<'p> TraceFile<'p> {
-    /// Open `path` and check its header, as [`TraceReader::open`] does.
+    /// Decode up to `max` more queries (at least 1 is attempted) into
+    /// `sink`. The call that reaches end of file checks the header's
+    /// query count; every later call decodes nothing.
     ///
     /// # Errors
     ///
-    /// Exactly [`TraceReader::open`]'s.
-    pub(crate) fn open(path: &'p Path) -> Result<Self> {
-        let mut input = BufReader::new(File::open(path)?);
-        let mut line = Vec::new();
-        let header = read_header(&mut input, &mut line)?;
-        let end = input.get_ref().metadata()?.len();
-        let start = u64::try_from(line.len()).unwrap_or(u64::MAX).min(end);
-        Ok(Self {
-            path,
-            name: header.name,
-            query_count: header.query_count,
-            body: start..end,
-        })
+    /// As [`Self::next_chunk`]. The queries decoded before the error are
+    /// in `sink`.
+    pub(crate) fn decode_into(&mut self, max: usize, sink: &mut impl Sink) -> Result<()> {
+        if self.lines.exhausted() {
+            return Ok(());
+        }
+        let lines = &mut self.lines;
+        // The header is line 1.
+        lines
+            .decode(max.max(1), sink)
+            .map_err(|fault| fault.after(1))?;
+        if lines.exhausted() {
+            check_count(self.file.header.query_count, lines.queries)?;
+        }
+        Ok(())
     }
+}
 
-    /// Decode, in file order, each query line whose first byte is in
-    /// `range` (a line may run past its end) into `sink`. Blank lines are
-    /// skipped, as [`TraceReader`] skips them. Returns the number of
-    /// queries.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors; [`Error::TraceFormat`] on the first malformed line,
-    /// naming it by its line number in the whole file, with the text
-    /// [`TraceReader`] gives the same line.
-    pub(crate) fn decode_range(&self, range: Range<u64>, sink: &mut impl Sink) -> Result<usize> {
-        if range.start >= range.end {
-            return Ok(0);
-        }
-        // A line starts at `range.start` only if the byte before it ends
-        // the line before, so reading resumes one byte early and drops
-        // everything up to the first newline.
-        let mut at = range.start.saturating_sub(1).max(self.body.start);
-        let mut file = File::open(self.path)?;
-        file.seek(SeekFrom::Start(at))?;
-        let mut input = BufReader::new(file);
-        let mut line = Vec::new();
-        if at < range.start {
-            at += u64::try_from(input.read_until(b'\n', &mut line)?).unwrap_or(u64::MAX);
-        }
-        let mut lines = Lines::new(input);
-        let mut decoded = 0;
-        while at < range.end {
-            let start = at;
-            let (line, read) = lines.next_into(sink)?;
-            at += u64::try_from(read).unwrap_or(u64::MAX);
-            match line {
-                Line::End => break,
-                Line::Blank => {}
-                Line::Query => decoded += 1,
-                Line::Bad(e) => {
-                    return Err(Error::TraceFormat(format!(
-                        "bad query on line {}: {e}",
-                        self.line_at(start)?
-                    )))
-                }
+/// Read the trace file at `path` on the byte ranges between the offsets
+/// `cuts(body)` returns, ascending from the body's start to its end. Each
+/// range is decoded into a sink of its own, `sink(share)`, where `share`
+/// is a little over the range's share of the header's query count (at
+/// most 2^20 are reserved). The first range is read on this thread, off
+/// the handle its header was read from; every other on a scoped thread
+/// through a handle of its own. A body of unknown length, such as a
+/// pipe's, is one range, read in order to end of file.
+///
+/// The first error in file order wins, a malformed line named by its
+/// line number in the file, and the header's query count is checked
+/// once every range is in. Returns the file and the sinks, in file
+/// order.
+///
+/// # Errors
+///
+/// I/O errors; [`Error::TraceFormat`] on a bad header, the first
+/// malformed line, or a query count that disagrees with the header.
+pub(crate) fn read_split<S: Sink + Send>(
+    path: &Path,
+    cuts: impl FnOnce(Range<u64>) -> Vec<u64>,
+    sink: impl Fn(usize) -> S + Sync,
+) -> Result<(TraceFile, Vec<S>)> {
+    let (file, head) = TraceFile::open(path)?;
+    let ranges: Vec<Range<u64>> = match &file.body {
+        Some(body) => cuts(body.clone())
+            .windows(2)
+            .filter_map(|pair| match *pair {
+                [start, end] => Some(start..end),
+                _ => None,
+            })
+            .collect(),
+        None => std::iter::once(head.at..head.end).collect(),
+    };
+    let promised = u128::try_from(file.header.query_count.min(1 << 20)).unwrap_or(0);
+    let read = |lines: io::Result<Lines<BufReader<File>>>, range: Range<u64>| {
+        // Reserve this range's share of the promised queries, and a
+        // little over: a sink that outgrows its reservation doubles.
+        let share = match &file.body {
+            Some(body) => {
+                promised * u128::from(range.end.saturating_sub(range.start))
+                    / u128::from((body.end - body.start).max(1))
             }
-        }
-        Ok(decoded)
+            None => promised,
+        };
+        let share = usize::try_from(share + share / 16 + 16).unwrap_or(0);
+        let mut sink = sink(share.min(file.header.query_count));
+        let mut lines = lines?;
+        lines.decode(usize::MAX, &mut sink)?;
+        Ok((sink, lines))
+    };
+    let body = head.at;
+    let parts: Vec<std::result::Result<_, Fault>> = std::thread::scope(|scope| {
+        let mut ranges = ranges.into_iter();
+        let first = ranges.next();
+        let handles: Vec<_> = ranges
+            .map(|range| {
+                scope.spawn(move || read(Lines::open_range(path, range.clone(), body), range))
+            })
+            .collect();
+        first
+            .map(|range| {
+                let head = Lines {
+                    end: range.end,
+                    ..head
+                };
+                read(Ok(head), range)
+            })
+            .into_iter()
+            .chain(
+                handles
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e))),
+            )
+            .collect()
+    });
+    // The header is line 1.
+    let (mut before, mut queries) = (1, 0);
+    let mut sinks = Vec::with_capacity(parts.len());
+    for part in parts {
+        let (sink, lines) = part.map_err(|fault| fault.after(before))?;
+        before += lines.read;
+        queries += lines.queries;
+        sinks.push(sink);
     }
+    check_count(file.header.query_count, queries)?;
+    Ok((file, sinks))
+}
 
-    /// The 1-based number of the line that starts at byte `offset`: one
-    /// more than the newlines before it. Read off the file only for an
-    /// error message.
-    #[cold]
-    fn line_at(&self, offset: u64) -> Result<usize> {
-        let mut input = BufReader::new(File::open(self.path)?.take(offset));
-        let mut newlines = 0;
-        loop {
-            let buf = input.fill_buf()?;
-            if buf.is_empty() {
-                return Ok(newlines + 1);
-            }
-            newlines += buf.iter().filter(|&&b| b == b'\n').count();
-            let read = buf.len();
-            input.consume(read);
-        }
+/// The cuts of a body into `workers` byte ranges of (nearly) equal
+/// length, for [`read_split`].
+pub(crate) fn even_cuts(workers: usize) -> impl FnOnce(Range<u64>) -> Vec<u64> {
+    let workers = workers.max(1);
+    move |body| {
+        let len = u128::from(body.end - body.start);
+        let count = u128::try_from(workers).unwrap_or(1);
+        (0..=workers)
+            .map(|i| {
+                let step = u128::try_from(i).unwrap_or(0) * len / count;
+                body.start + u64::try_from(step).unwrap_or(0)
+            })
+            .collect()
     }
+}
+
+/// One worker per core, as [`read_trace`] and [`crate::ReplayTrace::read`]
+/// split a file.
+pub(crate) fn workers() -> usize {
+    std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
 }
 
 /// Write `trace` to `path` in JSON-lines format.
@@ -972,21 +1063,31 @@ pub fn write_trace(trace: &Trace, path: &Path) -> Result<()> {
     w.finish()
 }
 
-/// Read a trace previously written by [`write_trace`].
+/// Read a trace previously written by [`write_trace`], on one thread per
+/// core (see `read_split`).
 ///
 /// # Errors
 ///
 /// [`Error::TraceFormat`] on version mismatch, malformed lines, or a
 /// query count that disagrees with the header.
 pub fn read_trace(path: &Path) -> Result<Trace> {
-    let mut r = TraceReader::open(path)?;
-    let mut queries = Vec::with_capacity(r.query_count().min(1 << 20));
-    while let Some(query) = r.decode_next()? {
-        queries.push(query.clone());
+    read_trace_on(path, workers())
+}
+
+/// [`read_trace`] on `workers` byte ranges of (nearly) equal length.
+pub(crate) fn read_trace_on(path: &Path, workers: usize) -> Result<Trace> {
+    let (file, parts) = read_split(path, even_cuts(workers), |share| Queries {
+        slot: TraceQuery::default(),
+        queries: Vec::with_capacity(share),
+    })?;
+    let mut parts = parts.into_iter().map(|part| part.queries);
+    let mut queries = parts.next().unwrap_or_default();
+    for mut part in parts {
+        queries.append(&mut part);
     }
     Ok(Trace {
-        name: r.name().to_string(),
-        seed: r.seed(),
+        name: file.header.name,
+        seed: file.header.seed,
         queries,
     })
 }
@@ -1001,6 +1102,174 @@ mod tests {
         let mut p = std::env::temp_dir();
         p.push(format!("byc-test-{}-{name}", std::process::id()));
         p
+    }
+
+    fn yield_pairs(pairs: &[(u32, Bytes)]) -> Value {
+        Value::Array(
+            pairs
+                .iter()
+                .map(|&(id, b)| Value::Array(vec![Value::u64(id.into()), Value::u64(b.raw())]))
+                .collect(),
+        )
+    }
+
+    /// A query as a `Value` tree, members in the writer's order: the
+    /// writer's oracle.
+    fn query_to_json(q: &TraceQuery) -> Value {
+        Value::Object(vec![
+            ("id".into(), Value::u64(q.id.raw().into())),
+            ("sql".into(), Value::str(&q.sql)),
+            ("template".into(), Value::u64(q.template.into())),
+            (
+                "data_keys".into(),
+                Value::Array(q.data_keys.iter().map(|&k| Value::u64(k)).collect()),
+            ),
+            (
+                "tables".into(),
+                Value::Array(
+                    q.tables
+                        .iter()
+                        .map(|t| Value::u64(t.raw().into()))
+                        .collect(),
+                ),
+            ),
+            (
+                "columns".into(),
+                Value::Array(
+                    q.columns
+                        .iter()
+                        .map(|c| Value::u64(c.raw().into()))
+                        .collect(),
+                ),
+            ),
+            ("total_yield".into(), Value::u64(q.total_yield.raw())),
+            (
+                "table_yields".into(),
+                yield_pairs(
+                    &q.table_yields
+                        .iter()
+                        .map(|&(t, b)| (t.raw(), b))
+                        .collect::<Vec<_>>(),
+                ),
+            ),
+            (
+                "column_yields".into(),
+                yield_pairs(
+                    &q.column_yields
+                        .iter()
+                        .map(|&(c, b)| (c.raw(), b))
+                        .collect::<Vec<_>>(),
+                ),
+            ),
+        ])
+    }
+
+    /// The layout's keys are the step-wise decoder's field names, in its
+    /// order.
+    #[test]
+    fn the_layout_spells_the_field_names() {
+        let keys = [
+            key::ID,
+            key::SQL,
+            key::TEMPLATE,
+            key::DATA_KEYS,
+            key::TABLES,
+            key::COLUMNS,
+            key::TOTAL_YIELD,
+            key::TABLE_YIELDS,
+            key::COLUMN_YIELDS,
+        ];
+        for (i, (key, name)) in keys.iter().zip(QUERY_FIELDS).enumerate() {
+            let open = if i == 0 { '{' } else { ',' };
+            assert_eq!(*key, format!("{open}\"{name}\":"));
+        }
+    }
+
+    /// A file written into a pipe and read off it by `/dev/fd/N`.
+    #[cfg(target_os = "linux")]
+    fn piped<T: Send>(bytes: &[u8], read: impl FnOnce(&Path) -> T + Send) -> T {
+        use std::os::fd::AsRawFd;
+        let (reader, mut writer) = std::io::pipe().unwrap();
+        let path = std::path::PathBuf::from(format!("/dev/fd/{}", reader.as_raw_fd()));
+        std::thread::scope(|scope| {
+            let fed = scope.spawn(move || {
+                // A reader that stops early closes the pipe under the
+                // writer: that is not the test's failure.
+                writer.write_all(bytes).ok();
+            });
+            let got = read(&path);
+            drop(reader);
+            fed.join().unwrap();
+            got
+        })
+    }
+
+    /// A body that is not a regular file is one range read to its end:
+    /// a pipe reads as the same bytes in a file do, through `read_trace`,
+    /// `TraceReader` and `ReplayTrace::read`, errors included.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_piped_trace_reads_as_its_file() {
+        use crate::ReplayTrace;
+        use byc_catalog::{Granularity, ObjectCatalog};
+        let cat = build(SdssRelease::Edr, 1e-3, 1);
+        let trace = generate(&cat, &WorkloadConfig::smoke(53, 120)).unwrap();
+        let objects = ObjectCatalog::uniform(&cat, Granularity::Column);
+        let path = tmp("piped.jsonl");
+        write_trace(&trace, &path).unwrap();
+        let text = std::fs::read(&path).unwrap();
+        let mut bad = String::from_utf8(text.clone()).unwrap();
+        let at = bad.match_indices('\n').nth(70).unwrap().0 + 1;
+        bad.insert_str(at, " \r\n\u{3000}\nnot json\n");
+        let short = String::from_utf8(text.clone()).unwrap().replacen(
+            "\"query_count\":120",
+            "\"query_count\":121",
+            1,
+        );
+        for (name, bytes) in [
+            ("plain", text),
+            ("bad", bad.into_bytes()),
+            ("short", short.into_bytes()),
+        ] {
+            std::fs::write(&path, &bytes).unwrap();
+            let file = read_trace(&path).map_err(|e| e.to_string());
+            assert_eq!(
+                piped(&bytes, |p| read_trace(p)).map_err(|e| e.to_string()),
+                file,
+                "{name}"
+            );
+            let streamed = piped(&bytes, |p| {
+                let mut reader = TraceReader::open(p)?;
+                let mut queries = Vec::new();
+                loop {
+                    let chunk = reader.next_chunk(25)?;
+                    if chunk.is_empty() {
+                        return Ok(queries);
+                    }
+                    queries.extend(chunk);
+                }
+            });
+            let whole = file.clone().map(|t| t.queries);
+            assert_eq!(streamed.map_err(|e: Error| e.to_string()), whole, "{name}");
+            let replay = |p: &Path| ReplayTrace::read(p, &objects).map_err(|e| e.to_string());
+            assert_eq!(piped(&bytes, replay), replay(&path), "{name}");
+            match name {
+                "plain" => assert_eq!(file, Ok(trace.clone())),
+                "bad" => assert!(
+                    file.as_ref()
+                        .unwrap_err()
+                        .contains("bad query on line 74: "),
+                    "{file:?}"
+                ),
+                _ => assert!(
+                    file.as_ref()
+                        .unwrap_err()
+                        .ends_with("header promises 121 queries, file has 120"),
+                    "{file:?}"
+                ),
+            }
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1241,6 +1510,72 @@ mod tests {
         w.write(&trace.queries[0]).unwrap();
         let err = w.write(&trace.queries[1]).unwrap_err();
         assert!(err.to_string().contains("refusing to write more"));
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// `TraceWriter` writes, byte for byte, the header and then each
+    /// query rendered as a `Value` tree by [`query_to_json`].
+    #[test]
+    fn the_writer_writes_the_value_rendering() {
+        let mut traces = Vec::new();
+        for release in [SdssRelease::Edr, SdssRelease::Dr1] {
+            let cat = build(release, 1e-3, 2);
+            for seed in [5, 23] {
+                let preset = match release {
+                    SdssRelease::Edr => WorkloadConfig::edr(seed),
+                    SdssRelease::Dr1 => WorkloadConfig::dr1(seed),
+                };
+                let config = WorkloadConfig {
+                    query_count: 200,
+                    ..preset
+                };
+                traces.push(generate(&cat, &config).unwrap());
+            }
+        }
+        let edge = |id: u32, wide: u64, sql: &str| TraceQuery {
+            id: QueryId::new(id),
+            sql: sql.into(),
+            template: id,
+            data_keys: vec![wide, 0, wide],
+            tables: vec![TableId::new(id), TableId::new(0)],
+            columns: vec![ColumnId::new(id)],
+            total_yield: Bytes::new(wide),
+            table_yields: vec![(TableId::new(id), Bytes::new(wide))],
+            column_yields: vec![
+                (ColumnId::new(0), Bytes::new(0)),
+                (ColumnId::new(id), Bytes::new(wide)),
+            ],
+        };
+        traces.push(Trace {
+            name: "edges \"\\\n\u{1}é".into(),
+            seed: u64::MAX,
+            queries: vec![
+                edge(0, 0, ""),
+                edge(
+                    u32::MAX,
+                    u64::MAX,
+                    "select \"a\\b\"\n\r\t\u{1}\u{7f} from T",
+                ),
+                edge(7, 1 << 53, "où ∑ \u{1F600} \u{0} \u{1f}"),
+                TraceQuery::default(),
+            ],
+        });
+        let path = tmp("writer-bytes.jsonl");
+        for trace in &traces {
+            write_trace(trace, &path).unwrap();
+            let header = Header {
+                format_version: FORMAT_VERSION,
+                name: trace.name.clone(),
+                seed: trace.seed,
+                query_count: trace.len(),
+            };
+            let mut want = format!("{}\n", header.to_json());
+            for q in &trace.queries {
+                want.push_str(&format!("{}\n", query_to_json(q)));
+            }
+            let have = std::fs::read_to_string(&path).unwrap();
+            assert_eq!(have, want, "{}", trace.name);
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -32,11 +32,10 @@
 //! replay traces are equal when their queries are, wherever their runs
 //! break.
 
-use crate::io::{check_count, Sink, TraceFile, TraceReader};
+use crate::io::{self, Sink, TraceReader};
 use crate::trace::{Trace, TraceQuery};
 use byc_catalog::{Granularity, ObjectCatalog};
 use byc_types::{Bytes, ColumnId, ObjectId, QueryId, Result, TableId};
-use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::path::Path;
 
@@ -185,11 +184,6 @@ impl Sink for Fill<'_> {
         self.id = id;
         self.skipped = Unresolved::default();
     }
-    fn sql(&mut self, _: &str) {}
-    fn template(&mut self, _: u32) {}
-    fn data_key(&mut self, _: u64) {}
-    fn table(&mut self, _: TableId) {}
-    fn column(&mut self, _: ColumnId) {}
     fn total_yield(&mut self, bytes: Bytes) {
         self.total_yield = bytes;
     }
@@ -266,81 +260,32 @@ impl ReplayTrace {
     /// Exactly the errors [`crate::io::read_trace`] returns on the same
     /// file, with the same text.
     pub fn read(path: &Path, objects: &ObjectCatalog) -> Result<Self> {
-        let workers = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-        Self::read_on(path, objects, workers)
+        Self::read_on(path, objects, io::workers())
     }
 
     /// [`Self::read`] on `workers` byte ranges of (nearly) equal length.
     pub(crate) fn read_on(path: &Path, objects: &ObjectCatalog, workers: usize) -> Result<Self> {
-        let workers = workers.max(1);
-        Self::read_split(path, objects, |body| {
-            let len = u128::from(body.end - body.start);
-            let count = u128::try_from(workers).unwrap_or(1);
-            (0..=workers)
-                .map(|i| {
-                    let step = u128::try_from(i).unwrap_or(0) * len / count;
-                    body.start + u64::try_from(step).unwrap_or(0)
-                })
-                .collect()
-        })
+        Self::read_split(path, objects, io::even_cuts(workers))
     }
 
     /// [`Self::read`] with the query lines split at the byte offsets
-    /// `cuts(body)` returns, ascending from the body's start to its end:
-    /// each range between two cuts is decoded into a run of its own, the
-    /// first on this thread, every other on a scoped thread. The first
-    /// error in file order wins, and the header's query count is checked
-    /// once every range is in.
+    /// `cuts(body)` returns ([`io::read_split`]): each range is decoded
+    /// into a run of its own.
     fn read_split(
         path: &Path,
         objects: &ObjectCatalog,
         cuts: impl FnOnce(Range<u64>) -> Vec<u64>,
     ) -> Result<Self> {
-        let file = TraceFile::open(path)?;
-        let body = file.body.clone();
-        let ranges: Vec<Range<u64>> = cuts(body.clone())
-            .windows(2)
-            .filter_map(|pair| match *pair {
-                [start, end] => Some(start..end),
-                _ => None,
-            })
-            .collect();
-        let promised = u128::try_from(file.query_count.min(1 << 20)).unwrap_or(0);
-        let decode = |range: Range<u64>| -> Result<(Run, Unresolved, usize)> {
-            // Reserve this range's share of the promised queries, and a
-            // little over: a run that outgrows its reservation doubles.
-            let share = promised * u128::from(range.end - range.start)
-                / u128::from((body.end - body.start).max(1));
-            let share = usize::try_from(share + share / 16 + 16).unwrap_or(0);
+        let (file, fills) = io::read_split(path, cuts, |share| {
             let mut run = Run::default();
-            run.queries.reserve_exact(share.min(file.query_count));
-            let mut fill = Fill::new(run, objects);
-            let decoded = file.decode_range(range, &mut fill)?;
-            Ok((fill.run, fill.unresolved, decoded))
-        };
-        let results: Vec<_> = std::thread::scope(|scope| {
-            let mut ranges = ranges.into_iter();
-            let first = ranges.next();
-            let handles: Vec<_> = ranges.map(|r| scope.spawn(move || decode(r))).collect();
-            first
-                .map(decode)
-                .into_iter()
-                .chain(
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e))),
-                )
-                .collect()
-        });
-        let mut replay = Self::new(&file.name, objects);
-        let mut decoded = 0;
-        for result in results {
-            let (run, unresolved, count) = result?;
-            replay.runs.push(run);
-            replay.unresolved.add(unresolved);
-            decoded += count;
+            run.queries.reserve_exact(share);
+            Fill::new(run, objects)
+        })?;
+        let mut replay = Self::new(&file.header.name, objects);
+        for fill in fills {
+            replay.runs.push(fill.run);
+            replay.unresolved.add(fill.unresolved);
         }
-        check_count(file.query_count, decoded)?;
         Ok(replay)
     }
 
@@ -367,17 +312,7 @@ impl ReplayTrace {
         run.queries.clear();
         run.slices.clear();
         let mut fill = Fill::new(run, objects);
-        let mut filled = Ok(());
-        for _ in 0..max.max(1) {
-            match reader.decode_into(&mut fill) {
-                Ok(true) => {}
-                Ok(false) => break,
-                Err(e) => {
-                    filled = Err(e);
-                    break;
-                }
-            }
-        }
+        let filled = reader.decode_into(max, &mut fill);
         self.runs.push(fill.run);
         self.unresolved = fill.unresolved;
         filled
@@ -579,16 +514,38 @@ mod tests {
         }
     }
 
-    /// What `read_trace` makes of the file at `path`: its conversion, or
-    /// its error text.
-    fn serial(path: &Path, objects: &ObjectCatalog) -> std::result::Result<ReplayTrace, String> {
-        crate::io::read_trace(path)
-            .map(|trace| ReplayTrace::from_trace(&trace, objects))
-            .map_err(|e| e.to_string())
+    /// What the streamed reader makes of the file at `path`, read off
+    /// one `TraceReader` through `next_chunk`: the whole trace, or the
+    /// error text.
+    fn streamed(path: &Path) -> std::result::Result<Trace, String> {
+        let read = || -> Result<Trace> {
+            let mut reader = TraceReader::open(path)?;
+            let mut queries = Vec::new();
+            loop {
+                let chunk = reader.next_chunk(16)?;
+                if chunk.is_empty() {
+                    break;
+                }
+                queries.extend(chunk);
+            }
+            Ok(Trace {
+                name: reader.name().to_string(),
+                seed: reader.seed(),
+                queries,
+            })
+        };
+        read().map_err(|e| e.to_string())
     }
 
-    /// Read `bytes` on 1 to 8 workers, each read equal to `read_trace`'s;
-    /// returns that.
+    /// The streamed reader's trace, converted, or its error text: the
+    /// reference of every split read.
+    fn serial(path: &Path, objects: &ObjectCatalog) -> std::result::Result<ReplayTrace, String> {
+        streamed(path).map(|trace| ReplayTrace::from_trace(&trace, objects))
+    }
+
+    /// Read `bytes` on 1 to 8 workers, into a replay trace and through
+    /// `read_trace`, each read equal to the streamed reader's; returns
+    /// that.
     fn reads_alike(
         name: &str,
         bytes: &[u8],
@@ -596,6 +553,7 @@ mod tests {
     ) -> std::result::Result<ReplayTrace, String> {
         let file = Scratch::new(name, bytes);
         let expected = serial(&file.0, objects);
+        let trace = streamed(&file.0);
         for workers in 1..=8 {
             let read = ReplayTrace::read_on(&file.0, objects, workers).map_err(|e| e.to_string());
             assert_eq!(read, expected, "{name} on {workers} workers");
@@ -603,6 +561,8 @@ mod tests {
                 let runs = read.runs.len();
                 assert_eq!(runs, workers, "{name}: one run per range");
             }
+            let whole = crate::io::read_trace_on(&file.0, workers).map_err(|e| e.to_string());
+            assert_eq!(whole, trace, "{name}: read_trace on {workers} workers");
         }
         expected
     }
@@ -757,12 +717,18 @@ mod tests {
                     )),
                     "{want}"
                 );
-                let have =
-                    ReplayTrace::read_on(&file.0, &objects, usize::try_from(workers).unwrap());
+                let workers = usize::try_from(workers).unwrap();
+                let have = ReplayTrace::read_on(&file.0, &objects, workers);
                 assert_eq!(
                     have.map_err(|e| e.to_string()),
-                    Err(want),
+                    Err(want.clone()),
                     "range {range} of {workers}"
+                );
+                let whole = crate::io::read_trace_on(&file.0, workers);
+                assert_eq!(
+                    whole.map_err(|e| e.to_string()),
+                    Err(want),
+                    "read_trace: range {range} of {workers}"
                 );
             }
         }

@@ -19,11 +19,12 @@
 //! must take every line the writer writes.
 //!
 //! Whole files go through `TraceReader::next_chunk`, and through
-//! `ReplayTrace::refill`, at chunk sizes 1, 7 and 1024, and through
-//! `ReplayTrace::read`. Each must accept or refuse a file as `read_trace`
-//! does, with the same error text, and when it accepts give the same
-//! queries (the replay traces at both granularities). A file whose lines
-//! cross the readers' buffer refills at every byte offset reads the same.
+//! `ReplayTrace::refill`, at chunk sizes 1, 7 and 1024, and through the
+//! split reads `read_trace` and `ReplayTrace::read`. Each must accept or
+//! refuse a file as the streamed `next_chunk` does, with the same error
+//! text, and when it accepts give the same queries (the replay traces at
+//! both granularities). A file whose lines cross the readers' buffer
+//! refills at every byte offset reads the same.
 
 mod oracle;
 
@@ -473,6 +474,17 @@ fn read_chunked(path: &std::path::Path, chunk: usize) -> Result<Vec<TraceQuery>,
     }
 }
 
+/// A whole file read off one `TraceReader`, 1024 queries at a time: the
+/// trace, or the error it stopped at. The reference of the split reads.
+fn streamed(path: &std::path::Path) -> Result<Trace, String> {
+    let reader = TraceReader::open(path).map_err(|e| e.to_string())?;
+    Ok(Trace {
+        name: reader.name().to_string(),
+        seed: reader.seed(),
+        queries: read_chunked(path, 1024)?,
+    })
+}
+
 /// What a replay reads of each query (its id, total yield and slices),
 /// and the references that named no object.
 type Content = (Vec<(QueryId, Bytes, Vec<(ObjectId, Bytes)>)>, Unresolved);
@@ -537,8 +549,8 @@ fn the_pass_takes_every_written_line() {
 /// length, some line crosses the end of each reader's first 8 KiB buffer
 /// fill (std's `BufReader` default) at each of its bytes, so a pass
 /// that gives up at the buffer's end and a line read again after the
-/// refill show. `next_chunk`, `refill` and `ReplayTrace::read` read the
-/// queries the writer wrote, whatever `k` is.
+/// refill show. `next_chunk`, `refill`, `ReplayTrace::read` and
+/// `read_trace` read the queries the writer wrote, whatever `k` is.
 #[test]
 fn lines_across_the_first_buffer_refill() {
     let (header, lines) = written_lines(23, 80);
@@ -582,6 +594,7 @@ fn lines_across_the_first_buffer_refill() {
         assert_eq!(read_chunked(&path, 7), Ok(trace.queries.clone()), "k = {k}");
         assert_eq!(refilled(&path, &objects, 7), Ok(content(&want)), "k = {k}");
         assert_eq!(ReplayTrace::read(&path, &objects).unwrap(), want, "k = {k}");
+        assert_eq!(read_trace(&path).unwrap().queries, trace.queries, "k = {k}");
     }
     std::fs::remove_file(&path).ok();
 }
@@ -676,14 +689,15 @@ proptest! {
         }
         let path = tmp("chunked", seed);
         std::fs::write(&path, &file).unwrap();
-        let read = read_trace(&path);
+        let read = streamed(&path);
+        prop_assert_eq!(read_trace(&path).map_err(|e| e.to_string()), read.clone());
         let catalog = build(SdssRelease::Edr, 1e-4, 1);
         for granularity in [Granularity::Table, Granularity::Column] {
             let objects = ObjectCatalog::uniform(&catalog, granularity);
             let converted = read
                 .as_ref()
                 .map(|trace| content(&ReplayTrace::from_trace(trace, &objects)))
-                .map_err(ToString::to_string);
+                .map_err(Clone::clone);
             for chunk in [1usize, 7, 1024] {
                 prop_assert_eq!(
                     refilled(&path, &objects, chunk),
@@ -696,10 +710,10 @@ proptest! {
                 (Ok(trace), Ok(replay)) => {
                     prop_assert_eq!(replay, ReplayTrace::from_trace(trace, &objects));
                 }
-                (Err(want), Err(have)) => prop_assert_eq!(want.to_string(), have.to_string()),
+                (Err(want), Err(have)) => prop_assert_eq!(want, &have.to_string()),
                 (want, have) => prop_assert!(
                     false,
-                    "read_trace {:?}, ReplayTrace::read {:?}",
+                    "next_chunk {:?}, ReplayTrace::read {:?}",
                     want.as_ref().map(|t| t.len()),
                     have.map(|r| r.len())
                 ),
