@@ -5,13 +5,13 @@ use byc_analysis::{
     render_server_table, render_span_table, render_tier_table, render_window_table,
 };
 use byc_catalog::sdss::{self, SdssRelease};
-use byc_catalog::{Granularity, ObjectCatalog};
+use byc_catalog::{Catalog, Granularity, ObjectCatalog};
 use byc_core::policy::CachePolicy;
 use byc_federation::{
     build_policy, fault_context, policy_roster, Breakdown, CostEvent, DegradationPolicy,
     FaultModel, FaultPlan, FlakyLinks, LinkScoped, NetworkModel, Observer, Outage, OutageWindows,
-    PerServerMultipliers, PolicyKind, QueryWindow, ReplaySession, RetryPolicy, SweepOptions,
-    Topology, Uniform,
+    PerServerMultipliers, PolicyKind, QueryWindow, Replay, ReplaySession, RetryPolicy,
+    SweepOptions, Topology, Uniform,
 };
 use byc_telemetry::{
     render_postmortems, window_header, window_record, write_chrome_trace, write_metrics,
@@ -20,7 +20,7 @@ use byc_telemetry::{
 };
 use byc_types::{Bytes, Error, Result, ServerId, Tick};
 use byc_workload::{
-    generate, io as trace_io, ReplayTrace, Trace, TraceQuery, TraceReader, TraceSpec,
+    generate, io as trace_io, ReplayTrace, Totals, Trace, TraceQuery, TraceReader, TraceSpec,
     WorkloadConfig, WorkloadStats,
 };
 use std::collections::HashMap;
@@ -440,12 +440,7 @@ fn parse_release(name: &str) -> Result<SdssRelease> {
 /// bypass decision. The caller's `--scale` must therefore match the scale
 /// the trace was generated at; we sanity-check by comparing the trace's
 /// mean yield to the catalog size and refuse wildly inconsistent pairs.
-fn load_trace(
-    spec: &str,
-    scale: f64,
-    seed: u64,
-    servers: u32,
-) -> Result<(byc_catalog::Catalog, Trace)> {
+fn load_trace(spec: &str, scale: f64, seed: u64, servers: u32) -> Result<(Catalog, Trace)> {
     match parse_release(spec) {
         Ok(release) => {
             let catalog = sdss::build(release, scale, servers);
@@ -454,7 +449,7 @@ fn load_trace(
                 SdssRelease::Dr1 => WorkloadConfig::dr1(seed),
             };
             let trace = generate(&catalog, &config)?;
-            total_yield(trace.queries.iter().map(|q| q.total_yield), scale)?;
+            total_yield(&trace).ok_or_else(|| saturated(scale))?;
             Ok((catalog, trace))
         }
         Err(_) => {
@@ -462,8 +457,11 @@ fn load_trace(
             // the trace's release, so default to EDR at the caller's scale.
             let trace = trace_io::read_trace(std::path::Path::new(spec))?;
             let catalog = sdss::build(SdssRelease::Edr, scale, servers);
-            let total = total_yield(trace.queries.iter().map(|q| q.total_yield), scale)?;
-            check_scale(spec, trace.len(), total, &catalog)?;
+            let totals = Totals {
+                queries: trace.len(),
+                total_yield: total_yield(&trace),
+            };
+            check_scale(spec, totals, scale, &catalog)?;
             Ok((catalog, trace))
         }
     }
@@ -474,14 +472,12 @@ fn load_trace(
 /// is converted once, and a trace file is decoded straight into the
 /// [`ReplayTrace`], so no [`Trace`] of a file is built.
 fn load_replay(
-    spec: &str,
-    scale: f64,
-    seed: u64,
-    servers: u32,
+    args: &ReplayArgs,
     granularity: Granularity,
-) -> Result<(byc_catalog::Catalog, ObjectCatalog, ReplayTrace)> {
+) -> Result<(Catalog, ObjectCatalog, ReplayTrace)> {
+    let (spec, scale, servers) = (&args.trace, args.scale, args.servers.max(1));
     if parse_release(spec).is_ok() {
-        let (catalog, trace) = load_trace(spec, scale, seed, servers)?;
+        let (catalog, trace) = load_trace(spec, scale, args.seed, servers)?;
         let objects = ObjectCatalog::uniform(&catalog, granularity);
         let replay = ReplayTrace::from_trace(&trace, &objects);
         return Ok((catalog, objects, replay));
@@ -489,24 +485,75 @@ fn load_replay(
     let catalog = sdss::build(SdssRelease::Edr, scale, servers);
     let objects = ObjectCatalog::uniform(&catalog, granularity);
     let replay = ReplayTrace::read(std::path::Path::new(spec), &objects)?;
-    let total = total_yield(replay.iter().map(|(q, _)| q.total_yield), scale)?;
-    check_scale(spec, replay.len(), total, &catalog)?;
+    check_scale(spec, replay.totals(), scale, &catalog)?;
     Ok((catalog, objects, replay))
 }
 
-/// The total yield of a trace's queries, refused when it does not fit a
+/// What `byc run` replays, opened with the catalog its file or release
+/// is priced against: a trace file streams off disk, its first
+/// [`SCALE_SAMPLE`] queries judged by [`check_scale`] and then replayed
+/// first from the chunk the replay refills. Under Static, whose offline
+/// plan needs the whole trace's demand profile before the first query,
+/// a file is resident, as a synthesized release always is; a resident
+/// trace is a [`ReplayTrace`], never the decoded queries.
+enum Input {
+    Streamed(Box<TraceReader>, ReplayTrace),
+    Resident(ReplayTrace),
+}
+
+impl Input {
+    fn open(
+        args: &ReplayArgs,
+        kind: PolicyKind,
+        granularity: Granularity,
+    ) -> Result<(Catalog, ObjectCatalog, Input)> {
+        if parse_release(&args.trace).is_ok() || kind == PolicyKind::Static {
+            let (catalog, objects, trace) = load_replay(args, granularity)?;
+            return Ok((catalog, objects, Input::Resident(trace)));
+        }
+        let catalog = sdss::build(SdssRelease::Edr, args.scale, args.servers.max(1));
+        let objects = ObjectCatalog::uniform(&catalog, granularity);
+        let mut reader = TraceReader::open(std::path::Path::new(&args.trace))?;
+        let mut sample = ReplayTrace::new(reader.name(), &objects);
+        sample.refill(&mut reader, &objects, SCALE_SAMPLE)?;
+        check_scale(&args.trace, sample.totals(), args.scale, &catalog)?;
+        Ok((catalog, objects, Input::Streamed(Box::new(reader), sample)))
+    }
+}
+
+/// A streamed replay of `spec`'s file, judged as its sample was: the
+/// session's refusal of the chunk in which the file's total yield
+/// overflows, and a replayed file's whole mean yield, both read off
+/// `chunk`'s totals, which count every query it was refilled with.
+fn judge_stream(
+    replay: Result<Replay>,
+    chunk: &ReplayTrace,
+    spec: &str,
+    scale: f64,
+    catalog: &Catalog,
+) -> Result<Replay> {
+    match replay {
+        Err(Error::InvalidConfig(_)) if chunk.totals().total_yield.is_none() => {
+            Err(saturated(scale))
+        }
+        Ok(replay) => check_scale(spec, chunk.totals(), scale, catalog).map(|()| replay),
+        Err(e) => Err(e),
+    }
+}
+
+/// The total yield of a trace's queries, `None` when it does not fit a
 /// u64: every byte total of a replay or an analysis would saturate at
 /// 2^64 B, below `sdss::max_scale`, where the catalog's own sizes still
 /// fit.
-fn total_yield(yields: impl IntoIterator<Item = Bytes>, scale: f64) -> Result<Bytes> {
-    yields
-        .into_iter()
-        .try_fold(0u64, |total, y| total.checked_add(y.raw()))
+fn total_yield(trace: &Trace) -> Option<Bytes> {
+    trace
+        .queries
+        .iter()
+        .try_fold(0u64, |total, q| total.checked_add(q.total_yield.raw()))
         .map(Bytes::new)
-        .ok_or_else(|| saturated(scale))
 }
 
-/// [`total_yield`]'s refusal.
+/// The refusal of a trace whose total yield overflows a u64.
 fn saturated(scale: f64) -> Error {
     Error::InvalidConfig(format!(
         "at --scale {scale:e} the trace's total yield overflows a u64 byte count, \
@@ -516,17 +563,13 @@ fn saturated(scale: f64) -> Error {
 
 /// Guard against replaying a trace file against a catalog at the wrong
 /// scale (yields would be mispriced by that factor), given the trace's
-/// query count and total yield.
-fn check_scale(
-    spec: &str,
-    queries: usize,
-    sequence_cost: Bytes,
-    catalog: &byc_catalog::Catalog,
-) -> Result<()> {
-    if queries == 0 {
+/// query count and total yield; a total that overflows is refused first.
+fn check_scale(spec: &str, totals: Totals, scale: f64, catalog: &Catalog) -> Result<()> {
+    let sequence_cost = totals.total_yield.ok_or_else(|| saturated(scale))?;
+    if totals.queries == 0 {
         return Ok(());
     }
-    let mean_yield = sequence_cost.as_f64() / queries as f64;
+    let mean_yield = sequence_cost.as_f64() / totals.queries as f64;
     let db = catalog.database_size().as_f64();
     // Matched scales put this ratio around 1e-5..1e-3 for SDSS-like
     // workloads (mean yield is a tiny, scale-free fraction of the
@@ -546,37 +589,6 @@ fn check_scale(
 /// Queries of a streamed trace file whose mean yield [`check_scale`]
 /// judges before the replay starts.
 const SCALE_SAMPLE: usize = 1024;
-
-/// Sums a streamed trace's query count and yield a chunk at a time, as
-/// the session is about to replay each chunk, for the [`total_yield`]
-/// and [`check_scale`] guards a resident load runs on the whole trace.
-/// Yields are non-negative, so once the sum overflows it stays
-/// overflowed: the chunk in which it does is refused before any of its
-/// queries is replayed.
-struct YieldTally {
-    scale: f64,
-    queries: usize,
-    sequence_cost: Bytes,
-}
-
-impl YieldTally {
-    fn new(scale: f64) -> Self {
-        Self {
-            scale,
-            queries: 0,
-            sequence_cost: Bytes::ZERO,
-        }
-    }
-
-    /// Add `chunk`'s queries, or refuse the chunk whose yield takes the
-    /// sum past a u64.
-    fn add(&mut self, chunk: &ReplayTrace) -> Result<()> {
-        let chunk_cost = total_yield(chunk.iter().map(|(q, _)| q.total_yield), self.scale)?;
-        self.sequence_cost = total_yield([self.sequence_cost, chunk_cost], self.scale)?;
-        self.queries += chunk.len();
-        Ok(())
-    }
-}
 
 /// Usage text.
 pub const USAGE: &str = "\
@@ -1131,6 +1143,11 @@ pub fn run_command(command: Command) -> Result<String> {
                     "--cache-fraction must be positive".into(),
                 ));
             }
+            if cache_fraction.is_infinite() {
+                return Err(Error::InvalidConfig(format!(
+                    "--cache-fraction must be finite, got {cache_fraction}"
+                )));
+            }
             let setup = Setup::new(&args)?;
             let kind = parse_policy(&policy)?;
             // The pipeline tracer (thread lane 0) brackets the setup
@@ -1143,40 +1160,11 @@ pub fn run_command(command: Command) -> Result<String> {
                 t.begin("parse trace", "pipeline");
                 t
             });
-            // A trace file streams off disk, never resident — except
-            // under Static, whose offline plan needs the whole trace's
-            // demand profile before the first query. Synthesized
-            // releases are generated in memory. A resident trace is held
-            // as a `ReplayTrace`, never as the decoded queries.
-            let streamed = parse_release(&args.trace).is_err() && kind != PolicyKind::Static;
-            let (catalog, objects, resident, mut stream) = if streamed {
-                let catalog = sdss::build(SdssRelease::Edr, args.scale, args.servers.max(1));
-                let objects = ObjectCatalog::uniform(&catalog, setup.granularity);
-                // Refuse a mis-scaled file before replaying any of it, on
-                // its first queries' mean yield; those queries are then
-                // the replay's first chunk, and the whole file's totals
-                // settle a borderline trace after the replay.
-                let mut reader = TraceReader::open(std::path::Path::new(&args.trace))?;
-                let mut sample = ReplayTrace::new(reader.name(), &objects);
-                sample.refill(&mut reader, &objects, SCALE_SAMPLE)?;
-                let total = total_yield(sample.iter().map(|(q, _)| q.total_yield), args.scale)?;
-                check_scale(&args.trace, sample.len(), total, &catalog)?;
-                (catalog, objects, None, Some((reader, sample)))
-            } else {
-                let (catalog, objects, trace) = load_replay(
-                    &args.trace,
-                    args.scale,
-                    args.seed,
-                    args.servers.max(1),
-                    setup.granularity,
-                )?;
-                (catalog, objects, Some(trace), None)
-            };
+            let (catalog, objects, mut input) = Input::open(&args, kind, setup.granularity)?;
             if let Some(t) = pipeline.as_mut() {
-                let queries = match (&resident, &stream) {
-                    (Some(tr), _) => tr.len(),
-                    (None, Some((reader, _))) => reader.query_count(),
-                    (None, None) => 0,
+                let queries = match &input {
+                    Input::Streamed(reader, _) => reader.query_count(),
+                    Input::Resident(trace) => trace.len(),
                 };
                 t.arg("queries", queries as u64);
                 t.end();
@@ -1184,8 +1172,10 @@ pub fn run_command(command: Command) -> Result<String> {
             }
             // Per-object demands are only consulted by Static, which
             // always has the resident trace.
-            let demands = match (&resident, kind) {
-                (Some(tr), PolicyKind::Static) => WorkloadStats::of_replay(tr, &objects).demands,
+            let demands = match (&input, kind) {
+                (Input::Resident(trace), PolicyKind::Static) => {
+                    WorkloadStats::of_replay(trace, &objects).demands
+                }
                 _ => Vec::new(),
             };
             let capacity = objects.total_size().scale(cache_fraction);
@@ -1221,19 +1211,14 @@ pub fn run_command(command: Command) -> Result<String> {
             observers.windows = observers
                 .windows
                 .map(|w| w.with_sink(Box::new(std::io::stderr())));
-            let mut tally = YieldTally::new(args.scale);
-            let mut check = |chunk: &ReplayTrace| tally.add(chunk);
             // Only a tiered or multi-server run prints a breakdown table.
             let mut breakdown = (setup.topology.is_some() || args.servers > 1).then(Breakdown::new);
             let replay = {
-                let mut session = match (stream.as_mut(), resident.as_ref()) {
-                    (Some((reader, sample)), _) => {
-                        ReplaySession::from_reader(reader, sample, &objects)
-                            .check_chunks(&mut check)
+                let mut session = match &mut input {
+                    Input::Streamed(reader, chunk) => {
+                        ReplaySession::from_reader(reader, chunk, &objects)
                     }
-                    (None, Some(tr)) => ReplaySession::new(tr, &objects),
-                    // Unreachable: a trace is either streamed or resident.
-                    (None, None) => return Err(Error::InvalidConfig("no trace input".into())),
+                    Input::Resident(trace) => ReplaySession::new(&*trace, &objects),
                 };
                 session = setup.configure(session);
                 if let Some(breakdown) = breakdown.as_mut() {
@@ -1245,14 +1230,13 @@ pub fn run_command(command: Command) -> Result<String> {
                 }
                 session.run()
             };
-            // A streamed file's total is judged chunk by chunk as it is
-            // replayed, and its whole mean yield once it is; a failed or
-            // refused run leaves no decision log behind.
-            let replay = replay.and_then(|replay| match streamed {
-                true => check_scale(&args.trace, tally.queries, tally.sequence_cost, &catalog)
-                    .map(|()| replay),
-                false => Ok(replay),
-            });
+            // A failed or refused run leaves no decision log behind.
+            let replay = match &input {
+                Input::Streamed(_, chunk) => {
+                    judge_stream(replay, chunk, &args.trace, args.scale, &catalog)
+                }
+                Input::Resident(_) => replay,
+            };
             let replay = match replay {
                 Ok(replay) => replay,
                 Err(e) => {
@@ -1421,13 +1405,7 @@ pub fn run_command(command: Command) -> Result<String> {
         }
         Command::Sweep(args) => {
             let setup = Setup::new(&args)?;
-            let (_, objects, trace) = load_replay(
-                &args.trace,
-                args.scale,
-                args.seed,
-                args.servers.max(1),
-                setup.granularity,
-            )?;
+            let (_, objects, trace) = load_replay(&args, setup.granularity)?;
             let stats = WorkloadStats::of_replay(&trace, &objects);
             let fractions = [0.1, 0.2, 0.3, 0.4, 0.5, 0.75, 1.0];
             let policies = policy_roster();
@@ -1926,6 +1904,26 @@ mod tests {
             trace_events: None,
         };
         assert!(run_command(cmd).is_err());
+        // `1e400` parses to infinity; each is refused by name before the
+        // trace is built.
+        for fraction in ["inf", "1e400", "NaN"] {
+            let argv = [
+                "run",
+                "edr",
+                "--policy",
+                "lru",
+                "--scale",
+                "0.001",
+                "--cache-fraction",
+                fraction,
+            ];
+            let err = parse_args(&args(&argv)).and_then(run_command).unwrap_err();
+            assert!(
+                matches!(err, Error::InvalidConfig(_))
+                    && err.to_string().contains("--cache-fraction"),
+                "{fraction}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -3360,8 +3358,7 @@ mod tests {
         // NoCache replayed alone at each fraction, each with its own
         // observer, exported under the sweep's labels.
         let setup = Setup::new(&args).unwrap();
-        let (_, objects, replay) =
-            load_replay(&args.trace, args.scale, args.seed, 1, setup.granularity).unwrap();
+        let (_, objects, replay) = load_replay(&args, setup.granularity).unwrap();
         let topology = setup.topology.as_ref().unwrap();
         let mut alone = MetricsRegistry::new();
         for (f, label) in fractions.iter().zip(&labels) {
@@ -3523,24 +3520,17 @@ mod tests {
         );
 
         // The streamed run's session, as `run` builds it, with an
-        // observer counting the queries served.
+        // observer counting the queries served, judged as `run` judges it.
         let mut reader = TraceReader::open(&path).unwrap();
         let mut sample = ReplayTrace::new(reader.name(), &objects);
         sample.refill(&mut reader, &objects, SCALE_SAMPLE).unwrap();
-        let mut tally = YieldTally::new(3e7);
-        let mut chunks = Vec::new();
-        let mut check = |chunk: &ReplayTrace| {
-            chunks.push(chunk.len());
-            tally.add(chunk)
-        };
         let mut served = Served(0);
         let mut policy = build_policy(PolicyKind::NoCache, Bytes::new(1), &[], 1);
-        let err = ReplaySession::from_reader(&mut reader, &mut sample, &objects)
-            .check_chunks(&mut check)
+        let replay = ReplaySession::from_reader(&mut reader, &mut sample, &objects)
             .observe(&mut served)
             .policy(policy.as_mut())
-            .run()
-            .unwrap_err();
+            .run();
+        let err = judge_stream(replay, &sample, file, 3e7, &catalog).unwrap_err();
         assert!(
             err.to_string()
                 .contains("at --scale 3e7 the trace's total yield overflows"),
@@ -3548,13 +3538,16 @@ mod tests {
         );
         // Every chunk before the refused one was served whole, and none
         // of the refused one: it holds the first query past the limit.
-        let (refused, accepted) = chunks.split_last().unwrap();
-        let before: usize = accepted.iter().sum();
+        // The chunk is left holding it, and its totals count every query
+        // read: the sample's, then 1024 per chunk.
+        let refused = sample.len();
+        let before = sample.totals().queries - refused;
         assert_eq!(served.0, before);
-        assert_eq!(tally.queries, before);
+        assert_eq!(refused, 1024);
+        assert_eq!((before - SCALE_SAMPLE) % 1024, 0);
         assert!(
             (before..before + refused).contains(&first_over),
-            "{chunks:?}"
+            "{before} + {refused}"
         );
         std::fs::remove_file(&path).ok();
     }

@@ -68,7 +68,6 @@ use crate::sweep::{SweepOptions, SweepPoint};
 use byc_catalog::ObjectCatalog;
 use byc_core::audit::AuditReport;
 use byc_core::policy::CachePolicy;
-use byc_core::static_opt::ObjectDemand;
 use byc_types::{Error, Result};
 use byc_workload::{ReplayTrace, Trace, TraceQuery, TraceReader, Unresolved};
 use std::borrow::Cow;
@@ -112,18 +111,12 @@ pub struct ReplaySession<'a> {
     /// The tier policies, bottom-up: the first is the site tier's.
     tiers: Vec<&'a mut dyn CachePolicy>,
     observers: Vec<&'a mut dyn Observer>,
-    /// Judges each chunk before it is replayed.
-    check: Option<&'a mut ChunkCheck<'a>>,
 }
-
-/// A judge of each run of queries a session is about to replay; see
-/// [`ReplaySession::check_chunks`].
-pub type ChunkCheck<'a> = dyn FnMut(&ReplayTrace) -> Result<()> + 'a;
 
 impl std::fmt::Debug for ReplaySession<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ReplaySession")
-            .field("trace", &self.source.name())
+            .field("trace", &self.source.trace().name())
             .field("links", &self.links.name())
             .field("faults", &self.faults.map(FaultModel::name))
             .field("retry", &self.retry)
@@ -131,7 +124,6 @@ impl std::fmt::Debug for ReplaySession<'_> {
             .field("audit", &self.audit)
             .field("tiers", &self.tiers.len())
             .field("observers", &self.observers.len())
-            .field("checks_chunks", &self.check.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -177,7 +169,6 @@ impl<'a> ReplaySession<'a> {
             audit: None,
             tiers: Vec::new(),
             observers: Vec::new(),
-            check: None,
         }
     }
 
@@ -233,17 +224,6 @@ impl<'a> ReplaySession<'a> {
         self
     }
 
-    /// Judge every run of queries before it is replayed: `check` sees
-    /// each chunk a reader-backed session decodes (a resident trace is
-    /// one chunk), and its first `Err` ends [`Self::run`] with that
-    /// error before any query of that chunk is served. The sweep
-    /// terminal refuses a session with a check.
-    #[must_use]
-    pub fn check_chunks(mut self, check: &'a mut ChunkCheck<'a>) -> Self {
-        self.check = Some(check);
-        self
-    }
-
     /// Force decision-stream auditing on (even in release builds).
     /// Violations are reported in [`Replay::audit`], never panicked on.
     #[must_use]
@@ -282,9 +262,12 @@ impl<'a> ReplaySession<'a> {
     /// # Errors
     ///
     /// [`Error::InvalidConfig`] when the number of policies is not the
-    /// depth of the session's links (one on the flat WAN), or when a
+    /// depth of the session's links (one on the flat WAN), when a
     /// borrowed [`ReplayTrace`] was resolved against another catalog
-    /// view; IO and format errors from a trace reader.
+    /// view, or when the trace's total yield overflows a u64 (a streamed
+    /// trace is refused at the chunk in which it does, with every query
+    /// before that chunk served and none of it); IO and format errors
+    /// from a trace reader.
     pub fn run(self) -> Result<Replay> {
         let audit_enabled = self.audit.unwrap_or(cfg!(debug_assertions));
         let ReplaySession {
@@ -296,7 +279,6 @@ impl<'a> ReplaySession<'a> {
             degradation,
             mut tiers,
             mut observers,
-            mut check,
             ..
         } = self;
         if tiers.len() != links.depth() {
@@ -308,11 +290,11 @@ impl<'a> ReplaySession<'a> {
                 tiers.len()
             )));
         }
-        if !source.fits(objects) {
+        if !source.trace().fits(objects) {
             return Err(Error::InvalidConfig(format!(
                 "replay trace {:?} was resolved against another catalog view \
                  than the session's {} {}s",
-                source.name(),
+                source.trace().name(),
                 objects.len(),
                 objects.granularity().label()
             )));
@@ -328,7 +310,8 @@ impl<'a> ReplaySession<'a> {
         }
 
         let label = tiers.first().map(|p| p.name()).unwrap_or_default();
-        let mut cost = CostObserver::new(label, source.name(), objects.granularity().label());
+        let mut cost =
+            CostObserver::new(label, source.trace().name(), objects.granularity().label());
         // One audit per tier: each tier's decision stream is its own cache.
         let mut audits: Vec<AuditObserver> = if audit_enabled {
             (0..tiers.len())
@@ -356,9 +339,6 @@ impl<'a> ReplaySession<'a> {
             // contract): its id and total yield, every other member empty.
             let mut hook = TraceQuery::default();
             while let Some(chunk) = source.next()? {
-                if let Some(check) = check.as_mut() {
-                    check(chunk)?;
-                }
                 skipped.add(chunk.unresolved());
                 for (query, slices) in chunk.iter() {
                     hook.id = query.id;
@@ -419,8 +399,9 @@ impl<'a> ReplaySession<'a> {
     /// [`Error::InvalidConfig`] when a policy or extra observers were
     /// configured (sweeps build their own per job), when the session
     /// streams off a reader (sweeps replay one in-memory trace), or when
-    /// a fraction is not positive; otherwise the first error of a grid
-    /// point, in grid order.
+    /// a fraction is not positive and finite; otherwise the first error
+    /// of a grid point, in grid order (each point of a trace whose total
+    /// yield overflows a u64 refuses it as [`Self::run`] does).
     pub fn sweep<O: Observer + Send>(
         self,
         options: SweepOptions<'_, O>,
@@ -429,8 +410,9 @@ impl<'a> ReplaySession<'a> {
         self.sweep_on(options, workers)
     }
 
-    /// [`Self::sweep`] on `workers` threads (at least one, and no more
-    /// than there are jobs).
+    /// [`Self::sweep`] on a pool of `workers` scoped threads (at least
+    /// one, and no more than there are jobs); the module docs say which
+    /// jobs it runs, and in what order.
     fn sweep_on<O: Observer + Send>(
         self,
         options: SweepOptions<'_, O>,
@@ -443,34 +425,10 @@ impl<'a> ReplaySession<'a> {
             seed,
             observe,
         } = options;
-        let (make, sink) = match observe {
+        let (make_observer, sink) = match observe {
             Some(crate::sweep::SweepObserve { make, sink }) => (Some(make), Some(sink)),
             None => (None, None),
         };
-        let results = self.sweep_pool(policies, fractions, demands, seed, make, workers)?;
-        let mut points = Vec::with_capacity(results.len());
-        let mut observers = Vec::new();
-        for (point, observer) in results {
-            points.push(point);
-            observers.extend(observer);
-        }
-        if let Some(sink) = sink {
-            sink.extend(observers);
-        }
-        Ok(points)
-    }
-
-    /// The shared sweep implementation, on a pool of `workers` scoped
-    /// threads; the module docs say which jobs it runs, and in what order.
-    fn sweep_pool<O: Observer + Send>(
-        self,
-        policies: &[PolicyKind],
-        fractions: &[f64],
-        demands: &[ObjectDemand],
-        seed: u64,
-        make_observer: Option<&dyn Fn(PolicyKind, f64) -> O>,
-        workers: usize,
-    ) -> Result<Vec<(SweepPoint, Option<O>)>> {
         if !self.tiers.is_empty() {
             return Err(Error::InvalidConfig(
                 "sweep terminals build one policy per tier per (kind, fraction) job; \
@@ -485,17 +443,10 @@ impl<'a> ReplaySession<'a> {
                     .into(),
             ));
         }
-        if self.check.is_some() {
-            return Err(Error::InvalidConfig(
-                "a sweep replays its resident trace once per grid point; \
-                 don't call .check_chunks(...) before .sweep(...)"
-                    .into(),
-            ));
-        }
         for &f in fractions {
-            if f <= 0.0 {
+            if !(f > 0.0 && f.is_finite()) {
                 return Err(Error::InvalidConfig(format!(
-                    "cache fraction must be positive, got {f}"
+                    "cache fraction must be positive and finite, got {f}"
                 )));
             }
         }
@@ -630,9 +581,15 @@ impl<'a> ReplaySession<'a> {
         // first, so its error (every one of its points would have had the
         // same) ranks where its first point's would.
         finished.sort_unstable_by_key(|&(first, _)| first);
-        let mut points = Vec::new();
+        let (mut points, mut observers) = (Vec::new(), Vec::new());
         for (_, job) in finished {
-            points.extend(job?);
+            for (point, observer) in job? {
+                points.push(point);
+                observers.extend(observer);
+            }
+        }
+        if let Some(sink) = sink {
+            sink.extend(observers);
         }
         Ok(points)
     }
@@ -745,7 +702,7 @@ mod tests {
     use byc_catalog::sdss::{build, SdssRelease};
     use byc_catalog::Granularity;
     use byc_core::rate_profile::{RateProfile, RateProfileConfig};
-    use byc_core::static_opt::NoCache;
+    use byc_core::static_opt::{NoCache, ObjectDemand};
     use byc_types::{Bytes, ServerId, Tick};
     use byc_workload::{generate, WorkloadConfig, WorkloadStats};
 
@@ -784,15 +741,22 @@ mod tests {
     fn sweep_rejects_non_positive_fractions() {
         let (trace, objects) = setup(1, 100);
         let stats = WorkloadStats::compute(&trace, &objects);
-        let err = ReplaySession::new(&trace, &objects)
-            .sweep(SweepOptions::new(
-                &[PolicyKind::NoCache],
-                &[0.0],
-                &stats.demands,
-                1,
-            ))
-            .unwrap_err();
-        assert!(matches!(err, Error::InvalidConfig(_)), "{err:?}");
+        // NaN would reach `Bytes::scale` (a debug assertion), and infinity
+        // would size a cache of 2^64 - 1 bytes.
+        for fraction in [0.0, f64::NAN, f64::INFINITY] {
+            let err = ReplaySession::new(&trace, &objects)
+                .sweep(SweepOptions::new(
+                    &[PolicyKind::NoCache, PolicyKind::Lru],
+                    &[0.5, fraction],
+                    &stats.demands,
+                    1,
+                ))
+                .unwrap_err();
+            assert!(
+                matches!(err, Error::InvalidConfig(_)),
+                "{fraction}: {err:?}"
+            );
+        }
     }
 
     #[test]
@@ -1277,6 +1241,90 @@ mod tests {
             .unwrap();
         let mut p = NoCache;
         assert_eq!(resident.report, run_report(&trace, &columns, &mut p));
+    }
+
+    /// Counts the queries a replay serves.
+    struct Served(usize);
+
+    impl Observer for Served {
+        fn on_query_start(&mut self, _index: usize, _query: &TraceQuery) {
+            self.0 += 1;
+        }
+
+        fn wants_accesses(&self) -> bool {
+            false
+        }
+    }
+
+    /// EDR at scale 3e7 totals 3.65e19 B, past `u64::MAX`: every replay
+    /// refuses it with `InvalidConfig` instead of reporting saturated
+    /// byte totals, over a `Trace`, over a borrowed `ReplayTrace`,
+    /// streamed, and swept. A streamed replay serves every query before
+    /// the chunk in which the total overflows, and none of that chunk.
+    #[test]
+    fn a_total_past_u64_is_refused() {
+        fn refused<T: std::fmt::Debug>(replay: Result<T>, what: &str) {
+            assert!(
+                matches!(&replay, Err(Error::InvalidConfig(e)) if e.contains("overflows a u64")),
+                "{what}: {replay:?}"
+            );
+        }
+        let cat = build(SdssRelease::Edr, 3e7, 1);
+        let trace = generate(&cat, &WorkloadConfig::edr(42)).unwrap();
+        let objects = ObjectCatalog::uniform(&cat, Granularity::Column);
+        let mut p = NoCache;
+        refused(
+            ReplaySession::new(&trace, &objects).policy(&mut p).run(),
+            "trace",
+        );
+        let replay = ReplayTrace::from_trace(&trace, &objects);
+        let mut p = NoCache;
+        refused(
+            ReplaySession::new(&replay, &objects).policy(&mut p).run(),
+            "replay trace",
+        );
+        let stats = WorkloadStats::of_replay(&replay, &objects);
+        let options = SweepOptions::new(
+            &[PolicyKind::NoCache, PolicyKind::Lru],
+            &[0.1, 0.5],
+            &stats.demands,
+            1,
+        );
+        refused(
+            ReplaySession::new(&replay, &objects).sweep(options),
+            "sweep",
+        );
+
+        let mut sum = 0u128;
+        let first_over = trace
+            .queries
+            .iter()
+            .position(|q| {
+                sum += u128::from(q.total_yield.raw());
+                sum > u128::from(u64::MAX)
+            })
+            .unwrap();
+        let path =
+            std::env::temp_dir().join(format!("byc-session-3e7-{}.jsonl", std::process::id()));
+        byc_workload::io::write_trace(&trace, &path).unwrap();
+        let mut reader = TraceReader::open(&path).unwrap();
+        let mut chunk = ReplayTrace::new(reader.name(), &objects);
+        let mut served = Served(0);
+        let mut p = NoCache;
+        let streamed = ReplaySession::from_reader(&mut reader, &mut chunk, &objects)
+            .observe(&mut served)
+            .policy(&mut p)
+            .run();
+        std::fs::remove_file(&path).ok();
+        refused(streamed, "streamed");
+        // Chunks of `READ_CHUNK` queries: the refused one holds the first
+        // query past the limit, and was read whole.
+        let start = first_over / crate::stream::READ_CHUNK * crate::stream::READ_CHUNK;
+        assert!(start > 0);
+        assert_eq!(served.0, start);
+        assert_eq!(chunk.len(), crate::stream::READ_CHUNK);
+        assert_eq!(chunk.totals().queries, start + chunk.len());
+        assert_eq!(chunk.totals().total_yield, None);
     }
 
     /// The panic a [`Probe`] raises: its job's label.

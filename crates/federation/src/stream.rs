@@ -7,15 +7,22 @@
 //! resident one as a single run, a [`TraceReader`] as successive runs
 //! resolved into one chunk refilled in place, so memory stays constant
 //! in the trace length.
+//!
+//! Every run is judged before the kernel sees a query of it: a replay
+//! trace whose [`Totals`](byc_workload::Totals) overflowed a u64 is
+//! refused, since no byte total of a replay over it could count it. A
+//! streamed chunk's totals add up every refill, so the refused run is
+//! the one in which the trace's total yield overflows, and every run
+//! before it has been replayed.
 
 use byc_catalog::ObjectCatalog;
-use byc_types::Result;
+use byc_types::{Error, Result};
 use byc_workload::{ReplayTrace, TraceReader};
 use std::borrow::Cow;
 
 /// Queries decoded off a trace reader at a time: the only part of a
 /// streamed trace that is ever resident.
-const READ_CHUNK: usize = 1024;
+pub(crate) const READ_CHUNK: usize = 1024;
 
 /// Where replayed queries come from: a resident replay trace, handed out
 /// whole, or a [`TraceReader`] refilling one chunk off disk.
@@ -58,33 +65,24 @@ impl<'a> ChunkSource<'a> {
         }
     }
 
-    /// The trace's name, for report headers.
-    pub(crate) fn name(&self) -> &str {
+    /// The trace being replayed: the resident one, or the chunk the
+    /// reader refills, which carries the file's name and catalog view.
+    pub(crate) fn trace(&self) -> &ReplayTrace {
         match self {
-            ChunkSource::Resident { trace, .. } => trace.name(),
-            ChunkSource::Reader { chunk, .. } => chunk.name(),
+            ChunkSource::Resident { trace, .. } => trace,
+            ChunkSource::Reader { chunk, .. } => chunk,
         }
     }
 
-    /// Whether every chunk's slices name objects of `objects`.
-    pub(crate) fn fits(&self, objects: &ObjectCatalog) -> bool {
-        match self {
-            ChunkSource::Resident { trace, .. } => trace.fits(objects),
-            ChunkSource::Reader { chunk, .. } => chunk.fits(objects),
-        }
-    }
-
-    /// The next run of queries, or `None` at end of trace. IO errors
-    /// come from the reader variant only.
+    /// The next run of queries, or `None` at end of trace.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InvalidConfig`] for a run whose totals overflowed (see
+    /// the module docs); IO and format errors from the reader variant.
     pub(crate) fn next(&mut self) -> Result<Option<&ReplayTrace>> {
-        match self {
-            ChunkSource::Resident { trace, done } => {
-                if *done {
-                    return Ok(None);
-                }
-                *done = true;
-                Ok(Some(trace))
-            }
+        let more = match self {
+            ChunkSource::Resident { done, .. } => !std::mem::replace(done, true),
             ChunkSource::Reader {
                 reader,
                 objects,
@@ -94,8 +92,19 @@ impl<'a> ChunkSource<'a> {
                 if !std::mem::take(primed) || chunk.is_empty() {
                     chunk.refill(reader, objects, READ_CHUNK)?;
                 }
-                Ok((!chunk.is_empty()).then_some(&**chunk))
+                !chunk.is_empty()
             }
+        };
+        let run = self.trace();
+        match run.totals().total_yield {
+            _ if !more => Ok(None),
+            Some(_) => Ok(Some(run)),
+            None => Err(Error::InvalidConfig(format!(
+                "the total yield of the first {} queries of trace {:?} overflows a u64 byte \
+                 count, so the replay's byte totals would saturate",
+                run.totals().queries,
+                run.name()
+            ))),
         }
     }
 }

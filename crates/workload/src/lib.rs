@@ -34,7 +34,7 @@ pub mod trace;
 
 pub use generator::{generate, generate_with, WorkloadConfig};
 pub use io::{TraceReader, TraceWriter};
-pub use replay::{for_each_slice, ReplayQuery, ReplayTrace, Unresolved};
+pub use replay::{for_each_slice, ReplayQuery, ReplayTrace, Totals, Unresolved};
 pub use spec::{TraceSpec, TraceSummary};
 pub use stats::WorkloadStats;
 pub use trace::{Trace, TraceQuery};

@@ -13,7 +13,10 @@
 //!
 //! References that name no object of the catalog are skipped and counted
 //! in an [`Unresolved`] tally at the same time, so a replay reports them
-//! without resolving anything again. A resident `TraceQuery` also owns
+//! without resolving anything again. The queries read in are counted, and
+//! their total yields summed, in [`Totals`]: a sum past `u64::MAX` bytes
+//! is kept as an overflow, so a replay can refuse what no byte total of
+//! its report could count. A resident `TraceQuery` also owns
 //! its SQL text, data keys, table and column lists and the other
 //! granularity's yields, six heap blocks in all; a replay trace keeps one
 //! entry per query and one per slice in flat vectors.
@@ -111,6 +114,37 @@ pub fn for_each_slice(
     skipped
 }
 
+/// The queries read into a replay trace and the sum of their total
+/// yields, `None` once it overflows a u64.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Totals {
+    /// Queries read.
+    pub queries: usize,
+    /// The sum of their total yields; `None` past `u64::MAX` bytes.
+    pub total_yield: Option<Bytes>,
+}
+
+impl Default for Totals {
+    fn default() -> Self {
+        Totals {
+            queries: 0,
+            total_yield: Some(Bytes::ZERO),
+        }
+    }
+}
+
+impl Totals {
+    /// Add another count into this one.
+    fn add(&mut self, other: Totals) {
+        self.queries += other.queries;
+        self.total_yield = self
+            .total_yield
+            .zip(other.total_yield)
+            .and_then(|(a, b)| a.raw().checked_add(b.raw()))
+            .map(Bytes::new);
+    }
+}
+
 /// One query of a [`ReplayTrace`]: what a replay reads of it besides its
 /// slices.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -151,6 +185,8 @@ struct Fill<'o> {
     objects: &'o ObjectCatalog,
     /// The references of the run's queries that named no object.
     unresolved: Unresolved,
+    /// The run's queries and their total yield.
+    totals: Totals,
     /// The line being read: its id, its total yield, and its references
     /// that named no object.
     id: QueryId,
@@ -164,6 +200,7 @@ impl<'o> Fill<'o> {
             run,
             objects,
             unresolved: Unresolved::default(),
+            totals: Totals::default(),
             id: QueryId::default(),
             total_yield: Bytes::ZERO,
             skipped: Unresolved::default(),
@@ -204,6 +241,10 @@ impl Sink for Fill<'_> {
             end: self.run.slices.len(),
         });
         self.unresolved.add(self.skipped);
+        self.totals.add(Totals {
+            queries: 1,
+            total_yield: Some(self.total_yield),
+        });
     }
     fn undo(&mut self) {
         let end = self.run.queries.last().map_or(0, |query| query.end);
@@ -222,6 +263,7 @@ pub struct ReplayTrace {
     /// The queries, in trace order.
     runs: Vec<Run>,
     unresolved: Unresolved,
+    totals: Totals,
 }
 
 impl ReplayTrace {
@@ -233,6 +275,7 @@ impl ReplayTrace {
             object_count: objects.len(),
             runs: Vec::new(),
             unresolved: Unresolved::default(),
+            totals: Totals::default(),
         }
     }
 
@@ -247,6 +290,7 @@ impl ReplayTrace {
         let mut replay = Self::new(&trace.name, objects);
         replay.runs.push(fill.run);
         replay.unresolved = fill.unresolved;
+        replay.totals = fill.totals;
         replay
     }
 
@@ -285,6 +329,7 @@ impl ReplayTrace {
         for fill in fills {
             replay.runs.push(fill.run);
             replay.unresolved.add(fill.unresolved);
+            replay.totals.add(fill.totals);
         }
         Ok(replay)
     }
@@ -293,7 +338,9 @@ impl ReplayTrace {
     /// (at least 1 is attempted), keeping the allocations, so a chunk
     /// refilled again and again stays the size of its largest run. An
     /// empty trace means end of file; at that point the header's query
-    /// count has been checked against what the file held.
+    /// count has been checked against what the file held. The
+    /// [`Self::totals`] add up every refill, so a chunk refilled to the
+    /// end counts the whole file.
     ///
     /// # Errors
     ///
@@ -315,6 +362,7 @@ impl ReplayTrace {
         let filled = reader.decode_into(max, &mut fill);
         self.runs.push(fill.run);
         self.unresolved = fill.unresolved;
+        self.totals.add(fill.totals);
         filled
     }
 
@@ -354,12 +402,19 @@ impl ReplayTrace {
     pub fn unresolved(&self) -> Unresolved {
         self.unresolved
     }
+
+    /// The queries read into this trace and their total yield: those it
+    /// holds, or for a chunk every query of every [`Self::refill`].
+    pub fn totals(&self) -> Totals {
+        self.totals
+    }
 }
 
 impl PartialEq for ReplayTrace {
     /// Equal names, catalog views, unresolved counts, and queries with
     /// equal ids, yields and slices, in the same order: where the runs
-    /// break does not matter.
+    /// break does not matter, nor do a refilled chunk's [`Totals`] of
+    /// the refills before.
     fn eq(&self, other: &Self) -> bool {
         fn content(
             t: &ReplayTrace,
@@ -401,6 +456,13 @@ mod tests {
             assert_eq!(replay.unresolved(), Unresolved::default());
             let total: Bytes = replay.iter().map(|(q, _)| q.total_yield).sum();
             assert_eq!(total, trace.sequence_cost());
+            assert_eq!(
+                replay.totals(),
+                Totals {
+                    queries: trace.len(),
+                    total_yield: Some(total)
+                }
+            );
             for ((query, run), original) in replay.iter().zip(&trace.queries) {
                 assert_eq!(query.id, original.id);
                 assert_eq!(query.total_yield, original.total_yield);
@@ -461,6 +523,7 @@ mod tests {
             }
             assert!(joined.runs.len() > 1 || max == 1000);
             assert_eq!(joined, converted, "chunk size {max}");
+            assert_eq!(chunk.totals(), converted.totals(), "chunk size {max}");
         }
         std::fs::remove_file(&path).ok();
     }
@@ -557,9 +620,10 @@ mod tests {
         for workers in 1..=8 {
             let read = ReplayTrace::read_on(&file.0, objects, workers).map_err(|e| e.to_string());
             assert_eq!(read, expected, "{name} on {workers} workers");
-            if let Ok(read) = read {
+            if let (Ok(read), Ok(expected)) = (read, &expected) {
                 let runs = read.runs.len();
                 assert_eq!(runs, workers, "{name}: one run per range");
+                assert_eq!(read.totals(), expected.totals(), "{name}: totals");
             }
             let whole = crate::io::read_trace_on(&file.0, workers).map_err(|e| e.to_string());
             assert_eq!(whole, trace, "{name}: read_trace on {workers} workers");
@@ -803,6 +867,47 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A total yield past `u64::MAX` bytes is kept as an overflow by
+    /// every fill: the conversion, a split read, and a chunk from the
+    /// refill in which it overflows on.
+    #[test]
+    fn an_overflowing_total_is_kept() {
+        let (mut trace, objects) = setup(Granularity::Column);
+        trace.queries[0].total_yield = Bytes::new(u64::MAX - 1);
+        let fits = ReplayTrace::from_trace(&trace, &objects).totals();
+        assert_eq!(fits.queries, 300);
+        assert_eq!(fits.total_yield, None);
+        trace.queries[0].total_yield = Bytes::new(u64::MAX / 2);
+        trace.queries[150].total_yield = Bytes::new(u64::MAX / 2);
+        assert_eq!(
+            ReplayTrace::from_trace(&trace, &objects).totals(),
+            Totals {
+                queries: 300,
+                total_yield: None
+            }
+        );
+        let file = Scratch::new("overflow", b"");
+        write_trace(&trace, &file.0).unwrap();
+        for workers in 1..=3 {
+            let read = ReplayTrace::read_on(&file.0, &objects, workers).unwrap();
+            assert_eq!(read.totals().total_yield, None, "{workers} workers");
+        }
+        let mut reader = TraceReader::open(&file.0).unwrap();
+        let mut chunk = ReplayTrace::new(reader.name(), &objects);
+        let mut sums = Vec::new();
+        loop {
+            chunk.refill(&mut reader, &objects, 100).unwrap();
+            if chunk.is_empty() {
+                break;
+            }
+            sums.push(chunk.totals());
+        }
+        let queries: Vec<usize> = sums.iter().map(|t| t.queries).collect();
+        assert_eq!(queries, [100, 200, 300]);
+        let overflowed: Vec<bool> = sums.iter().map(|t| t.total_yield.is_none()).collect();
+        assert_eq!(overflowed, [false, true, true]);
     }
 
     #[test]
